@@ -36,6 +36,9 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	prep := act.StartSpan(trace.StagePrepare, "3pc votes")
 	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, true)
 	prep.End()
+	if commit && len(cohort) == 0 {
+		return commitReadOnly(onDecision)
+	}
 
 	if !commit {
 		dec := act.StartSpan(trace.StageDecide, "3pc abort")
@@ -68,7 +71,7 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	dec := act.StartSpan(trace.StageDecide, "3pc pre-commit+decision")
 	defer dec.End()
 	acked := broadcastPreCommit(ctx, c, opts, req, cohort)
-	if quorum := len(cohort)/2 + 1; len(cohort) > 0 && acked < quorum {
+	if quorum := len(cohort)/2 + 1; acked < quorum {
 		// The commit quorum did not form — and an abort cannot be decided
 		// either: the members that DID force pre-commits could carry a
 		// later termination election to commit. The outcome belongs to

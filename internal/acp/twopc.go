@@ -29,6 +29,9 @@ func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, re
 	prep := act.StartSpan(trace.StagePrepare, "2pc votes")
 	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, false)
 	prep.End()
+	if commit && len(cohort) == 0 {
+		return commitReadOnly(onDecision)
+	}
 
 	dec := act.StartSpan(trace.StageDecide, "2pc decision")
 	// Force the decision record — the commit point. Under presumed abort an
@@ -60,6 +63,19 @@ func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, re
 		return false, voteErr
 	}
 	return false, model.Abortf(model.AbortACP, "2pc: aborted")
+}
+
+// commitReadOnly finishes a transaction whose participants ALL voted
+// read-only: each released its CC state when it voted, none logged a
+// prepared record, so there is no phase 2 and nobody can ever ask for the
+// outcome. The decision is therefore neither logged nor entered in the
+// decision table (the end record would retire it in the same breath) — a
+// read-only transaction leaves the coordinator's WAL untouched.
+func commitReadOnly(onDecision func(bool)) (bool, error) {
+	if onDecision != nil {
+		onDecision(true)
+	}
+	return true, nil
 }
 
 // collectVotes runs phase 1 concurrently and reports the decision plus the

@@ -1,10 +1,8 @@
 package rcp
 
 import (
-	"context"
-	"sync"
-
 	"repro/internal/model"
+	"repro/internal/quorum"
 	"repro/internal/schema"
 )
 
@@ -18,154 +16,29 @@ import (
 // Copies that fail to respond are replaced by other vote-holders; the
 // operation aborts with cause RCP only when the remaining copies cannot
 // carry a quorum.
-type QC struct{}
+var QC = Protocol{name: "qc", rule: qcRule}
 
-// Name implements Protocol.
-func (QC) Name() string { return "qc" }
-
-// Read implements Protocol.
-func (QC) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error) {
-	var (
-		mu      sync.Mutex
-		bestVal int64
-		bestVer model.Version
-		first   = true
-	)
-	err := buildQuorum(ctx, acc, sess, meta, meta.ReadQuorum, func(ctx context.Context, site model.SiteID) error {
-		v, ver, inc, err := acc.ReadCopy(ctx, site, sess.Tx, sess.TS, meta.Item)
-		if err != nil {
-			return err
+func qcRule(sess *Session, kind model.OpKind, meta schema.ItemMeta) (quorum.Assignment, int) {
+	switch kind {
+	case model.OpRead:
+		return meta.Assignment(), meta.ReadQuorum
+	case model.OpWrite:
+		// A repeated write of an item this transaction already wrote is
+		// pinned to the original write quorum: every member re-pre-writes
+		// (their X-locks/intents are already ours, so this cannot block on
+		// strangers) and the recorded value is replaced in place, keeping
+		// the install version. Picking a fresh quorum here would be a
+		// correctness bug: a member of the old quorum outside the new one
+		// would keep the stale record, and commit would install two
+		// different values under the same version number on different
+		// copies.
+		if sites, _, ok := sess.WriteQuorum(meta.Item); ok {
+			return allOf(sites)
 		}
-		sess.SawIncarnation(site, inc)
-		mu.Lock()
-		if first || ver > bestVer {
-			bestVal, bestVer, first = v, ver, false
-		}
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return 0, err
+		return meta.Assignment(), meta.WriteQuorum
+	default:
+		// Blind adds pre-write ALL copies, not a write quorum (see
+		// Protocol.Add).
+		return allOf(meta.Sites())
 	}
-	return bestVal, nil
-}
-
-// Write implements Protocol.
-func (QC) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error {
-	// A repeated write of an item this transaction already wrote is pinned
-	// to the original write quorum: every member re-pre-writes (their
-	// X-locks/intents are already ours, so this cannot block on strangers)
-	// and the recorded value is replaced in place, keeping the install
-	// version. Picking a fresh quorum here would be a correctness bug: a
-	// member of the old quorum outside the new one would keep the stale
-	// record, and commit would install two different values under the same
-	// version number on different copies.
-	if sites, prev, ok := sess.WriteQuorum(meta.Item); ok {
-		for _, site := range sites {
-			_, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-			if err != nil {
-				return err
-			}
-			sess.SawIncarnation(site, inc)
-		}
-		rec := model.WriteRecord{Item: meta.Item, Value: value, Version: prev.Version}
-		for _, site := range sites {
-			sess.RecordWrite(site, rec)
-		}
-		return nil
-	}
-	var (
-		mu     sync.Mutex
-		maxVer model.Version
-		quorum []model.SiteID
-	)
-	err := buildQuorum(ctx, acc, sess, meta, meta.WriteQuorum, func(ctx context.Context, site model.SiteID) error {
-		ver, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-		if err != nil {
-			return err
-		}
-		sess.SawIncarnation(site, inc)
-		mu.Lock()
-		if ver > maxVer {
-			maxVer = ver
-		}
-		quorum = append(quorum, site)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	rec := model.WriteRecord{Item: meta.Item, Value: value, Version: maxVer + 1}
-	for _, site := range quorum {
-		sess.RecordWrite(site, rec)
-	}
-	return nil
-}
-
-// Add implements Protocol: blind adds pre-write ALL copies, not a write
-// quorum — a quorum read resolves by version number and cannot reconstruct
-// a delta a non-member copy missed (see Protocol.Add).
-func (QC) Add(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
-	return addAll(ctx, "qc", acc, sess, meta, delta)
-}
-
-// buildQuorum gathers `need` votes for one operation. It first picks the
-// minimal preferred vote set (assuming all sites up — this is what keeps QC
-// message counts near the quorum size, the property experiment E2
-// measures), issues the copy operation to the set concurrently, and
-// replaces failed members with the remaining vote-holders until the quorum
-// is complete or provably unreachable.
-//
-// The op callback is invoked concurrently across the sites of one round;
-// callbacks guard their own shared state.
-func buildQuorum(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta,
-	need int, op func(ctx context.Context, site model.SiteID) error) error {
-
-	assignment := meta.Assignment()
-	prefer := preferredOrder(acc, meta)
-	tried := make(map[model.SiteID]bool)
-	gotVotes := 0
-
-	for gotVotes < need {
-		// Select sites to cover the remaining votes, excluding failures and
-		// already-counted members.
-		round, ok := assignment.Pick(need-gotVotes, prefer, tried)
-		if !ok || len(round) == 0 {
-			return model.Abortf(model.AbortRCP,
-				"qc: quorum of %d votes unreachable for %s (%d gathered)", need, meta.Item, gotVotes)
-		}
-
-		type result struct {
-			site model.SiteID
-			err  error
-		}
-		results := make(chan result, len(round))
-		for _, site := range round {
-			tried[site] = true
-			sess.Attempt(site)
-			go func(site model.SiteID) {
-				results <- result{site: site, err: op(ctx, site)}
-			}(site)
-		}
-		collected := make([]result, 0, len(round))
-		for range round {
-			collected = append(collected, <-results)
-		}
-		for _, r := range collected {
-			switch {
-			case r.err == nil:
-				sess.Touch(r.site)
-				gotVotes += assignment.Votes[r.site]
-			case isCC(r.err):
-				// The remote CCP rejected the operation: the transaction is
-				// doomed; that site holds CC state to release.
-				sess.Touch(r.site)
-				return r.err
-			default:
-				// Unreachable copy: leave it excluded and re-pick.
-			}
-		}
-	}
-	return nil
 }

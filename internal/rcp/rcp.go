@@ -13,10 +13,12 @@ package rcp
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/quorum"
 	"repro/internal/schema"
 )
 
@@ -38,6 +40,21 @@ type CopyAccess interface {
 	// AddCopy pre-writes a commutative blind add (delta merges into the
 	// copy at commit) through the site's CCP; same returns as PreWriteCopy.
 	AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error)
+	// CopyBatch runs ops — every copy operation of one wave bound for site,
+	// in the order the site must admit them — as one round trip, or inline
+	// through the local CCP when site is the home site. It returns one
+	// result per op plus the site's incarnation number; the first failed op
+	// ends the batch (the ops after it report that they were not run). A
+	// non-nil error means the batch as a whole got no answer.
+	CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error)
+}
+
+// CopyResult is the outcome of one copy operation inside a CopyBatch: the
+// copy's value (reads) and current version, or the error that stopped it.
+type CopyResult struct {
+	Value   int64
+	Version model.Version
+	Err     error
 }
 
 // Session accumulates one transaction's replication state at its home site:
@@ -235,37 +252,62 @@ func (s *Session) HasWrites() bool {
 	return false
 }
 
-// Protocol is a replication control protocol.
-type Protocol interface {
-	// Name returns "rowa" or "qc".
-	Name() string
-	// Read performs a logical read of the item described by meta.
-	Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error)
-	// Write performs a logical write: pre-writes enough copies and records
-	// the final write records (with install versions) in the session.
-	Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error
-	// Add performs a logical blind add: the delta merges into every copy at
-	// commit. BOTH protocols pre-add ALL copies: a delta missing from a copy
-	// cannot be reconstructed by a version-based quorum read (versions say
-	// which copy is newest, not which deltas it absorbed), so add
-	// availability follows ROWA's write-all rule even under QC.
-	Add(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error
+// Protocol is a replication control protocol: ROWA or QC. The two differ
+// only in which copies each logical operation must reach (rule); reaching
+// them — rounds, replacements, session bookkeeping — is the shared machinery
+// below (perform for one operation, Wave for a whole one-shot program), so
+// they cannot drift apart in how they classify failures or record writes.
+type Protocol struct {
+	name string
+	// rule returns the vote assignment over the copies an operation of the
+	// given kind may use and how many of those votes it must gather.
+	rule func(sess *Session, kind model.OpKind, meta schema.ItemMeta) (quorum.Assignment, int)
 }
 
-// New constructs a protocol by name.
+// Name returns "rowa" or "qc".
+func (p Protocol) Name() string { return p.name }
+
+// Read performs a logical read of the item described by meta.
+func (p Protocol) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error) {
+	return p.perform(ctx, acc, sess, meta, model.Read(meta.Item), nil)
+}
+
+// Write performs a logical write: pre-writes enough copies and records the
+// final write records (with install versions) in the session.
+func (p Protocol) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error {
+	_, err := p.perform(ctx, acc, sess, meta, model.Write(meta.Item, value), nil)
+	return err
+}
+
+// Add performs a logical blind add: the delta merges into every copy at
+// commit. BOTH protocols pre-add ALL copies: a delta missing from a copy
+// cannot be reconstructed by a version-based quorum read (versions say
+// which copy is newest, not which deltas it absorbed), so add availability
+// follows ROWA's write-all rule even under QC.
+func (p Protocol) Add(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
+	_, err := p.perform(ctx, acc, sess, meta, model.Add(meta.Item, delta), nil)
+	return err
+}
+
+// New returns the protocol with the given name.
 func New(name string) (Protocol, error) {
 	switch name {
 	case "qc", "QC", "":
-		return QC{}, nil
+		return QC, nil
 	case "rowa", "ROWA":
-		return ROWA{}, nil
+		return ROWA, nil
 	default:
-		return nil, fmt.Errorf("rcp: unknown replication control protocol %q", name)
+		return Protocol{}, fmt.Errorf("rcp: unknown replication control protocol %q", name)
 	}
 }
 
 // Names lists the available RCP names.
 func Names() []string { return []string{"rowa", "qc"} }
+
+// allOf is the quorum that needs every one of sites.
+func allOf(sites []model.SiteID) (quorum.Assignment, int) {
+	return quorum.ReadOneWriteAll(sites), len(sites)
+}
 
 // preferredOrder lists the copy sites for meta with the local site first,
 // then the rest sorted — the deterministic preference order both protocols
@@ -293,61 +335,136 @@ func isCC(err error) bool {
 	return c == model.AbortCC || c == model.AbortACP || c == model.AbortInjected
 }
 
-// addAll pre-adds delta at EVERY copy of the item concurrently — the shared
-// body of ROWA.Add and QC.Add (see Protocol.Add for why QC cannot use a
-// quorum here). Any unreachable copy aborts with cause RCP; any CC rejection
-// propagates. The recorded install version is max(version)+1 over all
-// copies (delta applies ignore it, but it keeps version bookkeeping — and
-// quorum reads that follow a committed add — monotonic).
-func addAll(ctx context.Context, proto string, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
-	sites := preferredOrder(acc, meta)
-	type result struct {
-		site model.SiteID
-		ver  model.Version
-		inc  uint64
-		err  error
-	}
-	results := make(chan result, len(sites))
-	for _, site := range sites {
-		sess.Attempt(site)
-		go func(site model.SiteID) {
-			ver, inc, err := acc.AddCopy(ctx, site, sess.Tx, sess.TS, meta.Item, delta)
-			results <- result{site: site, ver: ver, inc: inc, err: err}
-		}(site)
-	}
+// outcome is one copy operation's result at one site, with the incarnation
+// the site reported alongside it.
+type outcome struct {
+	site model.SiteID
+	CopyResult
+	inc uint64
+}
 
-	var maxVer model.Version
-	var ccErr, rcpErr error
-	for range sites {
-		r := <-results
-		switch {
-		case r.err == nil:
-			sess.SawIncarnation(r.site, r.inc)
-			sess.Touch(r.site)
-			if r.ver > maxVer {
-				maxVer = r.ver
-			}
-		case isCC(r.err):
-			sess.Touch(r.site)
-			if ccErr == nil {
-				ccErr = r.err
-			}
-		default:
-			if rcpErr == nil {
-				rcpErr = r.err
+// perform carries out one logical operation. It gathers the votes the
+// protocol asks for by running the copy operation at the minimal preferred
+// vote set (assuming all sites up — this is what keeps QC message counts
+// near the quorum size, the property experiment E2 measures), replaces
+// members that failed to respond with the remaining vote-holders until the
+// quorum is complete or provably unreachable, and folds the result into the
+// session: a read returns the value carried by the highest version gathered;
+// a write or add records max(version)+1 at the members that took it.
+//
+// A copy that is unreachable is routed around and, failing that, aborts the
+// operation with cause RCP; a copy operation rejected by a site's CCP stops
+// the transaction with that abort unchanged.
+//
+// seed holds results a wave already obtained for this operation; a site
+// found there is not asked again.
+func (p Protocol) perform(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, op model.Op, seed []outcome) (int64, error) {
+	assignment, need := p.rule(sess, op.Kind, meta)
+	prefer := preferredOrder(acc, meta)
+	tried := make(map[model.SiteID]bool, len(prefer))
+	var (
+		won     []model.SiteID
+		got     int
+		best    CopyResult // the highest-versioned result among won
+		lastErr error
+	)
+	for got < need {
+		// Select sites to cover the remaining votes, excluding failures and
+		// already-counted members.
+		round, ok := assignment.Pick(need-got, prefer, tried)
+		if !ok || len(round) == 0 {
+			return 0, model.Abortf(model.AbortRCP, "%s: %s of %s reached %d of %d votes: %v",
+				p.Name(), op.Kind, meta.Item, got, need, lastErr)
+		}
+		var ccErr error
+		for _, r := range runRound(ctx, acc, sess, op, round, seed) {
+			tried[r.site] = true
+			switch {
+			case r.Err == nil:
+				sess.SawIncarnation(r.site, r.inc)
+				sess.Touch(r.site)
+				got += assignment.Votes[r.site]
+				if len(won) == 0 || r.Version > best.Version {
+					best = r.CopyResult
+				}
+				won = append(won, r.site)
+			case isCC(r.Err):
+				// The site's CCP rejected the operation: the transaction is
+				// doomed; that site holds CC state to release.
+				sess.Touch(r.site)
+				if ccErr == nil {
+					ccErr = r.Err
+				}
+			default:
+				lastErr = r.Err // unreachable copy: stays excluded, re-pick
 			}
 		}
-	}
-	if ccErr != nil {
-		return ccErr
-	}
-	if rcpErr != nil {
-		return model.Abortf(model.AbortRCP, "%s: add-all of %s failed: %v", proto, meta.Item, rcpErr)
+		if ccErr != nil {
+			return 0, ccErr
+		}
 	}
 
-	rec := model.WriteRecord{Item: meta.Item, Value: delta, Version: maxVer + 1, Delta: true}
-	for _, site := range sites {
-		sess.RecordAdd(site, rec)
+	switch op.Kind {
+	case model.OpWrite:
+		rec := model.WriteRecord{Item: meta.Item, Value: op.Value, Version: best.Version + 1}
+		if _, prev, ok := sess.WriteQuorum(meta.Item); ok {
+			rec.Version = prev.Version // a repeated write keeps its install version
+		}
+		for _, site := range won {
+			sess.RecordWrite(site, rec)
+		}
+	case model.OpAdd:
+		// Delta applies ignore the version, but recording it keeps version
+		// bookkeeping — and quorum reads that follow a committed add —
+		// monotonic.
+		rec := model.WriteRecord{Item: meta.Item, Value: op.Value, Version: best.Version + 1, Delta: true}
+		for _, site := range won {
+			sess.RecordAdd(site, rec)
+		}
 	}
-	return nil
+	return best.Value, nil
+}
+
+// runRound runs op at every site of round concurrently and returns the
+// results in round order. Sites with a seeded result are not asked again.
+func runRound(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, round []model.SiteID, seed []outcome) []outcome {
+	out := make([]outcome, len(round))
+	var ask []int
+	for i, site := range round {
+		if j := slices.IndexFunc(seed, func(o outcome) bool { return o.site == site }); j >= 0 {
+			out[i] = seed[j]
+			continue
+		}
+		sess.Attempt(site)
+		out[i].site = site
+		ask = append(ask, i)
+	}
+	if len(ask) == 1 {
+		copyAt(ctx, acc, sess, op, &out[ask[0]])
+		return out
+	}
+	var wg sync.WaitGroup
+	for _, i := range ask {
+		wg.Add(1)
+		go func(o *outcome) {
+			defer wg.Done()
+			copyAt(ctx, acc, sess, op, o)
+		}(&out[i])
+	}
+	wg.Wait()
+	return out
+}
+
+// copyAt runs one copy operation at o.site and stores its result in o.
+func copyAt(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, o *outcome) {
+	switch op.Kind {
+	case model.OpRead:
+		o.Value, o.Version, o.inc, o.Err = acc.ReadCopy(ctx, o.site, sess.Tx, sess.TS, op.Item)
+	case model.OpWrite:
+		o.Version, o.inc, o.Err = acc.PreWriteCopy(ctx, o.site, sess.Tx, sess.TS, op.Item, op.Value)
+	case model.OpAdd:
+		o.Version, o.inc, o.Err = acc.AddCopy(ctx, o.site, sess.Tx, sess.TS, op.Item, op.Value)
+	default:
+		o.Err = model.Abortf(model.AbortClient, "invalid op kind %d", op.Kind)
+	}
 }

@@ -2,6 +2,7 @@ package rcp
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -25,6 +26,10 @@ type fakeAccess struct {
 	ccReject map[model.SiteID]bool
 	ops      int
 	perSite  map[model.SiteID]int
+	// batches records every CopyBatch received, per site, in arrival order;
+	// onBatch, when set, is told of each arrival.
+	batches map[model.SiteID][][]model.Op
+	onBatch func(model.SiteID)
 }
 
 func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
@@ -37,6 +42,7 @@ func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
 		down:     make(map[model.SiteID]bool),
 		ccReject: make(map[model.SiteID]bool),
 		perSite:  make(map[model.SiteID]int),
+		batches:  make(map[model.SiteID][][]model.Op),
 	}
 	for _, s := range sites {
 		f.copies[s] = struct {
@@ -95,6 +101,32 @@ func (f *fakeAccess) PreWriteCopy(_ context.Context, site model.SiteID, _ model.
 	return f.copies[site].ver, fakeIncarnation, nil
 }
 
+// CopyBatch answers like a site does: a down site gives no answer at all; a
+// CC-rejecting one fails the first operation and does not run the rest.
+func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.batches[site] = append(f.batches[site], ops)
+	if f.onBatch != nil {
+		f.onBatch(site)
+	}
+	if f.down[site] {
+		return nil, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
+	}
+	res := make([]CopyResult, len(ops))
+	for i := range res {
+		switch {
+		case !f.ccReject[site]:
+			res[i] = CopyResult{Value: f.copies[site].val, Version: f.copies[site].ver}
+		case i == 0:
+			res[i].Err = model.Abortf(model.AbortCC, "rejected at %s", site)
+		default:
+			res[i].Err = errors.New("not run")
+		}
+	}
+	return res, fakeIncarnation, nil
+}
+
 func meta3() schema.ItemMeta {
 	return schema.ItemMeta{
 		Item:        "x",
@@ -129,7 +161,7 @@ func TestNewByName(t *testing.T) {
 func TestROWAReadUsesOneCopyPreferLocal(t *testing.T) {
 	f := newFake("S2", "S1", "S2", "S3")
 	s := sess()
-	v, err := (ROWA{}).Read(context.Background(), f, s, meta3())
+	v, err := ROWA.Read(context.Background(), f, s, meta3())
 	if err != nil || v != 10 {
 		t.Fatalf("read = %d, %v", v, err)
 	}
@@ -145,7 +177,7 @@ func TestROWAReadUsesOneCopyPreferLocal(t *testing.T) {
 func TestROWAReadFailsOverToNextCopy(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S1"] = true
-	v, err := (ROWA{}).Read(context.Background(), f, sess(), meta3())
+	v, err := ROWA.Read(context.Background(), f, sess(), meta3())
 	if err != nil || v != 10 {
 		t.Fatalf("read = %d, %v", v, err)
 	}
@@ -159,7 +191,7 @@ func TestROWAReadAllDown(t *testing.T) {
 	for s := range f.copies {
 		f.down[s] = true
 	}
-	_, err := (ROWA{}).Read(context.Background(), f, sess(), meta3())
+	_, err := ROWA.Read(context.Background(), f, sess(), meta3())
 	if model.CauseOf(err) != model.AbortRCP {
 		t.Fatalf("want RCP abort, got %v", err)
 	}
@@ -168,7 +200,7 @@ func TestROWAReadAllDown(t *testing.T) {
 func TestROWAReadCCRejectionPropagates(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.ccReject["S1"] = true
-	_, err := (ROWA{}).Read(context.Background(), f, sess(), meta3())
+	_, err := ROWA.Read(context.Background(), f, sess(), meta3())
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("CC rejection must not be routed around: %v", err)
 	}
@@ -181,7 +213,7 @@ func TestROWAWriteTouchesAllCopies(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.set("S2", 5, 7) // stale copies with differing versions
 	s := sess()
-	if err := (ROWA{}).Write(context.Background(), f, s, meta3(), 42); err != nil {
+	if err := ROWA.Write(context.Background(), f, s, meta3(), 42); err != nil {
 		t.Fatal(err)
 	}
 	if f.ops != 3 {
@@ -198,7 +230,7 @@ func TestROWAWriteTouchesAllCopies(t *testing.T) {
 func TestROWAWriteFailsIfAnyCopyDown(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S3"] = true
-	err := (ROWA{}).Write(context.Background(), f, sess(), meta3(), 42)
+	err := ROWA.Write(context.Background(), f, sess(), meta3(), 42)
 	if model.CauseOf(err) != model.AbortRCP {
 		t.Fatalf("ROWA write with a down copy must RCP-abort: %v", err)
 	}
@@ -208,7 +240,7 @@ func TestROWAWriteCCWins(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S3"] = true
 	f.ccReject["S2"] = true
-	err := (ROWA{}).Write(context.Background(), f, sess(), meta3(), 1)
+	err := ROWA.Write(context.Background(), f, sess(), meta3(), 1)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("CC rejection should take precedence: %v", err)
 	}
@@ -219,7 +251,7 @@ func TestROWAWriteCCWins(t *testing.T) {
 func TestQCReadUsesQuorumMessages(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	s := sess()
-	v, err := (QC{}).Read(context.Background(), f, s, meta3())
+	v, err := QC.Read(context.Background(), f, s, meta3())
 	if err != nil || v != 10 {
 		t.Fatalf("read = %d, %v", v, err)
 	}
@@ -238,7 +270,7 @@ func TestQCReadReturnsMaxVersionValue(t *testing.T) {
 	f.set("S2", 99, 5)
 	// Local-first preference picks S3 plus one other; the max-version value
 	// must win regardless of which copies answer.
-	v, err := (QC{}).Read(context.Background(), f, sess(), meta3())
+	v, err := QC.Read(context.Background(), f, sess(), meta3())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +282,7 @@ func TestQCReadReturnsMaxVersionValue(t *testing.T) {
 func TestQCReadRoutesAroundFailure(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S2"] = true
-	v, err := (QC{}).Read(context.Background(), f, sess(), meta3())
+	v, err := QC.Read(context.Background(), f, sess(), meta3())
 	if err != nil || v != 10 {
 		t.Fatalf("read = %d, %v", v, err)
 	}
@@ -264,7 +296,7 @@ func TestQCReadQuorumUnreachable(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S2"] = true
 	f.down["S3"] = true
-	_, err := (QC{}).Read(context.Background(), f, sess(), meta3())
+	_, err := QC.Read(context.Background(), f, sess(), meta3())
 	if model.CauseOf(err) != model.AbortRCP {
 		t.Fatalf("want RCP abort, got %v", err)
 	}
@@ -276,7 +308,7 @@ func TestQCReadSingleSiteMinorityFails(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S2"] = true
 	f.down["S3"] = true
-	_, err := (QC{}).Read(context.Background(), f, sess(), meta3())
+	_, err := QC.Read(context.Background(), f, sess(), meta3())
 	if err == nil {
 		t.Fatal("minority read quorum built")
 	}
@@ -286,7 +318,7 @@ func TestQCWriteInstallsMaxPlusOneAtQuorum(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.set("S2", 5, 7)
 	s := sess()
-	if err := (QC{}).Write(context.Background(), f, s, meta3(), 42); err != nil {
+	if err := QC.Write(context.Background(), f, s, meta3(), 42); err != nil {
 		t.Fatal(err)
 	}
 	if f.ops != 2 {
@@ -310,7 +342,7 @@ func TestQCWriteInstallsMaxPlusOneAtQuorum(t *testing.T) {
 func TestQCWriteCCRejectionStops(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.ccReject["S2"] = true
-	err := (QC{}).Write(context.Background(), f, sess(), meta3(), 1)
+	err := QC.Write(context.Background(), f, sess(), meta3(), 1)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("want CC abort, got %v", err)
 	}
@@ -326,7 +358,7 @@ func TestQCWeightedVotes(t *testing.T) {
 	}
 	f := newFake("S1", "S1", "S2", "S3")
 	s := sess()
-	if err := (QC{}).Write(context.Background(), f, s, meta, 9); err != nil {
+	if err := QC.Write(context.Background(), f, s, meta, 9); err != nil {
 		t.Fatal(err)
 	}
 	if f.ops != 1 {
@@ -341,7 +373,7 @@ func TestQCWriteMinorityPartitionAborts(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S2"] = true
 	f.down["S3"] = true
-	err := (QC{}).Write(context.Background(), f, sess(), meta3(), 1)
+	err := QC.Write(context.Background(), f, sess(), meta3(), 1)
 	if model.CauseOf(err) != model.AbortRCP {
 		t.Fatalf("minority write must RCP-abort: %v", err)
 	}
@@ -397,7 +429,7 @@ func TestQCRewriteSticksToOriginalQuorum(t *testing.T) {
 	meta := meta3()
 
 	// First write lands on {S1, S2} (S3 down).
-	if err := (QC{}).Write(context.Background(), f, sess, meta, 100); err != nil {
+	if err := QC.Write(context.Background(), f, sess, meta, 100); err != nil {
 		t.Fatal(err)
 	}
 	sites, rec, ok := sess.WriteQuorum("x")
@@ -409,7 +441,7 @@ func TestQCRewriteSticksToOriginalQuorum(t *testing.T) {
 	// quorum with the new value, keeping the install version — never a
 	// fresh quorum that could strand a stale record on an old member.
 	f.down["S3"] = false
-	if err := (QC{}).Write(context.Background(), f, sess, meta, 200); err != nil {
+	if err := QC.Write(context.Background(), f, sess, meta, 200); err != nil {
 		t.Fatal(err)
 	}
 	sites2, rec2, _ := sess.WriteQuorum("x")
@@ -434,7 +466,7 @@ func TestQCRewriteAbortsIfOriginalQuorumMemberDown(t *testing.T) {
 	f.down["S3"] = true
 	sess := NewSession(model.TxID{Site: "S1", Seq: 2}, model.Timestamp{Time: 2, Site: "S1"})
 	meta := meta3()
-	if err := (QC{}).Write(context.Background(), f, sess, meta, 100); err != nil {
+	if err := QC.Write(context.Background(), f, sess, meta, 100); err != nil {
 		t.Fatal(err)
 	}
 	// The original quorum loses a member; a fresh {S2,S3} quorum would be
@@ -442,7 +474,147 @@ func TestQCRewriteAbortsIfOriginalQuorumMemberDown(t *testing.T) {
 	// rewrite must abort instead.
 	f.down["S3"] = false
 	f.down["S1"] = true
-	if err := (QC{}).Write(context.Background(), f, sess, meta, 200); err == nil {
+	if err := QC.Write(context.Background(), f, sess, meta, 200); err == nil {
 		t.Fatal("rewrite diverted to a fresh quorum instead of aborting")
+	}
+}
+
+// --- Wave ---
+
+func waveItems() map[model.ItemID]schema.ItemMeta {
+	out := make(map[model.ItemID]schema.ItemMeta)
+	for _, item := range []model.ItemID{"a", "b", "c"} {
+		m := meta3()
+		m.Item = item
+		out[item] = m
+	}
+	return out
+}
+
+// TestWaveShipsOneOrderedBatchPerSite: every quorum member gets the program's
+// copy operations as ONE batch, sorted by item with program order kept among
+// the operations on one item, and no operation travels on its own.
+func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	s := sess()
+	ops := []model.Op{model.Write("c", 1), model.Read("a"), model.Write("a", 2), model.Read("c"), model.Write("a", 3), model.Read("b")}
+	program := append([]model.Op(nil), ops...)
+	reads, err := QC.Wave(context.Background(), f, s, waveItems(), ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reads) != 3 || reads["a"] != 10 {
+		t.Errorf("reads = %v", reads)
+	}
+	for i := range ops {
+		if ops[i] != program[i] {
+			t.Fatalf("Wave reordered the caller's slice: %v", ops)
+		}
+	}
+	want := []model.Op{model.Read("a"), model.Write("a", 2), model.Write("a", 3), model.Read("b"), model.Write("c", 1), model.Read("c")}
+	for _, site := range []model.SiteID{"S1", "S2"} {
+		if len(f.batches[site]) != 1 {
+			t.Fatalf("%s received %d batches, want 1", site, len(f.batches[site]))
+		}
+		got := f.batches[site][0]
+		if len(got) != len(want) {
+			t.Fatalf("%s batch = %v, want %v", site, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s batch = %v, want %v", site, got, want)
+			}
+		}
+	}
+	if len(f.batches["S3"]) != 0 || f.ops != 0 {
+		t.Errorf("beyond the two batches: S3 got %d, single copy operations %d", len(f.batches["S3"]), f.ops)
+	}
+	// The repeated write kept its quorum and install version, last value wins.
+	for _, site := range []model.SiteID{"S1", "S2"} {
+		w := s.WritesFor(site)
+		if len(w) != 2 || w[0] != (model.WriteRecord{Item: "a", Value: 3, Version: 1}) || w[1] != (model.WriteRecord{Item: "c", Value: 1, Version: 1}) {
+			t.Errorf("%s writes = %+v", site, w)
+		}
+	}
+	if s.IncarnationFor("S2") != fakeIncarnation {
+		t.Error("the batch's incarnation was not recorded")
+	}
+}
+
+// TestWaveROWAReadsLocallyWritesEverywhere: ROWA's rule carries over — reads
+// stay in the home site's batch, writes and adds go to every site's.
+func TestWaveROWAReadsLocallyWritesEverywhere(t *testing.T) {
+	f := newFake("S2", "S1", "S2", "S3")
+	if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Read("a"), model.Write("b", 1), model.Add("c", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	for site, want := range map[model.SiteID]int{"S1": 2, "S2": 3, "S3": 2} {
+		if len(f.batches[site]) != 1 || len(f.batches[site][0]) != want {
+			t.Errorf("%s batches = %v, want one of %d operations", site, f.batches[site], want)
+		}
+	}
+}
+
+// TestWaveReplacesSilentMemberPerOperation: a first-round member that gives
+// no answer is replaced by the ordinary replacement round, one operation at a
+// time, and ends up a stray to release — not a participant.
+func TestWaveReplacesSilentMemberPerOperation(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	f.down["S2"] = true
+	f.set("S3", 99, 4)
+	s := sess()
+	reads, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reads["a"] != 99 {
+		t.Errorf("read a = %d, want the replacement member's newer 99", reads["a"])
+	}
+	if f.perSite["S3"] != 2 || f.perSite["S2"] != 0 {
+		t.Errorf("replacement operations = %v, want 2 at S3", f.perSite)
+	}
+	if w := s.WritesFor("S3"); len(w) != 1 || w[0].Version != 5 {
+		t.Errorf("S3 writes = %+v, want b at version 5", w)
+	}
+	if p := s.Participants(); len(p) != 2 || p[0] != "S1" || p[1] != "S3" {
+		t.Errorf("participants = %v", p)
+	}
+	if st := s.Strays(); len(st) != 1 || st[0] != "S2" {
+		t.Errorf("strays = %v, want the silent S2", st)
+	}
+}
+
+// TestWaveCCRejectionDooms: a CC rejection inside one site's batch aborts the
+// wave with that cause at once — the sites later in the order are never asked
+// — and every site that was asked is on the session's release list.
+func TestWaveCCRejectionDooms(t *testing.T) {
+	f := newFake("S3", "S1", "S2", "S3") // home S3: quorum {S3, S1}, shipped S1 first
+	f.ccReject["S1"] = true
+	s := sess()
+	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)})
+	if model.CauseOf(err) != model.AbortCC {
+		t.Fatalf("err = %v, want the CC abort", err)
+	}
+	if f.ops != 0 || len(f.batches["S3"]) != 0 {
+		t.Errorf("after the rejection: %d single operations, %d batches at S3; want none", f.ops, len(f.batches["S3"]))
+	}
+	if rel := append(s.Participants(), s.Strays()...); len(rel) != 1 || rel[0] != "S1" {
+		t.Errorf("sites to release = %v, want the rejecting S1", rel)
+	}
+}
+
+// TestWaveShipsInSiteOrder: the per-site batches leave one after another,
+// lowest site first, wherever the home site falls in that order.
+func TestWaveShipsInSiteOrder(t *testing.T) {
+	for _, home := range []model.SiteID{"S1", "S2", "S3"} {
+		f := newFake(home, "S1", "S2", "S3")
+		var order []model.SiteID
+		f.onBatch = func(site model.SiteID) { order = append(order, site) }
+		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Write("a", 1), model.Add("b", 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if len(order) != 3 || order[0] != "S1" || order[1] != "S2" || order[2] != "S3" {
+			t.Errorf("home %s: batches shipped in order %v, want [S1 S2 S3]", home, order)
+		}
 	}
 }

@@ -1,106 +1,24 @@
 package rcp
 
 import (
-	"context"
-
 	"repro/internal/model"
+	"repro/internal/quorum"
 	"repro/internal/schema"
 )
 
 // ROWA is Read-One-Write-All: a logical read touches exactly one copy
-// (preferring the local one) and a logical write must pre-write every copy.
-// ROWA minimizes message traffic for read-heavy workloads but its write
-// availability collapses as soon as any copy site is down — the contrast
-// experiments E2/E5/E7 measure against QC.
-type ROWA struct{}
+// (preferring the local one, failing over to the next when it is
+// unreachable) and a logical write or add must pre-write every copy, so any
+// unreachable copy aborts it with cause RCP. ROWA minimizes message traffic
+// for read-heavy workloads but its write availability collapses as soon as
+// any copy site is down — the contrast experiments E2/E5/E7 measure against
+// QC.
+var ROWA = Protocol{name: "rowa", rule: rowaRule}
 
-// Name implements Protocol.
-func (ROWA) Name() string { return "rowa" }
-
-// Read implements Protocol: try copies in preference order until one
-// responds. A CC rejection aborts the transaction immediately (the remote
-// scheduler has doomed it); unreachable copies are skipped.
-func (ROWA) Read(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta) (int64, error) {
-	var lastErr error
-	for _, site := range preferredOrder(acc, meta) {
-		sess.Attempt(site)
-		v, _, inc, err := acc.ReadCopy(ctx, site, sess.Tx, sess.TS, meta.Item)
-		if err == nil {
-			sess.SawIncarnation(site, inc)
-			sess.Touch(site)
-			return v, nil
-		}
-		if isCC(err) {
-			sess.Touch(site)
-			return 0, err
-		}
-		lastErr = err
+func rowaRule(_ *Session, kind model.OpKind, meta schema.ItemMeta) (quorum.Assignment, int) {
+	a, all := allOf(meta.Sites())
+	if kind == model.OpRead {
+		return a, 1
 	}
-	if lastErr == nil {
-		return 0, model.Abortf(model.AbortRCP, "rowa: item %s has no copies", meta.Item)
-	}
-	return 0, model.Abortf(model.AbortRCP, "rowa: no copy of %s reachable: %v", meta.Item, lastErr)
-}
-
-// Write implements Protocol: pre-write ALL copies concurrently. Any
-// unreachable copy aborts with cause RCP (the ROWA availability weakness);
-// any CC rejection propagates. The install version is max(version)+1 over
-// all copies.
-func (ROWA) Write(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, value int64) error {
-	sites := preferredOrder(acc, meta)
-	type result struct {
-		site model.SiteID
-		ver  model.Version
-		inc  uint64
-		err  error
-	}
-	results := make(chan result, len(sites))
-	for _, site := range sites {
-		sess.Attempt(site)
-		go func(site model.SiteID) {
-			ver, inc, err := acc.PreWriteCopy(ctx, site, sess.Tx, sess.TS, meta.Item, value)
-			results <- result{site: site, ver: ver, inc: inc, err: err}
-		}(site)
-	}
-
-	var maxVer model.Version
-	var ccErr, rcpErr error
-	for range sites {
-		r := <-results
-		switch {
-		case r.err == nil:
-			sess.SawIncarnation(r.site, r.inc)
-			sess.Touch(r.site)
-			if r.ver > maxVer {
-				maxVer = r.ver
-			}
-		case isCC(r.err):
-			sess.Touch(r.site)
-			if ccErr == nil {
-				ccErr = r.err
-			}
-		default:
-			if rcpErr == nil {
-				rcpErr = r.err
-			}
-		}
-	}
-	if ccErr != nil {
-		return ccErr
-	}
-	if rcpErr != nil {
-		return model.Abortf(model.AbortRCP, "rowa: write-all of %s failed: %v", meta.Item, rcpErr)
-	}
-
-	rec := model.WriteRecord{Item: meta.Item, Value: value, Version: maxVer + 1}
-	for _, site := range sites {
-		sess.RecordWrite(site, rec)
-	}
-	return nil
-}
-
-// Add implements Protocol: blind adds pre-write all copies, exactly like
-// ROWA writes.
-func (ROWA) Add(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, delta int64) error {
-	return addAll(ctx, "rowa", acc, sess, meta, delta)
+	return a, all
 }

@@ -206,27 +206,6 @@ func TestClassifyWrappedContextErrors(t *testing.T) {
 	}
 }
 
-func TestOrderedOps(t *testing.T) {
-	sorted := []model.Op{model.Add("a", 1), model.Add("b", 1), model.Add("c", 1)}
-	if got := orderedOps(sorted); &got[0] != &sorted[0] {
-		t.Error("already-sorted ops should be returned as-is")
-	}
-	unsorted := []model.Op{model.Add("c", 1), model.Add("a", 1), model.Add("b", 1)}
-	got := orderedOps(unsorted)
-	if got[0].Item != "a" || got[1].Item != "b" || got[2].Item != "c" {
-		t.Errorf("orderedOps = %v", got)
-	}
-	if unsorted[0].Item != "c" {
-		t.Error("input slice mutated")
-	}
-	// Duplicate items must keep program order: a read-modify-write pair
-	// reordered across another op on the same item changes semantics.
-	dup := []model.Op{model.Read("b"), model.Write("a", 1), model.Write("b", 2)}
-	if got := orderedOps(dup); &got[0] != &dup[0] {
-		t.Error("ops with duplicate items should be returned in program order")
-	}
-}
-
 // TestStragglerOpForFinishedTxRefusedFast covers the spill-path fix: a copy
 // operation arriving for a transaction this site already finished must be
 // refused with a terminal error immediately, not collapsed into would-block

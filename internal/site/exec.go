@@ -5,68 +5,81 @@ import (
 	"errors"
 	"fmt"
 	"log"
-	"sort"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/rcp"
+	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// Execute runs a one-shot transaction with this site as its home site,
-// exactly as the paper describes (§2.1): the dedicated goroutine invokes
-// the RCP for each operation in order, then the home site runs the atomic
-// commit protocol over every touched site. It is Begin + ops + Commit over
-// the interactive Txn API.
+// Execute runs a one-shot transaction with this site as its home site. The
+// paper's home site "invokes the RCP for each operation in order" (§2.1), one
+// quorum round trip after another; a one-shot program hands over all its
+// operations at once, so Execute ships them as ONE wave instead — each site
+// gets its copy operations as one ordered batch (rcp.Protocol.Wave) — and
+// then runs the atomic commit protocol over every touched site. Interactive
+// transactions (Begin, then Read/Write/Add as the caller goes) keep the
+// paper's op-by-op shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
 		return model.Outcome{Committed: false, Cause: model.AbortClient, HomeSite: s.id}
 	}
-	for _, op := range orderedOps(ops) {
-		switch op.Kind {
-		case model.OpRead:
-			_, err = t.Read(op.Item)
-		case model.OpWrite:
-			err = t.Write(op.Item, op.Value)
-		case model.OpAdd:
-			err = t.Add(op.Item, op.Value)
-		default:
-			err = model.Abortf(model.AbortClient, "invalid op kind %d", op.Kind)
-			t.doomed = err
-		}
-		if err != nil {
-			return t.Abort()
-		}
+	if t.wave(ops) != nil {
+		return t.Abort()
 	}
 	return t.Commit()
 }
 
-// orderedOps reorders a one-shot batch by item ID so concurrent transactions
-// acquire contended locks in one global order — contending batches then queue
-// instead of deadlocking into lock-timeout churn. Safe only for one-shot
-// programs whose items are all distinct: a repeated item makes the program
-// order-sensitive (last write wins, read-your-writes), so those batches run
-// as submitted. The common already-sorted case returns the input unchanged.
-func orderedOps(ops []model.Op) []model.Op {
-	seen := make(map[model.ItemID]bool, len(ops))
-	sorted := true
-	for i := range ops {
-		if seen[ops[i].Item] {
-			return ops
+// wave runs a whole one-shot program as one wave, under one operation budget
+// and one op span. Programs the interactive API would reject part-way — an
+// unknown item or operation kind, an item both blind-added and read or
+// written — are rejected here before any site is touched. A failure dooms
+// the transaction.
+func (t *Txn) wave(ops []model.Op) error {
+	var adds, accesses int
+	for _, op := range ops {
+		switch op.Kind {
+		case model.OpRead, model.OpWrite:
+			accesses++
+		case model.OpAdd:
+			adds++
+		default:
+			t.doomed = model.Abortf(model.AbortClient, "invalid op kind %d", op.Kind)
+			return t.doomed
 		}
-		seen[ops[i].Item] = true
-		if i > 0 && ops[i].Item < ops[i-1].Item {
-			sorted = false
+		if _, ok := t.catalog.Items[op.Item]; !ok {
+			t.doomed = model.Abortf(model.AbortClient, "unknown item %s", op.Item)
+			return t.doomed
 		}
 	}
-	if sorted {
-		return ops
+	if adds > 0 && accesses > 0 {
+		added := make(map[model.ItemID]bool, adds)
+		for _, op := range ops {
+			if op.Kind == model.OpAdd {
+				added[op.Item] = true
+			}
+		}
+		for _, op := range ops {
+			if op.Kind != model.OpAdd && added[op.Item] {
+				t.doomed = model.Abortf(model.AbortClient, "cannot mix blind adds of %s with reads or writes of it in one transaction", op.Item)
+				return t.doomed
+			}
+		}
 	}
-	out := make([]model.Op, len(ops))
-	copy(out, ops)
-	sort.Slice(out, func(i, j int) bool { return out[i].Item < out[j].Item })
-	return out
+
+	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
+	defer cancel()
+	sp := t.act.StartSpan(trace.StageOp, "wave")
+	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops)
+	sp.End()
+	if err != nil {
+		t.doomed = err
+		return err
+	}
+	t.reads = reads
+	return nil
 }
 
 // classify maps an execution error onto the paper's abort-cause taxonomy.
@@ -238,6 +251,38 @@ func (s *Site) AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts
 	}
 	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
 	return resp.Version, resp.Incarnation, nil
+}
+
+// CopyBatch implements rcp.CopyAccess: one wave's operations for site as one
+// CopyBatch round trip, or — for this site's own share — inline through the
+// local CCP on the transaction's goroutine, waiting where it must.
+func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]rcp.CopyResult, uint64, error) {
+	if site == s.id {
+		s.mu.Lock()
+		st := s.stackLocked()
+		s.mu.Unlock()
+		res := make([]rcp.CopyResult, len(ops))
+		st.admit(ctx, tx, ts, ops, res, 0, true)
+		s.recordReads(tx, ops, res)
+		return res, st.incarnation, nil
+	}
+	actx, cancel := s.attemptCtx(ctx)
+	defer cancel()
+	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, &wire.CopyBatchReq{Tx: tx, TS: ts, Ops: ops})
+	s.stats.AddRoundTrips(1)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(resp.Results) != len(ops) {
+		return nil, 0, fmt.Errorf("site %s answered %d of %d batched operations", site, len(resp.Results), len(ops))
+	}
+	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
+	res := make([]rcp.CopyResult, len(ops))
+	for i := range resp.Results {
+		r := &resp.Results[i]
+		res[i] = rcp.CopyResult{Value: r.Value, Version: r.Version, Err: r.Err()}
+	}
+	return res, resp.Incarnation, nil
 }
 
 // ---- acp.Cohort implementation ----

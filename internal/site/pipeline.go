@@ -3,105 +3,226 @@ package site
 import (
 	"context"
 	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/cc"
 	"repro/internal/model"
 	"repro/internal/pipeline"
+	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// The copy-operation hot path (reads and pre-writes — the paper's RCP
-// traffic, the bulk of every workload) runs through per-shard single-writer
-// pipelines instead of the synchronous serve path: the transport hands the
-// request to serveAsync, which decodes it and demuxes it by item shard onto
-// a bounded queue; one sequencer goroutine per shard drains operations in
-// batches and runs copyBatch, which pays the site-state snapshot, tombstone
-// scans, clock witnessing and reply flush once per batch. Admission uses the
-// CC managers' non-blocking TryRead/TryPreWrite so a contended operation
-// never stalls its whole shard: it spills to a goroutine running the
-// original blocking path, exactly preserving the synchronous semantics.
+// The copy-operation hot path (reads, pre-writes and pre-adds — the paper's
+// RCP traffic, the bulk of every workload) runs through per-shard
+// single-writer pipelines instead of the synchronous serve path: the
+// transport hands the request to serveAsync, which decodes it and demuxes it
+// by item shard onto a bounded queue; one sequencer goroutine per shard
+// drains requests in batches and runs copyBatch, which pays the site-state
+// snapshot, tombstone scans, clock witnessing and reply flush once per batch.
+// Admission uses the CC managers' non-blocking Try* calls so a contended
+// operation never stalls its whole shard: it spills to a goroutine running
+// the blocking calls, exactly preserving the synchronous semantics.
+//
+// A request is a wave: one transaction's copy operations for this site, to
+// be admitted in the order given. KindCopyBatch carries a one-shot
+// transaction's whole share; the single-operation kinds of the interactive
+// path are waves of one. A wave is queued on its first item's shard and
+// admitted there as a unit — the CC managers are safe for concurrent use, so
+// shard affinity is a locality matter only.
 //
 // Everything else (prepares, decisions, control traffic) keeps the
 // synchronous path: those force WAL records under the checkpoint gate and
 // already batch at the group-commit layer.
 
-// copyOp is one queued copy operation. Exactly one of read/write is set,
-// selected by kind. tid carries the request's distributed-trace ID and enq
-// its submit time (UnixNano; stamped only for traced requests, so the
-// untraced hot path never reads the clock here).
+// copyOp is one queued wave. kind is the request's message kind and selects
+// the reply body. tid carries the request's distributed-trace ID and enq its
+// submit time (UnixNano; stamped only for traced requests, so the untraced
+// hot path never reads the clock here).
 type copyOp struct {
-	from  model.SiteID
 	kind  wire.MsgKind
-	read  wire.ReadCopyReq
-	write wire.PreWriteReq
+	tx    model.TxID
+	ts    model.Timestamp
+	ops   []model.Op
 	reply wire.ReplyFunc
 	tid   trace.ID
 	enq   int64
 }
 
-func (o *copyOp) tx() model.TxID {
-	if o.kind == wire.KindReadCopy {
-		return o.read.Tx
+// decodeWave decodes a copy-operation request of any of the three kinds
+// into a copyOp's transaction, timestamp and operations.
+func decodeWave(kind wire.MsgKind, pay wire.Payload, op *copyOp) error {
+	switch kind {
+	case wire.KindReadCopy:
+		var req wire.ReadCopyReq
+		if err := pay.Decode(&req); err != nil {
+			return err
+		}
+		op.tx, op.ts, op.ops = req.Tx, req.TS, []model.Op{model.Read(req.Item)}
+	case wire.KindPreWrite:
+		var req wire.PreWriteReq
+		if err := pay.Decode(&req); err != nil {
+			return err
+		}
+		o := model.Write(req.Item, req.Value)
+		if req.Add {
+			o.Kind = model.OpAdd
+		}
+		op.tx, op.ts, op.ops = req.Tx, req.TS, []model.Op{o}
+	default:
+		var req wire.CopyBatchReq
+		if err := pay.Decode(&req); err != nil {
+			return err
+		}
+		if len(req.Ops) == 0 {
+			return fmt.Errorf("empty copy batch for %s", req.Tx)
+		}
+		op.tx, op.ts, op.ops = req.Tx, req.TS, req.Ops
 	}
-	return o.write.Tx
+	op.kind = kind
+	return nil
 }
 
-func (o *copyOp) ts() model.Timestamp {
-	if o.kind == wire.KindReadCopy {
-		return o.read.TS
-	}
-	return o.write.TS
+// ccStack is the slice of site state a wave runs against, captured under
+// s.mu in one go so the incarnation reported on the reply names the stack
+// that actually protects the operations.
+type ccStack struct {
+	ccm         cc.Manager
+	runCtx      context.Context
+	lockTimeout time.Duration
+	incarnation uint64
 }
 
-// copyResult carries one operation's admission outcome between copyBatch's
-// passes.
-type copyResult struct {
-	value   int64
-	ver     model.Version
-	err     error
-	ok      bool // admitted, pending the tombstone re-check
-	raced   bool // admitted but a release raced past: undo and refuse
-	spilled bool // would block: runs the blocking path on a spill goroutine
+// stackLocked captures the current ccStack; the caller holds s.mu.
+func (s *Site) stackLocked() ccStack {
+	return ccStack{ccm: s.ccm, runCtx: s.runCtx, lockTimeout: s.timeouts.Lock, incarnation: s.incarnation}
+}
+
+// errNotRun is reported for the operations of a wave behind its first
+// failure. It is deliberately not a protocol abort: if the failure was a CC
+// rejection the transaction is doomed anyway, and if it was not, the home
+// site must treat these operations like an unreachable copy and reroute.
+var errNotRun = errors.New("not run: an earlier operation of the batch failed")
+
+// admit runs ops[from:] through the CC manager in order, filling res. Each
+// operation first tries the non-blocking Try* call; where that reports it
+// would have to wait (having left no CC state behind), a blocking wave waits
+// through the blocking call, bounded by the lock timeout, and a non-blocking
+// one stops and returns the operation's index. The first failure ends the
+// wave: the operations after it are not run. admit returns len(ops) once
+// every operation has a result.
+func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, ops []model.Op, res []rcp.CopyResult, from int, block bool) int {
+	for i := from; i < len(ops); i++ {
+		op, r := ops[i], &res[i]
+		switch op.Kind {
+		case model.OpRead:
+			r.Value, r.Version, r.Err = st.ccm.TryRead(tx, ts, op.Item)
+		case model.OpWrite:
+			r.Version, r.Err = st.ccm.TryPreWrite(tx, ts, op.Item, op.Value)
+		case model.OpAdd:
+			r.Version, r.Err = st.ccm.TryPreAdd(tx, ts, op.Item, op.Value)
+		default:
+			r.Err = fmt.Errorf("invalid op kind %d", op.Kind)
+		}
+		if errors.Is(r.Err, cc.ErrWouldBlock) {
+			if !block {
+				r.Err = nil
+				return i
+			}
+			wctx, cancel := context.WithTimeout(ctx, st.lockTimeout)
+			switch op.Kind {
+			case model.OpRead:
+				r.Value, r.Version, r.Err = st.ccm.Read(wctx, tx, ts, op.Item)
+			case model.OpWrite:
+				r.Version, r.Err = st.ccm.PreWrite(wctx, tx, ts, op.Item, op.Value)
+			case model.OpAdd:
+				r.Version, r.Err = st.ccm.PreAdd(wctx, tx, ts, op.Item, op.Value)
+			}
+			cancel()
+		}
+		if r.Err != nil {
+			for j := i + 1; j < len(ops); j++ {
+				res[j].Err = errNotRun
+			}
+			break
+		}
+	}
+	return len(ops)
+}
+
+// finish is the shared tail of every wave, however it was admitted: a
+// release that raced past the admission wins — undo and refuse; otherwise
+// the reads enter the execution history and the results become the reply
+// body for the request's kind, stamped with the site's Lamport time and the
+// incarnation that protects the operations.
+func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, clock uint64) (wire.MsgKind, wire.Body, error) {
+	if raced {
+		st.ccm.Abort(op.tx)
+		return 0, nil, errReleased(op.tx)
+	}
+	s.recordReads(op.tx, op.ops, res)
+	switch op.kind {
+	case wire.KindReadCopy:
+		if res[0].Err != nil {
+			return 0, nil, res[0].Err
+		}
+		return op.kind, &wire.ReadCopyResp{Value: res[0].Value, Version: res[0].Version, Clock: clock, Incarnation: st.incarnation}, nil
+	case wire.KindPreWrite:
+		if res[0].Err != nil {
+			return 0, nil, res[0].Err
+		}
+		return op.kind, &wire.PreWriteResp{Version: res[0].Version, Clock: clock, Incarnation: st.incarnation}, nil
+	}
+	resp := &wire.CopyBatchResp{Results: make([]wire.CopyResult, len(res)), Clock: clock, Incarnation: st.incarnation}
+	for i, r := range res {
+		if r.Err != nil {
+			resp.Results[i].SetErr(r.Err)
+			continue
+		}
+		resp.Results[i].Value, resp.Results[i].Version = r.Value, r.Version
+	}
+	return op.kind, resp, nil
+}
+
+// recordReads enters a wave's successful reads in the execution history.
+func (s *Site) recordReads(tx model.TxID, ops []model.Op, res []rcp.CopyResult) {
+	for i, r := range res {
+		if r.Err == nil && ops[i].Kind == model.OpRead {
+			s.hist.Record(tx, model.OpRead, ops[i].Item, r.Value, r.Version)
+		}
+	}
+}
+
+func errReleased(tx model.TxID) error {
+	return model.Abortf(model.AbortCC, "transaction %s already released", tx)
 }
 
 // serveAsync is the wire.AsyncServeFunc half of the site: it claims
-// KindReadCopy/KindPreWrite requests for the pipeline and declines the rest
-// (false sends the transport down the synchronous serve path). Decode
-// happens here — the pipeline's first stage — on the transport goroutine,
-// so a malformed payload is refused without occupying a queue slot.
-func (s *Site) serveAsync(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wire.Payload, reply wire.ReplyFunc) bool {
-	if kind != wire.KindReadCopy && kind != wire.KindPreWrite {
+// copy-operation requests for the pipeline and declines the rest (false
+// sends the transport down the synchronous serve path). Decode happens here
+// — the pipeline's first stage — on the transport goroutine, so a malformed
+// payload is refused without occupying a queue slot.
+func (s *Site) serveAsync(_ model.SiteID, tid trace.ID, kind wire.MsgKind, pay wire.Payload, reply wire.ReplyFunc) bool {
+	if kind != wire.KindReadCopy && kind != wire.KindPreWrite && kind != wire.KindCopyBatch {
 		return false
 	}
 	p := s.pipe.Load()
 	if p == nil {
 		return false // pipeline disabled or not built yet
 	}
-	op := copyOp{from: from, kind: kind, reply: reply, tid: tid}
+	op := copyOp{reply: reply, tid: tid}
 	if tid != 0 {
 		op.enq = time.Now().UnixNano()
 	}
-	var item model.ItemID
-	if kind == wire.KindReadCopy {
-		if err := pay.Decode(&op.read); err != nil {
-			reply(0, nil, err)
-			return true
-		}
-		item = op.read.Item
-	} else {
-		if err := pay.Decode(&op.write); err != nil {
-			reply(0, nil, err)
-			return true
-		}
-		item = op.write.Item
+	if err := decodeWave(kind, pay, &op); err != nil {
+		reply(0, nil, err)
+		return true
 	}
-	// Same placement function as the storage shards and lock stripes, so one
-	// sequencer owns each item's hot path end to end.
-	sh := int(shard.Hash(item)) & (p.Shards() - 1)
+	// Same placement function as the storage shards and lock stripes.
+	sh := int(shard.Hash(op.ops[0].Item)) & (p.Shards() - 1)
 	// lifeCtx (not runCtx) bounds a blocked Submit: it is set once at New and
 	// cancelled only by Close, so it needs no lock here; a crash leaves the
 	// sequencers draining, which frees the slot anyway.
@@ -111,10 +232,11 @@ func (s *Site) serveAsync(from model.SiteID, tid trace.ID, kind wire.MsgKind, pa
 	return true
 }
 
-// copyBatch processes one drained batch on its shard's sequencer goroutine.
-// The per-operation costs of the synchronous path that don't depend on the
-// operation — the site-state snapshot under s.mu, the release-tombstone
-// lookups, the clock witness and peek — are paid once per batch.
+// copyBatch processes one drained batch of waves on its shard's sequencer
+// goroutine. The per-request costs of the synchronous path that don't
+// depend on the request — the site-state snapshot under s.mu, the
+// release-tombstone lookups, the clock witness and peek — are paid once per
+// batch.
 func (s *Site) copyBatch(_ int, batch []copyOp) {
 	// Two clock reads per BATCH (not per op) feed the always-on batch-drain
 	// histogram; the per-op cost is amortized over the whole drain.
@@ -123,17 +245,14 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 
 	s.mu.Lock()
 	crashed := s.crashed
-	ccm := s.ccm
-	runCtx := s.runCtx
-	timeouts := s.timeouts
-	incarnation := s.incarnation
+	st := s.stackLocked()
 	released := make([]bool, len(batch))
 	for i := range batch {
-		_, released[i] = s.released[batch[i].tx()]
+		_, released[i] = s.released[batch[i].tx]
 	}
 	s.mu.Unlock()
 
-	if crashed || ccm == nil {
+	if crashed || st.ccm == nil {
 		for i := range batch {
 			batch[i].reply(0, nil, errCrashed)
 		}
@@ -145,50 +264,38 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 	// is equivalent to witnessing each in turn.
 	var maxTS model.Timestamp
 	for i := range batch {
-		if ts := batch[i].ts(); maxTS.Less(ts) {
-			maxTS = ts
+		if maxTS.Less(batch[i].ts) {
+			maxTS = batch[i].ts
 		}
 	}
 	s.clock.Witness(maxTS)
 
-	results := make([]copyResult, len(batch))
+	// Admit every wave as far as it goes without waiting. next[i] is where
+	// wave i stopped: len(ops) when it is complete, the index of the
+	// operation that would block otherwise.
+	total := 0
 	for i := range batch {
-		op := &batch[i]
-		if released[i] {
-			results[i].err = model.Abortf(model.AbortCC, "transaction %s already released", op.tx())
-			continue
-		}
-		if op.kind == wire.KindReadCopy {
-			v, ver, err := ccm.TryRead(op.read.Tx, op.read.TS, op.read.Item)
-			if errors.Is(err, cc.ErrWouldBlock) {
-				results[i].spilled = true
-				continue
-			}
-			results[i] = copyResult{value: v, ver: ver, err: err, ok: err == nil}
-		} else {
-			tryPre := ccm.TryPreWrite
-			if op.write.Add {
-				tryPre = ccm.TryPreAdd
-			}
-			ver, err := tryPre(op.write.Tx, op.write.TS, op.write.Item, op.write.Value)
-			if errors.Is(err, cc.ErrWouldBlock) {
-				results[i].spilled = true
-				continue
-			}
-			results[i] = copyResult{ver: ver, err: err, ok: err == nil}
+		total += len(batch[i].ops)
+	}
+	flat := make([]rcp.CopyResult, total) // one allocation for the whole drain
+	results := make([][]rcp.CopyResult, len(batch))
+	next := make([]int, len(batch))
+	for i := range batch {
+		n := len(batch[i].ops)
+		results[i], flat = flat[:n:n], flat[n:]
+		if !released[i] {
+			next[i] = st.admit(st.runCtx, batch[i].tx, batch[i].ts, batch[i].ops, results[i], 0, false)
 		}
 	}
 
-	// Re-check tombstones for the admitted operations under one lock: a
-	// release that raced past the admit must win — undo and refuse, exactly
-	// like the synchronous path's post-admit check.
+	// Re-check tombstones for the completed waves under one lock: a release
+	// that raced past the admit must win, exactly like the synchronous
+	// path's post-admit check. (A spilled wave re-checks when it completes.)
+	raced := make([]bool, len(batch))
 	s.mu.Lock()
 	for i := range batch {
-		if results[i].ok {
-			if _, raced := s.released[batch[i].tx()]; raced {
-				results[i].ok = false
-				results[i].raced = true
-			}
+		if !released[i] {
+			_, raced[i] = s.released[batch[i].tx]
 		}
 	}
 	s.mu.Unlock()
@@ -198,90 +305,46 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 	clockNow := s.clock.Peek()
 	for i := range batch {
 		op := &batch[i]
-		r := &results[i]
+		spilled := !released[i] && next[i] < len(op.ops)
 		if op.tid != 0 {
-			// Traced op: record its shard-queue wait (decode to sequencer
+			// Traced wave: record its shard-queue wait (decode to sequencer
 			// pickup) and, unless it spilled, the batched admission, as a
 			// fragment collated with the home site's trace by ID. A spilled
-			// op's admission is recorded by spillCopy on its own fragment.
-			act := s.tracer.Join(op.tid, op.tx())
+			// wave's admission is recorded by spillWave on its own fragment.
+			act := s.tracer.Join(op.tid, op.tx)
 			enq := time.Unix(0, op.enq)
 			act.Record(trace.StageQueue, enq, batchStart.Sub(enq), "shard queue")
-			if !r.spilled {
+			if !spilled {
 				act.Record(trace.StageAdmit, batchStart, time.Since(batchStart), "batched")
 			}
 			act.Finish()
 		}
 		switch {
-		case r.spilled:
+		case released[i]:
+			op.reply(0, nil, errReleased(op.tx))
+		case spilled:
 			s.pipeSpills.Add(1)
-			go s.spillCopy(*op, ccm, runCtx, timeouts, incarnation)
-		case r.raced:
-			ccm.Abort(op.tx())
-			op.reply(0, nil, model.Abortf(model.AbortCC, "transaction %s already released", op.tx()))
-		case r.err != nil:
-			op.reply(0, nil, r.err)
-		case op.kind == wire.KindReadCopy:
-			s.hist.Record(op.read.Tx, model.OpRead, op.read.Item, r.value, r.ver)
-			op.reply(wire.KindReadCopy, &wire.ReadCopyResp{
-				Value: r.value, Version: r.ver, Clock: clockNow, Incarnation: incarnation,
-			}, nil)
+			go s.spillWave(st, *op, results[i], next[i])
 		default:
-			op.reply(wire.KindPreWrite, &wire.PreWriteResp{
-				Version: r.ver, Clock: clockNow, Incarnation: incarnation,
-			}, nil)
+			op.reply(s.finish(st, op, results[i], raced[i], clockNow))
 		}
 	}
 }
 
-// spillCopy runs one contended operation through the original blocking CC
-// path off the sequencer goroutine, so a lock wait or timestamp-intent gate
-// never stalls the operations queued behind it. The stack captured at batch
-// time rides along: a spill that straddles a reconfiguration behaves like
-// any in-flight synchronous operation against the old incarnation.
-func (s *Site) spillCopy(op copyOp, ccm cc.Manager, runCtx context.Context, timeouts schema.Timeouts, incarnation uint64) {
-	act := s.tracer.Join(op.tid, op.tx())
+// spillWave finishes a wave whose operation at index from would block,
+// through the blocking CC calls and in order, off the sequencer goroutine,
+// so a lock wait or timestamp-intent gate never stalls the requests queued
+// behind it — and so the wave still takes its locks in the order sent. The
+// stack captured at batch time rides along: a spill that straddles a
+// reconfiguration behaves like any in-flight synchronous operation against
+// the old incarnation.
+func (s *Site) spillWave(st ccStack, op copyOp, res []rcp.CopyResult, from int) {
+	act := s.tracer.Join(op.tid, op.tx)
 	defer act.Finish()
-	ctx, cancel := context.WithTimeout(trace.NewContext(runCtx, act), timeouts.Lock)
-	defer cancel()
-	if op.kind == wire.KindReadCopy {
-		sp := act.StartSpan(trace.StageSpill, "read "+string(op.read.Item))
-		v, ver, err := ccm.Read(ctx, op.read.Tx, op.read.TS, op.read.Item)
-		sp.End()
-		if err != nil {
-			op.reply(0, nil, err)
-			return
-		}
-		if s.isReleased(op.read.Tx) {
-			ccm.Abort(op.read.Tx)
-			op.reply(0, nil, model.Abortf(model.AbortCC, "transaction %s already released", op.read.Tx))
-			return
-		}
-		s.hist.Record(op.read.Tx, model.OpRead, op.read.Item, v, ver)
-		op.reply(wire.KindReadCopy, &wire.ReadCopyResp{
-			Value: v, Version: ver, Clock: s.clock.Peek(), Incarnation: incarnation,
-		}, nil)
-		return
-	}
-	label, pre := "pre-write ", ccm.PreWrite
-	if op.write.Add {
-		label, pre = "pre-add ", ccm.PreAdd
-	}
-	sp := act.StartSpan(trace.StageSpill, label+string(op.write.Item))
-	ver, err := pre(ctx, op.write.Tx, op.write.TS, op.write.Item, op.write.Value)
+	sp := act.StartSpan(trace.StageSpill, op.ops[from].String())
+	st.admit(trace.NewContext(st.runCtx, act), op.tx, op.ts, op.ops, res, from, true)
 	sp.End()
-	if err != nil {
-		op.reply(0, nil, err)
-		return
-	}
-	if s.isReleased(op.write.Tx) {
-		ccm.Abort(op.write.Tx)
-		op.reply(0, nil, model.Abortf(model.AbortCC, "transaction %s already released", op.write.Tx))
-		return
-	}
-	op.reply(wire.KindPreWrite, &wire.PreWriteResp{
-		Version: ver, Clock: s.clock.Peek(), Incarnation: incarnation,
-	}, nil)
+	op.reply(s.finish(st, &op, res, s.isReleased(op.tx), s.clock.Peek()))
 }
 
 // swapPipeline installs the pipeline for a freshly (re)built stack and

@@ -18,10 +18,9 @@ import (
 // identical in both designs and runs embarrassingly parallel on transport
 // goroutines, so it is excluded to keep the shard path itself in focus).
 // "sync" is the pre-pipeline design: every request captures the site-state
-// snapshot and runs the full per-operation readCopy on its own goroutine,
+// snapshot and runs the full synchronous serve path on its own goroutine,
 // all of them colliding on the site snapshot mutex, the release-tombstone
-// map, the Lamport clock and the CC manager, plus a context.WithTimeout
-// allocation per admission. "pipelined" demuxes requests onto the item
+// map, the Lamport clock and the CC manager. "pipelined" demuxes requests onto the item
 // shard's single-writer pipeline — feeders block only on queue
 // backpressure, so the sequencer drains full batches and pays the
 // snapshot, tombstone scan and clock witness once per batch, admitting
@@ -62,7 +61,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			var submit func()
 			if p := st.pipe.Load(); p != nil {
 				sh := int(shard.Hash(req.Item)) & (p.Shards() - 1)
-				op := copyOp{from: "C1", kind: wire.KindReadCopy, read: req, reply: reply}
+				op := copyOp{kind: wire.KindReadCopy, tx: req.Tx, ts: req.TS, ops: []model.Op{model.Read(req.Item)}, reply: reply}
 				submit = func() {
 					pending.Add(1)
 					if err := p.Submit(st.lifeCtx, sh, op); err != nil {
@@ -71,16 +70,11 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 					}
 				}
 			} else {
+				// The pre-pipeline serve path: every request snapshots the
+				// site state under s.mu and admits on its own goroutine.
+				pay := wire.Payload{Codec: wire.CodecBinary, Bytes: req.AppendTo(nil)}
 				submit = func() {
-					// The pre-pipeline serve prologue: snapshot the site
-					// state under s.mu once per request.
-					st.mu.Lock()
-					ccm := st.ccm
-					runCtx := st.runCtx
-					timeouts := st.timeouts
-					incarnation := st.incarnation
-					st.mu.Unlock()
-					if _, err := st.readCopy(ccm, runCtx, timeouts, incarnation, req); err != nil {
+					if _, _, err := st.serve("C1", 0, wire.KindReadCopy, pay); err != nil {
 						b.Error(err)
 					}
 				}

@@ -1,13 +1,11 @@
 package site
 
 import (
-	"context"
 	"fmt"
 
-	"repro/internal/cc"
 	"repro/internal/model"
 	"repro/internal/nameserver"
-	"repro/internal/schema"
+	"repro/internal/rcp"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -24,63 +22,32 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		s.mu.Unlock()
 		return 0, nil, errCrashed
 	}
-	ccm := s.ccm
+	st := s.stackLocked()
 	part := s.part
-	runCtx := s.runCtx
-	timeouts := s.timeouts
-	// The incarnation is captured together with the CC manager so the
-	// number reported on copy-operation responses names the incarnation
-	// that actually protects the operation.
-	incarnation := s.incarnation
 	s.mu.Unlock()
 
 	switch kind {
 	case wire.KindPing:
 		return wire.KindOK, &wire.OKBody{}, nil
 
-	case wire.KindReadCopy:
-		var req wire.ReadCopyReq
-		if err := pay.Decode(&req); err != nil {
+	case wire.KindReadCopy, wire.KindPreWrite, wire.KindCopyBatch:
+		// The pipeline declined (disabled, or closing for a rebuild): admit
+		// the wave here, blocking, with the same head and tail.
+		op := copyOp{tid: tid}
+		if err := decodeWave(kind, pay, &op); err != nil {
 			return 0, nil, err
 		}
-		act := s.tracer.Join(tid, req.Tx)
+		if s.isReleased(op.tx) {
+			return 0, nil, errReleased(op.tx)
+		}
+		s.clock.Witness(op.ts)
+		act := s.tracer.Join(tid, op.tx)
 		defer act.Finish()
-		sp := act.StartSpan(trace.StageAdmit, "read "+string(req.Item))
-		resp, err := s.readCopy(ccm, trace.NewContext(runCtx, act), timeouts, incarnation, req)
+		res := make([]rcp.CopyResult, len(op.ops))
+		sp := act.StartSpan(trace.StageAdmit, op.ops[0].String())
+		st.admit(trace.NewContext(st.runCtx, act), op.tx, op.ts, op.ops, res, 0, true)
 		sp.End()
-		if err != nil {
-			return 0, nil, err
-		}
-		return wire.KindReadCopy, &resp, nil
-
-	case wire.KindPreWrite:
-		var req wire.PreWriteReq
-		if err := pay.Decode(&req); err != nil {
-			return 0, nil, err
-		}
-		if s.isReleased(req.Tx) {
-			return 0, nil, model.Abortf(model.AbortCC, "transaction %s already released", req.Tx)
-		}
-		act := s.tracer.Join(tid, req.Tx)
-		defer act.Finish()
-		s.clock.Witness(req.TS)
-		ctx, cancel := context.WithTimeout(trace.NewContext(runCtx, act), timeouts.Lock)
-		defer cancel()
-		label, pre := "pre-write ", ccm.PreWrite
-		if req.Add {
-			label, pre = "pre-add ", ccm.PreAdd
-		}
-		sp := act.StartSpan(trace.StageAdmit, label+string(req.Item))
-		ver, err := pre(ctx, req.Tx, req.TS, req.Item, req.Value)
-		sp.End()
-		if err != nil {
-			return 0, nil, err
-		}
-		if s.isReleased(req.Tx) {
-			ccm.Abort(req.Tx)
-			return 0, nil, model.Abortf(model.AbortCC, "transaction %s already released", req.Tx)
-		}
-		return wire.KindPreWrite, &wire.PreWriteResp{Version: ver, Clock: s.clock.Peek(), Incarnation: incarnation}, nil
+		return s.finish(st, &op, res, s.isReleased(op.tx), s.clock.Peek())
 
 	case wire.KindReleaseTx:
 		var req wire.ReleaseTxReq
@@ -88,7 +55,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 			return 0, nil, err
 		}
 		s.tombstone(req.Tx)
-		ccm.Abort(req.Tx)
+		st.ccm.Abort(req.Tx)
 		return wire.KindOK, &wire.OKBody{}, nil
 
 	case wire.KindPrepare:
@@ -176,7 +143,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		outcome := s.Execute(runCtx, req.Ops)
+		outcome := s.Execute(st.runCtx, req.Ops)
 		return wire.KindSubmitTx, &wire.SubmitTxResp{Outcome: outcome}, nil
 
 	case wire.KindCatalogPush:
@@ -204,29 +171,4 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 	default:
 		return 0, nil, fmt.Errorf("site %s: unhandled message kind %s", s.id, kind)
 	}
-}
-
-// readCopy is the synchronous ReadCopy path, shared by serve and the
-// pipeline ablation: tombstone check, clock witness, blocking CC admission
-// under the lock timeout, and the release re-check that undoes a read a
-// concurrent release raced past. The caller passes the site-state snapshot
-// it captured under s.mu so one serve dispatch reads it exactly once.
-func (s *Site) readCopy(ccm cc.Manager, runCtx context.Context, timeouts schema.Timeouts, incarnation uint64, req wire.ReadCopyReq) (wire.ReadCopyResp, error) {
-	if s.isReleased(req.Tx) {
-		return wire.ReadCopyResp{}, model.Abortf(model.AbortCC, "transaction %s already released", req.Tx)
-	}
-	s.clock.Witness(req.TS)
-	ctx, cancel := context.WithTimeout(runCtx, timeouts.Lock)
-	defer cancel()
-	v, ver, err := ccm.Read(ctx, req.Tx, req.TS, req.Item)
-	if err != nil {
-		return wire.ReadCopyResp{}, err
-	}
-	if s.isReleased(req.Tx) {
-		// The release raced past the in-flight read: undo and refuse.
-		ccm.Abort(req.Tx)
-		return wire.ReadCopyResp{}, model.Abortf(model.AbortCC, "transaction %s already released", req.Tx)
-	}
-	s.hist.Record(req.Tx, model.OpRead, req.Item, v, ver)
-	return wire.ReadCopyResp{Value: v, Version: ver, Clock: s.clock.Peek(), Incarnation: incarnation}, nil
 }

@@ -2,8 +2,9 @@
 // node of the system. Each site is simultaneously
 //
 //   - a home site: it admits transactions, dedicates a goroutine to each
-//     (the paper's "one thread"), drives the RCP per operation, and runs
-//     the ACP as coordinator (paper §2.1);
+//     (the paper's "one thread"), drives the RCP — per operation for
+//     interactive transactions, as one wave for one-shot programs — and
+//     runs the ACP as coordinator (paper §2.1);
 //   - a participant: it serves copy reads and pre-writes through its CCP,
 //     votes in commit protocols, applies decisions, and answers decision /
 //     termination-state queries;
@@ -1058,6 +1059,10 @@ func (s *Site) Crash() {
 	s.crashed = true
 	s.runCancel()
 	s.log.Close() // stale handler goroutines can no longer force records
+	// In-flight coordination is volatile state: whatever was running here
+	// has no decision logged (or recovery will find it) and is presumed
+	// aborted from now on, so remote janitors may sweep what it left behind.
+	s.activeCoord = make(map[model.TxID]bool)
 	s.mu.Unlock()
 	s.resolveWG.Wait()
 	s.ckptWG.Wait()
@@ -1084,11 +1089,13 @@ func (s *Site) Recover() error {
 		s.mu.Unlock()
 		return fmt.Errorf("site %s: not crashed", s.id)
 	}
-	if ml, ok := s.log.(*wal.MemoryLog); ok {
-		ml.Reopen()
-	}
-	catalog := s.catalog
+	log, catalog := s.log, s.catalog
 	s.mu.Unlock()
+	if rl, ok := log.(wal.Reopener); ok {
+		if err := rl.Reopen(); err != nil {
+			return fmt.Errorf("site %s: %w", s.id, err)
+		}
+	}
 
 	if err := s.configure(catalog); err != nil {
 		return err
@@ -1266,9 +1273,10 @@ func janitorAge(t schema.Timeouts) time.Duration {
 // release run under the site gate's WRITE side, which votePrepare's
 // check+force excludes — a prepare racing the janitor either lands before
 // (the re-check sees it and skips) or after (the tombstone makes it vote
-// no); it can never interleave. A presumed-abort answer for a transaction
-// that is merely slow costs that transaction an abort at prepare time —
-// never an inconsistency.
+// no); it can never interleave. A home site never presumes its own live
+// transaction aborted — it sits in activeCoord from Begin to its outcome and
+// the query comes back "still deciding" — so only state whose home lost
+// track of it (a crash) or already finished with it is swept.
 func (s *Site) janitorSweep(ctx context.Context) {
 	s.mu.Lock()
 	ccm := s.ccm
@@ -1290,7 +1298,7 @@ func (s *Site) janitorSweep(ctx context.Context) {
 		active := s.activeCoord[tx]
 		s.mu.Unlock()
 		if active {
-			continue // our own commit round is running
+			continue // our own transaction, still running
 		}
 		var known bool
 		if _, decided := part.Decision(tx); decided {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/nameserver"
 	"repro/internal/schema"
 	"repro/internal/simnet"
+	"repro/internal/wal"
 )
 
 // cluster spins up a name server and n sites over a simulated network with
@@ -24,6 +25,19 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, protocols schema.Protocols, items map[model.ItemID]int64) *cluster {
 	t.Helper()
+	return newClusterCat(t, n, func(cat *schema.Catalog) {
+		for item, initial := range items {
+			cat.ReplicateEverywhere(item, initial)
+		}
+		cat.Protocols = protocols
+	})
+}
+
+// newClusterCat is the general form: n sites named A, B, …, the test-sized
+// default timeouts, and whatever the caller makes of the catalog (item
+// placement, protocols, other timeouts) before the sites start.
+func newClusterCat(t *testing.T, n int, customize func(*schema.Catalog)) *cluster {
+	t.Helper()
 	net := simnet.New(simnet.Config{})
 	cat := schema.NewCatalog()
 	var ids []model.SiteID
@@ -32,14 +46,12 @@ func newCluster(t *testing.T, n int, protocols schema.Protocols, items map[model
 		ids = append(ids, id)
 		cat.Sites[id] = schema.SiteInfo{ID: id}
 	}
-	for item, initial := range items {
-		cat.ReplicateEverywhere(item, initial)
-	}
-	cat.Protocols = protocols
+	cat.Protocols = defaultProtocols()
 	cat.Timeouts = schema.Timeouts{
 		Op: time.Second, Vote: time.Second, Ack: 500 * time.Millisecond,
 		Lock: 500 * time.Millisecond, OrphanResolve: 50 * time.Millisecond,
 	}
+	customize(cat)
 	if err := cat.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -325,5 +337,74 @@ func TestExecuteViaSubmitTxRPC(t *testing.T) {
 	out := c.sites["A"].Execute(ctx, []model.Op{model.Write("y", 1)})
 	if !out.Committed {
 		t.Fatalf("outcome = %+v", out)
+	}
+}
+
+// TestReadOnlyCommitWritesNothing: when every participant votes read-only
+// there is no phase 2, so the home site logs neither a decision nor an end
+// record and its decision table never sees the transaction — and a crash
+// right after it recovers cleanly.
+func TestReadOnlyCommitWritesNothing(t *testing.T) {
+	c := newCluster(t, 3, defaultProtocols(), items())
+	a := c.sites["A"]
+	log := a.log.(*wal.MemoryLog)
+	before := log.Len()
+	out := a.Execute(context.Background(), []model.Op{model.Read("x"), model.Read("y")})
+	if !out.Committed || out.Reads["x"] != 10 || out.Reads["y"] != 20 {
+		t.Fatalf("read-only tx = %+v", out)
+	}
+	if got := log.Len(); got != before {
+		t.Errorf("read-only commit appended %d WAL records, want 0", got-before)
+	}
+	for _, id := range c.ids {
+		if table := c.sites[id].DecisionTable(); len(table) != 0 {
+			t.Errorf("decision table at %s = %v, want empty", id, table)
+		}
+	}
+
+	a.Crash()
+	if err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if n := a.InDoubtCount(); n != 0 {
+		t.Errorf("%d in-doubt transactions after recovery, want 0", n)
+	}
+	if out := a.Execute(context.Background(), []model.Op{model.Read("x"), model.Write("y", 21)}); !out.Committed || out.Reads["x"] != 10 {
+		t.Errorf("first transaction after recovery = %+v", out)
+	}
+}
+
+// TestCrashRecoveryOnSegmentedLog: a site on the file WAL crashes and
+// recovers in-process — Recover reopens the closed segment directory — and
+// reads back what it committed before and accepts writes after.
+func TestCrashRecoveryOnSegmentedLog(t *testing.T) {
+	net := simnet.New(simnet.Config{})
+	cat := schema.NewCatalog()
+	cat.Sites["A"] = schema.SiteInfo{ID: "A"}
+	cat.ReplicateEverywhere("x", 10)
+	cat.Protocols = defaultProtocols()
+	log, err := wal.OpenSegmented(t.TempDir(), wal.SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := New(Config{ID: "A", Net: net, Log: log, Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	ctx := context.Background()
+	if out := a.Execute(ctx, []model.Op{model.Write("x", 42)}); !out.Committed {
+		t.Fatalf("write = %+v", out)
+	}
+	a.Crash()
+	if err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if out := a.Execute(ctx, []model.Op{model.Read("x")}); !out.Committed || out.Reads["x"] != 42 {
+		t.Fatalf("read after recovery = %+v, want x=42", out)
+	}
+	if out := a.Execute(ctx, []model.Op{model.Write("x", 43)}); !out.Committed {
+		t.Fatalf("write after recovery = %+v", out)
 	}
 }

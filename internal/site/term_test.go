@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"repro/internal/model"
-	"repro/internal/nameserver"
 	"repro/internal/schema"
-	"repro/internal/simnet"
 	"repro/internal/wire"
 )
 
@@ -18,41 +16,12 @@ import (
 // threshold is test-sized).
 func newClusterTimeouts(t *testing.T, n int, timeouts schema.Timeouts) *cluster {
 	t.Helper()
-	net := simnet.New(simnet.Config{})
-	cat := schema.NewCatalog()
-	var ids []model.SiteID
-	for i := 0; i < n; i++ {
-		id := model.SiteID(string(rune('A' + i)))
-		ids = append(ids, id)
-		cat.Sites[id] = schema.SiteInfo{ID: id}
-	}
-	for item, initial := range items() {
-		cat.ReplicateEverywhere(item, initial)
-	}
-	cat.Protocols = defaultProtocols()
-	cat.Timeouts = timeouts
-	if err := cat.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	ns, err := nameserver.New(net, cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &cluster{net: net, ns: ns, sites: make(map[model.SiteID]*Site), ids: ids}
-	for _, id := range ids {
-		st, err := New(Config{ID: id, Net: net})
-		if err != nil {
-			t.Fatal(err)
+	return newClusterCat(t, n, func(cat *schema.Catalog) {
+		for item, initial := range items() {
+			cat.ReplicateEverywhere(item, initial)
 		}
-		c.sites[id] = st
-	}
-	t.Cleanup(func() {
-		for _, st := range c.sites {
-			st.Close()
-		}
-		ns.Close()
+		cat.Timeouts = timeouts
 	})
-	return c
 }
 
 // TestVotePrepareIncarnationFence: a prepare carrying a stale incarnation
@@ -165,6 +134,66 @@ func TestJanitorReleasesStrandedState(t *testing.T) {
 		t.Fatalf("lock still held after janitor release: %v", err)
 	}
 	b.ccm.Abort(free)
+}
+
+// janitorTimeouts makes the janitor's holder-age threshold test-sized: 10 ×
+// the 40 ms lock timeout, swept every 30 ms.
+var janitorTimeouts = schema.Timeouts{
+	Op: time.Second, Vote: time.Second, Ack: 500 * time.Millisecond,
+	Lock: 40 * time.Millisecond, OrphanResolve: 30 * time.Millisecond,
+}
+
+// TestJanitorSparesLiveTransaction: an interactive transaction that idles
+// past the janitor's age threshold while holding a remote read lock is still
+// running as far as its home is concerned — the remote janitor's query is
+// answered "unknown, still running", the lock stays, and the transaction
+// commits.
+func TestJanitorSparesLiveTransaction(t *testing.T) {
+	c := newClusterTimeouts(t, 2, janitorTimeouts)
+	a, b := c.sites["A"], c.sites["B"]
+	txn, err := a.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := txn.Read("x"); err != nil || v != 10 {
+		t.Fatalf("read x = %d, %v", v, err)
+	}
+	time.Sleep(2 * janitorAge(janitorTimeouts)) // many sweeps past the threshold
+	if holders := b.ccm.Holders(0); len(holders) != 1 || holders[0] != txn.ID() {
+		t.Fatalf("holders at B = %v: the janitor swept a live transaction's read lock", holders)
+	}
+	if err := txn.Write("x", 11); err != nil {
+		t.Fatal(err)
+	}
+	if out := txn.Commit(); !out.Committed {
+		t.Fatalf("slow but live transaction = %+v, want commit", out)
+	}
+}
+
+// TestJanitorSweepsAbandonedTransaction: the same remote read lock, but the
+// home crashes and recovers with no memory of the transaction — now it IS
+// presumed aborted, and the remote janitor frees the lock.
+func TestJanitorSweepsAbandonedTransaction(t *testing.T) {
+	c := newClusterTimeouts(t, 2, janitorTimeouts)
+	a, b := c.sites["A"], c.sites["B"]
+	txn, err := a.Begin(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Read("x"); err != nil {
+		t.Fatal(err)
+	}
+	a.Crash()
+	if err := a.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for len(b.ccm.Holders(0)) != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("janitor never swept the abandoned transaction: holders = %v", b.ccm.Holders(0))
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
 }
 
 // TestRecovered3PCMemberTerminatesWithLoggedPreCommit: a member that

@@ -15,7 +15,8 @@ import (
 // Txn is an interactive transaction at its home site: the caller interleaves
 // Read and Write calls with its own logic (computing transfer amounts from
 // balances just read, for example) and finishes with Commit or Abort. The
-// one-shot Execute API is built on top of it.
+// one-shot Execute API is the same object driven as one wave (Txn.wave)
+// instead of one operation at a time.
 type Txn struct {
 	s    *Site
 	tx   model.TxID
@@ -68,6 +69,10 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 		start:    time.Now(),
 		reads:    make(map[model.ItemID]int64),
 	}
+	// Registered from here to its outcome: asked about this transaction in
+	// the meantime (a remote CC janitor wondering about an old lock), the
+	// site answers "still running", never "presumed aborted".
+	s.activeCoord[t.tx] = true
 	runCtx := s.runCtx
 	s.mu.Unlock()
 
@@ -208,14 +213,8 @@ func (t *Txn) Commit() model.Outcome {
 
 	s := t.s
 	s.mu.Lock()
-	s.activeCoord[t.tx] = true
 	coordLog := s.coordLog
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		delete(s.activeCoord, t.tx)
-		s.mu.Unlock()
-	}()
 
 	// The termination electorate: participants holding writes. With the
 	// read-only optimization off every participant logs a prepared record
@@ -287,6 +286,9 @@ func (t *Txn) Abort() model.Outcome {
 }
 
 func (t *Txn) outcome(committed bool, cause model.AbortCause) model.Outcome {
+	t.s.mu.Lock()
+	delete(t.s.activeCoord, t.tx)
+	t.s.mu.Unlock()
 	latency := time.Since(t.start)
 	t.s.stats.TxDone(committed, cause, latency)
 	if t.act != nil {

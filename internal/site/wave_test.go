@@ -1,0 +1,321 @@
+package site
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/model"
+	"repro/internal/schema"
+)
+
+var waveItems = map[model.ItemID]int64{"w": 1, "x": 10, "y": 20, "z": 30}
+
+// randomProgram draws a one-shot program of 1–6 operations over four items:
+// repeated reads, writes and adds, read→write and write→read of one item.
+// Most programs keep each item either blind-added or read/written; one in
+// eight mixes freely and so may be one the API rejects.
+func randomProgram(rng *rand.Rand) []model.Op {
+	ids := []model.ItemID{"w", "x", "y", "z"}
+	free := rng.Intn(8) == 0
+	addOnly := make(map[model.ItemID]bool)
+	for _, id := range ids {
+		addOnly[id] = rng.Intn(3) == 0
+	}
+	ops := make([]model.Op, 1+rng.Intn(6))
+	for i := range ops {
+		item := ids[rng.Intn(len(ids))]
+		v := int64(rng.Intn(200) - 100)
+		switch {
+		case free && rng.Intn(3) == 0, !free && addOnly[item]:
+			ops[i] = model.Add(item, v)
+		case rng.Intn(2) == 0:
+			ops[i] = model.Read(item)
+		default:
+			ops[i] = model.Write(item, v)
+		}
+	}
+	return ops
+}
+
+// runInteractive runs ops in program order on the interactive Txn API.
+func runInteractive(s *Site, ops []model.Op) model.Outcome {
+	txn, err := s.Begin(context.Background())
+	if err != nil {
+		return model.Outcome{Cause: model.AbortClient}
+	}
+	for _, op := range ops {
+		switch op.Kind {
+		case model.OpRead:
+			_, err = txn.Read(op.Item)
+		case model.OpWrite:
+			err = txn.Write(op.Item, op.Value)
+		case model.OpAdd:
+			err = txn.Add(op.Item, op.Value)
+		}
+		if err != nil {
+			return txn.Abort()
+		}
+	}
+	return txn.Commit()
+}
+
+// TestWaveMatchesInteractive is the differential test of one-round
+// execution: seeded random one-shot programs give the same outcome, the same
+// reads and the same final copies at every site whether they run as one wave
+// (Execute) or op by op (the interactive Txn API), under every CCP × RCP —
+// and with the command pipeline off, where a wave is admitted on the
+// synchronous serve path.
+func TestWaveMatchesInteractive(t *testing.T) {
+	type combo struct {
+		ccp, rcp   string
+		noPipeline bool
+	}
+	var combos []combo
+	for _, ccp := range []string{"2pl", "tso", "mvtso"} {
+		for _, rcp := range []string{"rowa", "qc"} {
+			combos = append(combos, combo{ccp: ccp, rcp: rcp})
+		}
+	}
+	combos = append(combos, combo{ccp: "2pl", rcp: "qc", noPipeline: true})
+	for i, cb := range combos {
+		name := fmt.Sprintf("%s-%s", cb.ccp, cb.rcp)
+		if cb.noPipeline {
+			name += "-nopipeline"
+		}
+		t.Run(name, func(t *testing.T) {
+			build := func() *cluster {
+				return newClusterCat(t, 3, func(cat *schema.Catalog) {
+					for item, initial := range waveItems {
+						cat.ReplicateEverywhere(item, initial)
+					}
+					cat.Protocols = schema.Protocols{RCP: cb.rcp, CCP: cb.ccp, ACP: "2pc"}
+					cat.Pipeline.Disable = cb.noPipeline
+				})
+			}
+			// One home site throughout, so timestamps rise with program order
+			// and timestamp ordering never rejects a late arrival.
+			wave, inter := build(), build()
+			rng := rand.New(rand.NewSource(int64(1000 + i)))
+			committed := 0
+			defer func() {
+				if !t.Failed() && committed < 40 {
+					t.Errorf("only %d of 80 programs committed: the comparison is mostly of aborts", committed)
+				}
+			}()
+			for n := 0; n < 80; n++ {
+				ops := randomProgram(rng)
+				got := wave.sites["A"].Execute(context.Background(), ops)
+				want := runInteractive(inter.sites["A"], ops)
+				if got.Committed {
+					committed++
+				}
+				if got.Committed != want.Committed || got.Cause != want.Cause {
+					t.Fatalf("program %d %v: wave %v/%v, interactive %v/%v", n, ops, got.Committed, got.Cause, want.Committed, want.Cause)
+				}
+				if len(got.Reads) != len(want.Reads) {
+					t.Fatalf("program %d %v: wave read %v, interactive %v", n, ops, got.Reads, want.Reads)
+				}
+				for item, v := range want.Reads {
+					if g, ok := got.Reads[item]; !ok || g != v {
+						t.Fatalf("program %d %v: wave read %v, interactive %v", n, ops, got.Reads, want.Reads)
+					}
+				}
+				for _, id := range wave.ids {
+					for item := range waveItems {
+						g, _ := wave.sites[id].Store().Get(item)
+						w, _ := inter.sites[id].Store().Get(item)
+						if g.Value != w.Value || g.Version != w.Version {
+							t.Fatalf("program %d %v: copy of %s at %s is %d@v%d after the wave, %d@v%d interactively",
+								n, ops, item, id, g.Value, g.Version, w.Value, w.Version)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestWaveRoundTrips pins the message economy at 3 sites under QC: a wave
+// costs one copy round trip per remote quorum member however many operations
+// it carries, so a 4-read program is 2 round trips (batch, prepare) and 4
+// messages, and a read-write program is 3 (batch, prepare, decision).
+func TestWaveRoundTrips(t *testing.T) {
+	c := newCluster(t, 3, defaultProtocols(), waveItems)
+	a := c.sites["A"]
+	run := func(ops ...model.Op) uint64 {
+		t.Helper()
+		before := a.Stats().RoundTrips
+		if out := a.Execute(context.Background(), ops); !out.Committed {
+			t.Fatalf("%v: %+v", ops, out)
+		}
+		return a.Stats().RoundTrips - before
+	}
+
+	sent := c.net.Stats().Sent
+	if rt := run(model.Read("w"), model.Read("x"), model.Read("y"), model.Read("z")); rt != 2 {
+		t.Errorf("4-read program took %d remote round trips, want 2", rt)
+	}
+	if msgs := c.net.Stats().Sent - sent; msgs != 4 {
+		t.Errorf("4-read program sent %d messages, want 4", msgs)
+	}
+	if rt := run(model.Read("x"), model.Write("y", 5)); rt != 3 {
+		t.Errorf("read-write program took %d remote round trips, want 3", rt)
+	}
+	if rt := run(model.Add("w", 1), model.Add("x", 1), model.Add("y", 1), model.Add("z", 1)); rt != 6 {
+		t.Errorf("4-add program took %d remote round trips, want 6 (batch, prepare, decision at both other sites)", rt)
+	}
+}
+
+// waitNoHolders waits until no site holds CC state for anything but the
+// transactions in keep (releases are acknowledged in the background).
+func waitNoHolders(t *testing.T, c *cluster, keep ...model.TxID) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		var stuck []string
+		for _, id := range c.ids {
+			s := c.sites[id]
+			s.mu.Lock()
+			ccm := s.ccm
+			s.mu.Unlock()
+		holders:
+			for _, tx := range ccm.Holders(0) {
+				for _, k := range keep {
+					if tx == k {
+						continue holders
+					}
+				}
+				stuck = append(stuck, fmt.Sprintf("%s@%s", tx, id))
+			}
+		}
+		if len(stuck) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("CC state never released: %v", stuck)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestWaveReplacesUnreachableMember: when a first-round member gives no
+// answer, each operation falls back to the ordinary replacement round and
+// the transaction commits on the remaining quorum; the silent member is
+// released as a stray once it is reachable again.
+func TestWaveReplacesUnreachableMember(t *testing.T) {
+	c := newClusterCat(t, 3, func(cat *schema.Catalog) {
+		for item, initial := range waveItems {
+			cat.ReplicateEverywhere(item, initial)
+		}
+		cat.Timeouts.Op = 100 * time.Millisecond
+	})
+	c.net.Partition([]model.SiteID{"A", "C", model.NameServerID}, []model.SiteID{"B"})
+	out := c.sites["A"].Execute(context.Background(), []model.Op{model.Read("x"), model.Write("y", 7), model.Read("z")})
+	if !out.Committed || out.Reads["x"] != 10 || out.Reads["z"] != 30 {
+		t.Fatalf("wave with B unreachable = %+v, want commit over {A, C}", out)
+	}
+	c.net.Heal()
+	for _, id := range []model.SiteID{"A", "C"} {
+		if got, _ := c.sites[id].Store().Get("y"); got.Value != 7 {
+			t.Errorf("y at %s = %d, want 7", id, got.Value)
+		}
+	}
+	waitNoHolders(t, c)
+}
+
+// TestWaveCCAbortReleasesEverySite: a CC rejection in the middle of one
+// site's batch dooms the transaction, and everything the wave acquired — at
+// that site before the rejection, and at the other sites, which ran their
+// whole batches meanwhile — is released.
+func TestWaveCCAbortReleasesEverySite(t *testing.T) {
+	c := newClusterCat(t, 3, func(cat *schema.Catalog) {
+		for item, initial := range waveItems {
+			cat.ReplicateEverywhere(item, initial)
+		}
+		cat.Timeouts.Lock = 40 * time.Millisecond
+	})
+	b := c.sites["B"]
+	blocker := model.TxID{Site: "C", Seq: 777}
+	if _, err := b.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "C"}, "y", 1); err != nil {
+		t.Fatal(err)
+	}
+	out := c.sites["A"].Execute(context.Background(), []model.Op{model.Write("x", 1), model.Write("y", 2), model.Write("z", 3)})
+	if out.Committed || out.Cause != model.AbortCC {
+		t.Fatalf("wave into a held lock = %+v, want a CC abort", out)
+	}
+	waitNoHolders(t, c, blocker)
+	b.ccm.Abort(blocker)
+	if got := c.sites["A"].Execute(context.Background(), []model.Op{model.Read("x"), model.Read("z")}); got.Reads["x"] != 10 || got.Reads["z"] != 30 {
+		t.Errorf("aborted wave left writes behind: %+v", got)
+	}
+}
+
+// TestWaveForReleasedTxRefusedWithoutQueuing: a batch that arrives after its
+// transaction was released at the site is refused at once — it neither takes
+// a lock nor waits in a lock queue behind a holder.
+func TestWaveForReleasedTxRefusedWithoutQueuing(t *testing.T) {
+	c := newCluster(t, 2, defaultProtocols(), waveItems) // lock timeout 500 ms
+	a, b := c.sites["A"], c.sites["B"]
+	blocker := model.TxID{Site: "B", Seq: 1}
+	if _, err := b.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
+		t.Fatal(err)
+	}
+	defer b.ccm.Abort(blocker)
+
+	tx := model.TxID{Site: "A", Seq: 99}
+	b.tombstone(tx)
+	start := time.Now()
+	_, _, err := a.CopyBatch(context.Background(), "B", tx, model.Timestamp{Time: 2, Site: "A"},
+		[]model.Op{model.Write("w", 1), model.Write("x", 2)})
+	if model.CauseOf(err) != model.AbortCC {
+		t.Fatalf("batch for a released transaction: %v, want a CC refusal", err)
+	}
+	if waited := time.Since(start); waited > 250*time.Millisecond {
+		t.Errorf("refusal took %v: the batch queued behind the lock holder", waited)
+	}
+	if holders := b.ccm.Holders(0); len(holders) != 1 || holders[0] != blocker {
+		t.Errorf("holders at B = %v, want only the blocker", holders)
+	}
+}
+
+// TestWaveOrderedAdmissionNeverDeadlocksLocally: transactions that write the
+// same items in opposite program orders conflict at the one site holding the
+// copies; because every wave is admitted in item order they queue behind one
+// another — no local waits-for cycle ever forms, nothing times out, and all
+// of them commit.
+func TestWaveOrderedAdmissionNeverDeadlocksLocally(t *testing.T) {
+	c := newClusterCat(t, 3, func(cat *schema.Catalog) {
+		for _, item := range []model.ItemID{"p", "q", "r"} {
+			cat.PlaceCopies(item, 0, "C")
+		}
+	})
+	const rounds = 40
+	programs := [][]model.Op{
+		{model.Write("p", 1), model.Write("q", 1), model.Write("r", 1)},
+		{model.Write("r", 2), model.Write("q", 2), model.Write("p", 2)},
+		{model.Read("q"), model.Write("r", 3), model.Write("p", 3)},
+	}
+	var wg sync.WaitGroup
+	for i, ops := range programs {
+		home := c.sites[c.ids[i%2]] // A and B: every copy operation is remote
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				if out := home.Execute(context.Background(), ops); !out.Committed {
+					t.Errorf("%v at %s: %+v", ops, home.ID(), out)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	cs := c.sites["C"].ccm.Stats()
+	if cs.Deadlocks != 0 || cs.Timeouts != 0 {
+		t.Errorf("site C saw %d deadlocks and %d lock timeouts, want none", cs.Deadlocks, cs.Timeouts)
+	}
+}

@@ -248,6 +248,7 @@ func (n *Net) AttachBatch(id model.SiteID, h wire.Handler, bh wire.BatchHandler)
 		handler: h,
 		batch:   bh,
 		conns:   make(map[model.SiteID]*outConn),
+		live:    make(map[*outConn]struct{}),
 	}
 	n.mu.Lock()
 	n.book[id] = ln.Addr().String()
@@ -271,8 +272,13 @@ type endpoint struct {
 	// send-queue spans for sampled envelopes leaving this endpoint.
 	tracer atomic.Pointer[trace.Tracer]
 
-	mu     sync.Mutex
-	conns  map[model.SiteID]*outConn
+	mu    sync.Mutex
+	conns map[model.SiteID]*outConn
+	// live holds every connection this endpoint has not yet killed, routed
+	// or not: conns keeps only the newest route per peer, so a connection
+	// displaced from it (or an accepted one that never carried traffic)
+	// would otherwise outlive Close until its peer happened to hang up.
+	live   map[*outConn]struct{}
 	closed bool
 }
 
@@ -318,7 +324,16 @@ func (e *endpoint) newOutConn(conn net.Conn, batched bool, dialedTo model.SiteID
 		sendCh:   make(chan sendItem, e.net.opts.SendQueue),
 		done:     make(chan struct{}),
 	}
+	e.mu.Lock()
+	closed := e.closed
+	if !closed {
+		e.live[c] = struct{}{}
+	}
+	e.mu.Unlock()
 	go c.writeLoop()
+	if closed {
+		c.kill() // accepted or dialed while Close ran: nobody else will
+	}
 	return c
 }
 
@@ -331,11 +346,14 @@ func (e *endpoint) Close() error {
 		return nil
 	}
 	e.closed = true
-	conns := e.conns
+	live := make([]*outConn, 0, len(e.live))
+	for c := range e.live {
+		live = append(live, c)
+	}
 	e.conns = make(map[model.SiteID]*outConn)
 	e.mu.Unlock()
 
-	for _, c := range conns {
+	for _, c := range live {
 		c.kill()
 	}
 	e.net.mu.Lock()
@@ -345,12 +363,17 @@ func (e *endpoint) Close() error {
 }
 
 // kill marks the connection dead and closes the socket; the writer and read
-// loops exit on their next operation.
+// loops exit on their next operation. Callers must not hold the endpoint's
+// mutex.
 func (c *outConn) kill() {
 	c.killOnce.Do(func() {
 		c.dead.Store(true)
 		close(c.done)
-		c.conn.Close()
+		c.ep.mu.Lock()
+		delete(c.ep.live, c)
+		conn := c.conn // redial swaps it under the same mutex
+		c.ep.mu.Unlock()
+		conn.Close()
 	})
 }
 

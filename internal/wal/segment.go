@@ -150,16 +150,25 @@ func OpenSegmented(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
-	l := &SegmentedLog{
-		opts:    opts,
-		dir:     dir,
-		nextLSN: 1,
-		pins:    newPinTracker(),
-	}
-
-	paths, err := listSegments(dir)
-	if err != nil {
+	l := &SegmentedLog{opts: opts, dir: dir}
+	if err := l.load(); err != nil {
 		return nil, err
+	}
+	return l, nil
+}
+
+// load brings the log up from what its directory holds: scan the segments,
+// rebuild the LSN sequence and pin maps, start a fresh active segment and
+// the committer. Open and Reopen share it; the caller owns l exclusively.
+func (l *SegmentedLog) load() error {
+	l.nextLSN = 1
+	l.pins = newPinTracker()
+	l.sealed = nil
+	l.size.Store(0)
+
+	paths, err := listSegments(l.dir)
+	if err != nil {
+		return err
 	}
 	for i, path := range paths {
 		m, recs, err := l.scanSegment(path, i == len(paths)-1)
@@ -168,12 +177,12 @@ func OpenSegmented(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 			continue
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if m.records == 0 {
 			if m.size > segHeaderSize {
 				// Bytes are present but nothing parsed: refuse to guess.
-				return nil, fmt.Errorf("wal: segment %s: unreadable (no records in %d bytes)", path, m.size)
+				return fmt.Errorf("wal: segment %s: unreadable (no records in %d bytes)", path, m.size)
 			}
 			// Nothing acknowledged ever lived here (a crash between segment
 			// creation and the first flush); drop the empty shell.
@@ -190,15 +199,34 @@ func OpenSegmented(dir string, opts SegmentOptions) (*SegmentedLog, error) {
 	l.durable.Store(l.nextLSN - 1)
 
 	if err := l.startSegmentLocked(); err != nil {
-		return nil, err
+		return err
 	}
-	if !opts.NoGroupCommit {
+	if !l.opts.NoGroupCommit {
 		l.reqCh = make(chan *segReq, 64)
 		l.stopCh = make(chan struct{})
 		l.doneCh = make(chan struct{})
 		go l.commitLoop()
 	}
-	return l, nil
+	return nil
+}
+
+// Reopen implements Reopener: a closed log comes back exactly as a fresh
+// OpenSegmented of its directory would — the in-process counterpart of a
+// crashed site's process restarting on the same disk. Lifetime counters and
+// the flush observer carry over.
+func (l *SegmentedLog) Reopen() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		return fmt.Errorf("wal: reopen of open log %s", l.dir)
+	}
+	l.ioMu.Lock()
+	defer l.ioMu.Unlock()
+	if err := l.load(); err != nil {
+		return err
+	}
+	l.closed = false
+	return nil
 }
 
 // Dir returns the log's segment directory (checkpoint snapshots live next

@@ -455,6 +455,39 @@ func TestSegmentedAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
+// TestSegmentedReopen: a closed segmented log reopens in place — the records
+// forced before the close are read back, appends work again and continue the
+// LSN sequence — and an open log refuses to be reopened.
+func TestSegmentedReopen(t *testing.T) {
+	for _, noGroup := range []bool{false, true} {
+		l := openSeg(t, t.TempDir(), SegmentOptions{NoGroupCommit: noGroup})
+		appendTxn(t, l, 1, true)
+		if err := l.Reopen(); err == nil {
+			t.Fatal("Reopen of an open log succeeded")
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		appendTxn(t, l, 2, false)
+		recs, err := l.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 4 || recs[3].LSN != 4 || recs[3].Tx.Seq != 2 {
+			t.Fatalf("after reopen: %d records, last %+v; want 4 ending at LSN 4 of tx 2", len(recs), recs[len(recs)-1])
+		}
+		if got := l.DurableLSN(); got != 4 {
+			t.Errorf("DurableLSN = %d, want 4", got)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSegmentedNoGroupCommit(t *testing.T) {
 	l := openSeg(t, t.TempDir(), SegmentOptions{NoGroupCommit: true})
 	defer l.Close()

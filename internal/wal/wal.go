@@ -159,6 +159,13 @@ type Observable interface {
 	SetFlushObserver(FlushObserver)
 }
 
+// Reopener is implemented by logs that can come back after Close with their
+// contents intact (MemoryLog and SegmentedLog): what lets a site crash and
+// recover in-process instead of being rebuilt around a freshly opened log.
+type Reopener interface {
+	Reopen() error
+}
+
 // Compactable is implemented by logs that assign log sequence numbers and
 // support checkpoint-driven compaction (SegmentedLog and MemoryLog; the
 // legacy single-file FileLog does not). The checkpoint manager drives it:
@@ -348,12 +355,13 @@ func (l *MemoryLog) Close() error {
 	return nil
 }
 
-// Reopen makes a closed memory log appendable again, modelling the disk
-// being remounted by the recovered site.
-func (l *MemoryLog) Reopen() {
+// Reopen implements Reopener: a closed memory log becomes appendable again,
+// modelling the disk being remounted by the recovered site.
+func (l *MemoryLog) Reopen() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.closed = false
+	return nil
 }
 
 // Len returns the number of records (for tests and monitors).

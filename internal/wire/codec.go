@@ -891,6 +891,77 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 	return r.err
 }
 
+func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
+
+func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
+	buf = append(buf, bodyVersion)
+	buf = appendTx(buf, b.Tx)
+	buf = appendTS(buf, b.TS)
+	buf = appendUvarint(buf, uint64(len(b.Ops)))
+	for _, op := range b.Ops {
+		buf = append(buf, byte(op.Kind))
+		buf = appendString(buf, string(op.Item))
+		buf = appendVarint(buf, op.Value)
+	}
+	return buf
+}
+
+func (b *CopyBatchReq) DecodeFrom(p []byte) error {
+	r := bodyReader{b: p}
+	r.version()
+	b.Tx = r.tx()
+	b.TS = r.ts()
+	if n := r.count(); n > 0 {
+		b.Ops = make([]model.Op, n)
+		for i := range b.Ops {
+			b.Ops[i] = model.Op{
+				Kind:  model.OpKind(r.byte()),
+				Item:  model.ItemID(r.str()),
+				Value: r.varint(),
+			}
+		}
+	} else {
+		b.Ops = nil
+	}
+	return r.err
+}
+
+func (b *CopyBatchResp) Kind() MsgKind { return KindCopyBatch }
+
+func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
+	buf = append(buf, bodyVersion)
+	buf = appendUvarint(buf, uint64(len(b.Results)))
+	for _, res := range b.Results {
+		buf = appendVarint(buf, res.Value)
+		buf = appendUvarint(buf, uint64(res.Version))
+		buf = append(buf, byte(res.Cause))
+		buf = appendString(buf, res.Reason)
+	}
+	buf = appendUvarint(buf, b.Clock)
+	return appendUvarint(buf, b.Incarnation)
+}
+
+func (b *CopyBatchResp) DecodeFrom(p []byte) error {
+	r := bodyReader{b: p}
+	r.version()
+	if n := r.count(); n > 0 {
+		b.Results = make([]CopyResult, n)
+		for i := range b.Results {
+			b.Results[i] = CopyResult{
+				Value:   r.varint(),
+				Version: model.Version(r.uvarint()),
+				Cause:   model.AbortCause(r.byte()),
+				Reason:  r.str(),
+			}
+		}
+	} else {
+		b.Results = nil
+	}
+	b.Clock = r.uvarint()
+	b.Incarnation = r.uvarint()
+	return r.err
+}
+
 // HelloBody is the codec-negotiation handshake (KindCodecHello): each side
 // of a batched connection announces the body codec it accepts right after
 // the frame magic. Peers that predate negotiation simply drop the unknown
@@ -949,4 +1020,6 @@ func init() {
 	RegisterBody(KindResetStats, false, func() Body { return &PingReq{} })
 	RegisterBody(KindGetHistory, false, func() Body { return &PingReq{} })
 	RegisterBody(KindCodecHello, false, func() Body { return &HelloBody{} })
+	RegisterBody(KindCopyBatch, false, func() Body { return &CopyBatchReq{} })
+	RegisterBody(KindCopyBatch, true, func() Body { return &CopyBatchResp{} })
 }

@@ -67,6 +67,19 @@ func filledBodies() []wire.Body {
 			HomeSite: "S1",
 		}},
 		&wire.HelloBody{Codec: wire.CodecBinary},
+		&wire.CopyBatchReq{Tx: tx, TS: ts, Ops: []model.Op{
+			{Kind: model.OpRead, Item: "a"},
+			{Kind: model.OpWrite, Item: "b", Value: -5},
+			{Kind: model.OpAdd, Item: "c", Value: 1 << 33},
+		}},
+		&wire.CopyBatchResp{
+			Results: []wire.CopyResult{
+				{Value: -9, Version: 4},
+				{Cause: model.AbortCC, Reason: "lock timeout on b"},
+				{Reason: "not run"},
+			},
+			Clock: 101, Incarnation: 6,
+		},
 	}
 }
 

@@ -267,13 +267,8 @@ func (p *Peer) handleBatch(envs []*Envelope) {
 func (p *Peer) sendReply(to model.SiteID, corr, tid uint64, kind MsgKind, body Body, err error) {
 	if err != nil {
 		kind = KindError
-		cause := model.CauseOf(err)
-		if cause == model.AbortClient {
-			// Not a protocol abort; keep cause None so Err() re-creates a
-			// generic error rather than a spurious client abort.
-			cause = model.AbortNone
-		}
-		body = &ErrorBody{Cause: cause, Reason: err.Error()}
+		eb := errorBodyOf(err)
+		body = &eb
 	}
 	reply := &Envelope{
 		From: p.ep.ID(), To: to, Kind: kind,

@@ -82,6 +82,11 @@ const (
 	// envelope of a batched connection direction announces the body codec
 	// the sender accepts (see HelloBody). Old peers drop the unknown kind.
 	KindCodecHello
+
+	// One-round execution (appended for wire-number stability): one
+	// transaction's copy operations bound for one site, shipped and answered
+	// as a unit (see CopyBatchReq).
+	KindCopyBatch
 )
 
 var kindNames = map[MsgKind]string{
@@ -111,6 +116,7 @@ var kindNames = map[MsgKind]string{
 	KindGetHistory:    "GetHistory",
 	KindSubmitTx:      "SubmitTx",
 	KindCodecHello:    "CodecHello",
+	KindCopyBatch:     "CopyBatch",
 }
 
 // String names the kind for logs and traces.
@@ -283,6 +289,18 @@ func (b *ErrorBody) Err() error {
 	return &model.AbortError{Cause: b.Cause, Reason: b.Reason}
 }
 
+// errorBodyOf converts a handler error into its wire form, preserving a
+// protocol abort's cause. A client-cause (or unclassified) error crosses as
+// cause None, so Err() re-creates a generic error rather than a spurious
+// client abort.
+func errorBodyOf(err error) ErrorBody {
+	cause := model.CauseOf(err)
+	if cause == model.AbortClient {
+		cause = model.AbortNone
+	}
+	return ErrorBody{Cause: cause, Reason: err.Error()}
+}
+
 // OKBody is the empty success response.
 type OKBody struct{}
 
@@ -344,6 +362,54 @@ type PreWriteResp struct {
 	Clock   uint64
 	// Incarnation is the serving site's incarnation number — see
 	// ReadCopyResp.Incarnation.
+	Incarnation uint64
+}
+
+// CopyBatchReq ships every copy operation a one-shot transaction's first
+// round needs at one site — reads, pre-writes and pre-adds (model.Op kinds,
+// Value being the written value or the delta) — as ONE message. The site
+// admits the operations sequentially in the order given (the home sorts
+// them by item, keeping program order within an item), so per-site lock
+// acquisition follows one global item order. The response is CopyBatchResp.
+type CopyBatchReq struct {
+	Tx  model.TxID
+	TS  model.Timestamp
+	Ops []model.Op
+}
+
+// CopyResult is one operation's outcome inside a CopyBatchResp: the copy's
+// value (reads) and current version, or the failure that stopped it (Cause
+// and Reason as in ErrorBody; both empty means success).
+type CopyResult struct {
+	Value   int64
+	Version model.Version
+	Cause   model.AbortCause
+	Reason  string
+}
+
+// Err returns the operation's failure as the error an ErrorBody reply would
+// have produced, or nil when it succeeded.
+func (r *CopyResult) Err() error {
+	if r.Cause == model.AbortNone && r.Reason == "" {
+		return nil
+	}
+	return (&ErrorBody{Cause: r.Cause, Reason: r.Reason}).Err()
+}
+
+// SetErr records err as the operation's failure, classifying it exactly
+// like an ErrorBody reply.
+func (r *CopyResult) SetErr(err error) {
+	eb := errorBodyOf(err)
+	r.Cause, r.Reason = eb.Cause, eb.Reason
+}
+
+// CopyBatchResp answers a CopyBatchReq with one result per operation, in
+// request order. The first failure ends the batch: the operations after it
+// were not run and say so. Clock and Incarnation are the serving site's, as
+// in ReadCopyResp.
+type CopyBatchResp struct {
+	Results     []CopyResult
+	Clock       uint64
 	Incarnation uint64
 }
 
@@ -556,4 +622,6 @@ func init() {
 	gob.Register(TermPreDecideResp{})
 	gob.Register(SubmitTxReq{})
 	gob.Register(SubmitTxResp{})
+	gob.Register(CopyBatchReq{})
+	gob.Register(CopyBatchResp{})
 }
