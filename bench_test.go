@@ -1254,15 +1254,12 @@ func BenchmarkWireCodec(b *testing.B) {
 		body  wire.Body
 		fresh func() wire.Body
 	}{
-		{"ReadCopyReq",
-			&wire.ReadCopyReq{Tx: tx, TS: ts, Item: "item-x"},
-			func() wire.Body { return &wire.ReadCopyReq{} }},
-		{"ReadCopyResp",
-			&wire.ReadCopyResp{Value: -12, Version: 3, Clock: 99, Incarnation: 4},
-			func() wire.Body { return &wire.ReadCopyResp{} }},
-		{"PreWriteReq",
-			&wire.PreWriteReq{Tx: tx, TS: ts, Item: "item-y", Value: 1 << 40},
-			func() wire.Body { return &wire.PreWriteReq{} }},
+		{"CopyBatchReq",
+			&wire.CopyBatchReq{Tx: tx, TS: ts, Ops: []model.Op{model.Read("item-x"), model.Write("item-y", 1<<40)}},
+			func() wire.Body { return &wire.CopyBatchReq{} }},
+		{"CopyBatchResp",
+			&wire.CopyBatchResp{Results: []wire.CopyResult{{Value: -12, Version: 3}, {Version: 8}}, Clock: 99, Incarnation: 4},
+			func() wire.Body { return &wire.CopyBatchResp{} }},
 		{"PrepareReq",
 			&wire.PrepareReq{
 				Tx: tx, TS: ts, Coordinator: "S1",

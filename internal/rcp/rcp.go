@@ -28,24 +28,15 @@ import (
 type CopyAccess interface {
 	// Local returns the home site's id (preferred for read-one locality).
 	Local() model.SiteID
-	// ReadCopy reads the copy of item at site through that site's CCP. The
-	// returned incarnation is the serving site's incarnation number (0 if
-	// the transport predates it); the session records it so the prepare can
-	// be fenced against a crash recovery at that site in between.
-	ReadCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, uint64, error)
-	// PreWriteCopy pre-writes the copy of item at site through that site's
-	// CCP, returning the copy's current version plus the serving site's
-	// incarnation number.
-	PreWriteCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, uint64, error)
-	// AddCopy pre-writes a commutative blind add (delta merges into the
-	// copy at commit) through the site's CCP; same returns as PreWriteCopy.
-	AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error)
-	// CopyBatch runs ops — every copy operation of one wave bound for site,
-	// in the order the site must admit them — as one round trip, or inline
-	// through the local CCP when site is the home site. It returns one
-	// result per op plus the site's incarnation number; the first failed op
-	// ends the batch (the ops after it report that they were not run). A
-	// non-nil error means the batch as a whole got no answer.
+	// CopyBatch runs ops — one transaction's copy operations bound for site,
+	// in the order the site must admit them: a wave's whole share, or a single
+	// operation of the interactive path — through that site's CCP as one round
+	// trip, or inline when site is the home site. It returns one result per
+	// op plus the serving site's incarnation number (the session records it
+	// so the prepare can be fenced against a crash recovery at that site in
+	// between); the first failed op ends the batch (the ops after it report
+	// that they were not run). A non-nil error means the batch as a whole got
+	// no answer.
 	CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error)
 }
 
@@ -455,16 +446,13 @@ func runRound(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, r
 	return out
 }
 
-// copyAt runs one copy operation at o.site and stores its result in o.
+// copyAt runs one copy operation at o.site — a batch of one — and stores its
+// result in o.
 func copyAt(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, o *outcome) {
-	switch op.Kind {
-	case model.OpRead:
-		o.Value, o.Version, o.inc, o.Err = acc.ReadCopy(ctx, o.site, sess.Tx, sess.TS, op.Item)
-	case model.OpWrite:
-		o.Version, o.inc, o.Err = acc.PreWriteCopy(ctx, o.site, sess.Tx, sess.TS, op.Item, op.Value)
-	case model.OpAdd:
-		o.Version, o.inc, o.Err = acc.AddCopy(ctx, o.site, sess.Tx, sess.TS, op.Item, op.Value)
-	default:
-		o.Err = model.Abortf(model.AbortClient, "invalid op kind %d", op.Kind)
+	res, inc, err := acc.CopyBatch(ctx, o.site, sess.Tx, sess.TS, []model.Op{op})
+	if err != nil {
+		o.Err = err
+		return
 	}
+	o.CopyResult, o.inc = res[0], inc
 }

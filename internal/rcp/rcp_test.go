@@ -68,44 +68,13 @@ func (f *fakeAccess) Local() model.SiteID { return f.local }
 // session-recording tests assert it round-trips).
 const fakeIncarnation = 7
 
-func (f *fakeAccess) ReadCopy(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, _ model.ItemID) (int64, model.Version, uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ops++
-	f.perSite[site]++
-	if f.down[site] {
-		return 0, 0, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
-	}
-	if f.ccReject[site] {
-		return 0, 0, 0, model.Abortf(model.AbortCC, "rejected at %s", site)
-	}
-	c := f.copies[site]
-	return c.val, c.ver, fakeIncarnation, nil
-}
-
-func (f *fakeAccess) AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error) {
-	return f.PreWriteCopy(ctx, site, tx, ts, item, delta)
-}
-
-func (f *fakeAccess) PreWriteCopy(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, _ model.ItemID, _ int64) (model.Version, uint64, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.ops++
-	f.perSite[site]++
-	if f.down[site] {
-		return 0, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
-	}
-	if f.ccReject[site] {
-		return 0, 0, model.Abortf(model.AbortCC, "rejected at %s", site)
-	}
-	return f.copies[site].ver, fakeIncarnation, nil
-}
-
 // CopyBatch answers like a site does: a down site gives no answer at all; a
 // CC-rejecting one fails the first operation and does not run the rest.
 func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.ops += len(ops)
+	f.perSite[site] += len(ops)
 	f.batches[site] = append(f.batches[site], ops)
 	if f.onBatch != nil {
 		f.onBatch(site)
@@ -526,8 +495,8 @@ func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
 			}
 		}
 	}
-	if len(f.batches["S3"]) != 0 || f.ops != 0 {
-		t.Errorf("beyond the two batches: S3 got %d, single copy operations %d", len(f.batches["S3"]), f.ops)
+	if len(f.batches["S3"]) != 0 {
+		t.Errorf("beyond the two batches: S3 got %d", len(f.batches["S3"]))
 	}
 	// The repeated write kept its quorum and install version, last value wins.
 	for _, site := range []model.SiteID{"S1", "S2"} {
@@ -570,8 +539,8 @@ func TestWaveReplacesSilentMemberPerOperation(t *testing.T) {
 	if reads["a"] != 99 {
 		t.Errorf("read a = %d, want the replacement member's newer 99", reads["a"])
 	}
-	if f.perSite["S3"] != 2 || f.perSite["S2"] != 0 {
-		t.Errorf("replacement operations = %v, want 2 at S3", f.perSite)
+	if len(f.batches["S2"]) != 1 || len(f.batches["S3"]) != 2 || len(f.batches["S3"][0]) != 1 {
+		t.Errorf("batches = %v, want one unanswered at S2 and two one-operation replacements at S3", f.batches)
 	}
 	if w := s.WritesFor("S3"); len(w) != 1 || w[0].Version != 5 {
 		t.Errorf("S3 writes = %+v, want b at version 5", w)
@@ -595,8 +564,8 @@ func TestWaveCCRejectionDooms(t *testing.T) {
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("err = %v, want the CC abort", err)
 	}
-	if f.ops != 0 || len(f.batches["S3"]) != 0 {
-		t.Errorf("after the rejection: %d single operations, %d batches at S3; want none", f.ops, len(f.batches["S3"]))
+	if len(f.batches["S1"]) != 1 || len(f.batches["S3"]) != 0 {
+		t.Errorf("after the rejection: %d batches at S1, %d at S3; want the one rejected batch only", len(f.batches["S1"]), len(f.batches["S3"]))
 	}
 	if rel := append(s.Participants(), s.Strays()...); len(rel) != 1 || rel[0] != "S1" {
 		t.Errorf("sites to release = %v, want the rejecting S1", rel)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/model"
-	"repro/internal/wire"
 )
 
 func TestExecuteAddReconciles(t *testing.T) {
@@ -219,12 +218,12 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	}
 
 	start := time.Now()
-	_, err := wire.Call[wire.PreWriteResp](context.Background(), a.peer, "B",
-		wire.KindPreWrite, &wire.PreWriteReq{
-			Tx: out.Tx, TS: model.Timestamp{Time: 99, Site: "A"}, Item: "x", Value: 9,
-		})
+	res, _, err := a.CopyBatch(context.Background(), "B", out.Tx, model.Timestamp{Time: 99, Site: "A"}, []model.Op{model.Write("x", 9)})
 	elapsed := time.Since(start)
-	if err == nil {
+	if err != nil {
+		t.Fatalf("straggler pre-write got no answer: %v", err)
+	}
+	if err = res[0].Err; err == nil {
 		t.Fatal("straggler pre-write for a finished transaction succeeded")
 	}
 	if model.CauseOf(err) != model.AbortCC {

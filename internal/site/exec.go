@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/rcp"
+	"repro/internal/schema"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -69,7 +70,9 @@ func (t *Txn) wave(ops []model.Op) error {
 		}
 	}
 
-	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
+	// A wave's first round is up to one attempt per site, one after another;
+	// then, like an interactive operation, two replacement rounds.
+	opCtx, cancel := t.budget(len(t.catalog.Sites) + 2)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "wave")
 	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops)
@@ -173,89 +176,23 @@ func mergeContexts(a, b context.Context) (context.Context, context.CancelFunc) {
 // Local implements rcp.CopyAccess.
 func (s *Site) Local() model.SiteID { return s.id }
 
-// ReadCopy implements rcp.CopyAccess: a local fast path through the site's
-// own CCP, or a ReadCopy RPC to the remote site. The third return value is
-// the serving site's incarnation number, recorded in the session for the
-// prepare-time incarnation fence.
-func (s *Site) ReadCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		v, ver, err := ccm.Read(ctx, tx, ts, item)
-		if err == nil {
-			s.hist.Record(tx, model.OpRead, item, v, ver)
-		}
-		return v, ver, inc, err
-	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.ReadCopyResp](actx, s.peer, site, wire.KindReadCopy, &wire.ReadCopyReq{Tx: tx, TS: ts, Item: item})
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Value, resp.Version, resp.Incarnation, nil
+// attemptTimeout bounds one remote copy request, so a silent site does not
+// consume the whole operation budget: Op for the round trip plus the one Lock
+// a live site may spend waiting before it answers (ccStack.admit) — a site
+// still queueing for locks must get to report its own lock timeout, a CC
+// abort, rather than be taken for unreachable and routed around.
+func attemptTimeout(t schema.Timeouts) time.Duration { return t.Op + t.Lock }
+
+// budget bounds one logical operation (or wave) that may need the given
+// number of remote attempts one after another.
+func (t *Txn) budget(attempts int) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(t.ctx, time.Duration(attempts)*attemptTimeout(t.timeouts))
 }
 
-// attemptCtx bounds one remote copy-operation attempt so a silent site does
-// not consume the whole operation budget.
-func (s *Site) attemptCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	s.mu.Lock()
-	op := s.timeouts.Op
-	s.mu.Unlock()
-	return context.WithTimeout(ctx, op)
-}
-
-// PreWriteCopy implements rcp.CopyAccess.
-func (s *Site) PreWriteCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		ver, err := ccm.PreWrite(ctx, tx, ts, item, value)
-		return ver, inc, err
-	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.PreWriteResp](actx, s.peer, site, wire.KindPreWrite, &wire.PreWriteReq{Tx: tx, TS: ts, Item: item, Value: value})
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Version, resp.Incarnation, nil
-}
-
-// AddCopy implements rcp.CopyAccess: the blind-add counterpart of
-// PreWriteCopy. The remote path rides the PreWrite wire message with the
-// Add flag set (one hot-path message kind, one pipeline).
-func (s *Site) AddCopy(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, uint64, error) {
-	if site == s.id {
-		s.mu.Lock()
-		ccm := s.ccm
-		inc := s.incarnation
-		s.mu.Unlock()
-		ver, err := ccm.PreAdd(ctx, tx, ts, item, delta)
-		return ver, inc, err
-	}
-	actx, cancel := s.attemptCtx(ctx)
-	defer cancel()
-	resp, err := wire.Call[wire.PreWriteResp](actx, s.peer, site, wire.KindPreWrite, &wire.PreWriteReq{Tx: tx, TS: ts, Item: item, Value: delta, Add: true})
-	s.stats.AddRoundTrips(1)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	return resp.Version, resp.Incarnation, nil
-}
-
-// CopyBatch implements rcp.CopyAccess: one wave's operations for site as one
-// CopyBatch round trip, or — for this site's own share — inline through the
-// local CCP on the transaction's goroutine, waiting where it must.
+// CopyBatch implements rcp.CopyAccess: a transaction's copy operations for
+// site (a wave's share, or one interactive operation) as one CopyBatch round
+// trip, or — for this site's own — inline through the local CCP on the
+// transaction's goroutine, waiting where it must.
 func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]rcp.CopyResult, uint64, error) {
 	if site == s.id {
 		s.mu.Lock()
@@ -266,7 +203,10 @@ func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, 
 		s.recordReads(tx, ops, res)
 		return res, st.incarnation, nil
 	}
-	actx, cancel := s.attemptCtx(ctx)
+	s.mu.Lock()
+	attempt := attemptTimeout(s.timeouts)
+	s.mu.Unlock()
+	actx, cancel := context.WithTimeout(ctx, attempt)
 	defer cancel()
 	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, &wire.CopyBatchReq{Tx: tx, TS: ts, Ops: ops})
 	s.stats.AddRoundTrips(1)

@@ -27,23 +27,21 @@ import (
 // operation never stalls its whole shard: it spills to a goroutine running
 // the blocking calls, exactly preserving the synchronous semantics.
 //
-// A request is a wave: one transaction's copy operations for this site, to
-// be admitted in the order given. KindCopyBatch carries a one-shot
-// transaction's whole share; the single-operation kinds of the interactive
-// path are waves of one. A wave is queued on its first item's shard and
-// admitted there as a unit — the CC managers are safe for concurrent use, so
-// shard affinity is a locality matter only.
+// A request (KindCopyBatch) is a wave: one transaction's copy operations for
+// this site, to be admitted in the order given — a one-shot transaction's
+// whole share, or a single operation of the interactive path, which is a wave
+// of one. A wave is queued on its first item's shard and admitted there as a
+// unit — the CC managers are safe for concurrent use, so shard affinity is a
+// locality matter only.
 //
 // Everything else (prepares, decisions, control traffic) keeps the
 // synchronous path: those force WAL records under the checkpoint gate and
 // already batch at the group-commit layer.
 
-// copyOp is one queued wave. kind is the request's message kind and selects
-// the reply body. tid carries the request's distributed-trace ID and enq its
-// submit time (UnixNano; stamped only for traced requests, so the untraced
-// hot path never reads the clock here).
+// copyOp is one queued wave. tid carries the request's distributed-trace ID
+// and enq its submit time (UnixNano; stamped only for traced requests, so the
+// untraced hot path never reads the clock here).
 type copyOp struct {
-	kind  wire.MsgKind
 	tx    model.TxID
 	ts    model.Timestamp
 	ops   []model.Op
@@ -52,37 +50,17 @@ type copyOp struct {
 	enq   int64
 }
 
-// decodeWave decodes a copy-operation request of any of the three kinds
-// into a copyOp's transaction, timestamp and operations.
-func decodeWave(kind wire.MsgKind, pay wire.Payload, op *copyOp) error {
-	switch kind {
-	case wire.KindReadCopy:
-		var req wire.ReadCopyReq
-		if err := pay.Decode(&req); err != nil {
-			return err
-		}
-		op.tx, op.ts, op.ops = req.Tx, req.TS, []model.Op{model.Read(req.Item)}
-	case wire.KindPreWrite:
-		var req wire.PreWriteReq
-		if err := pay.Decode(&req); err != nil {
-			return err
-		}
-		o := model.Write(req.Item, req.Value)
-		if req.Add {
-			o.Kind = model.OpAdd
-		}
-		op.tx, op.ts, op.ops = req.Tx, req.TS, []model.Op{o}
-	default:
-		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
-			return err
-		}
-		if len(req.Ops) == 0 {
-			return fmt.Errorf("empty copy batch for %s", req.Tx)
-		}
-		op.tx, op.ts, op.ops = req.Tx, req.TS, req.Ops
+// decodeWave decodes a CopyBatch request into a copyOp's transaction,
+// timestamp and operations.
+func decodeWave(pay wire.Payload, op *copyOp) error {
+	var req wire.CopyBatchReq
+	if err := pay.Decode(&req); err != nil {
+		return err
 	}
-	op.kind = kind
+	if len(req.Ops) == 0 {
+		return fmt.Errorf("empty copy batch for %s", req.Tx)
+	}
+	op.tx, op.ts, op.ops = req.Tx, req.TS, req.Ops
 	return nil
 }
 
@@ -110,11 +88,16 @@ var errNotRun = errors.New("not run: an earlier operation of the batch failed")
 // admit runs ops[from:] through the CC manager in order, filling res. Each
 // operation first tries the non-blocking Try* call; where that reports it
 // would have to wait (having left no CC state behind), a blocking wave waits
-// through the blocking call, bounded by the lock timeout, and a non-blocking
-// one stops and returns the operation's index. The first failure ends the
-// wave: the operations after it are not run. admit returns len(ops) once
-// every operation has a result.
+// through the blocking call and a non-blocking one stops and returns the
+// operation's index. All of a wave's waits at this site share ONE lock
+// timeout, started at the first: the home site bounds the whole request with
+// one attempt timeout, so a wave must fail as a clean CC lock-timeout abort
+// before the home gives the site up for unreachable, however many of its
+// operations had to wait. The first failure ends the wave: the operations
+// after it are not run. admit returns len(ops) once every operation has a
+// result.
 func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, ops []model.Op, res []rcp.CopyResult, from int, block bool) int {
+	var wctx context.Context // the wave's wait budget; nil until a wait is needed
 	for i := from; i < len(ops); i++ {
 		op, r := ops[i], &res[i]
 		switch op.Kind {
@@ -132,7 +115,11 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 				r.Err = nil
 				return i
 			}
-			wctx, cancel := context.WithTimeout(ctx, st.lockTimeout)
+			if wctx == nil {
+				var cancel context.CancelFunc
+				wctx, cancel = context.WithTimeout(ctx, st.lockTimeout)
+				defer cancel()
+			}
 			switch op.Kind {
 			case model.OpRead:
 				r.Value, r.Version, r.Err = st.ccm.Read(wctx, tx, ts, op.Item)
@@ -141,7 +128,6 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 			case model.OpAdd:
 				r.Version, r.Err = st.ccm.PreAdd(wctx, tx, ts, op.Item, op.Value)
 			}
-			cancel()
 		}
 		if r.Err != nil {
 			for j := i + 1; j < len(ops); j++ {
@@ -156,26 +142,14 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 // finish is the shared tail of every wave, however it was admitted: a
 // release that raced past the admission wins — undo and refuse; otherwise
 // the reads enter the execution history and the results become the reply
-// body for the request's kind, stamped with the site's Lamport time and the
-// incarnation that protects the operations.
+// body, stamped with the site's Lamport time and the incarnation that
+// protects the operations.
 func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, clock uint64) (wire.MsgKind, wire.Body, error) {
 	if raced {
 		st.ccm.Abort(op.tx)
 		return 0, nil, errReleased(op.tx)
 	}
 	s.recordReads(op.tx, op.ops, res)
-	switch op.kind {
-	case wire.KindReadCopy:
-		if res[0].Err != nil {
-			return 0, nil, res[0].Err
-		}
-		return op.kind, &wire.ReadCopyResp{Value: res[0].Value, Version: res[0].Version, Clock: clock, Incarnation: st.incarnation}, nil
-	case wire.KindPreWrite:
-		if res[0].Err != nil {
-			return 0, nil, res[0].Err
-		}
-		return op.kind, &wire.PreWriteResp{Version: res[0].Version, Clock: clock, Incarnation: st.incarnation}, nil
-	}
 	resp := &wire.CopyBatchResp{Results: make([]wire.CopyResult, len(res)), Clock: clock, Incarnation: st.incarnation}
 	for i, r := range res {
 		if r.Err != nil {
@@ -184,7 +158,7 @@ func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, 
 		}
 		resp.Results[i].Value, resp.Results[i].Version = r.Value, r.Version
 	}
-	return op.kind, resp, nil
+	return wire.KindCopyBatch, resp, nil
 }
 
 // recordReads enters a wave's successful reads in the execution history.
@@ -206,7 +180,7 @@ func errReleased(tx model.TxID) error {
 // — the pipeline's first stage — on the transport goroutine, so a malformed
 // payload is refused without occupying a queue slot.
 func (s *Site) serveAsync(_ model.SiteID, tid trace.ID, kind wire.MsgKind, pay wire.Payload, reply wire.ReplyFunc) bool {
-	if kind != wire.KindReadCopy && kind != wire.KindPreWrite && kind != wire.KindCopyBatch {
+	if kind != wire.KindCopyBatch {
 		return false
 	}
 	p := s.pipe.Load()
@@ -217,7 +191,7 @@ func (s *Site) serveAsync(_ model.SiteID, tid trace.ID, kind wire.MsgKind, pay w
 	if tid != 0 {
 		op.enq = time.Now().UnixNano()
 	}
-	if err := decodeWave(kind, pay, &op); err != nil {
+	if err := decodeWave(pay, &op); err != nil {
 		reply(0, nil, err)
 		return true
 	}

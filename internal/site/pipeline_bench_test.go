@@ -14,9 +14,10 @@ import (
 
 // BenchmarkPipelineThroughput measures contended-shard saturation
 // throughput of the copy-operation command path: open-loop feeders hammer
-// one hot item with already-decoded ReadCopy requests (payload decode is
-// identical in both designs and runs embarrassingly parallel on transport
-// goroutines, so it is excluded to keep the shard path itself in focus).
+// one hot item with already-decoded one-read CopyBatch requests (payload
+// decode is identical in both designs and runs embarrassingly parallel on
+// transport goroutines, so it is excluded to keep the shard path itself in
+// focus).
 // "sync" is the pre-pipeline design: every request captures the site-state
 // snapshot and runs the full synchronous serve path on its own goroutine,
 // all of them colliding on the site snapshot mutex, the release-tombstone
@@ -28,10 +29,10 @@ import (
 // keeps admission O(1) with no per-transaction lock state, so iterations
 // are flat in b.N.
 func BenchmarkPipelineThroughput(b *testing.B) {
-	req := wire.ReadCopyReq{
-		Tx:   model.TxID{Site: "C1", Seq: 1},
-		TS:   model.Timestamp{Time: 1, Site: "C1"},
-		Item: "hot",
+	req := wire.CopyBatchReq{
+		Tx:  model.TxID{Site: "C1", Seq: 1},
+		TS:  model.Timestamp{Time: 1, Site: "C1"},
+		Ops: []model.Op{model.Read("hot")},
 	}
 	for _, mode := range []struct {
 		name    string
@@ -60,8 +61,8 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			}
 			var submit func()
 			if p := st.pipe.Load(); p != nil {
-				sh := int(shard.Hash(req.Item)) & (p.Shards() - 1)
-				op := copyOp{kind: wire.KindReadCopy, tx: req.Tx, ts: req.TS, ops: []model.Op{model.Read(req.Item)}, reply: reply}
+				sh := int(shard.Hash(req.Ops[0].Item)) & (p.Shards() - 1)
+				op := copyOp{tx: req.Tx, ts: req.TS, ops: req.Ops, reply: reply}
 				submit = func() {
 					pending.Add(1)
 					if err := p.Submit(st.lifeCtx, sh, op); err != nil {
@@ -74,7 +75,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 				// site state under s.mu and admits on its own goroutine.
 				pay := wire.Payload{Codec: wire.CodecBinary, Bytes: req.AppendTo(nil)}
 				submit = func() {
-					if _, _, err := st.serve("C1", 0, wire.KindReadCopy, pay); err != nil {
+					if _, _, err := st.serve("C1", 0, wire.KindCopyBatch, pay); err != nil {
 						b.Error(err)
 					}
 				}

@@ -30,11 +30,11 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 	case wire.KindPing:
 		return wire.KindOK, &wire.OKBody{}, nil
 
-	case wire.KindReadCopy, wire.KindPreWrite, wire.KindCopyBatch:
+	case wire.KindCopyBatch:
 		// The pipeline declined (disabled, or closing for a rebuild): admit
 		// the wave here, blocking, with the same head and tail.
 		op := copyOp{tid: tid}
-		if err := decodeWave(kind, pay, &op); err != nil {
+		if err := decodeWave(pay, &op); err != nil {
 			return 0, nil, err
 		}
 		if s.isReleased(op.tx) {

@@ -1274,7 +1274,8 @@ func janitorAge(t schema.Timeouts) time.Duration {
 // check+force excludes — a prepare racing the janitor either lands before
 // (the re-check sees it and skips) or after (the tombstone makes it vote
 // no); it can never interleave. A home site never presumes its own live
-// transaction aborted — it sits in activeCoord from Begin to its outcome and
+// transaction aborted — it sits in activeCoord from Begin until its outcome,
+// or until its context ends with the transaction abandoned (Txn.abandon), and
 // the query comes back "still deciding" — so only state whose home lost
 // track of it (a crash) or already finished with it is swept.
 func (s *Site) janitorSweep(ctx context.Context) {

@@ -80,11 +80,9 @@ func TestCopyOpsReportIncarnation(t *testing.T) {
 	defer cancel()
 	tx := model.TxID{Site: "A", Seq: 60}
 	ts := model.Timestamp{Time: 1, Site: "A"}
-	if _, _, inc, err := a.ReadCopy(ctx, "B", tx, ts, "x"); err != nil || inc != b.Incarnation() {
-		t.Fatalf("remote read incarnation = %d, %v; want %d", inc, err, b.Incarnation())
-	}
-	if _, inc, err := a.PreWriteCopy(ctx, "B", tx, ts, "y", 9); err != nil || inc != b.Incarnation() {
-		t.Fatalf("remote pre-write incarnation = %d, %v; want %d", inc, err, b.Incarnation())
+	res, inc, err := a.CopyBatch(ctx, "B", tx, ts, []model.Op{model.Read("x"), model.Write("y", 9)})
+	if err != nil || res[0].Err != nil || res[1].Err != nil || inc != b.Incarnation() {
+		t.Fatalf("remote copy operations = %+v, incarnation %d, %v; want %d", res, inc, err, b.Incarnation())
 	}
 	b.Decide(ctx, "B", tx, false) //nolint:errcheck // release the probe state
 }
@@ -193,6 +191,50 @@ func TestJanitorSweepsAbandonedTransaction(t *testing.T) {
 			t.Fatalf("janitor never swept the abandoned transaction: holders = %v", b.ccm.Holders(0))
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestAbandonedTransactionOnLiveHomeIsReleased: a caller that cancels its
+// context and walks away without Commit or Abort does not leave its
+// transaction registered as still running on a live home: the home
+// deregisters it and releases its sites at once — long before any janitor's
+// age threshold (5 s here) — and a late Commit finds it aborted.
+func TestAbandonedTransactionOnLiveHomeIsReleased(t *testing.T) {
+	c := newCluster(t, 2, defaultProtocols(), items())
+	a, b := c.sites["A"], c.sites["B"]
+	ctx, cancel := context.WithCancel(context.Background())
+	txn, err := a.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txn.Read("x"); err != nil {
+		t.Fatal(err)
+	}
+	if holders := b.ccm.Holders(0); len(holders) != 1 || holders[0] != txn.ID() {
+		t.Fatalf("holders at B = %v, want the transaction's read lock", holders)
+	}
+	cancel()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		a.mu.Lock()
+		active := a.activeCoord[txn.ID()]
+		a.mu.Unlock()
+		if !active && len(a.ccm.Holders(0)) == 0 && len(b.ccm.Holders(0)) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("abandoned transaction: still registered = %v, holders at A %v, at B %v", active, a.ccm.Holders(0), b.ccm.Holders(0))
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, known := a.localDecision(txn.ID(), false); !known {
+		t.Error("home still answers \"running\" for the abandoned transaction")
+	}
+	if out := txn.Commit(); out.Committed {
+		t.Errorf("commit of an abandoned transaction = %+v", out)
+	}
+	if out := b.Execute(context.Background(), []model.Op{model.Write("x", 11)}); !out.Committed {
+		t.Errorf("writer after the abandonment = %+v", out)
 	}
 }
 

@@ -30,8 +30,11 @@ type Txn struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	start  time.Time
-	reads  map[model.ItemID]int64
+	// unwatch stops the abandonment watch on ctx (see abandon); false means
+	// the watch already fired.
+	unwatch func() bool
+	start   time.Time
+	reads   map[model.ItemID]int64
 	// wrote/added track which items this transaction wrote resp. blind-
 	// added (lazily allocated). Mixing Add with Read/Write of the same
 	// item in one transaction is rejected: an add's delta record and a
@@ -69,9 +72,9 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 		start:    time.Now(),
 		reads:    make(map[model.ItemID]int64),
 	}
-	// Registered from here to its outcome: asked about this transaction in
-	// the meantime (a remote CC janitor wondering about an old lock), the
-	// site answers "still running", never "presumed aborted".
+	// Registered from here to its outcome (or its abandonment): asked about
+	// this transaction in the meantime (a remote CC janitor wondering about an
+	// old lock), the site answers "still running", never "presumed aborted".
 	s.activeCoord[t.tx] = true
 	runCtx := s.runCtx
 	s.mu.Unlock()
@@ -80,6 +83,7 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 	t.ctx, t.cancel = mergeContexts(ctx, runCtx)
 	t.act = s.tracer.Begin(t.tx)
 	t.ctx = trace.NewContext(t.ctx, t.act)
+	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
 	s.stats.TxBegin()
 	return t, nil
 }
@@ -103,7 +107,7 @@ func (t *Txn) Read(item model.ItemID) (int64, error) {
 		t.doomed = model.Abortf(model.AbortClient, "cannot read %s after blind-adding it in the same transaction", item)
 		return 0, t.doomed
 	}
-	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
+	opCtx, cancel := t.budget(3) // the first round and two replacement rounds
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "read "+string(item))
 	v, err := t.rcpProto.Read(opCtx, t.s, t.sess, meta)
@@ -130,7 +134,7 @@ func (t *Txn) Write(item model.ItemID, value int64) error {
 		t.doomed = model.Abortf(model.AbortClient, "cannot write %s after blind-adding it in the same transaction", item)
 		return t.doomed
 	}
-	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
+	opCtx, cancel := t.budget(3) // the first round and two replacement rounds
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "write "+string(item))
 	err := t.rcpProto.Write(opCtx, t.s, t.sess, meta, value)
@@ -165,7 +169,7 @@ func (t *Txn) Add(item model.ItemID, delta int64) error {
 		t.doomed = model.Abortf(model.AbortClient, "cannot blind-add %s after reading or writing it in the same transaction", item)
 		return t.doomed
 	}
-	opCtx, cancel := context.WithTimeout(t.ctx, 3*t.timeouts.Op)
+	opCtx, cancel := t.budget(3) // the first round and two replacement rounds
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "add "+string(item))
 	err := t.rcpProto.Add(opCtx, t.s, t.sess, meta, delta)
@@ -179,6 +183,26 @@ func (t *Txn) Add(item model.ItemID, delta int64) error {
 	}
 	t.added[item] = true
 	return nil
+}
+
+// abandon runs when the transaction's context ends before Commit or Abort was
+// called: the caller cancelled or dropped it, or the site crashed. Nothing can
+// drive it to an outcome any more (every further operation fails on the dead
+// context), so it stops counting as still running and frees what it holds at
+// once instead of leaving that to the CC janitors. The owner may still call
+// Commit or Abort afterwards; both find it doomed and release again, which is
+// idempotent. Never runs once Commit or Abort has started: releasing under a
+// commit protocol in flight would free the locks of prepared participants.
+func (t *Txn) abandon() {
+	s := t.s
+	s.mu.Lock()
+	delete(s.activeCoord, t.tx)
+	crashed := s.crashed
+	s.mu.Unlock()
+	if crashed {
+		return // fail-stop: a dead home sends nothing; the janitors take over
+	}
+	s.releaseEverywhere(t.sess)
 }
 
 func (t *Txn) usable() error {
@@ -199,6 +223,9 @@ func (t *Txn) finishedOutcome() model.Outcome {
 func (t *Txn) Commit() model.Outcome {
 	if t.finished {
 		return t.finishedOutcome()
+	}
+	if t.doomed == nil && !t.unwatch() {
+		t.doomed = model.Abortf(model.AbortClient, "transaction %s abandoned: %v", t.tx, context.Cause(t.ctx))
 	}
 	if t.doomed != nil {
 		return t.Abort()
@@ -276,6 +303,7 @@ func (t *Txn) Abort() model.Outcome {
 		return t.finishedOutcome()
 	}
 	t.finished = true
+	t.unwatch()
 	defer t.cancel()
 	t.s.releaseEverywhere(t.sess)
 	cause := model.AbortClient

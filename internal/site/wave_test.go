@@ -254,6 +254,43 @@ func TestWaveCCAbortReleasesEverySite(t *testing.T) {
 	}
 }
 
+// TestWaveWaitsShareOneLockTimeout: however many of a wave's operations have
+// to wait at a site, the site gives the whole batch ONE lock timeout — so the
+// wave fails as a clean CC lock-timeout abort within the home site's attempt
+// timeout (Op + Lock), which never expires on a site that is in fact still
+// acquiring locks for it and reroutes around it.
+func TestWaveWaitsShareOneLockTimeout(t *testing.T) {
+	const limit = 300 * time.Millisecond
+	c := newClusterCat(t, 2, func(cat *schema.Catalog) {
+		for item, initial := range waveItems {
+			cat.ReplicateEverywhere(item, initial)
+		}
+		cat.Timeouts.Op, cat.Timeouts.Lock = limit, limit
+	})
+	b := c.sites["B"]
+	first, second := model.TxID{Site: "B", Seq: 701}, model.TxID{Site: "B", Seq: 702}
+	for tx, item := range map[model.TxID]model.ItemID{first: "x", second: "y"} {
+		if _, err := b.ccm.PreWrite(context.Background(), tx, model.Timestamp{Time: 1, Site: "B"}, item, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer b.ccm.Abort(second)
+	// x frees after 0.8 of the limit; y stays held. Waiting a fresh limit for
+	// each, B would answer after 1.8 limits — when A is about to stop listening.
+	time.AfterFunc(limit*8/10, func() { b.ccm.Abort(first) })
+
+	start := time.Now()
+	out := c.sites["A"].Execute(context.Background(), []model.Op{model.Write("x", 1), model.Write("y", 2)})
+	waited := time.Since(start)
+	if out.Committed || out.Cause != model.AbortCC {
+		t.Fatalf("wave waiting on two locks = %+v after %v, want a CC lock-timeout abort", out, waited)
+	}
+	if waited > limit*3/2 {
+		t.Errorf("the abort took %v: the second wait got a fresh %v", waited, limit)
+	}
+	waitNoHolders(t, c, second)
+}
+
 // TestWaveForReleasedTxRefusedWithoutQueuing: a batch that arrives after its
 // transaction was released at the site is refused at once — it neither takes
 // a lock nor waits in a lock queue behind a holder.

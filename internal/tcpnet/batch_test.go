@@ -23,7 +23,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	in := []*wire.Envelope{
 		{From: "a", To: "b", Kind: wire.KindPing, Corr: 1, Payload: []byte("x")},
-		{From: "b", To: "a", Kind: wire.KindReadCopy, Corr: 42, Reply: true, Payload: big},
+		{From: "b", To: "a", Kind: wire.KindCopyBatch, Corr: 42, Reply: true, Payload: big},
 		{From: "site-with-long-name", To: "Z", Kind: wire.KindDecision, Corr: 0, Payload: nil},
 		{From: "", To: "", Kind: 0, Corr: 1<<64 - 1, Reply: true, Payload: []byte{}},
 	}
@@ -284,11 +284,11 @@ func TestSlowReaderBackpressure(t *testing.T) {
 func TestBatchedRPCStress(t *testing.T) {
 	n := New(nil)
 	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		var req wire.PreWriteReq
+		var req wire.CopyBatchReq
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		return wire.KindPreWrite, &wire.PreWriteResp{Version: model.Version(req.Value)}, nil
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -307,15 +307,15 @@ func TestBatchedRPCStress(t *testing.T) {
 			defer client.Close()
 			for i := 0; i < calls; i++ {
 				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-				var resp wire.PreWriteResp
-				err := client.Call(ctx, "server", wire.KindPreWrite, &wire.PreWriteReq{Value: int64(i)}, &resp)
+				var resp wire.CopyBatchResp
+				err := client.Call(ctx, "server", wire.KindCopyBatch, &wire.CopyBatchReq{Tx: model.TxID{Seq: uint64(i)}}, &resp)
 				cancel()
 				if err != nil {
 					errCh <- fmt.Errorf("client %d call %d: %w", c, i, err)
 					return
 				}
-				if resp.Version != model.Version(i) {
-					errCh <- fmt.Errorf("client %d call %d: version %d", c, i, resp.Version)
+				if resp.Clock != uint64(i) {
+					errCh <- fmt.Errorf("client %d call %d: clock %d", c, i, resp.Clock)
 					return
 				}
 			}
@@ -329,15 +329,15 @@ func TestBatchedRPCStress(t *testing.T) {
 	}
 }
 
-// codecEchoServe is a ReadCopy echo handler for the negotiation tests: the
+// codecEchoServe is a CopyBatch echo handler for the negotiation tests: the
 // reply carries the request's sequence number back, so a codec mismatch
 // that corrupted a body would surface as a wrong value, not just an error.
 func codecEchoServe(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-	var req wire.ReadCopyReq
+	var req wire.CopyBatchReq
 	if err := pay.Decode(&req); err != nil {
 		return 0, nil, err
 	}
-	return wire.KindReadCopy, &wire.ReadCopyResp{Value: int64(req.Tx.Seq), Version: 1}, nil
+	return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq, Incarnation: 1}, nil
 }
 
 // TestCodecNegotiationUpgradesToBinary connects two current nets and
@@ -365,14 +365,14 @@ func TestCodecNegotiationUpgradesToBinary(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.ReadCopyResp](ctx, aPeer, "B", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "A", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
+		resp, err := wire.Call[wire.CopyBatchResp](ctx, aPeer, "B", wire.KindCopyBatch,
+			&wire.CopyBatchReq{Tx: model.TxID{Site: "A", Seq: uint64(i)}})
+		if err != nil || resp.Clock != uint64(i) {
 			t.Fatalf("A→B call %d: value=%v err=%v", i, resp, err)
 		}
-		resp, err = wire.Call[wire.ReadCopyResp](ctx, bPeer, "A", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "B", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
+		resp, err = wire.Call[wire.CopyBatchResp](ctx, bPeer, "A", wire.KindCopyBatch,
+			&wire.CopyBatchReq{Tx: model.TxID{Site: "B", Seq: uint64(i)}})
+		if err != nil || resp.Clock != uint64(i) {
 			t.Fatalf("B→A call %d: value=%v err=%v", i, resp, err)
 		}
 	}
@@ -411,14 +411,14 @@ func TestCodecGobPinnedPeerInterop(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.ReadCopyResp](ctx, gobPeer, "new", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "old", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
+		resp, err := wire.Call[wire.CopyBatchResp](ctx, gobPeer, "new", wire.KindCopyBatch,
+			&wire.CopyBatchReq{Tx: model.TxID{Site: "old", Seq: uint64(i)}})
+		if err != nil || resp.Clock != uint64(i) {
 			t.Fatalf("gob→binary call %d: value=%v err=%v", i, resp, err)
 		}
-		resp, err = wire.Call[wire.ReadCopyResp](ctx, binPeer, "old", wire.KindReadCopy,
-			&wire.ReadCopyReq{Tx: model.TxID{Site: "new", Seq: uint64(i)}})
-		if err != nil || resp.Value != int64(i) {
+		resp, err = wire.Call[wire.CopyBatchResp](ctx, binPeer, "old", wire.KindCopyBatch,
+			&wire.CopyBatchReq{Tx: model.TxID{Site: "new", Seq: uint64(i)}})
+		if err != nil || resp.Clock != uint64(i) {
 			t.Fatalf("binary→gob call %d: value=%v err=%v", i, resp, err)
 		}
 	}

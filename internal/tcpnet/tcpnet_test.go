@@ -63,11 +63,11 @@ func TestDynamicAddressResolved(t *testing.T) {
 func TestRPCOverTCP(t *testing.T) {
 	n := New(nil)
 	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		var req wire.ReadCopyReq
+		var req wire.CopyBatchReq
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		return wire.KindReadCopy, &wire.ReadCopyResp{Value: 7, Version: 3}, nil
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: 7, Incarnation: 3}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -79,13 +79,13 @@ func TestRPCOverTCP(t *testing.T) {
 	}
 	defer client.Close()
 
-	var resp wire.ReadCopyResp
+	var resp wire.CopyBatchResp
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
-	if err := client.Call(ctx, "server", wire.KindReadCopy, &wire.ReadCopyReq{Item: "x"}, &resp); err != nil {
+	if err := client.Call(ctx, "server", wire.KindCopyBatch, &wire.CopyBatchReq{Ops: []model.Op{model.Read("x")}}, &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Value != 7 || resp.Version != 3 {
+	if resp.Clock != 7 || resp.Incarnation != 3 {
 		t.Errorf("resp = %+v", resp)
 	}
 }
@@ -93,11 +93,11 @@ func TestRPCOverTCP(t *testing.T) {
 func TestConcurrentRPCOverTCP(t *testing.T) {
 	n := New(nil)
 	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		var req wire.PreWriteReq
+		var req wire.CopyBatchReq
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		return wire.KindPreWrite, &wire.PreWriteResp{Version: model.Version(req.Value)}, nil
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +118,9 @@ func TestConcurrentRPCOverTCP(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 			defer cancel()
-			var resp wire.PreWriteResp
-			err := client.Call(ctx, "server", wire.KindPreWrite, &wire.PreWriteReq{Value: int64(i)}, &resp)
-			if err == nil && resp.Version != model.Version(i) {
+			var resp wire.CopyBatchResp
+			err := client.Call(ctx, "server", wire.KindCopyBatch, &wire.CopyBatchReq{Tx: model.TxID{Seq: uint64(i)}}, &resp)
+			if err == nil && resp.Clock != uint64(i) {
 				err = context.DeadlineExceeded
 			}
 			errs[i] = err

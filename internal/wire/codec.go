@@ -404,85 +404,6 @@ func (b *PingReq) DecodeFrom(p []byte) error {
 	return r.err
 }
 
-func (b *ReadCopyReq) Kind() MsgKind { return KindReadCopy }
-
-func (b *ReadCopyReq) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	buf = appendTx(buf, b.Tx)
-	buf = appendTS(buf, b.TS)
-	return appendString(buf, string(b.Item))
-}
-
-func (b *ReadCopyReq) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version()
-	b.Tx = r.tx()
-	b.TS = r.ts()
-	b.Item = model.ItemID(r.str())
-	return r.err
-}
-
-func (b *ReadCopyResp) Kind() MsgKind { return KindReadCopy }
-
-func (b *ReadCopyResp) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	buf = appendVarint(buf, b.Value)
-	buf = appendUvarint(buf, uint64(b.Version))
-	buf = appendUvarint(buf, b.Clock)
-	return appendUvarint(buf, b.Incarnation)
-}
-
-func (b *ReadCopyResp) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version()
-	b.Value = r.varint()
-	b.Version = model.Version(r.uvarint())
-	b.Clock = r.uvarint()
-	b.Incarnation = r.uvarint()
-	return r.err
-}
-
-func (b *PreWriteReq) Kind() MsgKind { return KindPreWrite }
-
-func (b *PreWriteReq) AppendTo(buf []byte) []byte {
-	// Version 2 appended Add (commutative blind-add pre-writes).
-	buf = append(buf, 2)
-	buf = appendTx(buf, b.Tx)
-	buf = appendTS(buf, b.TS)
-	buf = appendString(buf, string(b.Item))
-	buf = appendVarint(buf, b.Value)
-	return appendBool(buf, b.Add)
-}
-
-func (b *PreWriteReq) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	v := r.version()
-	b.Tx = r.tx()
-	b.TS = r.ts()
-	b.Item = model.ItemID(r.str())
-	b.Value = r.varint()
-	b.Add = v >= 2 && r.bool()
-	return r.err
-}
-
-func (b *PreWriteResp) Kind() MsgKind { return KindPreWrite }
-
-func (b *PreWriteResp) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	buf = appendUvarint(buf, uint64(b.Version))
-	buf = appendUvarint(buf, b.Clock)
-	return appendUvarint(buf, b.Incarnation)
-}
-
-func (b *PreWriteResp) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version()
-	b.Version = model.Version(r.uvarint())
-	b.Clock = r.uvarint()
-	b.Incarnation = r.uvarint()
-	return r.err
-}
-
 func (b *ReleaseTxReq) Kind() MsgKind { return KindReleaseTx }
 
 func (b *ReleaseTxReq) AppendTo(buf []byte) []byte {
@@ -993,10 +914,6 @@ func init() {
 	RegisterBody(KindRegisterSite, false, func() Body { return &RegisterSiteReq{} })
 	RegisterBody(KindGetCatalog, false, func() Body { return &GetCatalogReq{} })
 	RegisterBody(KindPing, false, func() Body { return &PingReq{} })
-	RegisterBody(KindReadCopy, false, func() Body { return &ReadCopyReq{} })
-	RegisterBody(KindReadCopy, true, func() Body { return &ReadCopyResp{} })
-	RegisterBody(KindPreWrite, false, func() Body { return &PreWriteReq{} })
-	RegisterBody(KindPreWrite, true, func() Body { return &PreWriteResp{} })
 	RegisterBody(KindReleaseTx, false, func() Body { return &ReleaseTxReq{} })
 	RegisterBody(KindPrepare, false, func() Body { return &PrepareReq{} })
 	RegisterBody(KindVote, true, func() Body { return &VoteResp{} })

@@ -23,10 +23,6 @@ func filledBodies() []wire.Body {
 		&wire.RegisterSiteReq{Site: "S9", Addr: "127.0.0.1:7777"},
 		&wire.GetCatalogReq{},
 		&wire.PingReq{},
-		&wire.ReadCopyReq{Tx: tx, TS: ts, Item: "item-x"},
-		&wire.ReadCopyResp{Value: -12, Version: 3, Clock: 99, Incarnation: 4},
-		&wire.PreWriteReq{Tx: tx, TS: ts, Item: "item-y", Value: 1 << 40, Add: true},
-		&wire.PreWriteResp{Version: 8, Clock: 100, Incarnation: 5},
 		&wire.ReleaseTxReq{Tx: tx},
 		&wire.PrepareReq{
 			Tx: tx, TS: ts, Coordinator: "S1",

@@ -32,20 +32,20 @@ func newPair(t *testing.T, serve wire.ServeFunc) (*wire.Peer, *wire.Peer) {
 
 func TestCallRoundTrip(t *testing.T) {
 	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		var req wire.ReadCopyReq
+		var req wire.CopyBatchReq
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		return wire.KindReadCopy, &wire.ReadCopyResp{Value: 99, Version: model.Version(req.Tx.Seq)}, nil
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: 99, Incarnation: req.Tx.Seq}, nil
 	})
 
-	var resp wire.ReadCopyResp
-	err := client.Call(context.Background(), "server", wire.KindReadCopy,
-		&wire.ReadCopyReq{Tx: model.TxID{Site: "c", Seq: 5}, Item: "x"}, &resp)
+	var resp wire.CopyBatchResp
+	err := client.Call(context.Background(), "server", wire.KindCopyBatch,
+		&wire.CopyBatchReq{Tx: model.TxID{Site: "c", Seq: 5}}, &resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Value != 99 || resp.Version != 5 {
+	if resp.Clock != 99 || resp.Incarnation != 5 {
 		t.Errorf("resp = %+v", resp)
 	}
 }
@@ -54,7 +54,7 @@ func TestCallPropagatesAbortCause(t *testing.T) {
 	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
 		return 0, nil, model.Abortf(model.AbortCC, "timestamp too old")
 	})
-	err := client.Call(context.Background(), "server", wire.KindReadCopy, &wire.ReadCopyReq{}, nil)
+	err := client.Call(context.Background(), "server", wire.KindCopyBatch, &wire.CopyBatchReq{}, nil)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Errorf("cause = %v, err = %v", model.CauseOf(err), err)
 	}
@@ -130,11 +130,11 @@ func TestCast(t *testing.T) {
 
 func TestConcurrentCalls(t *testing.T) {
 	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		var req wire.ReadCopyReq
+		var req wire.CopyBatchReq
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		return wire.KindReadCopy, &wire.ReadCopyResp{Value: int64(req.Tx.Seq)}, nil
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil
 	})
 	const n = 64
 	var wg sync.WaitGroup
@@ -143,11 +143,11 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var resp wire.ReadCopyResp
-			err := client.Call(context.Background(), "server", wire.KindReadCopy,
-				&wire.ReadCopyReq{Tx: model.TxID{Site: "c", Seq: uint64(i)}}, &resp)
-			if err == nil && resp.Value != int64(i) {
-				err = fmt.Errorf("cross-wired reply: got %d want %d", resp.Value, i)
+			var resp wire.CopyBatchResp
+			err := client.Call(context.Background(), "server", wire.KindCopyBatch,
+				&wire.CopyBatchReq{Tx: model.TxID{Site: "c", Seq: uint64(i)}}, &resp)
+			if err == nil && resp.Clock != uint64(i) {
+				err = fmt.Errorf("cross-wired reply: got %d want %d", resp.Clock, i)
 			}
 			errs[i] = err
 		}(i)

@@ -41,9 +41,11 @@ const (
 	KindPing
 
 	// Data access through RCP/CCP (Section 2.1: copies are read or
-	// pre-written through the CCP).
-	KindReadCopy
-	KindPreWrite
+	// pre-written through the CCP). The two blanks are the retired
+	// single-operation kinds (ReadCopy, PreWrite): one copy operation now
+	// travels as a KindCopyBatch of one; their wire numbers stay reserved.
+	_
+	_
 	KindReleaseTx
 
 	// Atomic commit protocols.
@@ -96,8 +98,6 @@ var kindNames = map[MsgKind]string{
 	KindGetCatalog:    "GetCatalog",
 	KindSetCatalog:    "SetCatalog",
 	KindPing:          "Ping",
-	KindReadCopy:      "ReadCopy",
-	KindPreWrite:      "PreWrite",
 	KindReleaseTx:     "ReleaseTx",
 	KindPrepare:       "Prepare",
 	KindVote:          "Vote",
@@ -316,61 +316,16 @@ type GetCatalogReq struct{}
 // PingReq checks liveness; the monitor uses it for load-balance probing.
 type PingReq struct{}
 
-// ReadCopyReq asks a site to read its local copy of Item on behalf of Tx,
-// passing through the site's CCP. The response is ReadCopyResp.
-type ReadCopyReq struct {
-	Tx   model.TxID
-	TS   model.Timestamp
-	Item model.ItemID
-}
-
-// ReadCopyResp returns the local copy's current value and version. Clock
-// carries the serving site's Lamport time so the coordinator can witness it
-// (clock gossip keeps lagging sites from issuing stale timestamps that
-// timestamp-ordering CCPs would reject).
-type ReadCopyResp struct {
-	Value   int64
-	Version model.Version
-	Clock   uint64
-	// Incarnation is the serving site's incarnation number (bumped on every
-	// stack rebuild). The home site records it in the transaction's session
-	// and echoes it in the prepare, so a site that crashed and recovered
-	// between this operation and the prepare rejects the prepare exactly —
-	// its CC protection for the operation died with the old incarnation.
-	Incarnation uint64
-}
-
-// PreWriteReq asks a site to pre-write its local copy of Item: pass through
-// the CCP, buffer the intent, and return the copy's current version number
-// (Section 2.1: copies are "pre-written (returning their current version
-// number) through CCP").
-type PreWriteReq struct {
-	Tx    model.TxID
-	TS    model.Timestamp
-	Item  model.ItemID
-	Value int64
-	// Add marks a commutative blind-add pre-write: Value is a delta merged
-	// into the copy at commit, and the CCP may admit it without mutual
-	// exclusion (hot-item split execution).
-	Add bool
-}
-
-// PreWriteResp returns the current (pre-write) version of the copy, plus
-// the serving site's Lamport time (see ReadCopyResp.Clock).
-type PreWriteResp struct {
-	Version model.Version
-	Clock   uint64
-	// Incarnation is the serving site's incarnation number — see
-	// ReadCopyResp.Incarnation.
-	Incarnation uint64
-}
-
-// CopyBatchReq ships every copy operation a one-shot transaction's first
-// round needs at one site — reads, pre-writes and pre-adds (model.Op kinds,
-// Value being the written value or the delta) — as ONE message. The site
-// admits the operations sequentially in the order given (the home sorts
-// them by item, keeping program order within an item), so per-site lock
-// acquisition follows one global item order. The response is CopyBatchResp.
+// CopyBatchReq asks a site to run copy operations on behalf of Tx through its
+// CCP (Section 2.1: copies are read, or "pre-written (returning their current
+// version number) through CCP") — reads, pre-writes and commutative pre-adds
+// (model.Op kinds, Value being the written value or the delta merged into the
+// copy at commit). A one-shot transaction ships everything its first round
+// needs at the site as ONE message; an interactive transaction's operation is
+// a batch of one. The site admits the operations sequentially in the order
+// given (the home sorts a wave by item, keeping program order within an
+// item), so per-site lock acquisition follows one global item order. The
+// response is CopyBatchResp.
 type CopyBatchReq struct {
 	Tx  model.TxID
 	TS  model.Timestamp
@@ -405,11 +360,18 @@ func (r *CopyResult) SetErr(err error) {
 
 // CopyBatchResp answers a CopyBatchReq with one result per operation, in
 // request order. The first failure ends the batch: the operations after it
-// were not run and say so. Clock and Incarnation are the serving site's, as
-// in ReadCopyResp.
+// were not run and say so.
 type CopyBatchResp struct {
-	Results     []CopyResult
-	Clock       uint64
+	Results []CopyResult
+	// Clock carries the serving site's Lamport time so the coordinator can
+	// witness it (clock gossip keeps lagging sites from issuing stale
+	// timestamps that timestamp-ordering CCPs would reject).
+	Clock uint64
+	// Incarnation is the serving site's incarnation number (bumped on every
+	// stack rebuild). The home site records it in the transaction's session
+	// and echoes it in the prepare, so a site that crashed and recovered
+	// between these operations and the prepare rejects the prepare exactly —
+	// its CC protection for them died with the old incarnation.
 	Incarnation uint64
 }
 
@@ -599,10 +561,6 @@ func init() {
 	gob.Register(RegisterSiteReq{})
 	gob.Register(GetCatalogReq{})
 	gob.Register(PingReq{})
-	gob.Register(ReadCopyReq{})
-	gob.Register(ReadCopyResp{})
-	gob.Register(PreWriteReq{})
-	gob.Register(PreWriteResp{})
 	gob.Register(ReleaseTxReq{})
 	gob.Register(PrepareReq{})
 	gob.Register(VoteResp{})

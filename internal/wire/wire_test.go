@@ -35,18 +35,16 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 }
 
 func TestMarshalRoundTripQuick(t *testing.T) {
-	f := func(tx uint64, item string, val int64, ver uint64) bool {
-		in := PreWriteReq{
-			Tx:    model.TxID{Site: "S", Seq: tx},
-			Item:  model.ItemID(item),
-			Value: val,
-			TS:    model.Timestamp{Time: ver, Site: "S"},
+	f := func(tx uint64, site string, n uint64, ballotSite string) bool {
+		in := TermQueryReq{
+			Tx:     model.TxID{Site: model.SiteID(site), Seq: tx},
+			Ballot: model.Ballot{N: n, Site: model.SiteID(ballotSite)},
 		}
 		p, err := Marshal(in)
 		if err != nil {
 			return false
 		}
-		var out PreWriteReq
+		var out TermQueryReq
 		return Unmarshal(p, &out) == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -55,7 +53,7 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 }
 
 func TestUnmarshalError(t *testing.T) {
-	var out ReadCopyResp
+	var out VoteResp
 	if err := Unmarshal([]byte{0x01, 0x02}, &out); err == nil {
 		t.Error("garbage payload should fail to unmarshal")
 	}
