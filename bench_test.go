@@ -523,35 +523,6 @@ func BenchmarkA2_RetryPolicyAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkA3_ReadOnlyOptAblation measures the presumed-abort read-only
-// participant optimization: commit-protocol message savings on a read-heavy
-// workload (read-only quorum members skip phase 2 entirely).
-func BenchmarkA3_ReadOnlyOptAblation(b *testing.B) {
-	run := func(disable bool) float64 {
-		inst := newBenchInstance(b, 3, 8, schema.Protocols{
-			RCP: "qc", CCP: "2pl", ACP: "2pc", NoReadOnlyOpt: disable,
-		}, benchNet)
-		inst.RunWorkload(context.Background(), wlg.Profile{
-			Transactions: 120, MPL: 2, OpsPerTx: 4, ReadFraction: 0.9, Retries: 3,
-		})
-		m := inst.Report().MessagesPerCommit()
-		inst.Close()
-		return m
-	}
-	for i := 0; i < b.N; i++ {
-		with := run(false)
-		without := run(true)
-		if i == 0 {
-			b.Logf("msg/commit with read-only opt: %.1f, without: %.1f", with, without)
-		}
-		b.ReportMetric(with, "msg/commit-with-ro-opt")
-		b.ReportMetric(without, "msg/commit-without-ro-opt")
-		if with >= without {
-			b.Errorf("read-only optimization did not reduce messages: %.1f vs %.1f", with, without)
-		}
-	}
-}
-
 // ---- Data-plane microbenchmarks (sharding / group-commit tentpole) ----
 //
 // Each benchmark runs the same parallel workload against a shard count of 1

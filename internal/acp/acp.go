@@ -116,16 +116,12 @@ type Request struct {
 	Participants []model.SiteID
 	// WritesFor returns the write records a participant must install.
 	WritesFor func(model.SiteID) []model.WriteRecord
-	// NoReadOnlyOpt disables the read-only participant optimization
-	// (ablation knob; the optimization is on by default).
-	NoReadOnlyOpt bool
 	// Epoch is the catalog epoch the transaction began under, carried in
 	// every prepare for the participants' epoch fence (see
 	// wire.PrepareReq.Epoch).
 	Epoch uint64
 	// Voters is the 3PC termination electorate (see wire.PrepareReq.
-	// Voters): participants holding writes, or all participants when the
-	// read-only optimization is off. Leaving it empty DISABLES quorum
+	// Voters): the participants holding writes. Leaving it empty DISABLES quorum
 	// termination for the transaction (in-doubt members then resolve only
 	// through known-decision queries, like legacy pre-electorate records)
 	// — 3PC callers must populate it.

@@ -1002,17 +1002,6 @@ func TestReadOnlyParticipantNeverOrphans(t *testing.T) {
 	}
 }
 
-func TestReadOnlyOptDisabled(t *testing.T) {
-	p := NewParticipant("S2", wal.NewMemory(), newApplier())
-	v := p.HandlePrepare(wire.PrepareReq{Tx: model.TxID{Site: "S1", Seq: 9}, NoReadOnlyOpt: true})
-	if !v.Yes || v.ReadOnly {
-		t.Fatalf("vote = %+v, want plain yes with optimization disabled", v)
-	}
-	if p.InDoubtCount() != 1 {
-		t.Error("disabled optimization should leave a prepared state")
-	}
-}
-
 func TestAllReadOnlyCohortCommits(t *testing.T) {
 	f := newFakeCohort()
 	for _, s := range []model.SiteID{"S1", "S2"} {

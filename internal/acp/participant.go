@@ -154,7 +154,7 @@ func (p *Participant) HandlePrepare(req wire.PrepareReq) wire.VoteResp {
 	applier := p.applier
 	p.mu.Unlock()
 
-	if len(req.Writes) == 0 && !req.NoReadOnlyOpt {
+	if len(req.Writes) == 0 {
 		if applier != nil {
 			applier.Abort(req.Tx) // release read locks / clear nothing-to-install state
 		}

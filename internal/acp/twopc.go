@@ -98,16 +98,15 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 				incarnation = req.IncarnationFor(site)
 			}
 			resp, err := c.Prepare(vctx, site, wire.PrepareReq{
-				Tx:            req.Tx,
-				TS:            req.TS,
-				Coordinator:   req.Coordinator,
-				Writes:        req.WritesFor(site),
-				Participants:  req.Participants,
-				Voters:        req.Voters,
-				ThreePhase:    threePhase,
-				NoReadOnlyOpt: req.NoReadOnlyOpt,
-				Epoch:         req.Epoch,
-				Incarnation:   incarnation,
+				Tx:           req.Tx,
+				TS:           req.TS,
+				Coordinator:  req.Coordinator,
+				Writes:       req.WritesFor(site),
+				Participants: req.Participants,
+				Voters:       req.Voters,
+				ThreePhase:   threePhase,
+				Epoch:        req.Epoch,
+				Incarnation:  incarnation,
 			})
 			results <- voteResult{site: site, resp: resp, err: err}
 		}(site)

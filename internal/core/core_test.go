@@ -92,6 +92,18 @@ func TestReportAndRender(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	in := newInstance(t, Options{})
 	in.RunWorkload(context.Background(), wlg.Profile{Transactions: 10})
+	// A committed writer's end-of-transaction casts are fire-and-forget and
+	// may still be in flight when the workload returns: let the network go
+	// quiet first, or a late delivery lands in the fresh window.
+	for quiet, deadline := 0, time.Now().Add(2*time.Second); quiet < 3 && time.Now().Before(deadline); {
+		st := in.Net.Stats()
+		if st.Sent == st.Delivered+st.Dropped {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 	in.ResetStats()
 	rep := in.Report()
 	if rep.Totals().Began != 0 || rep.Net.Delivered != 0 {

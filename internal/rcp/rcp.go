@@ -28,16 +28,31 @@ import (
 type CopyAccess interface {
 	// Local returns the home site's id (preferred for read-one locality).
 	Local() model.SiteID
-	// CopyBatch runs ops — one transaction's copy operations bound for site,
-	// in the order the site must admit them: a wave's whole share, or a single
-	// operation of the interactive path — through that site's CCP as one round
-	// trip, or inline when site is the home site. It returns one result per
-	// op plus the serving site's incarnation number (the session records it
-	// so the prepare can be fenced against a crash recovery at that site in
-	// between); the first failed op ends the batch (the ops after it report
-	// that they were not run). A non-nil error means the batch as a whole got
-	// no answer.
-	CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error)
+	// CopyBatch runs ops — the copy operations of sess's transaction bound
+	// for site, in the order the site must admit them: a wave's whole share,
+	// or a single operation of the interactive path — through that site's CCP
+	// as one round trip, or inline when site is the home site. The reply
+	// carries one result per op plus the serving site's incarnation number
+	// (the session records it so the prepare can be fenced against a crash
+	// recovery at that site in between); the first failed op ends the batch
+	// (the ops after it report that they were not run). A non-nil error means
+	// the batch as a whole got no answer, or was refused.
+	//
+	// final marks the last leg of a read-only wave (see Wave): a remote site
+	// that admitted every op then runs the read-only vote's guards against
+	// sess.Epoch and releases the transaction's CC state at once, reporting
+	// Released; a site whose guards fail refuses the batch with an ACP abort.
+	// The home site ignores final.
+	CopyBatch(ctx context.Context, site model.SiteID, sess *Session, ops []model.Op, final bool) (BatchReply, error)
+}
+
+// BatchReply is a site's answer to one CopyBatch.
+type BatchReply struct {
+	Results     []CopyResult
+	Incarnation uint64
+	// Released reports that the site folded its read-only vote into the batch
+	// and already released the transaction there.
+	Released bool
 }
 
 // CopyResult is the outcome of one copy operation inside a CopyBatch: the
@@ -54,6 +69,9 @@ type CopyResult struct {
 type Session struct {
 	Tx model.TxID
 	TS model.Timestamp
+	// Epoch is the catalog epoch the transaction began under: a wave's folded
+	// last leg carries it for the serving site's epoch fence.
+	Epoch uint64
 
 	mu        sync.Mutex
 	touched   map[model.SiteID]bool
@@ -96,6 +114,16 @@ func (s *Session) Attempt(site model.SiteID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.attempted[site] = true
+}
+
+// Release drops site from the transaction altogether: it released its CC
+// state by itself (a read-only wave's folded last leg), so it is neither a
+// commit participant nor a stray to send a release to.
+func (s *Session) Release(site model.SiteID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.touched, site)
+	delete(s.attempted, site)
 }
 
 // Strays returns the attempted sites that did not become participants —
@@ -300,22 +328,16 @@ func allOf(sites []model.SiteID) (quorum.Assignment, int) {
 	return quorum.ReadOneWriteAll(sites), len(sites)
 }
 
-// preferredOrder lists the copy sites for meta with the local site first,
-// then the rest sorted — the deterministic preference order both protocols
-// use.
+// preferredOrder is the deterministic preference order both protocols use:
+// the copy sites of meta, sorted, rotated to start at the local site — or,
+// when the local site holds no copy, at the first copy site after it. Every
+// home thus prefers the sites that follow it in ring order, so under majority
+// quorums its partner usually sorts after it and the wave's last leg is
+// remote, which lets a read-only wave fold its vote into that leg (see Wave).
 func preferredOrder(acc CopyAccess, meta schema.ItemMeta) []model.SiteID {
 	sites := meta.Sites()
-	local := acc.Local()
-	out := make([]model.SiteID, 0, len(sites))
-	if _, ok := meta.Votes[local]; ok {
-		out = append(out, local)
-	}
-	for _, s := range sites {
-		if s != local {
-			out = append(out, s)
-		}
-	}
-	return out
+	i, _ := slices.BinarySearch(sites, acc.Local())
+	return slices.Concat(sites[i:], sites[:i])
 }
 
 // isCC reports whether err is a protocol abort that must stop the
@@ -449,10 +471,10 @@ func runRound(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, r
 // copyAt runs one copy operation at o.site — a batch of one — and stores its
 // result in o.
 func copyAt(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, o *outcome) {
-	res, inc, err := acc.CopyBatch(ctx, o.site, sess.Tx, sess.TS, []model.Op{op})
+	rep, err := acc.CopyBatch(ctx, o.site, sess, []model.Op{op}, false)
 	if err != nil {
 		o.Err = err
 		return
 	}
-	o.CopyResult, o.inc = res[0], inc
+	o.CopyResult, o.inc = rep.Results[0], rep.Incarnation
 }

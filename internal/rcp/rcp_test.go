@@ -3,6 +3,7 @@ package rcp
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -27,9 +28,12 @@ type fakeAccess struct {
 	ops      int
 	perSite  map[model.SiteID]int
 	// batches records every CopyBatch received, per site, in arrival order;
-	// onBatch, when set, is told of each arrival.
-	batches map[model.SiteID][][]model.Op
-	onBatch func(model.SiteID)
+	// onBatch, when set, is told of each arrival. finals lists the sites sent
+	// a final batch; a site in refuseFold refuses its fold.
+	batches    map[model.SiteID][][]model.Op
+	onBatch    func(model.SiteID)
+	finals     []model.SiteID
+	refuseFold map[model.SiteID]bool
 }
 
 func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
@@ -39,10 +43,11 @@ func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
 			val int64
 			ver model.Version
 		}),
-		down:     make(map[model.SiteID]bool),
-		ccReject: make(map[model.SiteID]bool),
-		perSite:  make(map[model.SiteID]int),
-		batches:  make(map[model.SiteID][][]model.Op),
+		down:       make(map[model.SiteID]bool),
+		ccReject:   make(map[model.SiteID]bool),
+		perSite:    make(map[model.SiteID]int),
+		batches:    make(map[model.SiteID][][]model.Op),
+		refuseFold: make(map[model.SiteID]bool),
 	}
 	for _, s := range sites {
 		f.copies[s] = struct {
@@ -69,31 +74,41 @@ func (f *fakeAccess) Local() model.SiteID { return f.local }
 const fakeIncarnation = 7
 
 // CopyBatch answers like a site does: a down site gives no answer at all; a
-// CC-rejecting one fails the first operation and does not run the rest.
-func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ model.TxID, _ model.Timestamp, ops []model.Op) ([]CopyResult, uint64, error) {
+// CC-rejecting one fails the first operation and does not run the rest; a
+// final batch whose operations all succeeded is released, or refused.
+func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session, ops []model.Op, final bool) (BatchReply, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops += len(ops)
 	f.perSite[site] += len(ops)
 	f.batches[site] = append(f.batches[site], ops)
+	if final {
+		f.finals = append(f.finals, site)
+	}
 	if f.onBatch != nil {
 		f.onBatch(site)
 	}
 	if f.down[site] {
-		return nil, 0, model.Abortf(model.AbortRCP, "site %s unreachable", site)
+		return BatchReply{}, model.Abortf(model.AbortRCP, "site %s unreachable", site)
 	}
-	res := make([]CopyResult, len(ops))
-	for i := range res {
+	rep := BatchReply{Results: make([]CopyResult, len(ops)), Incarnation: fakeIncarnation}
+	for i := range rep.Results {
 		switch {
 		case !f.ccReject[site]:
-			res[i] = CopyResult{Value: f.copies[site].val, Version: f.copies[site].ver}
+			rep.Results[i] = CopyResult{Value: f.copies[site].val, Version: f.copies[site].ver}
 		case i == 0:
-			res[i].Err = model.Abortf(model.AbortCC, "rejected at %s", site)
+			rep.Results[i].Err = model.Abortf(model.AbortCC, "rejected at %s", site)
 		default:
-			res[i].Err = errors.New("not run")
+			rep.Results[i].Err = errors.New("not run")
 		}
 	}
-	return res, fakeIncarnation, nil
+	if final && !f.ccReject[site] {
+		if f.refuseFold[site] {
+			return BatchReply{}, model.Abortf(model.AbortACP, "epoch fence at %s", site)
+		}
+		rep.Released = true
+	}
+	return rep, nil
 }
 
 func meta3() schema.ItemMeta {
@@ -585,5 +600,108 @@ func TestWaveShipsInSiteOrder(t *testing.T) {
 		if len(order) != 3 || order[0] != "S1" || order[1] != "S2" || order[2] != "S3" {
 			t.Errorf("home %s: batches shipped in order %v, want [S1 S2 S3]", home, order)
 		}
+	}
+}
+
+// TestPreferredOrderRotatesFromHome pins the preference order: the item's
+// sorted copy sites rotated to start at the home, or — for a home holding no
+// copy — at the first copy site after it in sort order.
+func TestPreferredOrderRotatesFromHome(t *testing.T) {
+	meta := schema.ItemMeta{Item: "x", Votes: map[model.SiteID]int{"S1": 1, "S2": 1, "S4": 1}}
+	for home, want := range map[model.SiteID][]model.SiteID{
+		"S1": {"S1", "S2", "S4"},
+		"S2": {"S2", "S4", "S1"},
+		"S4": {"S4", "S1", "S2"},
+		"S3": {"S4", "S1", "S2"}, // no copy: starts after it
+		"S0": {"S1", "S2", "S4"}, // no copy, sorts first
+		"S9": {"S1", "S2", "S4"}, // no copy, sorts last: wraps around
+	} {
+		if got := preferredOrder(newFake(home), meta); !slices.Equal(got, want) {
+			t.Errorf("home %s: preferred order %v, want %v", home, got, want)
+		}
+	}
+}
+
+// TestWaveFoldsReadOnlyLastLeg: a read-only wave marks its last leg final
+// when that leg is remote; the released site leaves the session, so only the
+// home (and any earlier remote leg) is left for the commit protocol. Under
+// majority quorums of three that is homes S1 and S2; S3's partner S1 ships
+// first and keeps its vote. A wave that writes never folds.
+func TestWaveFoldsReadOnlyLastLeg(t *testing.T) {
+	reads := []model.Op{model.Read("a"), model.Read("b"), model.Read("c")}
+	for _, c := range []struct {
+		home         model.SiteID
+		ops          []model.Op
+		final        []model.SiteID
+		participants []model.SiteID
+	}{
+		{"S1", reads, []model.SiteID{"S2"}, []model.SiteID{"S1"}},
+		{"S2", reads, []model.SiteID{"S3"}, []model.SiteID{"S2"}},
+		{"S3", reads, nil, []model.SiteID{"S1", "S3"}},
+		{"S1", []model.Op{model.Read("a"), model.Write("b", 1)}, nil, []model.SiteID{"S1", "S2"}},
+	} {
+		f := newFake(c.home, "S1", "S2", "S3")
+		s := sess()
+		if _, err := QC.Wave(context.Background(), f, s, waveItems(), c.ops); err != nil {
+			t.Fatalf("home %s %v: %v", c.home, c.ops, err)
+		}
+		if !slices.Equal(f.finals, c.final) {
+			t.Errorf("home %s %v: final legs %v, want %v", c.home, c.ops, f.finals, c.final)
+		}
+		if p := s.Participants(); !slices.Equal(p, c.participants) {
+			t.Errorf("home %s %v: participants %v, want %v", c.home, c.ops, p, c.participants)
+		}
+		if st := s.Strays(); len(st) != 0 {
+			t.Errorf("home %s %v: strays %v, want none", c.home, c.ops, st)
+		}
+	}
+}
+
+// TestWaveFoldsOnlyAfterCleanLegs: the last leg folds only when every earlier
+// leg answered cleanly. With the first leg's site silent, the last leg goes
+// out as an ordinary batch — the replacement round that follows would acquire
+// locks after it — and every site that answered keeps its vote.
+func TestWaveFoldsOnlyAfterCleanLegs(t *testing.T) {
+	items := map[model.ItemID]schema.ItemMeta{}
+	for _, item := range []model.ItemID{"a", "b"} {
+		items[item] = schema.ItemMeta{Item: item, Votes: map[model.SiteID]int{"S2": 1, "S3": 1, "S4": 1}, ReadQuorum: 2, WriteQuorum: 2}
+	}
+	ops := []model.Op{model.Read("a"), model.Read("b")}
+
+	f := newFake("S1", "S2", "S3", "S4") // the home holds no copy: both legs remote
+	s := sess()
+	if _, err := QC.Wave(context.Background(), f, s, items, ops); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.finals, []model.SiteID{"S3"}) || !slices.Equal(s.Participants(), []model.SiteID{"S2"}) {
+		t.Errorf("all up: final legs %v, participants %v; want [S3] and [S2]", f.finals, s.Participants())
+	}
+
+	f = newFake("S1", "S2", "S3", "S4")
+	f.down["S2"] = true
+	s = sess()
+	if _, err := QC.Wave(context.Background(), f, s, items, ops); err != nil {
+		t.Fatal(err)
+	}
+	if len(f.finals) != 0 {
+		t.Errorf("S2 silent: final legs %v, want none", f.finals)
+	}
+	if p, st := s.Participants(), s.Strays(); !slices.Equal(p, []model.SiteID{"S3", "S4"}) || !slices.Equal(st, []model.SiteID{"S2"}) {
+		t.Errorf("S2 silent: participants %v, strays %v; want [S3 S4] and [S2]", p, st)
+	}
+}
+
+// TestWaveFoldRefusalDooms: a site that refuses the fold dooms the wave with
+// its ACP abort, and stays on the session's release list with the home.
+func TestWaveFoldRefusalDooms(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	f.refuseFold["S2"] = true
+	s := sess()
+	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Read("b")})
+	if model.CauseOf(err) != model.AbortACP {
+		t.Fatalf("err = %v, want the refusal's ACP abort", err)
+	}
+	if rel := append(s.Participants(), s.Strays()...); !slices.Equal(rel, []model.SiteID{"S1", "S2"}) {
+		t.Errorf("sites to release = %v, want the home S1 and the refusing S2", rel)
 	}
 }

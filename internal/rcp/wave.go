@@ -35,9 +35,21 @@ import (
 // k sites takes k-1 remote round trips (one under majority quorums of three,
 // where the home site is one of the two), not one per operation.
 //
+// Read-only fold: when the program only reads and the last leg is remote,
+// that leg goes out marked final, and only if every earlier leg answered
+// cleanly. Under 2PL the last leg's admission is then the transaction's lock
+// point — it already holds every other lock, and no replacement round can
+// follow — so the site may release right after it, which is all a read-only
+// vote would have done; the site runs the vote's guards first. A released
+// site leaves the session: it takes no part in the commit protocol. Only the
+// last leg may fold. An earlier leg keeps its vote, because its site may
+// crash and recover before the lock point — a writer could then slip under
+// the lost read lock, and only the vote's incarnation fence catches that.
+//
 // items resolves each operation's item; the caller has checked that every
 // item is present. Wave returns the value of each item read.
 func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op) (map[model.ItemID]int64, error) {
+	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
 	ops = slices.Clone(ops)
 	slices.SortStableFunc(ops, func(a, b model.Op) int { return strings.Compare(string(a.Item), string(b.Item)) })
 
@@ -67,22 +79,29 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	}
 	slices.SortFunc(legs, func(a, b *leg) int { return strings.Compare(string(a.site), string(b.site)) })
 
-	for _, l := range legs {
+	clean := true // every leg so far answered and admitted all its ops
+	var released model.SiteID
+	for i, l := range legs {
+		final := readOnly && clean && i == len(legs)-1 && l.site != acc.Local()
 		sess.Attempt(l.site)
-		res, inc, err := acc.CopyBatch(ctx, l.site, sess.Tx, sess.TS, l.ops)
+		rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, final)
 		for j, k := range l.idx {
-			o := outcome{site: l.site, inc: inc}
+			o := outcome{site: l.site, inc: rep.Incarnation}
 			if err != nil {
 				o.Err = err
 			} else {
-				o.CopyResult = res[j]
+				o.CopyResult = rep.Results[j]
 			}
 			if isCC(o.Err) {
 				// Doomed: ask nothing more of anyone. Every site asked so far
 				// is on the session's attempted list and gets released.
 				return nil, o.Err
 			}
+			clean = clean && o.Err == nil
 			seeds[k] = append(seeds[k], o)
+		}
+		if rep.Released {
+			released = l.site
 		}
 	}
 
@@ -95,6 +114,9 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 		if op.Kind == model.OpRead {
 			reads[op.Item] = v
 		}
+	}
+	if released != "" {
+		sess.Release(released)
 	}
 	return reads, nil
 }

@@ -65,10 +65,6 @@ type Protocols struct {
 	// leaving deadlocks to lock-wait timeouts — an ablation knob for
 	// classroom experiments on deadlock handling.
 	NoDeadlockDetection bool
-	// NoReadOnlyOpt disables the commit protocols' read-only participant
-	// optimization (participants without writes vote "read" and skip
-	// phase 2) — an ablation knob for message-cost experiments.
-	NoReadOnlyOpt bool
 	// NoHotSplit disables 2PL's split execution of commutative adds
 	// (hot-item delta slots with commit-time reconciliation), forcing
 	// every add through an ordinary exclusive lock — the cc_no_split

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/model"
+	"repro/internal/rcp"
 )
 
 func TestExecuteAddReconciles(t *testing.T) {
@@ -218,12 +219,12 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	}
 
 	start := time.Now()
-	res, _, err := a.CopyBatch(context.Background(), "B", out.Tx, model.Timestamp{Time: 99, Site: "A"}, []model.Op{model.Write("x", 9)})
+	rep, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(out.Tx, model.Timestamp{Time: 99, Site: "A"}), []model.Op{model.Write("x", 9)}, false)
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("straggler pre-write got no answer: %v", err)
 	}
-	if err = res[0].Err; err == nil {
+	if err = rep.Results[0].Err; err == nil {
 		t.Fatal("straggler pre-write for a finished transaction succeeded")
 	}
 	if model.CauseOf(err) != model.AbortCC {

@@ -19,9 +19,11 @@ import (
 // quorum round trip after another; a one-shot program hands over all its
 // operations at once, so Execute ships them as ONE wave instead — each site
 // gets its copy operations as one ordered batch (rcp.Protocol.Wave) — and
-// then runs the atomic commit protocol over every touched site. Interactive
-// transactions (Begin, then Read/Write/Add as the caller goes) keep the
-// paper's op-by-op shape.
+// then runs the atomic commit protocol over every touched site. A read-only
+// program whose last leg is remote folds that site's vote into the leg (the
+// site releases as it answers), so it commits in one remote round trip when
+// only the home is left. Interactive transactions (Begin, then
+// Read/Write/Add as the caller goes) keep the paper's op-by-op shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
@@ -192,37 +194,42 @@ func (t *Txn) budget(attempts int) (context.Context, context.CancelFunc) {
 // CopyBatch implements rcp.CopyAccess: a transaction's copy operations for
 // site (a wave's share, or one interactive operation) as one CopyBatch round
 // trip, or — for this site's own — inline through the local CCP on the
-// transaction's goroutine, waiting where it must.
-func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, tx model.TxID, ts model.Timestamp, ops []model.Op) ([]rcp.CopyResult, uint64, error) {
+// transaction's goroutine, waiting where it must. A final batch carries the
+// transaction's begin-time epoch for the serving site's fold guards.
+func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Session, ops []model.Op, final bool) (rcp.BatchReply, error) {
 	if site == s.id {
 		s.mu.Lock()
 		st := s.stackLocked()
 		s.mu.Unlock()
 		res := make([]rcp.CopyResult, len(ops))
-		st.admit(ctx, tx, ts, ops, res, 0, true)
-		s.recordReads(tx, ops, res)
-		return res, st.incarnation, nil
+		st.admit(ctx, sess.Tx, sess.TS, ops, res, 0, true)
+		s.recordReads(sess.Tx, ops, res)
+		return rcp.BatchReply{Results: res, Incarnation: st.incarnation}, nil
 	}
 	s.mu.Lock()
 	attempt := attemptTimeout(s.timeouts)
 	s.mu.Unlock()
 	actx, cancel := context.WithTimeout(ctx, attempt)
 	defer cancel()
-	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, &wire.CopyBatchReq{Tx: tx, TS: ts, Ops: ops})
+	req := &wire.CopyBatchReq{Tx: sess.Tx, TS: sess.TS, Ops: ops, Final: final}
+	if final {
+		req.Epoch = sess.Epoch
+	}
+	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, req)
 	s.stats.AddRoundTrips(1)
 	if err != nil {
-		return nil, 0, err
+		return rcp.BatchReply{}, err
 	}
 	if len(resp.Results) != len(ops) {
-		return nil, 0, fmt.Errorf("site %s answered %d of %d batched operations", site, len(resp.Results), len(ops))
+		return rcp.BatchReply{}, fmt.Errorf("site %s answered %d of %d batched operations", site, len(resp.Results), len(ops))
 	}
 	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	res := make([]rcp.CopyResult, len(ops))
+	rep := rcp.BatchReply{Results: make([]rcp.CopyResult, len(ops)), Incarnation: resp.Incarnation, Released: resp.Released}
 	for i := range resp.Results {
 		r := &resp.Results[i]
-		res[i] = rcp.CopyResult{Value: r.Value, Version: r.Version, Err: r.Err()}
+		rep.Results[i] = rcp.CopyResult{Value: r.Value, Version: r.Version, Err: r.Err()}
 	}
-	return res, resp.Incarnation, nil
+	return rep, nil
 }
 
 // ---- acp.Cohort implementation ----

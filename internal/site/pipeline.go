@@ -38,20 +38,22 @@ import (
 // synchronous path: those force WAL records under the checkpoint gate and
 // already batch at the group-commit layer.
 
-// copyOp is one queued wave. tid carries the request's distributed-trace ID
-// and enq its submit time (UnixNano; stamped only for traced requests, so the
+// copyOp is one queued wave. final and epoch mark the last leg of a read-only
+// wave (see Site.fold). tid carries the request's distributed-trace ID and enq
+// its submit time (UnixNano; stamped only for traced requests, so the
 // untraced hot path never reads the clock here).
 type copyOp struct {
 	tx    model.TxID
 	ts    model.Timestamp
 	ops   []model.Op
+	final bool
+	epoch uint64
 	reply wire.ReplyFunc
 	tid   trace.ID
 	enq   int64
 }
 
-// decodeWave decodes a CopyBatch request into a copyOp's transaction,
-// timestamp and operations.
+// decodeWave decodes a CopyBatch request into a copyOp.
 func decodeWave(pay wire.Payload, op *copyOp) error {
 	var req wire.CopyBatchReq
 	if err := pay.Decode(&req); err != nil {
@@ -60,7 +62,7 @@ func decodeWave(pay wire.Payload, op *copyOp) error {
 	if len(req.Ops) == 0 {
 		return fmt.Errorf("empty copy batch for %s", req.Tx)
 	}
-	op.tx, op.ts, op.ops = req.Tx, req.TS, req.Ops
+	op.tx, op.ts, op.ops, op.final, op.epoch = req.Tx, req.TS, req.Ops, req.Final, req.Epoch
 	return nil
 }
 
@@ -143,7 +145,8 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 // release that raced past the admission wins — undo and refuse; otherwise
 // the reads enter the execution history and the results become the reply
 // body, stamped with the site's Lamport time and the incarnation that
-// protects the operations.
+// protects the operations. A final wave whose operations all succeeded then
+// folds the read-only vote in (Site.fold).
 func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, clock uint64) (wire.MsgKind, wire.Body, error) {
 	if raced {
 		st.ccm.Abort(op.tx)
@@ -151,14 +154,51 @@ func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, 
 	}
 	s.recordReads(op.tx, op.ops, res)
 	resp := &wire.CopyBatchResp{Results: make([]wire.CopyResult, len(res)), Clock: clock, Incarnation: st.incarnation}
+	failed := false
 	for i, r := range res {
 		if r.Err != nil {
 			resp.Results[i].SetErr(r.Err)
+			failed = true
 			continue
 		}
 		resp.Results[i].Value, resp.Results[i].Version = r.Value, r.Version
 	}
+	if op.final && !failed {
+		if err := s.fold(st, op.tx, op.epoch); err != nil {
+			return 0, nil, err
+		}
+		resp.Released = true
+	}
 	return wire.KindCopyBatch, resp, nil
+}
+
+// fold is the read-only vote run at the end of a wave's final leg: the wave
+// admitted the transaction's last operations here, which is its lock point,
+// so its CC state here is released at once, exactly as a read-only
+// HandlePrepare releases it (no tombstone: nothing of the transaction can
+// follow). First the vote's guards: the stack that admitted the operations
+// must still be the site's current one (a rebuild racing the admission
+// dropped their protection — the incarnation fence, checked here because the
+// reply would otherwise vouch for the dead stack), the transaction must not
+// predate the site's last live rebuild (the epoch fence), and it must not
+// have been released here meanwhile (the release tombstone). A failed guard
+// refuses the batch with an ACP abort, as a no vote would, and still
+// releases.
+func (s *Site) fold(st ccStack, tx model.TxID, epoch uint64) error {
+	s.mu.Lock()
+	incarnation, fence := s.incarnation, s.fence
+	released := s.released.has(tx)
+	s.mu.Unlock()
+	st.ccm.Abort(tx)
+	switch {
+	case incarnation != st.incarnation:
+		return model.Abortf(model.AbortACP, "incarnation fence: operations admitted under incarnation %d, site is at %d", st.incarnation, incarnation)
+	case epoch < fence:
+		return model.Abortf(model.AbortACP, "epoch fence: transaction epoch %d < rebuild epoch %d", epoch, fence)
+	case released:
+		return model.Abortf(model.AbortACP, "transaction already released at this site")
+	}
+	return nil
 }
 
 // recordReads enters a wave's successful reads in the execution history.
@@ -222,7 +262,7 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 	st := s.stackLocked()
 	released := make([]bool, len(batch))
 	for i := range batch {
-		_, released[i] = s.released[batch[i].tx]
+		released[i] = s.released.has(batch[i].tx)
 	}
 	s.mu.Unlock()
 
@@ -269,7 +309,7 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 	s.mu.Lock()
 	for i := range batch {
 		if !released[i] {
-			_, raced[i] = s.released[batch[i].tx]
+			raced[i] = s.released.has(batch[i].tx)
 		}
 	}
 	s.mu.Unlock()

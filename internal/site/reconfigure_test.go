@@ -221,14 +221,17 @@ func TestReconfigureUnderLoad(t *testing.T) {
 
 	// Workers race each other per item, so the final value is the winner of
 	// the last conflict — but it must be SOME value a committed transaction
-	// wrote, and a read through the quorum must succeed at every site.
+	// wrote, and a read through the quorum must succeed at every site. A write
+	// quorum need not include A, so every site's history is searched.
 	committedVals := make(map[model.ItemID]map[int64]bool)
-	for _, e := range a.HistoryRecorder().Events() {
-		if e.Kind == model.OpWrite {
-			if committedVals[e.Item] == nil {
-				committedVals[e.Item] = map[int64]bool{}
+	for _, id := range c.ids {
+		for _, e := range c.sites[id].HistoryRecorder().Events() {
+			if e.Kind == model.OpWrite {
+				if committedVals[e.Item] == nil {
+					committedVals[e.Item] = map[int64]bool{}
+				}
+				committedVals[e.Item][e.Value] = true
 			}
-			committedVals[e.Item][e.Value] = true
 		}
 	}
 	var final model.Outcome

@@ -223,7 +223,7 @@ type Site struct {
 	ckptWG     sync.WaitGroup
 	// released tombstones aborted transactions so a straggling copy
 	// operation that races with its own ReleaseTx cannot leak CC state.
-	released map[model.TxID]time.Time
+	released tombstones
 	// walBaseFlushes/walBaseRecords snapshot the WAL's cumulative
 	// group-commit counters at the last ResetStats, so SiteStats reports
 	// them window-scoped like every other counter.
@@ -249,28 +249,52 @@ type Site struct {
 	resolveWG  sync.WaitGroup
 }
 
-// isReleased reports whether tx was already released/aborted here, and
-// lazily prunes old tombstones.
+// isReleased reports whether tx was already released/aborted here.
 func (s *Site) isReleased(tx model.TxID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.released[tx]
-	return ok
+	return s.released.has(tx)
 }
 
 // tombstone marks tx released.
 func (s *Site) tombstone(tx model.TxID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.released) > 8192 {
-		cutoff := time.Now().Add(-time.Minute)
-		for t, at := range s.released {
-			if at.Before(cutoff) {
-				delete(s.released, t)
-			}
+	s.released.add(tx, time.Now())
+}
+
+// tombstoneGeneration is how long one generation of tombstones takes inserts;
+// a tombstone lives between one and two generations.
+const tombstoneGeneration = time.Minute
+
+// tombstones is the set of released transactions, kept as two generation
+// maps: inserts go to cur, and once cur is a generation old it becomes prev
+// and the old prev is dropped whole. An insert is O(1), a tombstone survives
+// at least one generation — far longer than any straggling copy operation —
+// and memory stays bounded by two generations of releases.
+type tombstones struct {
+	cur, prev map[model.TxID]struct{}
+	since     time.Time // when cur started taking inserts
+}
+
+// add tombstones tx at time now, rotating the generations first if cur is
+// due.
+func (t *tombstones) add(tx model.TxID, now time.Time) {
+	if age := now.Sub(t.since); t.cur == nil || age >= tombstoneGeneration {
+		t.prev = t.cur
+		if age >= 2*tombstoneGeneration {
+			t.prev = nil // cur is past its second generation too
 		}
+		t.cur, t.since = make(map[model.TxID]struct{}), now
 	}
-	s.released[tx] = time.Now()
+	t.cur[tx] = struct{}{}
+}
+
+// has reports whether tx is tombstoned.
+func (t *tombstones) has(tx model.TxID) bool {
+	_, inCur := t.cur[tx]
+	_, inPrev := t.prev[tx]
+	return inCur || inPrev
 }
 
 // New attaches a site to the network and brings it online. If the WAL
@@ -309,7 +333,6 @@ func New(cfg Config) (*Site, error) {
 		tracer:      trace.New(cfg.ID, trace.Policy{}),
 		traceCfg:    cfg.Trace,
 		activeCoord: make(map[model.TxID]bool),
-		released:    make(map[model.TxID]time.Time),
 	}
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())

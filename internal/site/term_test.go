@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/wire"
 )
@@ -80,9 +81,9 @@ func TestCopyOpsReportIncarnation(t *testing.T) {
 	defer cancel()
 	tx := model.TxID{Site: "A", Seq: 60}
 	ts := model.Timestamp{Time: 1, Site: "A"}
-	res, inc, err := a.CopyBatch(ctx, "B", tx, ts, []model.Op{model.Read("x"), model.Write("y", 9)})
-	if err != nil || res[0].Err != nil || res[1].Err != nil || inc != b.Incarnation() {
-		t.Fatalf("remote copy operations = %+v, incarnation %d, %v; want %d", res, inc, err, b.Incarnation())
+	rep, err := a.CopyBatch(ctx, "B", rcp.NewSession(tx, ts), []model.Op{model.Read("x"), model.Write("y", 9)}, false)
+	if err != nil || rep.Results[0].Err != nil || rep.Results[1].Err != nil || rep.Incarnation != b.Incarnation() {
+		t.Fatalf("remote copy operations = %+v, %v; want incarnation %d", rep, err, b.Incarnation())
 	}
 	b.Decide(ctx, "B", tx, false) //nolint:errcheck // release the probe state
 }

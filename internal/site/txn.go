@@ -10,6 +10,7 @@ import (
 	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // Txn is an interactive transaction at its home site: the caller interleaves
@@ -80,6 +81,7 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 	s.mu.Unlock()
 
 	t.sess = rcp.NewSession(t.tx, t.ts)
+	t.sess.Epoch = t.catalog.Epoch
 	t.ctx, t.cancel = mergeContexts(ctx, runCtx)
 	t.act = s.tracer.Begin(t.tx)
 	t.ctx = trace.NewContext(t.ctx, t.act)
@@ -243,34 +245,42 @@ func (t *Txn) Commit() model.Outcome {
 	coordLog := s.coordLog
 	s.mu.Unlock()
 
-	// The termination electorate: participants holding writes. With the
-	// read-only optimization off every participant logs a prepared record
-	// and may carry termination state, so all of them count.
-	voters := t.sess.WriteSites()
-	if t.catalog.Protocols.NoReadOnlyOpt {
-		voters = participants
-	}
 	req := acp.Request{
-		Tx:            t.tx,
-		TS:            t.ts,
-		Coordinator:   s.id,
-		Participants:  participants,
-		Voters:        voters,
-		WritesFor:     t.sess.WritesFor,
-		NoReadOnlyOpt: t.catalog.Protocols.NoReadOnlyOpt,
+		Tx:           t.tx,
+		TS:           t.ts,
+		Coordinator:  s.id,
+		Participants: participants,
+		// The termination electorate: participants holding writes (read-only
+		// participants release at vote time and carry no termination state).
+		Voters:    t.sess.WriteSites(),
+		WritesFor: t.sess.WritesFor,
 		// The begin-time epoch, for the participants' epoch fence: a site
 		// that live-rebuilt past it refuses to prepare this transaction.
-		Epoch: t.catalog.Epoch,
+		Epoch: t.sess.Epoch,
 		// Per-site incarnations observed during copy operations, for the
 		// participants' incarnation fence.
 		IncarnationFor: t.sess.IncarnationFor,
 	}
-	// coordLog routes the decision force through the participant, which
-	// records the outcome and applies it locally under the checkpoint gate,
-	// so no separate onDecision bookkeeping is needed.
-	committed, err := t.acpProto.Commit(t.ctx, s, coordLog,
-		acp.Options{Vote: t.timeouts.Vote, Ack: t.timeouts.Ack},
-		req, nil)
+	var committed bool
+	var err error
+	if len(participants) == 1 && participants[0] == s.id && len(req.Voters) == 0 {
+		// Only the home is left of a read-only transaction (a wave that folded
+		// its remote vote into its last leg): its one vote is local, so the
+		// commit is local too — the read-only prepare's guards and release,
+		// with no protocol run around them.
+		v := s.votePrepare(wire.PrepareReq{Tx: t.tx, TS: t.ts, Coordinator: s.id, Participants: participants,
+			Epoch: req.Epoch, Incarnation: t.sess.IncarnationFor(s.id)})
+		if committed = v.Yes; !committed {
+			err = model.Abortf(model.AbortACP, "%s voted no: %s", s.id, v.Reason)
+		}
+	} else {
+		// coordLog routes the decision force through the participant, which
+		// records the outcome and applies it locally under the checkpoint
+		// gate, so no separate onDecision bookkeeping is needed.
+		committed, err = t.acpProto.Commit(t.ctx, s, coordLog,
+			acp.Options{Vote: t.timeouts.Vote, Ack: t.timeouts.Ack},
+			req, nil)
+	}
 
 	// Stray sites — attempted during quorum building but never enlisted —
 	// may hold CC state from operations that completed after the

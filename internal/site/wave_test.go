@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/model"
+	"repro/internal/rcp"
 	"repro/internal/schema"
 )
 
@@ -139,34 +140,52 @@ func TestWaveMatchesInteractive(t *testing.T) {
 	}
 }
 
-// TestWaveRoundTrips pins the message economy at 3 sites under QC: a wave
-// costs one copy round trip per remote quorum member however many operations
-// it carries, so a 4-read program is 2 round trips (batch, prepare) and 4
-// messages, and a read-write program is 3 (batch, prepare, decision).
+// TestWaveRoundTrips pins the message economy at 3 sites under majority QC,
+// for every home, CCP and ACP: a wave costs one copy round trip per remote
+// leg however many operations it carries, plus the commit protocol's phases
+// at every remote writer (prepare and decision; 3PC adds the pre-commit).
+// A 4-read program homed at A or B ships its one remote leg last, folds the
+// read-only vote into it and commits locally: 1 round trip, 2 messages.
+// Homed at C, its partner A's leg ships first and keeps its vote: 2 round
+// trips (batch, prepare) and 4 messages. A read-write program has one remote
+// leg and one remote writer; a 4-add program writes all three copies.
 func TestWaveRoundTrips(t *testing.T) {
-	c := newCluster(t, 3, defaultProtocols(), waveItems)
-	a := c.sites["A"]
-	run := func(ops ...model.Op) uint64 {
-		t.Helper()
-		before := a.Stats().RoundTrips
-		if out := a.Execute(context.Background(), ops); !out.Committed {
-			t.Fatalf("%v: %+v", ops, out)
-		}
-		return a.Stats().RoundTrips - before
-	}
+	reads := []model.Op{model.Read("w"), model.Read("x"), model.Read("y"), model.Read("z")}
+	for _, home := range []model.SiteID{"A", "B", "C"} {
+		for _, ccp := range []string{"2pl", "tso", "mvtso"} {
+			for _, acp := range []string{"2pc", "3pc"} {
+				t.Run(fmt.Sprintf("%s-%s-%s", home, ccp, acp), func(t *testing.T) {
+					c := newCluster(t, 3, schema.Protocols{RCP: "qc", CCP: ccp, ACP: acp}, waveItems)
+					s := c.sites[home]
+					run := func(ops ...model.Op) (rounds, msgs uint64) {
+						t.Helper()
+						before, sent := s.Stats().RoundTrips, c.net.Stats().Sent
+						if out := s.Execute(context.Background(), ops); !out.Committed {
+							t.Fatalf("%v: %+v", ops, out)
+						}
+						return s.Stats().RoundTrips - before, c.net.Stats().Sent - sent
+					}
+					phases := uint64(2) // prepare, decision
+					if acp == "3pc" {
+						phases = 3 // prepare, pre-commit, decision
+					}
 
-	sent := c.net.Stats().Sent
-	if rt := run(model.Read("w"), model.Read("x"), model.Read("y"), model.Read("z")); rt != 2 {
-		t.Errorf("4-read program took %d remote round trips, want 2", rt)
-	}
-	if msgs := c.net.Stats().Sent - sent; msgs != 4 {
-		t.Errorf("4-read program sent %d messages, want 4", msgs)
-	}
-	if rt := run(model.Read("x"), model.Write("y", 5)); rt != 3 {
-		t.Errorf("read-write program took %d remote round trips, want 3", rt)
-	}
-	if rt := run(model.Add("w", 1), model.Add("x", 1), model.Add("y", 1), model.Add("z", 1)); rt != 6 {
-		t.Errorf("4-add program took %d remote round trips, want 6 (batch, prepare, decision at both other sites)", rt)
+					wantRounds, wantMsgs := uint64(1), uint64(2)
+					if home == "C" {
+						wantRounds, wantMsgs = 2, 4
+					}
+					if rt, msgs := run(reads...); rt != wantRounds || msgs != wantMsgs {
+						t.Errorf("4-read program: %d round trips, %d messages; want %d and %d", rt, msgs, wantRounds, wantMsgs)
+					}
+					if rt, _ := run(model.Read("x"), model.Write("y", 5)); rt != 1+phases {
+						t.Errorf("read-write program: %d round trips, want %d", rt, 1+phases)
+					}
+					if rt, _ := run(model.Add("w", 1), model.Add("x", 1), model.Add("y", 1), model.Add("z", 1)); rt != 2+2*phases {
+						t.Errorf("4-add program: %d round trips, want %d", rt, 2+2*phases)
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -306,8 +325,8 @@ func TestWaveForReleasedTxRefusedWithoutQueuing(t *testing.T) {
 	tx := model.TxID{Site: "A", Seq: 99}
 	b.tombstone(tx)
 	start := time.Now()
-	_, _, err := a.CopyBatch(context.Background(), "B", tx, model.Timestamp{Time: 2, Site: "A"},
-		[]model.Op{model.Write("w", 1), model.Write("x", 2)})
+	_, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(tx, model.Timestamp{Time: 2, Site: "A"}),
+		[]model.Op{model.Write("w", 1), model.Write("x", 2)}, false)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("batch for a released transaction: %v, want a CC refusal", err)
 	}

@@ -98,8 +98,7 @@ type Record struct {
 	Coordinator  model.SiteID
 	Participants []model.SiteID
 	// Voters lists the termination electorate (RecPrepared, 3PC): the
-	// cohort members that hold writes (or all participants when the
-	// read-only optimization is off). Quorum-based termination counts its
+	// cohort members that hold writes. Quorum-based termination counts its
 	// majorities over this set — read-only participants release at vote
 	// time and must not dilute the quorum arithmetic.
 	Voters []model.SiteID `json:",omitempty"`

@@ -438,7 +438,7 @@ func (b *PrepareReq) AppendTo(buf []byte) []byte {
 		buf = appendString(buf, string(s))
 	}
 	buf = appendBool(buf, b.ThreePhase)
-	buf = appendBool(buf, b.NoReadOnlyOpt)
+	buf = appendBool(buf, false) // reserved: the retired read-only-optimization ablation flag
 	buf = appendUvarint(buf, b.Epoch)
 	buf = appendUvarint(buf, uint64(len(b.Voters)))
 	for _, s := range b.Voters {
@@ -479,7 +479,7 @@ func (b *PrepareReq) DecodeFrom(p []byte) error {
 		b.Participants = nil
 	}
 	b.ThreePhase = r.bool()
-	b.NoReadOnlyOpt = r.bool()
+	r.bool() // reserved (see AppendTo)
 	b.Epoch = r.uvarint()
 	if n := r.count(); n > 0 {
 		b.Voters = make([]model.SiteID, n)
@@ -815,7 +815,8 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
+	// Version 2 appended the read-only fold's Final flag and Epoch.
+	buf = append(buf, 2)
 	buf = appendTx(buf, b.Tx)
 	buf = appendTS(buf, b.TS)
 	buf = appendUvarint(buf, uint64(len(b.Ops)))
@@ -824,12 +825,13 @@ func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
 		buf = appendString(buf, string(op.Item))
 		buf = appendVarint(buf, op.Value)
 	}
-	return buf
+	buf = appendBool(buf, b.Final)
+	return appendUvarint(buf, b.Epoch)
 }
 
 func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	v := r.version()
 	b.Tx = r.tx()
 	b.TS = r.ts()
 	if n := r.count(); n > 0 {
@@ -844,13 +846,18 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 	} else {
 		b.Ops = nil
 	}
+	if v >= 2 {
+		b.Final = r.bool()
+		b.Epoch = r.uvarint()
+	}
 	return r.err
 }
 
 func (b *CopyBatchResp) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
+	// Version 2 appended Released (the read-only fold's answer).
+	buf = append(buf, 2)
 	buf = appendUvarint(buf, uint64(len(b.Results)))
 	for _, res := range b.Results {
 		buf = appendVarint(buf, res.Value)
@@ -859,12 +866,13 @@ func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
 		buf = appendString(buf, res.Reason)
 	}
 	buf = appendUvarint(buf, b.Clock)
-	return appendUvarint(buf, b.Incarnation)
+	buf = appendUvarint(buf, b.Incarnation)
+	return appendBool(buf, b.Released)
 }
 
 func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	v := r.version()
 	if n := r.count(); n > 0 {
 		b.Results = make([]CopyResult, n)
 		for i := range b.Results {
@@ -880,6 +888,9 @@ func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	}
 	b.Clock = r.uvarint()
 	b.Incarnation = r.uvarint()
+	if v >= 2 {
+		b.Released = r.bool()
+	}
 	return r.err
 }
 

@@ -30,12 +30,11 @@ func filledBodies() []wire.Body {
 				{Item: "a", Value: 1, Version: 2},
 				{Item: "b", Value: -3, Version: 4, Delta: true},
 			},
-			Participants:  []model.SiteID{"S1", "S2", "S3"},
-			ThreePhase:    true,
-			NoReadOnlyOpt: true,
-			Epoch:         6,
-			Voters:        []model.SiteID{"S1", "S3"},
-			Incarnation:   2,
+			Participants: []model.SiteID{"S1", "S2", "S3"},
+			ThreePhase:   true,
+			Epoch:        6,
+			Voters:       []model.SiteID{"S1", "S3"},
+			Incarnation:  2,
 		},
 		&wire.VoteResp{Yes: true, ReadOnly: true, Reason: "read-only participant"},
 		&wire.PreCommitReq{Tx: tx},
@@ -67,15 +66,41 @@ func filledBodies() []wire.Body {
 			{Kind: model.OpRead, Item: "a"},
 			{Kind: model.OpWrite, Item: "b", Value: -5},
 			{Kind: model.OpAdd, Item: "c", Value: 1 << 33},
-		}},
+		}, Final: true, Epoch: 12},
 		&wire.CopyBatchResp{
 			Results: []wire.CopyResult{
 				{Value: -9, Version: 4},
 				{Cause: model.AbortCC, Reason: "lock timeout on b"},
 				{Reason: "not run"},
 			},
-			Clock: 101, Incarnation: 6,
+			Clock: 101, Incarnation: 6, Released: true,
 		},
+	}
+}
+
+// TestCopyBatchVersion1Decodes: version-1 CopyBatch bodies — from a peer that
+// predates the read-only fold — still decode, with the fold's trailing fields
+// at their zero values (not final, not released).
+func TestCopyBatchVersion1Decodes(t *testing.T) {
+	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Read("a")}, Final: true, Epoch: 9}
+	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true}
+	for _, c := range []struct {
+		body    wire.Body
+		trailer int // encoded bytes of the version-2 fields
+		want    wire.Body
+	}{
+		{req, 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
+		{resp, 1, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
+	} {
+		enc := c.body.AppendTo(nil)
+		v1 := append([]byte{1}, enc[1:len(enc)-c.trailer]...)
+		got := reflect.New(reflect.TypeOf(c.body).Elem()).Interface().(wire.Body)
+		if err := got.DecodeFrom(v1); err != nil {
+			t.Fatalf("%T: version-1 decode: %v", c.body, err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%T: version-1 decode = %+v, want %+v", c.body, got, c.want)
+		}
 	}
 }
 

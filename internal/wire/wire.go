@@ -330,6 +330,17 @@ type CopyBatchReq struct {
 	Tx  model.TxID
 	TS  model.Timestamp
 	Ops []model.Op
+	// Final marks the last leg of a read-only one-shot wave, shipped only
+	// after every earlier leg succeeded: its admission is the transaction's
+	// lock point. Once every operation succeeded, the site runs the read-only
+	// vote's guards (Epoch against its epoch fence, the release tombstone),
+	// releases the transaction's CC state and answers Released, so the home
+	// leaves it out of the commit protocol; a failed guard refuses the batch
+	// with an ACP abort.
+	Final bool
+	// Epoch is the catalog epoch the transaction began under (Final batches
+	// only; see PrepareReq.Epoch).
+	Epoch uint64
 }
 
 // CopyResult is one operation's outcome inside a CopyBatchResp: the copy's
@@ -373,6 +384,9 @@ type CopyBatchResp struct {
 	// between these operations and the prepare rejects the prepare exactly —
 	// its CC protection for them died with the old incarnation.
 	Incarnation uint64
+	// Released answers a Final batch: the site already released the
+	// transaction and takes no part in its commit protocol.
+	Released bool
 }
 
 // ReleaseTxReq tells a participant to discard all CC state for an aborted
@@ -394,9 +408,6 @@ type PrepareReq struct {
 	Participants []model.SiteID
 	// ThreePhase selects the 3PC state machine on the participant.
 	ThreePhase bool
-	// NoReadOnlyOpt disables the read-only participant optimization for
-	// this transaction (ablation knob).
-	NoReadOnlyOpt bool
 	// Epoch is the catalog epoch the transaction began under. A
 	// participant whose stack was rebuilt live at a newer epoch votes no:
 	// the rebuild discarded CC state exactly like a crash, so a pre-bump
@@ -404,8 +415,7 @@ type PrepareReq struct {
 	// conflicting writers onto one version (the epoch fence).
 	Epoch uint64
 	// Voters is the 3PC termination electorate: the cohort members that
-	// hold writes (all participants when the read-only optimization is
-	// off). Quorum termination counts majorities over this fixed set;
+	// hold writes. Quorum termination counts majorities over this fixed set;
 	// read-only participants release at vote time and hold no termination
 	// state, so counting them would let a quorum form that cannot
 	// intersect the pre-commit quorum. Empty for 2PC.
