@@ -1044,7 +1044,7 @@ func (tb *termBench) PreCommit(_ context.Context, site model.SiteID, tx model.Tx
 	return tb.participants[site].HandlePreCommit(tx)
 }
 
-func (tb *termBench) Decide(_ context.Context, site model.SiteID, tx model.TxID, commit bool) error {
+func (tb *termBench) Decide(_ context.Context, site model.SiteID, tx model.TxID, commit, _ bool) error {
 	if tb.dropDecisions.Load() {
 		return fmt.Errorf("decision dropped")
 	}
@@ -1116,10 +1116,11 @@ func BenchmarkThreePCTermination(b *testing.B) {
 		log := wal.NewMemory()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			commit, err := (acp.ThreePC{}).Commit(context.Background(), tb, log, opts, request(tb, uint64(i+1)), nil)
+			commit, tail, err := (acp.ThreePC{}).Commit(context.Background(), tb, log, opts, request(tb, uint64(i+1)), nil)
 			if err != nil || !commit {
 				b.Fatalf("commit = %v, %v", commit, err)
 			}
+			tail(context.Background(), false)
 		}
 	})
 
@@ -1132,10 +1133,11 @@ func BenchmarkThreePCTermination(b *testing.B) {
 			// The decision broadcast is lost (coordinator crash after the
 			// pre-commit round): every member is left in doubt.
 			tb.dropDecisions.Store(true)
-			commit, err := (acp.ThreePC{}).Commit(context.Background(), tb, log, opts, req, nil)
+			commit, tail, err := (acp.ThreePC{}).Commit(context.Background(), tb, log, opts, req, nil)
 			if err != nil || !commit {
 				b.Fatalf("commit = %v, %v", commit, err)
 			}
+			tail(context.Background(), false)
 			tb.dropDecisions.Store(false)
 			// The coordinator stays down; a surviving member terminates.
 			tb.down[req.Coordinator].Store(true)

@@ -79,13 +79,16 @@ type Cohort interface {
 	// electorate acked (the commit quorum any later termination must
 	// intersect).
 	PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error
-	// Decide delivers the final decision and waits for its ack.
-	Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error
+	// Decide delivers the final decision and waits for its ack. lazy says
+	// the coordinator has already replied, so the participant may force its
+	// decision record lazily (wal.Record.Lazy).
+	Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit, lazy bool) error
 	// End tells a participant the whole cohort acknowledged the decision,
 	// so it may retire its decision-table entry. Best-effort and
-	// fire-and-forget: the coordinator is the resort of record (it retains
-	// its own entry until every ack is in), so a lost end message costs
-	// only a lingering table entry, never a wrong resolution.
+	// fire-and-forget (it waits for no reply): the coordinator is the resort
+	// of record (it retains its own entry until every ack is in), so a lost
+	// end message costs only a lingering table entry, never a wrong
+	// resolution.
 	End(ctx context.Context, site model.SiteID, tx model.TxID) error
 }
 
@@ -138,13 +141,35 @@ type Protocol interface {
 	Name() string
 	// ThreePhase reports whether participants should run the 3PC machine.
 	ThreePhase() bool
-	// Commit drives the protocol to a decision. It returns the decision
+	// Commit drives the protocol to a decision and returns as soon as the
+	// decision record is forced — the commit point. It returns the decision
 	// (true = commit); a false decision is accompanied by an error carrying
 	// the abort cause. onDecision fires exactly once, immediately after the
 	// decision is logged and before it is propagated, so the caller can
 	// serve decision requests for recovering participants.
-	Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(commit bool)) (bool, error)
+	//
+	// What remains is returned as the tail, which the caller must run
+	// exactly once, before or after it reports the outcome (see Tail). The
+	// tail is nil when nothing remains: a read-only commit, an unresolved
+	// (ErrInDoubt) outcome, or a failed decision force.
+	Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(commit bool)) (commit bool, tail Tail, err error)
 }
+
+// Tail finishes a decided transaction: it delivers the decision to the
+// phase-2 cohort and collects the acknowledgements, forces the end record
+// once every member acknowledged, and tells the cohort it may retire its
+// decision entry. It reports whether every member acknowledged; when one did
+// not, the decision stays in the coordinator's table and that member learns
+// it through a decision request (2PC) or quorum termination (3PC), exactly as
+// if the coordinator had crashed right after the decision force.
+//
+// None of it decides anything, so a caller may report the outcome before
+// running the tail; it then passes lazy, and the tail's forces — the end
+// record here, the decision records at the participants — become Lazy
+// records that ride other appends' force-write cycles. ctx must outlive the
+// transaction (the tail records no trace spans); each wait in it is bounded
+// by Options.Ack.
+type Tail func(ctx context.Context, lazy bool) (allAcked bool)
 
 // New constructs a protocol by name.
 func New(name string) (Protocol, error) {

@@ -78,7 +78,7 @@ func (f *fakeCohort) PreCommit(ctx context.Context, site model.SiteID, tx model.
 	return p.HandlePreCommit(tx)
 }
 
-func (f *fakeCohort) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error {
+func (f *fakeCohort) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit, lazy bool) error {
 	f.mu.Lock()
 	f.decisions++
 	blocked := f.down[site] || f.dropDecision[site]
@@ -183,11 +183,21 @@ func TestStateName(t *testing.T) {
 	}
 }
 
+// commitInline runs the protocol and then its tail before returning, the
+// way a caller that reports the outcome only after phase 2 does.
+func commitInline(proto Protocol, f *fakeCohort, log wal.Log, req Request, onDecision func(bool)) (bool, error) {
+	commit, tail, err := proto.Commit(context.Background(), f, log, testOpts, req, onDecision)
+	if tail != nil {
+		tail(context.Background(), false)
+	}
+	return commit, err
+}
+
 func runProtocol(t *testing.T, proto Protocol, f *fakeCohort, req Request) (bool, error) {
 	t.Helper()
 	log := wal.NewMemory()
 	var recorded *bool
-	commit, err := proto.Commit(context.Background(), f, log, testOpts, req, func(c bool) { recorded = &c })
+	commit, err := commitInline(proto, f, log, req, func(c bool) { recorded = &c })
 	if recorded == nil {
 		t.Error("onDecision not invoked")
 	} else if *recorded != commit {
@@ -292,7 +302,7 @@ func TestCoordinatorLogsDecisionBeforeBroadcast(t *testing.T) {
 	log := wal.NewMemory()
 	req := request("S1")
 	decided := false
-	_, err := (TwoPC{}).Commit(context.Background(), f, log, testOpts, req, func(commit bool) {
+	_, err := commitInline(TwoPC{}, f, log, req, func(commit bool) {
 		decided = true
 		// At decision time the decision record must already be durable.
 		recs, _ := log.ReadAll()
@@ -322,7 +332,7 @@ func TestNoEndRecordWhenAckMissing(t *testing.T) {
 	f.add("S2", newApplier())
 	f.dropDecision["S2"] = true
 	log := wal.NewMemory()
-	commit, err := (TwoPC{}).Commit(context.Background(), f, log, testOpts, request("S1", "S2"), nil)
+	commit, err := commitInline(TwoPC{}, f, log, request("S1", "S2"), nil)
 	if err != nil || !commit {
 		t.Fatalf("commit failed: %v", err)
 	}
@@ -331,6 +341,71 @@ func TestNoEndRecordWhenAckMissing(t *testing.T) {
 		if r.Type == wal.RecEnd {
 			t.Error("RecEnd written although an ack is missing")
 		}
+	}
+}
+
+// Commit returns at the forced decision: no Decide has been sent and no end
+// record written until the caller runs the tail, which then does all of
+// phase 2 and reports the full ack.
+func TestCommitReturnsAtDecisionForce(t *testing.T) {
+	for _, proto := range []Protocol{TwoPC{}, ThreePC{}} {
+		t.Run(proto.Name(), func(t *testing.T) {
+			f := newFakeCohort()
+			appliers := map[model.SiteID]*fakeApplier{"S1": newApplier(), "S2": newApplier()}
+			for s, a := range appliers {
+				f.add(s, a)
+			}
+			log := wal.NewMemory()
+			req := request("S1", "S2")
+			req.Voters = req.Participants
+			commit, tail, err := proto.Commit(context.Background(), f, log, testOpts, req, nil)
+			if err != nil || !commit || tail == nil {
+				t.Fatalf("commit = %v, tail = %v, err = %v", commit, tail != nil, err)
+			}
+			recs, _ := log.ReadAll()
+			if last := recs[len(recs)-1]; last.Type != wal.RecDecision || !last.Commit {
+				t.Fatalf("last record at return = %v, want the commit decision", last.Type)
+			}
+			if f.decisions != 0 || appliers["S2"].wasCommitted(req.Tx) {
+				t.Fatalf("phase 2 ran before the tail: %d decisions sent", f.decisions)
+			}
+			if !tail(context.Background(), false) {
+				t.Fatal("tail reports a missing ack")
+			}
+			if f.decisions != 2 || f.ends != 2 || !appliers["S2"].wasCommitted(req.Tx) {
+				t.Errorf("after the tail: %d decisions, %d ends, S2 committed %v", f.decisions, f.ends, appliers["S2"].wasCommitted(req.Tx))
+			}
+			recs, _ = log.ReadAll()
+			if recs[len(recs)-1].Type != wal.RecEnd {
+				t.Errorf("last record after the tail = %v, want end", recs[len(recs)-1].Type)
+			}
+		})
+	}
+}
+
+// A tail whose Decide is dropped reports the missing ack and leaves the
+// decision unretired; a read-only commit has no tail at all.
+func TestTailReportsMissingAck(t *testing.T) {
+	f := newFakeCohort()
+	f.add("S1", newApplier())
+	f.add("S2", newApplier())
+	f.dropDecision["S2"] = true
+	_, tail, err := (TwoPC{}).Commit(context.Background(), f, wal.NewMemory(), testOpts, request("S1", "S2"), nil)
+	if err != nil || tail == nil {
+		t.Fatalf("tail = %v, err = %v", tail != nil, err)
+	}
+	if tail(context.Background(), false) {
+		t.Error("tail reports every ack although S2's Decide was dropped")
+	}
+	if f.ends != 0 {
+		t.Errorf("%d end messages sent without the full ack", f.ends)
+	}
+
+	ro := request("S1")
+	ro.Tx.Seq = 2
+	ro.WritesFor = func(model.SiteID) []model.WriteRecord { return nil }
+	if _, tail, err := (TwoPC{}).Commit(context.Background(), f, wal.NewMemory(), testOpts, ro, nil); err != nil || tail != nil {
+		t.Errorf("read-only commit: tail = %v, err = %v", tail != nil, err)
 	}
 }
 
@@ -866,9 +941,12 @@ func TestThreePCNoPreCommitQuorumLeavesInDoubt(t *testing.T) {
 	req := request("S1", "S2", "S3")
 	req.Voters = []model.SiteID{"S1", "S2", "S3"}
 	log := wal.NewMemory()
-	commit, err := (ThreePC{}).Commit(context.Background(), f, log, testOpts, req, nil)
+	commit, tail, err := (ThreePC{}).Commit(context.Background(), f, log, testOpts, req, nil)
 	if commit {
 		t.Fatal("committed without a pre-commit quorum")
+	}
+	if tail != nil {
+		t.Error("an unresolved outcome came with a tail")
 	}
 	if !errors.Is(err, ErrInDoubt) {
 		t.Fatalf("err = %v, want ErrInDoubt", err)

@@ -306,7 +306,7 @@ func (p *Participant) HandleTermQuery(tx model.TxID, ballot model.Ballot) wire.T
 	st, ok := p.states[tx]
 	if !ok {
 		p.mu.Unlock()
-		if err := p.decide(tx, false, true); err != nil {
+		if err := p.decide(tx, false, true, false); err != nil {
 			return wire.TermQueryResp{Accepted: false}
 		}
 		return wire.TermQueryResp{Decided: true, Commit: false}
@@ -393,9 +393,20 @@ func (p *Participant) HandlePreDecide(tx model.TxID, ballot model.Ballot, commit
 // participant half). The force-write and the install happen under the
 // checkpoint gate as one unit.
 func (p *Participant) HandleDecision(tx model.TxID, commit bool) error {
+	return p.handleDecision(tx, commit, false)
+}
+
+// HandleLazyDecision is HandleDecision for a decision whose coordinator has
+// already replied to its client: only the coordinator's commit tail waits
+// for this ack, so the decision record is forced lazily (wal.Record.Lazy).
+func (p *Participant) HandleLazyDecision(tx model.TxID, commit bool) error {
+	return p.handleDecision(tx, commit, true)
+}
+
+func (p *Participant) handleDecision(tx model.TxID, commit, lazy bool) error {
 	p.gateRLock()
 	defer p.gateRUnlock()
-	return p.decide(tx, commit, true)
+	return p.decide(tx, commit, true, lazy)
 }
 
 // ForceDecision is the coordinator's half of the WAL decision rule: it
@@ -416,7 +427,7 @@ func (p *Participant) ForceDecision(rec wal.Record) error {
 	if err := p.log.Append(rec); err != nil {
 		return err
 	}
-	p.decide(rec.Tx, rec.Commit, false) //nolint:errcheck
+	p.decide(rec.Tx, rec.Commit, false, false) //nolint:errcheck
 	return nil
 }
 
@@ -467,9 +478,9 @@ func (p *Participant) endedLocked(tx model.TxID) (commit, ok bool) {
 }
 
 // decide installs an outcome exactly once. logIt selects whether a decision
-// record still needs forcing (false when the caller already forced one).
-// Callers hold the checkpoint gate.
-func (p *Participant) decide(tx model.TxID, commit bool, logIt bool) error {
+// record still needs forcing (false when the caller already forced one), and
+// lazy whether that record is Lazy. Callers hold the checkpoint gate.
+func (p *Participant) decide(tx model.TxID, commit, logIt, lazy bool) error {
 	p.mu.Lock()
 	st, hasState := p.states[tx]
 	_, decided := p.decisions[tx]
@@ -485,7 +496,7 @@ func (p *Participant) decide(tx model.TxID, commit bool, logIt bool) error {
 	// Log before applying; Store.Apply is version-guarded so replay after a
 	// crash between these two steps is idempotent.
 	if logIt && !decided {
-		if err := p.log.Append(wal.Record{Type: wal.RecDecision, Tx: tx, Commit: commit}); err != nil {
+		if err := p.log.Append(wal.Record{Type: wal.RecDecision, Tx: tx, Commit: commit, Lazy: lazy}); err != nil {
 			return err
 		}
 	}
@@ -703,7 +714,12 @@ func (p *Participant) Resolve(ctx context.Context, r Resolver, tx model.TxID) bo
 	threePhase := st.req.ThreePhase
 	p.mu.Unlock()
 
-	if known, commit, err := r.QueryDecision(ctx, req.Coordinator, tx, threePhase); err == nil && known {
+	// The coordinator gets half the budget: a silent one (crashed or cut
+	// off) must not leave quorum termination without the time to run.
+	qctx, cancel := halfBudget(ctx)
+	known, commit, err := r.QueryDecision(qctx, req.Coordinator, tx, threePhase)
+	cancel()
+	if err == nil && known {
 		p.HandleDecision(tx, commit) //nolint:errcheck
 		return true
 	}
@@ -730,6 +746,15 @@ func (p *Participant) Resolve(ctx context.Context, r Resolver, tx model.TxID) bo
 		return false // blocked: an orphan
 	}
 	return p.terminateQuorum(ctx, r, tx, req)
+}
+
+// halfBudget bounds a first step to half of what is left of ctx's deadline.
+func halfBudget(ctx context.Context) (context.Context, context.CancelFunc) {
+	deadline, ok := ctx.Deadline()
+	if !ok {
+		return context.WithCancel(ctx)
+	}
+	return context.WithTimeout(ctx, time.Until(deadline)/2)
 }
 
 // terminateQuorum runs quorum-based (E3PC-style) termination for an
@@ -778,7 +803,11 @@ func (p *Participant) terminateQuorum(ctx context.Context, r Resolver, tx model.
 	ballot := model.Ballot{N: n, Site: p.self}
 
 	// Election: collect promises and states from the electorate (self
-	// included, via the resolver's loopback).
+	// included, via the resolver's loopback). Every reachable voter answers
+	// at once; a silent one may cost half the remaining budget, not all of
+	// it, or the pre-decision round would have none left.
+	ectx, cancel := halfBudget(ctx)
+	defer cancel()
 	type reply struct {
 		resp wire.TermQueryResp
 		err  error
@@ -786,7 +815,7 @@ func (p *Participant) terminateQuorum(ctx context.Context, r Resolver, tx model.
 	replies := make(chan reply, len(voters))
 	for _, site := range voters {
 		go func(site model.SiteID) {
-			resp, err := r.QueryTermination(ctx, site, tx, ballot)
+			resp, err := r.QueryTermination(ectx, site, tx, ballot)
 			replies <- reply{resp: resp, err: err}
 		}(site)
 	}
@@ -843,8 +872,13 @@ func (p *Participant) terminateQuorum(ctx context.Context, r Resolver, tx model.
 			acks <- ack{resp: resp, err: err}
 		}(site)
 	}
+	// A quorum of forced pre-decisions decides; a silent voter's ack is not
+	// waited for past it.
 	got := 0
 	for range voters {
+		if got >= quorum {
+			break
+		}
 		a := <-acks
 		if a.err != nil {
 			continue

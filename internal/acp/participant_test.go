@@ -48,6 +48,27 @@ func TestForceEndRetiresDecision(t *testing.T) {
 	}
 }
 
+// TestLazyDecisionRecord: a decision delivered after the coordinator's reply
+// is logged as a Lazy record; one delivered on the client path is not.
+func TestLazyDecisionRecord(t *testing.T) {
+	log := wal.NewMemory()
+	p := NewParticipant("S2", log, newApplier())
+	for seq, lazy := range map[uint64]bool{1: true, 2: false} {
+		tx := model.TxID{Site: "S1", Seq: seq}
+		handle := p.HandleDecision
+		if lazy {
+			handle = p.HandleLazyDecision
+		}
+		if err := handle(tx, true); err != nil {
+			t.Fatal(err)
+		}
+		recs, _ := log.ReadAll()
+		if last := recs[len(recs)-1]; last.Type != wal.RecDecision || last.Tx != tx || last.Lazy != lazy {
+			t.Errorf("decision for %s logged as %+v, want lazy %v", tx, last, lazy)
+		}
+	}
+}
+
 // TestRestoreDecisionsReplaysRetirement: WAL replay must retire decisions
 // whose end record is retained, and keep those without one.
 func TestRestoreDecisionsReplaysRetirement(t *testing.T) {

@@ -30,7 +30,7 @@ func (ThreePC) Name() string { return "3pc" }
 func (ThreePC) ThreePhase() bool { return true }
 
 // Commit implements Protocol.
-func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(bool)) (bool, error) {
+func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(bool)) (bool, Tail, error) {
 	opts = opts.withDefaults()
 	act := trace.FromContext(ctx)
 	prep := act.StartSpan(trace.StagePrepare, "3pc votes")
@@ -41,26 +41,24 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	}
 
 	if !commit {
-		dec := act.StartSpan(trace.StageDecide, "3pc abort")
-		defer dec.End()
 		// No pre-commit was ever sent, so no quorum termination can reach
 		// a commit pre-decision (commit needs a pre-committed member at
 		// the highest ballot, and none exists at any): the abort is safe
 		// to decide unilaterally, exactly like 2PC's vote-phase abort.
-		if err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: false}); err != nil {
-			return false, fmt.Errorf("acp: 3pc decision log: %w", err)
+		dec := act.StartSpan(trace.StageDecide, "3pc abort")
+		err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: false})
+		dec.End()
+		if err != nil {
+			return false, nil, fmt.Errorf("acp: 3pc decision log: %w", err)
 		}
 		if onDecision != nil {
 			onDecision(false)
 		}
-		if broadcastDecision(ctx, c, opts, req, cohort, false) {
-			log.Append(wal.Record{Type: wal.RecEnd, Tx: req.Tx}) //nolint:errcheck
-			broadcastEnd(ctx, c, opts, req, cohort)
-		}
+		tail := newTail(c, log, opts, req, cohort, false)
 		if voteErr != nil {
-			return false, voteErr
+			return false, tail, voteErr
 		}
-		return false, model.Abortf(model.AbortACP, "3pc: aborted")
+		return false, tail, model.Abortf(model.AbortACP, "3pc: aborted")
 	}
 
 	// Phase 2: pre-commit broadcast. An ack means the participant FORCED
@@ -69,7 +67,6 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	// quorum is counted over the cohort. The pre-commit round is part of
 	// reaching the decision, so it falls under the decide span.
 	dec := act.StartSpan(trace.StageDecide, "3pc pre-commit+decision")
-	defer dec.End()
 	acked := broadcastPreCommit(ctx, c, opts, req, cohort)
 	if quorum := len(cohort)/2 + 1; acked < quorum {
 		// The commit quorum did not form — and an abort cannot be decided
@@ -77,20 +74,19 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 		// later termination election to commit. The outcome belongs to
 		// quorum termination now; the caller must leave the cohort's
 		// prepared state alone.
-		return false, ErrInDoubt
+		dec.End()
+		return false, nil, ErrInDoubt
 	}
 
-	if err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: true}); err != nil {
-		return false, fmt.Errorf("acp: 3pc decision log: %w", err)
+	err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: true})
+	dec.End()
+	if err != nil {
+		return false, nil, fmt.Errorf("acp: 3pc decision log: %w", err)
 	}
 	if onDecision != nil {
 		onDecision(true)
 	}
-	if broadcastDecision(ctx, c, opts, req, cohort, true) {
-		log.Append(wal.Record{Type: wal.RecEnd, Tx: req.Tx}) //nolint:errcheck
-		broadcastEnd(ctx, c, opts, req, cohort)
-	}
-	return true, nil
+	return true, newTail(c, log, opts, req, cohort, true), nil
 }
 
 // broadcastPreCommit fans the pre-commit out to the cohort and reports how

@@ -23,7 +23,7 @@ func (TwoPC) Name() string { return "2pc" }
 func (TwoPC) ThreePhase() bool { return false }
 
 // Commit implements Protocol.
-func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(bool)) (bool, error) {
+func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(bool)) (bool, Tail, error) {
 	opts = opts.withDefaults()
 	act := trace.FromContext(ctx)
 	prep := act.StartSpan(trace.StagePrepare, "2pc votes")
@@ -37,32 +37,23 @@ func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, re
 	// Force the decision record — the commit point. Under presumed abort an
 	// abort decision need not be forced, but logging it keeps the decision
 	// table complete for decision-request serving.
-	if err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: commit}); err != nil {
-		dec.End()
-		return false, fmt.Errorf("acp: 2pc decision log: %w", err)
+	err := log.Append(wal.Record{Type: wal.RecDecision, Tx: req.Tx, Commit: commit})
+	dec.End()
+	if err != nil {
+		return false, nil, fmt.Errorf("acp: 2pc decision log: %w", err)
 	}
 	if onDecision != nil {
 		onDecision(commit)
 	}
 
-	allAcked := broadcastDecision(ctx, c, opts, req, cohort, commit)
-	dec.End()
-	if allAcked {
-		// All phase-2 participants acknowledged: no recovery work remains.
-		// The end record retires the coordinator's decision entry (via the
-		// site's ForceEnd routing), and the end round lets the cohort retire
-		// theirs, so checkpoints stop mirroring the dead decision.
-		log.Append(wal.Record{Type: wal.RecEnd, Tx: req.Tx}) //nolint:errcheck
-		broadcastEnd(ctx, c, opts, req, cohort)
-	}
-
+	tail := newTail(c, log, opts, req, cohort, commit)
 	if commit {
-		return true, nil
+		return true, tail, nil
 	}
 	if voteErr != nil {
-		return false, voteErr
+		return false, tail, voteErr
 	}
-	return false, model.Abortf(model.AbortACP, "2pc: aborted")
+	return false, tail, model.Abortf(model.AbortACP, "2pc: aborted")
 }
 
 // commitReadOnly finishes a transaction whose participants ALL voted
@@ -71,11 +62,11 @@ func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, re
 // outcome. The decision is therefore neither logged nor entered in the
 // decision table (the end record would retire it in the same breath) — a
 // read-only transaction leaves the coordinator's WAL untouched.
-func commitReadOnly(onDecision func(bool)) (bool, error) {
+func commitReadOnly(onDecision func(bool)) (bool, Tail, error) {
 	if onDecision != nil {
 		onDecision(true)
 	}
-	return true, nil
+	return true, nil, nil
 }
 
 // collectVotes runs phase 1 concurrently and reports the decision plus the
@@ -139,32 +130,43 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 	return commit, cohort, cause
 }
 
-// broadcastEnd fans the cohort-fully-acknowledged signal out to the
-// participants, fire-and-forget: the goroutines detach from the caller's
-// context (the transaction is already committed and its context may die
-// with it) and each send is bounded by the ack timeout. Losses are
-// harmless — see Cohort.End.
+// newTail is both protocols' phase 2 after the forced decision (see Tail).
+func newTail(c Cohort, log wal.Log, opts Options, req Request, cohort []model.SiteID, commit bool) Tail {
+	return func(ctx context.Context, lazy bool) bool {
+		if !broadcastDecision(ctx, c, opts, req, cohort, commit, lazy) {
+			return false
+		}
+		// All phase-2 participants acknowledged: no recovery work remains.
+		// The end record retires the coordinator's decision entry (via the
+		// site's ForceEnd routing), and the end round lets the cohort retire
+		// theirs, so checkpoints stop mirroring the dead decision.
+		log.Append(wal.Record{Type: wal.RecEnd, Tx: req.Tx, Lazy: lazy}) //nolint:errcheck
+		broadcastEnd(ctx, c, opts, req, cohort)
+		return true
+	}
+}
+
+// broadcastEnd sends the cohort-fully-acknowledged signal to the
+// participants; each send is bounded by the ack timeout and nothing waits
+// for a reply. Losses are harmless — see Cohort.End.
 func broadcastEnd(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID) {
-	base := context.WithoutCancel(ctx)
 	for _, site := range cohort {
-		go func(site model.SiteID) {
-			ectx, cancel := context.WithTimeout(base, opts.Ack)
-			defer cancel()
-			c.End(ectx, site, req.Tx) //nolint:errcheck // best-effort
-		}(site)
+		ectx, cancel := context.WithTimeout(ctx, opts.Ack)
+		c.End(ectx, site, req.Tx) //nolint:errcheck // best-effort
+		cancel()
 	}
 }
 
 // broadcastDecision runs phase 2 concurrently over the voting cohort,
 // reporting whether every member acknowledged. Unacknowledged members
 // resolve later via decision requests.
-func broadcastDecision(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID, commit bool) bool {
+func broadcastDecision(ctx context.Context, c Cohort, opts Options, req Request, cohort []model.SiteID, commit, lazy bool) bool {
 	acked := make(chan bool, len(cohort))
 	for _, site := range cohort {
 		go func(site model.SiteID) {
 			actx, cancel := context.WithTimeout(ctx, opts.Ack)
 			defer cancel()
-			acked <- c.Decide(actx, site, req.Tx, commit) == nil
+			acked <- c.Decide(actx, site, req.Tx, commit, lazy) == nil
 		}(site)
 	}
 	all := true

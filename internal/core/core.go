@@ -128,8 +128,10 @@ func New(opts Options) (*Instance, error) {
 	return in, nil
 }
 
-// Close shuts the instance down.
+// Close shuts the instance down. Every site's commit tails drain before
+// any site closes, so no tail meets a peer that is already gone.
 func (in *Instance) Close() {
+	in.waitTails()
 	for _, st := range in.sites {
 		st.Close()
 	}
@@ -273,6 +275,13 @@ func (in *Instance) Report() monitor.Report {
 		CodecBinary: ns.CodecBinary, CodecGob: ns.CodecGob,
 	}
 	return rep
+}
+
+// waitTails blocks until no site has a commit tail in flight.
+func (in *Instance) waitTails() {
+	for _, st := range in.sites {
+		st.WaitTails()
+	}
 }
 
 // ResetStats zeroes all site statistics and network counters, starting a

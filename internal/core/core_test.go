@@ -92,22 +92,29 @@ func TestReportAndRender(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	in := newInstance(t, Options{})
 	in.RunWorkload(context.Background(), wlg.Profile{Transactions: 10})
-	// A committed writer's end-of-transaction casts are fire-and-forget and
-	// may still be in flight when the workload returns: let the network go
-	// quiet first, or a late delivery lands in the fresh window.
-	for quiet, deadline := 0, time.Now().Add(2*time.Second); quiet < 3 && time.Now().Before(deadline); {
-		st := in.Net.Stats()
-		if st.Sent == st.Delivered+st.Dropped {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	// A committed writer's phase 2 runs after its reply and may still be in
+	// flight when the workload returns: drain it first, or a late delivery
+	// lands in the fresh window.
+	settle(t, in)
 	in.ResetStats()
 	rep := in.Report()
 	if rep.Totals().Began != 0 || rep.Net.Delivered != 0 {
 		t.Errorf("reset failed: %+v", rep.Totals())
+	}
+}
+
+// settle waits until every site's commit tails have finished and the
+// fire-and-forget EndTx casts they sent have landed.
+func settle(t *testing.T, in *Instance) {
+	t.Helper()
+	in.waitTails()
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := in.Net.Stats(); st.Sent == st.Delivered+st.Dropped {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("network never went quiet: %+v", in.Net.Stats())
+		}
 	}
 }
 

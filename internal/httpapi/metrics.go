@@ -154,6 +154,8 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 		func(s monitor.SiteStats) float64 { return float64(s.SplitItems) })
 	counter("rainbow_releases_abandoned_total", "Release-retry loops that gave up and left cleanup to the janitor.",
 		func(s monitor.SiteStats) uint64 { return s.ReleasesAbandoned })
+	counter("rainbow_commit_tails_unacked_total", "Commit tails that ended without every ack; their decisions wait in the table for a decision request.",
+		func(s monitor.SiteStats) uint64 { return s.TailsUnacked })
 
 	counter("rainbow_net_sent_envelopes_total", "Envelopes handed to the coalescing sender.",
 		func(s monitor.SiteStats) uint64 { return s.NetSentEnvelopes })

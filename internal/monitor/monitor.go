@@ -205,6 +205,10 @@ type SiteStats struct {
 	// ReleasesAbandoned counts release-retry loops that exhausted their
 	// attempts and left remote CC cleanup to the presumed-abort janitor.
 	ReleasesAbandoned uint64
+	// TailsUnacked counts commit tails (phase 2 after the forced decision)
+	// that ended without every participant's ack: decisions that stay in
+	// the coordinator's table until the participant asks for them.
+	TailsUnacked uint64
 	// Coalescing-transport gauges (filled under the tcpnet backend; zero on
 	// the simulated network). Envelopes per flush is the send-syscall
 	// amortization; NetRecvFrames counts decoded multi-envelope frames;
@@ -482,6 +486,7 @@ func (r Report) Totals() SiteStats {
 		out.CCDrains += s.CCDrains
 		out.SplitItems += s.SplitItems
 		out.ReleasesAbandoned += s.ReleasesAbandoned
+		out.TailsUnacked += s.TailsUnacked
 		out.NetSentEnvelopes += s.NetSentEnvelopes
 		out.NetSendFlushes += s.NetSendFlushes
 		out.NetRecvEnvelopes += s.NetRecvEnvelopes
@@ -613,6 +618,9 @@ func (r Report) Render() string {
 	}
 	if t.ReleasesAbandoned > 0 {
 		fmt.Fprintf(&b, "releases abandoned to janitor: %d\n", t.ReleasesAbandoned)
+	}
+	if t.TailsUnacked > 0 {
+		fmt.Fprintf(&b, "commit tails missing an ack: %d\n", t.TailsUnacked)
 	}
 	if t.NetSendFlushes > 0 {
 		fmt.Fprintf(&b, "net coalescing: %d envelopes / %d flushes (%.1f env/flush, %.0f B/flush), %d frames in, sheds=%d legacy-conns=%d\n",

@@ -70,6 +70,7 @@ type Net struct {
 	nodes     map[model.SiteID]*node
 	links     map[LinkKey]Link
 	partition map[model.SiteID]int // partition group; absent = group 0
+	drop      func(*wire.Envelope) bool
 
 	sent, delivered, dropped, bytes uint64
 	codecBinary, codecGob           uint64
@@ -147,6 +148,15 @@ func (n *Net) Heal() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.partition = make(map[model.SiteID]int)
+}
+
+// Drop makes the network lose every envelope f selects, counted as dropped —
+// a fault aimed at one message kind or link (say, a decision in flight) where
+// Partition and Pause would cut everything. Nil clears it.
+func (n *Net) Drop(f func(env *wire.Envelope) bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.drop = f
 }
 
 // Pause makes a site unreachable and unable to send — the transport face of
@@ -245,7 +255,7 @@ func (nd *node) Send(_ context.Context, env *wire.Envelope) error {
 		n.mu.Unlock()
 		return nil // unknown destination behaves like loss: sender times out
 	}
-	if n.partition[env.From] != n.partition[env.To] {
+	if n.partition[env.From] != n.partition[env.To] || (n.drop != nil && n.drop(env)) {
 		n.dropped++
 		n.mu.Unlock()
 		return nil

@@ -117,6 +117,23 @@ func TestPartition(t *testing.T) {
 	waitFor(t, func() bool { return got.Load() == 1 }, "message not delivered after heal")
 }
 
+func TestDropFilter(t *testing.T) {
+	n := New(Config{})
+	var got atomic.Int32
+	attach(t, n, "b", func(*wire.Envelope) { got.Add(1) })
+	a := attach(t, n, "a", nil)
+	n.Drop(func(env *wire.Envelope) bool { return env.Kind == wire.KindDecision })
+	a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindDecision})
+	a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing})
+	waitFor(t, func() bool { return got.Load() == 1 }, "unfiltered message not delivered")
+	if s := n.Stats(); s.Dropped != 1 {
+		t.Errorf("Dropped = %d, want the filtered decision", s.Dropped)
+	}
+	n.Drop(nil)
+	a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindDecision})
+	waitFor(t, func() bool { return got.Load() == 2 }, "message not delivered after the filter cleared")
+}
+
 func TestPartitionSameGroupDelivers(t *testing.T) {
 	n := New(Config{})
 	var got atomic.Int32

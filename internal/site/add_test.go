@@ -217,6 +217,7 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	if !out.Committed {
 		t.Fatalf("setup tx aborted: %+v", out)
 	}
+	c.waitTails() // B finishes the transaction when the decision reaches it
 
 	start := time.Now()
 	rep, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(out.Tx, model.Timestamp{Time: 99, Site: "A"}), []model.Op{model.Write("x", 9)}, false)

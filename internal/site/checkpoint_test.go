@@ -368,6 +368,7 @@ func TestSiteDecisionRetirementEndToEnd(t *testing.T) {
 	if out := a.Execute(ctx, []model.Op{model.Write("x", 7)}); !out.Committed {
 		t.Fatalf("write did not commit: %+v", out)
 	}
+	c.waitTails()
 	if n := a.part.DecisionCount(); n != 0 {
 		t.Fatalf("decision table after fully acked commit = %d entries, want 0 (retired)", n)
 	}

@@ -7,6 +7,7 @@ import (
 	"log"
 	"time"
 
+	"repro/internal/acp"
 	"repro/internal/model"
 	"repro/internal/rcp"
 	"repro/internal/schema"
@@ -164,6 +165,55 @@ func (s *Site) releaseAt(site model.SiteID, tx model.TxID) {
 		s.releasesAbandoned.Add(1)
 		log.Printf("site %s: abandoned release of %s at %s after 5 attempts (remote janitor takes over)", s.id, tx, site)
 	}()
+}
+
+// runTail runs a decided transaction's commit tail (acp.Tail) on the site's
+// run context — never the transaction's, which ends with the reply — either
+// inline or, when background is set, on a goroutine the site tracks. A crash
+// cancels it (fail-stop) and Crash waits it out; Close lets it finish. A
+// crashed home runs none: its participants resolve the decision as they
+// would after any coordinator crash.
+func (s *Site) runTail(tail acp.Tail, background bool) {
+	s.mu.Lock()
+	if s.crashed {
+		s.mu.Unlock()
+		return
+	}
+	ctx := s.runCtx
+	background = background && !s.closing
+	if background {
+		s.tails++
+	}
+	s.mu.Unlock()
+	run := func() {
+		if !tail(ctx, background) {
+			s.tailsUnacked.Add(1)
+		}
+	}
+	if !background {
+		run()
+		return
+	}
+	go func() {
+		run()
+		s.mu.Lock()
+		if s.tails--; s.tails == 0 {
+			s.tailsIdle.Broadcast()
+		}
+		s.mu.Unlock()
+	}()
+}
+
+// WaitTails blocks until no commit tail runs in the background here: every
+// decision already replied to has been delivered to its cohort, or its tail
+// gave up after Timeouts.Ack. Tests use it to read settled state right after
+// a commit; clusters call it on every site before closing any.
+func (s *Site) WaitTails() {
+	s.mu.Lock()
+	for s.tails > 0 {
+		s.tailsIdle.Wait()
+	}
+	s.mu.Unlock()
 }
 
 // mergeContexts returns a context cancelled when either input is.
@@ -358,14 +408,14 @@ func (s *Site) handlePreDecide(tx model.TxID, ballot model.Ballot, commit bool) 
 }
 
 // Decide implements acp.Cohort.
-func (s *Site) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error {
+func (s *Site) Decide(ctx context.Context, site model.SiteID, tx model.TxID, commit, lazy bool) error {
 	if site == s.id {
 		s.mu.Lock()
 		part := s.part
 		s.mu.Unlock()
 		return part.HandleDecision(tx, commit)
 	}
-	err := s.peer.Call(ctx, site, wire.KindDecision, &wire.DecisionMsg{Tx: tx, Commit: commit}, nil)
+	err := s.peer.Call(ctx, site, wire.KindDecision, &wire.DecisionMsg{Tx: tx, Commit: commit, Lazy: lazy}, nil)
 	s.stats.AddRoundTrips(1)
 	return err
 }
@@ -432,7 +482,7 @@ func (s *Site) SendPreDecide(ctx context.Context, site model.SiteID, tx model.Tx
 
 // SendDecision implements acp.Resolver: deliver a termination decision.
 func (s *Site) SendDecision(ctx context.Context, site model.SiteID, tx model.TxID, commit bool) error {
-	return s.Decide(ctx, site, tx, commit)
+	return s.Decide(ctx, site, tx, commit, false)
 }
 
 // localDecision answers a decision request against local knowledge,

@@ -104,7 +104,11 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		if err := pay.Decode(&req); err != nil {
 			return 0, nil, err
 		}
-		if err := part.HandleDecision(req.Tx, req.Commit); err != nil {
+		handle := part.HandleDecision
+		if req.Lazy {
+			handle = part.HandleLazyDecision
+		}
+		if err := handle(req.Tx, req.Commit); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindAck, &wire.AckMsg{Tx: req.Tx}, nil

@@ -235,9 +235,19 @@ type Site struct {
 	// janitor sweep longer than it should have.
 	releasesAbandoned     atomic.Uint64
 	releasesAbandonedBase uint64
-	crashed               bool
-	runCtx                context.Context
-	runCancel             context.CancelFunc
+	// tails counts the commit tails (acp.Tail) running in the background;
+	// tailsIdle (on mu) wakes WaitTails when it drops to zero. closing makes
+	// Close's drain finite: from then on every tail runs inline.
+	tails     int
+	tailsIdle sync.Cond
+	closing   bool
+	// tailsUnacked counts tails that ended without every participant's ack:
+	// decisions left in the table until a participant asks for them.
+	tailsUnacked     atomic.Uint64
+	tailsUnackedBase uint64
+	crashed          bool
+	runCtx           context.Context
+	runCancel        context.CancelFunc
 	// lifeCtx spans the site OBJECT's lifetime (cancelled by Close only,
 	// not by simulated crashes): background release retries ride it, so a
 	// crash does not silently drop an aborted transaction's pending
@@ -334,6 +344,7 @@ func New(cfg Config) (*Site, error) {
 		traceCfg:    cfg.Trace,
 		activeCoord: make(map[model.TxID]bool),
 	}
+	s.tailsIdle.L = &s.mu
 	s.runCtx, s.runCancel = context.WithCancel(context.Background())
 	s.lifeCtx, s.lifeCancel = context.WithCancel(context.Background())
 
@@ -857,6 +868,7 @@ func (s *Site) Stats() monitor.SiteStats {
 	ckptAccum, ckptBase := s.ckptAccum, s.ckptBase
 	ccAccum, ccBase := s.ccAccum, s.ccBase
 	releasesAbandonedBase := s.releasesAbandonedBase
+	tailsUnackedBase := s.tailsUnackedBase
 	recoveryRecords, recoveryNS := s.recoveryRecords, s.recoveryNS
 	var epoch uint64
 	if s.catalog != nil {
@@ -913,6 +925,8 @@ func (s *Site) Stats() monitor.SiteStats {
 	stats.CCDrains = ccAccum.Drains - min(ccBase.Drains, ccAccum.Drains)
 	ra := s.releasesAbandoned.Load()
 	stats.ReleasesAbandoned = ra - min(releasesAbandonedBase, ra)
+	tu := s.tailsUnacked.Load()
+	stats.TailsUnacked = tu - min(tailsUnackedBase, tu)
 	stats.RecoveryRecords = recoveryRecords
 	stats.RecoveryNS = recoveryNS
 	stats.Epoch = epoch
@@ -966,6 +980,7 @@ func (s *Site) ResetStats() {
 		addCCStats(&s.ccBase, s.ccm.Stats())
 	}
 	s.releasesAbandonedBase = s.releasesAbandoned.Load()
+	s.tailsUnackedBase = s.tailsUnacked.Load()
 	store := s.store
 	s.mu.Unlock()
 	if store != nil {
@@ -1089,6 +1104,7 @@ func (s *Site) Crash() {
 	s.mu.Unlock()
 	s.resolveWG.Wait()
 	s.ckptWG.Wait()
+	s.WaitTails() // cancelled with runCtx: a dead coordinator sends nothing
 }
 
 // Crashed reports whether the site is currently down.
@@ -1133,8 +1149,14 @@ func (s *Site) Recover() error {
 	return nil
 }
 
-// Close shuts the site down permanently.
+// Close shuts the site down permanently. It first lets the commit tails in
+// flight finish (each is bounded by Timeouts.Ack), so a clean shutdown leaves
+// no participant prepared on a decision it was never sent.
 func (s *Site) Close() error {
+	s.mu.Lock()
+	s.closing = true
+	s.mu.Unlock()
+	s.WaitTails()
 	s.mu.Lock()
 	crashed := s.crashed
 	s.crashed = true

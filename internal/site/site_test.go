@@ -68,12 +68,21 @@ func newClusterCat(t *testing.T, n int, customize func(*schema.Catalog)) *cluste
 		c.sites[id] = st
 	}
 	t.Cleanup(func() {
+		c.waitTails()
 		for _, st := range c.sites {
 			st.Close()
 		}
 		ns.Close()
 	})
 	return c
+}
+
+// waitTails blocks until no site has a commit tail in flight: every
+// decision already replied to has reached its cohort (or given up).
+func (c *cluster) waitTails() {
+	for _, st := range c.sites {
+		st.WaitTails()
+	}
 }
 
 func defaultProtocols() schema.Protocols {

@@ -85,7 +85,7 @@ func TestCopyOpsReportIncarnation(t *testing.T) {
 	if err != nil || rep.Results[0].Err != nil || rep.Results[1].Err != nil || rep.Incarnation != b.Incarnation() {
 		t.Fatalf("remote copy operations = %+v, %v; want incarnation %d", rep, err, b.Incarnation())
 	}
-	b.Decide(ctx, "B", tx, false) //nolint:errcheck // release the probe state
+	b.Decide(ctx, "B", tx, false, false) //nolint:errcheck // release the probe state
 }
 
 // TestJanitorReleasesStrandedState: unprepared CC state whose home has no

@@ -27,6 +27,7 @@ type Txn struct {
 	catalog  *schema.Catalog
 	rcpProto rcp.Protocol
 	acpProto acp.Protocol
+	ccp      string // the CC manager's name, which decides when Commit replies
 	timeouts schema.Timeouts
 
 	ctx    context.Context
@@ -69,6 +70,7 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 		catalog:  s.catalog,
 		rcpProto: s.rcpProto,
 		acpProto: s.acpProto,
+		ccp:      s.ccm.Name(),
 		timeouts: s.timeouts,
 		start:    time.Now(),
 		reads:    make(map[model.ItemID]int64),
@@ -262,6 +264,7 @@ func (t *Txn) Commit() model.Outcome {
 		IncarnationFor: t.sess.IncarnationFor,
 	}
 	var committed bool
+	var tail acp.Tail
 	var err error
 	if len(participants) == 1 && participants[0] == s.id && len(req.Voters) == 0 {
 		// Only the home is left of a read-only transaction (a wave that folded
@@ -276,10 +279,26 @@ func (t *Txn) Commit() model.Outcome {
 	} else {
 		// coordLog routes the decision force through the participant, which
 		// records the outcome and applies it locally under the checkpoint
-		// gate, so no separate onDecision bookkeeping is needed.
-		committed, err = t.acpProto.Commit(t.ctx, s, coordLog,
+		// gate, so no separate onDecision bookkeeping is needed — and the
+		// home's own locks are released before the reply.
+		committed, tail, err = t.acpProto.Commit(t.ctx, s, coordLog,
 			acp.Options{Vote: t.timeouts.Vote, Ack: t.timeouts.Ack},
 			req, nil)
+	}
+	if tail != nil {
+		// The decision is durable, so the outcome is known; what is left
+		// (deliver it, collect acks, RecEnd, EndTx) decides nothing. A
+		// commit under 2PL replies before it: every remote copy it wrote
+		// stays exclusively locked until the decision arrives there, and
+		// read and write quorums intersect, so a later reader waits on that
+		// lock or finds the installed value — never the old version. TSO
+		// and MVTSO readers wait only on intents with smaller timestamps, so
+		// a later transaction from a home whose clock lags could read the
+		// pre-commit version while the decision is in flight: they keep the
+		// tail before the reply until their reads wait on prepared intents
+		// (ROADMAP item 10). An abort runs it first too, so the cohort is
+		// released before the client retries.
+		s.runTail(tail, committed && t.ccp == "2pl")
 	}
 
 	// Stray sites — attempted during quorum building but never enlisted —

@@ -114,6 +114,8 @@ func TestWaveMatchesInteractive(t *testing.T) {
 				if got.Committed {
 					committed++
 				}
+				wave.waitTails()
+				inter.waitTails()
 				if got.Committed != want.Committed || got.Cause != want.Cause {
 					t.Fatalf("program %d %v: wave %v/%v, interactive %v/%v", n, ops, got.Committed, got.Cause, want.Committed, want.Cause)
 				}
@@ -163,6 +165,7 @@ func TestWaveRoundTrips(t *testing.T) {
 						if out := s.Execute(context.Background(), ops); !out.Committed {
 							t.Fatalf("%v: %+v", ops, out)
 						}
+						c.waitTails() // a 2PL commit's decision round runs after the reply
 						return s.Stats().RoundTrips - before, c.net.Stats().Sent - sent
 					}
 					phases := uint64(2) // prepare, decision
@@ -237,6 +240,7 @@ func TestWaveReplacesUnreachableMember(t *testing.T) {
 	if !out.Committed || out.Reads["x"] != 10 || out.Reads["z"] != 30 {
 		t.Fatalf("wave with B unreachable = %+v, want commit over {A, C}", out)
 	}
+	c.waitTails()
 	c.net.Heal()
 	for _, id := range []model.SiteID{"A", "C"} {
 		if got, _ := c.sites[id].Store().Get("y"); got.Value != 7 {

@@ -83,6 +83,7 @@ type segMeta struct {
 type segReq struct {
 	payload []byte
 	metas   []segRecMeta
+	lazy    bool       // every record is Lazy
 	done    chan error // buffered(1)
 }
 
@@ -579,7 +580,10 @@ func (l *SegmentedLog) AppendBatch(recs []Record) error {
 	l.mu.Unlock()
 	defer l.inflight.Done()
 
-	req := &segReq{payload: payload, metas: metas, done: make(chan error, 1)}
+	req := &segReq{payload: payload, metas: metas, lazy: true, done: make(chan error, 1)}
+	for i := range recs {
+		req.lazy = req.lazy && recs[i].Lazy
+	}
 	l.reqCh <- req
 	return <-req.done
 }
@@ -647,20 +651,47 @@ func (l *SegmentedLog) commitLoop() {
 	}
 }
 
+// lazyLinger bounds how long a batch of only Lazy records waits for an eager
+// append to share its force-write cycle: several fsyncs' worth, yet short
+// next to the ack timeouts that bound the phase 2 it delays.
+const lazyLinger = time.Millisecond
+
 func (l *SegmentedLog) commitBatch(first *segReq) {
 	batch := []*segReq{first}
 	payload := first.payload
 	metas := first.metas
+	eager := !first.lazy
+	take := func(req *segReq) {
+		batch = append(batch, req)
+		payload = append(payload, req.payload...)
+		metas = append(metas, req.metas...)
+		eager = eager || !req.lazy
+	}
 drain:
 	for {
 		select {
 		case req := <-l.reqCh:
-			batch = append(batch, req)
-			payload = append(payload, req.payload...)
-			metas = append(metas, req.metas...)
+			take(req)
 		default:
 			break drain
 		}
+	}
+	if !eager {
+		// Nobody is waiting on these records yet: let the next eager
+		// append pay the force, or force after the linger. (Close waits
+		// for in-flight appends before stopping the committer, so the
+		// linger needs no stop case.)
+		timer := time.NewTimer(lazyLinger)
+	linger:
+		for !eager {
+			select {
+			case req := <-l.reqCh:
+				take(req)
+			case <-timer.C:
+				break linger
+			}
+		}
+		timer.Stop()
 	}
 	err := l.force(payload, metas)
 	for _, req := range batch {

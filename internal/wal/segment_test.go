@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 )
@@ -350,6 +351,53 @@ func TestSegmentedGroupCommitConcurrent(t *testing.T) {
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSegmentedLazyRecords: a Lazy record is durable when its append
+// returns, but it starts no force-write cycle of its own — alone it waits
+// out the linger, and next to an eager append it shares that append's cycle.
+func TestSegmentedLazyRecords(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{Sync: true})
+	defer l.Close()
+	lazy := func(seq uint64) Record {
+		return Record{Type: RecEnd, Tx: model.TxID{Site: "S1", Seq: seq}, Lazy: true}
+	}
+
+	start := time.Now()
+	if err := l.Append(lazy(1)); err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited < lazyLinger {
+		t.Errorf("a lone lazy append returned after %v, before the %v linger", waited, lazyLinger)
+	}
+	if flushes, records := l.BatchStats(); flushes != 1 || records != 1 {
+		t.Fatalf("after a lone lazy append: %d flushes, %d records; want 1 and 1", flushes, records)
+	}
+
+	// Park a lazy request, then an eager one: one cycle forces both.
+	reqs := make([]*segReq, 2)
+	for i, r := range []Record{lazy(2), sampleRecord(3)} {
+		payload, metas, err := l.marshalFrames([]Record{r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs[i] = &segReq{payload: payload, metas: metas, lazy: r.Lazy, done: make(chan error, 1)}
+	}
+	for _, req := range reqs {
+		l.reqCh <- req
+	}
+	for _, req := range reqs {
+		if err := <-req.done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if flushes, records := l.BatchStats(); flushes != 2 || records != 3 {
+		t.Errorf("lazy beside eager: %d flushes, %d records in total; want 2 and 3", flushes, records)
+	}
+	recs, err := l.ReadAll()
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("read back %d records (%v), want 3", len(recs), err)
 	}
 }
 

@@ -120,6 +120,12 @@ type Record struct {
 	// payload: LSN-aware logs assign it at append time and report it on
 	// reads; it is never serialized.
 	LSN uint64 `json:"-"`
+	// Lazy marks a record no client is waiting on (a commit's phase 2 after
+	// the reply). The append still returns only once the record is durable,
+	// but a group-committing log does not start a force-write cycle for it:
+	// it rides the next cycle an eager append starts, or one started after a
+	// short linger when none comes. Like LSN, it is never serialized.
+	Lazy bool `json:"-"`
 }
 
 // Log is an append-only record log.

@@ -533,16 +533,19 @@ func (b *PreCommitReq) DecodeFrom(p []byte) error {
 func (b *DecisionMsg) Kind() MsgKind { return KindDecision }
 
 func (b *DecisionMsg) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
+	// Version 2 appended Lazy.
+	buf = append(buf, 2)
 	buf = appendTx(buf, b.Tx)
-	return appendBool(buf, b.Commit)
+	buf = appendBool(buf, b.Commit)
+	return appendBool(buf, b.Lazy)
 }
 
 func (b *DecisionMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	v := r.version()
 	b.Tx = r.tx()
 	b.Commit = r.bool()
+	b.Lazy = v >= 2 && r.bool()
 	return r.err
 }
 

@@ -38,7 +38,7 @@ func filledBodies() []wire.Body {
 		},
 		&wire.VoteResp{Yes: true, ReadOnly: true, Reason: "read-only participant"},
 		&wire.PreCommitReq{Tx: tx},
-		&wire.DecisionMsg{Tx: tx, Commit: true},
+		&wire.DecisionMsg{Tx: tx, Commit: true, Lazy: true},
 		&wire.AckMsg{Tx: tx},
 		&wire.EndTxMsg{Tx: tx},
 		&wire.GetEpochReq{},
@@ -80,9 +80,11 @@ func filledBodies() []wire.Body {
 
 // TestCopyBatchVersion1Decodes: version-1 CopyBatch bodies — from a peer that
 // predates the read-only fold — still decode, with the fold's trailing fields
-// at their zero values (not final, not released).
+// at their zero values (not final, not released). So do version-1 Decision
+// bodies, from a peer that predates lazy decision records (not lazy).
 func TestCopyBatchVersion1Decodes(t *testing.T) {
 	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Read("a")}, Final: true, Epoch: 9}
+	dec := &wire.DecisionMsg{Tx: req.Tx, Commit: true, Lazy: true}
 	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true}
 	for _, c := range []struct {
 		body    wire.Body
@@ -91,6 +93,7 @@ func TestCopyBatchVersion1Decodes(t *testing.T) {
 	}{
 		{req, 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
 		{resp, 1, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
+		{dec, 1, &wire.DecisionMsg{Tx: dec.Tx, Commit: true}},
 	} {
 		enc := c.body.AppendTo(nil)
 		v1 := append([]byte{1}, enc[1:len(enc)-c.trailer]...)

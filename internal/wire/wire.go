@@ -448,6 +448,9 @@ type PreCommitReq struct {
 type DecisionMsg struct {
 	Tx     model.TxID
 	Commit bool
+	// Lazy says the coordinator already replied to its client: the
+	// participant may force its decision record lazily (wal.Record.Lazy).
+	Lazy bool
 }
 
 // AckMsg acknowledges a decision or pre-commit.
