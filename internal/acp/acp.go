@@ -133,6 +133,10 @@ type Request struct {
 	// transaction operated there (0 = unknown), for the participants'
 	// incarnation fence (see wire.PrepareReq.Incarnation). Nil skips it.
 	IncarnationFor func(model.SiteID) uint64
+	// Voted lists the participants that already voted yes with their copy
+	// operation's reply (an add-only wave's legs under 2PC): they are
+	// prepared, so phase 1 asks only the others.
+	Voted []model.SiteID
 }
 
 // Protocol is an atomic commit protocol, run by the coordinator.
@@ -170,6 +174,25 @@ type Protocol interface {
 // transaction (the tail records no trace spans); each wait in it is bounded
 // by Options.Ack.
 type Tail func(ctx context.Context, lazy bool) (allAcked bool)
+
+// Withdraw is the tail of a transaction the coordinator abandoned after some
+// participants voted yes with their copy operation's reply: it tells those
+// participants the transaction aborted and lets them retire the decision,
+// and reports whether every one acknowledged. Presumed abort makes this need
+// no coordinator log record — a participant the message misses asks, finds
+// the coordinator neither running nor logging the transaction, and hears
+// abort.
+func Withdraw(c Cohort, opts Options, tx model.TxID, voted []model.SiteID) Tail {
+	opts = opts.withDefaults()
+	req := Request{Tx: tx}
+	return func(ctx context.Context, lazy bool) bool {
+		if !broadcastDecision(ctx, c, opts, req, voted, false, lazy) {
+			return false
+		}
+		broadcastEnd(ctx, c, opts, req, voted)
+		return true
+	}
+}
 
 // New constructs a protocol by name.
 func New(name string) (Protocol, error) {

@@ -1244,3 +1244,63 @@ func TestConcurrentTerminationsConverge(t *testing.T) {
 		t.Errorf("concurrent termination burned %d ballots, want <= %d", b, 2*len(voters))
 	}
 }
+
+// TestTwoPCAsksOnlyUnvotedParticipants: participants that voted with their
+// copy operation's reply (Request.Voted) are prepared already, so phase 1
+// asks only the others — and they still hear the decision.
+func TestTwoPCAsksOnlyUnvotedParticipants(t *testing.T) {
+	f := newFakeCohort()
+	appliers := map[model.SiteID]*fakeApplier{}
+	for _, s := range []model.SiteID{"S1", "S2", "S3"} {
+		appliers[s] = newApplier()
+		f.add(s, appliers[s])
+	}
+	req := request("S1", "S2", "S3")
+	req.Voted = []model.SiteID{"S2", "S3"}
+	for _, s := range req.Voted {
+		if v := f.participants[s].HandlePrepare(wire.PrepareReq{Tx: req.Tx, Coordinator: "S1", Writes: req.WritesFor(s)}); !v.Yes {
+			t.Fatalf("%s voted no: %s", s, v.Reason)
+		}
+	}
+	commit, err := runProtocol(t, TwoPC{}, f, req)
+	if err != nil || !commit {
+		t.Fatalf("commit = %v, %v", commit, err)
+	}
+	if f.prepares != 1 {
+		t.Errorf("%d prepares sent, want 1 (the unvoted S1)", f.prepares)
+	}
+	if f.decisions != 3 {
+		t.Errorf("%d decisions sent, want 3", f.decisions)
+	}
+	for s, a := range appliers {
+		if !a.wasCommitted(req.Tx) {
+			t.Errorf("%s did not apply the commit", s)
+		}
+	}
+}
+
+// TestWithdrawAbortsVotedWithoutLogging: an abandoned attempt's voted
+// participants hear abort and retire it, with no prepare round and no
+// coordinator log (Withdraw takes none) — presumed abort answers anyone the
+// message misses.
+func TestWithdrawAbortsVotedWithoutLogging(t *testing.T) {
+	f := newFakeCohort()
+	a := newApplier()
+	p := f.add("S2", a)
+	tx := model.TxID{Site: "S1", Seq: 9}
+	if v := p.HandlePrepare(wire.PrepareReq{Tx: tx, Coordinator: "S1", Writes: []model.WriteRecord{{Item: "x", Value: 1, Delta: true}}}); !v.Yes {
+		t.Fatalf("prepare: %s", v.Reason)
+	}
+	if !Withdraw(f, testOpts, tx, []model.SiteID{"S2"})(context.Background(), true) {
+		t.Fatal("withdraw reports a missing ack")
+	}
+	if !a.wasAborted(tx) || p.InDoubtCount() != 0 {
+		t.Errorf("S2 aborted = %v, in doubt = %d; want aborted and nothing in doubt", a.wasAborted(tx), p.InDoubtCount())
+	}
+	if f.prepares != 0 || f.decisions != 1 || f.ends != 1 {
+		t.Errorf("prepares/decisions/ends = %d/%d/%d, want 0/1/1", f.prepares, f.decisions, f.ends)
+	}
+	if p.DecisionCount() != 0 {
+		t.Errorf("S2 keeps %d decisions after the end message, want 0", p.DecisionCount())
+	}
+}

@@ -3,6 +3,7 @@ package acp
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/model"
 	"repro/internal/trace"
@@ -71,7 +72,8 @@ func commitReadOnly(onDecision func(bool)) (bool, Tail, error) {
 
 // collectVotes runs phase 1 concurrently and reports the decision plus the
 // phase-2 cohort (participants that voted read-only are released and
-// excluded). The returned error classifies a negative outcome (vote no,
+// excluded; participants that voted with their reply, req.Voted, are not
+// asked again). The returned error classifies a negative outcome (vote no,
 // unreachable participant, coordinator cancellation).
 func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, threePhase bool) (bool, []model.SiteID, error) {
 	type voteResult struct {
@@ -79,8 +81,16 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 		resp wire.VoteResp
 		err  error
 	}
-	results := make(chan voteResult, len(req.Participants))
+	var cohort, ask []model.SiteID
 	for _, site := range req.Participants {
+		if slices.Contains(req.Voted, site) {
+			cohort = append(cohort, site)
+		} else {
+			ask = append(ask, site)
+		}
+	}
+	results := make(chan voteResult, len(ask))
+	for _, site := range ask {
 		go func(site model.SiteID) {
 			vctx, cancel := context.WithTimeout(ctx, opts.Vote)
 			defer cancel()
@@ -104,9 +114,8 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 	}
 
 	commit := true
-	var cohort []model.SiteID
 	var cause error
-	for range req.Participants {
+	for range ask {
 		r := <-results
 		switch {
 		case r.err != nil:

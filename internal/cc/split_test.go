@@ -395,6 +395,43 @@ func TestMVTSOAddChainsOnTail(t *testing.T) {
 	}
 }
 
+func TestConformanceReinstateConcurrentAdds(t *testing.T) {
+	// Two in-doubt blind adds of one item (admitted lock-free together, and
+	// prepared together) both reinstate without waiting for each other, and a
+	// reader waits until both are resolved.
+	for name, m := range managers(t) {
+		start := time.Now()
+		for i, delta := range []int64{4, 5} {
+			if err := m.Reinstate(tx(uint64(i+1)), ts(uint64(i+1)), []model.WriteRecord{addRec("x", delta, 1)}); err != nil {
+				t.Fatalf("%s: reinstate of add %d: %v", name, i+1, err)
+			}
+		}
+		if waited := time.Since(start); waited > 100*time.Millisecond {
+			t.Errorf("%s: reinstating two adds of x took %v", name, waited)
+		}
+		done := make(chan int64, 1)
+		go func() {
+			v, _, err := m.Read(bg(), tx(3), ts(3), "x")
+			if err != nil {
+				v = -1
+			}
+			done <- v
+		}()
+		for i, delta := range []int64{4, 5} {
+			select {
+			case v := <-done:
+				t.Fatalf("%s: read %d with %d adds still in doubt", name, v, 2-i)
+			case <-time.After(20 * time.Millisecond):
+			}
+			m.Commit(tx(uint64(i+1)), []model.WriteRecord{addRec("x", delta, 1)})
+		}
+		if v := <-done; v != 19 {
+			t.Errorf("%s: read after both adds resolved = %d, want 19", name, v)
+		}
+		m.Abort(tx(3))
+	}
+}
+
 func TestConformanceReinstateAddProtects(t *testing.T) {
 	// Recovery reinstates an in-doubt blind add; a conflicting reader must
 	// not slip past it, and resolution reconciles the delta.

@@ -632,18 +632,46 @@ func (m *TwoPL) HoldsIntents(tx model.TxID, items []model.ItemID) bool {
 	return true
 }
 
-// Reinstate implements Manager: re-acquire exclusive locks for an in-doubt
-// transaction during recovery (conservative for delta records too: recovery
-// runs before the site admits new work, so nothing is split yet and
-// acquisition cannot block).
+// Reinstate implements Manager: re-protect an in-doubt transaction during
+// recovery, before the site admits new work. Absolute records re-acquire
+// their exclusive locks. Delta records rejoin the item's split slot, opened
+// for them if need be: several in-doubt adds of one item can only have been
+// admitted lock-free together, and an exclusive lock per add would make the
+// second one's reinstatement wait for the first's decision — which recovery
+// cannot reach. A reader or writer of the item drains the slot first, so it
+// still waits for every in-doubt add. (With splitting disabled, adds took
+// exclusive locks, so at most one add per item can be in doubt.)
 func (m *TwoPL) Reinstate(tx model.TxID, ts model.Timestamp, writes []model.WriteRecord) error {
 	for _, w := range writes {
+		if w.Delta && !m.opts.NoSplit && m.reinstateSplit(tx, w) {
+			continue
+		}
 		if err := m.locks.Acquire(context.Background(), tx, w.Item, lock.Exclusive); err != nil {
 			return err
 		}
 	}
 	m.holders.touch(tx)
 	return nil
+}
+
+// reinstateSplit re-admits an in-doubt delta record through its item's split
+// slot, splitting the item if its lock is idle. It reports false when the
+// item's lock is held (by a reinstated absolute write, which no add can have
+// been admitted beside), leaving the record to the lock path.
+func (m *TwoPL) reinstateSplit(tx model.TxID, w model.WriteRecord) bool {
+	m.splitMu.Lock()
+	defer m.splitMu.Unlock()
+	slot := m.splits[w.Item]
+	if slot == nil {
+		if !m.locks.Idle(w.Item) {
+			return false
+		}
+		m.splitItemLocked(w.Item)
+		slot = m.splits[w.Item]
+	}
+	slot.active[tx] = true
+	m.bufferIntent(tx, w.Item, wintent{value: w.Value, delta: true, slot: slot})
+	return true
 }
 
 // SplitItems reports how many items are currently in split execution.

@@ -152,6 +152,12 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 		func(s monitor.SiteStats) uint64 { return s.CCDrains })
 	gauge("rainbow_cc_split_items", "Items in split execution right now.",
 		func(s monitor.SiteStats) float64 { return float64(s.SplitItems) })
+	counter("rainbow_add_waves_total", "Add-only waves shipped with every leg at once, without waiting (2PC).",
+		func(s monitor.SiteStats) uint64 { return s.AddWaves })
+	counter("rainbow_add_wave_reruns_total", "Add-only waves a no-wait leg refused, rerun as ordered waves.",
+		func(s monitor.SiteStats) uint64 { return s.AddWaveReruns })
+	counter("rainbow_voted_legs_total", "Copy-operation legs that voted with their reply.",
+		func(s monitor.SiteStats) uint64 { return s.VotedLegs })
 	counter("rainbow_releases_abandoned_total", "Release-retry loops that gave up and left cleanup to the janitor.",
 		func(s monitor.SiteStats) uint64 { return s.ReleasesAbandoned })
 	counter("rainbow_commit_tails_unacked_total", "Commit tails that ended without every ack; their decisions wait in the table for a decision request.",

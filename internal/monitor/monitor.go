@@ -202,6 +202,13 @@ type SiteStats struct {
 	CCSplits    uint64
 	CCDrains    uint64
 	SplitItems  int
+	// Add-only waves under 2PC (rcp.NoWait): AddWaves counts the ones this
+	// home shipped with every leg at once, AddWaveReruns those a leg refused
+	// because it would have had to wait, rerun as ordered waves, and
+	// VotedLegs the legs this site served that voted with their reply.
+	AddWaves      uint64
+	AddWaveReruns uint64
+	VotedLegs     uint64
 	// ReleasesAbandoned counts release-retry loops that exhausted their
 	// attempts and left remote CC cleanup to the presumed-abort janitor.
 	ReleasesAbandoned uint64
@@ -345,8 +352,11 @@ type Collector struct {
 	aborts  map[model.AbortCause]uint64
 	restart uint64
 	rtts    uint64
-	lat     Histogram
-	start   time.Time
+	// addWaves, reruns and votes back SiteStats.AddWaves, AddWaveReruns
+	// and VotedLegs.
+	addWaves, reruns, votes uint64
+	lat                     Histogram
+	start                   time.Time
 }
 
 // NewCollector builds a collector for site, starting its window now.
@@ -388,6 +398,28 @@ func (c *Collector) AddRoundTrips(n int) {
 	c.rtts += uint64(n)
 }
 
+// AddWave counts an add-only wave shipped with every leg at once.
+func (c *Collector) AddWave() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.addWaves++
+}
+
+// WaveRerun counts an add-only wave refused by a no-wait leg and rerun as an
+// ordered wave.
+func (c *Collector) WaveRerun() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reruns++
+}
+
+// LegVoted counts a copy-operation leg that voted with its reply.
+func (c *Collector) LegVoted() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.votes++
+}
+
 // Snapshot returns the current counters; orphans is sampled by the caller
 // (it lives in the ACP participant).
 func (c *Collector) Snapshot(orphans int) SiteStats {
@@ -401,6 +433,9 @@ func (c *Collector) Snapshot(orphans int) SiteStats {
 		AbortsByCause: make(map[string]uint64, len(c.aborts)),
 		Restarts:      c.restart,
 		RoundTrips:    c.rtts,
+		AddWaves:      c.addWaves,
+		AddWaveReruns: c.reruns,
+		VotedLegs:     c.votes,
 		Orphans:       orphans,
 		Latency:       c.lat,
 		WindowNS:      int64(time.Since(c.start)),
@@ -417,6 +452,7 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.began, c.commits, c.restart, c.rtts = 0, 0, 0, 0
+	c.addWaves, c.reruns, c.votes = 0, 0, 0
 	c.aborts = make(map[model.AbortCause]uint64)
 	c.lat = Histogram{}
 	c.start = time.Now()
@@ -485,6 +521,9 @@ func (r Report) Totals() SiteStats {
 		out.CCSplits += s.CCSplits
 		out.CCDrains += s.CCDrains
 		out.SplitItems += s.SplitItems
+		out.AddWaves += s.AddWaves
+		out.AddWaveReruns += s.AddWaveReruns
+		out.VotedLegs += s.VotedLegs
 		out.ReleasesAbandoned += s.ReleasesAbandoned
 		out.TailsUnacked += s.TailsUnacked
 		out.NetSentEnvelopes += s.NetSentEnvelopes
@@ -615,6 +654,10 @@ func (r Report) Render() string {
 	if t.CCAdds > 0 || t.CCSplits > 0 {
 		fmt.Fprintf(&b, "hot-key split: %d adds (%d lock-free), %d splits / %d drains, %d items split now\n",
 			t.CCAdds, t.CCSplitAdds, t.CCSplits, t.CCDrains, t.SplitItems)
+	}
+	if t.AddWaves > 0 || t.VotedLegs > 0 {
+		fmt.Fprintf(&b, "add waves: %d shipped at once, %d rerun in order, %d legs voted with their reply\n",
+			t.AddWaves, t.AddWaveReruns, t.VotedLegs)
 	}
 	if t.ReleasesAbandoned > 0 {
 		fmt.Fprintf(&b, "releases abandoned to janitor: %d\n", t.ReleasesAbandoned)

@@ -199,6 +199,33 @@ func TestRenderContainsDurabilityStatistics(t *testing.T) {
 	}
 }
 
+// TestAddWaveCounters: the add-only wave counters are window-scoped by the
+// collector, summed across sites and rendered on one line.
+func TestAddWaveCounters(t *testing.T) {
+	c := NewCollector("S1")
+	c.AddWave()
+	c.AddWave()
+	c.WaveRerun()
+	c.LegVoted()
+	if s := c.Snapshot(0); s.AddWaves != 2 || s.AddWaveReruns != 1 || s.VotedLegs != 1 {
+		t.Errorf("snapshot = %d add waves, %d reruns, %d voted legs; want 2, 1, 1", s.AddWaves, s.AddWaveReruns, s.VotedLegs)
+	}
+	c.Reset()
+	if s := c.Snapshot(0); s.AddWaves != 0 || s.AddWaveReruns != 0 || s.VotedLegs != 0 {
+		t.Errorf("reset left %+v", s)
+	}
+
+	r := report()
+	r.Sites[0].AddWaves, r.Sites[0].AddWaveReruns = 10, 1
+	r.Sites[1].VotedLegs, r.Sites[2].VotedLegs = 9, 8
+	if tot := r.Totals(); tot.AddWaves != 10 || tot.AddWaveReruns != 1 || tot.VotedLegs != 17 {
+		t.Errorf("totals = %d add waves, %d reruns, %d voted legs; want 10, 1, 17", tot.AddWaves, tot.AddWaveReruns, tot.VotedLegs)
+	}
+	if out := r.Render(); !strings.Contains(out, "add waves: 10 shipped at once, 1 rerun in order, 17 legs voted") {
+		t.Errorf("Render() missing the add-wave line:\n%s", out)
+	}
+}
+
 func TestShardSkewAndOccupancy(t *testing.T) {
 	var s SiteStats
 	if s.ShardSkew() != 0 {

@@ -38,13 +38,38 @@ type CopyAccess interface {
 	// (the ops after it report that they were not run). A non-nil error means
 	// the batch as a whole got no answer, or was refused.
 	//
-	// final marks the last leg of a read-only wave (see Wave): a remote site
+	// leg says what the site does beyond admitting the ops (see Leg).
+	CopyBatch(ctx context.Context, site model.SiteID, sess *Session, ops []model.Op, leg Leg) (BatchReply, error)
+}
+
+// Leg says how a site serves one CopyBatch beyond admitting its operations.
+// The zero Leg is an ordinary batch: admit, waiting where the CCP must.
+type Leg struct {
+	// Final marks the last leg of a read-only wave (see Wave): a remote site
 	// that admitted every op then runs the read-only vote's guards against
 	// sess.Epoch and releases the transaction's CC state at once, reporting
 	// Released; a site whose guards fail refuses the batch with an ACP abort.
-	// The home site ignores final.
-	CopyBatch(ctx context.Context, site model.SiteID, sess *Session, ops []model.Op, final bool) (BatchReply, error)
+	// The home site ignores it.
+	Final bool
+	// NoWait admits without ever waiting: an op that would have to wait
+	// makes the site release everything the transaction holds there and
+	// refuse the batch with ErrWouldBlock.
+	NoWait bool
+	// Vote marks a remote leg of an add-only wave under 2PC: once every op
+	// is admitted, the site runs the prepare's guards against sess.Epoch,
+	// forces its prepared record — sess.Tx's home as coordinator, Cohort as
+	// the participants, the leg's merged delta records as the write set —
+	// and reports Voted; a site whose guards fail refuses the batch with an
+	// ACP abort. The home site ignores it (its vote is local).
+	Vote bool
+	// Cohort lists the sites the wave planned to touch (Vote legs only).
+	Cohort []model.SiteID
 }
+
+// ErrWouldBlock refuses a NoWait leg whose admission would have had to wait.
+// The site released everything the transaction held there; the home abandons
+// the attempt and reruns the program as an ordered wave.
+var ErrWouldBlock = &model.AbortError{Cause: model.AbortCC, Reason: "no-wait leg would block"}
 
 // BatchReply is a site's answer to one CopyBatch.
 type BatchReply struct {
@@ -53,6 +78,9 @@ type BatchReply struct {
 	// Released reports that the site folded its read-only vote into the batch
 	// and already released the transaction there.
 	Released bool
+	// Voted reports that the site voted yes with the batch (Leg.Vote): it is
+	// prepared, and the commit protocol need not ask it again.
+	Voted bool
 }
 
 // CopyResult is the outcome of one copy operation inside a CopyBatch: the
@@ -83,6 +111,9 @@ type Session struct {
 	// live-rebuilt) after protecting the operation — the CC state backing
 	// the prepare died with the old incarnation.
 	incs map[model.SiteID]uint64
+	// voted holds the sites that voted yes with their copy operation's
+	// reply (Leg.Vote); nil until one does.
+	voted map[model.SiteID]bool
 }
 
 // NewSession starts a session for one transaction.
@@ -124,6 +155,34 @@ func (s *Session) Release(site model.SiteID) {
 	defer s.mu.Unlock()
 	delete(s.touched, site)
 	delete(s.attempted, site)
+}
+
+// Vote records that site voted yes with its copy operation's reply: it is a
+// participant, prepared already, that the commit protocol need not ask.
+func (s *Session) Vote(site model.SiteID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.touched[site] = true
+	s.attempted[site] = true
+	if s.voted == nil {
+		s.voted = make(map[model.SiteID]bool)
+	}
+	s.voted[site] = true
+}
+
+// Voted returns the sites that voted with their reply, sorted.
+func (s *Session) Voted() []model.SiteID {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.voted) == 0 {
+		return nil
+	}
+	out := make([]model.SiteID, 0, len(s.voted))
+	for site := range s.voted {
+		out = append(out, site)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 // Strays returns the attempted sites that did not become participants —
@@ -471,7 +530,7 @@ func runRound(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, r
 // copyAt runs one copy operation at o.site — a batch of one — and stores its
 // result in o.
 func copyAt(ctx context.Context, acc CopyAccess, sess *Session, op model.Op, o *outcome) {
-	rep, err := acc.CopyBatch(ctx, o.site, sess, []model.Op{op}, false)
+	rep, err := acc.CopyBatch(ctx, o.site, sess, []model.Op{op}, Leg{})
 	if err != nil {
 		o.Err = err
 		return

@@ -34,6 +34,10 @@ type fakeAccess struct {
 	onBatch    func(model.SiteID)
 	finals     []model.SiteID
 	refuseFold map[model.SiteID]bool
+	// legs records the Leg each site's batches were sent with; a site in
+	// wouldBlock refuses a no-wait batch.
+	legs       map[model.SiteID][]Leg
+	wouldBlock map[model.SiteID]bool
 }
 
 func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
@@ -48,6 +52,8 @@ func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
 		perSite:    make(map[model.SiteID]int),
 		batches:    make(map[model.SiteID][][]model.Op),
 		refuseFold: make(map[model.SiteID]bool),
+		legs:       make(map[model.SiteID][]Leg),
+		wouldBlock: make(map[model.SiteID]bool),
 	}
 	for _, s := range sites {
 		f.copies[s] = struct {
@@ -74,14 +80,17 @@ func (f *fakeAccess) Local() model.SiteID { return f.local }
 const fakeIncarnation = 7
 
 // CopyBatch answers like a site does: a down site gives no answer at all; a
-// CC-rejecting one fails the first operation and does not run the rest; a
-// final batch whose operations all succeeded is released, or refused.
-func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session, ops []model.Op, final bool) (BatchReply, error) {
+// site that would block refuses a no-wait batch; a CC-rejecting one fails the
+// first operation and does not run the rest; a final batch whose operations
+// all succeeded is released, or refused; a vote batch that succeeded votes.
+func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session, ops []model.Op, leg Leg) (BatchReply, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.ops += len(ops)
 	f.perSite[site] += len(ops)
 	f.batches[site] = append(f.batches[site], ops)
+	f.legs[site] = append(f.legs[site], leg)
+	final := leg.Final
 	if final {
 		f.finals = append(f.finals, site)
 	}
@@ -90,6 +99,9 @@ func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session,
 	}
 	if f.down[site] {
 		return BatchReply{}, model.Abortf(model.AbortRCP, "site %s unreachable", site)
+	}
+	if leg.NoWait && f.wouldBlock[site] {
+		return BatchReply{}, ErrWouldBlock
 	}
 	rep := BatchReply{Results: make([]CopyResult, len(ops)), Incarnation: fakeIncarnation}
 	for i := range rep.Results {
@@ -108,6 +120,7 @@ func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session,
 		}
 		rep.Released = true
 	}
+	rep.Voted = leg.Vote && !f.ccReject[site]
 	return rep, nil
 }
 
@@ -483,7 +496,7 @@ func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
 	s := sess()
 	ops := []model.Op{model.Write("c", 1), model.Read("a"), model.Write("a", 2), model.Read("c"), model.Write("a", 3), model.Read("b")}
 	program := append([]model.Op(nil), ops...)
-	reads, err := QC.Wave(context.Background(), f, s, waveItems(), ops)
+	reads, err := QC.Wave(context.Background(), f, s, waveItems(), ops, Ordered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +542,7 @@ func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
 // stay in the home site's batch, writes and adds go to every site's.
 func TestWaveROWAReadsLocallyWritesEverywhere(t *testing.T) {
 	f := newFake("S2", "S1", "S2", "S3")
-	if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Read("a"), model.Write("b", 1), model.Add("c", 1)}); err != nil {
+	if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Read("a"), model.Write("b", 1), model.Add("c", 1)}, Ordered); err != nil {
 		t.Fatal(err)
 	}
 	for site, want := range map[model.SiteID]int{"S1": 2, "S2": 3, "S3": 2} {
@@ -547,7 +560,7 @@ func TestWaveReplacesSilentMemberPerOperation(t *testing.T) {
 	f.down["S2"] = true
 	f.set("S3", 99, 4)
 	s := sess()
-	reads, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)})
+	reads, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, Ordered)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +588,7 @@ func TestWaveCCRejectionDooms(t *testing.T) {
 	f := newFake("S3", "S1", "S2", "S3") // home S3: quorum {S3, S1}, shipped S1 first
 	f.ccReject["S1"] = true
 	s := sess()
-	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)})
+	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, Ordered)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("err = %v, want the CC abort", err)
 	}
@@ -594,7 +607,7 @@ func TestWaveShipsInSiteOrder(t *testing.T) {
 		f := newFake(home, "S1", "S2", "S3")
 		var order []model.SiteID
 		f.onBatch = func(site model.SiteID) { order = append(order, site) }
-		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Write("a", 1), model.Add("b", 1)}); err != nil {
+		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Write("a", 1), model.Add("b", 1)}, Ordered); err != nil {
 			t.Fatal(err)
 		}
 		if len(order) != 3 || order[0] != "S1" || order[1] != "S2" || order[2] != "S3" {
@@ -642,7 +655,7 @@ func TestWaveFoldsReadOnlyLastLeg(t *testing.T) {
 	} {
 		f := newFake(c.home, "S1", "S2", "S3")
 		s := sess()
-		if _, err := QC.Wave(context.Background(), f, s, waveItems(), c.ops); err != nil {
+		if _, err := QC.Wave(context.Background(), f, s, waveItems(), c.ops, Ordered); err != nil {
 			t.Fatalf("home %s %v: %v", c.home, c.ops, err)
 		}
 		if !slices.Equal(f.finals, c.final) {
@@ -670,7 +683,7 @@ func TestWaveFoldsOnlyAfterCleanLegs(t *testing.T) {
 
 	f := newFake("S1", "S2", "S3", "S4") // the home holds no copy: both legs remote
 	s := sess()
-	if _, err := QC.Wave(context.Background(), f, s, items, ops); err != nil {
+	if _, err := QC.Wave(context.Background(), f, s, items, ops, Ordered); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(f.finals, []model.SiteID{"S3"}) || !slices.Equal(s.Participants(), []model.SiteID{"S2"}) {
@@ -680,7 +693,7 @@ func TestWaveFoldsOnlyAfterCleanLegs(t *testing.T) {
 	f = newFake("S1", "S2", "S3", "S4")
 	f.down["S2"] = true
 	s = sess()
-	if _, err := QC.Wave(context.Background(), f, s, items, ops); err != nil {
+	if _, err := QC.Wave(context.Background(), f, s, items, ops, Ordered); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.finals) != 0 {
@@ -697,11 +710,97 @@ func TestWaveFoldRefusalDooms(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.refuseFold["S2"] = true
 	s := sess()
-	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Read("b")})
+	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Read("b")}, Ordered)
 	if model.CauseOf(err) != model.AbortACP {
 		t.Fatalf("err = %v, want the refusal's ACP abort", err)
 	}
 	if rel := append(s.Participants(), s.Strays()...); !slices.Equal(rel, []model.SiteID{"S1", "S2"}) {
 		t.Errorf("sites to release = %v, want the home S1 and the refusing S2", rel)
+	}
+}
+
+// adds is an add-only program over every item of waveItems.
+var adds = []model.Op{model.Add("c", 1), model.Add("a", 2), model.Add("b", 3), model.Add("a", 4)}
+
+// TestWaveAddOnlyShipsAtOnceAndVotes: under NoWait an add-only wave ships
+// every leg as a no-wait batch; each remote leg votes, carrying the planned
+// sites as its cohort, and is recorded as voted. The home's leg never votes
+// (its vote is the commit protocol's, and local).
+func TestWaveAddOnlyShipsAtOnceAndVotes(t *testing.T) {
+	for _, home := range []model.SiteID{"S1", "S2", "S3"} {
+		f := newFake(home, "S1", "S2", "S3")
+		s := sess()
+		if _, err := QC.Wave(context.Background(), f, s, waveItems(), adds, NoWait); err != nil {
+			t.Fatalf("home %s: %v", home, err)
+		}
+		all := []model.SiteID{"S1", "S2", "S3"}
+		var remote []model.SiteID
+		for _, site := range all {
+			legs := f.legs[site]
+			if len(legs) != 1 || !legs[0].NoWait || !slices.Equal(legs[0].Cohort, all) {
+				t.Fatalf("home %s: %s legs %+v, want one no-wait leg with cohort %v", home, site, legs, all)
+			}
+			if legs[0].Vote != (site != home) {
+				t.Errorf("home %s: %s vote = %v", home, site, legs[0].Vote)
+			}
+			if site != home {
+				remote = append(remote, site)
+			}
+		}
+		if v := s.Voted(); !slices.Equal(v, remote) {
+			t.Errorf("home %s: voted %v, want %v", home, v, remote)
+		}
+		if p := s.Participants(); !slices.Equal(p, all) {
+			t.Errorf("home %s: participants %v, want %v", home, p, all)
+		}
+	}
+}
+
+// TestWaveAddOnlyWouldBlock: a leg that would wait refuses the whole wave
+// with ErrWouldBlock; the sites that voted stay recorded for the abort, and
+// every site asked is on the session's release list.
+func TestWaveAddOnlyWouldBlock(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	f.wouldBlock["S2"] = true
+	s := sess()
+	if _, err := QC.Wave(context.Background(), f, s, waveItems(), adds, NoWait); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("err = %v, want ErrWouldBlock", err)
+	}
+	if v := s.Voted(); !slices.Equal(v, []model.SiteID{"S3"}) {
+		t.Errorf("voted %v, want [S3]", v)
+	}
+	if rel := append(s.Participants(), s.Strays()...); len(rel) != 3 {
+		t.Errorf("sites to release = %v, want all three", rel)
+	}
+}
+
+// TestWaveModes: Voting ships an add-only wave's legs in site order, waiting
+// where they must, and its remote legs vote; Ordered lets none vote; and a
+// program with a read or a write ignores the mode altogether.
+func TestWaveModes(t *testing.T) {
+	for _, c := range []struct {
+		mode         WaveMode
+		ops          []model.Op
+		noWait, vote bool
+	}{
+		{Voting, adds, false, true},
+		{Ordered, adds, false, false},
+		{NoWait, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, false},
+		{Voting, []model.Op{model.Add("a", 1), model.Read("b")}, false, false},
+	} {
+		f := newFake("S1", "S1", "S2", "S3")
+		var order []model.SiteID
+		f.onBatch = func(site model.SiteID) { order = append(order, site) }
+		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), c.ops, c.mode); err != nil {
+			t.Fatalf("mode %d %v: %v", c.mode, c.ops, err)
+		}
+		if !slices.Equal(order, []model.SiteID{"S1", "S2", "S3"}) {
+			t.Errorf("mode %d %v: shipped %v, want site order", c.mode, c.ops, order)
+		}
+		for _, site := range order[1:] {
+			if leg := f.legs[site][0]; leg.NoWait != c.noWait || leg.Vote != c.vote {
+				t.Errorf("mode %d %v: %s leg %+v, want no-wait %v vote %v", c.mode, c.ops, site, leg, c.noWait, c.vote)
+			}
+		}
 	}
 }

@@ -2,11 +2,33 @@ package rcp
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/model"
 	"repro/internal/schema"
+)
+
+// WaveMode says how a wave made only of blind adds ships its legs and
+// whether they vote; a wave with a read or an absolute write always ships as
+// Ordered (see Wave).
+type WaveMode uint8
+
+const (
+	// Ordered ships the legs one after another in site order, each site
+	// waiting where its CCP must, and no leg votes: the commit protocol's own
+	// vote round follows (3PC, whose votes precede its pre-commit round).
+	Ordered WaveMode = iota
+	// Voting ships the legs in order like Ordered, and each remote leg of an
+	// add-only wave votes with its reply (2PC, an add-only wave's rerun).
+	Voting
+	// NoWait ships every leg of an add-only wave at once in no-wait mode, and
+	// each remote leg votes with its reply (2PC, an add-only wave's first
+	// attempt). If any leg would have had to wait, Wave returns ErrWouldBlock
+	// and the caller reruns the program, under a fresh transaction, as Voting.
+	NoWait
 )
 
 // Wave performs every operation of a one-shot program in one round trip per
@@ -35,6 +57,21 @@ import (
 // k sites takes k-1 remote round trips (one under majority quorums of three,
 // where the home site is one of the two), not one per operation.
 //
+// Add-only waves under 2PC (mode NoWait) skip the order: every leg ships at
+// once and no site ever waits for it — an operation that would have to wait
+// makes its site release what the transaction holds there and refuse the leg
+// with ErrWouldBlock. A transaction that never waits while it holds a lock
+// cannot be part of a wait cycle, so the order has nothing left to prevent.
+// Each remote leg also votes with its reply (Leg.Vote): an add's effect at a
+// site depends on nothing outside that site — no read to keep protected until
+// a lock point, no install version the whole quorum must agree on — so once
+// its adds are admitted the site can prepare at once, and the commit protocol
+// asks only the home. A refused attempt is the caller's to abandon and rerun
+// as Voting: ordered and waiting like any wave, its remote legs still voting.
+// Waves with a read or an absolute write keep the order: a read must stay
+// protected until the lock point, and a write's install version spans the
+// quorum.
+//
 // Read-only fold: when the program only reads and the last leg is remote,
 // that leg goes out marked final, and only if every earlier leg answered
 // cleanly. Under 2PL the last leg's admission is then the transaction's lock
@@ -48,8 +85,11 @@ import (
 //
 // items resolves each operation's item; the caller has checked that every
 // item is present. Wave returns the value of each item read.
-func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op) (map[model.ItemID]int64, error) {
+func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, mode WaveMode) (map[model.ItemID]int64, error) {
 	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
+	if slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd }) {
+		mode = Ordered
+	}
 	ops = slices.Clone(ops)
 	slices.SortStableFunc(ops, func(a, b model.Op) int { return strings.Compare(string(a.Item), string(b.Item)) })
 
@@ -79,12 +119,30 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	}
 	slices.SortFunc(legs, func(a, b *leg) int { return strings.Compare(string(a.site), string(b.site)) })
 
-	clean := true // every leg so far answered and admitted all its ops
-	var released model.SiteID
-	for i, l := range legs {
-		final := readOnly && clean && i == len(legs)-1 && l.site != acc.Local()
-		sess.Attempt(l.site)
-		rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, final)
+	var cohort []model.SiteID
+	if mode != Ordered {
+		cohort = make([]model.SiteID, len(legs))
+		for i, l := range legs {
+			cohort[i] = l.site
+		}
+	}
+	// legOf says how leg i ships; take records its reply in the seeds and
+	// the session, reporting whether every operation succeeded and the first
+	// CC abort.
+	legOf := func(i int, final bool) Leg {
+		return Leg{
+			Final:  final,
+			NoWait: mode == NoWait,
+			Vote:   mode != Ordered && legs[i].site != acc.Local(),
+			Cohort: cohort,
+		}
+	}
+	take := func(i int, rep BatchReply, err error) (clean bool, ccErr error) {
+		l := legs[i]
+		if rep.Voted {
+			sess.Vote(l.site)
+		}
+		clean = true
 		for j, k := range l.idx {
 			o := outcome{site: l.site, inc: rep.Incarnation}
 			if err != nil {
@@ -92,16 +150,73 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 			} else {
 				o.CopyResult = rep.Results[j]
 			}
-			if isCC(o.Err) {
-				// Doomed: ask nothing more of anyone. Every site asked so far
-				// is on the session's attempted list and gets released.
-				return nil, o.Err
+			if isCC(o.Err) && ccErr == nil {
+				ccErr = o.Err
 			}
 			clean = clean && o.Err == nil
 			seeds[k] = append(seeds[k], o)
 		}
-		if rep.Released {
-			released = l.site
+		return clean, ccErr
+	}
+
+	var released model.SiteID
+	if mode == NoWait {
+		reps := make([]BatchReply, len(legs))
+		errs := make([]error, len(legs))
+		var wg sync.WaitGroup
+		local := -1
+		for i, l := range legs {
+			sess.Attempt(l.site)
+			if l.site == acc.Local() {
+				local = i // runs inline, while the remote legs travel
+				continue
+			}
+			wg.Add(1)
+			go func(l *leg, lg Leg, rep *BatchReply, err *error) {
+				defer wg.Done()
+				*rep, *err = acc.CopyBatch(ctx, l.site, sess, l.ops, lg)
+			}(l, legOf(i, false), &reps[i], &errs[i])
+		}
+		if local >= 0 {
+			l := legs[local]
+			reps[local], errs[local] = acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(local, false))
+		}
+		wg.Wait()
+		blocked := false
+		var ccErr error
+		for i := range legs {
+			if errors.Is(errs[i], ErrWouldBlock) {
+				blocked = true
+				continue
+			}
+			if _, err := take(i, reps[i], errs[i]); err != nil && ccErr == nil {
+				ccErr = err
+			}
+		}
+		// Every site asked is on the session's attempted list and gets
+		// released; every site that voted, withdrawn.
+		if ccErr != nil {
+			return nil, ccErr
+		}
+		if blocked {
+			return nil, ErrWouldBlock
+		}
+	} else {
+		clean := true // every leg so far answered and admitted all its ops
+		for i, l := range legs {
+			final := readOnly && clean && i == len(legs)-1 && l.site != acc.Local()
+			sess.Attempt(l.site)
+			rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(i, final))
+			ok, ccErr := take(i, rep, err)
+			if ccErr != nil {
+				// Doomed: ask nothing more of anyone. Every site asked so far
+				// is on the session's attempted list and gets released.
+				return nil, ccErr
+			}
+			clean = clean && ok
+			if rep.Released {
+				released = l.site
+			}
 		}
 	}
 

@@ -220,7 +220,7 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	c.waitTails() // B finishes the transaction when the decision reaches it
 
 	start := time.Now()
-	rep, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(out.Tx, model.Timestamp{Time: 99, Site: "A"}), []model.Op{model.Write("x", 9)}, false)
+	rep, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(out.Tx, model.Timestamp{Time: 99, Site: "A"}), []model.Op{model.Write("x", 9)}, rcp.Leg{})
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("straggler pre-write got no answer: %v", err)

@@ -23,14 +23,22 @@ import (
 // then runs the atomic commit protocol over every touched site. A read-only
 // program whose last leg is remote folds that site's vote into the leg (the
 // site releases as it answers), so it commits in one remote round trip when
-// only the home is left. Interactive transactions (Begin, then
+// only the home is left. Under 2PC a program made only of blind adds ships
+// every leg at once without waiting, each remote leg voting with its reply,
+// so the commit asks only the home; if a leg would have had to wait, the
+// attempt is abandoned and the program reruns as an ordered wave under a
+// fresh transaction id (Txn.rerun). Interactive transactions (Begin, then
 // Read/Write/Add as the caller goes) keep the paper's op-by-op shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
 		return model.Outcome{Committed: false, Cause: model.AbortClient, HomeSite: s.id}
 	}
-	if t.wave(ops) != nil {
+	err = t.wave(ops)
+	if errors.Is(err, rcp.ErrWouldBlock) && t.rerun() {
+		err = t.wave(ops)
+	}
+	if err != nil {
 		return t.Abort()
 	}
 	return t.Commit()
@@ -73,12 +81,26 @@ func (t *Txn) wave(ops []model.Op) error {
 		}
 	}
 
+	// Under 2PC an add-only wave's legs vote with their reply, shipped at
+	// once on the first attempt and in order on the rerun; 3PC keeps its
+	// vote round. Wave applies the mode to add-only programs only.
+	mode := rcp.Ordered
+	if !t.acpProto.ThreePhase() {
+		mode = rcp.NoWait
+		if t.reran {
+			mode = rcp.Voting
+		}
+	}
+	if mode == rcp.NoWait && accesses == 0 && adds > 0 {
+		t.s.stats.AddWave()
+	}
+
 	// A wave's first round is up to one attempt per site, one after another;
 	// then, like an interactive operation, two replacement rounds.
 	opCtx, cancel := t.budget(len(t.catalog.Sites) + 2)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "wave")
-	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops)
+	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops, mode)
 	sp.End()
 	if err != nil {
 		t.doomed = err
@@ -114,6 +136,20 @@ func classify(err error) model.AbortCause {
 func (s *Site) releaseEverywhere(sess *rcp.Session) {
 	for _, site := range append(sess.Participants(), sess.Strays()...) {
 		s.releaseAt(site, sess.Tx)
+	}
+}
+
+// abortEverywhere is releaseEverywhere for a transaction that may hold
+// votes cast with a copy operation's reply: a release does not undo a voted
+// site's prepared state, so those sites are also told the transaction
+// aborted, on a tail the site tracks (acp.Withdraw).
+func (s *Site) abortEverywhere(sess *rcp.Session) {
+	s.releaseEverywhere(sess)
+	if voted := sess.Voted(); len(voted) > 0 {
+		s.mu.Lock()
+		opts := acp.Options{Vote: s.timeouts.Vote, Ack: s.timeouts.Ack}
+		s.mu.Unlock()
+		s.runTail(acp.Withdraw(s, opts, sess.Tx, voted), true)
 	}
 }
 
@@ -244,15 +280,19 @@ func (t *Txn) budget(attempts int) (context.Context, context.CancelFunc) {
 // CopyBatch implements rcp.CopyAccess: a transaction's copy operations for
 // site (a wave's share, or one interactive operation) as one CopyBatch round
 // trip, or — for this site's own — inline through the local CCP on the
-// transaction's goroutine, waiting where it must. A final batch carries the
-// transaction's begin-time epoch for the serving site's fold guards.
-func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Session, ops []model.Op, final bool) (rcp.BatchReply, error) {
+// transaction's goroutine, waiting where it must unless leg.NoWait. A final
+// or vote batch carries the transaction's begin-time epoch for the serving
+// site's guards.
+func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Session, ops []model.Op, leg rcp.Leg) (rcp.BatchReply, error) {
 	if site == s.id {
 		s.mu.Lock()
 		st := s.stackLocked()
 		s.mu.Unlock()
 		res := make([]rcp.CopyResult, len(ops))
-		st.admit(ctx, sess.Tx, sess.TS, ops, res, 0, true)
+		if st.admit(ctx, sess.Tx, sess.TS, ops, res, 0, !leg.NoWait) < len(ops) {
+			st.ccm.Abort(sess.Tx)
+			return rcp.BatchReply{}, rcp.ErrWouldBlock
+		}
 		s.recordReads(sess.Tx, ops, res)
 		return rcp.BatchReply{Results: res, Incarnation: st.incarnation}, nil
 	}
@@ -261,20 +301,26 @@ func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Sessi
 	s.mu.Unlock()
 	actx, cancel := context.WithTimeout(ctx, attempt)
 	defer cancel()
-	req := &wire.CopyBatchReq{Tx: sess.Tx, TS: sess.TS, Ops: ops, Final: final}
-	if final {
+	req := &wire.CopyBatchReq{Tx: sess.Tx, TS: sess.TS, Ops: ops, Final: leg.Final, NoWait: leg.NoWait, Vote: leg.Vote}
+	if leg.Final || leg.Vote {
 		req.Epoch = sess.Epoch
+	}
+	if leg.Vote {
+		req.Cohort = leg.Cohort
 	}
 	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, req)
 	s.stats.AddRoundTrips(1)
 	if err != nil {
 		return rcp.BatchReply{}, err
 	}
+	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
+	if resp.WouldBlock {
+		return rcp.BatchReply{}, rcp.ErrWouldBlock
+	}
 	if len(resp.Results) != len(ops) {
 		return rcp.BatchReply{}, fmt.Errorf("site %s answered %d of %d batched operations", site, len(resp.Results), len(ops))
 	}
-	s.clock.Witness(model.Timestamp{Time: resp.Clock, Site: site})
-	rep := rcp.BatchReply{Results: make([]rcp.CopyResult, len(ops)), Incarnation: resp.Incarnation, Released: resp.Released}
+	rep := rcp.BatchReply{Results: make([]rcp.CopyResult, len(ops)), Incarnation: resp.Incarnation, Released: resp.Released, Voted: resp.Voted}
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		rep.Results[i] = rcp.CopyResult{Value: r.Value, Version: r.Version, Err: r.Err()}
@@ -331,34 +377,43 @@ func (s *Site) votePrepare(req wire.PrepareReq) wire.VoteResp {
 	s.gate.RLock()
 	defer s.gate.RUnlock()
 	s.mu.Lock()
-	fence := s.fence
-	incarnation := s.incarnation
 	part := s.part
-	ccm := s.ccm
 	s.mu.Unlock()
 	if known := part.Prepared(req.Tx); !known {
 		if _, decided := part.Decision(req.Tx); !decided {
-			if req.Incarnation != 0 && req.Incarnation != incarnation {
-				return wire.VoteResp{Yes: false, Reason: fmt.Sprintf("incarnation fence: transaction operated under incarnation %d, site is at %d", req.Incarnation, incarnation)}
+			items := make([]model.ItemID, len(req.Writes))
+			for i, w := range req.Writes {
+				items[i] = w.Item
 			}
-			if req.Epoch < fence {
-				return wire.VoteResp{Yes: false, Reason: fmt.Sprintf("epoch fence: transaction epoch %d < rebuild epoch %d", req.Epoch, fence)}
-			}
-			if s.isReleased(req.Tx) {
-				return wire.VoteResp{Yes: false, Reason: "transaction already released at this site"}
-			}
-			if len(req.Writes) > 0 {
-				items := make([]model.ItemID, len(req.Writes))
-				for i, w := range req.Writes {
-					items[i] = w.Item
-				}
-				if !ccm.HoldsIntents(req.Tx, items) {
-					return wire.VoteResp{Yes: false, Reason: "pre-write intents lost (crash or reconfiguration between pre-write and prepare)"}
-				}
+			if reason := s.prepareGuard(req.Tx, req.Incarnation, req.Epoch, items); reason != "" {
+				return wire.VoteResp{Yes: false, Reason: reason}
 			}
 		}
 	}
 	return part.HandlePrepare(req)
+}
+
+// prepareGuard runs the prepare's guards for tx (see votePrepare) and returns
+// why the site must vote no, or "" when they pass: incarnation is the stack
+// incarnation that admitted tx's operations here (0 skips the fence), epoch
+// the catalog epoch tx began under, and items the write set whose intents the
+// CC manager must still buffer. The read-only fold runs the same guards.
+func (s *Site) prepareGuard(tx model.TxID, incarnation, epoch uint64, items []model.ItemID) string {
+	s.mu.Lock()
+	fence, cur, ccm := s.fence, s.incarnation, s.ccm
+	released := s.released.has(tx)
+	s.mu.Unlock()
+	switch {
+	case incarnation != 0 && incarnation != cur:
+		return fmt.Sprintf("incarnation fence: transaction operated under incarnation %d, site is at %d", incarnation, cur)
+	case epoch < fence:
+		return fmt.Sprintf("epoch fence: transaction epoch %d < rebuild epoch %d", epoch, fence)
+	case released:
+		return "transaction already released at this site"
+	case len(items) > 0 && !ccm.HoldsIntents(tx, items):
+		return "pre-write intents lost (crash or reconfiguration between pre-write and prepare)"
+	}
+	return ""
 }
 
 // PreCommit implements acp.Cohort: a nil return promises the participant

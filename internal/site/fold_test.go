@@ -47,7 +47,7 @@ func TestFoldReleasesBeforeReplying(t *testing.T) {
 		ts := model.Timestamp{Time: 1, Site: "A"}
 
 		held := rcp.NewSession(model.TxID{Site: "A", Seq: 1}, ts)
-		rep, err := a.CopyBatch(context.Background(), "B", held, foldReads, false)
+		rep, err := a.CopyBatch(context.Background(), "B", held, foldReads, rcp.Leg{})
 		if err != nil || rep.Released {
 			t.Fatalf("pipeline off=%v: ordinary batch = %+v, %v", noPipeline, rep, err)
 		}
@@ -57,7 +57,7 @@ func TestFoldReleasesBeforeReplying(t *testing.T) {
 		b.releaseAt("B", held.Tx)
 
 		folded := rcp.NewSession(model.TxID{Site: "A", Seq: 2}, ts)
-		rep, err = a.CopyBatch(context.Background(), "B", folded, foldReads, true)
+		rep, err = a.CopyBatch(context.Background(), "B", folded, foldReads, rcp.Leg{Final: true})
 		if err != nil || !rep.Released {
 			t.Fatalf("pipeline off=%v: final batch = %+v, %v; want released", noPipeline, rep, err)
 		}
@@ -81,7 +81,7 @@ func TestFoldRefusedForReleasedTx(t *testing.T) {
 		a, b := c.sites["A"], c.sites["B"]
 		sess := rcp.NewSession(model.TxID{Site: "A", Seq: 7}, model.Timestamp{Time: 1, Site: "A"})
 		b.tombstone(sess.Tx)
-		rep, err := a.CopyBatch(context.Background(), "B", sess, foldReads, true)
+		rep, err := a.CopyBatch(context.Background(), "B", sess, foldReads, rcp.Leg{Final: true})
 		if err == nil || rep.Released {
 			t.Fatalf("pipeline off=%v: final batch for a released transaction = %+v, %v; want a refusal", noPipeline, rep, err)
 		}

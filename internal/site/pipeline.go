@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cc"
@@ -38,19 +39,23 @@ import (
 // synchronous path: those force WAL records under the checkpoint gate and
 // already batch at the group-commit layer.
 
-// copyOp is one queued wave. final and epoch mark the last leg of a read-only
-// wave (see Site.fold). tid carries the request's distributed-trace ID and enq
-// its submit time (UnixNano; stamped only for traced requests, so the
-// untraced hot path never reads the clock here).
+// copyOp is one queued wave. final marks the last leg of a read-only wave
+// (see Site.fold); noWait, vote and cohort a leg of an add-only wave (see
+// Site.vote); epoch rides both. tid carries the request's distributed-trace
+// ID and enq its submit time (UnixNano; stamped only for traced requests, so
+// the untraced hot path never reads the clock here).
 type copyOp struct {
-	tx    model.TxID
-	ts    model.Timestamp
-	ops   []model.Op
-	final bool
-	epoch uint64
-	reply wire.ReplyFunc
-	tid   trace.ID
-	enq   int64
+	tx     model.TxID
+	ts     model.Timestamp
+	ops    []model.Op
+	final  bool
+	noWait bool
+	vote   bool
+	cohort []model.SiteID
+	epoch  uint64
+	reply  wire.ReplyFunc
+	tid    trace.ID
+	enq    int64
 }
 
 // decodeWave decodes a CopyBatch request into a copyOp.
@@ -63,6 +68,7 @@ func decodeWave(pay wire.Payload, op *copyOp) error {
 		return fmt.Errorf("empty copy batch for %s", req.Tx)
 	}
 	op.tx, op.ts, op.ops, op.final, op.epoch = req.Tx, req.TS, req.Ops, req.Final, req.Epoch
+	op.noWait, op.vote, op.cohort = req.NoWait, req.Vote, req.Cohort
 	return nil
 }
 
@@ -146,7 +152,7 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 // the reads enter the execution history and the results become the reply
 // body, stamped with the site's Lamport time and the incarnation that
 // protects the operations. A final wave whose operations all succeeded then
-// folds the read-only vote in (Site.fold).
+// folds the read-only vote in (Site.fold), a vote wave votes (Site.vote).
 func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, clock uint64) (wire.MsgKind, wire.Body, error) {
 	if raced {
 		st.ccm.Abort(op.tx)
@@ -163,42 +169,98 @@ func (s *Site) finish(st ccStack, op *copyOp, res []rcp.CopyResult, raced bool, 
 		}
 		resp.Results[i].Value, resp.Results[i].Version = r.Value, r.Version
 	}
-	if op.final && !failed {
+	if failed {
+		return wire.KindCopyBatch, resp, nil
+	}
+	if op.final {
 		if err := s.fold(st, op.tx, op.epoch); err != nil {
 			return 0, nil, err
 		}
 		resp.Released = true
 	}
+	if op.vote {
+		if err := s.vote(st, op, res); err != nil {
+			return 0, nil, err
+		}
+		resp.Voted = true
+	}
 	return wire.KindCopyBatch, resp, nil
+}
+
+// refuseBlocked answers a no-wait wave that would have had to wait: it
+// releases everything the transaction holds here — the operations admitted
+// before the one that would wait — and refuses with WouldBlock, so the wave
+// never waits while it holds anything.
+func (s *Site) refuseBlocked(st ccStack, tx model.TxID, clock uint64) (wire.MsgKind, wire.Body, error) {
+	st.ccm.Abort(tx)
+	return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: clock, Incarnation: st.incarnation, WouldBlock: true}, nil
 }
 
 // fold is the read-only vote run at the end of a wave's final leg: the wave
 // admitted the transaction's last operations here, which is its lock point,
 // so its CC state here is released at once, exactly as a read-only
 // HandlePrepare releases it (no tombstone: nothing of the transaction can
-// follow). First the vote's guards: the stack that admitted the operations
-// must still be the site's current one (a rebuild racing the admission
-// dropped their protection — the incarnation fence, checked here because the
-// reply would otherwise vouch for the dead stack), the transaction must not
-// predate the site's last live rebuild (the epoch fence), and it must not
-// have been released here meanwhile (the release tombstone). A failed guard
-// refuses the batch with an ACP abort, as a no vote would, and still
-// releases.
+// follow). First the prepare's guards (Site.prepareGuard): the stack that
+// admitted the operations must still be the site's current one (a rebuild
+// racing the admission dropped their protection — the incarnation fence,
+// checked here because the reply would otherwise vouch for the dead stack),
+// the transaction must not predate the site's last live rebuild (the epoch
+// fence), and it must not have been released here meanwhile (the release
+// tombstone). A failed guard refuses the batch with an ACP abort, as a no
+// vote would, and still releases.
 func (s *Site) fold(st ccStack, tx model.TxID, epoch uint64) error {
-	s.mu.Lock()
-	incarnation, fence := s.incarnation, s.fence
-	released := s.released.has(tx)
-	s.mu.Unlock()
+	reason := s.prepareGuard(tx, st.incarnation, epoch, nil)
 	st.ccm.Abort(tx)
-	switch {
-	case incarnation != st.incarnation:
-		return model.Abortf(model.AbortACP, "incarnation fence: operations admitted under incarnation %d, site is at %d", st.incarnation, incarnation)
-	case epoch < fence:
-		return model.Abortf(model.AbortACP, "epoch fence: transaction epoch %d < rebuild epoch %d", epoch, fence)
-	case released:
-		return model.Abortf(model.AbortACP, "transaction already released at this site")
+	if reason != "" {
+		return model.Abortf(model.AbortACP, "%s", reason)
 	}
 	return nil
+}
+
+// vote is the prepare run at the end of an add-only wave's remote leg under
+// 2PC: every add of the leg is admitted here, and an add's effect at this
+// site depends on nothing outside it, so the site votes at once. It goes
+// through votePrepare — the prepare's guards (the incarnation that admitted
+// the adds, the epoch fence, the release tombstone, the intents) and the
+// force of a prepared record, as one unit under the site gate — with the
+// transaction's home as coordinator, the wave's planned sites as the
+// participants and the leg's merged delta records as the write set. A no vote
+// releases and refuses the batch with an ACP abort. vote waits for the gate,
+// which a live rebuild holds while it drains the pipeline, so it must never
+// run on a shard sequencer (see copyBatch).
+func (s *Site) vote(st ccStack, op *copyOp, res []rcp.CopyResult) error {
+	v := s.votePrepare(wire.PrepareReq{
+		Tx:           op.tx,
+		TS:           op.ts,
+		Coordinator:  op.tx.Site,
+		Participants: op.cohort,
+		Writes:       deltaRecords(op.ops, res),
+		Epoch:        op.epoch,
+		Incarnation:  st.incarnation,
+	})
+	if !v.Yes {
+		st.ccm.Abort(op.tx)
+		return model.Abortf(model.AbortACP, "%s voted no: %s", s.id, v.Reason)
+	}
+	s.stats.LegVoted()
+	return nil
+}
+
+// deltaRecords merges a leg's admitted adds into one delta record per item:
+// the deltas summed, installing at the version after the one the copy
+// reported — the version the store's delta apply gives it (Store.Apply).
+func deltaRecords(ops []model.Op, res []rcp.CopyResult) []model.WriteRecord {
+	var out []model.WriteRecord
+	for i, op := range ops {
+		j := slices.IndexFunc(out, func(w model.WriteRecord) bool { return w.Item == op.Item })
+		if j < 0 {
+			out = append(out, model.WriteRecord{Item: op.Item, Value: op.Value, Version: res[i].Version + 1, Delta: true})
+			continue
+		}
+		out[j].Value += op.Value
+		out[j].Version = max(out[j].Version, res[i].Version+1)
+	}
+	return out
 }
 
 // recordReads enters a wave's successful reads in the execution history.
@@ -336,9 +398,17 @@ func (s *Site) copyBatch(_ int, batch []copyOp) {
 		switch {
 		case released[i]:
 			op.reply(0, nil, errReleased(op.tx))
+		case spilled && op.noWait:
+			op.reply(s.refuseBlocked(st, op.tx, clockNow))
 		case spilled:
 			s.pipeSpills.Add(1)
 			go s.spillWave(st, *op, results[i], next[i])
+		case op.vote:
+			// The vote forces a record under the site gate, whose write side
+			// a live rebuild holds while it drains this pipeline.
+			go func(op copyOp, res []rcp.CopyResult, raced bool) {
+				op.reply(s.finish(st, &op, res, raced, clockNow))
+			}(*op, results[i], raced[i])
 		default:
 			op.reply(s.finish(st, op, results[i], raced[i], clockNow))
 		}

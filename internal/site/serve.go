@@ -45,8 +45,11 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		defer act.Finish()
 		res := make([]rcp.CopyResult, len(op.ops))
 		sp := act.StartSpan(trace.StageAdmit, op.ops[0].String())
-		st.admit(trace.NewContext(st.runCtx, act), op.tx, op.ts, op.ops, res, 0, true)
+		n := st.admit(trace.NewContext(st.runCtx, act), op.tx, op.ts, op.ops, res, 0, !op.noWait)
 		sp.End()
+		if n < len(op.ops) {
+			return s.refuseBlocked(st, op.tx, s.clock.Peek())
+		}
 		return s.finish(st, &op, res, s.isReleased(op.tx), s.clock.Peek())
 
 	case wire.KindReleaseTx:
@@ -55,7 +58,15 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 			return 0, nil, err
 		}
 		s.tombstone(req.Tx)
-		st.ccm.Abort(req.Tx)
+		// A participant prepared on tx — a leg that voted with its reply —
+		// keeps its locks and intents: a yes vote is a promise only the
+		// decision may release. The tombstone still refuses every later
+		// operation and vote. (A vote whose guards passed just before the
+		// tombstone may register after this check, unprotected; that is safe
+		// because a home releases only a transaction it will not commit.)
+		if !part.Prepared(req.Tx) {
+			st.ccm.Abort(req.Tx)
+		}
 		return wire.KindOK, &wire.OKBody{}, nil
 
 	case wire.KindPrepare:

@@ -81,7 +81,7 @@ func TestCopyOpsReportIncarnation(t *testing.T) {
 	defer cancel()
 	tx := model.TxID{Site: "A", Seq: 60}
 	ts := model.Timestamp{Time: 1, Site: "A"}
-	rep, err := a.CopyBatch(ctx, "B", rcp.NewSession(tx, ts), []model.Op{model.Read("x"), model.Write("y", 9)}, false)
+	rep, err := a.CopyBatch(ctx, "B", rcp.NewSession(tx, ts), []model.Op{model.Read("x"), model.Write("y", 9)}, rcp.Leg{})
 	if err != nil || rep.Results[0].Err != nil || rep.Results[1].Err != nil || rep.Incarnation != b.Incarnation() {
 		t.Fatalf("remote copy operations = %+v, %v; want incarnation %d", rep, err, b.Incarnation())
 	}

@@ -48,6 +48,9 @@ type Txn struct {
 	added    map[model.ItemID]bool
 	doomed   error
 	finished bool
+	// reran marks a one-shot program rerun after a no-wait leg refused its
+	// first attempt (see rerun).
+	reran bool
 	// act is the transaction's sampled trace (nil for the untraced common
 	// case — every span call then no-ops without reading the clock). It
 	// rides t.ctx, so remote calls stamp its ID on their envelopes.
@@ -206,7 +209,40 @@ func (t *Txn) abandon() {
 	if crashed {
 		return // fail-stop: a dead home sends nothing; the janitors take over
 	}
-	s.releaseEverywhere(t.sess)
+	s.abortEverywhere(t.sess)
+}
+
+// rerun abandons a one-shot attempt that a no-wait leg refused and readies
+// the program to run again, as an ordered wave, under a fresh transaction id
+// and timestamp: every site the attempt reached is released, and every site
+// that voted is told the attempt aborted — presumed abort, so nothing is
+// logged here. The transaction keeps its start time and trace, and its
+// outcome counts once. rerun reports false, leaving the transaction
+// doomed, when it cannot go on: its context ended (the abandonment watch
+// already released everything) or the site crashed.
+func (t *Txn) rerun() bool {
+	if !t.unwatch() {
+		return false
+	}
+	s := t.s
+	s.abortEverywhere(t.sess)
+	s.mu.Lock()
+	if s.crashed {
+		s.mu.Unlock()
+		return false
+	}
+	delete(s.activeCoord, t.tx)
+	s.seq++
+	t.tx = model.TxID{Site: s.id, Seq: s.seq}
+	t.ts = s.clock.Now()
+	s.activeCoord[t.tx] = true
+	s.mu.Unlock()
+	t.sess = rcp.NewSession(t.tx, t.ts)
+	t.sess.Epoch = t.catalog.Epoch
+	t.doomed, t.reran = nil, true
+	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
+	s.stats.WaveRerun()
+	return true
 }
 
 func (t *Txn) usable() error {
@@ -262,6 +298,8 @@ func (t *Txn) Commit() model.Outcome {
 		// Per-site incarnations observed during copy operations, for the
 		// participants' incarnation fence.
 		IncarnationFor: t.sess.IncarnationFor,
+		// Sites that voted with their copy operation's reply.
+		Voted: t.sess.Voted(),
 	}
 	var committed bool
 	var tail acp.Tail
@@ -319,7 +357,13 @@ func (t *Txn) Commit() model.Outcome {
 			s.releaseStrays(t.sess)
 			return t.outcome(false, classify(err))
 		}
-		s.releaseEverywhere(t.sess) // participants + strays
+		if tail == nil {
+			// No decision went out (its force failed): the sites that voted
+			// with their reply hear the abort from here.
+			s.abortEverywhere(t.sess)
+		} else {
+			s.releaseEverywhere(t.sess) // participants + strays
+		}
 		return t.outcome(false, classify(err))
 	}
 	s.releaseStrays(t.sess)
@@ -334,7 +378,7 @@ func (t *Txn) Abort() model.Outcome {
 	t.finished = true
 	t.unwatch()
 	defer t.cancel()
-	t.s.releaseEverywhere(t.sess)
+	t.s.abortEverywhere(t.sess)
 	cause := model.AbortClient
 	if t.doomed != nil {
 		cause = classify(t.doomed)

@@ -150,7 +150,13 @@ func TestWaveMatchesInteractive(t *testing.T) {
 // read-only vote into it and commits locally: 1 round trip, 2 messages.
 // Homed at C, its partner A's leg ships first and keeps its vote: 2 round
 // trips (batch, prepare) and 4 messages. A read-write program has one remote
-// leg and one remote writer; a 4-add program writes all three copies.
+// leg and one remote writer.
+//
+// A 4-add program writes all three copies, so it has two remote legs. Under
+// 2PC both legs ship at once and vote with their reply, so no prepare goes
+// out: 2 batches + 2 decisions = 4 round trips, and 4 + 4 messages plus the
+// 2 one-way EndTx casts = 10. Under 3PC the legs keep the vote round: 2
+// batches + 2 × (prepare, pre-commit, decision) = 8 round trips.
 func TestWaveRoundTrips(t *testing.T) {
 	reads := []model.Op{model.Read("w"), model.Read("x"), model.Read("y"), model.Read("z")}
 	for _, home := range []model.SiteID{"A", "B", "C"} {
@@ -183,8 +189,12 @@ func TestWaveRoundTrips(t *testing.T) {
 					if rt, _ := run(model.Read("x"), model.Write("y", 5)); rt != 1+phases {
 						t.Errorf("read-write program: %d round trips, want %d", rt, 1+phases)
 					}
-					if rt, _ := run(model.Add("w", 1), model.Add("x", 1), model.Add("y", 1), model.Add("z", 1)); rt != 2+2*phases {
-						t.Errorf("4-add program: %d round trips, want %d", rt, 2+2*phases)
+					wantRounds, wantMsgs = 2+2*phases, 2*(2+2*phases)+2 // batches and phases, 2 EndTx
+					if acp == "2pc" {
+						wantRounds, wantMsgs = 2+2, 2*(2+2)+2 // the legs' votes ride their replies
+					}
+					if rt, msgs := run(model.Add("w", 1), model.Add("x", 1), model.Add("y", 1), model.Add("z", 1)); rt != wantRounds || msgs != wantMsgs {
+						t.Errorf("4-add program: %d round trips, %d messages; want %d and %d", rt, msgs, wantRounds, wantMsgs)
 					}
 				})
 			}
@@ -330,7 +340,7 @@ func TestWaveForReleasedTxRefusedWithoutQueuing(t *testing.T) {
 	b.tombstone(tx)
 	start := time.Now()
 	_, err := a.CopyBatch(context.Background(), "B", rcp.NewSession(tx, model.Timestamp{Time: 2, Site: "A"}),
-		[]model.Op{model.Write("w", 1), model.Write("x", 2)}, false)
+		[]model.Op{model.Write("w", 1), model.Write("x", 2)}, rcp.Leg{})
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("batch for a released transaction: %v, want a CC refusal", err)
 	}

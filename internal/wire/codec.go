@@ -818,8 +818,9 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
-	// Version 2 appended the read-only fold's Final flag and Epoch.
-	buf = append(buf, 2)
+	// Version 2 appended the read-only fold's Final flag and Epoch, version
+	// 3 the add-only wave's NoWait and Vote flags and Cohort.
+	buf = append(buf, 3)
 	buf = appendTx(buf, b.Tx)
 	buf = appendTS(buf, b.TS)
 	buf = appendUvarint(buf, uint64(len(b.Ops)))
@@ -829,7 +830,14 @@ func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
 		buf = appendVarint(buf, op.Value)
 	}
 	buf = appendBool(buf, b.Final)
-	return appendUvarint(buf, b.Epoch)
+	buf = appendUvarint(buf, b.Epoch)
+	buf = appendBool(buf, b.NoWait)
+	buf = appendBool(buf, b.Vote)
+	buf = appendUvarint(buf, uint64(len(b.Cohort)))
+	for _, s := range b.Cohort {
+		buf = appendString(buf, string(s))
+	}
+	return buf
 }
 
 func (b *CopyBatchReq) DecodeFrom(p []byte) error {
@@ -853,14 +861,27 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 		b.Final = r.bool()
 		b.Epoch = r.uvarint()
 	}
+	if v >= 3 {
+		b.NoWait = r.bool()
+		b.Vote = r.bool()
+		if n := r.count(); n > 0 {
+			b.Cohort = make([]model.SiteID, n)
+			for i := range b.Cohort {
+				b.Cohort[i] = model.SiteID(r.str())
+			}
+		} else {
+			b.Cohort = nil
+		}
+	}
 	return r.err
 }
 
 func (b *CopyBatchResp) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
-	// Version 2 appended Released (the read-only fold's answer).
-	buf = append(buf, 2)
+	// Version 2 appended Released (the read-only fold's answer), version 3
+	// Voted and WouldBlock (the add-only wave's answers).
+	buf = append(buf, 3)
 	buf = appendUvarint(buf, uint64(len(b.Results)))
 	for _, res := range b.Results {
 		buf = appendVarint(buf, res.Value)
@@ -870,7 +891,9 @@ func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
 	}
 	buf = appendUvarint(buf, b.Clock)
 	buf = appendUvarint(buf, b.Incarnation)
-	return appendBool(buf, b.Released)
+	buf = appendBool(buf, b.Released)
+	buf = appendBool(buf, b.Voted)
+	return appendBool(buf, b.WouldBlock)
 }
 
 func (b *CopyBatchResp) DecodeFrom(p []byte) error {
@@ -893,6 +916,10 @@ func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	b.Incarnation = r.uvarint()
 	if v >= 2 {
 		b.Released = r.bool()
+	}
+	if v >= 3 {
+		b.Voted = r.bool()
+		b.WouldBlock = r.bool()
 	}
 	return r.err
 }

@@ -66,43 +66,49 @@ func filledBodies() []wire.Body {
 			{Kind: model.OpRead, Item: "a"},
 			{Kind: model.OpWrite, Item: "b", Value: -5},
 			{Kind: model.OpAdd, Item: "c", Value: 1 << 33},
-		}, Final: true, Epoch: 12},
+		}, Final: true, Epoch: 12, NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2", "S3"}},
 		&wire.CopyBatchResp{
 			Results: []wire.CopyResult{
 				{Value: -9, Version: 4},
 				{Cause: model.AbortCC, Reason: "lock timeout on b"},
 				{Reason: "not run"},
 			},
-			Clock: 101, Incarnation: 6, Released: true,
+			Clock: 101, Incarnation: 6, Released: true, Voted: true, WouldBlock: true,
 		},
 	}
 }
 
-// TestCopyBatchVersion1Decodes: version-1 CopyBatch bodies — from a peer that
-// predates the read-only fold — still decode, with the fold's trailing fields
-// at their zero values (not final, not released). So do version-1 Decision
-// bodies, from a peer that predates lazy decision records (not lazy).
+// TestCopyBatchVersion1Decodes: older CopyBatch bodies still decode, with
+// the newer trailing fields at their zero values — version 1, from a peer
+// that predates the read-only fold (not final, not released), and version 2,
+// from a peer that predates add-only waves (not no-wait, no vote, not voted,
+// not refused). So do version-1 Decision bodies, from a peer that predates
+// lazy decision records (not lazy).
 func TestCopyBatchVersion1Decodes(t *testing.T) {
-	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Read("a")}, Final: true, Epoch: 9}
+	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Add("a", 2)}, Final: true, Epoch: 9,
+		NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2"}}
 	dec := &wire.DecisionMsg{Tx: req.Tx, Commit: true, Lazy: true}
-	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true}
+	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true, Voted: true, WouldBlock: true}
 	for _, c := range []struct {
 		body    wire.Body
-		trailer int // encoded bytes of the version-2 fields
+		version byte
+		trailer int // encoded bytes of the fields newer than version
 		want    wire.Body
 	}{
-		{req, 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
-		{resp, 1, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
-		{dec, 1, &wire.DecisionMsg{Tx: dec.Tx, Commit: true}},
+		{req, 1, 2 + 9, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
+		{req, 2, 9, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9}},
+		{resp, 1, 1 + 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
+		{resp, 2, 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4, Released: true}},
+		{dec, 1, 1, &wire.DecisionMsg{Tx: dec.Tx, Commit: true}},
 	} {
 		enc := c.body.AppendTo(nil)
-		v1 := append([]byte{1}, enc[1:len(enc)-c.trailer]...)
+		old := append([]byte{c.version}, enc[1:len(enc)-c.trailer]...)
 		got := reflect.New(reflect.TypeOf(c.body).Elem()).Interface().(wire.Body)
-		if err := got.DecodeFrom(v1); err != nil {
-			t.Fatalf("%T: version-1 decode: %v", c.body, err)
+		if err := got.DecodeFrom(old); err != nil {
+			t.Fatalf("%T: version-%d decode: %v", c.body, c.version, err)
 		}
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%T: version-1 decode = %+v, want %+v", c.body, got, c.want)
+			t.Errorf("%T: version-%d decode = %+v, want %+v", c.body, c.version, got, c.want)
 		}
 	}
 }

@@ -338,9 +338,23 @@ type CopyBatchReq struct {
 	// leaves it out of the commit protocol; a failed guard refuses the batch
 	// with an ACP abort.
 	Final bool
-	// Epoch is the catalog epoch the transaction began under (Final batches
-	// only; see PrepareReq.Epoch).
+	// Epoch is the catalog epoch the transaction began under (Final and
+	// Vote batches only; see PrepareReq.Epoch).
 	Epoch uint64
+	// NoWait admits without waiting: an operation that would have to wait
+	// makes the site release everything Tx holds there and answer
+	// WouldBlock.
+	NoWait bool
+	// Vote marks a remote leg of an add-only wave under 2PC: once every
+	// operation succeeded, the site runs the prepare's guards (Epoch against
+	// its epoch fence, the incarnation that admitted the operations, the
+	// release tombstone, the intents), forces a prepared record — Tx's home
+	// site as coordinator, Cohort as the participants, the batch's merged
+	// delta records as the write set — and answers Voted; a failed guard
+	// refuses the batch with an ACP abort.
+	Vote bool
+	// Cohort lists the sites the wave planned to touch (Vote batches only).
+	Cohort []model.SiteID
 }
 
 // CopyResult is one operation's outcome inside a CopyBatchResp: the copy's
@@ -387,6 +401,12 @@ type CopyBatchResp struct {
 	// Released answers a Final batch: the site already released the
 	// transaction and takes no part in its commit protocol.
 	Released bool
+	// Voted answers a Vote batch: the site is prepared and voted yes.
+	Voted bool
+	// WouldBlock refuses a NoWait batch (Results is then empty): an
+	// operation would have had to wait, and the site released everything
+	// the transaction held there.
+	WouldBlock bool
 }
 
 // ReleaseTxReq tells a participant to discard all CC state for an aborted
