@@ -1037,6 +1037,13 @@ func (tb *termBench) Prepare(_ context.Context, site model.SiteID, req wire.Prep
 	return tb.participants[site].HandlePrepare(req), nil
 }
 
+func (tb *termBench) CommitHome(_ context.Context, req wire.PrepareReq) (wire.VoteResp, error) {
+	if err := tb.reachable(req.Coordinator); err != nil {
+		return wire.VoteResp{}, err
+	}
+	return wire.VoteResp{Yes: true}, tb.participants[req.Coordinator].PrepareCommit(req)
+}
+
 func (tb *termBench) PreCommit(_ context.Context, site model.SiteID, tx model.TxID) error {
 	if err := tb.reachable(site); err != nil {
 		return err

@@ -79,6 +79,13 @@ type Cohort interface {
 	// electorate acked (the commit quorum any later termination must
 	// intersect).
 	PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error
+	// CommitHome is 2PC's phase 1 and decision in one force at the
+	// coordinator's own site, when it is a participant holding writes and
+	// every other participant voted yes: it runs the site's prepare guards
+	// and, if they pass, forces req's prepared record and the commit decision
+	// with one append and adopts the commit, as one unit. A no vote forces
+	// nothing; an error means the force failed.
+	CommitHome(ctx context.Context, req wire.PrepareReq) (wire.VoteResp, error)
 	// Decide delivers the final decision and waits for its ack. lazy says
 	// the coordinator has already replied, so the participant may force its
 	// decision record lazily (wal.Record.Lazy).
@@ -134,8 +141,8 @@ type Request struct {
 	// incarnation fence (see wire.PrepareReq.Incarnation). Nil skips it.
 	IncarnationFor func(model.SiteID) uint64
 	// Voted lists the participants that already voted yes with their copy
-	// operation's reply (an add-only wave's legs under 2PC): they are
-	// prepared, so phase 1 asks only the others.
+	// operation's reply (a wave's voting legs under 2PC): they are prepared,
+	// so phase 1 asks only the others.
 	Voted []model.SiteID
 }
 

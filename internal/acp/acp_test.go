@@ -26,6 +26,7 @@ type fakeCohort struct {
 	// site stays up for votes and decisions).
 	dropPreCommit map[model.SiteID]bool
 	prepares      int
+	homeCommits   int
 	decisions     int
 	precommits    int
 	ends          int
@@ -63,6 +64,20 @@ func (f *fakeCohort) Prepare(ctx context.Context, site model.SiteID, req wire.Pr
 		return wire.VoteResp{Yes: false, Reason: "injected"}, nil
 	}
 	return p.HandlePrepare(req), nil
+}
+
+// CommitHome runs the coordinator's prepare and commit decision in one force
+// at its participant half; a voteNo coordinator votes no.
+func (f *fakeCohort) CommitHome(ctx context.Context, req wire.PrepareReq) (wire.VoteResp, error) {
+	f.mu.Lock()
+	f.homeCommits++
+	no := f.voteNo[req.Coordinator]
+	p := f.participants[req.Coordinator]
+	f.mu.Unlock()
+	if no {
+		return wire.VoteResp{Yes: false, Reason: "injected"}, nil
+	}
+	return wire.VoteResp{Yes: true}, p.PrepareCommit(req)
 }
 
 func (f *fakeCohort) PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) error {
@@ -298,8 +313,7 @@ func TestTwoPCSkipsPreCommit(t *testing.T) {
 func TestCoordinatorLogsDecisionBeforeBroadcast(t *testing.T) {
 	f := newFakeCohort()
 	a := newApplier()
-	f.add("S1", a)
-	log := wal.NewMemory()
+	log := f.add("S1", a).log // the coordinator's site has one WAL
 	req := request("S1")
 	decided := false
 	_, err := commitInline(TwoPC{}, f, log, req, func(commit bool) {
@@ -355,7 +369,7 @@ func TestCommitReturnsAtDecisionForce(t *testing.T) {
 			for s, a := range appliers {
 				f.add(s, a)
 			}
-			log := wal.NewMemory()
+			log := f.participants["S1"].log // the coordinator's site has one WAL
 			req := request("S1", "S2")
 			req.Voters = req.Participants
 			commit, tail, err := proto.Commit(context.Background(), f, log, testOpts, req, nil)
@@ -1247,7 +1261,8 @@ func TestConcurrentTerminationsConverge(t *testing.T) {
 
 // TestTwoPCAsksOnlyUnvotedParticipants: participants that voted with their
 // copy operation's reply (Request.Voted) are prepared already, so phase 1
-// asks only the others — and they still hear the decision.
+// asks only the others — here S2; the coordinator S1 prepares with its
+// decision — and they still hear the decision.
 func TestTwoPCAsksOnlyUnvotedParticipants(t *testing.T) {
 	f := newFakeCohort()
 	appliers := map[model.SiteID]*fakeApplier{}
@@ -1256,7 +1271,7 @@ func TestTwoPCAsksOnlyUnvotedParticipants(t *testing.T) {
 		f.add(s, appliers[s])
 	}
 	req := request("S1", "S2", "S3")
-	req.Voted = []model.SiteID{"S2", "S3"}
+	req.Voted = []model.SiteID{"S3"}
 	for _, s := range req.Voted {
 		if v := f.participants[s].HandlePrepare(wire.PrepareReq{Tx: req.Tx, Coordinator: "S1", Writes: req.WritesFor(s)}); !v.Yes {
 			t.Fatalf("%s voted no: %s", s, v.Reason)
@@ -1266,8 +1281,8 @@ func TestTwoPCAsksOnlyUnvotedParticipants(t *testing.T) {
 	if err != nil || !commit {
 		t.Fatalf("commit = %v, %v", commit, err)
 	}
-	if f.prepares != 1 {
-		t.Errorf("%d prepares sent, want 1 (the unvoted S1)", f.prepares)
+	if f.prepares != 1 || f.homeCommits != 1 {
+		t.Errorf("%d prepares sent, %d home commits; want 1 (the unvoted S2) and 1", f.prepares, f.homeCommits)
 	}
 	if f.decisions != 3 {
 		t.Errorf("%d decisions sent, want 3", f.decisions)
@@ -1303,4 +1318,86 @@ func TestWithdrawAbortsVotedWithoutLogging(t *testing.T) {
 	if p.DecisionCount() != 0 {
 		t.Errorf("S2 keeps %d decisions after the end message, want 0", p.DecisionCount())
 	}
+}
+
+// TestTwoPCHomePreparesWithDecision: a coordinator that is a participant
+// holding writes gets no prepare; once the others voted yes it forces its
+// prepared record and the commit decision in ONE append, before onDecision,
+// and applies the commit. If another participant votes no, it forces nothing
+// but the abort decision; if its own guards vote no, the cohort aborts.
+// 3PC keeps the coordinator's ordinary prepare.
+func TestTwoPCHomePreparesWithDecision(t *testing.T) {
+	f := newFakeCohort()
+	a := newApplier()
+	home := f.add("S1", a)
+	f.add("S2", newApplier())
+	log := countingLog{Log: home.log}
+	home.log = &log
+	req := request("S1", "S2")
+	commit, err := commitInline(TwoPC{}, f, &log, req, func(bool) {
+		if log.batches != 1 || log.appends != 0 {
+			t.Errorf("at the decision: %d batches, %d appends; want one batch", log.batches, log.appends)
+		}
+	})
+	if err != nil || !commit {
+		t.Fatalf("commit = %v, %v", commit, err)
+	}
+	if f.prepares != 1 || f.homeCommits != 1 || !a.wasCommitted(req.Tx) {
+		t.Errorf("%d prepares, %d home commits, home committed %v; want 1, 1, true", f.prepares, f.homeCommits, a.wasCommitted(req.Tx))
+	}
+	recs, _ := home.log.ReadAll()
+	if len(recs) < 2 || recs[0].Type != wal.RecPrepared || recs[1].Type != wal.RecDecision || !recs[1].Commit {
+		t.Errorf("home log %+v, want prepared then commit decision", recs)
+	}
+
+	for _, no := range []model.SiteID{"S2", "S1"} {
+		f := newFakeCohort()
+		appliers := map[model.SiteID]*fakeApplier{"S1": newApplier(), "S2": newApplier()}
+		for s, a := range appliers {
+			f.add(s, a)
+		}
+		f.voteNo[no] = true
+		log := f.participants["S1"].log
+		commit, err := commitInline(TwoPC{}, f, log, req, nil)
+		if commit || model.CauseOf(err) != model.AbortACP {
+			t.Fatalf("%s votes no: commit = %v, %v", no, commit, err)
+		}
+		recs, _ := log.ReadAll()
+		for _, r := range recs {
+			if r.Type == wal.RecPrepared || (r.Type == wal.RecDecision && r.Commit) {
+				t.Errorf("%s votes no: home logged %+v", no, r)
+			}
+		}
+		if !appliers["S1"].wasAborted(req.Tx) || !appliers["S2"].wasAborted(req.Tx) {
+			t.Errorf("%s votes no: not everyone aborted", no)
+		}
+	}
+
+	f = newFakeCohort()
+	for _, s := range []model.SiteID{"S1", "S2"} {
+		f.add(s, newApplier())
+	}
+	req.Voters = req.Participants
+	if commit, err := commitInline(ThreePC{}, f, wal.NewMemory(), req, nil); err != nil || !commit {
+		t.Fatalf("3pc: commit = %v, %v", commit, err)
+	}
+	if f.prepares != 2 || f.homeCommits != 0 {
+		t.Errorf("3pc: %d prepares, %d home commits; want 2 and 0", f.prepares, f.homeCommits)
+	}
+}
+
+// countingLog counts a log's single appends and batches.
+type countingLog struct {
+	wal.Log
+	appends, batches int
+}
+
+func (l *countingLog) Append(r wal.Record) error {
+	l.appends++
+	return l.Log.Append(r)
+}
+
+func (l *countingLog) AppendBatch(recs []wal.Record) error {
+	l.batches++
+	return l.Log.AppendBatch(recs)
 }

@@ -168,7 +168,42 @@ func (p *Participant) HandlePrepare(req wire.PrepareReq) wire.VoteResp {
 	// under the gate's write side cannot interleave between the site's
 	// prepare guards and this force — the gate is deliberately NOT taken
 	// here (it is not reentrant).
-	if err := p.log.Append(wal.Record{
+	if err := p.log.Append(preparedRecord(req)); err != nil {
+		return wire.VoteResp{Yes: false, Reason: "log force failed: " + err.Error()}
+	}
+
+	p.mu.Lock()
+	p.states[req.Tx] = &ptx{state: StatePrepared, req: req, preparedAt: time.Now()}
+	p.mu.Unlock()
+	return wire.VoteResp{Yes: true}
+}
+
+// PrepareCommit is the coordinator's own prepare and commit decision in one
+// force (see Cohort.CommitHome): it appends req's prepared record and the
+// commit decision with one AppendBatch, then adopts the commit — decision
+// table entry plus local install — exactly as a prepare followed by
+// ForceDecision would. Recovery finds the same two records either way. The
+// caller holds the checkpoint gate's read side around its guards and this
+// call (the gate is not reentrant, so it is not taken here). Only the force
+// can fail the call; a local install error is left to recovery's redo, as in
+// ForceDecision.
+func (p *Participant) PrepareCommit(req wire.PrepareReq) error {
+	if err := p.log.AppendBatch([]wal.Record{
+		preparedRecord(req),
+		{Type: wal.RecDecision, Tx: req.Tx, Commit: true},
+	}); err != nil {
+		return err
+	}
+	p.mu.Lock()
+	p.states[req.Tx] = &ptx{state: StatePrepared, req: req, preparedAt: time.Now()}
+	p.mu.Unlock()
+	p.decide(req.Tx, true, false, false) //nolint:errcheck
+	return nil
+}
+
+// preparedRecord is the prepared record HandlePrepare forces for req.
+func preparedRecord(req wire.PrepareReq) wal.Record {
+	return wal.Record{
 		Type:         wal.RecPrepared,
 		Tx:           req.Tx,
 		TS:           req.TS,
@@ -177,14 +212,7 @@ func (p *Participant) HandlePrepare(req wire.PrepareReq) wire.VoteResp {
 		Voters:       req.Voters,
 		ThreePhase:   req.ThreePhase,
 		Writes:       req.Writes,
-	}); err != nil {
-		return wire.VoteResp{Yes: false, Reason: "log force failed: " + err.Error()}
 	}
-
-	p.mu.Lock()
-	p.states[req.Tx] = &ptx{state: StatePrepared, req: req, preparedAt: time.Now()}
-	p.mu.Unlock()
-	return wire.VoteResp{Yes: true}
 }
 
 // HandlePreCommit moves a prepared transaction to the 3PC pre-committed

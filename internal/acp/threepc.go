@@ -34,7 +34,7 @@ func (ThreePC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, 
 	opts = opts.withDefaults()
 	act := trace.FromContext(ctx)
 	prep := act.StartSpan(trace.StagePrepare, "3pc votes")
-	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, true)
+	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, true, "")
 	prep.End()
 	if commit && len(cohort) == 0 {
 		return commitReadOnly(onDecision)

@@ -15,6 +15,12 @@ import (
 // decision record is the commit point; participants that voted yes and hear
 // nothing are blocked (orphan transactions) until the coordinator answers a
 // decision request — the blocking behaviour experiment E5 measures.
+//
+// A coordinator that is itself a participant holding writes is not sent a
+// prepare: once every other participant voted yes, it forces its prepared
+// record together with the decision (Cohort.CommitHome, one force instead of
+// two, as in R*). The records are the ones a separate prepare and decision
+// would have written, so recovery reads them the same way.
 type TwoPC struct{}
 
 // Name implements Protocol.
@@ -27,9 +33,32 @@ func (TwoPC) ThreePhase() bool { return false }
 func (TwoPC) Commit(ctx context.Context, c Cohort, log wal.Log, opts Options, req Request, onDecision func(bool)) (bool, Tail, error) {
 	opts = opts.withDefaults()
 	act := trace.FromContext(ctx)
+	var home model.SiteID
+	if slices.Contains(req.Participants, req.Coordinator) && !slices.Contains(req.Voted, req.Coordinator) &&
+		len(req.WritesFor(req.Coordinator)) > 0 {
+		home = req.Coordinator
+	}
 	prep := act.StartSpan(trace.StagePrepare, "2pc votes")
-	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, false)
+	commit, cohort, voteErr := collectVotes(ctx, c, opts, req, false, home)
 	prep.End()
+
+	if commit && home != "" {
+		// The home's prepare and the commit decision in one force — the
+		// commit point — unless its guards vote no.
+		dec := act.StartSpan(trace.StageDecide, "2pc prepare+decision")
+		v, err := c.CommitHome(ctx, prepareReq(req, home, false))
+		dec.End()
+		if err != nil {
+			return false, nil, fmt.Errorf("acp: 2pc decision log: %w", err)
+		}
+		if v.Yes {
+			if onDecision != nil {
+				onDecision(true)
+			}
+			return true, newTail(c, log, opts, req, cohort, true), nil
+		}
+		commit, voteErr = false, model.Abortf(model.AbortACP, "%s voted no: %s", home, v.Reason)
+	}
 	if commit && len(cohort) == 0 {
 		return commitReadOnly(onDecision)
 	}
@@ -70,12 +99,32 @@ func commitReadOnly(onDecision func(bool)) (bool, Tail, error) {
 	return true, nil, nil
 }
 
+// prepareReq is the phase-1 request for site.
+func prepareReq(req Request, site model.SiteID, threePhase bool) wire.PrepareReq {
+	var incarnation uint64
+	if req.IncarnationFor != nil {
+		incarnation = req.IncarnationFor(site)
+	}
+	return wire.PrepareReq{
+		Tx:           req.Tx,
+		TS:           req.TS,
+		Coordinator:  req.Coordinator,
+		Writes:       req.WritesFor(site),
+		Participants: req.Participants,
+		Voters:       req.Voters,
+		ThreePhase:   threePhase,
+		Epoch:        req.Epoch,
+		Incarnation:  incarnation,
+	}
+}
+
 // collectVotes runs phase 1 concurrently and reports the decision plus the
 // phase-2 cohort (participants that voted read-only are released and
-// excluded; participants that voted with their reply, req.Voted, are not
-// asked again). The returned error classifies a negative outcome (vote no,
-// unreachable participant, coordinator cancellation).
-func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, threePhase bool) (bool, []model.SiteID, error) {
+// excluded; participants that voted with their reply, req.Voted, and home —
+// a coordinator that prepares with its decision, or "" — are not asked but
+// stay in the cohort). The returned error classifies a negative outcome
+// (vote no, unreachable participant, coordinator cancellation).
+func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, threePhase bool, home model.SiteID) (bool, []model.SiteID, error) {
 	type voteResult struct {
 		site model.SiteID
 		resp wire.VoteResp
@@ -83,7 +132,7 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 	}
 	var cohort, ask []model.SiteID
 	for _, site := range req.Participants {
-		if slices.Contains(req.Voted, site) {
+		if site == home || slices.Contains(req.Voted, site) {
 			cohort = append(cohort, site)
 		} else {
 			ask = append(ask, site)
@@ -94,21 +143,7 @@ func collectVotes(ctx context.Context, c Cohort, opts Options, req Request, thre
 		go func(site model.SiteID) {
 			vctx, cancel := context.WithTimeout(ctx, opts.Vote)
 			defer cancel()
-			var incarnation uint64
-			if req.IncarnationFor != nil {
-				incarnation = req.IncarnationFor(site)
-			}
-			resp, err := c.Prepare(vctx, site, wire.PrepareReq{
-				Tx:           req.Tx,
-				TS:           req.TS,
-				Coordinator:  req.Coordinator,
-				Writes:       req.WritesFor(site),
-				Participants: req.Participants,
-				Voters:       req.Voters,
-				ThreePhase:   threePhase,
-				Epoch:        req.Epoch,
-				Incarnation:  incarnation,
-			})
+			resp, err := c.Prepare(vctx, site, prepareReq(req, site, threePhase))
 			results <- voteResult{site: site, resp: resp, err: err}
 		}(site)
 	}

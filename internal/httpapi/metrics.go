@@ -156,8 +156,12 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 		func(s monitor.SiteStats) uint64 { return s.AddWaves })
 	counter("rainbow_add_wave_reruns_total", "Add-only waves a no-wait leg refused, rerun as ordered waves.",
 		func(s monitor.SiteStats) uint64 { return s.AddWaveReruns })
-	counter("rainbow_voted_legs_total", "Copy-operation legs that voted with their reply.",
+	counter("rainbow_voted_legs_total", "Copy-operation legs that voted with their reply: add-only waves' remote legs and read-write waves' last legs (2PC).",
 		func(s monitor.SiteStats) uint64 { return s.VotedLegs })
+	counter("rainbow_home_forces_total", "Commits whose home forced its prepared record with the decision, in one force (2PC).",
+		func(s monitor.SiteStats) uint64 { return s.HomeForces })
+	counter("rainbow_vote_lost_reruns_total", "One-shot programs rerun because a voting leg got no reply.",
+		func(s monitor.SiteStats) uint64 { return s.VoteLostReruns })
 	counter("rainbow_releases_abandoned_total", "Release-retry loops that gave up and left cleanup to the janitor.",
 		func(s monitor.SiteStats) uint64 { return s.ReleasesAbandoned })
 	counter("rainbow_commit_tails_unacked_total", "Commit tails that ended without every ack; their decisions wait in the table for a decision request.",

@@ -76,6 +76,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rainbow_net_messages_total", "rainbow_net_bytes_total",
 		"rainbow_net_sent_bytes_total", "rainbow_net_body_codec_total",
 		`rainbow_net_codec{codec="binary"}`, `rainbow_net_codec{codec="gob"}`,
+		"rainbow_voted_legs_total", "rainbow_home_forces_total", "rainbow_vote_lost_reruns_total",
 	} {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("metrics missing family %s", family)

@@ -205,10 +205,17 @@ type SiteStats struct {
 	// Add-only waves under 2PC (rcp.NoWait): AddWaves counts the ones this
 	// home shipped with every leg at once, AddWaveReruns those a leg refused
 	// because it would have had to wait, rerun as ordered waves, and
-	// VotedLegs the legs this site served that voted with their reply.
+	// VotedLegs the legs this site served that voted with their reply (an
+	// add-only wave's, or a read-write wave's last).
 	AddWaves      uint64
 	AddWaveReruns uint64
 	VotedLegs     uint64
+	// Read-write waves under 2PC: HomeForces counts the commits this home
+	// forced its own prepared record with the decision for (one force, no
+	// prepare round), and VoteLostReruns the one-shot programs it abandoned
+	// and reran because a voting leg got no reply.
+	HomeForces     uint64
+	VoteLostReruns uint64
 	// ReleasesAbandoned counts release-retry loops that exhausted their
 	// attempts and left remote CC cleanup to the presumed-abort janitor.
 	ReleasesAbandoned uint64
@@ -352,11 +359,12 @@ type Collector struct {
 	aborts  map[model.AbortCause]uint64
 	restart uint64
 	rtts    uint64
-	// addWaves, reruns and votes back SiteStats.AddWaves, AddWaveReruns
-	// and VotedLegs.
-	addWaves, reruns, votes uint64
-	lat                     Histogram
-	start                   time.Time
+	// addWaves, reruns, votes, homeForces and lostReruns back
+	// SiteStats.AddWaves, AddWaveReruns, VotedLegs, HomeForces and
+	// VoteLostReruns.
+	addWaves, reruns, votes, homeForces, lostReruns uint64
+	lat                                             Histogram
+	start                                           time.Time
 }
 
 // NewCollector builds a collector for site, starting its window now.
@@ -420,25 +428,43 @@ func (c *Collector) LegVoted() {
 	c.votes++
 }
 
+// HomeForce counts a commit whose home forced its prepared record with the
+// decision.
+func (c *Collector) HomeForce() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.homeForces++
+}
+
+// VoteLostRerun counts a one-shot program rerun because a voting leg got no
+// reply.
+func (c *Collector) VoteLostRerun() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lostReruns++
+}
+
 // Snapshot returns the current counters; orphans is sampled by the caller
 // (it lives in the ACP participant).
 func (c *Collector) Snapshot(orphans int) SiteStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := SiteStats{
-		Site:          c.site,
-		Began:         c.began,
-		Committed:     c.commits,
-		Aborted:       0,
-		AbortsByCause: make(map[string]uint64, len(c.aborts)),
-		Restarts:      c.restart,
-		RoundTrips:    c.rtts,
-		AddWaves:      c.addWaves,
-		AddWaveReruns: c.reruns,
-		VotedLegs:     c.votes,
-		Orphans:       orphans,
-		Latency:       c.lat,
-		WindowNS:      int64(time.Since(c.start)),
+		Site:           c.site,
+		Began:          c.began,
+		Committed:      c.commits,
+		Aborted:        0,
+		AbortsByCause:  make(map[string]uint64, len(c.aborts)),
+		Restarts:       c.restart,
+		RoundTrips:     c.rtts,
+		AddWaves:       c.addWaves,
+		AddWaveReruns:  c.reruns,
+		VotedLegs:      c.votes,
+		HomeForces:     c.homeForces,
+		VoteLostReruns: c.lostReruns,
+		Orphans:        orphans,
+		Latency:        c.lat,
+		WindowNS:       int64(time.Since(c.start)),
 	}
 	for cause, n := range c.aborts {
 		s.Aborted += n
@@ -452,7 +478,7 @@ func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.began, c.commits, c.restart, c.rtts = 0, 0, 0, 0
-	c.addWaves, c.reruns, c.votes = 0, 0, 0
+	c.addWaves, c.reruns, c.votes, c.homeForces, c.lostReruns = 0, 0, 0, 0, 0
 	c.aborts = make(map[model.AbortCause]uint64)
 	c.lat = Histogram{}
 	c.start = time.Now()
@@ -524,6 +550,8 @@ func (r Report) Totals() SiteStats {
 		out.AddWaves += s.AddWaves
 		out.AddWaveReruns += s.AddWaveReruns
 		out.VotedLegs += s.VotedLegs
+		out.HomeForces += s.HomeForces
+		out.VoteLostReruns += s.VoteLostReruns
 		out.ReleasesAbandoned += s.ReleasesAbandoned
 		out.TailsUnacked += s.TailsUnacked
 		out.NetSentEnvelopes += s.NetSentEnvelopes
@@ -658,6 +686,10 @@ func (r Report) Render() string {
 	if t.AddWaves > 0 || t.VotedLegs > 0 {
 		fmt.Fprintf(&b, "add waves: %d shipped at once, %d rerun in order, %d legs voted with their reply\n",
 			t.AddWaves, t.AddWaveReruns, t.VotedLegs)
+	}
+	if t.HomeForces > 0 || t.VoteLostReruns > 0 {
+		fmt.Fprintf(&b, "one-force commits: %d homes forced prepare with decision, %d waves rerun after a lost vote\n",
+			t.HomeForces, t.VoteLostReruns)
 	}
 	if t.ReleasesAbandoned > 0 {
 		fmt.Fprintf(&b, "releases abandoned to janitor: %d\n", t.ReleasesAbandoned)

@@ -226,6 +226,32 @@ func TestAddWaveCounters(t *testing.T) {
 	}
 }
 
+// TestOneForceCounters: the home single-force and lost-vote rerun counters
+// are window-scoped by the collector, summed across sites and rendered on
+// one line.
+func TestOneForceCounters(t *testing.T) {
+	c := NewCollector("S1")
+	c.HomeForce()
+	c.HomeForce()
+	c.VoteLostRerun()
+	if s := c.Snapshot(0); s.HomeForces != 2 || s.VoteLostReruns != 1 {
+		t.Errorf("snapshot = %d home forces, %d lost-vote reruns; want 2 and 1", s.HomeForces, s.VoteLostReruns)
+	}
+	c.Reset()
+	if s := c.Snapshot(0); s.HomeForces != 0 || s.VoteLostReruns != 0 {
+		t.Errorf("reset left %+v", s)
+	}
+
+	r := report()
+	r.Sites[0].HomeForces, r.Sites[1].HomeForces, r.Sites[2].VoteLostReruns = 6, 4, 1
+	if tot := r.Totals(); tot.HomeForces != 10 || tot.VoteLostReruns != 1 {
+		t.Errorf("totals = %d home forces, %d lost-vote reruns; want 10 and 1", tot.HomeForces, tot.VoteLostReruns)
+	}
+	if out := r.Render(); !strings.Contains(out, "one-force commits: 10 homes forced prepare with decision, 1 waves rerun after a lost vote") {
+		t.Errorf("Render() missing the one-force line:\n%s", out)
+	}
+}
+
 func TestShardSkewAndOccupancy(t *testing.T) {
 	var s SiteStats
 	if s.ShardSkew() != 0 {

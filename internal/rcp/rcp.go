@@ -55,21 +55,43 @@ type Leg struct {
 	// makes the site release everything the transaction holds there and
 	// refuse the batch with ErrWouldBlock.
 	NoWait bool
-	// Vote marks a remote leg of an add-only wave under 2PC: once every op
-	// is admitted, the site runs the prepare's guards against sess.Epoch,
-	// forces its prepared record — sess.Tx's home as coordinator, Cohort as
-	// the participants, the leg's merged delta records as the write set —
-	// and reports Voted; a site whose guards fail refuses the batch with an
-	// ACP abort. The home site ignores it (its vote is local).
+	// Vote marks a leg that votes with its reply under 2PC: a remote leg of
+	// an add-only wave, or the remote last leg of a wave that writes (see
+	// Wave). Once every op is admitted, the site runs the prepare's guards
+	// against sess.Epoch, forces its prepared record — sess.Tx's home as
+	// coordinator, Cohort as the participants, the leg's writes and merged
+	// deltas as the write set, each installing at the version after
+	// max(Floors[i], its own copy's) — and reports Voted; a site whose guards
+	// fail refuses the batch with an ACP abort. The home site ignores it (its
+	// vote is local).
 	Vote bool
 	// Cohort lists the sites the wave planned to touch (Vote legs only).
 	Cohort []model.SiteID
+	// Floors holds, per op, the highest version the wave's earlier legs
+	// reported for it (the last leg of a wave that writes; nil means 0).
+	Floors []model.Version
 }
 
 // ErrWouldBlock refuses a NoWait leg whose admission would have had to wait.
 // The site released everything the transaction held there; the home abandons
 // the attempt and reruns the program as an ordered wave.
 var ErrWouldBlock = &model.AbortError{Cause: model.AbortCC, Reason: "no-wait leg would block"}
+
+// VoteLostError reports a Vote leg that got no reply: its site may have
+// voted — prepared, holding a write set — so no replacement round may
+// complete a quorum without it. The home abandons the attempt (presumed
+// abort: nothing is logged) and reruns the program once with Site avoided
+// (Session.Avoid).
+type VoteLostError struct {
+	Site model.SiteID
+	Err  error
+}
+
+func (e *VoteLostError) Error() string {
+	return fmt.Sprintf("voting leg at %s got no reply: %v", e.Site, e.Err)
+}
+
+func (e *VoteLostError) Unwrap() error { return e.Err }
 
 // BatchReply is a site's answer to one CopyBatch.
 type BatchReply struct {
@@ -112,8 +134,11 @@ type Session struct {
 	// the prepare died with the old incarnation.
 	incs map[model.SiteID]uint64
 	// voted holds the sites that voted yes with their copy operation's
-	// reply (Leg.Vote); nil until one does.
+	// reply (Leg.Vote) — or may have, their reply lost; nil until one does.
 	voted map[model.SiteID]bool
+	// Avoid is a site a wave's first round must not pick: one whose voting
+	// leg went unanswered in an abandoned attempt of the same program.
+	Avoid model.SiteID
 }
 
 // NewSession starts a session for one transaction.
@@ -391,8 +416,11 @@ func allOf(sites []model.SiteID) (quorum.Assignment, int) {
 // the copy sites of meta, sorted, rotated to start at the local site — or,
 // when the local site holds no copy, at the first copy site after it. Every
 // home thus prefers the sites that follow it in ring order, so under majority
-// quorums its partner usually sorts after it and the wave's last leg is
-// remote, which lets a read-only wave fold its vote into that leg (see Wave).
+// quorums its partner sorts after it — and the wave's last leg is remote,
+// which lets that leg fold a read-only vote or vote with its reply (see
+// Wave) — for every home but the highest-numbered one, whose partner wraps
+// around to the lowest site and sorts first. At three sites 1/3 of the
+// homes, and so of uniformly homed waves, keep a vote round.
 func preferredOrder(acc CopyAccess, meta schema.ItemMeta) []model.SiteID {
 	sites := meta.Sites()
 	i, _ := slices.BinarySearch(sites, acc.Local())
@@ -428,11 +456,18 @@ type outcome struct {
 // operation with cause RCP; a copy operation rejected by a site's CCP stops
 // the transaction with that abort unchanged.
 //
-// seed holds results a wave already obtained for this operation; a site
-// found there is not asked again.
+// seed holds results a wave already obtained for this operation; those sites
+// are picked first, and none of them is asked again.
 func (p Protocol) perform(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, op model.Op, seed []outcome) (int64, error) {
 	assignment, need := p.rule(sess, op.Kind, meta)
 	prefer := preferredOrder(acc, meta)
+	if len(seed) > 0 {
+		first := make([]model.SiteID, len(seed), len(seed)+len(prefer))
+		for i, o := range seed {
+			first[i] = o.site
+		}
+		prefer = append(first, prefer...)
+	}
 	tried := make(map[model.SiteID]bool, len(prefer))
 	var (
 		won     []model.SiteID

@@ -775,18 +775,21 @@ func TestWaveAddOnlyWouldBlock(t *testing.T) {
 }
 
 // TestWaveModes: Voting ships an add-only wave's legs in site order, waiting
-// where they must, and its remote legs vote; Ordered lets none vote; and a
-// program with a read or a write ignores the mode altogether.
+// where they must, and its remote legs vote; Ordered lets none vote; a
+// program that is not add-only ships in order whatever the mode, and under
+// Voting or NoWait only its last leg votes.
 func TestWaveModes(t *testing.T) {
 	for _, c := range []struct {
-		mode         WaveMode
-		ops          []model.Op
-		noWait, vote bool
+		mode   WaveMode
+		ops    []model.Op
+		noWait bool
+		vote   []bool // S2's and S3's legs
 	}{
-		{Voting, adds, false, true},
-		{Ordered, adds, false, false},
-		{NoWait, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, false},
-		{Voting, []model.Op{model.Add("a", 1), model.Read("b")}, false, false},
+		{Voting, adds, false, []bool{true, true}},
+		{Ordered, adds, false, []bool{false, false}},
+		{NoWait, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, true}},
+		{Voting, []model.Op{model.Add("a", 1), model.Read("b")}, false, []bool{false, true}},
+		{Ordered, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, false}},
 	} {
 		f := newFake("S1", "S1", "S2", "S3")
 		var order []model.SiteID
@@ -797,10 +800,104 @@ func TestWaveModes(t *testing.T) {
 		if !slices.Equal(order, []model.SiteID{"S1", "S2", "S3"}) {
 			t.Errorf("mode %d %v: shipped %v, want site order", c.mode, c.ops, order)
 		}
-		for _, site := range order[1:] {
-			if leg := f.legs[site][0]; leg.NoWait != c.noWait || leg.Vote != c.vote {
-				t.Errorf("mode %d %v: %s leg %+v, want no-wait %v vote %v", c.mode, c.ops, site, leg, c.noWait, c.vote)
+		for i, site := range order[1:] {
+			if leg := f.legs[site][0]; leg.NoWait != c.noWait || leg.Vote != c.vote[i] {
+				t.Errorf("mode %d %v: %s leg %+v, want no-wait %v vote %v", c.mode, c.ops, site, leg, c.noWait, c.vote[i])
 			}
 		}
+	}
+}
+
+// TestWaveLastLegVotesWithFloors: under Voting, a wave that writes sends its
+// remote last leg as a vote, carrying per operation the highest version the
+// earlier legs reported; the site is recorded as voted. A last leg that
+// carries no write folds instead, and an earlier leg never votes.
+func TestWaveLastLegVotesWithFloors(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	f.set("S1", 10, 4)
+	f.set("S2", 10, 2)
+	s := sess()
+	ops := []model.Op{model.Read("a"), model.Write("a", 1), model.Write("b", 2)}
+	if _, err := QC.Wave(context.Background(), f, s, waveItems(), ops, Voting); err != nil {
+		t.Fatal(err)
+	}
+	leg := f.legs["S2"][0]
+	if !leg.Vote || leg.Final || !slices.Equal(leg.Floors, []model.Version{4, 4, 4}) {
+		t.Errorf("S2 leg %+v, want a vote with floors [4 4 4] (S1's versions)", leg)
+	}
+	if v := s.Voted(); !slices.Equal(v, []model.SiteID{"S2"}) {
+		t.Errorf("voted %v, want [S2]", v)
+	}
+	if _, rec, _ := s.WriteQuorum("a"); rec.Version != 5 {
+		t.Errorf("a installs at version %d, want max(4, 2)+1 = 5", rec.Version)
+	}
+
+	// ROWA reads locally, so the last leg of a read-and-write program that
+	// writes elsewhere carries only the write; one that reads only folds.
+	f = newFake("S1", "S1", "S2", "S3")
+	items := waveItems()
+	items["c"] = schema.ItemMeta{Item: "c", Votes: map[model.SiteID]int{"S1": 1, "S2": 1}, ReadQuorum: 1, WriteQuorum: 2}
+	items["d"] = schema.ItemMeta{Item: "d", Votes: map[model.SiteID]int{"S3": 1}, ReadQuorum: 1, WriteQuorum: 1}
+	s = sess()
+	if _, err := ROWA.Wave(context.Background(), f, s, items, []model.Op{model.Write("c", 1), model.Read("d")}, Voting); err != nil {
+		t.Fatal(err)
+	}
+	if leg := f.legs["S2"][0]; leg.Vote || leg.Final {
+		t.Errorf("S2 (an earlier leg) %+v, want an ordinary batch", leg)
+	}
+	if leg := f.legs["S3"][0]; leg.Vote || !leg.Final {
+		t.Errorf("S3 (a last leg with no write) %+v, want a fold", leg)
+	}
+	if p := s.Participants(); !slices.Equal(p, []model.SiteID{"S1", "S2"}) {
+		t.Errorf("participants %v, want [S1 S2]: the folded S3 left", p)
+	}
+}
+
+// TestWaveVoteLost: a voting leg that gets no reply ends the attempt with a
+// VoteLostError naming the site, which stays recorded as voted so that
+// abandoning the attempt withdraws it — no replacement round is run. With
+// the site avoided, the rerun's first round picks around it.
+func TestWaveVoteLost(t *testing.T) {
+	f := newFake("S1", "S1", "S2", "S3")
+	f.down["S2"] = true
+	s := sess()
+	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting)
+	var lost *VoteLostError
+	if !errors.As(err, &lost) || lost.Site != "S2" {
+		t.Fatalf("err = %v, want a VoteLostError at S2", err)
+	}
+	if v := s.Voted(); !slices.Equal(v, []model.SiteID{"S2"}) {
+		t.Errorf("voted %v, want [S2]", v)
+	}
+	if f.perSite["S3"] != 0 {
+		t.Errorf("S3 asked %d times: a replacement round ran", f.perSite["S3"])
+	}
+
+	s = sess()
+	s.Avoid = "S2"
+	if _, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting); err != nil {
+		t.Fatal(err)
+	}
+	if leg := f.legs["S3"]; len(leg) != 1 || !leg[0].Vote {
+		t.Errorf("S3 legs %+v, want one voting last leg", leg)
+	}
+	if len(f.legs["S2"]) != 1 {
+		t.Errorf("S2 asked again on the rerun: %+v", f.legs["S2"])
+	}
+
+	// Under ROWA a write needs every copy: the avoided site is still asked,
+	// in a replacement round after the wave, so the last leg must not vote
+	// (or fold) ahead of it.
+	f = newFake("S1", "S1", "S2", "S3")
+	s = sess()
+	s.Avoid = "S2"
+	if _, err := ROWA.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting); err != nil {
+		t.Fatal(err)
+	}
+	if legs := f.legs["S3"]; len(legs) != 1 || legs[0].Vote || legs[0].Final {
+		t.Errorf("S3 legs %+v, want one ordinary batch", legs)
+	}
+	if legs := f.legs["S2"]; len(legs) != 1 || legs[0].Vote {
+		t.Errorf("S2 legs %+v, want one ordinary replacement batch", legs)
 	}
 }

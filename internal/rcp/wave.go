@@ -1,6 +1,7 @@
 package rcp
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"slices"
@@ -11,9 +12,8 @@ import (
 	"repro/internal/schema"
 )
 
-// WaveMode says how a wave made only of blind adds ships its legs and
-// whether they vote; a wave with a read or an absolute write always ships as
-// Ordered (see Wave).
+// WaveMode says how a wave ships its legs and which of them vote with their
+// reply (see Wave).
 type WaveMode uint8
 
 const (
@@ -21,13 +21,15 @@ const (
 	// waiting where its CCP must, and no leg votes: the commit protocol's own
 	// vote round follows (3PC, whose votes precede its pre-commit round).
 	Ordered WaveMode = iota
-	// Voting ships the legs in order like Ordered, and each remote leg of an
-	// add-only wave votes with its reply (2PC, an add-only wave's rerun).
+	// Voting ships the legs in order like Ordered; each remote leg of an
+	// add-only wave votes with its reply, and so does the remote last leg of
+	// a wave that writes (2PC: an add-only wave's rerun, any other wave).
 	Voting
 	// NoWait ships every leg of an add-only wave at once in no-wait mode, and
 	// each remote leg votes with its reply (2PC, an add-only wave's first
 	// attempt). If any leg would have had to wait, Wave returns ErrWouldBlock
 	// and the caller reruns the program, under a fresh transaction, as Voting.
+	// Any other wave ships as Voting.
 	NoWait
 )
 
@@ -72,23 +74,49 @@ const (
 // protected until the lock point, and a write's install version spans the
 // quorum.
 //
-// Read-only fold: when the program only reads and the last leg is remote,
-// that leg goes out marked final, and only if every earlier leg answered
-// cleanly. Under 2PL the last leg's admission is then the transaction's lock
-// point — it already holds every other lock, and no replacement round can
-// follow — so the site may release right after it, which is all a read-only
-// vote would have done; the site runs the vote's guards first. A released
-// site leaves the session: it takes no part in the commit protocol. Only the
-// last leg may fold. An earlier leg keeps its vote, because its site may
-// crash and recover before the lock point — a writer could then slip under
-// the lost read lock, and only the vote's incarnation fence catches that.
+// The last leg is special when it is remote and every earlier leg answered
+// cleanly. Its admission is then the transaction's lock point — it already
+// holds every other lock, and no replacement round can follow — so it may
+// carry what the commit protocol would otherwise ask for in a round of its
+// own:
+//
+//   - Read-only fold: a leg that carries no write (of a read-only program,
+//     or of one that writes under 2PC) goes out marked final. The site may
+//     release right after admitting it, which is all a read-only vote would
+//     have done; it runs the vote's guards first. A released site leaves the
+//     session: it takes no part in the commit protocol.
+//   - Last-leg vote: under 2PC, a leg of a wave that writes, carrying a write
+//     or an add, votes with its reply (Leg.Vote). What stopped such a leg
+//     from voting is the install version, which spans the quorum: perform
+//     installs a write at one more than the highest version any member
+//     reported. Every other member already answered, so the leg carries, per
+//     operation, the highest version they reported (Leg.Floors), and the
+//     site prepares its writes at max(floor, own)+1 — exactly the version
+//     perform computes at the home.
+//
+// Only the last leg may fold or vote. An earlier leg's site may crash and
+// recover before the lock point — a writer could then slip under a lost read
+// lock, and only the commit protocol's incarnation fence catches that — and
+// an earlier leg cannot know the versions of the legs after it.
+//
+// A voting leg that gets no reply may have voted anyway: its site may be
+// prepared, holding a write set. So no replacement round may complete the
+// quorum without it; Wave returns a VoteLostError instead, after recording
+// the site as voted so that abandoning the attempt withdraws it, and the
+// caller reruns the program under a fresh transaction with the site avoided
+// in the first round (Session.Avoid).
 //
 // items resolves each operation's item; the caller has checked that every
 // item is present. Wave returns the value of each item read.
 func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, mode WaveMode) (map[model.ItemID]int64, error) {
 	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
-	if slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd }) {
-		mode = Ordered
+	addOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd })
+	if !addOnly && mode == NoWait {
+		mode = Voting
+	}
+	var avoid map[model.SiteID]bool
+	if sess.Avoid != "" {
+		avoid = map[model.SiteID]bool{sess.Avoid: true}
 	}
 	ops = slices.Clone(ops)
 	slices.SortStableFunc(ops, func(a, b model.Op) int { return strings.Compare(string(a.Item), string(b.Item)) })
@@ -102,10 +130,15 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	}
 	var legs []*leg
 	seeds := make([][]outcome, len(ops))
+	// complete: every operation's first round is a whole quorum, so no
+	// replacement round follows a clean wave. Only an avoided site can make
+	// it partial.
+	complete := true
 	for k, op := range ops {
 		meta := items[op.Item]
 		assignment, need := p.rule(sess, op.Kind, meta)
-		first, _ := assignment.Pick(need, preferredOrder(acc, meta), nil)
+		first, ok := assignment.Pick(need, preferredOrder(acc, meta), avoid)
+		complete = complete && ok
 		seeds[k] = make([]outcome, 0, len(first))
 		for _, site := range first {
 			j := slices.IndexFunc(legs, func(l *leg) bool { return l.site == site })
@@ -126,16 +159,43 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 			cohort[i] = l.site
 		}
 	}
-	// legOf says how leg i ships; take records its reply in the seeds and
-	// the session, reporting whether every operation succeeded and the first
-	// CC abort.
-	legOf := func(i int, final bool) Leg {
+	// legOf says how leg i ships by default (see last for the last leg);
+	// take records its reply in the seeds and the session, reporting whether
+	// every operation succeeded and the first CC abort.
+	legOf := func(i int) Leg {
 		return Leg{
-			Final:  final,
 			NoWait: mode == NoWait,
-			Vote:   mode != Ordered && legs[i].site != acc.Local(),
+			Vote:   addOnly && mode != Ordered && legs[i].site != acc.Local(),
 			Cohort: cohort,
 		}
+	}
+	// last marks the final leg to fold or vote; every earlier leg answered
+	// cleanly, so its seeds hold each operation's versions from them.
+	last := func(lg *Leg, l *leg) {
+		switch {
+		case readOnly:
+			lg.Final = true
+		case addOnly || mode != Voting:
+			// 3PC keeps its vote round; an add-only leg votes already.
+		case !slices.ContainsFunc(l.ops, func(op model.Op) bool { return op.Kind != model.OpRead }):
+			lg.Final = true
+		default:
+			lg.Vote = true
+			lg.Floors = make([]model.Version, len(l.idx))
+			for j, k := range l.idx {
+				for _, o := range seeds[k] {
+					lg.Floors[j] = max(lg.Floors[j], o.Version)
+				}
+			}
+		}
+	}
+	// lost reports a voting leg that got no answer (see VoteLostError).
+	lost := func(lg Leg, site model.SiteID, err error) error {
+		if !lg.Vote || err == nil || isCC(err) {
+			return nil
+		}
+		sess.Vote(site)
+		return &VoteLostError{Site: site, Err: err}
 	}
 	take := func(i int, rep BatchReply, err error) (clean bool, ccErr error) {
 		l := legs[i]
@@ -175,18 +235,22 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 			go func(l *leg, lg Leg, rep *BatchReply, err *error) {
 				defer wg.Done()
 				*rep, *err = acc.CopyBatch(ctx, l.site, sess, l.ops, lg)
-			}(l, legOf(i, false), &reps[i], &errs[i])
+			}(l, legOf(i), &reps[i], &errs[i])
 		}
 		if local >= 0 {
 			l := legs[local]
-			reps[local], errs[local] = acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(local, false))
+			reps[local], errs[local] = acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(local))
 		}
 		wg.Wait()
 		blocked := false
-		var ccErr error
-		for i := range legs {
+		var ccErr, lostErr error
+		for i, l := range legs {
 			if errors.Is(errs[i], ErrWouldBlock) {
 				blocked = true
+				continue
+			}
+			if err := lost(legOf(i), l.site, errs[i]); err != nil {
+				lostErr = cmp.Or(lostErr, err)
 				continue
 			}
 			if _, err := take(i, reps[i], errs[i]); err != nil && ccErr == nil {
@@ -198,15 +262,24 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 		if ccErr != nil {
 			return nil, ccErr
 		}
+		if lostErr != nil {
+			return nil, lostErr
+		}
 		if blocked {
 			return nil, ErrWouldBlock
 		}
 	} else {
 		clean := true // every leg so far answered and admitted all its ops
 		for i, l := range legs {
-			final := readOnly && clean && i == len(legs)-1 && l.site != acc.Local()
+			lg := legOf(i)
+			if i == len(legs)-1 && clean && complete && l.site != acc.Local() {
+				last(&lg, l)
+			}
 			sess.Attempt(l.site)
-			rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(i, final))
+			rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, lg)
+			if err := lost(lg, l.site, err); err != nil {
+				return nil, err
+			}
 			ok, ccErr := take(i, rep, err)
 			if ccErr != nil {
 				// Doomed: ask nothing more of anyone. Every site asked so far

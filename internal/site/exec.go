@@ -23,20 +23,34 @@ import (
 // then runs the atomic commit protocol over every touched site. A read-only
 // program whose last leg is remote folds that site's vote into the leg (the
 // site releases as it answers), so it commits in one remote round trip when
-// only the home is left. Under 2PC a program made only of blind adds ships
-// every leg at once without waiting, each remote leg voting with its reply,
-// so the commit asks only the home; if a leg would have had to wait, the
-// attempt is abandoned and the program reruns as an ordered wave under a
-// fresh transaction id (Txn.rerun). Interactive transactions (Begin, then
-// Read/Write/Add as the caller goes) keep the paper's op-by-op shape.
+// only the home is left. Under 2PC a program that writes lets its remote
+// last leg vote with its reply, and the home then forces its own prepare
+// with the decision (CommitHome), so a wave whose other legs are the home's
+// commits in one remote round trip too. A program made only of blind adds
+// ships every leg at once without waiting, each remote leg voting with its
+// reply; if a leg would have had to wait, the attempt is abandoned and the
+// program reruns as an ordered wave under a fresh transaction id
+// (Txn.rerun). So is one whose voting leg got no reply, with that site
+// avoided. Interactive transactions (Begin, then Read/Write/Add as the caller
+// goes) keep the paper's op-by-op shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
 		return model.Outcome{Committed: false, Cause: model.AbortClient, HomeSite: s.id}
 	}
 	err = t.wave(ops)
-	if errors.Is(err, rcp.ErrWouldBlock) && t.rerun() {
-		err = t.wave(ops)
+	var lost *rcp.VoteLostError
+	switch {
+	case errors.Is(err, rcp.ErrWouldBlock):
+		if t.rerun("") {
+			s.stats.WaveRerun()
+			err = t.wave(ops)
+		}
+	case errors.As(err, &lost):
+		if t.rerun(lost.Site) {
+			s.stats.VoteLostRerun()
+			err = t.wave(ops)
+		}
 	}
 	if err != nil {
 		return t.Abort()
@@ -82,8 +96,8 @@ func (t *Txn) wave(ops []model.Op) error {
 	}
 
 	// Under 2PC an add-only wave's legs vote with their reply, shipped at
-	// once on the first attempt and in order on the rerun; 3PC keeps its
-	// vote round. Wave applies the mode to add-only programs only.
+	// once on the first attempt and in order on the rerun, and any other
+	// wave's last leg votes; 3PC keeps its vote round.
 	mode := rcp.Ordered
 	if !t.acpProto.ThreePhase() {
 		mode = rcp.NoWait
@@ -306,7 +320,7 @@ func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Sessi
 		req.Epoch = sess.Epoch
 	}
 	if leg.Vote {
-		req.Cohort = leg.Cohort
+		req.Cohort, req.Floors = leg.Cohort, leg.Floors
 	}
 	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, req)
 	s.stats.AddRoundTrips(1)
@@ -341,6 +355,37 @@ func (s *Site) Prepare(ctx context.Context, site model.SiteID, req wire.PrepareR
 		return wire.VoteResp{}, err
 	}
 	return *resp, nil
+}
+
+// CommitHome implements acp.Cohort: this site coordinates req.Tx and holds
+// writes for it, and every other participant voted yes. Its prepare guards,
+// the one force of its prepared record with the commit decision, and the
+// adoption of the commit run as one unit under the site gate's read side,
+// like votePrepare's guards and force. A failed guard votes no and forces
+// nothing.
+func (s *Site) CommitHome(_ context.Context, req wire.PrepareReq) (wire.VoteResp, error) {
+	s.gate.RLock()
+	defer s.gate.RUnlock()
+	s.mu.Lock()
+	part := s.part
+	s.mu.Unlock()
+	if reason := s.prepareGuard(req.Tx, req.Incarnation, req.Epoch, writeItems(req.Writes)); reason != "" {
+		return wire.VoteResp{Yes: false, Reason: reason}, nil
+	}
+	if err := part.PrepareCommit(req); err != nil {
+		return wire.VoteResp{}, err
+	}
+	s.stats.HomeForce()
+	return wire.VoteResp{Yes: true}, nil
+}
+
+// writeItems lists the items of a write set.
+func writeItems(writes []model.WriteRecord) []model.ItemID {
+	items := make([]model.ItemID, len(writes))
+	for i, w := range writes {
+		items[i] = w.Item
+	}
+	return items
 }
 
 // votePrepare validates phase 1 before handing it to the participant. Four
@@ -381,11 +426,7 @@ func (s *Site) votePrepare(req wire.PrepareReq) wire.VoteResp {
 	s.mu.Unlock()
 	if known := part.Prepared(req.Tx); !known {
 		if _, decided := part.Decision(req.Tx); !decided {
-			items := make([]model.ItemID, len(req.Writes))
-			for i, w := range req.Writes {
-				items[i] = w.Item
-			}
-			if reason := s.prepareGuard(req.Tx, req.Incarnation, req.Epoch, items); reason != "" {
+			if reason := s.prepareGuard(req.Tx, req.Incarnation, req.Epoch, writeItems(req.Writes)); reason != "" {
 				return wire.VoteResp{Yes: false, Reason: reason}
 			}
 		}

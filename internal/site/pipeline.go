@@ -39,11 +39,12 @@ import (
 // synchronous path: those force WAL records under the checkpoint gate and
 // already batch at the group-commit layer.
 
-// copyOp is one queued wave. final marks the last leg of a read-only wave
-// (see Site.fold); noWait, vote and cohort a leg of an add-only wave (see
-// Site.vote); epoch rides both. tid carries the request's distributed-trace
-// ID and enq its submit time (UnixNano; stamped only for traced requests, so
-// the untraced hot path never reads the clock here).
+// copyOp is one queued wave. final marks a last leg that folds its read-only
+// vote (see Site.fold); noWait a leg of an add-only wave; vote, cohort and
+// floors a leg that votes with its reply (see Site.vote); epoch rides final
+// and vote legs. tid carries the request's distributed-trace ID and enq its
+// submit time (UnixNano; stamped only for traced requests, so the untraced
+// hot path never reads the clock here).
 type copyOp struct {
 	tx     model.TxID
 	ts     model.Timestamp
@@ -52,6 +53,7 @@ type copyOp struct {
 	noWait bool
 	vote   bool
 	cohort []model.SiteID
+	floors []model.Version
 	epoch  uint64
 	reply  wire.ReplyFunc
 	tid    trace.ID
@@ -68,7 +70,7 @@ func decodeWave(pay wire.Payload, op *copyOp) error {
 		return fmt.Errorf("empty copy batch for %s", req.Tx)
 	}
 	op.tx, op.ts, op.ops, op.final, op.epoch = req.Tx, req.TS, req.Ops, req.Final, req.Epoch
-	op.noWait, op.vote, op.cohort = req.NoWait, req.Vote, req.Cohort
+	op.noWait, op.vote, op.cohort, op.floors = req.NoWait, req.Vote, req.Cohort, req.Floors
 	return nil
 }
 
@@ -217,27 +219,35 @@ func (s *Site) fold(st ccStack, tx model.TxID, epoch uint64) error {
 	return nil
 }
 
-// vote is the prepare run at the end of an add-only wave's remote leg under
-// 2PC: every add of the leg is admitted here, and an add's effect at this
-// site depends on nothing outside it, so the site votes at once. It goes
-// through votePrepare — the prepare's guards (the incarnation that admitted
-// the adds, the epoch fence, the release tombstone, the intents) and the
+// vote is the prepare run at the end of a leg that votes with its reply
+// under 2PC — a remote leg of an add-only wave, or the last leg of a wave
+// that writes: every operation of the leg is admitted here, and either an
+// add's effect at this site depends on nothing outside it, or the leg is the
+// transaction's lock point and carries the versions every other member
+// reported (op.floors), so the site votes at once. It goes through
+// votePrepare — the prepare's guards (the incarnation that admitted the
+// operations, the epoch fence, the release tombstone, the intents) and the
 // force of a prepared record, as one unit under the site gate — with the
 // transaction's home as coordinator, the wave's planned sites as the
-// participants and the leg's merged delta records as the write set. A no vote
-// releases and refuses the batch with an ACP abort. vote waits for the gate,
-// which a live rebuild holds while it drains the pipeline, so it must never
-// run on a shard sequencer (see copyBatch).
+// participants and the leg's write set (legWrites). The unit is recorded as
+// a "vote force" span on the leg's trace fragment. A no vote releases and
+// refuses the batch with an ACP abort. vote waits for the gate, which a live
+// rebuild holds while it drains the pipeline, so it must never run on a
+// shard sequencer (see copyBatch).
 func (s *Site) vote(st ccStack, op *copyOp, res []rcp.CopyResult) error {
+	act := s.tracer.Join(op.tid, op.tx)
+	sp := act.StartSpan(trace.StageWALAppend, "vote force")
 	v := s.votePrepare(wire.PrepareReq{
 		Tx:           op.tx,
 		TS:           op.ts,
 		Coordinator:  op.tx.Site,
 		Participants: op.cohort,
-		Writes:       deltaRecords(op.ops, res),
+		Writes:       legWrites(op.ops, res, op.floors),
 		Epoch:        op.epoch,
 		Incarnation:  st.incarnation,
 	})
+	sp.End()
+	act.Finish()
 	if !v.Yes {
 		st.ccm.Abort(op.tx)
 		return model.Abortf(model.AbortACP, "%s voted no: %s", s.id, v.Reason)
@@ -246,19 +256,34 @@ func (s *Site) vote(st ccStack, op *copyOp, res []rcp.CopyResult) error {
 	return nil
 }
 
-// deltaRecords merges a leg's admitted adds into one delta record per item:
-// the deltas summed, installing at the version after the one the copy
-// reported — the version the store's delta apply gives it (Store.Apply).
-func deltaRecords(ops []model.Op, res []rcp.CopyResult) []model.WriteRecord {
+// legWrites is the write set a voting leg prepares, one record per item it
+// writes or adds, in the leg's (item) order. Each operation installs at one
+// past the higher of its floor (the highest version the wave's earlier legs
+// reported for it; none is 0) and the version this copy reported — the
+// version the home's perform computes over the same quorum. A repeated write
+// keeps the first one's install version and takes the last one's value;
+// adds merge into one delta record, summed, at the largest version.
+func legWrites(ops []model.Op, res []rcp.CopyResult, floors []model.Version) []model.WriteRecord {
 	var out []model.WriteRecord
 	for i, op := range ops {
-		j := slices.IndexFunc(out, func(w model.WriteRecord) bool { return w.Item == op.Item })
-		if j < 0 {
-			out = append(out, model.WriteRecord{Item: op.Item, Value: op.Value, Version: res[i].Version + 1, Delta: true})
+		if op.Kind == model.OpRead {
 			continue
 		}
-		out[j].Value += op.Value
-		out[j].Version = max(out[j].Version, res[i].Version+1)
+		v := res[i].Version
+		if i < len(floors) {
+			v = max(v, floors[i])
+		}
+		v++
+		j := slices.IndexFunc(out, func(w model.WriteRecord) bool { return w.Item == op.Item })
+		switch {
+		case j < 0:
+			out = append(out, model.WriteRecord{Item: op.Item, Value: op.Value, Version: v, Delta: op.Kind == model.OpAdd})
+		case op.Kind == model.OpAdd:
+			out[j].Value += op.Value
+			out[j].Version = max(out[j].Version, v)
+		default:
+			out[j].Value = op.Value
+		}
 	}
 	return out
 }

@@ -142,6 +142,17 @@ func TestTraceEndToEndTCP(t *testing.T) {
 		if !stageOf(g, trace.StageWALAppend, true) {
 			dump("no remote fragment recorded a WAL prepare force")
 		}
+		// Homed at A, the program's one remote leg is its last: it votes
+		// with its reply, so the remote force is the leg's "vote force".
+		voteForce := false
+		for _, fr := range g {
+			for _, sp := range fr.Spans {
+				voteForce = voteForce || (!fr.Root && sp.Stage == trace.StageWALAppend && sp.Note == "vote force")
+			}
+		}
+		if !voteForce {
+			dump("no remote fragment recorded the voting leg's force")
+		}
 		if !stageOf(g, trace.StageNetQueue, false) {
 			dump("no fragment recorded a transport send-queue span")
 		}

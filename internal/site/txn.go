@@ -48,8 +48,8 @@ type Txn struct {
 	added    map[model.ItemID]bool
 	doomed   error
 	finished bool
-	// reran marks a one-shot program rerun after a no-wait leg refused its
-	// first attempt (see rerun).
+	// reran marks a one-shot program rerun after its first attempt was
+	// abandoned (see rerun).
 	reran bool
 	// act is the transaction's sampled trace (nil for the untraced common
 	// case — every span call then no-ops without reading the clock). It
@@ -212,15 +212,17 @@ func (t *Txn) abandon() {
 	s.abortEverywhere(t.sess)
 }
 
-// rerun abandons a one-shot attempt that a no-wait leg refused and readies
-// the program to run again, as an ordered wave, under a fresh transaction id
-// and timestamp: every site the attempt reached is released, and every site
-// that voted is told the attempt aborted — presumed abort, so nothing is
-// logged here. The transaction keeps its start time and trace, and its
-// outcome counts once. rerun reports false, leaving the transaction
-// doomed, when it cannot go on: its context ended (the abandonment watch
-// already released everything) or the site crashed.
-func (t *Txn) rerun() bool {
+// rerun abandons a one-shot attempt — one a no-wait leg refused, or one
+// whose voting leg got no reply — and readies the program to run again, as
+// an ordered wave, under a fresh transaction id and timestamp, with avoid
+// (if set) left out of the first round: every site the attempt reached is
+// released, and every site that voted, or may have, is told the attempt
+// aborted — presumed abort, so nothing is logged here. The transaction keeps
+// its start time and trace, and its outcome counts once. rerun reports
+// false, leaving the transaction doomed, when it cannot go on: its context
+// ended (the abandonment watch already released everything) or the site
+// crashed.
+func (t *Txn) rerun(avoid model.SiteID) bool {
 	if !t.unwatch() {
 		return false
 	}
@@ -238,10 +240,9 @@ func (t *Txn) rerun() bool {
 	s.activeCoord[t.tx] = true
 	s.mu.Unlock()
 	t.sess = rcp.NewSession(t.tx, t.ts)
-	t.sess.Epoch = t.catalog.Epoch
+	t.sess.Epoch, t.sess.Avoid = t.catalog.Epoch, avoid
 	t.doomed, t.reran = nil, true
 	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
-	s.stats.WaveRerun()
 	return true
 }
 

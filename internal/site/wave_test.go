@@ -150,7 +150,12 @@ func TestWaveMatchesInteractive(t *testing.T) {
 // read-only vote into it and commits locally: 1 round trip, 2 messages.
 // Homed at C, its partner A's leg ships first and keeps its vote: 2 round
 // trips (batch, prepare) and 4 messages. A read-write program has one remote
-// leg and one remote writer.
+// leg and one remote writer. Homed at A or B under 2PC, that leg ships last,
+// votes with its reply, and the home forces its own prepare with the
+// decision: batch + decision = 2 round trips, 2 × 2 messages plus the one-way
+// EndTx cast = 5. Homed at C, the leg ships first and cannot vote: batch +
+// prepare + decision = 3 round trips, 7 messages. Under 3PC every home pays
+// batch + prepare + pre-commit + decision = 4 round trips, 9 messages.
 //
 // A 4-add program writes all three copies, so it has two remote legs. Under
 // 2PC both legs ship at once and vote with their reply, so no prepare goes
@@ -186,8 +191,12 @@ func TestWaveRoundTrips(t *testing.T) {
 					if rt, msgs := run(reads...); rt != wantRounds || msgs != wantMsgs {
 						t.Errorf("4-read program: %d round trips, %d messages; want %d and %d", rt, msgs, wantRounds, wantMsgs)
 					}
-					if rt, _ := run(model.Read("x"), model.Write("y", 5)); rt != 1+phases {
-						t.Errorf("read-write program: %d round trips, want %d", rt, 1+phases)
+					wantRounds = 1 + phases
+					if acp == "2pc" && home != "C" {
+						wantRounds = 2 // the leg's vote rides its reply
+					}
+					if rt, msgs := run(model.Read("x"), model.Write("y", 5)); rt != wantRounds || msgs != 2*wantRounds+1 {
+						t.Errorf("read-write program: %d round trips, %d messages; want %d and %d", rt, msgs, wantRounds, 2*wantRounds+1)
 					}
 					wantRounds, wantMsgs = 2+2*phases, 2*(2+2*phases)+2 // batches and phases, 2 EndTx
 					if acp == "2pc" {

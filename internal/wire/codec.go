@@ -819,8 +819,9 @@ func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
 	// Version 2 appended the read-only fold's Final flag and Epoch, version
-	// 3 the add-only wave's NoWait and Vote flags and Cohort.
-	buf = append(buf, 3)
+	// 3 the add-only wave's NoWait and Vote flags and Cohort, version 4 the
+	// voting last leg's Floors.
+	buf = append(buf, 4)
 	buf = appendTx(buf, b.Tx)
 	buf = appendTS(buf, b.TS)
 	buf = appendUvarint(buf, uint64(len(b.Ops)))
@@ -836,6 +837,10 @@ func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
 	buf = appendUvarint(buf, uint64(len(b.Cohort)))
 	for _, s := range b.Cohort {
 		buf = appendString(buf, string(s))
+	}
+	buf = appendUvarint(buf, uint64(len(b.Floors)))
+	for _, v := range b.Floors {
+		buf = appendUvarint(buf, uint64(v))
 	}
 	return buf
 }
@@ -871,6 +876,16 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 			}
 		} else {
 			b.Cohort = nil
+		}
+	}
+	if v >= 4 {
+		if n := r.count(); n > 0 {
+			b.Floors = make([]model.Version, n)
+			for i := range b.Floors {
+				b.Floors[i] = model.Version(r.uvarint())
+			}
+		} else {
+			b.Floors = nil
 		}
 	}
 	return r.err

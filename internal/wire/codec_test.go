@@ -66,7 +66,7 @@ func filledBodies() []wire.Body {
 			{Kind: model.OpRead, Item: "a"},
 			{Kind: model.OpWrite, Item: "b", Value: -5},
 			{Kind: model.OpAdd, Item: "c", Value: 1 << 33},
-		}, Final: true, Epoch: 12, NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2", "S3"}},
+		}, Final: true, Epoch: 12, NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2", "S3"}, Floors: []model.Version{0, 7, 1 << 40}},
 		&wire.CopyBatchResp{
 			Results: []wire.CopyResult{
 				{Value: -9, Version: 4},
@@ -80,13 +80,14 @@ func filledBodies() []wire.Body {
 
 // TestCopyBatchVersion1Decodes: older CopyBatch bodies still decode, with
 // the newer trailing fields at their zero values — version 1, from a peer
-// that predates the read-only fold (not final, not released), and version 2,
+// that predates the read-only fold (not final, not released), version 2,
 // from a peer that predates add-only waves (not no-wait, no vote, not voted,
-// not refused). So do version-1 Decision bodies, from a peer that predates
-// lazy decision records (not lazy).
+// not refused), and version 3, from a peer that predates the voting last
+// leg of a wave that writes (no floors). So do version-1 Decision bodies,
+// from a peer that predates lazy decision records (not lazy).
 func TestCopyBatchVersion1Decodes(t *testing.T) {
 	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Add("a", 2)}, Final: true, Epoch: 9,
-		NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2"}}
+		NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2"}, Floors: []model.Version{5}}
 	dec := &wire.DecisionMsg{Tx: req.Tx, Commit: true, Lazy: true}
 	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true, Voted: true, WouldBlock: true}
 	for _, c := range []struct {
@@ -95,8 +96,9 @@ func TestCopyBatchVersion1Decodes(t *testing.T) {
 		trailer int // encoded bytes of the fields newer than version
 		want    wire.Body
 	}{
-		{req, 1, 2 + 9, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
-		{req, 2, 9, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9}},
+		{req, 1, 2 + 9 + 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
+		{req, 2, 9 + 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9}},
+		{req, 3, 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9, NoWait: true, Vote: true, Cohort: req.Cohort}},
 		{resp, 1, 1 + 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
 		{resp, 2, 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4, Released: true}},
 		{dec, 1, 1, &wire.DecisionMsg{Tx: dec.Tx, Commit: true}},
@@ -211,6 +213,17 @@ func FuzzBodyDecode(f *testing.F) {
 	}
 	f.Add(uint8(0), false, []byte{})
 	f.Add(uint8(3), false, []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// Version-4 CopyBatch requests: floors only, and a floor count that
+	// overruns the body.
+	for i, k := range kinds {
+		if k.Kind != wire.KindCopyBatch || k.Reply {
+			continue
+		}
+		floors := (&wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 1}, Ops: []model.Op{model.Write("b", 1)},
+			Vote: true, Floors: []model.Version{3}}).AppendTo(nil)
+		f.Add(uint8(i), false, floors)
+		f.Add(uint8(i), false, append(floors[:len(floors)-2:len(floors)-2], 0x7F))
+	}
 	f.Fuzz(func(t *testing.T, sel uint8, reply bool, payload []byte) {
 		k := kinds[int(sel)%len(kinds)]
 		body, ok := wire.NewBody(k.Kind, k.Reply)

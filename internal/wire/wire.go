@@ -345,16 +345,23 @@ type CopyBatchReq struct {
 	// makes the site release everything Tx holds there and answer
 	// WouldBlock.
 	NoWait bool
-	// Vote marks a remote leg of an add-only wave under 2PC: once every
-	// operation succeeded, the site runs the prepare's guards (Epoch against
-	// its epoch fence, the incarnation that admitted the operations, the
-	// release tombstone, the intents), forces a prepared record — Tx's home
-	// site as coordinator, Cohort as the participants, the batch's merged
-	// delta records as the write set — and answers Voted; a failed guard
-	// refuses the batch with an ACP abort.
+	// Vote marks a leg that votes with its reply under 2PC — every remote
+	// leg of an add-only wave, or the last leg of a wave that writes, shipped
+	// only after every earlier leg succeeded. Once every operation succeeded,
+	// the site runs the prepare's guards (Epoch against its epoch fence, the
+	// incarnation that admitted the operations, the release tombstone, the
+	// intents), forces a prepared record — Tx's home site as coordinator,
+	// Cohort as the participants, the batch's writes and merged deltas as the
+	// write set, each installing at the version after max(Floors[i], its own
+	// copy's) — and answers Voted; a failed guard refuses the batch with an
+	// ACP abort.
 	Vote bool
 	// Cohort lists the sites the wave planned to touch (Vote batches only).
 	Cohort []model.SiteID
+	// Floors holds, per operation, the highest version the wave's earlier
+	// legs reported for it (a last leg's Vote batch only; nil means 0), so
+	// the prepared record installs at the version the home computes.
+	Floors []model.Version
 }
 
 // CopyResult is one operation's outcome inside a CopyBatchResp: the copy's
