@@ -162,6 +162,10 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 		func(s monitor.SiteStats) uint64 { return s.HomeForces })
 	counter("rainbow_vote_lost_reruns_total", "One-shot programs rerun because a voting leg got no reply.",
 		func(s monitor.SiteStats) uint64 { return s.VoteLostReruns })
+	counter("rainbow_home_first_waves_total", "Waves that ran the home's leg first, because it would sort last, and shipped every remote leg after it without waiting (2PC).",
+		func(s monitor.SiteStats) uint64 { return s.HomeFirstWaves })
+	counter("rainbow_home_first_reruns_total", "Home-first waves a no-wait leg refused, rerun as ordered waves.",
+		func(s monitor.SiteStats) uint64 { return s.HomeFirstReruns })
 	counter("rainbow_releases_abandoned_total", "Release-retry loops that gave up and left cleanup to the janitor.",
 		func(s monitor.SiteStats) uint64 { return s.ReleasesAbandoned })
 	counter("rainbow_commit_tails_unacked_total", "Commit tails that ended without every ack; their decisions wait in the table for a decision request.",

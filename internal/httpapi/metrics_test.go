@@ -77,6 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rainbow_net_sent_bytes_total", "rainbow_net_body_codec_total",
 		`rainbow_net_codec{codec="binary"}`, `rainbow_net_codec{codec="gob"}`,
 		"rainbow_voted_legs_total", "rainbow_home_forces_total", "rainbow_vote_lost_reruns_total",
+		"rainbow_home_first_waves_total", "rainbow_home_first_reruns_total",
 	} {
 		if !bytes.Contains(body, []byte(family)) {
 			t.Errorf("metrics missing family %s", family)

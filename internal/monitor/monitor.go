@@ -216,6 +216,13 @@ type SiteStats struct {
 	// and reran because a voting leg got no reply.
 	HomeForces     uint64
 	VoteLostReruns uint64
+	// Home-first waves under 2PC: HomeFirstWaves counts the first attempts
+	// of waves that are not add-only whose home's own leg would sort last, so
+	// this home ran it first and shipped every remote leg after it without
+	// waiting; HomeFirstReruns those a remote leg refused because it would
+	// have had to wait, rerun as ordered waves.
+	HomeFirstWaves  uint64
+	HomeFirstReruns uint64
 	// ReleasesAbandoned counts release-retry loops that exhausted their
 	// attempts and left remote CC cleanup to the presumed-abort janitor.
 	ReleasesAbandoned uint64
@@ -359,10 +366,11 @@ type Collector struct {
 	aborts  map[model.AbortCause]uint64
 	restart uint64
 	rtts    uint64
-	// addWaves, reruns, votes, homeForces and lostReruns back
-	// SiteStats.AddWaves, AddWaveReruns, VotedLegs, HomeForces and
-	// VoteLostReruns.
+	// addWaves, reruns, votes, homeForces, lostReruns, homeFirst and
+	// homeFirstReruns back SiteStats.AddWaves, AddWaveReruns, VotedLegs,
+	// HomeForces, VoteLostReruns, HomeFirstWaves and HomeFirstReruns.
 	addWaves, reruns, votes, homeForces, lostReruns uint64
+	homeFirst, homeFirstReruns                      uint64
 	lat                                             Histogram
 	start                                           time.Time
 }
@@ -444,27 +452,45 @@ func (c *Collector) VoteLostRerun() {
 	c.lostReruns++
 }
 
+// HomeFirstWave counts a wave that ran its home's leg first and shipped its
+// remote legs after it without waiting.
+func (c *Collector) HomeFirstWave() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.homeFirst++
+}
+
+// HomeFirstRerun counts a home-first wave refused by a no-wait leg and rerun
+// as an ordered wave.
+func (c *Collector) HomeFirstRerun() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.homeFirstReruns++
+}
+
 // Snapshot returns the current counters; orphans is sampled by the caller
 // (it lives in the ACP participant).
 func (c *Collector) Snapshot(orphans int) SiteStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := SiteStats{
-		Site:           c.site,
-		Began:          c.began,
-		Committed:      c.commits,
-		Aborted:        0,
-		AbortsByCause:  make(map[string]uint64, len(c.aborts)),
-		Restarts:       c.restart,
-		RoundTrips:     c.rtts,
-		AddWaves:       c.addWaves,
-		AddWaveReruns:  c.reruns,
-		VotedLegs:      c.votes,
-		HomeForces:     c.homeForces,
-		VoteLostReruns: c.lostReruns,
-		Orphans:        orphans,
-		Latency:        c.lat,
-		WindowNS:       int64(time.Since(c.start)),
+		Site:            c.site,
+		Began:           c.began,
+		Committed:       c.commits,
+		Aborted:         0,
+		AbortsByCause:   make(map[string]uint64, len(c.aborts)),
+		Restarts:        c.restart,
+		RoundTrips:      c.rtts,
+		AddWaves:        c.addWaves,
+		AddWaveReruns:   c.reruns,
+		VotedLegs:       c.votes,
+		HomeForces:      c.homeForces,
+		VoteLostReruns:  c.lostReruns,
+		HomeFirstWaves:  c.homeFirst,
+		HomeFirstReruns: c.homeFirstReruns,
+		Orphans:         orphans,
+		Latency:         c.lat,
+		WindowNS:        int64(time.Since(c.start)),
 	}
 	for cause, n := range c.aborts {
 		s.Aborted += n
@@ -479,6 +505,7 @@ func (c *Collector) Reset() {
 	defer c.mu.Unlock()
 	c.began, c.commits, c.restart, c.rtts = 0, 0, 0, 0
 	c.addWaves, c.reruns, c.votes, c.homeForces, c.lostReruns = 0, 0, 0, 0, 0
+	c.homeFirst, c.homeFirstReruns = 0, 0
 	c.aborts = make(map[model.AbortCause]uint64)
 	c.lat = Histogram{}
 	c.start = time.Now()
@@ -552,6 +579,8 @@ func (r Report) Totals() SiteStats {
 		out.VotedLegs += s.VotedLegs
 		out.HomeForces += s.HomeForces
 		out.VoteLostReruns += s.VoteLostReruns
+		out.HomeFirstWaves += s.HomeFirstWaves
+		out.HomeFirstReruns += s.HomeFirstReruns
 		out.ReleasesAbandoned += s.ReleasesAbandoned
 		out.TailsUnacked += s.TailsUnacked
 		out.NetSentEnvelopes += s.NetSentEnvelopes
@@ -690,6 +719,10 @@ func (r Report) Render() string {
 	if t.HomeForces > 0 || t.VoteLostReruns > 0 {
 		fmt.Fprintf(&b, "one-force commits: %d homes forced prepare with decision, %d waves rerun after a lost vote\n",
 			t.HomeForces, t.VoteLostReruns)
+	}
+	if t.HomeFirstWaves > 0 {
+		fmt.Fprintf(&b, "home-first waves: %d shipped the home's leg first, %d rerun in order\n",
+			t.HomeFirstWaves, t.HomeFirstReruns)
 	}
 	if t.ReleasesAbandoned > 0 {
 		fmt.Fprintf(&b, "releases abandoned to janitor: %d\n", t.ReleasesAbandoned)

@@ -252,6 +252,33 @@ func TestOneForceCounters(t *testing.T) {
 	}
 }
 
+// TestHomeFirstCounters: the home-first wave and rerun counters are
+// window-scoped by the collector, counted apart from the add-wave reruns,
+// summed across sites and rendered on one line.
+func TestHomeFirstCounters(t *testing.T) {
+	c := NewCollector("S3")
+	c.HomeFirstWave()
+	c.HomeFirstWave()
+	c.HomeFirstRerun()
+	if s := c.Snapshot(0); s.HomeFirstWaves != 2 || s.HomeFirstReruns != 1 || s.AddWaveReruns != 0 {
+		t.Errorf("snapshot = %d home-first waves, %d home-first reruns, %d add-wave reruns; want 2, 1, 0", s.HomeFirstWaves, s.HomeFirstReruns, s.AddWaveReruns)
+	}
+	c.Reset()
+	if s := c.Snapshot(0); s.HomeFirstWaves != 0 || s.HomeFirstReruns != 0 {
+		t.Errorf("reset left %+v", s)
+	}
+
+	r := report()
+	r.Sites[2].HomeFirstWaves, r.Sites[2].HomeFirstReruns = 30, 2
+	r.Sites[1].HomeFirstWaves = 1
+	if tot := r.Totals(); tot.HomeFirstWaves != 31 || tot.HomeFirstReruns != 2 {
+		t.Errorf("totals = %d home-first waves, %d reruns; want 31 and 2", tot.HomeFirstWaves, tot.HomeFirstReruns)
+	}
+	if out := r.Render(); !strings.Contains(out, "home-first waves: 31 shipped the home's leg first, 2 rerun in order") {
+		t.Errorf("Render() missing the home-first line:\n%s", out)
+	}
+}
+
 func TestShardSkewAndOccupancy(t *testing.T) {
 	var s SiteStats
 	if s.ShardSkew() != 0 {

@@ -53,7 +53,9 @@ type Leg struct {
 	Final bool
 	// NoWait admits without ever waiting: an op that would have to wait
 	// makes the site release everything the transaction holds there and
-	// refuse the batch with ErrWouldBlock.
+	// refuse the batch with ErrWouldBlock. Wave sets it on every leg of an
+	// add-only wave's first attempt, and on every remote leg of a home-first
+	// wave, which ships after the home's own leg (see Wave).
 	NoWait bool
 	// Vote marks a leg that votes with its reply under 2PC: a remote leg of
 	// an add-only wave, or the remote last leg of a wave that writes (see
@@ -139,6 +141,9 @@ type Session struct {
 	// Avoid is a site a wave's first round must not pick: one whose voting
 	// leg went unanswered in an abandoned attempt of the same program.
 	Avoid model.SiteID
+	// HomeFirst reports that Wave shipped the home's own leg first and every
+	// remote leg after it without waiting (see Wave).
+	HomeFirst bool
 }
 
 // NewSession starts a session for one transaction.
@@ -416,11 +421,11 @@ func allOf(sites []model.SiteID) (quorum.Assignment, int) {
 // the copy sites of meta, sorted, rotated to start at the local site — or,
 // when the local site holds no copy, at the first copy site after it. Every
 // home thus prefers the sites that follow it in ring order, so under majority
-// quorums its partner sorts after it — and the wave's last leg is remote,
-// which lets that leg fold a read-only vote or vote with its reply (see
-// Wave) — for every home but the highest-numbered one, whose partner wraps
-// around to the lowest site and sorts first. At three sites 1/3 of the
-// homes, and so of uniformly homed waves, keep a vote round.
+// quorums its partner sorts after it, and the wave's last leg is remote. That
+// leg may fold a read-only vote or vote with its reply (see Wave). The
+// highest-numbered home's partner wraps around to the lowest site and sorts
+// first; under 2PC its wave runs the home's leg first (home-first), so its
+// last leg is remote too. Only its reruns and 3PC keep a vote round.
 func preferredOrder(acc CopyAccess, meta schema.ItemMeta) []model.SiteID {
 	sites := meta.Sites()
 	i, _ := slices.BinarySearch(sites, acc.Local())

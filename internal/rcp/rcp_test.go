@@ -901,3 +901,91 @@ func TestWaveVoteLost(t *testing.T) {
 		t.Errorf("S2 legs %+v, want one ordinary replacement batch", legs)
 	}
 }
+
+// TestWaveHomeFirst: a first 2PC attempt (NoWait) that is not add-only and
+// whose home's leg would sort last runs that leg first; every remote leg
+// ships after it in no-wait mode, and the last one votes with floors taken
+// from the versions the home reported (or folds, carrying no write). A
+// refusal ends the attempt with ErrWouldBlock. The Voting rerun, 3PC
+// (Ordered) and add-only waves keep their shape, and so does a wave whose
+// home does not sort last.
+func TestWaveHomeFirst(t *testing.T) {
+	rw := []model.Op{model.Read("a"), model.Write("b", 2)}
+	for _, c := range []struct {
+		name   string
+		proto  Protocol
+		home   model.SiteID
+		mode   WaveMode
+		ops    []model.Op
+		order  []model.SiteID // nil: shipped at once, in no set order
+		noWait []model.SiteID
+		first  bool // home-first
+	}{
+		{"qc-read-write", QC, "S3", NoWait, rw, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
+		{"qc-read-only", QC, "S3", NoWait, []model.Op{model.Read("a"), model.Read("b")}, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
+		{"rowa-write", ROWA, "S3", NoWait, rw, []model.SiteID{"S3", "S1", "S2"}, []model.SiteID{"S1", "S2"}, true},
+		{"qc-rerun", QC, "S3", Voting, rw, []model.SiteID{"S1", "S3"}, nil, false},
+		{"qc-3pc", QC, "S3", Ordered, rw, []model.SiteID{"S1", "S3"}, nil, false},
+		{"rowa-add-only", ROWA, "S3", NoWait, adds, nil, []model.SiteID{"S1", "S2", "S3"}, false},
+		{"rowa-home-not-last", ROWA, "S2", NoWait, rw, []model.SiteID{"S1", "S2", "S3"}, nil, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			f := newFake(c.home, "S1", "S2", "S3")
+			f.set(c.home, 10, 4)
+			var order []model.SiteID
+			f.onBatch = func(site model.SiteID) { order = append(order, site) }
+			s := sess()
+			if _, err := c.proto.Wave(context.Background(), f, s, waveItems(), c.ops, c.mode); err != nil {
+				t.Fatal(err)
+			}
+			if s.HomeFirst != c.first {
+				t.Errorf("session home-first = %v, want %v", s.HomeFirst, c.first)
+			}
+			if c.order != nil && !slices.Equal(order, c.order) {
+				t.Fatalf("shipped %v, want %v", order, c.order)
+			}
+			for _, site := range order {
+				if leg := f.legs[site][0]; leg.NoWait != slices.Contains(c.noWait, site) {
+					t.Errorf("%s leg %+v, want no-wait %v", site, leg, !leg.NoWait)
+				}
+			}
+			if !c.first {
+				return
+			}
+			last := order[len(order)-1]
+			leg := f.legs[last][0]
+			if c.ops[len(c.ops)-1].Kind == model.OpRead {
+				if !leg.Final || leg.Vote {
+					t.Errorf("last leg %s %+v, want a fold", last, leg)
+				}
+				return
+			}
+			if !leg.Vote || len(leg.Floors) == 0 || slices.ContainsFunc(leg.Floors, func(v model.Version) bool { return v != 4 }) {
+				t.Errorf("last leg %s %+v, want a vote with every floor 4 (the home's versions)", last, leg)
+			}
+			for _, site := range order[1 : len(order)-1] {
+				if leg := f.legs[site][0]; leg.Vote || leg.Final {
+					t.Errorf("earlier leg %s %+v, want an ordinary no-wait batch", site, leg)
+				}
+			}
+			if _, rec, _ := s.WriteQuorum("b"); rec.Version != 5 {
+				t.Errorf("b installs at version %d, want the home's 4 + 1", rec.Version)
+			}
+		})
+	}
+
+	// A remote leg that would wait refuses: the attempt ends with
+	// ErrWouldBlock, and the home and the refusing site are left to release.
+	f := newFake("S3", "S1", "S2", "S3")
+	f.wouldBlock["S1"] = true
+	s := sess()
+	if _, err := QC.Wave(context.Background(), f, s, waveItems(), rw, NoWait); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("err = %v, want ErrWouldBlock", err)
+	}
+	if rel := append(s.Participants(), s.Strays()...); !slices.Equal(rel, []model.SiteID{"S1", "S3"}) {
+		t.Errorf("sites to release = %v, want the home S3 and the refusing S1", rel)
+	}
+	if len(s.Voted()) != 0 {
+		t.Errorf("voted %v after a refusal, want none", s.Voted())
+	}
+}

@@ -25,11 +25,13 @@ const (
 	// add-only wave votes with its reply, and so does the remote last leg of
 	// a wave that writes (2PC: an add-only wave's rerun, any other wave).
 	Voting
-	// NoWait ships every leg of an add-only wave at once in no-wait mode, and
-	// each remote leg votes with its reply (2PC, an add-only wave's first
-	// attempt). If any leg would have had to wait, Wave returns ErrWouldBlock
-	// and the caller reruns the program, under a fresh transaction, as Voting.
-	// Any other wave ships as Voting.
+	// NoWait is a first attempt under 2PC. An add-only wave ships every leg
+	// at once in no-wait mode, and each remote leg votes with its reply. Any
+	// other wave ships as Voting, except that when the home's own leg would
+	// sort last it runs first, and every remote leg ships after it in no-wait
+	// mode (home-first). If a no-wait leg would have had to wait, Wave returns
+	// ErrWouldBlock and the caller reruns the program, under a fresh
+	// transaction, as Voting.
 	NoWait
 )
 
@@ -58,6 +60,19 @@ const (
 // sites. Sites sharing a batch's wait is what this costs: a program touching
 // k sites takes k-1 remote round trips (one under majority quorums of three,
 // where the home site is one of the two), not one per operation.
+//
+// Cycle-freedom needs less than the order itself: a wave may wait only for a
+// lock that sorts above every lock it holds in (site, item) order. A leg that
+// never waits may go anywhere. Home-first uses this. Under 2PC, a first
+// attempt (mode NoWait) that is not add-only and whose home leg would sort
+// last among two or more legs runs that leg first, inline, where it may wait
+// as usual: it holds nothing when it starts, and within the leg it waits only
+// above the items it already holds there. Every remote leg then ships after
+// it in site order with Leg.NoWait. Those legs sort below the home's and
+// wrap around it, so none of them may wait, and one that would refuses with
+// ErrWouldBlock. The caller reruns a refused attempt as Voting, in site order
+// again. The last remote leg still folds or votes as below, so a wave whose
+// home sorts last commits in the same rounds as one whose home does not.
 //
 // Add-only waves under 2PC (mode NoWait) skip the order: every leg ships at
 // once and no site ever waits for it — an operation that would have to wait
@@ -111,7 +126,10 @@ const (
 func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, mode WaveMode) (map[model.ItemID]int64, error) {
 	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
 	addOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd })
-	if !addOnly && mode == NoWait {
+	// homeFirst: a first 2PC attempt that is not add-only runs its home's leg
+	// first when that leg would sort last (decided once the legs are sorted).
+	homeFirst := !addOnly && mode == NoWait
+	if homeFirst {
 		mode = Voting
 	}
 	var avoid map[model.SiteID]bool
@@ -159,12 +177,17 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 			cohort[i] = l.site
 		}
 	}
+	homeFirst = homeFirst && len(legs) > 1 && legs[len(legs)-1].site == acc.Local()
+	if homeFirst {
+		legs = slices.Concat(legs[len(legs)-1:], legs[:len(legs)-1])
+		sess.HomeFirst = true
+	}
 	// legOf says how leg i ships by default (see last for the last leg);
 	// take records its reply in the seeds and the session, reporting whether
 	// every operation succeeded and the first CC abort.
 	legOf := func(i int) Leg {
 		return Leg{
-			NoWait: mode == NoWait,
+			NoWait: mode == NoWait || homeFirst && legs[i].site != acc.Local(),
 			Vote:   addOnly && mode != Ordered && legs[i].site != acc.Local(),
 			Cohort: cohort,
 		}

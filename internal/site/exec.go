@@ -26,13 +26,17 @@ import (
 // only the home is left. Under 2PC a program that writes lets its remote
 // last leg vote with its reply, and the home then forces its own prepare
 // with the decision (CommitHome), so a wave whose other legs are the home's
-// commits in one remote round trip too. A program made only of blind adds
-// ships every leg at once without waiting, each remote leg voting with its
-// reply; if a leg would have had to wait, the attempt is abandoned and the
-// program reruns as an ordered wave under a fresh transaction id
-// (Txn.rerun). So is one whose voting leg got no reply, with that site
-// avoided. Interactive transactions (Begin, then Read/Write/Add as the caller
-// goes) keep the paper's op-by-op shape.
+// commits in one remote round trip too. When this site's own leg would sort
+// last, a 2PC program runs it first and ships the remote legs after it
+// without waiting (home-first), so the last leg is remote for every home. A
+// program made only of blind adds ships every leg at once without waiting,
+// each remote leg voting with its reply. If a no-wait leg would have had to
+// wait, the attempt is abandoned and the program reruns as an ordered wave
+// under a fresh transaction id (Txn.rerun). So is one whose voting leg got
+// no reply, with that site avoided. Each rerun is counted by its cause: an
+// add-only or a home-first wave refused, or a vote lost. Interactive
+// transactions (Begin, then Read/Write/Add as the caller goes) keep the
+// paper's op-by-op shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
@@ -42,8 +46,13 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	var lost *rcp.VoteLostError
 	switch {
 	case errors.Is(err, rcp.ErrWouldBlock):
+		homeFirst := t.sess.HomeFirst
 		if t.rerun("") {
-			s.stats.WaveRerun()
+			if homeFirst {
+				s.stats.HomeFirstRerun()
+			} else {
+				s.stats.WaveRerun()
+			}
 			err = t.wave(ops)
 		}
 	case errors.As(err, &lost):
@@ -97,7 +106,8 @@ func (t *Txn) wave(ops []model.Op) error {
 
 	// Under 2PC an add-only wave's legs vote with their reply, shipped at
 	// once on the first attempt and in order on the rerun, and any other
-	// wave's last leg votes; 3PC keeps its vote round.
+	// wave's last leg votes, with the home's leg first on the first attempt
+	// when it would sort last; 3PC keeps its vote round.
 	mode := rcp.Ordered
 	if !t.acpProto.ThreePhase() {
 		mode = rcp.NoWait
@@ -116,6 +126,9 @@ func (t *Txn) wave(ops []model.Op) error {
 	sp := t.act.StartSpan(trace.StageOp, "wave")
 	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops, mode)
 	sp.End()
+	if t.sess.HomeFirst {
+		t.s.stats.HomeFirstWave()
+	}
 	if err != nil {
 		t.doomed = err
 		return err

@@ -2,12 +2,14 @@ package site
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/rcp"
 	"repro/internal/schema"
+	"repro/internal/wire"
 )
 
 // The read-only fold: a read-only wave's last leg, when remote, is admitted
@@ -113,27 +115,45 @@ func TestFoldRefusedPastEpochFence(t *testing.T) {
 	waitNoHolders(t, c)
 }
 
-// TestFoldEarlierLegKeepsIncarnationFence: a C-homed read-only wave ships A's
-// leg first and its own last, so nothing folds — and that is what keeps it
-// safe. A answers, then crashes and recovers while C's own leg waits behind
-// a writer's lock; A's read locks died with the crash before the lock point.
-// When C's leg goes on, the ordinary vote at A fails its incarnation fence
-// and the transaction aborts.
+// TestFoldEarlierLegKeepsIncarnationFence: a C-homed read-only wave's rerun
+// ships A's leg first and C's own last, so nothing folds — and that is what
+// keeps it safe. The first attempt runs C's leg first, but A's no-wait leg
+// refuses behind a writer's lock on w, and the rerun then waits at A in site
+// order. A answers once the writer goes, then crashes and recovers while C's
+// own leg waits behind another writer's lock on z; A's read locks died with
+// the crash before the lock point. When C's leg goes on, the ordinary vote
+// at A fails its incarnation fence and the transaction aborts.
 func TestFoldEarlierLegKeepsIncarnationFence(t *testing.T) {
 	c := foldCluster(t, func(cat *schema.Catalog) { cat.Timeouts.Lock = 5 * time.Second })
 	a, home := c.sites["A"], c.sites["C"]
-	blocker := model.TxID{Site: "B", Seq: 1}
-	if _, err := home.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "B"}, "z", 1); err != nil {
+	first, second := model.TxID{Site: "B", Seq: 1}, model.TxID{Site: "B", Seq: 2}
+	if _, err := a.ccm.PreWrite(context.Background(), first, model.Timestamp{Time: 1, Site: "B"}, "w", 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan model.Outcome, 1)
 	go func() { done <- home.Execute(context.Background(), foldReads) }()
 
 	deadline := time.Now().Add(5 * time.Second)
+	for home.Stats().HomeFirstReruns == 0 {
+		if time.Now().After(deadline) {
+			a.ccm.Abort(first)
+			t.Fatal("A's no-wait leg never refused")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The rerun waits at A behind first; C's own leg, after it, will wait
+	// behind second.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := home.ccm.PreWrite(ctx, second, model.Timestamp{Time: 2, Site: "B"}, "z", 1); err != nil {
+		a.ccm.Abort(first)
+		t.Fatal(err)
+	}
+	a.ccm.Abort(first)
 	for len(holders(a)) == 0 {
 		if time.Now().After(deadline) {
-			home.ccm.Abort(blocker)
-			t.Fatal("A never admitted the wave's first leg")
+			home.ccm.Abort(second)
+			t.Fatal("A never admitted the rerun's first leg")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -141,12 +161,58 @@ func TestFoldEarlierLegKeepsIncarnationFence(t *testing.T) {
 	if err := a.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	home.ccm.Abort(blocker)
+	home.ccm.Abort(second)
 
 	if out := <-done; out.Committed || out.Cause != model.AbortACP {
 		t.Fatalf("read-only wave across A's crash = %+v, want an ACP abort on A's incarnation fence", out)
 	}
 	waitNoHolders(t, c)
+}
+
+// TestHomeFirstFoldIncarnationFence: a C-homed read-only wave runs C's own
+// leg first and folds A's, shipped after it. C is rebuilt (its incarnation
+// bumped) after its leg ran and before its own read-only vote, which is held
+// here behind its gate: the CC protection its leg took is gone, so C's
+// guards vote no and the transaction aborts, leaving no CC state anywhere.
+func TestHomeFirstFoldIncarnationFence(t *testing.T) {
+	for _, ccp := range ccps {
+		t.Run(ccp, func(t *testing.T) {
+			c := foldCluster(t, func(cat *schema.Catalog) {
+				cat.Protocols = schema.Protocols{RCP: "qc", CCP: ccp, ACP: "2pc"}
+			})
+			home := c.sites["C"]
+			var shipped atomic.Bool // C's leg ran: it ships A's after it
+			c.net.Drop(func(env *wire.Envelope) bool {
+				if env.Kind == wire.KindCopyBatch && !env.Reply && env.From == "C" {
+					shipped.Store(true)
+				}
+				return false
+			})
+			home.gate.Lock()
+			done := make(chan model.Outcome, 1)
+			go func() { done <- home.Execute(context.Background(), foldReads) }()
+			deadline := time.Now().Add(5 * time.Second)
+			for !shipped.Load() {
+				if time.Now().After(deadline) {
+					home.gate.Unlock()
+					t.Fatal("C never shipped A's leg")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			home.mu.Lock()
+			home.incarnation++
+			home.mu.Unlock()
+			home.gate.Unlock()
+			out := <-done
+			if out.Committed || out.Cause != model.AbortACP {
+				t.Fatalf("read-only wave across a home rebuild = %+v, want an ACP abort", out)
+			}
+			if st := home.Stats(); st.HomeFirstWaves != 1 || st.HomeFirstReruns != 0 {
+				t.Errorf("home stats: %d home-first waves, %d reruns; want 1 and 0", st.HomeFirstWaves, st.HomeFirstReruns)
+			}
+			waitNoHolders(t, c)
+		})
+	}
 }
 
 // TestFoldFallsBackWhenLastLegUnreachable: the final leg gets no answer, so

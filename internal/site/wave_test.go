@@ -148,14 +148,16 @@ func TestWaveMatchesInteractive(t *testing.T) {
 // at every remote writer (prepare and decision; 3PC adds the pre-commit).
 // A 4-read program homed at A or B ships its one remote leg last, folds the
 // read-only vote into it and commits locally: 1 round trip, 2 messages.
-// Homed at C, its partner A's leg ships first and keeps its vote: 2 round
-// trips (batch, prepare) and 4 messages. A read-write program has one remote
-// leg and one remote writer. Homed at A or B under 2PC, that leg ships last,
+// Homed at C, its partner A sorts first, so under 2PC C runs its own leg
+// first and ships A's after it without waiting (home-first); A's leg is then
+// last and folds: 1 round trip, 2 messages too. Under 3PC nothing folds at
+// C: A's leg ships first and keeps its vote, 2 round trips (batch, prepare)
+// and 4 messages. A read-write program has one remote leg and one remote
+// writer. Under 2PC that leg ships last for every home (C's by home-first),
 // votes with its reply, and the home forces its own prepare with the
 // decision: batch + decision = 2 round trips, 2 × 2 messages plus the one-way
-// EndTx cast = 5. Homed at C, the leg ships first and cannot vote: batch +
-// prepare + decision = 3 round trips, 7 messages. Under 3PC every home pays
-// batch + prepare + pre-commit + decision = 4 round trips, 9 messages.
+// EndTx cast = 5. Under 3PC every home pays batch + prepare + pre-commit +
+// decision = 4 round trips, 9 messages.
 //
 // A 4-add program writes all three copies, so it has two remote legs. Under
 // 2PC both legs ship at once and vote with their reply, so no prepare goes
@@ -185,14 +187,14 @@ func TestWaveRoundTrips(t *testing.T) {
 					}
 
 					wantRounds, wantMsgs := uint64(1), uint64(2)
-					if home == "C" {
+					if home == "C" && acp == "3pc" {
 						wantRounds, wantMsgs = 2, 4
 					}
 					if rt, msgs := run(reads...); rt != wantRounds || msgs != wantMsgs {
 						t.Errorf("4-read program: %d round trips, %d messages; want %d and %d", rt, msgs, wantRounds, wantMsgs)
 					}
 					wantRounds = 1 + phases
-					if acp == "2pc" && home != "C" {
+					if acp == "2pc" {
 						wantRounds = 2 // the leg's vote rides its reply
 					}
 					if rt, msgs := run(model.Read("x"), model.Write("y", 5)); rt != wantRounds || msgs != 2*wantRounds+1 {
@@ -396,5 +398,52 @@ func TestWaveOrderedAdmissionNeverDeadlocksLocally(t *testing.T) {
 	cs := c.sites["C"].ccm.Stats()
 	if cs.Deadlocks != 0 || cs.Timeouts != 0 {
 		t.Errorf("site C saw %d deadlocks and %d lock timeouts, want none", cs.Deadlocks, cs.Timeouts)
+	}
+}
+
+// TestHomeFirstNeverDeadlocks: A-, B- and C-homed read-write waves race on
+// two hot items under 2PL. C's own leg would sort last, so its waves run it
+// first and ship the remote legs after it without waiting; the others ship
+// in site order. Either way a wave waits only for a lock that sorts above
+// every lock it holds, so no wait cycle can form. The lock timeout is 5 s,
+// far longer than any wave takes: a cycle broken by the timeout, or by the
+// deadlock detector, would show as an abort, a wave taking a second or more,
+// or a deadlock or timeout in a site's CC counters.
+func TestHomeFirstNeverDeadlocks(t *testing.T) {
+	for _, rcpName := range rcps {
+		t.Run(rcpName, func(t *testing.T) {
+			c := rwCluster(t, "2pl", rcpName, func(cat *schema.Catalog) { cat.Timeouts.Lock = 5 * time.Second })
+			programs := [][]model.Op{
+				{model.Write("x", 1), model.Write("y", 1)},
+				{model.Read("x"), model.Write("y", 2)},
+				{model.Write("x", 3), model.Read("y")},
+			}
+			const rounds = 30
+			var wg sync.WaitGroup
+			for _, id := range c.ids {
+				for g := range programs {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for n := 0; n < rounds; n++ {
+							ops := programs[(g+n)%len(programs)]
+							start := time.Now()
+							out := c.sites[id].Execute(context.Background(), ops)
+							if took := time.Since(start); !out.Committed || took >= time.Second {
+								t.Errorf("%v at %s = %+v after %v, want a commit well under 1 s", ops, id, out, took)
+								return
+							}
+						}
+					}()
+				}
+			}
+			wg.Wait()
+			c.waitTails()
+			noLockTimeouts(t, c)
+			if n := c.sites["C"].Stats().HomeFirstWaves; n == 0 {
+				t.Error("C shipped no wave home-first")
+			}
+			waitNoHolders(t, c)
+		})
 	}
 }
