@@ -65,10 +65,8 @@ func main() {
 	pipeOn := flag.Bool("pipeline", true, "per-shard command pipelines (false = synchronous ablation)")
 	pipeDepth := flag.Int("pipeline-depth", 0, "per-shard pipeline queue bound (0 = default)")
 	pipeBatch := flag.Int("pipeline-max-batch", 0, "pipeline sequencer batch cap (0 = default)")
-	netLegacy := flag.Bool("net-legacy", false, "legacy single-envelope framing (false = coalesced frames)")
 	netMaxBatch := flag.Int("net-max-batch", 0, "envelopes per transport flush (1 = pre-coalescing one write per envelope, 0 = default)")
 	netFlushDelay := flag.Duration("net-flush-delay", 0, "transport writer linger before flushing a non-full batch")
-	netCodec := flag.String("net-codec", "", "wire body codec: binary (default: negotiated, gob fallback) or gob (pin to gob; the codec-ablation knob)")
 	seed := flag.Int64("seed", 619, "workload seed")
 	name := flag.String("name", "LoadZipfClosed", "benchmark name recorded in the output")
 	out := flag.String("out", "BENCH_load.json", "output JSON file (benchjson format); empty disables")
@@ -76,20 +74,13 @@ func main() {
 	traceRate := flag.Float64("trace-sample", 0.05, "fraction of transactions traced when -trace is set")
 	flag.Parse()
 
-	switch *netCodec {
-	case "", "binary", "gob":
-	default:
-		fmt.Fprintf(os.Stderr, "rainbow-bench: unknown -net-codec %q (want binary or gob)\n", *netCodec)
-		os.Exit(2)
-	}
-
 	res, err := run(benchConfig{
 		sites: *nSites, clients: *clients, duration: *duration,
 		zipf: *zipf, readRate: *readRate, addRate: *addRate, opsPerTx: *opsPerTx,
 		items: *items, hot: *hot, shards: *shards,
 		protocols: schema.Protocols{RCP: *rcp, CCP: *ccp, ACP: *acp, NoHotSplit: !*hotSplit},
 		pipeline:  schema.PipelinePolicy{Disable: !*pipeOn, Depth: *pipeDepth, MaxBatch: *pipeBatch},
-		netOpts:   tcpnet.Options{LegacyFraming: *netLegacy, MaxBatch: *netMaxBatch, FlushDelay: *netFlushDelay, Codec: *netCodec},
+		netOpts:   tcpnet.Options{MaxBatch: *netMaxBatch, FlushDelay: *netFlushDelay},
 		seed:      *seed, name: *name,
 		traceN: *traceN, traceRate: *traceRate,
 	})
@@ -108,8 +99,6 @@ func main() {
 		res.Metrics["write-p50-ms"], res.Metrics["write-p99-ms"])
 	fmt.Printf("  pipeline mean batch %.2f  net envelopes/flush %.2f (%.0f B/flush)\n",
 		res.Metrics["pipe-batch"], res.Metrics["net-coalesce"], res.Metrics["net-bytes-per-flush"])
-	fmt.Printf("  net codec: %d binary / %d gob bodies sent\n",
-		int64(res.Metrics["net-binary-bodies"]), int64(res.Metrics["net-gob-bodies"]))
 	if res.Metrics["cc-adds"] > 0 {
 		fmt.Printf("  hot-key split: %d adds (%d lock-free), %d splits / %d drains\n",
 			int64(res.Metrics["cc-adds"]), int64(res.Metrics["cc-split-adds"]),
@@ -277,8 +266,6 @@ func run(bc benchConfig) (result, error) {
 		totals.NetSentEnvelopes += s.NetSentEnvelopes
 		totals.NetSendFlushes += s.NetSendFlushes
 		totals.NetSentBytes += s.NetSentBytes
-		totals.NetBinaryBodies += s.NetBinaryBodies
-		totals.NetGobBodies += s.NetGobBodies
 		totals.CCAdds += s.CCAdds
 		totals.CCSplitAdds += s.CCSplitAdds
 		totals.CCSplits += s.CCSplits
@@ -300,8 +287,6 @@ func run(bc benchConfig) (result, error) {
 		"pipe-batch":          totals.PipeBatchSize(),
 		"net-coalesce":        totals.NetCoalescing(),
 		"net-bytes-per-flush": totals.NetBytesPerFlush(),
-		"net-binary-bodies":   float64(totals.NetBinaryBodies),
-		"net-gob-bodies":      float64(totals.NetGobBodies),
 		"cc-adds":             float64(totals.CCAdds),
 		"cc-split-adds":       float64(totals.CCSplitAdds),
 		"cc-splits":           float64(totals.CCSplits),

@@ -26,8 +26,8 @@ type Policy struct {
 	// DeltaMax bounds the consecutive delta snapshots taken before a full
 	// snapshot is forced; 0 or negative disables incremental checkpoints
 	// entirely (every snapshot is full — the pre-delta behavior). The first
-	// checkpoint of a manager's lifetime is always full, so a catalog or
-	// codec change (which rebuilds the manager) restarts the chain.
+	// checkpoint of a manager's lifetime is always full, so a catalog
+	// change (which rebuilds the manager) restarts the chain.
 	DeltaMax int
 	// NoCOW disables copy-on-write shard capture: the captured shards are
 	// copied while the snapshot gate is held, stalling the decision

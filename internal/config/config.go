@@ -80,12 +80,6 @@ type Experiment struct {
 	// TraceSlowMS dumps root traces slower than this to the site's
 	// slow-trace sink; 0/absent disables.
 	TraceSlowMS int64 `json:"trace_slow_ms,omitempty"`
-	// NetCodec selects the wire-transport body codec: "" or "binary"
-	// (default: negotiated compact binary with gob fallback) or "gob"
-	// (pin connections to gob — the codec-ablation knob). Applied when a
-	// site creates its transport; simnet-backed instances always use the
-	// binary codec in-process.
-	NetCodec string `json:"net_codec,omitempty"`
 	// CatalogPollMS makes each site probe the name server's catalog epoch
 	// at this interval and live-reconfigure when it moved; 0/absent
 	// disables polling (sites still receive the name server's push).
@@ -207,7 +201,6 @@ func (e *Experiment) BuildCatalog() (*schema.Catalog, error) {
 	cat.Checkpoint = e.Checkpoint()
 	cat.Pipeline = e.Pipeline()
 	cat.Trace = e.Trace()
-	cat.Net = schema.NetPolicy{Codec: e.NetCodec}
 	cat.Epoch = e.Epoch
 	return cat, nil
 }

@@ -272,7 +272,6 @@ func (in *Instance) Report() monitor.Report {
 	ns := in.Net.Stats()
 	rep.Net = monitor.NetStats{
 		Sent: ns.Sent, Delivered: ns.Delivered, Dropped: ns.Dropped, Bytes: ns.Bytes,
-		CodecBinary: ns.CodecBinary, CodecGob: ns.CodecGob,
 	}
 	return rep
 }

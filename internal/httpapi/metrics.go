@@ -184,15 +184,6 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 	counter("rainbow_net_sent_bytes_total", "Bytes written by the coalescing sender.",
 		func(s monitor.SiteStats) uint64 { return s.NetSentBytes })
 
-	writeMetricHeader(w, "rainbow_net_body_codec_total", "counter",
-		"Envelope bodies sent, keyed by the wire codec that encoded them.")
-	for _, s := range rep.Sites {
-		fmt.Fprintf(w, "rainbow_net_body_codec_total{site=%q,codec=\"binary\"} %d\n",
-			string(s.Site), s.NetBinaryBodies)
-		fmt.Fprintf(w, "rainbow_net_body_codec_total{site=%q,codec=\"gob\"} %d\n",
-			string(s.Site), s.NetGobBodies)
-	}
-
 	counter("rainbow_trace_sampled_total", "Transactions sampled for tracing.",
 		func(s monitor.SiteStats) uint64 { return s.TraceSampled })
 	counter("rainbow_trace_fragments_total", "Completed trace fragments retained.",
@@ -230,10 +221,6 @@ func WriteMetrics(w io.Writer, rep monitor.Report) {
 	fmt.Fprintf(w, "rainbow_net_messages_total{kind=\"dropped\"} %d\n", rep.Net.Dropped)
 	writeMetricHeader(w, "rainbow_net_bytes_total", "counter", "Network payload bytes.")
 	fmt.Fprintf(w, "rainbow_net_bytes_total %d\n", rep.Net.Bytes)
-	writeMetricHeader(w, "rainbow_net_codec", "counter",
-		"Message payloads sent per negotiated wire codec (whole instance).")
-	fmt.Fprintf(w, "rainbow_net_codec{codec=\"binary\"} %d\n", rep.Net.CodecBinary)
-	fmt.Fprintf(w, "rainbow_net_codec{codec=\"gob\"} %d\n", rep.Net.CodecGob)
 }
 
 // handleMetrics serves GET /metrics: the scrape endpoint.

@@ -74,8 +74,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"rainbow_trace_sampled_total", "rainbow_trace_fragments_total",
 		"rainbow_tx_latency_seconds_bucket", "rainbow_stage_latency_seconds_bucket",
 		"rainbow_net_messages_total", "rainbow_net_bytes_total",
-		"rainbow_net_sent_bytes_total", "rainbow_net_body_codec_total",
-		`rainbow_net_codec{codec="binary"}`, `rainbow_net_codec{codec="gob"}`,
+		"rainbow_net_sent_bytes_total", "rainbow_net_sent_envelopes_total",
 		"rainbow_voted_legs_total", "rainbow_home_forces_total", "rainbow_vote_lost_reruns_total",
 		"rainbow_home_first_waves_total", "rainbow_home_first_reruns_total",
 	} {

@@ -3,8 +3,8 @@
 // timestamps, transaction operations, versions, abort causes and
 // transaction outcomes.
 //
-// The types here are deliberately small and serializable (gob/JSON) so they
-// can cross the wire layer unchanged.
+// The types here are deliberately small and serializable so they can cross
+// the wire layer unchanged.
 package model
 
 import (

@@ -233,20 +233,14 @@ type SiteStats struct {
 	// Coalescing-transport gauges (filled under the tcpnet backend; zero on
 	// the simulated network). Envelopes per flush is the send-syscall
 	// amortization; NetRecvFrames counts decoded multi-envelope frames;
-	// NetSendSheds counts sends dropped under backpressure; NetLegacyConns
-	// counts accepted connections speaking the old single-envelope framing.
+	// NetSendSheds counts sends dropped under backpressure.
 	NetSentEnvelopes uint64
 	NetSendFlushes   uint64
 	NetRecvEnvelopes uint64
 	NetRecvFrames    uint64
 	NetSendSheds     uint64
-	NetLegacyConns   uint64
-	// NetSentBytes counts framed bytes written (the bytes/flush numerator);
-	// NetBinaryBodies/NetGobBodies split sent message bodies by the codec
-	// they were encoded with, exposing what codec negotiation settled on.
-	NetSentBytes    uint64
-	NetBinaryBodies uint64
-	NetGobBodies    uint64
+	// NetSentBytes counts framed bytes written (the bytes/flush numerator).
+	NetSentBytes uint64
 	// Stages holds per-stage latency histograms keyed by trace stage name
 	// (queue, admit, lock_wait, wal_fsync, prepare, net_flush, ...): the
 	// always-on aggregates plus the folded spans of sampled traces. Empty
@@ -518,9 +512,6 @@ type NetStats struct {
 	Delivered uint64
 	Dropped   uint64
 	Bytes     uint64
-	// CodecBinary/CodecGob split sent messages by body codec.
-	CodecBinary uint64
-	CodecGob    uint64
 }
 
 // Report is the cluster-wide statistics view: the data behind the paper's
@@ -588,10 +579,7 @@ func (r Report) Totals() SiteStats {
 		out.NetRecvEnvelopes += s.NetRecvEnvelopes
 		out.NetRecvFrames += s.NetRecvFrames
 		out.NetSendSheds += s.NetSendSheds
-		out.NetLegacyConns += s.NetLegacyConns
 		out.NetSentBytes += s.NetSentBytes
-		out.NetBinaryBodies += s.NetBinaryBodies
-		out.NetGobBodies += s.NetGobBodies
 		for name, h := range s.Stages {
 			if out.Stages == nil {
 				out.Stages = make(map[string]Histogram)
@@ -698,7 +686,6 @@ func (r Report) Render() string {
 	fmt.Fprintf(&b, "messages: sent=%d delivered=%d dropped=%d bytes=%d (%.1f msg/s, %.1f msg/commit)\n",
 		r.Net.Sent, r.Net.Delivered, r.Net.Dropped, r.Net.Bytes,
 		r.MessagesPerSecond(), r.MessagesPerCommit())
-	fmt.Fprintf(&b, "codec: binary=%d gob=%d payloads\n", r.Net.CodecBinary, r.Net.CodecGob)
 	fmt.Fprintf(&b, "round trips: %d\n", t.RoundTrips)
 	fmt.Fprintf(&b, "orphan transactions: %d\n", t.Orphans)
 	fmt.Fprintf(&b, "data plane: %d shards, wal %d records / %d flushes (%.1f recs/flush)\n",
@@ -731,12 +718,9 @@ func (r Report) Render() string {
 		fmt.Fprintf(&b, "commit tails missing an ack: %d\n", t.TailsUnacked)
 	}
 	if t.NetSendFlushes > 0 {
-		fmt.Fprintf(&b, "net coalescing: %d envelopes / %d flushes (%.1f env/flush, %.0f B/flush), %d frames in, sheds=%d legacy-conns=%d\n",
+		fmt.Fprintf(&b, "net coalescing: %d envelopes / %d flushes (%.1f env/flush, %.0f B/flush), %d frames in, sheds=%d\n",
 			t.NetSentEnvelopes, t.NetSendFlushes, t.NetCoalescing(), t.NetBytesPerFlush(),
-			t.NetRecvFrames, t.NetSendSheds, t.NetLegacyConns)
-	}
-	if t.NetBinaryBodies > 0 || t.NetGobBodies > 0 {
-		fmt.Fprintf(&b, "net codec: %d binary / %d gob bodies sent\n", t.NetBinaryBodies, t.NetGobBodies)
+			t.NetRecvFrames, t.NetSendSheds)
 	}
 	if len(t.Stages) > 0 {
 		fmt.Fprintf(&b, "stages (count p50/p99/max):\n")

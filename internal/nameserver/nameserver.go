@@ -8,7 +8,6 @@ package nameserver
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -40,42 +39,37 @@ type CatalogPushMsg struct {
 }
 
 // The catalog bodies are cold-path (poll ticks and administrator updates)
-// and wrap the deeply nested schema.Catalog, so their wire.Body
-// implementations ride the gob escape hatch instead of a hand-rolled
-// encoding (see wire.AppendGob).
+// and wrap the deeply nested schema.Catalog, so they encode as JSON instead
+// of a hand-rolled layout (see wire.AppendJSON).
 
 // Kind implements wire.Body.
 func (r *CatalogResp) Kind() wire.MsgKind { return wire.KindGetCatalog }
 
 // AppendTo implements wire.Body.
-func (r *CatalogResp) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r) }
+func (r *CatalogResp) AppendTo(buf []byte) []byte { return wire.AppendJSON(buf, r) }
 
 // DecodeFrom implements wire.Body.
-func (r *CatalogResp) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
+func (r *CatalogResp) DecodeFrom(p []byte) error { return wire.DecodeJSON(p, r) }
 
 // Kind implements wire.Body.
 func (r *SetCatalogReq) Kind() wire.MsgKind { return wire.KindSetCatalog }
 
 // AppendTo implements wire.Body.
-func (r *SetCatalogReq) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r) }
+func (r *SetCatalogReq) AppendTo(buf []byte) []byte { return wire.AppendJSON(buf, r) }
 
 // DecodeFrom implements wire.Body.
-func (r *SetCatalogReq) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
+func (r *SetCatalogReq) DecodeFrom(p []byte) error { return wire.DecodeJSON(p, r) }
 
 // Kind implements wire.Body.
 func (r *CatalogPushMsg) Kind() wire.MsgKind { return wire.KindCatalogPush }
 
 // AppendTo implements wire.Body.
-func (r *CatalogPushMsg) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r) }
+func (r *CatalogPushMsg) AppendTo(buf []byte) []byte { return wire.AppendJSON(buf, r) }
 
 // DecodeFrom implements wire.Body.
-func (r *CatalogPushMsg) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
+func (r *CatalogPushMsg) DecodeFrom(p []byte) error { return wire.DecodeJSON(p, r) }
 
 func init() {
-	// gob registrations stay for interop with gob-codec peers.
-	gob.Register(CatalogResp{})
-	gob.Register(SetCatalogReq{})
-	gob.Register(CatalogPushMsg{})
 	wire.RegisterBody(wire.KindGetCatalog, true, func() wire.Body { return &CatalogResp{} })
 	wire.RegisterBody(wire.KindSetCatalog, false, func() wire.Body { return &SetCatalogReq{} })
 	wire.RegisterBody(wire.KindCatalogPush, false, func() wire.Body { return &CatalogPushMsg{} })

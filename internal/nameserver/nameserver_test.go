@@ -2,12 +2,14 @@ package nameserver
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/model"
 	"repro/internal/schema"
 	"repro/internal/simnet"
+	"repro/internal/testutil"
 	"repro/internal/wire"
 )
 
@@ -199,5 +201,20 @@ func TestSetCatalogStaleEpochRejected(t *testing.T) {
 	}
 	if srv.Epoch() != 4 {
 		t.Errorf("epoch after CAS update = %d, want 4", srv.Epoch())
+	}
+}
+
+// TestCatalogBodiesJSONRoundTrip: the three catalog bodies survive their
+// JSON encoding with every field of the catalog filled.
+func TestCatalogBodiesJSONRoundTrip(t *testing.T) {
+	for _, src := range []wire.Body{&CatalogResp{}, &SetCatalogReq{}, &CatalogPushMsg{}} {
+		testutil.Fill(t, src)
+		got := reflect.New(reflect.TypeOf(src).Elem()).Interface().(wire.Body)
+		if err := got.DecodeFrom(src.AppendTo(nil)); err != nil {
+			t.Fatalf("%T: decode: %v", src, err)
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Errorf("%T: round trip mismatch:\n src: %+v\n got: %+v", src, src, got)
+		}
 	}
 }

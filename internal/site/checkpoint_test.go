@@ -2,13 +2,14 @@ package site
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/schema"
 	"repro/internal/simnet"
+	"repro/internal/storage"
 	"repro/internal/wal"
 	"repro/internal/wire"
 )
@@ -166,25 +167,22 @@ func TestSiteIntervalCheckpointTrigger(t *testing.T) {
 }
 
 // TestSiteRecoverySkipsSnapshotDecidedTx is the regression test for a
-// subtle recovery bug: transaction T's Prepared record survives compaction
-// only because it shares a retained segment with a genuine orphan's pin,
-// while T's Decision record was compacted away — so from the retained
-// records alone T looks in-doubt. The snapshot's decision table knows the
-// outcome; recovery must NOT re-lock T's write set.
+// subtle recovery bug: transaction T's Prepared record is retained in the
+// log while its Decision record is not — compaction kept T's Prepared
+// record because it shared a segment with a genuine orphan's pin — so from
+// the retained records alone T looks in-doubt. The snapshot's decision
+// table knows the outcome; recovery must NOT re-lock T's write set.
 //
-// Sparse rewriting (record-granular pinning) makes this layout impossible
-// for binary segments — a rewrite sheds decided transactions' records — but
-// legacy JSON-lines segments are kept whole when pinned, so logs from the
-// pre-segment era can still present it. The test builds exactly that: both
-// Prepared records pre-seeded in a legacy segment.
+// Record-granular compaction (sparse rewrites) no longer produces this
+// layout, so the test builds it directly: a segment holding both Prepared
+// records below a snapshot whose decision table (and store image) already
+// carries T's commit.
 func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 	dir := t.TempDir()
 	orphan := model.TxID{Site: "Z", Seq: 1}
 	decided := model.TxID{Site: "Z", Seq: 2}
 
-	// A legacy (headerless JSON-lines) segment holding the two Prepared
-	// records; compaction keeps it whole as long as the orphan pins it.
-	fl, err := wal.OpenFile(filepath.Join(dir, "00000000000000000000.seg"), false)
+	l, err := wal.OpenSegmented(dir, wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +192,7 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 		val  int64
 	}{{orphan, "y", 111}, {decided, "z", 555}}
 	for _, sr := range seeded {
-		if err := fl.Append(wal.Record{
+		if err := l.Append(wal.Record{
 			Type: wal.RecPrepared, Tx: sr.tx,
 			TS:          model.Timestamp{Time: sr.tx.Seq, Site: "Z"},
 			Coordinator: "Z", Participants: []model.SiteID{"A", "Z"},
@@ -203,14 +201,20 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := fl.Close(); err != nil {
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The snapshot above both records: T committed (its write is in the
+	// image), the orphan is undecided.
+	if err := checkpoint.NewDirStore(dir).Save(&checkpoint.Snapshot{
+		Horizon:   3,
+		Items:     map[model.ItemID]storage.Copy{"x": {}, "y": {}, "z": {Value: 555, Version: 50}},
+		Decisions: []checkpoint.Decision{{Tx: decided, Commit: true}},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Tiny segments so the Decision record's binary segment seals (and
-	// compacts) quickly.
-	l, err := wal.OpenSegmented(dir, wal.SegmentOptions{SegmentBytes: 100})
-	if err != nil {
+	if l, err = wal.OpenSegmented(dir, wal.SegmentOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	net := simnet.New(simnet.Config{})
@@ -219,73 +223,31 @@ func TestSiteRecoverySkipsSnapshotDecidedTx(t *testing.T) {
 	cat.ReplicateEverywhere("x", 0)
 	cat.ReplicateEverywhere("y", 0)
 	cat.ReplicateEverywhere("z", 0)
-	// New replays the log: both transactions come back in-doubt.
 	st, err := New(Config{ID: "A", Net: net, Catalog: cat, Log: l})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := context.Background()
 
-	if n := st.InDoubtCount(); n != 2 {
-		t.Fatalf("in-doubt after seeded open = %d, want 2", n)
-	}
-	if err := st.part.HandleDecision(decided, true); err != nil {
-		t.Fatal(err)
-	}
-
-	for v := int64(1); v <= 12; v++ {
-		if out := st.Execute(ctx, []model.Op{model.Write("x", v)}); !out.Committed {
-			t.Fatalf("write: %+v", out)
+	check := func(when string) {
+		t.Helper()
+		// Only the genuine orphan is in doubt; the snapshot-decided
+		// transaction must not have been re-locked (a write to z would
+		// otherwise block on its reinstated exclusive lock until the
+		// resolver clears it).
+		if n := st.InDoubtCount(); n != 1 {
+			t.Fatalf("%s: in-doubt = %d, want 1 (the orphan only)", when, n)
+		}
+		if c, _ := st.Store().Get("z"); c.Value != 555 {
+			t.Fatalf("%s: decided transaction's effect lost: z = %+v, want 555", when, c)
 		}
 	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for v := int64(13); v <= 24; v++ {
-		if out := st.Execute(ctx, []model.Op{model.Write("x", v)}); !out.Committed {
-			t.Fatalf("write: %+v", out)
-		}
-	}
-	if err := st.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Precondition for a non-vacuous test: the decided transaction's
-	// Prepared record is retained (whole-kept legacy segment, pinned by the
-	// orphan) but its Decision record was compacted away.
-	recs, err := l.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawPrep, sawDec := false, false
-	for _, r := range recs {
-		if r.Tx == decided {
-			switch r.Type {
-			case wal.RecPrepared:
-				sawPrep = true
-			case wal.RecDecision:
-				sawDec = true
-			}
-		}
-	}
-	if !sawPrep || sawDec {
-		t.Fatalf("layout precondition failed: prepared retained=%v decision retained=%v (tune SegmentBytes)", sawPrep, sawDec)
-	}
-
+	check("open")
 	st.Crash()
 	if err := st.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	// Only the genuine orphan is in doubt; the snapshot-decided transaction
-	// must not have been re-locked (a write to z would otherwise block on
-	// its reinstated exclusive lock until the resolver clears it).
-	if n := st.InDoubtCount(); n != 1 {
-		t.Fatalf("in-doubt after recovery = %d, want 1 (the orphan only)", n)
-	}
-	if c, _ := st.Store().Get("z"); c.Value != 555 {
-		t.Fatalf("decided transaction's effect lost: z = %+v, want 555", c)
-	}
+	check("recovery")
 }
 
 // TestSiteDeltaCheckpointsAndRecovery drives a site through an incremental

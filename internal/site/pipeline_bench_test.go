@@ -73,7 +73,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 			} else {
 				// The pre-pipeline serve path: every request snapshots the
 				// site state under s.mu and admits on its own goroutine.
-				pay := wire.Payload{Codec: wire.CodecBinary, Bytes: req.AppendTo(nil)}
+				pay := wire.Payload{Bytes: req.AppendTo(nil)}
 				submit = func() {
 					if _, _, err := st.serve("C1", 0, wire.KindCopyBatch, pay); err != nil {
 						b.Error(err)

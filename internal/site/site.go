@@ -17,7 +17,6 @@ package site
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -52,33 +51,28 @@ type HistoryResp struct {
 }
 
 // The monitoring bodies are cold-path (one stats poll per report interval)
-// and deeply structured, so they ride the gob escape hatch rather than a
-// hand-rolled encoding: the wire.Body implementation just wraps gob bytes,
-// which keeps them off the reflection-free hot path guarantees without
-// maintaining ~60 field encoders.
+// and deeply structured, so they encode as JSON (wire.AppendJSON) rather
+// than as hand-rolled layouts with ~60 field encoders to maintain.
 
 // Kind implements wire.Body.
 func (r *StatsResp) Kind() wire.MsgKind { return wire.KindGetStats }
 
 // AppendTo implements wire.Body.
-func (r *StatsResp) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r) }
+func (r *StatsResp) AppendTo(buf []byte) []byte { return wire.AppendJSON(buf, r) }
 
 // DecodeFrom implements wire.Body.
-func (r *StatsResp) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
+func (r *StatsResp) DecodeFrom(p []byte) error { return wire.DecodeJSON(p, r) }
 
 // Kind implements wire.Body.
 func (r *HistoryResp) Kind() wire.MsgKind { return wire.KindGetHistory }
 
 // AppendTo implements wire.Body.
-func (r *HistoryResp) AppendTo(buf []byte) []byte { return wire.AppendGob(buf, r) }
+func (r *HistoryResp) AppendTo(buf []byte) []byte { return wire.AppendJSON(buf, r) }
 
 // DecodeFrom implements wire.Body.
-func (r *HistoryResp) DecodeFrom(p []byte) error { return wire.DecodeGob(p, r) }
+func (r *HistoryResp) DecodeFrom(p []byte) error { return wire.DecodeJSON(p, r) }
 
 func init() {
-	// gob registrations stay for interop with gob-codec peers.
-	gob.Register(StatsResp{})
-	gob.Register(HistoryResp{})
 	wire.RegisterBody(wire.KindGetStats, true, func() wire.Body { return &StatsResp{} })
 	wire.RegisterBody(wire.KindGetHistory, true, func() wire.Body { return &HistoryResp{} })
 }
@@ -102,8 +96,7 @@ type Config struct {
 	Shards int
 	// Checkpoint sets the checkpoint/compaction policy; zero values fall
 	// back to the catalog's policy. Checkpointing engages only when the WAL
-	// supports compaction (the segmented and in-memory logs; the legacy
-	// single-file JSON log does not).
+	// supports compaction (the segmented and in-memory logs both do).
 	Checkpoint schema.CheckpointPolicy
 	// Pipeline sets the per-shard command-pipeline policy for the copy-
 	// operation hot path; zero fields fall back to the catalog's policy.
@@ -945,10 +938,7 @@ func (s *Site) Stats() monitor.SiteStats {
 		stats.NetRecvEnvelopes = n.RecvEnvelopes
 		stats.NetRecvFrames = n.RecvFrames
 		stats.NetSendSheds = n.SendSheds
-		stats.NetLegacyConns = n.LegacyConns
 		stats.NetSentBytes = n.SentBytes
-		stats.NetBinaryBodies = n.SentBinaryBodies
-		stats.NetGobBodies = n.SentGobBodies
 	}
 	stats.Stages = s.tracer.StageHistograms()
 	ts := s.tracer.Stats()

@@ -3,6 +3,7 @@ package site
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -11,7 +12,9 @@ import (
 	"repro/internal/nameserver"
 	"repro/internal/schema"
 	"repro/internal/simnet"
+	"repro/internal/testutil"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // cluster spins up a name server and n sites over a simulated network with
@@ -415,5 +418,21 @@ func TestCrashRecoveryOnSegmentedLog(t *testing.T) {
 	}
 	if out := a.Execute(ctx, []model.Op{model.Write("x", 43)}); !out.Committed {
 		t.Fatalf("write after recovery = %+v", out)
+	}
+}
+
+// TestMonitorBodiesJSONRoundTrip: the stats and history bodies survive
+// their JSON encoding with every field filled (histograms, stage maps,
+// abort causes, history events).
+func TestMonitorBodiesJSONRoundTrip(t *testing.T) {
+	for _, src := range []wire.Body{&StatsResp{}, &HistoryResp{}} {
+		testutil.Fill(t, src)
+		got := reflect.New(reflect.TypeOf(src).Elem()).Interface().(wire.Body)
+		if err := got.DecodeFrom(src.AppendTo(nil)); err != nil {
+			t.Fatalf("%T: decode: %v", src, err)
+		}
+		if !reflect.DeepEqual(got, src) {
+			t.Errorf("%T: round trip mismatch:\n src: %+v\n got: %+v", src, src, got)
+		}
 	}
 }

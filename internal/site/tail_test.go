@@ -48,7 +48,11 @@ func (c *cluster) recover(t *testing.T, id model.SiteID) {
 }
 
 // waitDecided waits until none of the given sites holds an in-doubt
-// transaction.
+// transaction and every decision that resolved one is logged and applied,
+// so callers can assert the decision and the copies it installed.
+// Participant.decide takes a transaction out of the in-doubt table before
+// it logs and applies the outcome, all under the read side of the site's
+// checkpoint gate; taking the write side waits those decides out.
 func waitDecided(t *testing.T, c *cluster, ids ...model.SiteID) {
 	t.Helper()
 	deadline := time.Now().Add(8 * time.Second)
@@ -60,6 +64,10 @@ func waitDecided(t *testing.T, c *cluster, ids ...model.SiteID) {
 			}
 		}
 		if len(left) == 0 {
+			for _, id := range ids {
+				c.sites[id].gate.Lock()
+				c.sites[id].gate.Unlock()
+			}
 			return
 		}
 		if time.Now().After(deadline) {

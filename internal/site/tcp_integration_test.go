@@ -43,12 +43,12 @@ func TestTCPDeployment(t *testing.T) {
 	sites := make(map[model.SiteID]*Site)
 	logs := make(map[model.SiteID]string)
 	for _, id := range ids {
-		logs[id] = filepath.Join(dir, string(id)+".wal")
-		fl, err := wal.OpenFile(logs[id], false)
+		logs[id] = filepath.Join(dir, string(id))
+		l, err := wal.OpenSegmented(logs[id], wal.SegmentOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := New(Config{ID: id, Net: net, Log: fl, Register: true})
+		st, err := New(Config{ID: id, Net: net, Log: l, Register: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,11 +93,11 @@ func TestTCPDeployment(t *testing.T) {
 	addr, _ := net.Addr("A")
 	sites["A"].Close()
 	net.SetAddr("A", addr)
-	fl, err := wal.OpenFile(logs["A"], false)
+	l, err := wal.OpenSegmented(logs["A"], wal.SegmentOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st2, err := New(Config{ID: "A", Net: net, Log: fl})
+	st2, err := New(Config{ID: "A", Net: net, Log: l})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,115 +106,5 @@ func TestTCPDeployment(t *testing.T) {
 	read := st2.Execute(ctx, []model.Op{model.Read("x")})
 	if !read.Committed || read.Reads["x"] != 777 {
 		t.Errorf("read after file-WAL restart = %+v, want x=777", read)
-	}
-}
-
-// TestTCPMixedCodecCluster runs a heterogeneous cluster over real TCP:
-// sites A and B negotiate the binary body codec between themselves while
-// site C pins gob (the net_codec=gob ablation — a stand-in for an old
-// binary that predates the CodecHello). Cross-codec traffic must fall back
-// to gob in both directions, and the soak-style invariants — every
-// submitted transaction decided, committed writes visible, copies of a
-// replicated item agreeing at every site — must hold across the codec
-// boundary.
-func TestTCPMixedCodecCluster(t *testing.T) {
-	binNet := tcpnet.New(nil)
-	gobNet := tcpnet.NewWithOptions(nil, tcpnet.Options{Codec: "gob"})
-
-	cat := schema.NewCatalog()
-	ids := []model.SiteID{"A", "B", "C"}
-	for _, id := range ids {
-		cat.Sites[id] = schema.SiteInfo{ID: id}
-	}
-	cat.ReplicateEverywhere("x", 10)
-	cat.ReplicateEverywhere("y", 20)
-	cat.Timeouts = schema.Timeouts{
-		Op: 2 * time.Second, Vote: 2 * time.Second, Ack: time.Second,
-		Lock: time.Second, OrphanResolve: 100 * time.Millisecond,
-	}
-
-	nets := map[model.SiteID]*tcpnet.Net{"A": binNet, "B": binNet, "C": gobNet}
-	sites := make(map[model.SiteID]*Site)
-	for _, id := range ids {
-		st, err := New(Config{ID: id, Net: nets[id], Catalog: cat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sites[id] = st
-	}
-	defer func() {
-		for _, st := range sites {
-			st.Close()
-		}
-	}()
-	// Each net resolved its own listeners' ports; cross-populate so the
-	// two address books cover the whole cluster.
-	for _, id := range ids {
-		addr, ok := nets[id].Addr(id)
-		if !ok {
-			t.Fatalf("site %s has no resolved address", id)
-		}
-		for _, other := range []*tcpnet.Net{binNet, gobNet} {
-			if other != nets[id] {
-				other.SetAddr(id, addr)
-			}
-		}
-	}
-
-	client, err := wire.NewPeer(binNet, "wlg-client", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-
-	// Mixed workload across all three homes: every write 2PC-prepares at
-	// all sites (items replicate everywhere), so A↔B runs binary while
-	// A→C, B→C and all of C's outbound traffic crosses the codec boundary.
-	gen := wlg.New(wlg.Profile{
-		Sites: ids, Items: []model.ItemID{"x", "y"},
-		Transactions: 30, MPL: 3, OpsPerTx: 2, ReadFraction: 0.5, Retries: 3,
-	})
-	res := gen.Run(ctx, wlg.RemoteSubmitter{Peer: client})
-	if res.Submitted != 30 {
-		t.Fatalf("submitted = %d", res.Submitted)
-	}
-	if res.Committed == 0 {
-		t.Fatalf("nothing committed across the codec boundary: %+v", res.ByCause)
-	}
-
-	// Marker write homed at the gob-pinned site: its prepares and decisions
-	// all travel gob→binary.
-	out := wlg.RemoteSubmitter{Peer: client}.Submit(ctx, "C", []model.Op{model.Write("x", 4242)})
-	if !out.Committed {
-		t.Fatalf("write homed at gob site failed: %+v", out)
-	}
-
-	// Copy agreement: every site's copy of x must converge on the marker
-	// value (decision propagation to remote participants is asynchronous,
-	// so poll briefly).
-	deadline := time.Now().Add(5 * time.Second)
-	for _, id := range ids {
-		for {
-			read := sites[id].Execute(ctx, []model.Op{model.Read("x")})
-			if read.Committed && read.Reads["x"] == 4242 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("site %s copy of x = %+v, want 4242", id, read)
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-
-	// Negotiation outcome: the pinned side must never have sent a binary
-	// body, while the negotiating side used both codecs — binary toward its
-	// binary peer, gob toward the pinned one.
-	if st := gobNet.NetStats(); st.SentBinaryBodies != 0 || st.SentGobBodies == 0 {
-		t.Errorf("gob-pinned net codec counters: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentBinaryBodies == 0 || st.SentGobBodies == 0 {
-		t.Errorf("negotiating net should have used both codecs: %+v", st)
 	}
 }

@@ -521,8 +521,8 @@ func (s *Store) Recover(items map[model.ItemID]int64, log wal.Log) ([]RecoveredT
 // transactions, which are returned for ACP-level termination exactly like
 // in-doubt transactions from after the horizon.
 //
-// A nil snapshot with horizon 0 is the full-history replay path (the legacy
-// FileLog, or a site that never checkpointed).
+// A nil snapshot with horizon 0 is the full-history replay path (a site that
+// never checkpointed).
 func (s *Store) RecoverRecords(items map[model.ItemID]int64, snapshot map[model.ItemID]Copy, horizon uint64, recs []wal.Record) ([]RecoveredTx, error) {
 	s.Init(items)
 	if len(snapshot) > 0 {

@@ -2,8 +2,10 @@ package tcpnet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +30,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{From: "", To: "", Kind: 0, Corr: 1<<64 - 1, Reply: true, Payload: []byte{}},
 	}
 	var tmp []byte
-	buf, _, _ := appendFrame(nil, in, wire.CodecGob, &tmp)
+	buf := appendFrame(nil, in, &tmp)
 	out, err := decodeFrame(buf[4:]) // skip the frameLen prefix ReadFull consumes
 	if err != nil {
 		t.Fatal(err)
@@ -51,10 +53,10 @@ func TestFrameRoundTrip(t *testing.T) {
 // valid frame to the decoder; every one must error, never panic or succeed.
 func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	var tmp []byte
-	buf, _, _ := appendFrame(nil, []*wire.Envelope{
+	buf := appendFrame(nil, []*wire.Envelope{
 		{From: "a", To: "b", Kind: wire.KindPing, Corr: 7, Payload: []byte("payload")},
 		{From: "b", To: "a", Kind: wire.KindVote, Corr: 8, Payload: []byte("more")},
-	}, wire.CodecGob, &tmp)
+	}, &tmp)
 	body := buf[4:]
 	for cut := 0; cut < len(body); cut++ {
 		if _, err := decodeFrame(body[:cut]); err == nil {
@@ -112,46 +114,53 @@ func TestMultiEnvelopeFrames(t *testing.T) {
 	}
 }
 
-// TestLegacyFramingInterop runs an RPC round trip between a legacy-framing
-// net (no magic, plain gob stream — a peer predating multi-envelope frames)
-// and a current one, in both directions.
-func TestLegacyFramingInterop(t *testing.T) {
-	oldNet := NewWithOptions(nil, Options{LegacyFraming: true})
-	newNet := New(nil)
-
-	oldPeer, err := wire.NewPeer(oldNet, "old", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		return wire.KindOK, &wire.OKBody{}, nil
-	})
+// TestStreamWithoutMagicClosed connects peers that do not open with the
+// frame magic — one speaking the retired single-envelope gob framing, one
+// sending a well-formed frame without the preamble, one sending HTTP, one
+// whose magic is off by its last byte — and verifies each is disconnected:
+// nothing reaches the handler, no reply writer is started, and the read
+// goroutine exits (VerifyMain checks for leaks).
+func TestStreamWithoutMagicClosed(t *testing.T) {
+	n := New(nil)
+	var got atomic.Int32
+	b, err := n.Attach("b", func(*wire.Envelope) { got.Add(1) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer oldPeer.Close()
-	newPeer, err := wire.NewPeer(newNet, "new", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-		return wire.KindOK, &wire.OKBody{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer newPeer.Close()
+	defer b.Close()
+	addr, _ := n.Addr("b")
 
-	// The two Nets are separate processes in spirit: exchange addresses.
-	oldAddr, _ := oldNet.Addr("old")
-	newAddr, _ := newNet.Addr("new")
-	oldNet.SetAddr("new", newAddr)
-	newNet.SetAddr("old", oldAddr)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	// old → new: the acceptor must sniff the missing magic and fall back.
-	if err := oldPeer.Call(ctx, "new", wire.KindPing, &wire.OKBody{}, nil); err != nil {
-		t.Fatalf("legacy → batched call: %v", err)
+	var tmp []byte
+	frame := appendFrame(nil, []*wire.Envelope{{From: "a", To: "b", Kind: wire.KindPing, Body: &wire.PingReq{}}}, &tmp)
+	for name, stream := range map[string][]byte{
+		// A gob stream opens with a small uvarint message length and a type
+		// definition (this is the prefix the old framing sent).
+		"gob":              {0x3f, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08, 0x45, 0x6e, 0x76, 0x65, 0x6c, 0x6f, 0x70, 0x65},
+		"frame, no magic":  frame,
+		"http request":     []byte("GET /metrics HTTP/1.1\r\nHost: b\r\n\r\n"),
+		"truncated magic+": append(append([]byte{}, frameMagic[:7]...), frame...),
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(stream) //nolint:errcheck
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var one [1]byte
+		if _, err := conn.Read(one[:]); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Errorf("%s: connection not closed by the receiver (read err %v)", name, err)
+		}
+		conn.Close()
 	}
-	// new → old: the dialer must speak legacy (knob) and parse a gob reply.
-	if err := newPeer.Call(ctx, "old", wire.KindPing, &wire.OKBody{}, nil); err != nil {
-		t.Fatalf("batched → legacy call: %v", err)
+	if got.Load() != 0 {
+		t.Errorf("%d envelopes from streams without the frame magic reached the handler", got.Load())
 	}
-	if st := newNet.NetStats(); st.LegacyConns == 0 {
-		t.Error("batched net accepted a legacy connection but counted none")
+	ep := b.(*endpoint)
+	ep.mu.Lock()
+	live := len(ep.live)
+	ep.mu.Unlock()
+	if live != 0 {
+		t.Errorf("%d reply writers started for rejected streams", live)
 	}
 }
 
@@ -326,109 +335,5 @@ func TestBatchedRPCStress(t *testing.T) {
 		if err := <-errCh; err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// codecEchoServe is a CopyBatch echo handler for the negotiation tests: the
-// reply carries the request's sequence number back, so a codec mismatch
-// that corrupted a body would surface as a wrong value, not just an error.
-func codecEchoServe(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
-	var req wire.CopyBatchReq
-	if err := pay.Decode(&req); err != nil {
-		return 0, nil, err
-	}
-	return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq, Incarnation: 1}, nil
-}
-
-// TestCodecNegotiationUpgradesToBinary connects two current nets and
-// verifies the CodecHello handshake settles both directions on the compact
-// binary codec: after a burst of RPCs each way, both sides must have sent
-// binary-encoded bodies (only the dialer's pre-hello requests may ride the
-// gob fallback).
-func TestCodecNegotiationUpgradesToBinary(t *testing.T) {
-	aNet, bNet := New(nil), New(nil)
-	aPeer, err := wire.NewPeer(aNet, "A", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer aPeer.Close()
-	bPeer, err := wire.NewPeer(bNet, "B", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bPeer.Close()
-	aAddr, _ := aNet.Addr("A")
-	bAddr, _ := bNet.Addr("B")
-	aNet.SetAddr("B", bAddr)
-	bNet.SetAddr("A", aAddr)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.CopyBatchResp](ctx, aPeer, "B", wire.KindCopyBatch,
-			&wire.CopyBatchReq{Tx: model.TxID{Site: "A", Seq: uint64(i)}})
-		if err != nil || resp.Clock != uint64(i) {
-			t.Fatalf("A→B call %d: value=%v err=%v", i, resp, err)
-		}
-		resp, err = wire.Call[wire.CopyBatchResp](ctx, bPeer, "A", wire.KindCopyBatch,
-			&wire.CopyBatchReq{Tx: model.TxID{Site: "B", Seq: uint64(i)}})
-		if err != nil || resp.Clock != uint64(i) {
-			t.Fatalf("B→A call %d: value=%v err=%v", i, resp, err)
-		}
-	}
-	if st := aNet.NetStats(); st.SentBinaryBodies == 0 {
-		t.Errorf("A sent no binary bodies after negotiation: %+v", st)
-	}
-	if st := bNet.NetStats(); st.SentBinaryBodies == 0 {
-		t.Errorf("B sent no binary bodies after negotiation: %+v", st)
-	}
-}
-
-// TestCodecGobPinnedPeerInterop runs a mixed cluster: one peer pins the
-// gob codec (the net_codec=gob ablation — stands in for an old binary that
-// predates the CodecHello), the other negotiates. Both directions must land
-// on gob — the pinned side never offers binary, so the negotiating side
-// must never send a binary body at it — and every RPC must still round-trip
-// correct values.
-func TestCodecGobPinnedPeerInterop(t *testing.T) {
-	gobNet := NewWithOptions(nil, Options{Codec: "gob"})
-	binNet := New(nil)
-	gobPeer, err := wire.NewPeer(gobNet, "old", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gobPeer.Close()
-	binPeer, err := wire.NewPeer(binNet, "new", codecEchoServe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer binPeer.Close()
-	gobAddr, _ := gobNet.Addr("old")
-	binAddr, _ := binNet.Addr("new")
-	gobNet.SetAddr("new", binAddr)
-	binNet.SetAddr("old", gobAddr)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i := 1; i <= 8; i++ {
-		resp, err := wire.Call[wire.CopyBatchResp](ctx, gobPeer, "new", wire.KindCopyBatch,
-			&wire.CopyBatchReq{Tx: model.TxID{Site: "old", Seq: uint64(i)}})
-		if err != nil || resp.Clock != uint64(i) {
-			t.Fatalf("gob→binary call %d: value=%v err=%v", i, resp, err)
-		}
-		resp, err = wire.Call[wire.CopyBatchResp](ctx, binPeer, "old", wire.KindCopyBatch,
-			&wire.CopyBatchReq{Tx: model.TxID{Site: "new", Seq: uint64(i)}})
-		if err != nil || resp.Clock != uint64(i) {
-			t.Fatalf("binary→gob call %d: value=%v err=%v", i, resp, err)
-		}
-	}
-	if st := gobNet.NetStats(); st.SentBinaryBodies != 0 || st.SentGobBodies == 0 {
-		t.Errorf("gob-pinned peer codec counters: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentBinaryBodies != 0 {
-		t.Errorf("negotiating peer sent binary bodies at a gob-pinned peer: %+v", st)
-	}
-	if st := binNet.NetStats(); st.SentGobBodies == 0 {
-		t.Errorf("negotiating peer sent no gob bodies: %+v", st)
 	}
 }

@@ -8,33 +8,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Batched framing. A connection direction that speaks it starts with the
-// 8-byte magic preamble, then carries a stream of length-prefixed
-// multi-envelope frames:
+// Framing. Each connection direction starts with the 8-byte magic
+// preamble, then carries a stream of length-prefixed multi-envelope frames:
 //
 //	[u32 frameLen][u32 count][count × ([u32 envLen][envLen bytes])]
 //
 // frameLen counts everything after the frameLen field itself, so a receiver
 // reads one length, then the whole frame in one ReadFull, then slices the
-// envelopes out of the buffer with no further syscalls. Envelopes use a
-// compact ad-hoc binary encoding (below) rather than gob: inside a frame
-// each envelope must be independently decodable from its own bytes, and a
-// fresh gob stream per envelope would resend type definitions every time.
-//
-// The magic is absent on legacy connections, which carry the original
-// self-delimiting gob stream of single envelopes; receivers sniff the first
-// eight bytes to tell the two apart, so old peers interoperate (see
-// Options.LegacyFraming for the outbound half).
-//
-// Each envelope's body payload is either gob (the default every peer
-// decodes) or the compact binary codec, signalled per envelope by flag
-// bit 2 and enabled per connection by codec negotiation (the CodecHello
-// preamble envelope — see tcpnet.go and wire/codec.go).
+// envelopes out of the buffer with no further syscalls. Inside a frame each
+// envelope is independently decodable from its own bytes (the compact
+// encoding below), and its body payload is the wire.Body binary encoding.
+// A stream that does not open with the magic is not Rainbow traffic and
+// is closed.
 
-// frameMagic opens every batched connection direction. It must not be a
-// plausible gob stream prefix: gob messages start with a small uvarint
-// length, so a first byte >= 0x80 (multi-byte uvarint of absurd size,
-// rejected by gob) cannot be confused with legacy traffic.
+// frameMagic opens every connection direction.
 var frameMagic = [8]byte{0xFB, 'b', 'w', 'F', 'r', 'm', '0', '1'}
 
 // maxFrameBytes bounds one frame (a garbage length prefix would otherwise
@@ -46,13 +33,10 @@ const (
 
 // appendEnvelope serializes env onto buf: uvarint-length-prefixed From, To
 // and payload, uvarint Kind and Corr, and a flags byte (bit 0 = Reply,
-// bit 1 = a uvarint trace ID follows, bit 2 = the payload is binary-codec
-// encoded rather than gob). Untraced envelopes — the common case — spend
-// only the flag bit. payload is the encoded body (env.Payload for
-// pre-flattened envelopes); binaryBody selects flag bit 2. Pre-negotiation
-// receivers ignore unknown flag bits, which is what makes the codec flag
-// safe to send only after the peer's hello.
-func appendEnvelope(buf []byte, env *wire.Envelope, payload []byte, binaryBody bool) []byte {
+// bit 1 = a uvarint trace ID follows). Untraced envelopes — the common
+// case — spend only the flag bit. payload is the encoded body (env.Payload
+// for pre-flattened envelopes).
+func appendEnvelope(buf []byte, env *wire.Envelope, payload []byte) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(env.From)))
 	buf = append(buf, env.From...)
 	buf = binary.AppendUvarint(buf, uint64(len(env.To)))
@@ -65,9 +49,6 @@ func appendEnvelope(buf []byte, env *wire.Envelope, payload []byte, binaryBody b
 	}
 	if env.Trace != 0 {
 		flags |= 2
-	}
-	if binaryBody {
-		flags |= 4
 	}
 	buf = append(buf, flags)
 	if env.Trace != 0 {
@@ -137,9 +118,6 @@ func decodeEnvelope(b []byte) (*wire.Envelope, error) {
 	env.Corr = corr
 	env.Reply = flags&1 != 0
 	env.Trace = traceID
-	if flags&4 != 0 {
-		env.Codec = wire.CodecBinary
-	}
 	if plen > 0 {
 		env.Payload = append([]byte(nil), b[sz:sz+int(plen)]...)
 	}
@@ -147,49 +125,26 @@ func decodeEnvelope(b []byte) (*wire.Envelope, error) {
 }
 
 // appendFrame frames a batch of envelopes onto buf, encoding each typed
-// body with codec (bodies already flattened ride as-is; a binary payload
-// bound for a gob connection is transcoded through the body registry). tmp
-// is the writer goroutine's reusable body-encode scratch, so the flush path
-// allocates neither frame nor body buffers in steady state. nbin/ngob count
-// the body encodings used, feeding the negotiated-codec stats.
-func appendFrame(buf []byte, batch []*wire.Envelope, codec wire.CodecID, tmp *[]byte) (out []byte, nbin, ngob uint64) {
+// body (bodies already flattened ride as-is). tmp is the writer goroutine's
+// reusable body-encode scratch, so the flush path allocates neither frame
+// nor body buffers in steady state.
+func appendFrame(buf []byte, batch []*wire.Envelope, tmp *[]byte) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // frameLen placeholder
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(batch)))
 	for _, env := range batch {
 		payload := env.Payload
-		binaryBody := env.Codec == wire.CodecBinary
 		if env.Body != nil {
-			if codec == wire.CodecBinary {
-				*tmp = env.Body.AppendTo((*tmp)[:0])
-				payload, binaryBody = *tmp, true
-			} else {
-				// Gob fallback. An encode error is unreachable for the
-				// registered body types; an empty payload (the receiver's
-				// decode then fails) degrades to message loss, which the
-				// unreliable-network contract allows.
-				payload, _ = wire.Marshal(env.Body)
-				binaryBody = false
-			}
-		} else if binaryBody && codec != wire.CodecBinary {
-			// Pre-flattened binary payload bound for a gob peer: transcode
-			// through the registry (same loss semantics on failure).
-			if env.Reencode(wire.CodecGob) == nil {
-				payload, binaryBody = env.Payload, false
-			}
-		}
-		if binaryBody {
-			nbin++
-		} else {
-			ngob++
+			*tmp = env.Body.AppendTo((*tmp)[:0])
+			payload = *tmp
 		}
 		lenAt := len(buf)
 		buf = append(buf, 0, 0, 0, 0) // envLen placeholder
-		buf = appendEnvelope(buf, env, payload, binaryBody)
+		buf = appendEnvelope(buf, env, payload)
 		binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(buf)-lenAt-4))
 	}
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(buf)-start-4))
-	return buf, nbin, ngob
+	return buf
 }
 
 // decodeFrame parses the body of one frame (everything after the frameLen

@@ -10,18 +10,9 @@
 // pipeline replies off the per-message write(2) cost. On the wire the
 // batch travels as one length-prefixed multi-envelope frame (see frame.go);
 // the receive side reads a whole frame in one ReadFull and dispatches the
-// decoded envelopes as a slice. Connections fall back to the legacy
-// single-envelope gob framing when the peer does not open with the frame
-// magic, so old peers interoperate (outbound legacy speak is a knob:
-// Options.LegacyFraming).
-//
-// Message bodies are encoded at flush time with a per-connection negotiated
-// codec: each batched direction opens with a wire.KindCodecHello envelope
-// right after the frame magic, and once the peer's hello confirms it
-// decodes compact binary bodies (wire.Body/codec.go) the writer stops gob-
-// encoding them. Peers that never hello — old binaries, or ones pinned by
-// the Options.Codec="gob" ablation knob — keep receiving gob, so mixed
-// clusters interoperate with zero extra round trips.
+// decoded envelopes as a slice. Message bodies are encoded at flush time
+// with the one binary body codec (wire.Body, see wire/codec.go). A peer
+// whose stream does not open with the frame magic is disconnected.
 //
 // Backpressure is by bounded queue: a Send finding the queue full blocks
 // briefly (a stall) and then sheds with an error rather than buffering
@@ -37,9 +28,8 @@ package tcpnet
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -54,16 +44,8 @@ import (
 )
 
 // Options tunes the transport's batching behavior. The zero value selects
-// the defaults (batched framing on).
+// the defaults.
 type Options struct {
-	// LegacyFraming makes outbound connections speak the original
-	// single-envelope gob framing with no magic preamble, for clusters with
-	// peers that predate multi-envelope frames (their gob decoders would
-	// reject the preamble). Inbound legacy traffic is always accepted
-	// regardless of this knob. Flush coalescing still applies — a gob
-	// stream batches into one write just as well — only the frame format
-	// and slice dispatch are lost.
-	LegacyFraming bool
 	// SendQueue bounds each connection's send queue; <= 0 selects 1024.
 	SendQueue int
 	// MaxBatch caps the envelopes encoded into one flush; <= 0 selects 128.
@@ -75,14 +57,6 @@ type Options struct {
 	// SendStall bounds how long a Send blocks on a full queue before
 	// shedding the envelope; <= 0 selects 1s.
 	SendStall time.Duration
-	// Codec selects the body codec offered to peers: "" or "binary" (the
-	// default) negotiates the compact binary codec per connection — each
-	// batched direction opens with a CodecHello, and bodies upgrade from
-	// gob once the peer's hello arrives (a peer that never says hello, i.e.
-	// an old binary, keeps the connection on gob). "gob" pins the legacy
-	// codec and suppresses the hello — the ablation knob, and the safe
-	// setting for clusters still rolling out negotiation-aware binaries.
-	Codec string
 }
 
 func (o Options) withDefaults() Options {
@@ -99,22 +73,17 @@ func (o Options) withDefaults() Options {
 }
 
 // Stats counts transport events; the flushes-vs-envelopes ratio is the
-// syscalls-per-operation measurement the batching exists to improve, and
-// the binary-vs-gob body split is the negotiated-codec measurement (a
-// healthy same-version cluster sends almost everything binary).
+// syscalls-per-operation measurement the batching exists to improve.
 type Stats struct {
-	SentEnvelopes    uint64 // envelopes handed to the writer goroutines
-	SentFlushes      uint64 // buffered-write flushes (≈ write syscalls)
-	SentBatches      uint64 // batches encoded (== flushes unless a batch exceeded the buffer)
-	SentBytes        uint64 // bytes written to sockets (bytes/flush = SentBytes/SentFlushes)
-	MaxSendBatch     uint64 // largest single batch
-	SendSheds        uint64 // envelopes shed on a full queue after SendStall
-	SendStalls       uint64 // Sends that found their queue full and blocked
-	SentBinaryBodies uint64 // bodies encoded with the negotiated binary codec
-	SentGobBodies    uint64 // bodies encoded with the gob fallback codec
-	RecvEnvelopes    uint64 // envelopes decoded inbound
-	RecvFrames       uint64 // multi-envelope frames decoded inbound
-	LegacyConns      uint64 // inbound connections negotiated down to gob framing
+	SentEnvelopes uint64 // envelopes handed to the writer goroutines
+	SentFlushes   uint64 // buffered-write flushes (≈ write syscalls)
+	SentBatches   uint64 // batches encoded (== flushes unless a batch exceeded the buffer)
+	SentBytes     uint64 // bytes written to sockets (bytes/flush = SentBytes/SentFlushes)
+	MaxSendBatch  uint64 // largest single batch
+	SendSheds     uint64 // envelopes shed on a full queue after SendStall
+	SendStalls    uint64 // Sends that found their queue full and blocked
+	RecvEnvelopes uint64 // envelopes decoded inbound
+	RecvFrames    uint64 // multi-envelope frames decoded inbound
 }
 
 // Net is a TCP-backed wire.Network.
@@ -126,23 +95,16 @@ type Net struct {
 	nodes   map[model.SiteID]*endpoint
 	tracers map[model.SiteID]*trace.Tracer
 
-	sentEnvelopes    atomic.Uint64
-	sentFlushes      atomic.Uint64
-	sentBatches      atomic.Uint64
-	sentBytes        atomic.Uint64
-	maxSendBatch     atomic.Uint64
-	sendSheds        atomic.Uint64
-	sendStalls       atomic.Uint64
-	sentBinaryBodies atomic.Uint64
-	sentGobBodies    atomic.Uint64
-	recvEnvelopes    atomic.Uint64
-	recvFrames       atomic.Uint64
-	legacyConns      atomic.Uint64
+	sentEnvelopes atomic.Uint64
+	sentFlushes   atomic.Uint64
+	sentBatches   atomic.Uint64
+	sentBytes     atomic.Uint64
+	maxSendBatch  atomic.Uint64
+	sendSheds     atomic.Uint64
+	sendStalls    atomic.Uint64
+	recvEnvelopes atomic.Uint64
+	recvFrames    atomic.Uint64
 }
-
-// binaryBodies reports whether this net offers the binary body codec
-// (Options.Codec left at the default).
-func (n *Net) binaryBodies() bool { return n.opts.Codec != "gob" }
 
 // New builds a TCP network with the given address book and default options.
 // The book may be extended later via SetAddr (e.g. after registering with
@@ -198,18 +160,15 @@ func (n *Net) Addr(id model.SiteID) (string, bool) {
 // NetStats snapshots the transport counters.
 func (n *Net) NetStats() Stats {
 	return Stats{
-		SentEnvelopes:    n.sentEnvelopes.Load(),
-		SentFlushes:      n.sentFlushes.Load(),
-		SentBatches:      n.sentBatches.Load(),
-		SentBytes:        n.sentBytes.Load(),
-		MaxSendBatch:     n.maxSendBatch.Load(),
-		SendSheds:        n.sendSheds.Load(),
-		SendStalls:       n.sendStalls.Load(),
-		SentBinaryBodies: n.sentBinaryBodies.Load(),
-		SentGobBodies:    n.sentGobBodies.Load(),
-		RecvEnvelopes:    n.recvEnvelopes.Load(),
-		RecvFrames:       n.recvFrames.Load(),
-		LegacyConns:      n.legacyConns.Load(),
+		SentEnvelopes: n.sentEnvelopes.Load(),
+		SentFlushes:   n.sentFlushes.Load(),
+		SentBatches:   n.sentBatches.Load(),
+		SentBytes:     n.sentBytes.Load(),
+		MaxSendBatch:  n.maxSendBatch.Load(),
+		SendSheds:     n.sendSheds.Load(),
+		SendStalls:    n.sendStalls.Load(),
+		RecvEnvelopes: n.recvEnvelopes.Load(),
+		RecvFrames:    n.recvFrames.Load(),
 	}
 }
 
@@ -220,8 +179,8 @@ func (n *Net) Attach(id model.SiteID, h wire.Handler) (wire.Endpoint, error) {
 }
 
 // AttachBatch implements wire.BatchNetwork: bh, when non-nil, receives each
-// decoded multi-envelope frame as one slice (legacy connections still
-// dispatch per envelope through h).
+// decoded multi-envelope frame as one slice (single-envelope frames still
+// dispatch through h).
 func (n *Net) AttachBatch(id model.SiteID, h wire.Handler, bh wire.BatchHandler) (wire.Endpoint, error) {
 	if h == nil {
 		return nil, errors.New("tcpnet: nil handler")
@@ -290,16 +249,7 @@ type endpoint struct {
 type outConn struct {
 	ep       *endpoint
 	conn     net.Conn
-	batched  bool // multi-envelope framing (vs legacy gob)
 	dialedTo model.SiteID
-
-	// peerBinary is set by the read half of this socket when the peer's
-	// CodecHello announces it accepts binary bodies; until then (and on old
-	// peers, forever) the writer encodes bodies with gob. Reset on redial:
-	// the replacement peer may be an old binary. FIFO ordering makes the
-	// upgrade safe on the accept side — the dialer's hello precedes its
-	// first request, so replies always see peerBinary already set.
-	peerBinary atomic.Bool
 
 	sendCh   chan sendItem
 	done     chan struct{}
@@ -309,17 +259,17 @@ type outConn struct {
 
 // sendItem is one queued envelope; enq carries the enqueue instant (unix
 // nanos) for sampled envelopes so the writer can close their send-queue
-// span after the flush. Zero — the untraced case — costs nothing.
+// span when it takes them off the queue. Zero — the untraced case — costs
+// nothing.
 type sendItem struct {
 	env *wire.Envelope
 	enq int64
 }
 
-func (e *endpoint) newOutConn(conn net.Conn, batched bool, dialedTo model.SiteID) *outConn {
+func (e *endpoint) newOutConn(conn net.Conn, dialedTo model.SiteID) *outConn {
 	c := &outConn{
 		ep:       e,
 		conn:     conn,
-		batched:  batched,
 		dialedTo: dialedTo,
 		sendCh:   make(chan sendItem, e.net.opts.SendQueue),
 		done:     make(chan struct{}),
@@ -451,21 +401,17 @@ func (c *outConn) writeLoop() {
 	var (
 		flushes countingWriter
 		bw      *bufio.Writer
-		enc     *gob.Encoder // legacy framing only
-		scratch []byte       // frame-encode scratch, reused across flushes
-		bodyTmp []byte       // body-encode scratch, reused across envelopes
+		scratch []byte // frame-encode scratch, reused across flushes
+		bodyTmp []byte // body-encode scratch, reused across envelopes
 	)
 	rebind := func() {
 		flushes = countingWriter{w: c.conn}
 		bw = bufio.NewWriterSize(&flushes, 64<<10)
-		enc = gob.NewEncoder(bw)
 	}
 	rebind()
-	if c.batched {
-		if err := c.writePreamble(c.conn); err != nil {
-			c.kill()
-			return
-		}
+	if _, err := c.conn.Write(frameMagic[:]); err != nil {
+		c.kill()
+		return
 	}
 	items := make([]sendItem, 0, opts.MaxBatch)
 	batch := make([]*wire.Envelope, 0, opts.MaxBatch)
@@ -504,14 +450,15 @@ func (c *outConn) writeLoop() {
 		var flushStart time.Time
 		if tracer != nil {
 			flushStart = time.Now()
+			recordQueueWaits(tracer, flushStart, items)
 		}
-		if err := c.writeBatch(bw, enc, &scratch, &bodyTmp, batch); err != nil {
+		if err := writeBatch(bw, &scratch, &bodyTmp, batch); err != nil {
 			if !c.redial() {
 				c.kill()
 				return
 			}
 			rebind()
-			if c.writeBatch(bw, enc, &scratch, &bodyTmp, batch) != nil {
+			if writeBatch(bw, &scratch, &bodyTmp, batch) != nil {
 				c.kill()
 				return
 			}
@@ -524,17 +471,16 @@ func (c *outConn) writeLoop() {
 			n.maxSendBatch.Store(l)
 		}
 		if tracer != nil {
-			c.observeFlush(tracer, flushStart, items)
+			tracer.Observe(trace.StageNetFlush, time.Since(flushStart))
 		}
 	}
 }
 
-// observeFlush records one flush cycle: the always-on net_flush histogram,
-// and a net_queue span (enqueue → flushed) attached to each sampled
-// envelope's in-flight trace.
-func (c *outConn) observeFlush(tracer *trace.Tracer, flushStart time.Time, items []sendItem) {
-	end := time.Now()
-	tracer.Observe(trace.StageNetFlush, end.Sub(flushStart))
+// recordQueueWaits attaches a net_queue span (enqueue → taken off the queue
+// for this flush) to each sampled envelope's in-flight trace. It runs before
+// the write: once the bytes are out, the peer's reply can finish the trace,
+// and a span recorded after that is dropped.
+func recordQueueWaits(tracer *trace.Tracer, end time.Time, items []sendItem) {
 	for _, it := range items {
 		if it.enq == 0 {
 			continue
@@ -545,61 +491,13 @@ func (c *outConn) observeFlush(tracer *trace.Tracer, flushStart time.Time, items
 	}
 }
 
-// writeBatch encodes one drained batch and flushes it. The body codec is
-// picked per flush: binary once this net offers it and the peer's hello
-// confirmed it, gob otherwise (legacy connections are gob by definition —
-// their whole-envelope streams predate the codec field).
-func (c *outConn) writeBatch(bw *bufio.Writer, enc *gob.Encoder, scratch, bodyTmp *[]byte, batch []*wire.Envelope) error {
-	n := c.ep.net
-	if c.batched {
-		codec := wire.CodecGob
-		if n.binaryBodies() && c.peerBinary.Load() {
-			codec = wire.CodecBinary
-		}
-		frame, nbin, ngob := appendFrame((*scratch)[:0], batch, codec, bodyTmp)
-		*scratch = frame
-		n.sentBinaryBodies.Add(nbin)
-		n.sentGobBodies.Add(ngob)
-		if _, err := bw.Write(*scratch); err != nil {
-			return err
-		}
-	} else {
-		for _, env := range batch {
-			// Whole-envelope gob streams carry gob payloads only: flatten
-			// the typed body (and transcode any pre-flattened binary
-			// payload) so old decoders see the historical byte stream.
-			if err := env.Flatten(wire.CodecGob); err != nil {
-				continue // encode error: drop the envelope (message loss)
-			}
-			if env.Codec == wire.CodecBinary && env.Reencode(wire.CodecGob) != nil {
-				continue
-			}
-			n.sentGobBodies.Add(1)
-			if err := enc.Encode(env); err != nil {
-				return err
-			}
-		}
+// writeBatch encodes one drained batch as one frame and flushes it.
+func writeBatch(bw *bufio.Writer, scratch, bodyTmp *[]byte, batch []*wire.Envelope) error {
+	*scratch = appendFrame((*scratch)[:0], batch, bodyTmp)
+	if _, err := bw.Write(*scratch); err != nil {
+		return err
 	}
 	return bw.Flush()
-}
-
-// writePreamble opens one batched connection direction: the frame magic,
-// then — unless the codec knob pins gob — a single-envelope CodecHello
-// frame announcing that this side accepts binary bodies. Old peers consume
-// the hello as an unknown-kind cast and drop it; the sender keeps encoding
-// gob toward them because their side never hellos back.
-func (c *outConn) writePreamble(w io.Writer) error {
-	buf := append([]byte(nil), frameMagic[:]...)
-	if c.ep.net.binaryBodies() {
-		hello := &wire.Envelope{
-			From: c.ep.id, To: c.dialedTo, Kind: wire.KindCodecHello,
-			Body: &wire.HelloBody{Codec: wire.CodecBinary},
-		}
-		var tmp []byte
-		buf, _, _ = appendFrame(buf, []*wire.Envelope{hello}, wire.CodecBinary, &tmp)
-	}
-	_, err := w.Write(buf)
-	return err
 }
 
 // redial replaces a failed dialed connection in place: the old socket is
@@ -628,13 +526,8 @@ func (c *outConn) redial() bool {
 	c.conn = conn
 	c.ep.mu.Unlock()
 	old.Close()
-	// The replacement peer may be an older binary: negotiation restarts
-	// from gob and upgrades again when (if) its hello arrives.
-	c.peerBinary.Store(false)
-	if c.batched {
-		if err := c.writePreamble(conn); err != nil {
-			return false
-		}
+	if _, err := conn.Write(frameMagic[:]); err != nil {
+		return false
 	}
 	go c.ep.readLoop(c, c.dialedTo)
 	return true
@@ -667,35 +560,6 @@ func (c *countingWriter) takeBytes() uint64 {
 	return n
 }
 
-// hasHello reports whether a decoded frame carries a CodecHello. In
-// practice hellos travel alone in the first frame of a direction, so this
-// is one kind comparison per envelope on the hot path.
-func hasHello(envs []*wire.Envelope) bool {
-	for _, env := range envs {
-		if env.Kind == wire.KindCodecHello && !env.Reply {
-			return true
-		}
-	}
-	return false
-}
-
-// takeHellos applies and strips the CodecHello envelopes of one frame,
-// upgrading the paired out half when the peer accepts binary bodies.
-func (c *outConn) takeHellos(envs []*wire.Envelope) []*wire.Envelope {
-	kept := envs[:0]
-	for _, env := range envs {
-		if env.Kind != wire.KindCodecHello || env.Reply {
-			kept = append(kept, env)
-			continue
-		}
-		var hello wire.HelloBody
-		if err := (wire.Payload{Codec: env.Codec, Bytes: env.Payload}).Decode(&hello); err == nil && hello.Codec == wire.CodecBinary {
-			c.peerBinary.Store(true)
-		}
-	}
-	return kept
-}
-
 // conn returns the cached connection to `to`, dialing one if needed.
 func (e *endpoint) conn(ctx context.Context, to model.SiteID) (*outConn, error) {
 	e.mu.Lock()
@@ -714,7 +578,7 @@ func (e *endpoint) conn(ctx context.Context, to model.SiteID) (*outConn, error) 
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s (%s): %w", to, addr, err)
 	}
-	c := e.newOutConn(conn, !e.net.opts.LegacyFraming, to)
+	c := e.newOutConn(conn, to)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -749,56 +613,44 @@ func (e *endpoint) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		// The out half's framing is decided by the handshake the read loop
-		// performs: a peer that opened with the frame magic speaks batched
-		// framing, so we reply in kind; anything else gets legacy gob.
 		go e.serveAccepted(conn)
 	}
 }
 
-// serveAccepted sniffs the peer's framing and runs the read loop. The
-// outConn for the reply direction is created after the sniff so its writer
-// speaks what the peer understands.
+// serveAccepted checks the peer's frame magic and runs the read loop. The
+// outConn for the reply direction is created only after the magic arrived,
+// so a stream that is not Rainbow traffic never gets a writer.
 func (e *endpoint) serveAccepted(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	batched, err := sniffMagic(br)
-	if err != nil {
+	if err := readMagic(br); err != nil {
 		conn.Close()
 		return
 	}
-	if !batched {
-		e.net.legacyConns.Add(1)
-	}
-	oc := e.newOutConn(conn, batched, "")
-	e.readConn(oc, br, "", batched)
+	e.readConn(e.newOutConn(conn, ""), br, "")
 }
 
-// sniffMagic peeks the first eight bytes of a connection: the frame magic
-// selects batched framing (and is consumed); anything else is the start of
-// a legacy gob stream (left unconsumed).
-func sniffMagic(br *bufio.Reader) (bool, error) {
-	head, err := br.Peek(len(frameMagic))
-	if err != nil {
-		return false, err
+// readMagic consumes the frame magic that opens every connection direction,
+// failing on a stream that opens with anything else.
+func readMagic(br *bufio.Reader) error {
+	var head [len(frameMagic)]byte
+	if _, err := io.ReadFull(br, head[:]); err != nil {
+		return err
 	}
-	if !bytes.Equal(head, frameMagic[:]) {
-		return false, nil
+	if head != frameMagic {
+		return errors.New("tcpnet: stream does not open with the frame magic")
 	}
-	br.Discard(len(frameMagic))
-	return true, nil
+	return nil
 }
 
-// readLoop serves one dialed connection's inbound half: sniff the framing
-// the peer chose for its direction (an old acceptor replies raw gob even
-// when we dialed batched), then decode until the connection dies.
+// readLoop serves one dialed connection's inbound half: check the peer's
+// frame magic, then decode until the connection dies.
 func (e *endpoint) readLoop(oc *outConn, from model.SiteID) {
 	br := bufio.NewReaderSize(oc.conn, 64<<10)
-	batched, err := sniffMagic(br)
-	if err != nil {
+	if err := readMagic(br); err != nil {
 		oc.conn.Close()
 		return
 	}
-	e.readConn(oc, br, from, batched)
+	e.readConn(oc, br, from)
 }
 
 // readConn decodes one connection's inbound stream. Every connection is
@@ -808,7 +660,7 @@ func (e *endpoint) readLoop(oc *outConn, from model.SiteID) {
 // restarts where a previously cached dialed connection would be silently
 // stale. from names the peer the connection was dialed to (empty for
 // accepted connections; learned from traffic).
-func (e *endpoint) readConn(oc *outConn, br *bufio.Reader, from model.SiteID, batched bool) {
+func (e *endpoint) readConn(oc *outConn, br *bufio.Reader, from model.SiteID) {
 	conn := oc.conn
 	defer func() {
 		e.mu.Lock()
@@ -828,60 +680,34 @@ func (e *endpoint) readConn(oc *outConn, br *bufio.Reader, from model.SiteID, ba
 		}
 	}()
 
-	var (
-		dec      *gob.Decoder
-		frameBuf []byte
-	)
-	if !batched {
-		dec = gob.NewDecoder(br)
-	}
+	var frameBuf []byte
 	for {
-		var envs []*wire.Envelope
-		if batched {
-			var hdr [4]byte
-			if _, err := io.ReadFull(br, hdr[:]); err != nil {
-				return
-			}
-			n := uint32(hdr[0]) | uint32(hdr[1])<<8 | uint32(hdr[2])<<16 | uint32(hdr[3])<<24
-			if n < 4 || n > maxFrameBytes {
-				return // torn or garbage frame length: drop the connection
-			}
-			if uint32(cap(frameBuf)) < n {
-				frameBuf = make([]byte, n)
-			}
-			frameBuf = frameBuf[:n]
-			if _, err := io.ReadFull(br, frameBuf); err != nil {
-				return // torn frame: the sender re-sends on a fresh connection
-			}
-			decoded, err := decodeFrame(frameBuf)
-			if err != nil {
-				return
-			}
-			envs = decoded
-			e.net.recvFrames.Add(1)
-		} else {
-			var env wire.Envelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			envs = []*wire.Envelope{&env}
+		var hdr [4]byte
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return
 		}
+		n := binary.LittleEndian.Uint32(hdr[:])
+		if n < 4 || n > maxFrameBytes {
+			return // torn or garbage frame length: drop the connection
+		}
+		if uint32(cap(frameBuf)) < n {
+			frameBuf = make([]byte, n)
+		}
+		frameBuf = frameBuf[:n]
+		if _, err := io.ReadFull(br, frameBuf); err != nil {
+			return // torn frame: the sender re-sends on a fresh connection
+		}
+		envs, err := decodeFrame(frameBuf)
+		if err != nil {
+			return
+		}
+		e.net.recvFrames.Add(1)
 		e.net.recvEnvelopes.Add(uint64(len(envs)))
 		if f := envs[0].From; f != "" && f != from {
 			e.mu.Lock()
 			e.conns[f] = oc
 			e.mu.Unlock()
 			from = f
-		}
-		if hasHello(envs) {
-			// CodecHello is transport-internal: it upgrades this socket's
-			// out half to binary bodies (the peer announced it decodes
-			// them) and never reaches the handler. It rides the normal
-			// envelope stream so route learning above still applies.
-			envs = oc.takeHellos(envs)
-			if len(envs) == 0 {
-				continue
-			}
 		}
 		e.mu.Lock()
 		closed := e.closed

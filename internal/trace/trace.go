@@ -69,7 +69,7 @@ const (
 	// StageDecide is the ACP decision round: decision force + broadcast.
 	StageDecide
 	// StageNetQueue is an envelope's transport send-queue wait, enqueue to
-	// flushed.
+	// the start of the flush that carries it.
 	StageNetQueue
 	// StageNetFlush is one transport flush cycle (frame encode + write).
 	StageNetFlush

@@ -2,59 +2,19 @@ package wal
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 
 	"repro/internal/model"
 )
 
-// A Codec serializes one Record payload. Segments frame every payload with a
-// length prefix and a CRC32 regardless of codec, so torn and corrupt records
-// are detected positively (checksum mismatch) instead of by parse failure.
-//
-// Two codecs exist: the compact binary encoding used for new segments, and a
-// JSON encoding kept for reading (and, via SegmentOptions.Codec, writing)
-// legacy-style logs and for codec ablation benchmarks.
-type Codec interface {
-	// Name returns "binary" or "json".
-	Name() string
-	// ID is the codec byte stored in a segment header.
-	ID() uint8
-	// Append serializes r onto buf and returns the extended buffer.
-	Append(buf []byte, r *Record) ([]byte, error)
-	// Decode parses one payload produced by Append.
-	Decode(payload []byte) (Record, error)
-}
+// Records are serialized by the binary encoding below. Segments frame every
+// payload with a length prefix and a CRC32, so torn and corrupt records are
+// detected positively (checksum mismatch) instead of by parse failure.
 
-// Codec IDs stored in segment headers.
-const (
-	codecIDBinary uint8 = 1
-	codecIDJSON   uint8 = 2
-)
-
-// CodecByName resolves a codec flag value ("binary", "json", "" = binary).
-func CodecByName(name string) (Codec, error) {
-	switch name {
-	case "binary", "":
-		return BinaryCodec{}, nil
-	case "json":
-		return JSONCodec{}, nil
-	default:
-		return nil, fmt.Errorf("wal: unknown codec %q", name)
-	}
-}
-
-func codecByID(id uint8) (Codec, error) {
-	switch id {
-	case codecIDBinary:
-		return BinaryCodec{}, nil
-	case codecIDJSON:
-		return JSONCodec{}, nil
-	default:
-		return nil, fmt.Errorf("wal: unknown codec id %d", id)
-	}
-}
+// codecIDBinary is the codec byte every segment header carries; a segment
+// naming any other codec fails to open.
+const codecIDBinary uint8 = 1
 
 // ---- Frame layer ----
 
@@ -66,7 +26,7 @@ const frameHeaderSize = 8
 // corruption (a garbage length prefix would otherwise drive huge reads).
 const maxFrameSize = 64 << 20
 
-// appendFrame frames payload bytes produced by a codec.
+// appendFrame frames one encoded record payload.
 func appendFrame(buf, payload []byte) []byte {
 	var hdr [frameHeaderSize]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
@@ -85,24 +45,14 @@ func appendFrame(buf, payload []byte) []byte {
 // absolute.
 const binaryVersion = 3
 
-// BinaryCodec is the compact length-delimited binary record encoding:
-// varint-encoded integers and length-prefixed strings, roughly 3-4x smaller
-// than the JSON encoding and allocation-free to encode.
-type BinaryCodec struct{}
-
-// Name implements Codec.
-func (BinaryCodec) Name() string { return "binary" }
-
-// ID implements Codec.
-func (BinaryCodec) ID() uint8 { return codecIDBinary }
-
 func appendString(buf []byte, s string) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(s)))
 	return append(buf, s...)
 }
 
-// Append implements Codec.
-func (BinaryCodec) Append(buf []byte, r *Record) ([]byte, error) {
+// appendRecord appends the binary encoding of r to buf: varint-encoded
+// integers and length-prefixed strings, allocation-free to encode.
+func appendRecord(buf []byte, r *Record) []byte {
 	buf = append(buf, binaryVersion, byte(r.Type))
 	var flags byte
 	if r.ThreePhase {
@@ -144,7 +94,7 @@ func (BinaryCodec) Append(buf []byte, r *Record) ([]byte, error) {
 		}
 		buf = append(buf, delta)
 	}
-	return buf, nil
+	return buf
 }
 
 // binReader walks a binary payload, latching the first error.
@@ -206,8 +156,9 @@ func (d *binReader) string() string {
 	return s
 }
 
-// Decode implements Codec.
-func (BinaryCodec) Decode(payload []byte) (Record, error) {
+// decodeRecord parses one payload produced by appendRecord (or by an
+// earlier record version; see binaryVersion).
+func decodeRecord(payload []byte) (Record, error) {
 	d := &binReader{b: payload}
 	version := d.byte()
 	if d.err == nil && (version < 1 || version > binaryVersion) {
@@ -269,37 +220,6 @@ func (BinaryCodec) Decode(payload []byte) (Record, error) {
 	}
 	if d.err != nil {
 		return Record{}, d.err
-	}
-	return r, nil
-}
-
-// ---- JSON codec ----
-
-// JSONCodec serializes records as the same JSON objects the legacy
-// line-framed FileLog writes, so old logs stay readable and the binary
-// encoding has an ablation baseline.
-type JSONCodec struct{}
-
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// ID implements Codec.
-func (JSONCodec) ID() uint8 { return codecIDJSON }
-
-// Append implements Codec.
-func (JSONCodec) Append(buf []byte, r *Record) ([]byte, error) {
-	b, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("wal: marshal record: %w", err)
-	}
-	return append(buf, b...), nil
-}
-
-// Decode implements Codec.
-func (JSONCodec) Decode(payload []byte) (Record, error) {
-	var r Record
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return Record{}, fmt.Errorf("wal: unmarshal record: %w", err)
 	}
 	return r, nil
 }

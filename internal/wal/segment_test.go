@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -35,53 +36,54 @@ func appendTxn(t *testing.T, l Log, seq uint64, commit bool) {
 	}
 }
 
+// TestSegmentedRoundTripBothCodecs: records survive the segment codec, read
+// back both from the open log and after a reopen. The "binary" row is the
+// one record codec; the JSON row that ran beside it is gone.
 func TestSegmentedRoundTripBothCodecs(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			dir := t.TempDir()
-			l := openSeg(t, dir, SegmentOptions{Codec: codec})
-			want := []Record{
-				sampleRecord(1),
-				{Type: RecDecision, Tx: model.TxID{Site: "S1", Seq: 1}, Commit: true},
-				{Type: RecEnd, Tx: model.TxID{Site: "S1", Seq: 1}},
-				{Type: RecCheckpoint, Horizon: 4},
-			}
-			for _, r := range want {
-				if err := l.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check := func(got []Record, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("got %d records, want %d", len(got), len(want))
-				}
-				for i := range want {
-					if got[i].LSN != uint64(i+1) {
-						t.Errorf("record %d: LSN = %d, want %d", i, got[i].LSN, i+1)
-					}
-					got[i].LSN = 0
-					if !reflect.DeepEqual(got[i], want[i]) {
-						t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
-					}
-				}
-			}
-			check(l.ReadAll())
-			if err := l.Close(); err != nil {
+	t.Run("binary", func(t *testing.T) {
+		dir := t.TempDir()
+		l := openSeg(t, dir, SegmentOptions{})
+		want := []Record{
+			sampleRecord(1),
+			{Type: RecDecision, Tx: model.TxID{Site: "S1", Seq: 1}, Commit: true},
+			{Type: RecEnd, Tx: model.TxID{Site: "S1", Seq: 1}},
+			{Type: RecCheckpoint, Horizon: 4},
+		}
+		for _, r := range want {
+			if err := l.Append(r); err != nil {
 				t.Fatal(err)
 			}
-			// Reopen: scan rebuilds the sequence and the records survive.
-			l2 := openSeg(t, dir, SegmentOptions{Codec: codec})
-			defer l2.Close()
-			check(l2.ReadAll())
-			if got := l2.DurableLSN(); got != 4 {
-				t.Errorf("DurableLSN after reopen = %d, want 4", got)
+		}
+		check := func(got []Record, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if len(got) != len(want) {
+				t.Fatalf("got %d records, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].LSN != uint64(i+1) {
+					t.Errorf("record %d: LSN = %d, want %d", i, got[i].LSN, i+1)
+				}
+				got[i].LSN = 0
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
+				}
+			}
+		}
+		check(l.ReadAll())
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Reopen: scan rebuilds the sequence and the records survive.
+		l2 := openSeg(t, dir, SegmentOptions{})
+		defer l2.Close()
+		check(l2.ReadAll())
+		if got := l2.DurableLSN(); got != 4 {
+			t.Errorf("DurableLSN after reopen = %d, want 4", got)
+		}
+	})
 }
 
 func TestSegmentedRotationAndCompaction(t *testing.T) {
@@ -277,39 +279,25 @@ func TestSegmentedCorruptCRCDetected(t *testing.T) {
 	}
 }
 
-func TestSegmentedReadsLegacyJSONLines(t *testing.T) {
-	dir := t.TempDir()
-	// A legacy FileLog writes headerless JSON lines; drop one into the
-	// segment directory.
-	legacy := filepath.Join(dir, "00000000000000000000.seg")
-	fl, err := OpenFile(legacy, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seq := uint64(1); seq <= 3; seq++ {
-		appendTxn(t, fl, seq, true)
-	}
-	if err := fl.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	l := openSeg(t, dir, SegmentOptions{})
-	defer l.Close()
-	appendTxn(t, l, 4, true) // new records go to a binary segment
-	recs, err := l.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 8 {
-		t.Fatalf("legacy + binary ReadAll: %d records, want 8", len(recs))
-	}
-	for i, r := range recs {
-		if r.LSN != uint64(i+1) {
-			t.Errorf("record %d: LSN = %d, want %d", i, r.LSN, i+1)
+// TestSegmentedRejectsForeignFiles: the log opens only segments it wrote. A
+// headerless file (such as a JSON-lines log) and a segment header naming a
+// codec other than binary both fail the open instead of being guessed at.
+func TestSegmentedRejectsForeignFiles(t *testing.T) {
+	jsonLines := []byte(`{"Type":1,"Tx":{"Site":"S1","Seq":1}}` + "\n" + `{"Type":2,"Tx":{"Site":"S1","Seq":1},"Commit":true}` + "\n")
+	var hdr [segHeaderSize]byte
+	copy(hdr[:], segMagic[:])
+	binary.LittleEndian.PutUint64(hdr[8:16], 1)
+	hdr[16] = codecIDBinary + 1
+	otherCodec := append(hdr[:], jsonLines...)
+	for name, content := range map[string][]byte{"headerless": jsonLines, "other codec": otherCodec} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName(1)), content, 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if recs[0].Tx.Seq != 1 || recs[6].Tx.Seq != 4 {
-		t.Errorf("record order wrong: %+v", recs)
+		if l, err := OpenSegmented(dir, SegmentOptions{}); err == nil {
+			l.Close()
+			t.Errorf("%s: open succeeded, want an error", name)
+		}
 	}
 }
 
@@ -378,10 +366,7 @@ func TestSegmentedLazyRecords(t *testing.T) {
 	// Park a lazy request, then an eager one: one cycle forces both.
 	reqs := make([]*segReq, 2)
 	for i, r := range []Record{lazy(2), sampleRecord(3)} {
-		payload, metas, err := l.marshalFrames([]Record{r})
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload, metas := marshalFrames([]Record{r})
 		reqs[i] = &segReq{payload: payload, metas: metas, lazy: r.Lazy, done: make(chan error, 1)}
 	}
 	for _, req := range reqs {
@@ -441,32 +426,17 @@ func TestMemoryLogCompaction(t *testing.T) {
 	}
 }
 
-func TestCodecByName(t *testing.T) {
-	for name, want := range map[string]string{"": "binary", "binary": "binary", "json": "json"} {
-		c, err := CodecByName(name)
-		if err != nil || c.Name() != want {
-			t.Errorf("CodecByName(%q) = %v, %v", name, c, err)
-		}
-	}
-	if _, err := CodecByName("protobuf"); err == nil {
-		t.Error("CodecByName(protobuf) should fail")
-	}
-}
-
 func TestBinaryCodecCompactness(t *testing.T) {
 	r := sampleRecord(42)
-	bin, err := BinaryCodec{}.Append(nil, &r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	js, err := JSONCodec{}.Append(nil, &r)
+	bin := appendRecord(nil, &r)
+	js, err := json.Marshal(&r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(bin) >= len(js) {
-		t.Errorf("binary encoding (%dB) not smaller than JSON (%dB)", len(bin), len(js))
+		t.Errorf("binary encoding (%dB) not smaller than the record's JSON form (%dB)", len(bin), len(js))
 	}
-	got, err := BinaryCodec{}.Decode(bin)
+	got, err := decodeRecord(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,12 +447,9 @@ func TestBinaryCodecCompactness(t *testing.T) {
 
 func TestBinaryCodecRejectsTruncation(t *testing.T) {
 	r := sampleRecord(7)
-	payload, err := BinaryCodec{}.Append(nil, &r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := appendRecord(nil, &r)
 	for cut := 1; cut < len(payload); cut += 3 {
-		if _, err := (BinaryCodec{}).Decode(payload[:cut]); err == nil {
+		if _, err := decodeRecord(payload[:cut]); err == nil {
 			// Trailing fields (horizon) default to zero, so very deep cuts
 			// may legitimately parse; only complain when the cut removes
 			// required structure.

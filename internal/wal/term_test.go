@@ -27,34 +27,32 @@ func termRecords() []Record {
 	}
 }
 
-// TestTermRecordsRoundTrip: the v2 fields (Voters, Ballot) survive both
-// codecs through a segmented log.
+// TestTermRecordsRoundTrip: the v2 fields (Voters, Ballot) survive the
+// binary record codec through a segmented log.
 func TestTermRecordsRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{BinaryCodec{}, JSONCodec{}} {
-		t.Run(codec.Name(), func(t *testing.T) {
-			l := openSeg(t, t.TempDir(), SegmentOptions{Codec: codec})
-			defer l.Close()
-			want := termRecords()
-			for _, r := range want {
-				if err := l.Append(r); err != nil {
-					t.Fatal(err)
-				}
-			}
-			got, err := l.ReadAll()
-			if err != nil {
+	t.Run("binary", func(t *testing.T) {
+		l := openSeg(t, t.TempDir(), SegmentOptions{})
+		defer l.Close()
+		want := termRecords()
+		for _, r := range want {
+			if err := l.Append(r); err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("got %d records, want %d", len(got), len(want))
+		}
+		got, err := l.ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("got %d records, want %d", len(got), len(want))
+		}
+		for i := range want {
+			got[i].LSN = 0
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
 			}
-			for i := range want {
-				got[i].LSN = 0
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Errorf("record %d: got %+v, want %+v", i, got[i], want[i])
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // appendV1 encodes a record exactly as binary version 1 did (no Voters, no
@@ -117,7 +115,7 @@ func TestBinaryCodecDecodesVersion2(t *testing.T) {
 		Ballot: model.Ballot{N: 3, Site: "S1"},
 	}
 	payload := appendV2(nil, &want)
-	got, err := (BinaryCodec{}).Decode(payload)
+	got, err := decodeRecord(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +143,7 @@ func TestBinaryCodecDecodesVersion1(t *testing.T) {
 		Horizon:      3,
 	}
 	payload := appendV1(nil, &want)
-	got, err := (BinaryCodec{}).Decode(payload)
+	got, err := decodeRecord(payload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -56,22 +55,61 @@ func TestMemoryLog(t *testing.T) {
 	testLogBehaviour(t, NewMemory())
 }
 
-func TestFileLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
+// newestSegment returns the path of the highest-LSN segment in dir.
+func newestSegment(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := listSegments(dir)
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no segments in %s: %v", dir, err)
+	}
+	return paths[len(paths)-1]
+}
+
+// readSeqs reads the log back as the transaction sequence numbers of its
+// records, in order.
+func readSeqs(t *testing.T, l Log) []uint64 {
+	t.Helper()
+	recs, err := l.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	seqs := make([]uint64, len(recs))
+	for i, r := range recs {
+		seqs[i] = r.Tx.Seq
+	}
+	return seqs
+}
+
+// The TestFileLog* tests hold the on-disk log, SegmentedLog, to the Log
+// contract the site relies on: replay, reopen, torn tails, close and group
+// commit.
+
+// rewriteTail rewrites the newest segment in dir as tear(its bytes), the way
+// a crash mid-force leaves it.
+func rewriteTail(t *testing.T, dir string, tear func([]byte) []byte) {
+	t.Helper()
+	seg := newestSegment(t, dir)
+	b, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, tear(b), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tornFrame is a frame header promising a 40-byte payload followed by only
+// a few of those bytes: a force cut short mid-frame.
+var tornFrame = []byte{40, 0, 0, 0, 1, 2, 3, 4, 2, 1}
+
+func TestFileLog(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
 	defer l.Close()
 	testLogBehaviour(t, l)
 }
 
 func TestFileLogSynced(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSeg(t, t.TempDir(), SegmentOptions{Sync: true})
 	defer l.Close()
 	testLogBehaviour(t, l)
 }
@@ -108,92 +146,10 @@ func TestMemoryLogIsolatesCallerSlices(t *testing.T) {
 	}
 }
 
-func TestFileLogSurvivesReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(sampleRecord(1))
-	l.Append(sampleRecord(2))
-	l.Close()
-
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	recs, err := l2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Tx.Seq != 2 {
-		t.Errorf("got %d records after reopen", len(recs))
-	}
-	// Appends continue after the existing tail.
-	l2.Append(sampleRecord(3))
-	recs, _ = l2.ReadAll()
-	if len(recs) != 3 {
-		t.Errorf("got %d records after append, want 3", len(recs))
-	}
-}
-
-func TestFileLogTornTailIgnored(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Append(sampleRecord(1))
-	l.Close()
-
-	// Simulate a crash mid-append: garbage partial line at the tail.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"Type":1,"Tx":{"Si`)
-	f.Close()
-
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l2.Close()
-	recs, err := l2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Errorf("torn tail should be ignored; got %d records", len(recs))
-	}
-}
-
-func TestFileLogAppendAfterCloseFails(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	if err := l.Append(sampleRecord(1)); err == nil {
-		t.Error("append after close should fail")
-	}
-	if err := l.Close(); err != nil {
-		t.Errorf("double close should be a no-op, got %v", err)
-	}
-}
-
 func TestAppendBatch(t *testing.T) {
 	for name, open := range map[string]func(t *testing.T) Log{
 		"memory": func(*testing.T) Log { return NewMemory() },
-		"file": func(t *testing.T) Log {
-			l, err := OpenFile(filepath.Join(t.TempDir(), "site.wal"), false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return l
-		},
+		"file":   func(t *testing.T) Log { return openSeg(t, t.TempDir(), SegmentOptions{}) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			l := open(t)
@@ -227,12 +183,64 @@ func TestAppendBatch(t *testing.T) {
 	}
 }
 
-func TestFileLogGroupCommitCoalesces(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, true)
+func TestFileLogSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	appendTxn(t, l, 1, true)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openSeg(t, dir, SegmentOptions{})
+	defer l2.Close()
+	if got := readSeqs(t, l2); !reflect.DeepEqual(got, []uint64{1, 1}) {
+		t.Fatalf("after reopen: seqs %v, want [1 1]", got)
+	}
+	// Appends continue after the existing tail.
+	if err := l2.Append(sampleRecord(2)); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := l2.ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(recs) != 3 || recs[2].Tx.Seq != 2 || recs[2].LSN != 3 {
+		t.Errorf("after append: %d records; want 3 ending in tx 2 at LSN 3", len(recs))
+	}
+}
+
+func TestFileLogTornTailIgnored(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	if err := l.Append(sampleRecord(1)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	// Simulate a crash mid-append: a partial frame at the tail.
+	rewriteTail(t, dir, func(b []byte) []byte { return append(b, tornFrame...) })
+
+	l2 := openSeg(t, dir, SegmentOptions{})
+	defer l2.Close()
+	if got := readSeqs(t, l2); !reflect.DeepEqual(got, []uint64{1}) {
+		t.Errorf("torn tail should be ignored; got seqs %v", got)
+	}
+}
+
+func TestFileLogAppendAfterCloseFails(t *testing.T) {
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
+	l.Close()
+	if err := l.Append(sampleRecord(1)); err == nil {
+		t.Error("append after close should fail")
+	}
+	if err := l.Close(); err != nil {
+		t.Errorf("double close should be a no-op, got %v", err)
+	}
+}
+
+func TestFileLogGroupCommitCoalesces(t *testing.T) {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{Sync: true})
 	const appenders, perG = 8, 25
 	var wg sync.WaitGroup
 	for g := 0; g < appenders; g++ {
@@ -265,30 +273,21 @@ func TestFileLogGroupCommitCoalesces(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Every record survives the close and is replayed in order.
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Every record survives the close and is replayed.
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
-	recs, err = l2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != appenders*perG {
-		t.Errorf("after reopen: %d records, want %d", len(recs), appenders*perG)
+	if got := len(readSeqs(t, l2)); got != appenders*perG {
+		t.Errorf("after reopen: %d records, want %d", got, appenders*perG)
 	}
 }
 
 // TestFileLogTornBatchTailRecovery simulates a crash mid-way through a
-// group-commit batch flush: the final record is torn, and replay must
-// return every record completely written before the tear.
+// group-commit batch flush: the final record is torn, replay must return
+// every record completely written before the tear, and records appended
+// after reopening over the tear must survive the next reopen.
 func TestFileLogTornBatchTailRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	if err := l.Append(sampleRecord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -299,123 +298,81 @@ func TestFileLogTornBatchTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the batch: chop the tail mid-way through the last record's line.
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, b[:len(b)-17], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Tear the batch: chop the tail mid-way through the last record's frame.
+	rewriteTail(t, dir, func(b []byte) []byte { return b[:len(b)-17] })
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
+	l2 := openSeg(t, dir, SegmentOptions{})
+	if got := readSeqs(t, l2); !reflect.DeepEqual(got, []uint64{1, 2, 3}) {
+		t.Fatalf("torn batch tail: seqs %v, want [1 2 3]", got)
+	}
+	if err := l2.Append(sampleRecord(5)); err != nil {
 		t.Fatal(err)
 	}
-	defer l2.Close()
-	recs, err := l2.ReadAll()
-	if err != nil {
+	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 3 {
-		t.Fatalf("torn batch tail: got %d records, want 3", len(recs))
-	}
-	for i, want := range []uint64{1, 2, 3} {
-		if recs[i].Tx.Seq != want {
-			t.Errorf("record %d: seq %d, want %d", i, recs[i].Tx.Seq, want)
-		}
+	l3 := openSeg(t, dir, SegmentOptions{})
+	defer l3.Close()
+	if got := readSeqs(t, l3); !reflect.DeepEqual(got, []uint64{1, 2, 3, 5}) {
+		t.Fatalf("append after a torn batch tail: seqs %v, want [1 2 3 5]", got)
 	}
 }
 
 // TestFileLogReopenTruncatesTornTail checks that opening a log with a torn
 // tail removes the tear before new appends: otherwise records written after
-// the garbage line would be stranded beyond replay's stop-at-tear horizon
+// the partial frame would be stranded beyond replay's stop-at-tear horizon
 // and silently lost by the next recovery.
 func TestFileLogReopenTruncatesTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	if err := l.Append(sampleRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
 
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"Type":1,"Tx":{"Si`) // crash mid-force
-	f.Close()
+	rewriteTail(t, dir, func(b []byte) []byte { return append(b, tornFrame...) }) // crash mid-force
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	if err := l2.Append(sampleRecord(2)); err != nil {
 		t.Fatal(err)
 	}
 	l2.Close()
 
-	l3, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l3 := openSeg(t, dir, SegmentOptions{})
 	defer l3.Close()
-	recs, err := l3.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Tx.Seq != 1 || recs[1].Tx.Seq != 2 {
-		t.Fatalf("post-tear append lost: got %d records %+v", len(recs), recs)
+	if got := readSeqs(t, l3); !reflect.DeepEqual(got, []uint64{1, 2}) {
+		t.Fatalf("post-tear append lost: got seqs %v, want [1 2]", got)
 	}
 }
 
-// TestFileLogOpenDropsUnterminatedFinalRecord: a final line that parses but
-// lacks its newline was never acknowledged (the force includes the newline),
+// TestFileLogOpenDropsUnterminatedFinalRecord: a final frame missing only
+// its last byte was never acknowledged (the force covers the whole frame),
 // so open must drop it rather than let the next append glue onto it.
 func TestFileLogOpenDropsUnterminatedFinalRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
+	if err := l.Append(sampleRecord(1)); err != nil {
 		t.Fatal(err)
 	}
-	l.Append(sampleRecord(1))
+	if err := l.Append(sampleRecord(2)); err != nil {
+		t.Fatal(err)
+	}
 	l.Close()
 
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Duplicate the record without its trailing newline: parsable, torn.
-	if err := os.WriteFile(path, append(b, b[:len(b)-1]...), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	rewriteTail(t, dir, func(b []byte) []byte { return b[:len(b)-1] })
 
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
-	if err := l2.Append(sampleRecord(2)); err != nil {
+	if err := l2.Append(sampleRecord(3)); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := l2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Tx.Seq != 1 || recs[1].Tx.Seq != 2 {
-		t.Fatalf("got %d records %+v, want seqs 1,2", len(recs), recs)
+	if got := readSeqs(t, l2); !reflect.DeepEqual(got, []uint64{1, 3}) {
+		t.Fatalf("got seqs %v, want [1 3]", got)
 	}
 }
 
 func TestFileLogNoGroupCommit(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFileWith(path, FileOptions{NoGroupCommit: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSeg(t, t.TempDir(), SegmentOptions{NoGroupCommit: true})
 	defer l.Close()
 	testLogBehaviour(t, l)
 	flushes, records := l.BatchStats()
@@ -425,11 +382,8 @@ func TestFileLogNoGroupCommit(t *testing.T) {
 }
 
 func TestFileLogCloseDuringConcurrentAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "site.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := t.TempDir()
+	l := openSeg(t, dir, SegmentOptions{})
 	var wg sync.WaitGroup
 	accepted := make(chan uint64, 128)
 	for g := 0; g < 4; g++ {
@@ -453,18 +407,11 @@ func TestFileLogCloseDuringConcurrentAppends(t *testing.T) {
 		want[seq] = true
 	}
 	// Every append that reported success must be durable.
-	l2, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l2 := openSeg(t, dir, SegmentOptions{})
 	defer l2.Close()
-	recs, err := l2.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make(map[uint64]bool)
-	for _, r := range recs {
-		got[r.Tx.Seq] = true
+	for _, seq := range readSeqs(t, l2) {
+		got[seq] = true
 	}
 	for seq := range want {
 		if !got[seq] {
@@ -486,11 +433,7 @@ func TestRecTypeString(t *testing.T) {
 }
 
 func TestRecordRoundTripQuick(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "quick.wal")
-	l, err := OpenFile(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := openSeg(t, t.TempDir(), SegmentOptions{})
 	defer l.Close()
 	n := 0
 	f := func(seq uint64, item string, val int64, commit bool) bool {

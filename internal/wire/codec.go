@@ -1,82 +1,36 @@
 // Typed body codec: the compact binary encoding for message bodies and the
-// kind→constructor registry that replaces blanket gob registration.
+// kind→constructor registry.
 //
 // Every body implements Body: it knows its canonical kind, appends its
 // binary encoding to a caller-supplied buffer, and decodes itself from one.
 // The encoding follows internal/wal/codec.go's style — a leading version
-// byte, uvarint/varint integers, length-prefixed strings — because gob's
-// self-describing streams dominated the transport CPU profile: a fresh
-// encoder per message re-sends type definitions every time, and
-// gob.compileDec alone was over half the loopback transport cost.
+// byte, uvarint/varint integers, length-prefixed strings — hand-rolled
+// because the transport's hot path cannot afford reflection.
 //
-// Evolution rules (mirroring the WAL codec):
+// Each body has exactly one layout, named by its version byte. Every site,
+// the name server and the tools are built from one checkout, so nothing
+// ever decodes another build's layout: a decoder that meets any other
+// version byte returns an error, and changing a body's layout means bumping
+// its version. Kinds are never renumbered (see the MsgKind block in
+// wire.go): a retired kind keeps its number reserved, and a receiver that
+// does not know a kind drops the message rather than misdecode it.
 //
-//   - Fields are append-only. New fields go at the end of the encoding and
-//     bump the body's version byte.
-//   - Decoders accept any version they know and ignore trailing bytes, so a
-//     v1 decoder reads the v1 prefix of a v2 body and a v2 decoder gates
-//     the appended fields on the version byte.
-//   - Kinds are append-only too (see the MsgKind block in wire.go): a
-//     receiver that does not know a kind drops the message, it never
-//     misdecodes one.
-//
-// The codec is negotiated per connection (see internal/tcpnet): peers open
-// with a CodecHello and fall back to gob for peers that never say hello, so
-// old binaries interoperate. Cold-path bodies with deeply nested payloads
-// (catalogs, stats dumps) keep gob under the typed surface via AppendGob/
-// DecodeGob — negotiation and the Body API are uniform, only their bytes
-// stay self-describing.
+// Cold-path bodies with deeply nested payloads (catalogs, stats dumps,
+// histories) encode as a version byte followed by JSON (AppendJSON/
+// DecodeJSON), so they need no hand-written field lists.
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/model"
 )
 
-// CodecID identifies a body encoding on the wire.
-type CodecID uint8
-
-const (
-	// CodecGob is the legacy reflection codec: self-describing, slow, and
-	// what every peer speaks — the negotiation fallback.
-	CodecGob CodecID = 0
-	// CodecBinary is the compact hand-rolled codec defined in this file.
-	CodecBinary CodecID = 1
-)
-
-// String names the codec for stats, metrics and logs.
-func (c CodecID) String() string {
-	switch c {
-	case CodecGob:
-		return "gob"
-	case CodecBinary:
-		return "binary"
-	}
-	return fmt.Sprintf("CodecID(%d)", uint8(c))
-}
-
-// CodecByName resolves a codec knob value ("binary" or "gob"; empty selects
-// binary, the default).
-func CodecByName(name string) (CodecID, error) {
-	switch name {
-	case "", "binary":
-		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
-	}
-	return 0, fmt.Errorf("wire: unknown codec %q (want binary or gob)", name)
-}
-
 // Body is implemented by every message body. Implementations use pointer
-// receivers: DecodeFrom mutates, and passing *T keeps gob's encoding of the
-// fallback path byte-identical to the historical value encodes (gob
-// flattens the pointer).
+// receivers: DecodeFrom mutates.
 type Body interface {
 	// Kind returns the body's canonical message kind. Some bodies serve
 	// several kinds (PingReq doubles as the empty stats/history request), so
@@ -90,21 +44,15 @@ type Body interface {
 	DecodeFrom(b []byte) error
 }
 
-// Payload is the received view of a body: the raw bytes plus the codec they
-// were encoded with. Handlers decode it into the typed body for the
-// envelope's kind.
+// Payload is the received view of a body: the raw bytes. Handlers decode it
+// into the typed body for the envelope's kind.
 type Payload struct {
-	Codec CodecID
 	Bytes []byte
 }
 
-// Decode decodes the payload into the typed body, dispatching on the codec
-// it arrived under.
+// Decode decodes the payload into the typed body.
 func (p Payload) Decode(into Body) error {
-	if p.Codec == CodecBinary {
-		return into.DecodeFrom(p.Bytes)
-	}
-	return Unmarshal(p.Bytes, into)
+	return into.DecodeFrom(p.Bytes)
 }
 
 // ---- Kind → constructor registry ----
@@ -117,10 +65,10 @@ type bodyKey struct {
 var bodyCtors = map[bodyKey]func() Body{}
 
 // RegisterBody records the constructor for the body type carried by (kind,
-// reply) envelopes — the typed replacement for gob.Register. It must be
-// called during package initialization (the map is read lock-free
-// afterwards); packages owning cold-path bodies (site stats, nameserver
-// catalogs) register theirs alongside the wire kinds registered here.
+// reply) envelopes. It must be called during package initialization (the
+// map is read lock-free afterwards); packages owning cold-path bodies (site
+// stats, nameserver catalogs) register theirs alongside the wire kinds
+// registered here.
 func RegisterBody(kind MsgKind, reply bool, ctor func() Body) {
 	key := bodyKey{kind, reply}
 	if _, dup := bodyCtors[key]; dup {
@@ -165,39 +113,52 @@ func RegisteredBodyKinds() []struct {
 	return out
 }
 
-// ---- Gob escape hatch ----
+// ---- JSON bodies ----
 
-// gobBufPool recycles encode buffers across Marshal/AppendGob calls: the
-// gob fallback still builds a fresh encoder per message (that is the cost
-// the binary codec retires), but at least the buffer churn is gone.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// jsonVersion is the version byte opening every JSON-encoded body.
+const jsonVersion = 1
 
-// AppendGob appends the gob encoding of v to buf — the escape hatch for
-// cold-path bodies (catalogs, stats dumps) whose nested types are not worth
-// hand-rolled encoders. An encode error (unreachable for the registered
-// body types) leaves the payload truncated; the receiver's decode then
-// fails and the message is lost, which the unreliable-network contract
-// already allows.
-func AppendGob(buf []byte, v any) []byte {
-	b := gobBufPool.Get().(*bytes.Buffer)
-	b.Reset()
-	if err := gob.NewEncoder(b).Encode(v); err == nil {
-		buf = append(buf, b.Bytes()...)
+// AppendJSON appends a version byte and the JSON encoding of v to buf — the
+// encoding of cold-path bodies (catalogs, stats dumps, histories) whose
+// nested types are not worth hand-rolled encoders. An encode error
+// (unreachable for the registered body types) leaves the payload truncated;
+// the receiver's decode then fails and the message is lost, which the
+// unreliable-network contract already allows.
+func AppendJSON(buf []byte, v any) []byte {
+	b, err := json.Marshal(v)
+	if err != nil {
+		return buf
 	}
-	gobBufPool.Put(b)
-	return buf
+	buf = append(buf, jsonVersion)
+	return append(buf, b...)
 }
 
-// DecodeGob decodes a gob payload produced by AppendGob into v.
-func DecodeGob(b []byte, v any) error {
-	return Unmarshal(b, v)
+// DecodeJSON decodes a payload produced by AppendJSON into v.
+func DecodeJSON(p []byte, v any) error {
+	r := bodyReader{b: p}
+	r.version(jsonVersion)
+	if r.err != nil {
+		return r.err
+	}
+	if err := json.Unmarshal(r.b, v); err != nil {
+		return fmt.Errorf("wire: decode %T: %w", v, err)
+	}
+	return nil
 }
 
 // ---- Encoding helpers ----
 
-// bodyVersion is the current version byte every hand-rolled body encoding
-// opens with. Bump per body (not globally) when appending fields.
+// bodyVersion is the version byte of every hand-rolled body layout that
+// has never changed. A body whose layout changed carries its own constant.
 const bodyVersion = 1
+
+// Version bytes of the bodies whose layouts changed.
+const (
+	prepareVersion       = 3
+	decisionVersion      = 2
+	copyBatchReqVersion  = 4
+	copyBatchRespVersion = 3
+)
 
 func appendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(buf, v) }
 func appendVarint(buf []byte, v int64) []byte   { return binary.AppendVarint(buf, v) }
@@ -326,21 +287,19 @@ func (r *bodyReader) ballot() model.Ballot {
 	return model.Ballot{N: n, Site: model.SiteID(r.str())}
 }
 
-// version reads and validates the leading version byte. Decoders tolerate
-// newer versions (append-only fields: the known prefix still decodes).
-func (r *bodyReader) version() byte {
+// version reads the leading version byte and fails the decode unless it is
+// want: each body has one layout.
+func (r *bodyReader) version(want byte) {
 	v := r.byte()
-	if r.err == nil && v == 0 {
-		r.fail("version")
+	if r.err == nil && v != want {
+		r.err = fmt.Errorf("wire: body version %d, want %d", v, want)
 	}
-	return v
 }
 
 // ---- Hand-rolled encoders, one pair per body ----
 //
 // Collections encode as a uvarint count followed by the elements; a zero
-// count decodes to a nil slice/map, matching gob's round-trip of empty
-// collections so the two codecs are semantically interchangeable.
+// count decodes to a nil slice/map.
 
 func (b *ErrorBody) Kind() MsgKind { return KindError }
 
@@ -352,7 +311,7 @@ func (b *ErrorBody) AppendTo(buf []byte) []byte {
 
 func (b *ErrorBody) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Cause = model.AbortCause(r.byte())
 	b.Reason = r.str()
 	return r.err
@@ -364,7 +323,7 @@ func (b *OKBody) AppendTo(buf []byte) []byte { return append(buf, bodyVersion) }
 
 func (b *OKBody) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	return r.err
 }
 
@@ -378,7 +337,7 @@ func (b *RegisterSiteReq) AppendTo(buf []byte) []byte {
 
 func (b *RegisterSiteReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Site = model.SiteID(r.str())
 	b.Addr = r.str()
 	return r.err
@@ -390,7 +349,7 @@ func (b *GetCatalogReq) AppendTo(buf []byte) []byte { return append(buf, bodyVer
 
 func (b *GetCatalogReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	return r.err
 }
 
@@ -400,7 +359,7 @@ func (b *PingReq) AppendTo(buf []byte) []byte { return append(buf, bodyVersion) 
 
 func (b *PingReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	return r.err
 }
 
@@ -413,7 +372,7 @@ func (b *ReleaseTxReq) AppendTo(buf []byte) []byte {
 
 func (b *ReleaseTxReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	return r.err
 }
@@ -421,9 +380,7 @@ func (b *ReleaseTxReq) DecodeFrom(p []byte) error {
 func (b *PrepareReq) Kind() MsgKind { return KindPrepare }
 
 func (b *PrepareReq) AppendTo(buf []byte) []byte {
-	// Version 2 appended per-write delta flags (commutative blind-add
-	// records), at the end so version-1 decoders never see them.
-	buf = append(buf, 2)
+	buf = append(buf, prepareVersion)
 	buf = appendTx(buf, b.Tx)
 	buf = appendTS(buf, b.TS)
 	buf = appendString(buf, string(b.Coordinator))
@@ -432,29 +389,24 @@ func (b *PrepareReq) AppendTo(buf []byte) []byte {
 		buf = appendString(buf, string(w.Item))
 		buf = appendVarint(buf, w.Value)
 		buf = appendUvarint(buf, uint64(w.Version))
+		buf = appendBool(buf, w.Delta)
 	}
 	buf = appendUvarint(buf, uint64(len(b.Participants)))
 	for _, s := range b.Participants {
 		buf = appendString(buf, string(s))
 	}
 	buf = appendBool(buf, b.ThreePhase)
-	buf = appendBool(buf, false) // reserved: the retired read-only-optimization ablation flag
 	buf = appendUvarint(buf, b.Epoch)
 	buf = appendUvarint(buf, uint64(len(b.Voters)))
 	for _, s := range b.Voters {
 		buf = appendString(buf, string(s))
 	}
-	buf = appendUvarint(buf, b.Incarnation)
-	// Version-2 fields: one delta flag per write, in write order.
-	for _, w := range b.Writes {
-		buf = appendBool(buf, w.Delta)
-	}
-	return buf
+	return appendUvarint(buf, b.Incarnation)
 }
 
 func (b *PrepareReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	v := r.version()
+	r.version(prepareVersion)
 	b.Tx = r.tx()
 	b.TS = r.ts()
 	b.Coordinator = model.SiteID(r.str())
@@ -465,6 +417,7 @@ func (b *PrepareReq) DecodeFrom(p []byte) error {
 				Item:    model.ItemID(r.str()),
 				Value:   r.varint(),
 				Version: model.Version(r.uvarint()),
+				Delta:   r.bool(),
 			}
 		}
 	} else {
@@ -479,7 +432,6 @@ func (b *PrepareReq) DecodeFrom(p []byte) error {
 		b.Participants = nil
 	}
 	b.ThreePhase = r.bool()
-	r.bool() // reserved (see AppendTo)
 	b.Epoch = r.uvarint()
 	if n := r.count(); n > 0 {
 		b.Voters = make([]model.SiteID, n)
@@ -490,11 +442,6 @@ func (b *PrepareReq) DecodeFrom(p []byte) error {
 		b.Voters = nil
 	}
 	b.Incarnation = r.uvarint()
-	if v >= 2 {
-		for i := range b.Writes {
-			b.Writes[i].Delta = r.bool()
-		}
-	}
 	return r.err
 }
 
@@ -509,7 +456,7 @@ func (b *VoteResp) AppendTo(buf []byte) []byte {
 
 func (b *VoteResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Yes = r.bool()
 	b.ReadOnly = r.bool()
 	b.Reason = r.str()
@@ -525,7 +472,7 @@ func (b *PreCommitReq) AppendTo(buf []byte) []byte {
 
 func (b *PreCommitReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	return r.err
 }
@@ -533,8 +480,7 @@ func (b *PreCommitReq) DecodeFrom(p []byte) error {
 func (b *DecisionMsg) Kind() MsgKind { return KindDecision }
 
 func (b *DecisionMsg) AppendTo(buf []byte) []byte {
-	// Version 2 appended Lazy.
-	buf = append(buf, 2)
+	buf = append(buf, decisionVersion)
 	buf = appendTx(buf, b.Tx)
 	buf = appendBool(buf, b.Commit)
 	return appendBool(buf, b.Lazy)
@@ -542,10 +488,10 @@ func (b *DecisionMsg) AppendTo(buf []byte) []byte {
 
 func (b *DecisionMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	v := r.version()
+	r.version(decisionVersion)
 	b.Tx = r.tx()
 	b.Commit = r.bool()
-	b.Lazy = v >= 2 && r.bool()
+	b.Lazy = r.bool()
 	return r.err
 }
 
@@ -558,7 +504,7 @@ func (b *AckMsg) AppendTo(buf []byte) []byte {
 
 func (b *AckMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	return r.err
 }
@@ -572,7 +518,7 @@ func (b *EndTxMsg) AppendTo(buf []byte) []byte {
 
 func (b *EndTxMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	return r.err
 }
@@ -583,7 +529,7 @@ func (b *GetEpochReq) AppendTo(buf []byte) []byte { return append(buf, bodyVersi
 
 func (b *GetEpochReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	return r.err
 }
 
@@ -596,7 +542,7 @@ func (b *EpochResp) AppendTo(buf []byte) []byte {
 
 func (b *EpochResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Epoch = r.uvarint()
 	return r.err
 }
@@ -611,7 +557,7 @@ func (b *DecisionReq) AppendTo(buf []byte) []byte {
 
 func (b *DecisionReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	b.ThreePhase = r.bool()
 	return r.err
@@ -627,7 +573,7 @@ func (b *DecisionResp) AppendTo(buf []byte) []byte {
 
 func (b *DecisionResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Known = r.bool()
 	b.Commit = r.bool()
 	return r.err
@@ -642,7 +588,7 @@ func (b *TermStateReq) AppendTo(buf []byte) []byte {
 
 func (b *TermStateReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	return r.err
 }
@@ -656,7 +602,7 @@ func (b *TermStateResp) AppendTo(buf []byte) []byte {
 
 func (b *TermStateResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.State = r.byte()
 	return r.err
 }
@@ -671,7 +617,7 @@ func (b *TermQueryReq) AppendTo(buf []byte) []byte {
 
 func (b *TermQueryReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	b.Ballot = r.ballot()
 	return r.err
@@ -691,7 +637,7 @@ func (b *TermQueryResp) AppendTo(buf []byte) []byte {
 
 func (b *TermQueryResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Accepted = r.bool()
 	b.EA = r.ballot()
 	b.State = r.byte()
@@ -712,7 +658,7 @@ func (b *TermPreDecideReq) AppendTo(buf []byte) []byte {
 
 func (b *TermPreDecideReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Tx = r.tx()
 	b.Ballot = r.ballot()
 	b.Commit = r.bool()
@@ -730,7 +676,7 @@ func (b *TermPreDecideResp) AppendTo(buf []byte) []byte {
 
 func (b *TermPreDecideResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	b.Accepted = r.bool()
 	b.Decided = r.bool()
 	b.Commit = r.bool()
@@ -752,7 +698,7 @@ func (b *SubmitTxReq) AppendTo(buf []byte) []byte {
 
 func (b *SubmitTxReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	if n := r.count(); n > 0 {
 		b.Ops = make([]model.Op, n)
 		for i := range b.Ops {
@@ -796,7 +742,7 @@ func (b *SubmitTxResp) AppendTo(buf []byte) []byte {
 
 func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	r.version()
+	r.version(bodyVersion)
 	o := &b.Outcome
 	o.Tx = r.tx()
 	o.Committed = r.bool()
@@ -818,10 +764,7 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
-	// Version 2 appended the read-only fold's Final flag and Epoch, version
-	// 3 the add-only wave's NoWait and Vote flags and Cohort, version 4 the
-	// voting last leg's Floors.
-	buf = append(buf, 4)
+	buf = append(buf, copyBatchReqVersion)
 	buf = appendTx(buf, b.Tx)
 	buf = appendTS(buf, b.TS)
 	buf = appendUvarint(buf, uint64(len(b.Ops)))
@@ -847,7 +790,7 @@ func (b *CopyBatchReq) AppendTo(buf []byte) []byte {
 
 func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	v := r.version()
+	r.version(copyBatchReqVersion)
 	b.Tx = r.tx()
 	b.TS = r.ts()
 	if n := r.count(); n > 0 {
@@ -862,31 +805,25 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 	} else {
 		b.Ops = nil
 	}
-	if v >= 2 {
-		b.Final = r.bool()
-		b.Epoch = r.uvarint()
-	}
-	if v >= 3 {
-		b.NoWait = r.bool()
-		b.Vote = r.bool()
-		if n := r.count(); n > 0 {
-			b.Cohort = make([]model.SiteID, n)
-			for i := range b.Cohort {
-				b.Cohort[i] = model.SiteID(r.str())
-			}
-		} else {
-			b.Cohort = nil
+	b.Final = r.bool()
+	b.Epoch = r.uvarint()
+	b.NoWait = r.bool()
+	b.Vote = r.bool()
+	if n := r.count(); n > 0 {
+		b.Cohort = make([]model.SiteID, n)
+		for i := range b.Cohort {
+			b.Cohort[i] = model.SiteID(r.str())
 		}
+	} else {
+		b.Cohort = nil
 	}
-	if v >= 4 {
-		if n := r.count(); n > 0 {
-			b.Floors = make([]model.Version, n)
-			for i := range b.Floors {
-				b.Floors[i] = model.Version(r.uvarint())
-			}
-		} else {
-			b.Floors = nil
+	if n := r.count(); n > 0 {
+		b.Floors = make([]model.Version, n)
+		for i := range b.Floors {
+			b.Floors[i] = model.Version(r.uvarint())
 		}
+	} else {
+		b.Floors = nil
 	}
 	return r.err
 }
@@ -894,9 +831,7 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 func (b *CopyBatchResp) Kind() MsgKind { return KindCopyBatch }
 
 func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
-	// Version 2 appended Released (the read-only fold's answer), version 3
-	// Voted and WouldBlock (the add-only wave's answers).
-	buf = append(buf, 3)
+	buf = append(buf, copyBatchRespVersion)
 	buf = appendUvarint(buf, uint64(len(b.Results)))
 	for _, res := range b.Results {
 		buf = appendVarint(buf, res.Value)
@@ -913,7 +848,7 @@ func (b *CopyBatchResp) AppendTo(buf []byte) []byte {
 
 func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
-	v := r.version()
+	r.version(copyBatchRespVersion)
 	if n := r.count(); n > 0 {
 		b.Results = make([]CopyResult, n)
 		for i := range b.Results {
@@ -929,36 +864,9 @@ func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	}
 	b.Clock = r.uvarint()
 	b.Incarnation = r.uvarint()
-	if v >= 2 {
-		b.Released = r.bool()
-	}
-	if v >= 3 {
-		b.Voted = r.bool()
-		b.WouldBlock = r.bool()
-	}
-	return r.err
-}
-
-// HelloBody is the codec-negotiation handshake (KindCodecHello): each side
-// of a batched connection announces the body codec it accepts right after
-// the frame magic. Peers that predate negotiation simply drop the unknown
-// kind — their absence of a hello is what keeps the connection on gob.
-type HelloBody struct {
-	// Codec is the richest codec the sender accepts for inbound bodies.
-	Codec CodecID
-}
-
-func (b *HelloBody) Kind() MsgKind { return KindCodecHello }
-
-func (b *HelloBody) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	return append(buf, byte(b.Codec))
-}
-
-func (b *HelloBody) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version()
-	b.Codec = CodecID(r.byte())
+	b.Released = r.bool()
+	b.Voted = r.bool()
+	b.WouldBlock = r.bool()
 	return r.err
 }
 
@@ -992,7 +900,6 @@ func init() {
 	RegisterBody(KindGetStats, false, func() Body { return &PingReq{} })
 	RegisterBody(KindResetStats, false, func() Body { return &PingReq{} })
 	RegisterBody(KindGetHistory, false, func() Body { return &PingReq{} })
-	RegisterBody(KindCodecHello, false, func() Body { return &HelloBody{} })
 	RegisterBody(KindCopyBatch, false, func() Body { return &CopyBatchReq{} })
 	RegisterBody(KindCopyBatch, true, func() Body { return &CopyBatchResp{} })
 }

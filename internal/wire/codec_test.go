@@ -61,7 +61,6 @@ func filledBodies() []wire.Body {
 			Reads:    map[model.ItemID]int64{"r1": 5, "r2": -6},
 			HomeSite: "S1",
 		}},
-		&wire.HelloBody{Codec: wire.CodecBinary},
 		&wire.CopyBatchReq{Tx: tx, TS: ts, Ops: []model.Op{
 			{Kind: model.OpRead, Item: "a"},
 			{Kind: model.OpWrite, Item: "b", Value: -5},
@@ -78,47 +77,8 @@ func filledBodies() []wire.Body {
 	}
 }
 
-// TestCopyBatchVersion1Decodes: older CopyBatch bodies still decode, with
-// the newer trailing fields at their zero values — version 1, from a peer
-// that predates the read-only fold (not final, not released), version 2,
-// from a peer that predates add-only waves (not no-wait, no vote, not voted,
-// not refused), and version 3, from a peer that predates the voting last
-// leg of a wave that writes (no floors). So do version-1 Decision bodies,
-// from a peer that predates lazy decision records (not lazy).
-func TestCopyBatchVersion1Decodes(t *testing.T) {
-	req := &wire.CopyBatchReq{Tx: model.TxID{Site: "S1", Seq: 3}, Ops: []model.Op{model.Add("a", 2)}, Final: true, Epoch: 9,
-		NoWait: true, Vote: true, Cohort: []model.SiteID{"S1", "S2"}, Floors: []model.Version{5}}
-	dec := &wire.DecisionMsg{Tx: req.Tx, Commit: true, Lazy: true}
-	resp := &wire.CopyBatchResp{Results: []wire.CopyResult{{Value: 5, Version: 2}}, Clock: 8, Incarnation: 4, Released: true, Voted: true, WouldBlock: true}
-	for _, c := range []struct {
-		body    wire.Body
-		version byte
-		trailer int // encoded bytes of the fields newer than version
-		want    wire.Body
-	}{
-		{req, 1, 2 + 9 + 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops}},
-		{req, 2, 9 + 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9}},
-		{req, 3, 2, &wire.CopyBatchReq{Tx: req.Tx, Ops: req.Ops, Final: true, Epoch: 9, NoWait: true, Vote: true, Cohort: req.Cohort}},
-		{resp, 1, 1 + 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4}},
-		{resp, 2, 2, &wire.CopyBatchResp{Results: resp.Results, Clock: 8, Incarnation: 4, Released: true}},
-		{dec, 1, 1, &wire.DecisionMsg{Tx: dec.Tx, Commit: true}},
-	} {
-		enc := c.body.AppendTo(nil)
-		old := append([]byte{c.version}, enc[1:len(enc)-c.trailer]...)
-		got := reflect.New(reflect.TypeOf(c.body).Elem()).Interface().(wire.Body)
-		if err := got.DecodeFrom(old); err != nil {
-			t.Fatalf("%T: version-%d decode: %v", c.body, c.version, err)
-		}
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%T: version-%d decode = %+v, want %+v", c.body, c.version, got, c.want)
-		}
-	}
-}
-
 // TestBodyRoundTrip round-trips every body — filled and zero — through the
-// binary codec (must reproduce the value exactly) and cross-checks binary
-// against gob: both codecs decoding the same source value must agree, the
-// semantic-equality contract mixed-codec clusters rely on.
+// binary codec, which must reproduce the value exactly.
 func TestBodyRoundTrip(t *testing.T) {
 	bodies := filledBodies()
 	for _, src := range filledBodies() {
@@ -139,18 +99,6 @@ func TestBodyRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(src, viaBinary) {
 			t.Errorf("%s: binary round trip mismatch:\n src: %+v\n got: %+v", typ, src, viaBinary)
-		}
-
-		gobBytes, err := wire.Marshal(src)
-		if err != nil {
-			t.Fatalf("%s: gob encode: %v", typ, err)
-		}
-		viaGob := reflect.New(reflect.TypeOf(src).Elem()).Interface().(wire.Body)
-		if err := (wire.Payload{Codec: wire.CodecGob, Bytes: gobBytes}).Decode(viaGob); err != nil {
-			t.Fatalf("%s: gob decode: %v", typ, err)
-		}
-		if !reflect.DeepEqual(viaBinary, viaGob) {
-			t.Errorf("%s: binary and gob decode disagree:\n bin: %+v\n gob: %+v", typ, viaBinary, viaGob)
 		}
 	}
 }
@@ -186,7 +134,9 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 }
 
 // TestNewBodyCoversEveryKind asserts the registry resolves a constructor
-// for each (kind, reply) pair the round-trip table exercises.
+// for each (kind, reply) pair the round-trip table exercises, and that each
+// registered body has one layout: its encoding with the version byte
+// replaced by any other value fails to decode.
 func TestNewBodyCoversEveryKind(t *testing.T) {
 	kinds := wire.RegisteredBodyKinds()
 	if len(kinds) == 0 {
@@ -196,6 +146,20 @@ func TestNewBodyCoversEveryKind(t *testing.T) {
 		body, ok := wire.NewBody(k.Kind, k.Reply)
 		if !ok || body == nil {
 			t.Errorf("NewBody(%v, %v) failed", k.Kind, k.Reply)
+			continue
+		}
+		enc := body.AppendTo(nil)
+		if err := body.DecodeFrom(enc); err != nil {
+			t.Errorf("%T: current version does not decode: %v", body, err)
+		}
+		for _, v := range []byte{0, enc[0] - 1, enc[0] + 1, 0xFF} {
+			if v == enc[0] {
+				continue
+			}
+			other := append([]byte{v}, enc[1:]...)
+			if err := body.DecodeFrom(other); err == nil {
+				t.Errorf("%T: version %d decoded, want an error (current is %d)", body, v, enc[0])
+			}
 		}
 	}
 	if _, ok := wire.NewBody(wire.MsgKind(200), false); ok {
@@ -213,8 +177,8 @@ func FuzzBodyDecode(f *testing.F) {
 	}
 	f.Add(uint8(0), false, []byte{})
 	f.Add(uint8(3), false, []byte{1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	// Version-4 CopyBatch requests: floors only, and a floor count that
-	// overruns the body.
+	// CopyBatch requests: floors only, a floor count that overruns the
+	// body, and the floors-only body under the retired version byte 3.
 	for i, k := range kinds {
 		if k.Kind != wire.KindCopyBatch || k.Reply {
 			continue
@@ -223,6 +187,7 @@ func FuzzBodyDecode(f *testing.F) {
 			Vote: true, Floors: []model.Version{3}}).AppendTo(nil)
 		f.Add(uint8(i), false, floors)
 		f.Add(uint8(i), false, append(floors[:len(floors)-2:len(floors)-2], 0x7F))
+		f.Add(uint8(i), false, append([]byte{3}, floors[1:]...))
 	}
 	f.Fuzz(func(t *testing.T, sel uint8, reply bool, payload []byte) {
 		k := kinds[int(sel)%len(kinds)]

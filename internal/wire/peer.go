@@ -17,8 +17,8 @@ var ErrClosed = errors.New("wire: peer closed")
 // ServeFunc handles one inbound request and returns the response kind and
 // typed body. Returning an error sends a KindError reply carrying the
 // error's abort cause (if any) to the caller. req is the encoded request
-// payload plus the codec it arrived under; handlers decode it into the
-// typed body for the kind (req.Decode). tid is the request envelope's
+// payload; handlers decode it into the typed body for the kind
+// (req.Decode). tid is the request envelope's
 // trace ID (zero for the untraced common case); handlers doing traced work
 // join the distributed trace under it. ServeFunc runs on transport
 // goroutines and must be safe for concurrent use.
@@ -101,8 +101,7 @@ func (p *Peer) Close() error {
 // done, or the peer closes. The reply payload is decoded into respBody when
 // respBody is non-nil. A KindError reply is converted back into the error
 // it carries (preserving abort causes). The request body travels typed: the
-// transport encodes it at flush time with the connection's negotiated
-// codec. See the generic Call helper for the declare-free typed form.
+// transport encodes it at flush time. See the generic Call helper for the declare-free typed form.
 func (p *Peer) Call(ctx context.Context, to model.SiteID, kind MsgKind, body, respBody Body) error {
 	corr := p.corr.Add(1)
 	ch := make(chan *Envelope, 1)
@@ -135,13 +134,13 @@ func (p *Peer) Call(ctx context.Context, to model.SiteID, kind MsgKind, body, re
 		}
 		if reply.Kind == KindError {
 			var eb ErrorBody
-			if err := (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(&eb); err != nil {
+			if err := (Payload{Bytes: reply.Payload}).Decode(&eb); err != nil {
 				return err
 			}
 			return eb.Err()
 		}
 		if respBody != nil {
-			return (Payload{Codec: reply.Codec, Bytes: reply.Payload}).Decode(respBody)
+			return (Payload{Bytes: reply.Payload}).Decode(respBody)
 		}
 		return nil
 	}
@@ -203,14 +202,14 @@ func (p *Peer) handle(env *Envelope) {
 		// One-way cast: dispatch, discard result. Casts run the same
 		// ServeFunc, so they may block just like requests.
 		if p.serve != nil {
-			go p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload}) //nolint:errcheck
+			go p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}) //nolint:errcheck
 		}
 		return
 	}
 
 	if af := p.async.Load(); af != nil {
 		from, corr, tid := env.From, env.Corr, env.Trace
-		if (*af)(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload}, func(kind MsgKind, body Body, err error) {
+		if (*af)(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}, func(kind MsgKind, body Body, err error) {
 			p.sendReply(from, corr, tid, kind, body, err)
 		}) {
 			return // the pipeline owns the reply now
@@ -231,7 +230,7 @@ func (p *Peer) serveSync(env *Envelope) {
 	if p.serve == nil {
 		err = fmt.Errorf("node %s does not serve requests", p.ep.ID())
 	} else {
-		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Codec: env.Codec, Bytes: env.Payload})
+		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload})
 	}
 	p.sendReply(env.From, env.Corr, env.Trace, kind, body, err)
 }

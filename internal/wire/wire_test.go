@@ -19,12 +19,9 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		Participants: []model.SiteID{"S1", "S2", "S3"},
 		ThreePhase:   true,
 	}
-	payload, err := Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := in.AppendTo(nil)
 	var out PrepareReq
-	if err := Unmarshal(payload, &out); err != nil {
+	if err := out.DecodeFrom(payload); err != nil {
 		t.Fatal(err)
 	}
 	if out.Tx != in.Tx || out.TS != in.TS || out.Coordinator != in.Coordinator ||
@@ -40,12 +37,8 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 			Tx:     model.TxID{Site: model.SiteID(site), Seq: tx},
 			Ballot: model.Ballot{N: n, Site: model.SiteID(ballotSite)},
 		}
-		p, err := Marshal(in)
-		if err != nil {
-			return false
-		}
 		var out TermQueryReq
-		return Unmarshal(p, &out) == nil && out == in
+		return out.DecodeFrom(in.AppendTo(nil)) == nil && out == in
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -54,7 +47,7 @@ func TestMarshalRoundTripQuick(t *testing.T) {
 
 func TestUnmarshalError(t *testing.T) {
 	var out VoteResp
-	if err := Unmarshal([]byte{0x01, 0x02}, &out); err == nil {
+	if err := out.DecodeFrom([]byte{0x01, 0x02}); err == nil {
 		t.Error("garbage payload should fail to unmarshal")
 	}
 }

@@ -10,20 +10,19 @@ import (
 )
 
 // Bodycheck machine-checks the wire-body conventions the codec layer
-// depends on (PR 8's append-only evolution rule, until now enforced only
-// by review):
+// depends on (one versioned layout per body):
 //
 //   - every type with AppendTo/DecodeFrom methods (a wire.Body
 //     implementation, detected structurally) is registered with
 //     RegisterBody in its declaring package, so the typed decoder can
 //     construct it;
 //   - hand-rolled encoders open with a version byte and their decoders
-//     check it (pure AppendGob/DecodeGob bodies are exempt — gob is
-//     self-describing);
+//     check it (pure AppendJSON/DecodeJSON bodies are exempt — those
+//     helpers write and check the version byte themselves);
 //   - the AppendTo field sequence and the DecodeFrom field sequence match
 //     in order and wire type, including repeated groups (a count followed
-//     by a loop) and version-gated trailers, which are compared inline
-//     because current encoders always write them.
+//     by a loop) and reads guarded by presence checks, which are compared
+//     inline.
 //
 // As a registry-completeness side check, a package that declares a
 // kindNames map over its MsgKind constants must name every constant.
@@ -48,22 +47,22 @@ var encodeHelpers = map[string]string{
 	"appendTx":      "tx",
 	"appendTS":      "ts",
 	"appendBallot":  "ballot",
-	"AppendGob":     "gob",
+	"AppendJSON":    "json",
 }
 
-// decodeHelpers maps bodyReader method (and DecodeGob) names to op kinds.
+// decodeHelpers maps bodyReader method (and DecodeJSON) names to op kinds.
 var decodeHelpers = map[string]string{
-	"version":   "version",
-	"byte":      "byte",
-	"bool":      "bool",
-	"uvarint":   "uvarint",
-	"varint":    "varint",
-	"str":       "string",
-	"count":     "uvarint",
-	"tx":        "tx",
-	"ts":        "ts",
-	"ballot":    "ballot",
-	"DecodeGob": "gob",
+	"version":    "version",
+	"byte":       "byte",
+	"bool":       "bool",
+	"uvarint":    "uvarint",
+	"varint":     "varint",
+	"str":        "string",
+	"count":      "uvarint",
+	"tx":         "tx",
+	"ts":         "ts",
+	"ballot":     "ballot",
+	"DecodeJSON": "json",
 }
 
 // bodyOp is one encoded/decoded field, or a repeated group.
@@ -220,11 +219,11 @@ func checkBodySymmetry(pass *analysis.Pass, name string, b *bodyDecl) {
 		return // unmodelable shape; stay silent rather than guess
 	}
 
-	// Pure-gob bodies: gob frames are self-describing, no version byte.
-	if len(enc) == 1 && enc[0].kind == "gob" {
-		if !(len(dec) == 1 && dec[0].kind == "gob") {
+	// Pure-JSON bodies: the helpers own the version byte.
+	if len(enc) == 1 && enc[0].kind == "json" {
+		if !(len(dec) == 1 && dec[0].kind == "json") {
 			pass.Reportf(b.decodeFrom.Name.Pos(),
-				"%s: AppendTo is pure gob but DecodeFrom reads {%s}", name, opsString(dec))
+				"%s: AppendTo is pure JSON but DecodeFrom reads {%s}", name, opsString(dec))
 		}
 		return
 	}
@@ -479,7 +478,7 @@ func (w *decWalker) scan(n ast.Node) []bodyOp {
 		if !ok {
 			return true
 		}
-		// Reader ops are methods (r.str()) or the DecodeGob helper; plain
+		// Reader ops are methods (r.str()) or the DecodeJSON helper; plain
 		// calls to unrelated same-named functions don't exist in codec
 		// code, and fixtures follow the same naming.
 		ops = append(ops, bodyOp{kind: kind, pos: call.Pos()})

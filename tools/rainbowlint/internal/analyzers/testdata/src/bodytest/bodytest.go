@@ -26,8 +26,8 @@ func appendBool(b []byte, v bool) []byte      { return b }
 func appendString(b []byte, s string) []byte  { return b }
 func appendTx(b []byte, tx TxID) []byte       { return b }
 
-func AppendGob(b []byte, v any) []byte { return b }
-func DecodeGob(p []byte, v any) error  { return nil }
+func AppendJSON(b []byte, v any) []byte { return b }
+func DecodeJSON(p []byte, v any) error  { return nil }
 
 type Body interface {
 	AppendTo([]byte) []byte
@@ -41,7 +41,7 @@ func init() {
 	RegisterBody(KindNoVersion, func() Body { return new(BadNoVersion) })
 	RegisterBody(KindReordered, func() Body { return new(BadReordered) })
 	RegisterBody(KindShort, func() Body { return new(BadShort) })
-	RegisterBody(KindGob, func() Body { return &GobBody{} })
+	RegisterBody(KindJSON, func() Body { return &JSONBody{} })
 }
 
 // GoodBody follows every convention: registered, versioned, symmetric,
@@ -128,11 +128,11 @@ func (m *BadShort) DecodeFrom(p []byte) error { // want `BadShort: AppendTo writ
 	return r.err
 }
 
-// GobBody is pure gob: self-describing, so no version byte needed.
-type GobBody struct{ M map[string]int }
+// JSONBody is pure JSON: the helpers write and check its version byte.
+type JSONBody struct{ M map[string]int }
 
-func (m *GobBody) AppendTo(buf []byte) []byte { return AppendGob(buf, m) }
-func (m *GobBody) DecodeFrom(p []byte) error  { return DecodeGob(p, m) }
+func (m *JSONBody) AppendTo(buf []byte) []byte { return AppendJSON(buf, m) }
+func (m *JSONBody) DecodeFrom(p []byte) error  { return DecodeJSON(p, m) }
 
 // Orphan has both codec methods but no RegisterBody entry.
 type Orphan struct{ N uint64 }
@@ -157,7 +157,7 @@ const (
 	KindNoVersion
 	KindReordered
 	KindShort
-	KindGob
+	KindJSON
 	KindUnnamed // want `MsgKind constant KindUnnamed has no kindNames entry`
 )
 
@@ -166,5 +166,5 @@ var kindNames = map[MsgKind]string{
 	KindNoVersion: "no-version",
 	KindReordered: "reordered",
 	KindShort:     "short",
-	KindGob:       "gob",
+	KindJSON:      "json",
 }
