@@ -258,19 +258,11 @@ func run(bc benchConfig) (result, error) {
 	sort.Slice(readLats, func(i, j int) bool { return readLats[i] < readLats[j] })
 	sort.Slice(writeLats, func(i, j int) bool { return writeLats[i] < writeLats[j] })
 
-	var totals monitor.SiteStats
+	var rep monitor.Report
 	for _, st := range siteList {
-		s := st.Stats()
-		totals.PipeSubmitted += s.PipeSubmitted
-		totals.PipeBatches += s.PipeBatches
-		totals.NetSentEnvelopes += s.NetSentEnvelopes
-		totals.NetSendFlushes += s.NetSendFlushes
-		totals.NetSentBytes += s.NetSentBytes
-		totals.CCAdds += s.CCAdds
-		totals.CCSplitAdds += s.CCSplitAdds
-		totals.CCSplits += s.CCSplits
-		totals.CCDrains += s.CCDrains
+		rep.Sites = append(rep.Sites, st.Stats())
 	}
+	totals := rep.Totals()
 
 	metrics := map[string]float64{
 		"committed":           float64(committed),

@@ -111,6 +111,21 @@ type Stats struct {
 	Drains     uint64 // split items drained back to locking (2PL)
 }
 
+// Add adds o's counters into s. A site carries its managers' totals across
+// stack rebuilds this way, since every rebuild builds a fresh manager.
+func (s *Stats) Add(o Stats) {
+	s.Reads += o.Reads
+	s.PreWrites += o.PreWrites
+	s.Rejections += o.Rejections
+	s.Deadlocks += o.Deadlocks
+	s.Timeouts += o.Timeouts
+	s.Waits += o.Waits
+	s.Adds += o.Adds
+	s.SplitAdds += o.SplitAdds
+	s.Splits += o.Splits
+	s.Drains += o.Drains
+}
+
 // Options configures manager construction.
 type Options struct {
 	// LockTimeout bounds 2PL lock waits and TSO intent waits. Zero means

@@ -10,6 +10,7 @@ package monitor
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -202,6 +203,17 @@ type SiteStats struct {
 	CCSplits    uint64
 	CCDrains    uint64
 	SplitItems  int
+	// Concurrency-control counters (every manager): CCReads and CCPreWrites
+	// count copy reads and pre-writes admitted, CCWaits operations that had
+	// to wait, CCTimeouts waits that timed out, CCDeadlocks deadlock victims
+	// (2PL) and CCRejections timestamp-order rejections (TSO, MVTSO). Each
+	// is the cc.Stats counter of the same name.
+	CCReads      uint64
+	CCPreWrites  uint64
+	CCRejections uint64
+	CCDeadlocks  uint64
+	CCTimeouts   uint64
+	CCWaits      uint64
 	// Add-only waves under 2PC (rcp.NoWait): AddWaves counts the ones this
 	// home shipped with every leg at once, AddWaveReruns those a leg refused
 	// because it would have had to wait, rerun as ordered waves, and
@@ -349,24 +361,36 @@ func (s SiteStats) Throughput() float64 {
 	return float64(s.Committed) / (float64(s.WindowNS) / 1e9)
 }
 
+// Count names one of the Collector's plain counters. Each backs the
+// SiteStats field of the same name through its row in Table.
+type Count uint8
+
+const (
+	noCount Count = iota
+	Began
+	Committed
+	Restarts
+	RoundTrips
+	AddWaves
+	AddWaveReruns
+	VotedLegs
+	HomeForces
+	VoteLostReruns
+	HomeFirstWaves
+	HomeFirstReruns
+	numCounts
+)
+
 // Collector gathers one site's statistics. All methods are safe for
 // concurrent use.
 type Collector struct {
 	site model.SiteID
 
-	mu      sync.Mutex
-	began   uint64
-	commits uint64
-	aborts  map[model.AbortCause]uint64
-	restart uint64
-	rtts    uint64
-	// addWaves, reruns, votes, homeForces, lostReruns, homeFirst and
-	// homeFirstReruns back SiteStats.AddWaves, AddWaveReruns, VotedLegs,
-	// HomeForces, VoteLostReruns, HomeFirstWaves and HomeFirstReruns.
-	addWaves, reruns, votes, homeForces, lostReruns uint64
-	homeFirst, homeFirstReruns                      uint64
-	lat                                             Histogram
-	start                                           time.Time
+	mu     sync.Mutex
+	counts [numCounts]uint64
+	aborts map[model.AbortCause]uint64
+	lat    Histogram
+	start  time.Time
 }
 
 // NewCollector builds a collector for site, starting its window now.
@@ -374,11 +398,11 @@ func NewCollector(site model.SiteID) *Collector {
 	return &Collector{site: site, aborts: make(map[model.AbortCause]uint64), start: time.Now()}
 }
 
-// TxBegin counts an admitted transaction.
-func (c *Collector) TxBegin() {
+// Add adds n to counter k.
+func (c *Collector) Add(k Count, n uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.began++
+	c.counts[k] += n
+	c.mu.Unlock()
 }
 
 // TxDone counts a finished transaction and its latency.
@@ -386,80 +410,11 @@ func (c *Collector) TxDone(committed bool, cause model.AbortCause, latency time.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if committed {
-		c.commits++
+		c.counts[Committed]++
 	} else {
 		c.aborts[cause]++
 	}
 	c.lat.Observe(int64(latency))
-}
-
-// TxRestart counts a workload-level restart (a CC-rejected transaction
-// resubmitted with a fresh timestamp).
-func (c *Collector) TxRestart() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.restart++
-}
-
-// AddRoundTrips counts n request/response exchanges.
-func (c *Collector) AddRoundTrips(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.rtts += uint64(n)
-}
-
-// AddWave counts an add-only wave shipped with every leg at once.
-func (c *Collector) AddWave() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.addWaves++
-}
-
-// WaveRerun counts an add-only wave refused by a no-wait leg and rerun as an
-// ordered wave.
-func (c *Collector) WaveRerun() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reruns++
-}
-
-// LegVoted counts a copy-operation leg that voted with its reply.
-func (c *Collector) LegVoted() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.votes++
-}
-
-// HomeForce counts a commit whose home forced its prepared record with the
-// decision.
-func (c *Collector) HomeForce() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.homeForces++
-}
-
-// VoteLostRerun counts a one-shot program rerun because a voting leg got no
-// reply.
-func (c *Collector) VoteLostRerun() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lostReruns++
-}
-
-// HomeFirstWave counts a wave that ran its home's leg first and shipped its
-// remote legs after it without waiting.
-func (c *Collector) HomeFirstWave() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.homeFirst++
-}
-
-// HomeFirstRerun counts a home-first wave refused by a no-wait leg and rerun
-// as an ordered wave.
-func (c *Collector) HomeFirstRerun() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.homeFirstReruns++
 }
 
 // Snapshot returns the current counters; orphans is sampled by the caller
@@ -468,23 +423,17 @@ func (c *Collector) Snapshot(orphans int) SiteStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := SiteStats{
-		Site:            c.site,
-		Began:           c.began,
-		Committed:       c.commits,
-		Aborted:         0,
-		AbortsByCause:   make(map[string]uint64, len(c.aborts)),
-		Restarts:        c.restart,
-		RoundTrips:      c.rtts,
-		AddWaves:        c.addWaves,
-		AddWaveReruns:   c.reruns,
-		VotedLegs:       c.votes,
-		HomeForces:      c.homeForces,
-		VoteLostReruns:  c.lostReruns,
-		HomeFirstWaves:  c.homeFirst,
-		HomeFirstReruns: c.homeFirstReruns,
-		Orphans:         orphans,
-		Latency:         c.lat,
-		WindowNS:        int64(time.Since(c.start)),
+		Site:          c.site,
+		AbortsByCause: make(map[string]uint64, len(c.aborts)),
+		Orphans:       orphans,
+		Latency:       c.lat,
+		WindowNS:      int64(time.Since(c.start)),
+	}
+	v := reflect.ValueOf(&s).Elem()
+	for _, row := range Table {
+		if row.count != noCount {
+			v.Field(row.index).SetUint(c.counts[row.count])
+		}
 	}
 	for cause, n := range c.aborts {
 		s.Aborted += n
@@ -497,9 +446,7 @@ func (c *Collector) Snapshot(orphans int) SiteStats {
 func (c *Collector) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.began, c.commits, c.restart, c.rtts = 0, 0, 0, 0
-	c.addWaves, c.reruns, c.votes, c.homeForces, c.lostReruns = 0, 0, 0, 0, 0
-	c.homeFirst, c.homeFirstReruns = 0, 0
+	c.counts = [numCounts]uint64{}
 	c.aborts = make(map[model.AbortCause]uint64)
 	c.lat = Histogram{}
 	c.start = time.Now()
@@ -523,63 +470,23 @@ type Report struct {
 	WindowNS int64
 }
 
-// Totals aggregates all site stats into one.
+// Totals aggregates all site stats into one: every scalar row of Table by
+// its merge rule, plus the abort causes and latency histograms.
 func (r Report) Totals() SiteStats {
 	out := SiteStats{Site: "TOTAL", AbortsByCause: make(map[string]uint64)}
-	for _, s := range r.Sites {
-		out.Began += s.Began
-		out.Committed += s.Committed
-		out.Aborted += s.Aborted
-		out.Restarts += s.Restarts
-		out.RoundTrips += s.RoundTrips
-		out.Orphans += s.Orphans
+	dst := reflect.ValueOf(&out).Elem()
+	for i := range r.Sites {
+		s := &r.Sites[i]
+		src := reflect.ValueOf(s).Elem()
+		for _, row := range Table {
+			if row.write == nil {
+				row.merge(dst.Field(row.index), src.Field(row.index))
+			}
+		}
 		for k, v := range s.AbortsByCause {
 			out.AbortsByCause[k] += v
 		}
 		out.Latency.Merge(s.Latency)
-		out.WALFlushes += s.WALFlushes
-		out.WALRecords += s.WALRecords
-		out.WALSegments += s.WALSegments
-		out.WALBytes += s.WALBytes
-		out.Checkpoints += s.Checkpoints
-		out.CheckpointDeltas += s.CheckpointDeltas
-		out.SegmentsCompacted += s.SegmentsCompacted
-		out.DirtyShards += s.DirtyShards
-		out.Decisions += s.Decisions
-		if s.CheckpointHorizon > out.CheckpointHorizon {
-			out.CheckpointHorizon = s.CheckpointHorizon
-		}
-		if s.CheckpointPauseNS > out.CheckpointPauseNS {
-			out.CheckpointPauseNS = s.CheckpointPauseNS
-		}
-		out.PipeDepth += s.PipeDepth
-		out.PipeSubmitted += s.PipeSubmitted
-		out.PipeBatches += s.PipeBatches
-		if s.PipeMaxBatch > out.PipeMaxBatch {
-			out.PipeMaxBatch = s.PipeMaxBatch
-		}
-		out.PipeStalls += s.PipeStalls
-		out.PipeSpills += s.PipeSpills
-		out.CCAdds += s.CCAdds
-		out.CCSplitAdds += s.CCSplitAdds
-		out.CCSplits += s.CCSplits
-		out.CCDrains += s.CCDrains
-		out.SplitItems += s.SplitItems
-		out.AddWaves += s.AddWaves
-		out.AddWaveReruns += s.AddWaveReruns
-		out.VotedLegs += s.VotedLegs
-		out.HomeForces += s.HomeForces
-		out.VoteLostReruns += s.VoteLostReruns
-		out.HomeFirstWaves += s.HomeFirstWaves
-		out.HomeFirstReruns += s.HomeFirstReruns
-		out.ReleasesAbandoned += s.ReleasesAbandoned
-		out.TailsUnacked += s.TailsUnacked
-		out.NetSentEnvelopes += s.NetSentEnvelopes
-		out.NetSendFlushes += s.NetSendFlushes
-		out.NetRecvEnvelopes += s.NetRecvEnvelopes
-		out.NetRecvFrames += s.NetRecvFrames
-		out.NetSendSheds += s.NetSendSheds
-		out.NetSentBytes += s.NetSentBytes
 		for name, h := range s.Stages {
 			if out.Stages == nil {
 				out.Stages = make(map[string]Histogram)
@@ -588,28 +495,8 @@ func (r Report) Totals() SiteStats {
 			merged.Merge(h)
 			out.Stages[name] = merged
 		}
-		out.TraceSampled += s.TraceSampled
-		out.TraceFragments += s.TraceFragments
-		out.TraceEvicted += s.TraceEvicted
-		out.TraceSlow += s.TraceSlow
-		out.RecoveryRecords += s.RecoveryRecords
-		if s.RecoveryNS > out.RecoveryNS {
-			out.RecoveryNS = s.RecoveryNS
-		}
-		out.Reconfigures += s.Reconfigures
-		if s.Epoch > out.Epoch {
-			out.Epoch = s.Epoch
-		}
-		if s.Shards > out.Shards {
-			out.Shards = s.Shards
-		}
-		if s.WindowNS > out.WindowNS {
-			out.WindowNS = s.WindowNS
-		}
 	}
-	if r.WindowNS > out.WindowNS {
-		out.WindowNS = r.WindowNS
-	}
+	out.WindowNS = max(out.WindowNS, r.WindowNS)
 	return out
 }
 

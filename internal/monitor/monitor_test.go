@@ -62,14 +62,14 @@ func TestHistogramMerge(t *testing.T) {
 
 func TestCollectorCounters(t *testing.T) {
 	c := NewCollector("S1")
-	c.TxBegin()
-	c.TxBegin()
-	c.TxBegin()
+	c.Add(Began, 1)
+	c.Add(Began, 1)
+	c.Add(Began, 1)
 	c.TxDone(true, model.AbortNone, time.Millisecond)
 	c.TxDone(false, model.AbortCC, 2*time.Millisecond)
 	c.TxDone(false, model.AbortRCP, time.Millisecond)
-	c.TxRestart()
-	c.AddRoundTrips(7)
+	c.Add(Restarts, 1)
+	c.Add(RoundTrips, 7)
 
 	s := c.Snapshot(2)
 	if s.Began != 3 || s.Committed != 1 || s.Aborted != 2 {
@@ -91,7 +91,7 @@ func TestCollectorCounters(t *testing.T) {
 
 func TestCollectorReset(t *testing.T) {
 	c := NewCollector("S1")
-	c.TxBegin()
+	c.Add(Began, 1)
 	c.TxDone(true, model.AbortNone, time.Millisecond)
 	c.Reset()
 	s := c.Snapshot(0)
@@ -203,10 +203,10 @@ func TestRenderContainsDurabilityStatistics(t *testing.T) {
 // collector, summed across sites and rendered on one line.
 func TestAddWaveCounters(t *testing.T) {
 	c := NewCollector("S1")
-	c.AddWave()
-	c.AddWave()
-	c.WaveRerun()
-	c.LegVoted()
+	c.Add(AddWaves, 1)
+	c.Add(AddWaves, 1)
+	c.Add(AddWaveReruns, 1)
+	c.Add(VotedLegs, 1)
 	if s := c.Snapshot(0); s.AddWaves != 2 || s.AddWaveReruns != 1 || s.VotedLegs != 1 {
 		t.Errorf("snapshot = %d add waves, %d reruns, %d voted legs; want 2, 1, 1", s.AddWaves, s.AddWaveReruns, s.VotedLegs)
 	}
@@ -231,9 +231,9 @@ func TestAddWaveCounters(t *testing.T) {
 // one line.
 func TestOneForceCounters(t *testing.T) {
 	c := NewCollector("S1")
-	c.HomeForce()
-	c.HomeForce()
-	c.VoteLostRerun()
+	c.Add(HomeForces, 1)
+	c.Add(HomeForces, 1)
+	c.Add(VoteLostReruns, 1)
 	if s := c.Snapshot(0); s.HomeForces != 2 || s.VoteLostReruns != 1 {
 		t.Errorf("snapshot = %d home forces, %d lost-vote reruns; want 2 and 1", s.HomeForces, s.VoteLostReruns)
 	}
@@ -257,9 +257,9 @@ func TestOneForceCounters(t *testing.T) {
 // summed across sites and rendered on one line.
 func TestHomeFirstCounters(t *testing.T) {
 	c := NewCollector("S3")
-	c.HomeFirstWave()
-	c.HomeFirstWave()
-	c.HomeFirstRerun()
+	c.Add(HomeFirstWaves, 1)
+	c.Add(HomeFirstWaves, 1)
+	c.Add(HomeFirstReruns, 1)
 	if s := c.Snapshot(0); s.HomeFirstWaves != 2 || s.HomeFirstReruns != 1 || s.AddWaveReruns != 0 {
 		t.Errorf("snapshot = %d home-first waves, %d home-first reruns, %d add-wave reruns; want 2, 1, 0", s.HomeFirstWaves, s.HomeFirstReruns, s.AddWaveReruns)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/acp"
 	"repro/internal/model"
+	"repro/internal/monitor"
 	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/trace"
@@ -49,15 +50,15 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 		homeFirst := t.sess.HomeFirst
 		if t.rerun("") {
 			if homeFirst {
-				s.stats.HomeFirstRerun()
+				s.stats.Add(monitor.HomeFirstReruns, 1)
 			} else {
-				s.stats.WaveRerun()
+				s.stats.Add(monitor.AddWaveReruns, 1)
 			}
 			err = t.wave(ops)
 		}
 	case errors.As(err, &lost):
 		if t.rerun(lost.Site) {
-			s.stats.VoteLostRerun()
+			s.stats.Add(monitor.VoteLostReruns, 1)
 			err = t.wave(ops)
 		}
 	}
@@ -116,7 +117,7 @@ func (t *Txn) wave(ops []model.Op) error {
 		}
 	}
 	if mode == rcp.NoWait && accesses == 0 && adds > 0 {
-		t.s.stats.AddWave()
+		t.s.stats.Add(monitor.AddWaves, 1)
 	}
 
 	// A wave's first round is up to one attempt per site, one after another;
@@ -127,7 +128,7 @@ func (t *Txn) wave(ops []model.Op) error {
 	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops, mode)
 	sp.End()
 	if t.sess.HomeFirst {
-		t.s.stats.HomeFirstWave()
+		t.s.stats.Add(monitor.HomeFirstWaves, 1)
 	}
 	if err != nil {
 		t.doomed = err
@@ -336,7 +337,7 @@ func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Sessi
 		req.Cohort, req.Floors = leg.Cohort, leg.Floors
 	}
 	resp, err := wire.Call[wire.CopyBatchResp](actx, s.peer, site, wire.KindCopyBatch, req)
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	if err != nil {
 		return rcp.BatchReply{}, err
 	}
@@ -363,7 +364,7 @@ func (s *Site) Prepare(ctx context.Context, site model.SiteID, req wire.PrepareR
 		return s.votePrepare(req), nil
 	}
 	resp, err := wire.Call[wire.VoteResp](ctx, s.peer, site, wire.KindPrepare, &req)
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	if err != nil {
 		return wire.VoteResp{}, err
 	}
@@ -388,7 +389,7 @@ func (s *Site) CommitHome(_ context.Context, req wire.PrepareReq) (wire.VoteResp
 	if err := part.PrepareCommit(req); err != nil {
 		return wire.VoteResp{}, err
 	}
-	s.stats.HomeForce()
+	s.stats.Add(monitor.HomeForces, 1)
 	return wire.VoteResp{Yes: true}, nil
 }
 
@@ -478,7 +479,7 @@ func (s *Site) PreCommit(ctx context.Context, site model.SiteID, tx model.TxID) 
 		return s.handlePreCommit(tx)
 	}
 	err := s.peer.Call(ctx, site, wire.KindPreCommit, &wire.PreCommitReq{Tx: tx}, nil)
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	return err
 }
 
@@ -525,7 +526,7 @@ func (s *Site) Decide(ctx context.Context, site model.SiteID, tx model.TxID, com
 		return part.HandleDecision(tx, commit)
 	}
 	err := s.peer.Call(ctx, site, wire.KindDecision, &wire.DecisionMsg{Tx: tx, Commit: commit, Lazy: lazy}, nil)
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	return err
 }
 
@@ -553,7 +554,7 @@ func (s *Site) QueryDecision(ctx context.Context, site model.SiteID, tx model.Tx
 		return known, commit, nil
 	}
 	resp, err := wire.Call[wire.DecisionResp](ctx, s.peer, site, wire.KindDecisionReq, &wire.DecisionReq{Tx: tx, ThreePhase: threePhase})
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	if err != nil {
 		return false, false, err
 	}
@@ -568,7 +569,7 @@ func (s *Site) QueryTermination(ctx context.Context, site model.SiteID, tx model
 		return s.handleTermQuery(tx, ballot), nil
 	}
 	resp, err := wire.Call[wire.TermQueryResp](ctx, s.peer, site, wire.KindTermQuery, &wire.TermQueryReq{Tx: tx, Ballot: ballot})
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	if err != nil {
 		return wire.TermQueryResp{}, err
 	}
@@ -582,7 +583,7 @@ func (s *Site) SendPreDecide(ctx context.Context, site model.SiteID, tx model.Tx
 		return s.handlePreDecide(tx, ballot, commit), nil
 	}
 	resp, err := wire.Call[wire.TermPreDecideResp](ctx, s.peer, site, wire.KindTermPreDecide, &wire.TermPreDecideReq{Tx: tx, Ballot: ballot, Commit: commit})
-	s.stats.AddRoundTrips(1)
+	s.stats.Add(monitor.RoundTrips, 1)
 	if err != nil {
 		return wire.TermPreDecideResp{}, err
 	}

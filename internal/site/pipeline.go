@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/model"
+	"repro/internal/monitor"
 	"repro/internal/pipeline"
 	"repro/internal/rcp"
 	"repro/internal/schema"
@@ -252,7 +253,7 @@ func (s *Site) vote(st ccStack, op *copyOp, res []rcp.CopyResult) error {
 		st.ccm.Abort(op.tx)
 		return model.Abortf(model.AbortACP, "%s voted no: %s", s.id, v.Reason)
 	}
-	s.stats.LegVoted()
+	s.stats.Add(monitor.VotedLegs, 1)
 	return nil
 }
 

@@ -18,6 +18,7 @@ package site
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -179,16 +180,14 @@ type Site struct {
 	// retained WAL records were replayed and how long the rebuild took.
 	recoveryRecords uint64
 	recoveryNS      int64
-	// ckptAccum accumulates checkpoint counters from previous incarnations
-	// (each recovery builds a fresh manager); ckptBase window-scopes the
-	// accumulated totals for ResetStats.
+	// ckptAccum and ccAccum accumulate checkpoint and CC-manager counters
+	// from previous stack incarnations (every rebuild constructs fresh
+	// managers).
 	ckptAccum checkpoint.Stats
-	ckptBase  checkpoint.Stats
-	// ccAccum accumulates CC-manager counters from previous stack
-	// incarnations (every rebuild constructs a fresh manager); ccBase
-	// window-scopes the totals for ResetStats, like ckptBase.
-	ccAccum cc.Stats
-	ccBase  cc.Stats
+	ccAccum   cc.Stats
+	// statsBase is the lifetime snapshot the last ResetStats took; Stats
+	// reports every counter row of monitor.Table since then.
+	statsBase monitor.SiteStats
 	// reconfigures counts completed live catalog reconfigurations.
 	reconfigures uint64
 	// incarnation identifies this protocol-stack incarnation: bumped on
@@ -217,17 +216,11 @@ type Site struct {
 	// released tombstones aborted transactions so a straggling copy
 	// operation that races with its own ReleaseTx cannot leak CC state.
 	released tombstones
-	// walBaseFlushes/walBaseRecords snapshot the WAL's cumulative
-	// group-commit counters at the last ResetStats, so SiteStats reports
-	// them window-scoped like every other counter.
-	walBaseFlushes uint64
-	walBaseRecords uint64
 	// releasesAbandoned counts release-retry loops that exhausted their
 	// attempts and gave up, leaving cleanup to the remote presumed-abort
 	// janitor. Nonzero values mean remote CC state stayed locked for a
 	// janitor sweep longer than it should have.
-	releasesAbandoned     atomic.Uint64
-	releasesAbandonedBase uint64
+	releasesAbandoned atomic.Uint64
 	// tails counts the commit tails (acp.Tail) running in the background;
 	// tailsIdle (on mu) wakes WaitTails when it drops to zero. closing makes
 	// Close's drain finite: from then on every tail runs inline.
@@ -236,11 +229,10 @@ type Site struct {
 	closing   bool
 	// tailsUnacked counts tails that ended without every participant's ack:
 	// decisions left in the table until a participant asks for them.
-	tailsUnacked     atomic.Uint64
-	tailsUnackedBase uint64
-	crashed          bool
-	runCtx           context.Context
-	runCancel        context.CancelFunc
+	tailsUnacked atomic.Uint64
+	crashed      bool
+	runCtx       context.Context
+	runCancel    context.CancelFunc
 	// lifeCtx spans the site OBJECT's lifetime (cancelled by Close only,
 	// not by simulated crashes): background release retries ride it, so a
 	// crash does not silently drop an aborted transaction's pending
@@ -606,7 +598,7 @@ func (s *Site) rebuild(catalog *schema.Catalog, live bool) error {
 		s.ckptAccum.SegmentsCompacted += old.SegmentsCompacted
 	}
 	if s.ccm != nil {
-		addCCStats(&s.ccAccum, s.ccm.Stats())
+		s.ccAccum.Add(s.ccm.Stats())
 	}
 	s.catalog = catalog
 	s.store = store
@@ -826,22 +818,6 @@ func (a *applierWithHistory) Commit(tx model.TxID, writes []model.WriteRecord) e
 	return a.cc.Commit(tx, writes)
 }
 
-// addCCStats accumulates a CC manager's counters into acc (managers are
-// discarded wholesale on every stack rebuild, so totals must be carried
-// across incarnations by hand, like checkpoint stats).
-func addCCStats(acc *cc.Stats, s cc.Stats) {
-	acc.Reads += s.Reads
-	acc.PreWrites += s.PreWrites
-	acc.Rejections += s.Rejections
-	acc.Deadlocks += s.Deadlocks
-	acc.Timeouts += s.Timeouts
-	acc.Waits += s.Waits
-	acc.Adds += s.Adds
-	acc.SplitAdds += s.SplitAdds
-	acc.Splits += s.Splits
-	acc.Drains += s.Drains
-}
-
 func (a *applierWithHistory) Abort(tx model.TxID) { a.cc.Abort(tx) }
 
 // ID returns the site's id.
@@ -849,19 +825,26 @@ func (s *Site) ID() model.SiteID { return s.id }
 
 // Stats snapshots the site's statistics including the current orphan count,
 // the data-plane shard / WAL group-commit counters, the checkpoint and
-// log-volume gauges, and the last recovery's replay cost.
+// log-volume gauges, and the last recovery's replay cost. Counters cover
+// the window since the last ResetStats.
 func (s *Site) Stats() monitor.SiteStats {
+	s.mu.Lock()
+	base := s.statsBase
+	s.mu.Unlock()
+	return s.lifetimeStats().Sub(base)
+}
+
+// lifetimeStats is Stats without the reset baseline: every counter outside
+// the collector counts from the site's start.
+func (s *Site) lifetimeStats() monitor.SiteStats {
 	s.mu.Lock()
 	part := s.part
 	store := s.store
 	log := s.log
 	ckpt := s.ckpt
 	ccm := s.ccm
-	baseFlushes, baseRecords := s.walBaseFlushes, s.walBaseRecords
-	ckptAccum, ckptBase := s.ckptAccum, s.ckptBase
-	ccAccum, ccBase := s.ccAccum, s.ccBase
-	releasesAbandonedBase := s.releasesAbandonedBase
-	tailsUnackedBase := s.tailsUnackedBase
+	ckptAccum := s.ckptAccum
+	ccAccum := s.ccAccum
 	recoveryRecords, recoveryNS := s.recoveryRecords, s.recoveryNS
 	var epoch uint64
 	if s.catalog != nil {
@@ -883,9 +866,7 @@ func (s *Site) Stats() monitor.SiteStats {
 		}
 	}
 	if bs, ok := log.(wal.BatchStats); ok {
-		flushes, records := bs.BatchStats()
-		stats.WALFlushes = flushes - baseFlushes
-		stats.WALRecords = records - baseRecords
+		stats.WALFlushes, stats.WALRecords = bs.BatchStats()
 	}
 	if cl, ok := log.(wal.Compactable); ok {
 		stats.WALSegments = cl.Segments()
@@ -903,23 +884,22 @@ func (s *Site) Stats() monitor.SiteStats {
 	if part != nil {
 		stats.Decisions = part.DecisionCount()
 	}
-	stats.Checkpoints = ckptAccum.Checkpoints - min(ckptBase.Checkpoints, ckptAccum.Checkpoints)
-	stats.CheckpointDeltas = ckptAccum.Deltas - min(ckptBase.Deltas, ckptAccum.Deltas)
-	stats.SegmentsCompacted = ckptAccum.SegmentsCompacted - min(ckptBase.SegmentsCompacted, ckptAccum.SegmentsCompacted)
+	stats.Checkpoints = ckptAccum.Checkpoints
+	stats.CheckpointDeltas = ckptAccum.Deltas
+	stats.SegmentsCompacted = ckptAccum.SegmentsCompacted
 	if ccm != nil {
-		addCCStats(&ccAccum, ccm.Stats())
+		ccAccum.Add(ccm.Stats())
 		if sp, ok := ccm.(interface{ SplitItems() int }); ok {
 			stats.SplitItems = sp.SplitItems()
 		}
 	}
-	stats.CCAdds = ccAccum.Adds - min(ccBase.Adds, ccAccum.Adds)
-	stats.CCSplitAdds = ccAccum.SplitAdds - min(ccBase.SplitAdds, ccAccum.SplitAdds)
-	stats.CCSplits = ccAccum.Splits - min(ccBase.Splits, ccAccum.Splits)
-	stats.CCDrains = ccAccum.Drains - min(ccBase.Drains, ccAccum.Drains)
-	ra := s.releasesAbandoned.Load()
-	stats.ReleasesAbandoned = ra - min(releasesAbandonedBase, ra)
-	tu := s.tailsUnacked.Load()
-	stats.TailsUnacked = tu - min(tailsUnackedBase, tu)
+	// Every cc.Stats counter surfaces as the SiteStats field CC<Name>.
+	cv, sv := reflect.ValueOf(ccAccum), reflect.ValueOf(&stats).Elem()
+	for i := range cv.NumField() {
+		sv.FieldByName("CC" + cv.Type().Field(i).Name).SetUint(cv.Field(i).Uint())
+	}
+	stats.ReleasesAbandoned = s.releasesAbandoned.Load()
+	stats.TailsUnacked = s.tailsUnacked.Load()
 	stats.RecoveryRecords = recoveryRecords
 	stats.RecoveryNS = recoveryNS
 	stats.Epoch = epoch
@@ -949,33 +929,23 @@ func (s *Site) Stats() monitor.SiteStats {
 	return stats
 }
 
-// ResetStats zeroes the statistics window, including the WAL, checkpoint
-// and per-shard counters' baselines.
+// ResetStats starts a new statistics window: the collector, the stage
+// histograms and the per-shard counters reset themselves, and every other
+// counter row of monitor.Table counts from the lifetime snapshot taken
+// after them. Gauges are left as they are.
 func (s *Site) ResetStats() {
 	s.stats.Reset()
 	s.tracer.ResetStages()
 	s.mu.Lock()
-	if bs, ok := s.log.(wal.BatchStats); ok {
-		s.walBaseFlushes, s.walBaseRecords = bs.BatchStats()
-	}
-	s.ckptBase = s.ckptAccum
-	if s.ckpt != nil {
-		cs := s.ckpt.Stats()
-		s.ckptBase.Checkpoints += cs.Checkpoints
-		s.ckptBase.Deltas += cs.Deltas
-		s.ckptBase.SegmentsCompacted += cs.SegmentsCompacted
-	}
-	s.ccBase = s.ccAccum
-	if s.ccm != nil {
-		addCCStats(&s.ccBase, s.ccm.Stats())
-	}
-	s.releasesAbandonedBase = s.releasesAbandoned.Load()
-	s.tailsUnackedBase = s.tailsUnacked.Load()
 	store := s.store
 	s.mu.Unlock()
 	if store != nil {
 		store.ResetShardStats()
 	}
+	base := s.lifetimeStats()
+	s.mu.Lock()
+	s.statsBase = base
+	s.mu.Unlock()
 }
 
 // Checkpoint takes a fuzzy snapshot of the store now, pins the replay

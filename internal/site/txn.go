@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/acp"
 	"repro/internal/model"
+	"repro/internal/monitor"
 	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/trace"
@@ -91,7 +92,7 @@ func (s *Site) Begin(ctx context.Context) (*Txn, error) {
 	t.act = s.tracer.Begin(t.tx)
 	t.ctx = trace.NewContext(t.ctx, t.act)
 	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
-	s.stats.TxBegin()
+	s.stats.Add(monitor.Began, 1)
 	return t, nil
 }
 

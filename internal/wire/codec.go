@@ -287,6 +287,15 @@ func (r *bodyReader) ballot() model.Ballot {
 	return model.Ballot{N: n, Site: model.SiteID(r.str())}
 }
 
+// end finishes a decode: it fails unless the body was read to its last
+// byte, since each body has one layout and nothing follows it.
+func (r *bodyReader) end() error {
+	if r.err == nil && len(r.b) > 0 {
+		r.err = fmt.Errorf("wire: %d trailing bytes after body", len(r.b))
+	}
+	return r.err
+}
+
 // version reads the leading version byte and fails the decode unless it is
 // want: each body has one layout.
 func (r *bodyReader) version(want byte) {
@@ -314,7 +323,7 @@ func (b *ErrorBody) DecodeFrom(p []byte) error {
 	r.version(bodyVersion)
 	b.Cause = model.AbortCause(r.byte())
 	b.Reason = r.str()
-	return r.err
+	return r.end()
 }
 
 func (b *OKBody) Kind() MsgKind { return KindOK }
@@ -324,7 +333,7 @@ func (b *OKBody) AppendTo(buf []byte) []byte { return append(buf, bodyVersion) }
 func (b *OKBody) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
-	return r.err
+	return r.end()
 }
 
 func (b *RegisterSiteReq) Kind() MsgKind { return KindRegisterSite }
@@ -340,7 +349,7 @@ func (b *RegisterSiteReq) DecodeFrom(p []byte) error {
 	r.version(bodyVersion)
 	b.Site = model.SiteID(r.str())
 	b.Addr = r.str()
-	return r.err
+	return r.end()
 }
 
 func (b *GetCatalogReq) Kind() MsgKind { return KindGetCatalog }
@@ -350,7 +359,7 @@ func (b *GetCatalogReq) AppendTo(buf []byte) []byte { return append(buf, bodyVer
 func (b *GetCatalogReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
-	return r.err
+	return r.end()
 }
 
 func (b *PingReq) Kind() MsgKind { return KindPing }
@@ -360,7 +369,7 @@ func (b *PingReq) AppendTo(buf []byte) []byte { return append(buf, bodyVersion) 
 func (b *PingReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
-	return r.err
+	return r.end()
 }
 
 func (b *ReleaseTxReq) Kind() MsgKind { return KindReleaseTx }
@@ -374,7 +383,7 @@ func (b *ReleaseTxReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Tx = r.tx()
-	return r.err
+	return r.end()
 }
 
 func (b *PrepareReq) Kind() MsgKind { return KindPrepare }
@@ -442,7 +451,7 @@ func (b *PrepareReq) DecodeFrom(p []byte) error {
 		b.Voters = nil
 	}
 	b.Incarnation = r.uvarint()
-	return r.err
+	return r.end()
 }
 
 func (b *VoteResp) Kind() MsgKind { return KindVote }
@@ -460,7 +469,7 @@ func (b *VoteResp) DecodeFrom(p []byte) error {
 	b.Yes = r.bool()
 	b.ReadOnly = r.bool()
 	b.Reason = r.str()
-	return r.err
+	return r.end()
 }
 
 func (b *PreCommitReq) Kind() MsgKind { return KindPreCommit }
@@ -474,7 +483,7 @@ func (b *PreCommitReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Tx = r.tx()
-	return r.err
+	return r.end()
 }
 
 func (b *DecisionMsg) Kind() MsgKind { return KindDecision }
@@ -492,7 +501,7 @@ func (b *DecisionMsg) DecodeFrom(p []byte) error {
 	b.Tx = r.tx()
 	b.Commit = r.bool()
 	b.Lazy = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *AckMsg) Kind() MsgKind { return KindAck }
@@ -506,7 +515,7 @@ func (b *AckMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Tx = r.tx()
-	return r.err
+	return r.end()
 }
 
 func (b *EndTxMsg) Kind() MsgKind { return KindEndTx }
@@ -520,7 +529,7 @@ func (b *EndTxMsg) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Tx = r.tx()
-	return r.err
+	return r.end()
 }
 
 func (b *GetEpochReq) Kind() MsgKind { return KindGetEpoch }
@@ -530,7 +539,7 @@ func (b *GetEpochReq) AppendTo(buf []byte) []byte { return append(buf, bodyVersi
 func (b *GetEpochReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
-	return r.err
+	return r.end()
 }
 
 func (b *EpochResp) Kind() MsgKind { return KindGetEpoch }
@@ -544,7 +553,7 @@ func (b *EpochResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Epoch = r.uvarint()
-	return r.err
+	return r.end()
 }
 
 func (b *DecisionReq) Kind() MsgKind { return KindDecisionReq }
@@ -560,7 +569,7 @@ func (b *DecisionReq) DecodeFrom(p []byte) error {
 	r.version(bodyVersion)
 	b.Tx = r.tx()
 	b.ThreePhase = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *DecisionResp) Kind() MsgKind { return KindDecision }
@@ -576,7 +585,7 @@ func (b *DecisionResp) DecodeFrom(p []byte) error {
 	r.version(bodyVersion)
 	b.Known = r.bool()
 	b.Commit = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *TermStateReq) Kind() MsgKind { return KindTermState }
@@ -590,7 +599,7 @@ func (b *TermStateReq) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.Tx = r.tx()
-	return r.err
+	return r.end()
 }
 
 func (b *TermStateResp) Kind() MsgKind { return KindTermState }
@@ -604,7 +613,7 @@ func (b *TermStateResp) DecodeFrom(p []byte) error {
 	r := bodyReader{b: p}
 	r.version(bodyVersion)
 	b.State = r.byte()
-	return r.err
+	return r.end()
 }
 
 func (b *TermQueryReq) Kind() MsgKind { return KindTermQuery }
@@ -620,7 +629,7 @@ func (b *TermQueryReq) DecodeFrom(p []byte) error {
 	r.version(bodyVersion)
 	b.Tx = r.tx()
 	b.Ballot = r.ballot()
-	return r.err
+	return r.end()
 }
 
 func (b *TermQueryResp) Kind() MsgKind { return KindTermQuery }
@@ -644,7 +653,7 @@ func (b *TermQueryResp) DecodeFrom(p []byte) error {
 	b.EB = r.ballot()
 	b.Decided = r.bool()
 	b.Commit = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *TermPreDecideReq) Kind() MsgKind { return KindTermPreDecide }
@@ -662,7 +671,7 @@ func (b *TermPreDecideReq) DecodeFrom(p []byte) error {
 	b.Tx = r.tx()
 	b.Ballot = r.ballot()
 	b.Commit = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *TermPreDecideResp) Kind() MsgKind { return KindTermPreDecide }
@@ -680,7 +689,7 @@ func (b *TermPreDecideResp) DecodeFrom(p []byte) error {
 	b.Accepted = r.bool()
 	b.Decided = r.bool()
 	b.Commit = r.bool()
-	return r.err
+	return r.end()
 }
 
 func (b *SubmitTxReq) Kind() MsgKind { return KindSubmitTx }
@@ -711,7 +720,7 @@ func (b *SubmitTxReq) DecodeFrom(p []byte) error {
 	} else {
 		b.Ops = nil
 	}
-	return r.err
+	return r.end()
 }
 
 func (b *SubmitTxResp) Kind() MsgKind { return KindSubmitTx }
@@ -758,7 +767,7 @@ func (b *SubmitTxResp) DecodeFrom(p []byte) error {
 		o.Reads = nil
 	}
 	o.HomeSite = model.SiteID(r.str())
-	return r.err
+	return r.end()
 }
 
 func (b *CopyBatchReq) Kind() MsgKind { return KindCopyBatch }
@@ -825,7 +834,7 @@ func (b *CopyBatchReq) DecodeFrom(p []byte) error {
 	} else {
 		b.Floors = nil
 	}
-	return r.err
+	return r.end()
 }
 
 func (b *CopyBatchResp) Kind() MsgKind { return KindCopyBatch }
@@ -867,7 +876,7 @@ func (b *CopyBatchResp) DecodeFrom(p []byte) error {
 	b.Released = r.bool()
 	b.Voted = r.bool()
 	b.WouldBlock = r.bool()
-	return r.err
+	return r.end()
 }
 
 func init() {

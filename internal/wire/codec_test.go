@@ -136,7 +136,7 @@ func TestDecodeTruncationsNeverPanic(t *testing.T) {
 // TestNewBodyCoversEveryKind asserts the registry resolves a constructor
 // for each (kind, reply) pair the round-trip table exercises, and that each
 // registered body has one layout: its encoding with the version byte
-// replaced by any other value fails to decode.
+// replaced by any other value, or with one byte appended, fails to decode.
 func TestNewBodyCoversEveryKind(t *testing.T) {
 	kinds := wire.RegisteredBodyKinds()
 	if len(kinds) == 0 {
@@ -151,6 +151,9 @@ func TestNewBodyCoversEveryKind(t *testing.T) {
 		enc := body.AppendTo(nil)
 		if err := body.DecodeFrom(enc); err != nil {
 			t.Errorf("%T: current version does not decode: %v", body, err)
+		}
+		if err := body.DecodeFrom(append(enc[:len(enc):len(enc)], 0)); err == nil {
+			t.Errorf("%T: decoded with a trailing byte, want an error", body)
 		}
 		for _, v := range []byte{0, enc[0] - 1, enc[0] + 1, 0xFF} {
 			if v == enc[0] {

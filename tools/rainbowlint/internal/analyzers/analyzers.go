@@ -5,7 +5,6 @@
 //   - errcompare: errors.Is instead of ==/!= against sentinel errors
 //   - spanfinish: trace spans/actives finished on every path
 //   - gateorder:  checkpoint-gate discipline and sorted shard-lock order
-//   - statswire:  stats struct fields wired through render and /metrics
 //
 // The analyzers are structural: they recognize the *shapes* the codebase
 // uses (helper names, receiver types, call patterns), not hard-coded file
@@ -29,7 +28,6 @@ func Suite() []*analysis.Analyzer {
 		Errcompare,
 		Spanfinish,
 		Gateorder,
-		Statswire,
 	}
 }
 
@@ -49,25 +47,6 @@ func namedOf(t types.Type) *types.Named {
 // isTestFile reports whether the file's name ends in _test.go.
 func isTestFile(pass *analysis.Pass, f *ast.File) bool {
 	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-// buildParents maps every node in f to its syntactic parent, for the
-// checks that need to know how an expression is being used.
-func buildParents(f *ast.File) map[ast.Node]ast.Node {
-	parents := make(map[ast.Node]ast.Node)
-	var stack []ast.Node
-	ast.Inspect(f, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return false
-		}
-		if len(stack) > 0 {
-			parents[n] = stack[len(stack)-1]
-		}
-		stack = append(stack, n)
-		return true
-	})
-	return parents
 }
 
 // methodCallName returns the selector name when e is a method/selector

@@ -14,12 +14,11 @@ func TestBodycheck(t *testing.T)  { anatest.Run(t, analyzers.Bodycheck, "bodytes
 func TestErrcompare(t *testing.T) { anatest.Run(t, analyzers.Errcompare, "errcmptest") }
 func TestSpanfinish(t *testing.T) { anatest.Run(t, analyzers.Spanfinish, "spantest") }
 func TestGateorder(t *testing.T)  { anatest.Run(t, analyzers.Gateorder, "site") }
-func TestStatswire(t *testing.T)  { anatest.Run(t, analyzers.Statswire, "monitor") }
 
 // TestSuiteComplete pins the multichecker line-up: dropping an analyzer
 // from Suite would silently stop enforcing its invariant in CI.
 func TestSuiteComplete(t *testing.T) {
-	want := []string{"bodycheck", "errcompare", "spanfinish", "gateorder", "statswire"}
+	want := []string{"bodycheck", "errcompare", "spanfinish", "gateorder"}
 	suite := analyzers.Suite()
 	if len(suite) != len(want) {
 		t.Fatalf("Suite has %d analyzers, want %d", len(suite), len(want))

@@ -1,7 +1,7 @@
 // Command rainbowlint is the repo's project-specific static-analysis suite:
-// five analyzers that machine-check invariants the compiler cannot see
+// four analyzers that machine-check invariants the compiler cannot see
 // (wire-body encode/decode symmetry, errors.Is discipline, trace-span
-// pairing, checkpoint-gate and shard-lock ordering, stats wiring). It
+// pairing, checkpoint-gate and shard-lock ordering). It
 // speaks cmd/go's vettool protocol, so the usual way to run it is
 //
 //	go build -o rainbowlint ./tools/rainbowlint
