@@ -1,5 +1,5 @@
 // Command rainbow-bench is a closed-loop load generator for measuring the
-// per-shard command pipelines and the coalescing TCP transport end to end.
+// copy-operation serve path and the coalescing TCP transport end to end.
 // It assembles a full multi-site Rainbow cluster in one process — name
 // server and sites wired over real loopback TCP sockets, so every remote
 // copy operation pays genuine framing and syscall costs — then drives it
@@ -8,10 +8,10 @@
 //
 // Results are appended to a JSON file in the same format tools/benchjson
 // emits (BENCH_load.json by default), so before/after comparisons of the
-// pipeline and transport knobs stay machine-readable:
+// transport knobs stay machine-readable:
 //
-//	rainbow-bench -pipeline=false -out BENCH_load_before.json
-//	rainbow-bench -pipeline=true  -out BENCH_load_after.json
+//	rainbow-bench -net-max-batch 1 -out BENCH_load_before.json
+//	rainbow-bench                  -out BENCH_load_after.json
 package main
 
 import (
@@ -62,9 +62,6 @@ func main() {
 	rcp := flag.String("rcp", "qc", "replica control protocol (roap/qc)")
 	ccp := flag.String("ccp", "2pl", "concurrency control protocol (2pl/tso/mvtso)")
 	acp := flag.String("acp", "2pc", "atomic commitment protocol (2pc/3pc)")
-	pipeOn := flag.Bool("pipeline", true, "per-shard command pipelines (false = synchronous ablation)")
-	pipeDepth := flag.Int("pipeline-depth", 0, "per-shard pipeline queue bound (0 = default)")
-	pipeBatch := flag.Int("pipeline-max-batch", 0, "pipeline sequencer batch cap (0 = default)")
 	netMaxBatch := flag.Int("net-max-batch", 0, "envelopes per transport flush (1 = pre-coalescing one write per envelope, 0 = default)")
 	netFlushDelay := flag.Duration("net-flush-delay", 0, "transport writer linger before flushing a non-full batch")
 	seed := flag.Int64("seed", 619, "workload seed")
@@ -79,7 +76,6 @@ func main() {
 		zipf: *zipf, readRate: *readRate, addRate: *addRate, opsPerTx: *opsPerTx,
 		items: *items, hot: *hot, shards: *shards,
 		protocols: schema.Protocols{RCP: *rcp, CCP: *ccp, ACP: *acp, NoHotSplit: !*hotSplit},
-		pipeline:  schema.PipelinePolicy{Disable: !*pipeOn, Depth: *pipeDepth, MaxBatch: *pipeBatch},
 		netOpts:   tcpnet.Options{MaxBatch: *netMaxBatch, FlushDelay: *netFlushDelay},
 		seed:      *seed, name: *name,
 		traceN: *traceN, traceRate: *traceRate,
@@ -97,8 +93,8 @@ func main() {
 	fmt.Printf("  read-only tx p50 %.2fms p99 %.2fms  write tx p50 %.2fms p99 %.2fms\n",
 		res.Metrics["read-p50-ms"], res.Metrics["read-p99-ms"],
 		res.Metrics["write-p50-ms"], res.Metrics["write-p99-ms"])
-	fmt.Printf("  pipeline mean batch %.2f  net envelopes/flush %.2f (%.0f B/flush)\n",
-		res.Metrics["pipe-batch"], res.Metrics["net-coalesce"], res.Metrics["net-bytes-per-flush"])
+	fmt.Printf("  net envelopes/flush %.2f (%.0f B/flush)\n",
+		res.Metrics["net-coalesce"], res.Metrics["net-bytes-per-flush"])
 	if res.Metrics["cc-adds"] > 0 {
 		fmt.Printf("  hot-key split: %d adds (%d lock-free), %d splits / %d drains\n",
 			int64(res.Metrics["cc-adds"]), int64(res.Metrics["cc-split-adds"]),
@@ -121,7 +117,6 @@ type benchConfig struct {
 	opsPerTx, items, hot    int
 	shards                  int
 	protocols               schema.Protocols
-	pipeline                schema.PipelinePolicy
 	netOpts                 tcpnet.Options
 	seed                    int64
 	name                    string
@@ -145,9 +140,6 @@ func run(bc benchConfig) (result, error) {
 	}
 	exp.Protocols = bc.protocols
 	exp.Shards = bc.shards
-	exp.PipelineDisable = bc.pipeline.Disable
-	exp.PipelineDepth = bc.pipeline.Depth
-	exp.PipelineMaxBatch = bc.pipeline.MaxBatch
 	if bc.traceN > 0 {
 		exp.TraceSampleRate = bc.traceRate
 		// Retain enough fragments that the slowest transactions of a multi-
@@ -173,7 +165,6 @@ func run(bc benchConfig) (result, error) {
 	for _, id := range exp.Sites {
 		st, err := site.New(site.Config{
 			ID: id, Net: net, Catalog: cat.Clone(), Shards: bc.shards,
-			Pipeline: bc.pipeline,
 		})
 		if err != nil {
 			for _, s := range siteList {
@@ -276,7 +267,6 @@ func run(bc benchConfig) (result, error) {
 		"read-p99-ms":         pctlMS(readLats, 0.99),
 		"write-p50-ms":        pctlMS(writeLats, 0.50),
 		"write-p99-ms":        pctlMS(writeLats, 0.99),
-		"pipe-batch":          totals.PipeBatchSize(),
 		"net-coalesce":        totals.NetCoalescing(),
 		"net-bytes-per-flush": totals.NetBytesPerFlush(),
 		"cc-adds":             float64(totals.CCAdds),

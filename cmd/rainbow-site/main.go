@@ -39,9 +39,6 @@ func main() {
 	ckptCOW := flag.Bool("checkpoint-cow", true, "capture snapshots copy-on-write so the decision pipeline stalls O(shards), not O(data); false copies under the gate (ablation; a config file's checkpoint_no_cow also disables it)")
 	ckptDirtyItems := flag.Bool("checkpoint-dirty-items", true, "track dirty items per shard so delta snapshots carry only written items; false captures whole dirty shards (ablation; a config file's checkpoint_no_dirty_items also disables it)")
 	catalogPoll := flag.Duration("catalog-poll", 5*time.Second, "interval for probing the name server's catalog epoch; a moved epoch live-reconfigures the site (0 disables polling; pushed updates still apply)")
-	pipeOn := flag.Bool("pipeline", true, "run copy operations through per-shard command pipelines with stage batching; false restores the synchronous per-request path (ablation; a config file's pipeline_disable also disables it)")
-	pipeDepth := flag.Int("pipeline-depth", 0, "per-shard pipeline queue bound (0 = default or the config file's value)")
-	pipeBatch := flag.Int("pipeline-max-batch", 0, "largest batch one pipeline sequencer drains (0 = default or the config file's value)")
 	netQueue := flag.Int("net-queue", 0, "per-connection send queue bound (0 = default)")
 	netBatch := flag.Int("net-batch", 0, "largest envelope batch one transport flush carries (0 = default)")
 	netFlushDelay := flag.Duration("net-flush-delay", 0, "extra time the transport writer waits for more envelopes before flushing a non-full batch (0 = flush as soon as the queue drains)")
@@ -116,9 +113,6 @@ func main() {
 		Checkpoint: schema.CheckpointPolicy{
 			Bytes: *ckptBytes, Interval: time.Duration(*ckptInterval),
 			DeltaMax: *ckptDeltaMax, NoCOW: !*ckptCOW, NoDirtyItems: !*ckptDirtyItems,
-		},
-		Pipeline: schema.PipelinePolicy{
-			Disable: !*pipeOn, Depth: *pipeDepth, MaxBatch: *pipeBatch,
 		},
 		Trace: schema.TracePolicy{
 			SampleRate: *traceRate, Ring: *traceRing,

@@ -441,7 +441,7 @@ func TestParticipantPrepareForcesLog(t *testing.T) {
 	if len(recs) != 1 || recs[0].Type != wal.RecPrepared || len(recs[0].Writes) != 1 {
 		t.Errorf("log = %+v", recs)
 	}
-	if p.HandleTermState(req.Tx) != StatePrepared {
+	if p.termState(req.Tx) != StatePrepared {
 		t.Error("state not prepared")
 	}
 	if p.InDoubtCount() != 1 {
@@ -497,7 +497,7 @@ func TestParticipantAbortDecision(t *testing.T) {
 	if !a.wasAborted(tx) {
 		t.Error("not aborted")
 	}
-	if p.HandleTermState(tx) != StateAborted {
+	if p.termState(tx) != StateAborted {
 		t.Error("term state not aborted")
 	}
 }
@@ -850,8 +850,8 @@ func TestPreDecideBelowPromiseRejected(t *testing.T) {
 	if resp := p.HandlePreDecide(tx, model.Ballot{N: 5, Site: "S3"}, false); !resp.Accepted {
 		t.Fatalf("pre-decision at the promised ballot rejected: %+v", resp)
 	}
-	if p.HandleTermState(tx) != StatePreAborted {
-		t.Errorf("state = %s, want preaborted", StateName(p.HandleTermState(tx)))
+	if p.termState(tx) != StatePreAborted {
+		t.Errorf("state = %s, want preaborted", StateName(p.termState(tx)))
 	}
 }
 
@@ -905,8 +905,8 @@ func TestPreCommitFencedByElectionPromise(t *testing.T) {
 	if err := p.HandlePreCommit(tx); err == nil {
 		t.Fatal("pre-commit acked after promising a higher election ballot")
 	}
-	if p.HandleTermState(tx) != StatePrepared {
-		t.Errorf("state = %s, want prepared (the promised attempt owns it)", StateName(p.HandleTermState(tx)))
+	if p.termState(tx) != StatePrepared {
+		t.Errorf("state = %s, want prepared (the promised attempt owns it)", StateName(p.termState(tx)))
 	}
 	// The promised attempt's own pre-decision still lands.
 	if resp := p.HandlePreDecide(tx, model.Ballot{N: 1, Site: "S3"}, false); !resp.Accepted {
@@ -1012,7 +1012,7 @@ func TestRestoreAndRestoreDecisions(t *testing.T) {
 		Tx: tx, Coordinator: "S1", Participants: []model.SiteID{"S1", "S2"},
 		Writes: []model.WriteRecord{{Item: "x", Value: 7, Version: 3}},
 	}, false)
-	if p.HandleTermState(tx) != StatePrepared {
+	if p.termState(tx) != StatePrepared {
 		t.Error("restored tx not prepared")
 	}
 

@@ -547,23 +547,6 @@ func (p *Participant) decide(tx model.TxID, commit, logIt, lazy bool) error {
 	return nil
 }
 
-// HandleTermState reports the transaction's state for cooperative
-// termination.
-func (p *Participant) HandleTermState(tx model.TxID) uint8 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if commit, ok := p.decisions[tx]; ok {
-		if commit {
-			return StateCommitted
-		}
-		return StateAborted
-	}
-	if st, ok := p.states[tx]; ok {
-		return st.state
-	}
-	return StateNone
-}
-
 // Prepared reports whether the participant currently holds in-doubt
 // (prepared, undecided) state for tx. Online reconfiguration uses it to
 // tell which WAL-recovered in-doubt transactions are already carried in

@@ -89,3 +89,20 @@ func TestRestoreDecisionsReplaysRetirement(t *testing.T) {
 		t.Error("open decision lost or flipped during replay")
 	}
 }
+
+// termState reports tx's commit-protocol state at p: its decision if one is
+// known, else its live termination state, else StateNone.
+func (p *Participant) termState(tx model.TxID) uint8 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if commit, ok := p.decisions[tx]; ok {
+		if commit {
+			return StateCommitted
+		}
+		return StateAborted
+	}
+	if st, ok := p.states[tx]; ok {
+		return st.state
+	}
+	return StateNone
+}

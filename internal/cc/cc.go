@@ -42,11 +42,11 @@ type Manager interface {
 	// the quorum maximum). The value is buffered, not applied.
 	PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error)
 
-	// TryRead is Read's non-blocking variant, used by the per-shard
-	// pipeline sequencers (which must never park on CC waits): it grants or
-	// rejects exactly like Read when no wait is needed, and returns
-	// ErrWouldBlock — leaving no CC state behind — where Read would block,
-	// so the caller can spill the operation to the blocking path.
+	// TryRead is Read's non-blocking variant, the first try of every copy
+	// wave's admission (a no-wait leg must never park on CC waits): it
+	// grants or rejects exactly like Read when no wait is needed, and
+	// returns ErrWouldBlock — leaving no CC state behind — where Read would
+	// block, so the caller can retry through the blocking Read or refuse.
 	TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error)
 
 	// TryPreWrite is PreWrite's non-blocking variant; see TryRead.
@@ -63,7 +63,7 @@ type Manager interface {
 
 	// TryPreAdd is PreAdd's non-blocking variant; see TryRead. Unlike
 	// TryPreWrite it may succeed under contention (split admission), which is
-	// exactly the hot-key case the pipeline sequencers care about.
+	// exactly the hot-key case no-wait add legs care about.
 	TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error)
 
 	// Commit installs the transaction's write records into the store and
@@ -163,9 +163,9 @@ var ErrWouldBlock = errors.New("cc: would block")
 // ErrTxFinished is returned (wrapped in an AbortCC) for operations arriving
 // on behalf of a transaction this manager already committed or aborted.
 // Unlike ErrWouldBlock it is terminal: retrying through the blocking path
-// can never succeed (transaction ids are never reused), so the pipeline
-// sequencers must refuse the operation instead of spilling it to burn a
-// full lock timeout.
+// can never succeed (transaction ids are never reused), so a wave's
+// admission must refuse the operation instead of retrying it through the
+// blocking path to burn a full lock timeout.
 var ErrTxFinished = &model.AbortError{Cause: model.AbortCC, Reason: "transaction already finished at this site"}
 
 // DefaultSplitThreshold is the contended-add count at which 2PL moves an

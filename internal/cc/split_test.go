@@ -310,7 +310,7 @@ func Test2PLPreAddTimesOutUnderHeldLock(t *testing.T) {
 	m.Abort(tx(2))
 }
 
-// --- Finished-transaction fast fail (the never-spill bug) ---
+// --- Finished-transaction fast fail (the never-block bug) ---
 
 func Test2PLFinishedTxRefusedNotWouldBlock(t *testing.T) {
 	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
@@ -320,8 +320,8 @@ func Test2PLFinishedTxRefusedNotWouldBlock(t *testing.T) {
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 1, 1)})
 
 	// Operations for the finished transaction must fail terminally, NOT
-	// report ErrWouldBlock: the pipeline spills would-block operations to a
-	// blocking retry that burns a full lock timeout and can never succeed.
+	// report ErrWouldBlock: a wave retries would-block operations through a
+	// blocking call that burns a full lock timeout and can never succeed.
 	if _, _, err := m.TryRead(tx(1), ts(1), "x"); !errors.Is(err, ErrTxFinished) {
 		t.Errorf("TryRead after commit = %v, want ErrTxFinished", err)
 	}

@@ -57,7 +57,7 @@ type TwoPL struct {
 
 	// finished tombstones transactions that already committed or aborted
 	// here, so late operations fail fast with ErrTxFinished instead of
-	// acquiring locks (or burning a spill goroutine's full lock timeout)
+	// acquiring locks (or burning a blocking retry's full lock timeout)
 	// for a transaction that can never prepare. Entries expire after
 	// finishedTTL; the site-level release tombstones remain the durable
 	// safety net behind this fast path.

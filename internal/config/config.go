@@ -60,16 +60,6 @@ type Experiment struct {
 	// snapshots carry whole dirty shards instead of just the written items
 	// — an ablation knob.
 	CheckpointNoDirtyItems bool `json:"checkpoint_no_dirty_items,omitempty"`
-	// PipelineDisable turns off the per-shard command pipelines on every
-	// site: copy operations run the synchronous per-request path — the
-	// batching-experiment ablation knob.
-	PipelineDisable bool `json:"pipeline_disable,omitempty"`
-	// PipelineDepth bounds each per-shard pipeline queue; 0/absent selects
-	// the default.
-	PipelineDepth int `json:"pipeline_depth,omitempty"`
-	// PipelineMaxBatch caps one drained pipeline batch; 0/absent selects the
-	// default.
-	PipelineMaxBatch int `json:"pipeline_max_batch,omitempty"`
 	// TraceSampleRate samples this fraction of transactions for end-to-end
 	// tracing (counter-based every-Nth at Begin); 0/absent disables sampling
 	// (the always-on stage histograms still aggregate).
@@ -199,7 +189,6 @@ func (e *Experiment) BuildCatalog() (*schema.Catalog, error) {
 	cat.Timeouts = e.Timeouts()
 	cat.Shards = e.Shards
 	cat.Checkpoint = e.Checkpoint()
-	cat.Pipeline = e.Pipeline()
 	cat.Trace = e.Trace()
 	cat.Epoch = e.Epoch
 	return cat, nil
@@ -211,15 +200,6 @@ func (e *Experiment) Trace() schema.TracePolicy {
 		SampleRate: e.TraceSampleRate,
 		Ring:       e.TraceRing,
 		SlowMS:     e.TraceSlowMS,
-	}
-}
-
-// Pipeline converts the pipeline fields to a schema policy.
-func (e *Experiment) Pipeline() schema.PipelinePolicy {
-	return schema.PipelinePolicy{
-		Disable:  e.PipelineDisable,
-		Depth:    e.PipelineDepth,
-		MaxBatch: e.PipelineMaxBatch,
 	}
 }
 

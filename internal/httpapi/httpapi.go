@@ -202,27 +202,7 @@ func (s *Server) handleSite(w http.ResponseWriter, r *http.Request) {
 		"stats":      stats,
 		"store":      st.Store().Snapshot(),
 		"durability": durabilityOf(stats),
-		"pipeline":   pipelineOf(stats),
 	})
-}
-
-// pipelineOf projects the command-pipeline and transport-coalescing gauges
-// out of a site's stats — the batching subset scraped by load experiments.
-func pipelineOf(stats monitor.SiteStats) map[string]any {
-	return map[string]any{
-		"queue_depth":        stats.PipeDepth,
-		"submitted":          stats.PipeSubmitted,
-		"batches":            stats.PipeBatches,
-		"mean_batch":         stats.PipeBatchSize(),
-		"max_batch":          stats.PipeMaxBatch,
-		"stalls":             stats.PipeStalls,
-		"spills":             stats.PipeSpills,
-		"net_sent_envelopes": stats.NetSentEnvelopes,
-		"net_send_flushes":   stats.NetSendFlushes,
-		"net_env_per_flush":  stats.NetCoalescing(),
-		"net_recv_frames":    stats.NetRecvFrames,
-		"net_send_sheds":     stats.NetSendSheds,
-	}
 }
 
 // durabilityOf projects the durability counters out of a site's stats — the

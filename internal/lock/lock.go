@@ -345,8 +345,9 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 	}
 }
 
-// TryAcquire is Acquire's non-blocking variant, used by the per-shard
-// pipeline sequencers: it grants on exactly Acquire's fast path (mode
+// TryAcquire is Acquire's non-blocking variant, used to admit a copy wave's
+// operations without waiting where none is needed, and no-wait legs without
+// waiting at all: it grants on exactly Acquire's fast path (mode
 // compatible with the holders and no queued conflicting waiter) and returns
 // ErrWouldBlock where Acquire would queue — never a timer, never a
 // waits-for edge. A would-block answer leaves no trace, so the caller can

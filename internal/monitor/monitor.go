@@ -130,8 +130,6 @@ type SiteStats struct {
 	Aborted   uint64
 	// AbortsByCause keys abort counts by model.AbortCause.String().
 	AbortsByCause map[string]uint64
-	// Restarts counts workload-level restarts after CC rejections.
-	Restarts uint64
 	// RoundTrips counts request/response exchanges this site initiated.
 	RoundTrips uint64
 	// Orphans is the current number of in-doubt (blocked) transactions.
@@ -181,17 +179,12 @@ type SiteStats struct {
 	// StoreShards carries per-shard occupancy and traffic, for spotting
 	// hash skew across the sharded store.
 	StoreShards []ShardStat
-	// Per-shard command-pipeline gauges (all zero when the pipeline is
-	// disabled). PipeDepth is the operations queued right now across all
-	// sequencers; PipeSubmitted/PipeBatches give the mean admit batch size;
-	// PipeMaxBatch is the largest batch drained; PipeStalls counts Submits
-	// that found their queue full (backpressure), PipeSpills contended
-	// operations that left their sequencer for a blocking-path goroutine.
-	PipeDepth     int
+	// Copy-wave serve counters. PipeSubmitted counts the copy waves the site
+	// served; PipeSpills those whose admission waited in a blocking CC call.
+	// Each wave is admitted alone, so PipeBatches always equals
+	// PipeSubmitted (one wave per batch).
 	PipeSubmitted uint64
 	PipeBatches   uint64
-	PipeMaxBatch  uint64
-	PipeStalls    uint64
 	PipeSpills    uint64
 	// Hot-key split-execution gauges (2PL only; zero elsewhere). CCAdds
 	// counts blind-add intents admitted, CCSplitAdds the subset admitted
@@ -265,15 +258,6 @@ type SiteStats struct {
 	TraceFragments uint64
 	TraceEvicted   uint64
 	TraceSlow      uint64
-}
-
-// PipeBatchSize returns the mean pipeline admit-batch size (operations per
-// drained batch).
-func (s SiteStats) PipeBatchSize() float64 {
-	if s.PipeBatches == 0 {
-		return 0
-	}
-	return float64(s.PipeSubmitted) / float64(s.PipeBatches)
 }
 
 // NetCoalescing returns the mean envelopes per transport flush (the send
@@ -369,7 +353,6 @@ const (
 	noCount Count = iota
 	Began
 	Committed
-	Restarts
 	RoundTrips
 	AddWaves
 	AddWaveReruns
@@ -549,8 +532,8 @@ func (r Report) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "=== Rainbow Tx Processing Output ===\n")
 	fmt.Fprintf(&b, "window: %v\n", time.Duration(t.WindowNS).Round(time.Millisecond))
-	fmt.Fprintf(&b, "transactions: began=%d committed=%d aborted=%d restarts=%d\n",
-		t.Began, t.Committed, t.Aborted, t.Restarts)
+	fmt.Fprintf(&b, "transactions: began=%d committed=%d aborted=%d\n",
+		t.Began, t.Committed, t.Aborted)
 	fmt.Fprintf(&b, "commit rate: %.3f\n", t.CommitRate())
 	causes := make([]string, 0, len(t.AbortsByCause))
 	for k := range t.AbortsByCause {
@@ -577,11 +560,6 @@ func (r Report) Render() string {
 	fmt.Fprintf(&b, "orphan transactions: %d\n", t.Orphans)
 	fmt.Fprintf(&b, "data plane: %d shards, wal %d records / %d flushes (%.1f recs/flush)\n",
 		t.Shards, t.WALRecords, t.WALFlushes, t.WALBatchSize())
-	if t.PipeBatches > 0 || t.PipeSpills > 0 {
-		fmt.Fprintf(&b, "pipeline: %d ops / %d batches (%.1f ops/batch, max %d), depth=%d stalls=%d spills=%d\n",
-			t.PipeSubmitted, t.PipeBatches, t.PipeBatchSize(), t.PipeMaxBatch,
-			t.PipeDepth, t.PipeStalls, t.PipeSpills)
-	}
 	if t.CCAdds > 0 || t.CCSplits > 0 {
 		fmt.Fprintf(&b, "hot-key split: %d adds (%d lock-free), %d splits / %d drains, %d items split now\n",
 			t.CCAdds, t.CCSplitAdds, t.CCSplits, t.CCDrains, t.SplitItems)

@@ -68,7 +68,6 @@ func TestCollectorCounters(t *testing.T) {
 	c.TxDone(true, model.AbortNone, time.Millisecond)
 	c.TxDone(false, model.AbortCC, 2*time.Millisecond)
 	c.TxDone(false, model.AbortRCP, time.Millisecond)
-	c.Add(Restarts, 1)
 	c.Add(RoundTrips, 7)
 
 	s := c.Snapshot(2)
@@ -78,7 +77,7 @@ func TestCollectorCounters(t *testing.T) {
 	if s.AbortsByCause["ccp"] != 1 || s.AbortsByCause["rcp"] != 1 {
 		t.Errorf("aborts = %v", s.AbortsByCause)
 	}
-	if s.Restarts != 1 || s.RoundTrips != 7 || s.Orphans != 2 {
+	if s.RoundTrips != 7 || s.Orphans != 2 {
 		t.Errorf("stats = %+v", s)
 	}
 	if got := s.CommitRate(); got < 0.32 || got > 0.34 {

@@ -58,7 +58,6 @@ var Table = []Row{
 	{Field: "Began", Metric: "rainbow_tx_began_total", Help: "Transactions admitted at this home site.", count: Began},
 	{Field: "Committed", Metric: "rainbow_tx_committed_total", Help: "Transactions committed.", count: Committed},
 	{Field: "Aborted", Metric: "rainbow_tx_aborted_total", Help: "Transactions aborted."},
-	{Field: "Restarts", Metric: "rainbow_tx_restarts_total", Help: "Workload-level restarts after CC rejections.", count: Restarts},
 	{Field: "RoundTrips", Metric: "rainbow_round_trips_total", Help: "Request/response exchanges the site initiated.", count: RoundTrips},
 	{Field: "WindowNS", Metric: "rainbow_window_seconds", Kind: KindGauge, Merge: MergeMax, Scale: 1e9, Help: "Observation window covered by the site's counters."},
 	{Field: "AbortsByCause", Metric: "rainbow_tx_aborts_by_cause_total", Help: "Aborts keyed by cause.", write: writeAbortsByCause},
@@ -80,12 +79,9 @@ var Table = []Row{
 	{Field: "Reconfigures"},
 	{Field: "Shards", Metric: "rainbow_shards", Kind: KindGauge, Merge: MergeMax, Help: "Data-plane shard count (storage shards and lock stripes)."},
 	{Field: "StoreShards", Metric: "rainbow_store_shards", Kind: KindGauge, Help: "Sharded-store shard count reporting occupancy.", write: writeStoreShards},
-	{Field: "PipeDepth", Metric: "rainbow_pipeline_depth", Kind: KindGauge, Help: "Operations queued across shard sequencers."},
-	{Field: "PipeSubmitted", Metric: "rainbow_pipeline_submitted_total", Help: "Operations admitted through the pipeline."},
-	{Field: "PipeBatches", Metric: "rainbow_pipeline_batches_total", Help: "Pipeline batches drained."},
-	{Field: "PipeMaxBatch", Kind: KindGauge, Merge: MergeMax},
-	{Field: "PipeStalls"},
-	{Field: "PipeSpills", Metric: "rainbow_pipeline_spills_total", Help: "Contended operations spilled to the blocking path."},
+	{Field: "PipeSubmitted", Metric: "rainbow_pipeline_submitted_total", Help: "Copy waves served."},
+	{Field: "PipeBatches"},
+	{Field: "PipeSpills", Metric: "rainbow_pipeline_spills_total", Help: "Copy waves whose admission waited in a blocking CC call."},
 	{Field: "CCAdds", Metric: "rainbow_cc_adds_total", Help: "Blind-add intents admitted."},
 	{Field: "CCSplitAdds", Metric: "rainbow_cc_split_adds_total", Help: "Adds admitted lock-free through a split slot."},
 	{Field: "CCSplits", Metric: "rainbow_cc_splits_total", Help: "Hot items moved into split execution."},
@@ -117,7 +113,7 @@ var Table = []Row{
 	{Field: "TraceEvicted", Metric: "rainbow_trace_evicted_total", Help: "Trace fragments evicted from the bounded ring."},
 	{Field: "TraceSlow", Metric: "rainbow_trace_slow_total", Help: "Root traces over the slow threshold."},
 	{Field: "Latency", Metric: "rainbow_tx_latency_seconds", Kind: KindHistogram, Help: "End-to-end transaction response time.", write: writeLatency},
-	{Field: "Stages", Metric: "rainbow_stage_latency_seconds", Kind: KindHistogram, Help: "Per-stage latency (queue, admit, lock_wait, wal_fsync, prepare, ...).", write: writeStages},
+	{Field: "Stages", Metric: "rainbow_stage_latency_seconds", Kind: KindHistogram, Help: "Per-stage latency (admit, lock_wait, wal_fsync, prepare, ...).", write: writeStages},
 	{Metric: "rainbow_net_messages_total", Help: "Network-level message counters (whole instance).", write: writeNetMessages},
 	{Metric: "rainbow_net_bytes_total", Help: "Network payload bytes.", write: writeNetBytes},
 }

@@ -99,21 +99,6 @@ type CheckpointPolicy struct {
 // Enabled reports whether any automatic trigger is configured.
 func (p CheckpointPolicy) Enabled() bool { return p.Bytes > 0 || p.Interval > 0 }
 
-// PipelinePolicy configures each site's per-shard command pipelines (the
-// copy-operation hot path). The zero value enables the pipeline with
-// default sizing; Disable is the ablation knob that restores the
-// pre-pipeline synchronous serve path.
-type PipelinePolicy struct {
-	// Disable turns the per-shard pipelines off: copy operations run the
-	// synchronous per-request path — an ablation knob for batching
-	// experiments.
-	Disable bool
-	// Depth bounds each per-shard input queue; <= 0 selects the default.
-	Depth int
-	// MaxBatch caps one drained batch; <= 0 selects the default.
-	MaxBatch int
-}
-
 // TracePolicy configures each site's transaction tracer. The zero value
 // keeps tracing off (stage histograms still accumulate; only per-transaction
 // trace capture is sampled).
@@ -176,9 +161,6 @@ type Catalog struct {
 	// Checkpoint is the per-site checkpoint/compaction policy, carried in
 	// the catalog for the same reason as Shards.
 	Checkpoint CheckpointPolicy
-	// Pipeline is the per-site command-pipeline policy, carried in the
-	// catalog for the same reason as Shards.
-	Pipeline PipelinePolicy
 	// Trace is the per-site transaction-tracing policy, carried in the
 	// catalog for the same reason as Shards.
 	Trace TracePolicy
@@ -204,7 +186,6 @@ func (c *Catalog) Clone() *Catalog {
 		Timeouts:   c.Timeouts,
 		Shards:     c.Shards,
 		Checkpoint: c.Checkpoint,
-		Pipeline:   c.Pipeline,
 		Trace:      c.Trace,
 		Epoch:      c.Epoch,
 	}
@@ -271,8 +252,6 @@ type Diff struct {
 	Shards bool
 	// Checkpoint marks a checkpoint/compaction policy change.
 	Checkpoint bool
-	// Pipeline marks a command-pipeline policy change.
-	Pipeline bool
 	// Protocols marks an RCP/CCP/ACP (or ablation-knob) change.
 	Protocols bool
 	// Timeouts marks a protocol-timeout change.
@@ -285,7 +264,7 @@ type Diff struct {
 // site-registration changes are immaterial: they alter the name server's
 // address book, not any site-local structure.
 func (d Diff) Material() bool {
-	return d.Items || d.Shards || d.Checkpoint || d.Pipeline || d.Protocols || d.Timeouts || d.Trace
+	return d.Items || d.Shards || d.Checkpoint || d.Protocols || d.Timeouts || d.Trace
 }
 
 // RequiresRebuild reports whether the diff needs the full quiesce +
@@ -294,7 +273,7 @@ func (d Diff) Material() bool {
 // structure, and a forced O(store) snapshot plus fence-aborting every
 // in-flight transaction would be pure waste for them.
 func (d Diff) RequiresRebuild() bool {
-	return d.Items || d.Shards || d.Checkpoint || d.Pipeline || d.Protocols
+	return d.Items || d.Shards || d.Checkpoint || d.Protocols
 }
 
 // String renders the changed facets for reconfiguration logs.
@@ -305,9 +284,8 @@ func (d Diff) String() string {
 		name string
 	}{
 		{d.Sites, "sites"}, {d.Items, "items"}, {d.Shards, "shards"},
-		{d.Checkpoint, "checkpoint"}, {d.Pipeline, "pipeline"},
-		{d.Protocols, "protocols"}, {d.Timeouts, "timeouts"},
-		{d.Trace, "trace"},
+		{d.Checkpoint, "checkpoint"}, {d.Protocols, "protocols"},
+		{d.Timeouts, "timeouts"}, {d.Trace, "trace"},
 	} {
 		if f.on {
 			parts = append(parts, f.name)
@@ -326,7 +304,6 @@ func (c *Catalog) DiffFrom(old *Catalog) Diff {
 		EpochTo:    c.Epoch,
 		Shards:     c.Shards != old.Shards,
 		Checkpoint: c.Checkpoint != old.Checkpoint,
-		Pipeline:   c.Pipeline != old.Pipeline,
 		Protocols:  c.Protocols != old.Protocols,
 		Timeouts:   c.Timeouts != old.Timeouts,
 		Trace:      c.Trace != old.Trace,

@@ -206,7 +206,7 @@ func TestClassifyWrappedContextErrors(t *testing.T) {
 	}
 }
 
-// TestStragglerOpForFinishedTxRefusedFast covers the spill-path fix: a copy
+// TestStragglerOpForFinishedTxRefusedFast covers the blocking-retry fix: a copy
 // operation arriving for a transaction this site already finished must be
 // refused with a terminal error immediately, not collapsed into would-block
 // and sent to the blocking path to burn a full lock timeout.
@@ -231,9 +231,9 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	if model.CauseOf(err) != model.AbortCC {
 		t.Errorf("straggler refusal cause = %v (%v), want CC", model.CauseOf(err), err)
 	}
-	// The cluster's lock timeout is 500ms; a spilled op would burn all of
-	// it before failing.
+	// The cluster's lock timeout is 500ms; a blocking retry would burn all
+	// of it before failing.
 	if elapsed > 300*time.Millisecond {
-		t.Errorf("straggler refusal took %v — it was spilled to the blocking path", elapsed)
+		t.Errorf("straggler refusal took %v — it was retried through the blocking path", elapsed)
 	}
 }

@@ -80,14 +80,16 @@ func noLockTimeouts(t *testing.T, c *cluster) {
 }
 
 // TestAddWaveVotesWithReply: an add-only wave commits with both remote legs
-// voting in their reply — on the pipelined and the synchronous serve path —
-// and each voted leg's prepared record names the home as coordinator and the
-// planned sites as participants, with the leg's merged deltas as writes.
+// voting in their reply, and each voted leg's prepared record names the home
+// as coordinator and the planned sites as participants, with the leg's
+// merged deltas as writes. The nopipeline=false|true pair is the former
+// pipeline-on/off twin: both runs now take the one synchronous serve path,
+// and the pair keeps its subtest names.
 func TestAddWaveVotesWithReply(t *testing.T) {
 	for _, ccp := range ccps {
 		for _, noPipeline := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s-nopipeline=%v", ccp, noPipeline), func(t *testing.T) {
-				c := addCluster(t, ccp, func(cat *schema.Catalog) { cat.Pipeline.Disable = noPipeline })
+				c := addCluster(t, ccp, func(*schema.Catalog) {})
 				a := c.sites["A"]
 				ops := append(addProgram(1), model.Add("x", 2))
 				out := a.Execute(context.Background(), ops)

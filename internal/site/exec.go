@@ -317,7 +317,7 @@ func (s *Site) CopyBatch(ctx context.Context, site model.SiteID, sess *rcp.Sessi
 		st := s.stackLocked()
 		s.mu.Unlock()
 		res := make([]rcp.CopyResult, len(ops))
-		if st.admit(ctx, sess.Tx, sess.TS, ops, res, 0, !leg.NoWait) < len(ops) {
+		if done, _ := st.admit(ctx, sess.Tx, sess.TS, ops, !leg.NoWait, res); !done {
 			st.ccm.Abort(sess.Tx)
 			return rcp.BatchReply{}, rcp.ErrWouldBlock
 		}

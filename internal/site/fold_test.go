@@ -41,55 +41,49 @@ func holders(s *Site) []model.TxID {
 // TestFoldReleasesBeforeReplying: a final batch is admitted, released and
 // answered Released in one round trip, so the serving site holds nothing for
 // the transaction once the reply is in; an ordinary batch keeps its locks.
-// Both the pipelined and the synchronous serve path fold.
 func TestFoldReleasesBeforeReplying(t *testing.T) {
-	for _, noPipeline := range []bool{false, true} {
-		c := foldCluster(t, func(cat *schema.Catalog) { cat.Pipeline.Disable = noPipeline })
-		a, b := c.sites["A"], c.sites["B"]
-		ts := model.Timestamp{Time: 1, Site: "A"}
+	c := foldCluster(t, func(*schema.Catalog) {})
+	a, b := c.sites["A"], c.sites["B"]
+	ts := model.Timestamp{Time: 1, Site: "A"}
 
-		held := rcp.NewSession(model.TxID{Site: "A", Seq: 1}, ts)
-		rep, err := a.CopyBatch(context.Background(), "B", held, foldReads, rcp.Leg{})
-		if err != nil || rep.Released {
-			t.Fatalf("pipeline off=%v: ordinary batch = %+v, %v", noPipeline, rep, err)
-		}
-		if h := holders(b); len(h) != 1 || h[0] != held.Tx {
-			t.Errorf("pipeline off=%v: holders after an ordinary batch = %v, want %v", noPipeline, h, held.Tx)
-		}
-		b.releaseAt("B", held.Tx)
+	held := rcp.NewSession(model.TxID{Site: "A", Seq: 1}, ts)
+	rep, err := a.CopyBatch(context.Background(), "B", held, foldReads, rcp.Leg{})
+	if err != nil || rep.Released {
+		t.Fatalf("ordinary batch = %+v, %v", rep, err)
+	}
+	if h := holders(b); len(h) != 1 || h[0] != held.Tx {
+		t.Errorf("holders after an ordinary batch = %v, want %v", h, held.Tx)
+	}
+	b.releaseAt("B", held.Tx)
 
-		folded := rcp.NewSession(model.TxID{Site: "A", Seq: 2}, ts)
-		rep, err = a.CopyBatch(context.Background(), "B", folded, foldReads, rcp.Leg{Final: true})
-		if err != nil || !rep.Released {
-			t.Fatalf("pipeline off=%v: final batch = %+v, %v; want released", noPipeline, rep, err)
+	folded := rcp.NewSession(model.TxID{Site: "A", Seq: 2}, ts)
+	rep, err = a.CopyBatch(context.Background(), "B", folded, foldReads, rcp.Leg{Final: true})
+	if err != nil || !rep.Released {
+		t.Fatalf("final batch = %+v, %v; want released", rep, err)
+	}
+	for i, r := range rep.Results {
+		if r.Err != nil || r.Value != waveItems[foldReads[i].Item] {
+			t.Errorf("final batch result %d = %+v", i, r)
 		}
-		for i, r := range rep.Results {
-			if r.Err != nil || r.Value != waveItems[foldReads[i].Item] {
-				t.Errorf("pipeline off=%v: final batch result %d = %+v", noPipeline, i, r)
-			}
-		}
-		if h := holders(b); len(h) != 0 {
-			t.Errorf("pipeline off=%v: holders after a final batch = %v, want none", noPipeline, h)
-		}
+	}
+	if h := holders(b); len(h) != 0 {
+		t.Errorf("holders after a final batch = %v, want none", h)
 	}
 }
 
 // TestFoldRefusedForReleasedTx: a final batch for a transaction this site
-// already released is refused and leaves no CC state behind — on the
-// pipelined and on the synchronous serve path.
+// already released is refused and leaves no CC state behind.
 func TestFoldRefusedForReleasedTx(t *testing.T) {
-	for _, noPipeline := range []bool{false, true} {
-		c := foldCluster(t, func(cat *schema.Catalog) { cat.Pipeline.Disable = noPipeline })
-		a, b := c.sites["A"], c.sites["B"]
-		sess := rcp.NewSession(model.TxID{Site: "A", Seq: 7}, model.Timestamp{Time: 1, Site: "A"})
-		b.tombstone(sess.Tx)
-		rep, err := a.CopyBatch(context.Background(), "B", sess, foldReads, rcp.Leg{Final: true})
-		if err == nil || rep.Released {
-			t.Fatalf("pipeline off=%v: final batch for a released transaction = %+v, %v; want a refusal", noPipeline, rep, err)
-		}
-		if h := holders(b); len(h) != 0 {
-			t.Errorf("pipeline off=%v: holders after the refusal = %v, want none", noPipeline, h)
-		}
+	c := foldCluster(t, func(*schema.Catalog) {})
+	a, b := c.sites["A"], c.sites["B"]
+	sess := rcp.NewSession(model.TxID{Site: "A", Seq: 7}, model.Timestamp{Time: 1, Site: "A"})
+	b.tombstone(sess.Tx)
+	rep, err := a.CopyBatch(context.Background(), "B", sess, foldReads, rcp.Leg{Final: true})
+	if err == nil || rep.Released {
+		t.Fatalf("final batch for a released transaction = %+v, %v; want a refusal", rep, err)
+	}
+	if h := holders(b); len(h) != 0 {
+		t.Errorf("holders after the refusal = %v, want none", h)
 	}
 }
 

@@ -7,5 +7,5 @@ import (
 )
 
 // TestMain fails the suite if any site goroutine (janitor, checkpointer,
-// pipeline worker, transport loop) outlives the tests — Stop owns them all.
+// request handler, transport loop) outlives the tests — Close owns them all.
 func TestMain(m *testing.M) { testutil.VerifyMain(m) }

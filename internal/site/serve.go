@@ -5,15 +5,15 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nameserver"
-	"repro/internal/rcp"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
-// serve dispatches inbound requests. It runs on transport goroutines. tid
-// is the request's distributed-trace ID (zero for the untraced common
-// case): traced copy operations and prepares record a local trace fragment
-// under it, joined with the home site's fragment by ID at collation time.
+// serve dispatches inbound requests, each on a goroutine of its own (see
+// wire.Peer). tid is the request's distributed-trace ID (zero for the
+// untraced common case): traced copy operations and prepares record a local
+// trace fragment under it, joined with the home site's fragment by ID at
+// collation time.
 func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
 	s.mu.Lock()
 	if s.crashed {
@@ -31,26 +31,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		return wire.KindOK, &wire.OKBody{}, nil
 
 	case wire.KindCopyBatch:
-		// The pipeline declined (disabled, or closing for a rebuild): admit
-		// the wave here, blocking, with the same head and tail.
-		op := copyOp{tid: tid}
-		if err := decodeWave(pay, &op); err != nil {
-			return 0, nil, err
-		}
-		if s.isReleased(op.tx) {
-			return 0, nil, errReleased(op.tx)
-		}
-		s.clock.Witness(op.ts)
-		act := s.tracer.Join(tid, op.tx)
-		defer act.Finish()
-		res := make([]rcp.CopyResult, len(op.ops))
-		sp := act.StartSpan(trace.StageAdmit, op.ops[0].String())
-		n := st.admit(trace.NewContext(st.runCtx, act), op.tx, op.ts, op.ops, res, 0, !op.noWait)
-		sp.End()
-		if n < len(op.ops) {
-			return s.refuseBlocked(st, op.tx, s.clock.Peek())
-		}
-		return s.finish(st, &op, res, s.isReleased(op.tx), s.clock.Peek())
+		return s.serveWave(st, tid, pay)
 
 	case wire.KindReleaseTx:
 		var req wire.ReleaseTxReq
@@ -141,17 +122,6 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 		}
 		commit, known := s.localDecision(req.Tx, req.ThreePhase)
 		return wire.KindDecision, &wire.DecisionResp{Known: known, Commit: commit}, nil
-
-	case wire.KindTermState:
-		// Legacy cooperative-termination probe: nothing in this version
-		// sends it (quorum termination replaced the cooperative protocol),
-		// but the kind keeps its wire number and this answer keeps
-		// mixed-version peers from erroring.
-		var req wire.TermStateReq
-		if err := pay.Decode(&req); err != nil {
-			return 0, nil, err
-		}
-		return wire.KindTermState, &wire.TermStateResp{State: part.HandleTermState(req.Tx)}, nil
 
 	case wire.KindSubmitTx:
 		var req wire.SubmitTxReq

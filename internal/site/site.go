@@ -31,7 +31,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/monitor"
 	"repro/internal/nameserver"
-	"repro/internal/pipeline"
 	"repro/internal/rcp"
 	"repro/internal/schema"
 	"repro/internal/storage"
@@ -99,9 +98,6 @@ type Config struct {
 	// back to the catalog's policy. Checkpointing engages only when the WAL
 	// supports compaction (the segmented and in-memory logs both do).
 	Checkpoint schema.CheckpointPolicy
-	// Pipeline sets the per-shard command-pipeline policy for the copy-
-	// operation hot path; zero fields fall back to the catalog's policy.
-	Pipeline schema.PipelinePolicy
 	// Snapshots overrides the checkpoint snapshot store. Nil selects the
 	// WAL's segment directory for segmented logs and an in-memory store
 	// (surviving simulated crashes alongside the memory log) otherwise.
@@ -140,16 +136,12 @@ type Site struct {
 	// simulated crashes (set once at New).
 	snaps   checkpoint.Store
 	ckptCfg schema.CheckpointPolicy
-	pipeCfg schema.PipelinePolicy
 	poll    time.Duration
 
-	// pipe is the per-shard command pipeline for the copy-operation hot path
-	// (nil when disabled); swapped whole on every stack rebuild. Atomic
-	// because serveAsync reads it on transport goroutines. pipeSpills counts
-	// contended operations that left their sequencer for a blocking-path
-	// goroutine.
-	pipe       atomic.Pointer[pipeline.Pipeline[copyOp]]
-	pipeSpills atomic.Uint64
+	// wavesServed counts the copy waves this site served, wavesWaited those
+	// whose admission waited in a blocking CC call (see serveWave).
+	wavesServed atomic.Uint64
+	wavesWaited atomic.Uint64
 
 	// gate is the site's snapshot/quiesce interlock, owned here for the
 	// site's whole lifetime and shared with every checkpoint-manager
@@ -321,7 +313,6 @@ func New(cfg Config) (*Site, error) {
 		shards:      cfg.Shards,
 		snaps:       snaps,
 		ckptCfg:     cfg.Checkpoint,
-		pipeCfg:     cfg.Pipeline,
 		poll:        cfg.CatalogPoll,
 		gate:        new(sync.RWMutex),
 		log:         log,
@@ -367,9 +358,6 @@ func New(cfg Config) (*Site, error) {
 		peer.Close()
 		return nil, fmt.Errorf("site %s: %w", cfg.ID, err)
 	}
-	// The stack exists: copy operations may now take the pipelined path
-	// (serveAsync declines everything until rebuild installs a pipeline).
-	peer.SetAsyncServe(s.serveAsync)
 
 	if cfg.Register {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -624,19 +612,6 @@ func (s *Site) rebuild(catalog *schema.Catalog, live bool) error {
 	}
 	s.mu.Unlock()
 
-	// Install the new stack's command pipeline, merging the site-local
-	// policy over the catalog's (field-wise, like the checkpoint policy).
-	// Outside s.mu: closing the displaced pipeline waits out in-flight
-	// batches, which take s.mu.
-	pol := s.pipeCfg
-	pol.Disable = pol.Disable || catalog.Pipeline.Disable
-	if pol.Depth <= 0 {
-		pol.Depth = catalog.Pipeline.Depth
-	}
-	if pol.MaxBatch <= 0 {
-		pol.MaxBatch = catalog.Pipeline.MaxBatch
-	}
-	s.swapPipeline(pol, store.ShardCount())
 	s.adoptTracePolicy(catalog)
 	return nil
 }
@@ -904,13 +879,10 @@ func (s *Site) lifetimeStats() monitor.SiteStats {
 	stats.RecoveryNS = recoveryNS
 	stats.Epoch = epoch
 	stats.Reconfigures = reconfigures
-	ps, spills := s.PipelineStats()
-	stats.PipeDepth = ps.Depth
-	stats.PipeSubmitted = ps.Submitted
-	stats.PipeBatches = ps.Batches
-	stats.PipeMaxBatch = ps.MaxBatch
-	stats.PipeStalls = ps.Stalls
-	stats.PipeSpills = spills
+	// Each wave is admitted alone: a "batch" is one wave.
+	stats.PipeSubmitted = s.wavesServed.Load()
+	stats.PipeBatches = stats.PipeSubmitted
+	stats.PipeSpills = s.wavesWaited.Load()
 	if ns, ok := s.net.(interface{ NetStats() tcpnet.Stats }); ok {
 		n := ns.NetStats()
 		stats.NetSentEnvelopes = n.SentEnvelopes
@@ -1123,11 +1095,6 @@ func (s *Site) Close() error {
 	s.runCancel()
 	s.lifeCancel()
 	s.mu.Unlock()
-	// Drain and stop the command pipeline (queued operations get their
-	// crashed-refusal replies); blocked Submits error out on lifeCtx.
-	if p := s.pipe.Swap(nil); p != nil {
-		p.Close()
-	}
 	s.resolveWG.Wait()
 	s.ckptWG.Wait()
 	if !crashed {

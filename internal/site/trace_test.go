@@ -17,7 +17,7 @@ import (
 // TestTraceEndToEndTCP runs sampled write transactions through a real
 // loopback-TCP cluster and checks that collating the sites' fragment rings
 // reassembles a distributed trace: the home site's root fragment carries the
-// exec/op/prepare/decide spans, remote fragments carry the pipeline and WAL
+// exec/op/prepare/decide spans, remote fragments carry the CC admission and WAL
 // work their sites did, the transport contributes send-queue spans, and the
 // span timings are consistent with the measured end-to-end latency.
 func TestTraceEndToEndTCP(t *testing.T) {
@@ -115,7 +115,7 @@ func TestTraceEndToEndTCP(t *testing.T) {
 			continue
 		}
 
-		// Stage coverage: the trace must span the pipeline/CC, WAL, ACP and
+		// Stage coverage: the trace must span the CC, WAL, ACP and
 		// transport layers, with the CC and WAL work on remote fragments.
 		var rootExec, rootOp, rootPrepare, rootDecide time.Duration
 		for _, sp := range root.Spans {
@@ -136,8 +136,8 @@ func TestTraceEndToEndTCP(t *testing.T) {
 		if rootPrepare == 0 || rootDecide == 0 {
 			dump("root fragment missing the ACP prepare/decide spans")
 		}
-		if !stageOf(g, trace.StageQueue, true) && !stageOf(g, trace.StageAdmit, true) && !stageOf(g, trace.StageSpill, true) {
-			dump("no remote fragment recorded pipeline/CC admission work")
+		if !stageOf(g, trace.StageAdmit, true) {
+			dump("no remote fragment recorded CC admission work")
 		}
 		if !stageOf(g, trace.StageWALAppend, true) {
 			dump("no remote fragment recorded a WAL prepare force")
@@ -195,7 +195,7 @@ func TestTraceEndToEndTCP(t *testing.T) {
 }
 
 // traceFootprint replays the span-call footprint one committed write
-// transaction leaves on its home site: Begin, two op spans, a queue record,
+// transaction leaves on its home site: Begin, two op spans, an admit record,
 // the prepare/decide spans, a transport Lookup, Finish. With sampling off
 // Begin returns nil and every helper bails before touching the clock, so
 // this is the entire per-transaction cost of carrying the instrumentation.
@@ -205,7 +205,7 @@ func traceFootprint(tr *trace.Tracer, txid model.TxID) {
 		sp := act.StartSpan(trace.StageOp, "read x")
 		sp.End()
 	}
-	act.Record(trace.StageQueue, time.Time{}, 0, "shard queue")
+	act.Record(trace.StageAdmit, time.Time{}, 0, "R(x)")
 	prep := act.StartSpan(trace.StagePrepare, "2pc votes")
 	prep.End()
 	dec := act.StartSpan(trace.StageDecide, "2pc decision")

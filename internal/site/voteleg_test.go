@@ -390,14 +390,15 @@ func TestVoteLegHomeIncarnationFence(t *testing.T) {
 
 // TestVoteForceTraced: a leg that votes with its reply records its guards
 // and prepared-record force as a "vote force" WAL span on its own trace
-// fragment — a read-write wave's last leg and an add-only wave's legs alike,
-// on the pipelined and the synchronous serve path.
+// fragment — a read-write wave's last leg and an add-only wave's legs alike.
+// The nopipeline=false|true pair is the former pipeline-on/off twin: both
+// runs now take the one synchronous serve path, and the pair keeps its
+// subtest names.
 func TestVoteForceTraced(t *testing.T) {
 	for _, noPipeline := range []bool{false, true} {
 		for _, ops := range [][]model.Op{{model.Read("x"), model.Write("y", 2)}, addProgram(1)} {
 			t.Run(fmt.Sprintf("nopipeline=%v-%v", noPipeline, ops), func(t *testing.T) {
 				c := rwCluster(t, "2pl", "qc", func(cat *schema.Catalog) {
-					cat.Pipeline.Disable = noPipeline
 					cat.Trace = schema.TracePolicy{SampleRate: 1, Ring: 64}
 				})
 				if out := c.sites["A"].Execute(context.Background(), ops); !out.Committed {

@@ -68,33 +68,25 @@ func runInteractive(s *Site, ops []model.Op) model.Outcome {
 // execution: seeded random one-shot programs give the same outcome, the same
 // reads and the same final copies at every site whether they run as one wave
 // (Execute) or op by op (the interactive Txn API), under every CCP × RCP —
-// and with the command pipeline off, where a wave is admitted on the
-// synchronous serve path.
+// and once more under 2PL × QC with its own seed, the combination that was
+// the pipeline-off run and keeps that subtest name.
 func TestWaveMatchesInteractive(t *testing.T) {
-	type combo struct {
-		ccp, rcp   string
-		noPipeline bool
-	}
+	type combo struct{ ccp, rcp, suffix string }
 	var combos []combo
 	for _, ccp := range []string{"2pl", "tso", "mvtso"} {
 		for _, rcp := range []string{"rowa", "qc"} {
 			combos = append(combos, combo{ccp: ccp, rcp: rcp})
 		}
 	}
-	combos = append(combos, combo{ccp: "2pl", rcp: "qc", noPipeline: true})
+	combos = append(combos, combo{ccp: "2pl", rcp: "qc", suffix: "-nopipeline"})
 	for i, cb := range combos {
-		name := fmt.Sprintf("%s-%s", cb.ccp, cb.rcp)
-		if cb.noPipeline {
-			name += "-nopipeline"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(cb.ccp+"-"+cb.rcp+cb.suffix, func(t *testing.T) {
 			build := func() *cluster {
 				return newClusterCat(t, 3, func(cat *schema.Catalog) {
 					for item, initial := range waveItems {
 						cat.ReplicateEverywhere(item, initial)
 					}
 					cat.Protocols = schema.Protocols{RCP: cb.rcp, CCP: cb.ccp, ACP: "2pc"}
-					cat.Pipeline.Disable = cb.noPipeline
 				})
 			}
 			// One home site throughout, so timestamps rise with program order

@@ -6,8 +6,8 @@
 // The send path is flush-coalescing: Send enqueues onto a bounded
 // per-connection queue drained by one writer goroutine, which encodes every
 // queued envelope into a single buffered write — one syscall carries many
-// envelopes, which is what keeps chatty 2PC/3PC rounds and coalesced
-// pipeline replies off the per-message write(2) cost. On the wire the
+// envelopes, which is what keeps chatty 2PC/3PC rounds and concurrent
+// copy-wave replies off the per-message write(2) cost. On the wire the
 // batch travels as one length-prefixed multi-envelope frame (see frame.go);
 // the receive side reads a whole frame in one ReadFull and dispatches the
 // decoded envelopes as a slice. Message bodies are encoded at flush time

@@ -3,7 +3,7 @@
 // network, so go.uber.org/goleak is not an option): a TestMain wrapper
 // that snapshots the goroutine dump after the suite and fails if any
 // goroutine is still running this repo's code. Every background worker in
-// the tree (acceptor loops, shard sequencers, janitors, coalescing
+// the tree (acceptor loops, checkpointers, janitors, coalescing
 // senders) is owned by a Close/Stop, so a survivor here is a missing
 // shutdown path, not noise.
 package testutil

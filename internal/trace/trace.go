@@ -1,7 +1,7 @@
 // Package trace implements Rainbow's lightweight per-transaction tracing:
 // sampled end-to-end trace contexts whose spans mark every stage boundary a
-// transaction crosses — pipeline queue wait, batched CC admission, lock
-// waits, WAL forces, ACP rounds, transport send queues — across every site
+// transaction crosses — CC admission, lock waits, WAL forces, ACP rounds,
+// transport send queues — across every site
 // it touches.
 //
 // The design is Dapper-style: the home site samples a transaction at Begin
@@ -46,16 +46,9 @@ const (
 	StageExec Stage = iota
 	// StageOp is one RCP read/write operation round trip (home site).
 	StageOp
-	// StageQueue is the pipeline shard-queue wait: transport decode to
-	// sequencer pickup.
-	StageQueue
-	// StageBatch is one pipeline batch drain (admission + replies).
-	StageBatch
-	// StageAdmit is a CC admission (TryRead/TryPreWrite or the sync path).
+	// StageAdmit is one copy wave's CC admission at a serving site, waits
+	// included.
 	StageAdmit
-	// StageSpill is a blocking-path CC admission after the sequencer's
-	// non-blocking admit answered would-block.
-	StageSpill
 	// StageLockWait is time actually parked on a lock queue or a TSO/MVTSO
 	// intent gate.
 	StageLockWait
@@ -83,10 +76,7 @@ const NumStages = int(numStages)
 var stageNames = [numStages]string{
 	StageExec:      "exec",
 	StageOp:        "op",
-	StageQueue:     "queue",
-	StageBatch:     "batch",
 	StageAdmit:     "admit",
-	StageSpill:     "spill",
 	StageLockWait:  "lock_wait",
 	StageWALAppend: "wal_append",
 	StageWALFsync:  "wal_fsync",

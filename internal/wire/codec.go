@@ -588,34 +588,6 @@ func (b *DecisionResp) DecodeFrom(p []byte) error {
 	return r.end()
 }
 
-func (b *TermStateReq) Kind() MsgKind { return KindTermState }
-
-func (b *TermStateReq) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	return appendTx(buf, b.Tx)
-}
-
-func (b *TermStateReq) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version(bodyVersion)
-	b.Tx = r.tx()
-	return r.end()
-}
-
-func (b *TermStateResp) Kind() MsgKind { return KindTermState }
-
-func (b *TermStateResp) AppendTo(buf []byte) []byte {
-	buf = append(buf, bodyVersion)
-	return append(buf, b.State)
-}
-
-func (b *TermStateResp) DecodeFrom(p []byte) error {
-	r := bodyReader{b: p}
-	r.version(bodyVersion)
-	b.State = r.byte()
-	return r.end()
-}
-
 func (b *TermQueryReq) Kind() MsgKind { return KindTermQuery }
 
 func (b *TermQueryReq) AppendTo(buf []byte) []byte {
@@ -898,8 +870,6 @@ func init() {
 	RegisterBody(KindEndTx, false, func() Body { return &EndTxMsg{} })
 	RegisterBody(KindGetEpoch, false, func() Body { return &GetEpochReq{} })
 	RegisterBody(KindGetEpoch, true, func() Body { return &EpochResp{} })
-	RegisterBody(KindTermState, false, func() Body { return &TermStateReq{} })
-	RegisterBody(KindTermState, true, func() Body { return &TermStateResp{} })
 	RegisterBody(KindTermQuery, false, func() Body { return &TermQueryReq{} })
 	RegisterBody(KindTermQuery, true, func() Body { return &TermQueryResp{} })
 	RegisterBody(KindTermPreDecide, false, func() Body { return &TermPreDecideReq{} })

@@ -45,8 +45,6 @@ func filledBodies() []wire.Body {
 		&wire.EpochResp{Epoch: 11},
 		&wire.DecisionReq{Tx: tx, ThreePhase: true},
 		&wire.DecisionResp{Known: true, Commit: true},
-		&wire.TermStateReq{Tx: tx},
-		&wire.TermStateResp{State: 3},
 		&wire.TermQueryReq{Tx: tx, Ballot: ballot},
 		&wire.TermQueryResp{Accepted: true, EA: ballot, State: 2, EB: model.Ballot{N: 8, Site: "S1"}, Decided: true, Commit: true},
 		&wire.TermPreDecideReq{Tx: tx, Ballot: ballot, Commit: true},

@@ -20,24 +20,9 @@ var ErrClosed = errors.New("wire: peer closed")
 // payload; handlers decode it into the typed body for the kind
 // (req.Decode). tid is the request envelope's
 // trace ID (zero for the untraced common case); handlers doing traced work
-// join the distributed trace under it. ServeFunc runs on transport
-// goroutines and must be safe for concurrent use.
+// join the distributed trace under it. ServeFunc runs on a goroutine of
+// its own per request, so it may block, and must be safe for concurrent use.
 type ServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req Payload) (MsgKind, Body, error)
-
-// ReplyFunc sends the response for one asynchronously served request. It
-// may be called from any goroutine, exactly once; err takes precedence over
-// (kind, body) and is converted to a KindError reply exactly like a
-// ServeFunc error.
-type ReplyFunc func(kind MsgKind, body Body, err error)
-
-// AsyncServeFunc is the pipelined alternative to ServeFunc: instead of
-// computing the reply on the transport goroutine, the handler may take
-// ownership of the request (returning true) and deliver the response later
-// through reply — e.g. after the request has passed through a per-shard
-// command pipeline. Returning false declines the request, which then falls
-// through to the synchronous ServeFunc; an AsyncServeFunc that returned
-// true must eventually call reply exactly once or the caller times out.
-type AsyncServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req Payload, reply ReplyFunc) bool
 
 // Peer layers request/response RPC over a Network endpoint. Each Rainbow
 // node (name server, site, workload driver, monitor) owns one Peer.
@@ -48,10 +33,6 @@ type AsyncServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req Payl
 type Peer struct {
 	ep    Endpoint
 	serve ServeFunc
-	// async, when set, gets first claim on inbound requests (see
-	// AsyncServeFunc). Atomic because SetAsyncServe may race early inbound
-	// traffic on an already-attached endpoint.
-	async atomic.Pointer[AsyncServeFunc]
 
 	corr    atomic.Uint64
 	mu      sync.Mutex
@@ -167,23 +148,12 @@ func (p *Peer) Cast(ctx context.Context, to model.SiteID, kind MsgKind, body Bod
 	return p.ep.Send(ctx, &Envelope{From: p.ep.ID(), To: to, Kind: kind, Body: body, Trace: uint64(trace.IDFromContext(ctx))})
 }
 
-// SetAsyncServe installs the pipelined inbound handler (see
-// AsyncServeFunc). Passing nil reverts to synchronous-only serving.
-func (p *Peer) SetAsyncServe(f AsyncServeFunc) {
-	if f == nil {
-		p.async.Store(nil)
-		return
-	}
-	p.async.Store(&f)
-}
-
 // handle is the transport-facing inbound handler. It may be called from a
 // per-connection read loop (tcpnet), so only non-blocking work runs inline:
-// reply correlation is a map send, and the async path's claim is a decode
-// plus a queue submit. A synchronous serve can block arbitrarily long (CC
-// admission waits up to the lock timeout, prepares force the WAL), so it
-// gets its own goroutine — otherwise one blocked request head-of-line
-// blocks every envelope behind it on the same connection.
+// reply correlation is a map send. A serve can block arbitrarily long (CC
+// admission waits up to the lock timeout, prepares force the WAL), so every
+// request gets its own goroutine — otherwise one blocked request
+// head-of-line blocks every envelope behind it on the same connection.
 func (p *Peer) handle(env *Envelope) {
 	if env.Reply {
 		p.mu.Lock()
@@ -207,20 +177,11 @@ func (p *Peer) handle(env *Envelope) {
 		return
 	}
 
-	if af := p.async.Load(); af != nil {
-		from, corr, tid := env.From, env.Corr, env.Trace
-		if (*af)(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}, func(kind MsgKind, body Body, err error) {
-			p.sendReply(from, corr, tid, kind, body, err)
-		}) {
-			return // the pipeline owns the reply now
-		}
-	}
-
 	go p.serveSync(env)
 }
 
-// serveSync runs the blocking ServeFunc for one request and sends its
-// reply; always on its own goroutine (see handle).
+// serveSync runs the ServeFunc for one request and sends its reply; always
+// on its own goroutine (see handle).
 func (p *Peer) serveSync(env *Envelope) {
 	var (
 		kind MsgKind
@@ -258,8 +219,7 @@ func (p *Peer) handleBatch(envs []*Envelope) {
 	}
 }
 
-// sendReply sends one response envelope; shared by the synchronous serve
-// path and the async ReplyFunc closures. An error is converted to a
+// sendReply sends one response envelope. An error is converted to a
 // KindError reply preserving its abort cause. The request's trace ID is
 // echoed so the reply's transport hops are traceable too. The typed body
 // rides the envelope; the transport encodes it at flush time.

@@ -52,7 +52,10 @@ const (
 	KindAck
 	KindDecisionReq
 	KindPreCommit // 3PC phase 2
-	KindTermState // cooperative termination: participant state query
+	// The blank is the retired cooperative-termination state probe:
+	// quorum termination (KindTermQuery) replaced it. Its wire number stays
+	// reserved.
+	_
 
 	// Progress monitor (PMlet traffic).
 	KindGetStats
@@ -101,7 +104,6 @@ var kindNames = map[MsgKind]string{
 	KindAck:           "Ack",
 	KindDecisionReq:   "DecisionReq",
 	KindPreCommit:     "PreCommit",
-	KindTermState:     "TermState",
 	KindEndTx:         "EndTx",
 	KindGetEpoch:      "GetEpoch",
 	KindCatalogPush:   "CatalogPush",
@@ -455,16 +457,6 @@ type DecisionReq struct {
 type DecisionResp struct {
 	Known  bool
 	Commit bool
-}
-
-// TermStateReq asks a cohort member for its 3PC state during termination.
-type TermStateReq struct {
-	Tx model.TxID
-}
-
-// TermStateResp reports the member's commit-protocol state.
-type TermStateResp struct {
-	State uint8 // acp.TermState values
 }
 
 // TermQueryReq is quorum termination's election message: the initiator
