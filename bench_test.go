@@ -600,7 +600,7 @@ func BenchmarkLockContention(b *testing.B) {
 	}
 	for _, shards := range benchShardCounts() {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			m := lock.New(lock.Options{Timeout: 5 * time.Second, Shards: shards})
+			m := lock.New(lock.Options{Shards: shards})
 			var ctr atomic.Uint64
 			ctx := context.Background()
 			forceParallelism(b, 8)
@@ -617,8 +617,10 @@ func BenchmarkLockContention(b *testing.B) {
 					if n%4 == 0 {
 						mode = lock.Exclusive
 					}
-					if err := m.Acquire(ctx, id, ids[i], mode); err == nil && j != i {
-						m.Acquire(ctx, id, ids[j], mode)
+					// Global lock order: no deadlock, so the waits need no
+					// bound beyond the background context.
+					if err := m.Acquire(ctx, id, ids[i], mode, true); err == nil && j != i {
+						m.Acquire(ctx, id, ids[j], mode, true)
 					}
 					m.ReleaseAll(id)
 				}
@@ -1170,7 +1172,7 @@ func BenchmarkNetBatching(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			net := tcpnet.NewWithOptions(map[model.SiteID]string{}, mode.opts)
 			srv, err := wire.NewPeer(net, "S1",
-				func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+				func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 					return wire.KindOK, &wire.OKBody{}, nil
 				})
 			if err != nil {

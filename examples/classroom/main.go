@@ -105,12 +105,12 @@ func tsoDemo() {
 	for _, name := range []string{"tso", "mvtso"} {
 		m := mk(name)
 		// A writer at timestamp 10 commits x=200.
-		if _, err := m.PreWrite(ctx, tx(1), ts(10), "x", 200); err != nil {
+		if _, _, err := m.Admit(ctx, tx(1), ts(10), model.Write("x", 200), true); err != nil {
 			log.Fatal(err)
 		}
 		m.Commit(tx(1), []model.WriteRecord{{Item: "x", Value: 200, Version: 1}})
 		// A straggler reader at timestamp 5 arrives late.
-		v, _, err := m.Read(ctx, tx(2), ts(5), "x")
+		v, _, err := m.Admit(ctx, tx(2), ts(5), model.Read("x"), true)
 		if err != nil {
 			fmt.Printf("%-6s late read at ts=5: REJECTED (%v)\n", name, err)
 		} else {

@@ -1,8 +1,8 @@
 // Package cc implements Rainbow's concurrency control protocols (CCPs).
 // Each Rainbow site runs one Manager guarding its local copies: every
-// remote read or pre-write sent by a replication control protocol passes
-// through it (paper §2.1: "copies are read ... or pre-written ... through
-// CCP").
+// remote read, pre-write or pre-add sent by a replication control protocol
+// passes through it (paper §2.1: "copies are read ... or pre-written ...
+// through CCP"), admitted by one call, Manager.Admit.
 //
 // Three managers are provided, selectable by name from the catalog:
 //
@@ -13,15 +13,18 @@
 //
 // A Manager validates and buffers operations; writes become durable and
 // visible only when the atomic commit protocol calls Commit with the final
-// write records (which carry coordinator-assigned install versions).
+// write records (which carry coordinator-assigned install versions). No
+// manager bounds a wait by itself: a wait ends when the ctx given to Admit
+// does, so the caller's one timer bounds it.
 package cc
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/lock"
 	"repro/internal/model"
 	"repro/internal/storage"
 	"repro/internal/trace"
@@ -32,39 +35,26 @@ type Manager interface {
 	// Name returns the protocol name ("2pl", "tso", "mvtso").
 	Name() string
 
-	// Read returns the current value and version of the site's copy of
-	// item on behalf of tx. It may block (2PL queueing, TSO intent gating)
-	// and may abort with cause CC.
-	Read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error)
-
-	// PreWrite validates a write intent and returns the copy's current
-	// version number (the QC coordinator derives the install version from
-	// the quorum maximum). The value is buffered, not applied.
-	PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error)
-
-	// TryRead is Read's non-blocking variant, the first try of every copy
-	// wave's admission (a no-wait leg must never park on CC waits): it
-	// grants or rejects exactly like Read when no wait is needed, and
-	// returns ErrWouldBlock — leaving no CC state behind — where Read would
-	// block, so the caller can retry through the blocking Read or refuse.
-	TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error)
-
-	// TryPreWrite is PreWrite's non-blocking variant; see TryRead.
-	TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error)
-
-	// PreAdd validates a commutative blind-add intent (delta is merged into
-	// the copy at commit, never observed) and returns the copy's current
-	// version. Because blind adds commute, a manager may admit concurrent
-	// adds to the same item without mutual exclusion: 2PL's hot-item split
-	// execution admits them lock-free once an item crosses the contention
-	// threshold. The intent is buffered like a pre-write and carries the
-	// delta flag into HoldsIntents/Commit/Abort.
-	PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error)
-
-	// TryPreAdd is PreAdd's non-blocking variant; see TryRead. Unlike
-	// TryPreWrite it may succeed under contention (split admission), which is
-	// exactly the hot-key case no-wait add legs care about.
-	TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error)
+	// Admit admits one copy operation of tx — a read, a pre-write or a
+	// pre-add (op.Kind) of op.Item — and returns what it reports: a read's
+	// value and version, or the copy's current version for a pre-write or
+	// pre-add (the QC coordinator derives the install version from the
+	// quorum maximum). A written value or added delta is buffered as an
+	// intent, not applied; a blind add's delta is merged into the copy at
+	// commit and never observed, so a manager may admit concurrent adds of
+	// one item without mutual exclusion (2PL's hot-item split execution).
+	// A refusal is an abort with cause CC (or RCP for a copy this site does
+	// not hold).
+	//
+	// Where the operation must wait (a 2PL lock queue, a split item's drain,
+	// a pending TSO/MVTSO intent), Admit without wait answers ErrWouldBlock
+	// and admits nothing; with wait it parks until it can proceed or ctx
+	// ends, which aborts it with cause CC and counts a timeout. ctx is the
+	// only bound on the wait. A would-block answer may leave a 2PL lock
+	// granted on the way behind (a read or write of a split item takes its
+	// lock before it finds the split): the same transaction's waiting retry
+	// re-acquires it as a no-op, and Abort releases it otherwise.
+	Admit(ctx context.Context, tx model.TxID, ts model.Timestamp, op model.Op, wait bool) (int64, model.Version, error)
 
 	// Commit installs the transaction's write records into the store and
 	// releases all CC state held for tx.
@@ -103,7 +93,7 @@ type Stats struct {
 	PreWrites  uint64
 	Rejections uint64 // timestamp rejections (TSO/MVTSO)
 	Deadlocks  uint64 // 2PL only
-	Timeouts   uint64 // lock or intent wait timeouts
+	Timeouts   uint64 // waits their ctx ended (lock, intent, add-retry, split-drain)
 	Waits      uint64
 	Adds       uint64 // blind-add intents admitted (all managers)
 	SplitAdds  uint64 // adds admitted lock-free through a split slot (2PL)
@@ -128,8 +118,9 @@ func (s *Stats) Add(o Stats) {
 
 // Options configures manager construction.
 type Options struct {
-	// LockTimeout bounds 2PL lock waits and TSO intent waits. Zero means
-	// DefaultLockTimeout.
+	// LockTimeout sets how long 2PL remembers a finished transaction and
+	// bounds 2PL's recovery (Reinstate) lock acquisitions; Admit's waits are
+	// bounded by its ctx alone. Zero means DefaultLockTimeout.
 	LockTimeout time.Duration
 	// DisableDeadlockDetection leaves 2PL deadlocks to timeouts.
 	DisableDeadlockDetection bool
@@ -150,27 +141,53 @@ type Options struct {
 	SplitThreshold int
 }
 
-// DefaultLockTimeout is the default bound on CC waits; it doubles as the
-// distributed-deadlock safety net.
+// DefaultLockTimeout is the default LockTimeout. Sites bound each copy
+// wave's waits by the same length, which doubles as the distributed-deadlock
+// safety net.
 const DefaultLockTimeout = 2 * time.Second
 
-// ErrWouldBlock is returned by TryRead/TryPreWrite where the blocking
-// variant would park (a lock queue, a pending foreign intent). It is not an
-// abort: the operation left no state behind and may be retried through the
-// blocking path.
-var ErrWouldBlock = errors.New("cc: would block")
+// ErrWouldBlock is Admit's answer without wait where the operation would
+// have to wait. It is not an abort: nothing was admitted, and the operation
+// may be retried with wait. It is the lock manager's sentinel, so one value
+// answers would-block at both layers.
+var ErrWouldBlock = lock.ErrWouldBlock
 
 // ErrTxFinished is returned (wrapped in an AbortCC) for operations arriving
 // on behalf of a transaction this manager already committed or aborted.
-// Unlike ErrWouldBlock it is terminal: retrying through the blocking path
-// can never succeed (transaction ids are never reused), so a wave's
-// admission must refuse the operation instead of retrying it through the
-// blocking path to burn a full lock timeout.
+// Unlike ErrWouldBlock it is terminal: retrying with wait can never succeed
+// (transaction ids are never reused), so a wave's admission must refuse the
+// operation instead of waiting out a full wave budget.
 var ErrTxFinished = &model.AbortError{Cause: model.AbortCC, Reason: "transaction already finished at this site"}
 
 // DefaultSplitThreshold is the contended-add count at which 2PL moves an
 // item into split execution.
 const DefaultSplitThreshold = 8
+
+// errBadOp refuses an operation of no known kind.
+func errBadOp(op model.Op) error { return fmt.Errorf("invalid op kind %d", op.Kind) }
+
+// awaitIntents parks a TSO or MVTSO admission until ch closes (the item's
+// intents changed) or ctx ends. mu, held by the caller, is released for the
+// wait and held again on return. It reports whether the intents changed; a
+// wait that ctx ends counts as a timeout. Every wait is recorded as a
+// lock_wait (observeWait).
+func awaitIntents(ctx context.Context, mu *sync.Mutex, st *Stats, o Options, ch <-chan struct{}, item model.ItemID) bool {
+	st.Waits++
+	mu.Unlock()
+	start := o.waitStart()
+	changed := false
+	select {
+	case <-ch:
+		changed = true
+	case <-ctx.Done():
+	}
+	o.observeWait(ctx, item, start)
+	mu.Lock()
+	if !changed {
+		st.Timeouts++
+	}
+	return changed
+}
 
 // waitStart stamps the beginning of an intent-gate wait when a tracer is
 // attached (zero otherwise, so the fast path never reads the clock).

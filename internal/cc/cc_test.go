@@ -12,6 +12,15 @@ import (
 func tx(seq uint64) model.TxID    { return model.TxID{Site: "S", Seq: seq} }
 func ts(t uint64) model.Timestamp { return model.Timestamp{Time: t, Site: "S"} }
 func bg() context.Context         { return context.Background() }
+
+// admit admits op for id at the given timestamp, waiting if it must — for
+// at most a few seconds, so that a test whose wait never ends fails instead
+// of hanging.
+func admit(m Manager, id model.TxID, at model.Timestamp, op model.Op) (int64, model.Version, error) {
+	ctx, cancel := context.WithTimeout(bg(), 5*time.Second)
+	defer cancel()
+	return m.Admit(ctx, id, at, op, true)
+}
 func rec(item model.ItemID, v int64, ver model.Version) model.WriteRecord {
 	return model.WriteRecord{Item: item, Value: v, Version: ver}
 }
@@ -56,7 +65,7 @@ func TestNewDefaultIs2PL(t *testing.T) {
 
 func TestConformanceReadReturnsValue(t *testing.T) {
 	for name, m := range managers(t) {
-		v, ver, err := m.Read(bg(), tx(1), ts(1), "x")
+		v, ver, err := admit(m, tx(1), ts(1), model.Read("x"))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -70,7 +79,7 @@ func TestConformanceReadReturnsValue(t *testing.T) {
 
 func TestConformanceCommitInstallsWrite(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 99); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 99)); err != nil {
 			t.Errorf("%s: prewrite: %v", name, err)
 			continue
 		}
@@ -78,7 +87,7 @@ func TestConformanceCommitInstallsWrite(t *testing.T) {
 			t.Errorf("%s: commit: %v", name, err)
 			continue
 		}
-		v, ver, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, ver, err := admit(m, tx(2), ts(2), model.Read("x"))
 		if err != nil || v != 99 || ver != 1 {
 			t.Errorf("%s: read after commit = %d v%d (%v)", name, v, ver, err)
 		}
@@ -88,12 +97,12 @@ func TestConformanceCommitInstallsWrite(t *testing.T) {
 
 func TestConformanceAbortDiscardsWrite(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 99); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 99)); err != nil {
 			t.Errorf("%s: prewrite: %v", name, err)
 			continue
 		}
 		m.Abort(tx(1))
-		v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 		if err != nil || v != 10 {
 			t.Errorf("%s: read after abort = %d (%v), want 10", name, v, err)
 		}
@@ -103,11 +112,11 @@ func TestConformanceAbortDiscardsWrite(t *testing.T) {
 
 func TestConformanceReadYourOwnIntent(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 77); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 77)); err != nil {
 			t.Errorf("%s: prewrite: %v", name, err)
 			continue
 		}
-		v, _, err := m.Read(bg(), tx(1), ts(1), "x")
+		v, _, err := admit(m, tx(1), ts(1), model.Read("x"))
 		if err != nil || v != 77 {
 			t.Errorf("%s: read-own-write = %d (%v), want 77", name, v, err)
 		}
@@ -117,14 +126,20 @@ func TestConformanceReadYourOwnIntent(t *testing.T) {
 
 func TestConformanceUnknownItem(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, _, err := m.Read(bg(), tx(1), ts(1), "ghost"); err == nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Read("ghost")); err == nil {
 			t.Errorf("%s: read of unhosted item succeeded", name)
 		}
 		m.Abort(tx(1))
-		if _, err := m.PreWrite(bg(), tx(2), ts(2), "ghost", 1); err == nil {
+		if _, _, err := admit(m, tx(2), ts(2), model.Write("ghost", 1)); err == nil {
 			t.Errorf("%s: prewrite of unhosted item succeeded", name)
 		}
 		m.Abort(tx(2))
+		// An operation of no known kind (decoded from the wire unchecked)
+		// is refused, not taken for a write.
+		if _, _, err := admit(m, tx(3), ts(3), model.Op{Kind: 9, Item: "x"}); err == nil || m.HoldsIntents(tx(3), []model.ItemID{"x"}) {
+			t.Errorf("%s: operation of kind 9 admitted (%v)", name, err)
+		}
+		m.Abort(tx(3))
 	}
 }
 
@@ -135,7 +150,7 @@ func TestConformanceDirtyReadPrevented(t *testing.T) {
 	// reader sees the committed value; a reader that gets aborted instead is
 	// also acceptable for TSO-family managers (rejection, not dirty read).
 	for name, m := range managers(t) {
-		if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 55); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 55)); err != nil {
 			t.Fatalf("%s: prewrite: %v", name, err)
 		}
 		got := make(chan struct {
@@ -143,7 +158,7 @@ func TestConformanceDirtyReadPrevented(t *testing.T) {
 			err error
 		}, 1)
 		go func() {
-			v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+			v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 			got <- struct {
 				v   int64
 				err error
@@ -179,7 +194,7 @@ func TestConformanceReinstateBlocksConflicts(t *testing.T) {
 			err error
 		}, 1)
 		go func() {
-			v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+			v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 			done <- struct {
 				v   int64
 				err error
@@ -207,12 +222,12 @@ func TestConformanceReinstateBlocksConflicts(t *testing.T) {
 
 func Test2PLConflictingWritersSerialize(t *testing.T) {
 	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.PreWrite(bg(), tx(2), ts(2), "x", 2)
+		_, _, err := admit(m, tx(2), ts(2), model.Write("x", 2))
 		done <- err
 	}()
 	select {
@@ -225,7 +240,7 @@ func Test2PLConflictingWritersSerialize(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Commit(tx(2), []model.WriteRecord{rec("x", 2, 2)})
-	v, _, _ := m.Read(bg(), tx(3), ts(3), "x")
+	v, _, _ := admit(m, tx(3), ts(3), model.Read("x"))
 	if v != 2 {
 		t.Errorf("final value = %d, want 2", v)
 	}
@@ -233,19 +248,19 @@ func Test2PLConflictingWritersSerialize(t *testing.T) {
 
 func Test2PLDeadlockAborts(t *testing.T) {
 	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PreWrite(bg(), tx(2), ts(2), "y", 2); err != nil {
+	if _, _, err := admit(m, tx(2), ts(2), model.Write("y", 2)); err != nil {
 		t.Fatal(err)
 	}
 	first := make(chan error, 1)
 	go func() {
-		_, err := m.PreWrite(bg(), tx(1), ts(1), "y", 1)
+		_, _, err := admit(m, tx(1), ts(1), model.Write("y", 1))
 		first <- err
 	}()
 	time.Sleep(20 * time.Millisecond)
-	_, err := m.PreWrite(bg(), tx(2), ts(2), "x", 2)
+	_, _, err := admit(m, tx(2), ts(2), model.Write("x", 2))
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("deadlock not CC-aborted: %v", err)
 	}
@@ -262,7 +277,7 @@ func Test2PLDeadlockAborts(t *testing.T) {
 func Test2PLSharedReadersConcurrent(t *testing.T) {
 	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
 	for i := uint64(1); i <= 5; i++ {
-		if _, _, err := m.Read(bg(), tx(i), ts(i), "x"); err != nil {
+		if _, _, err := admit(m, tx(i), ts(i), model.Read("x")); err != nil {
 			t.Fatalf("reader %d: %v", i, err)
 		}
 	}
@@ -279,12 +294,12 @@ func Test2PLSharedReadersConcurrent(t *testing.T) {
 func TestTSOLateReadRejected(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
 	// tx at ts=10 writes x and commits: wts(x)=10.
-	if _, err := m.PreWrite(bg(), tx(1), ts(10), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 1, 1)})
 	// A read at ts=5 arrives too late.
-	_, _, err := m.Read(bg(), tx(2), ts(5), "x")
+	_, _, err := admit(m, tx(2), ts(5), model.Read("x"))
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("late read not rejected: %v", err)
 	}
@@ -295,10 +310,10 @@ func TestTSOLateReadRejected(t *testing.T) {
 
 func TestTSOLateWriteRejected(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, _, err := m.Read(bg(), tx(1), ts(10), "x"); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Read("x")); err != nil {
 		t.Fatal(err) // rts(x)=10
 	}
-	_, err := m.PreWrite(bg(), tx(2), ts(5), "x", 1)
+	_, _, err := admit(m, tx(2), ts(5), model.Write("x", 1))
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("late write not rejected: %v", err)
 	}
@@ -306,7 +321,7 @@ func TestTSOLateWriteRejected(t *testing.T) {
 
 func TestTSOReadWaitsForSmallerIntent(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(5), "x", 50); err != nil {
+	if _, _, err := admit(m, tx(1), ts(5), model.Write("x", 50)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct {
@@ -314,7 +329,7 @@ func TestTSOReadWaitsForSmallerIntent(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		v, _, err := m.Read(bg(), tx(2), ts(10), "x")
+		v, _, err := admit(m, tx(2), ts(10), model.Read("x"))
 		done <- struct {
 			v   int64
 			err error
@@ -334,11 +349,11 @@ func TestTSOReadWaitsForSmallerIntent(t *testing.T) {
 
 func TestTSOReadAtSmallerTsThanIntentProceeds(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(10), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// A read at ts=5 precedes the pending write; it may proceed.
-	v, _, err := m.Read(bg(), tx(2), ts(5), "x")
+	v, _, err := admit(m, tx(2), ts(5), model.Read("x"))
 	if err != nil || v != 10 {
 		t.Errorf("read = %d (%v), want 10", v, err)
 	}
@@ -348,16 +363,16 @@ func TestTSOReadAtSmallerTsThanIntentProceeds(t *testing.T) {
 
 func TestTSOWriteAfterIntentAbort(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(5), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(5), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.Abort(tx(1))
 	// The aborted intent must not have advanced wts.
-	if _, err := m.PreWrite(bg(), tx(2), ts(6), "x", 2); err != nil {
+	if _, _, err := admit(m, tx(2), ts(6), model.Write("x", 2)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(2), []model.WriteRecord{rec("x", 2, 1)})
-	v, _, err := m.Read(bg(), tx(3), ts(7), "x")
+	v, _, err := admit(m, tx(3), ts(7), model.Read("x"))
 	if err != nil || v != 2 {
 		t.Errorf("read = %d (%v)", v, err)
 	}
@@ -368,13 +383,13 @@ func TestTSOWriteAfterIntentAbort(t *testing.T) {
 func TestMVTSOOldReadNeverAborts(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
 	// Commit x=1 at ts=10.
-	if _, err := m.PreWrite(bg(), tx(1), ts(10), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 1, 1)})
 	// A read at ts=5 succeeds under MVTSO (reads the initial version); this
 	// exact case is rejected by basic TSO.
-	v, _, err := m.Read(bg(), tx(2), ts(5), "x")
+	v, _, err := admit(m, tx(2), ts(5), model.Read("x"))
 	if err != nil {
 		t.Fatalf("old read rejected by MVTSO: %v", err)
 	}
@@ -382,7 +397,7 @@ func TestMVTSOOldReadNeverAborts(t *testing.T) {
 		t.Errorf("old read = %d, want initial 10", v)
 	}
 	// And a read at ts=15 sees the new version.
-	v, _, err = m.Read(bg(), tx(3), ts(15), "x")
+	v, _, err = admit(m, tx(3), ts(15), model.Read("x"))
 	if err != nil || v != 1 {
 		t.Errorf("new read = %d (%v), want 1", v, err)
 	}
@@ -390,10 +405,10 @@ func TestMVTSOOldReadNeverAborts(t *testing.T) {
 
 func TestMVTSOLateWriteUnderReadRejected(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, _, err := m.Read(bg(), tx(1), ts(10), "x"); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Read("x")); err != nil {
 		t.Fatal(err) // initial version now has rts=10
 	}
-	_, err := m.PreWrite(bg(), tx(2), ts(5), "x", 1)
+	_, _, err := admit(m, tx(2), ts(5), model.Write("x", 1))
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("write under a later read not rejected: %v", err)
 	}
@@ -402,30 +417,30 @@ func TestMVTSOLateWriteUnderReadRejected(t *testing.T) {
 func TestMVTSOWriteBetweenVersions(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
 	// Version at ts=10.
-	m.PreWrite(bg(), tx(1), ts(10), "x", 100)
+	admit(m, tx(1), ts(10), model.Write("x", 100))
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 100, 1)})
 	// Read at ts=20 pins version@10's rts to 20.
-	if v, _, err := m.Read(bg(), tx(2), ts(20), "x"); err != nil || v != 100 {
+	if v, _, err := admit(m, tx(2), ts(20), model.Read("x")); err != nil || v != 100 {
 		t.Fatalf("read = %d (%v)", v, err)
 	}
 	// A write at ts=15 would invalidate that read: rejected.
-	if _, err := m.PreWrite(bg(), tx(3), ts(15), "x", 150); model.CauseOf(err) != model.AbortCC {
+	if _, _, err := admit(m, tx(3), ts(15), model.Write("x", 150)); model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("intervening write not rejected: %v", err)
 	}
 	// A write at ts=25 is fine.
-	if _, err := m.PreWrite(bg(), tx(4), ts(25), "x", 250); err != nil {
+	if _, _, err := admit(m, tx(4), ts(25), model.Write("x", 250)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(4), []model.WriteRecord{rec("x", 250, 2)})
 	// Historical read still sees version@10.
-	if v, _, err := m.Read(bg(), tx(5), ts(12), "x"); err != nil || v != 100 {
+	if v, _, err := admit(m, tx(5), ts(12), model.Read("x")); err != nil || v != 100 {
 		t.Errorf("historical read = %d (%v), want 100", v, err)
 	}
 }
 
 func TestMVTSOReadWaitsForCloserIntent(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(5), "x", 50); err != nil {
+	if _, _, err := admit(m, tx(1), ts(5), model.Write("x", 50)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct {
@@ -433,7 +448,7 @@ func TestMVTSOReadWaitsForCloserIntent(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		v, _, err := m.Read(bg(), tx(2), ts(10), "x")
+		v, _, err := admit(m, tx(2), ts(10), model.Read("x"))
 		done <- struct {
 			v   int64
 			err error
@@ -454,20 +469,34 @@ func TestMVTSOReadWaitsForCloserIntent(t *testing.T) {
 func TestMVTSOVersionChainPruned(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
 	for i := uint64(1); i <= maxVersionChain+10; i++ {
-		if _, err := m.PreWrite(bg(), tx(i), ts(i*10), "x", int64(i)); err != nil {
+		if _, _, err := admit(m, tx(i), ts(i*10), model.Write("x", int64(i))); err != nil {
 			t.Fatal(err)
 		}
 		m.Commit(tx(i), []model.WriteRecord{rec("x", int64(i), model.Version(i))})
 	}
 	m.mu.Lock()
 	n := len(m.items["x"].versions)
+	oldest := m.items["x"].versions[0]
 	m.mu.Unlock()
 	if n > maxVersionChain {
 		t.Errorf("version chain length %d exceeds bound %d", n, maxVersionChain)
 	}
 	// Latest read still correct.
-	v, _, err := m.Read(bg(), tx(999), ts(100000), "x")
+	v, _, err := admit(m, tx(999), ts(100000), model.Read("x"))
 	if err != nil || v != int64(maxVersionChain+10) {
 		t.Errorf("latest read = %d (%v)", v, err)
+	}
+	// A read older than the oldest kept version would need a pruned
+	// version: it is rejected, never served a version written after it.
+	rejected := m.Stats().Rejections
+	if v, ver, err := admit(m, tx(1000), ts(50), model.Read("x")); model.CauseOf(err) != model.AbortCC {
+		t.Errorf("read at ts 50 below the oldest kept %s = %d v%d (%v), want a CC abort", oldest.ts, v, ver, err)
+	}
+	if got := m.Stats().Rejections - rejected; got != 1 {
+		t.Errorf("too-old read raised Rejections by %d, want 1", got)
+	}
+	// A read at exactly the oldest kept version's timestamp is served it.
+	if v, ver, err := admit(m, tx(1001), oldest.ts, model.Read("x")); err != nil || v != oldest.value || ver != oldest.ver {
+		t.Errorf("read at the oldest kept %s = %d v%d (%v), want %d v%d", oldest.ts, v, ver, err, oldest.value, oldest.ver)
 	}
 }

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -43,7 +42,7 @@ func TestDifferentialSequentialOracle(t *testing.T) {
 			for i := 0; i < nops && ok; i++ {
 				item := items[rng.Intn(len(items))]
 				if rng.Intn(2) == 0 {
-					v, _, err := m.Read(context.Background(), id, ts, item)
+					v, _, err := admit(m, id, ts, model.Read(item))
 					if err != nil {
 						ok = false
 						break
@@ -51,7 +50,7 @@ func TestDifferentialSequentialOracle(t *testing.T) {
 					reads[readSeq] = v
 					readSeq++
 				} else {
-					_, err := m.PreWrite(context.Background(), id, ts, item, int64(txn*1000)+int64(i))
+					_, _, err := admit(m, id, ts, model.Write(item, int64(txn*1000)+int64(i)))
 					if err != nil {
 						ok = false
 						break

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"context"
 	"testing"
 	"time"
 
@@ -21,14 +20,13 @@ func TestHoldersAcrossManagers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := context.Background()
 			held := model.TxID{Site: "A", Seq: 1}
 			done := model.TxID{Site: "A", Seq: 2}
 			ts := model.Timestamp{Time: 1, Site: "A"}
-			if _, err := m.PreWrite(ctx, held, ts, "x", 10); err != nil {
+			if _, _, err := admit(m, held, ts, model.Write("x", 10)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.PreWrite(ctx, done, model.Timestamp{Time: 2, Site: "A"}, "y", 20); err != nil {
+			if _, _, err := admit(m, done, model.Timestamp{Time: 2, Site: "A"}, model.Write("y", 20)); err != nil {
 				t.Fatal(err)
 			}
 			m.Abort(done)

@@ -19,12 +19,12 @@ const maxVersionChain = 32
 // term-project replacement for basic TSO. Each item keeps a chain of
 // committed versions ordered by writer timestamp:
 //
-//   - Read(ts) never rejects a transaction whose version is still kept: it
-//     returns the latest version with writer-ts ≤ ts (waiting out any
-//     pending smaller-timestamped pre-write that would create a closer
+//   - a read at ts never rejects a transaction whose version is still
+//     kept: it returns the latest version with writer-ts ≤ ts (waiting out
+//     any pending smaller-timestamped pre-write that would create a closer
 //     version), and records ts in that version's read-timestamp.
-//   - PreWrite(ts) is rejected if ts precedes the newest committed version
-//     or that version's read timestamp.
+//   - a pre-write (or pre-add) at ts is rejected if ts precedes the newest
+//     committed version or that version's read timestamp.
 //
 // Rainbow's MVTSO restricts writes to the tail of the version chain
 // (textbook MVTO would insert older-timestamped writes mid-chain). The
@@ -104,17 +104,29 @@ func (it *mvItem) visible(ts model.Timestamp) int {
 	return idx
 }
 
-// Read implements Manager.
-func (m *MVTSO) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
-	ctx, cancel := context.WithTimeout(ctx, m.opts.LockTimeout)
-	defer cancel()
+// Admit implements Manager.
+func (m *MVTSO) Admit(ctx context.Context, tx model.TxID, ts model.Timestamp, op model.Op, wait bool) (int64, model.Version, error) {
+	switch op.Kind {
+	case model.OpRead:
+		return m.read(ctx, tx, ts, op.Item, wait)
+	case model.OpWrite, model.OpAdd:
+		ver, err := m.preWrite(ctx, tx, ts, op.Item, op.Value, op.Kind == model.OpAdd, wait)
+		return 0, ver, err
+	}
+	return 0, 0, errBadOp(op)
+}
+
+// read serves the latest version written at or before ts, waiting out any
+// pending smaller-timestamped pre-write that would create a closer version.
+// A read older than the oldest kept version is rejected.
+func (m *MVTSO) read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, wait bool) (int64, model.Version, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	it, err := m.item(item)
+	if err != nil {
+		return 0, 0, err
+	}
 	for {
-		it, err := m.item(item)
-		if err != nil {
-			m.mu.Unlock()
-			return 0, 0, err
-		}
 		if own, ok := it.intents[tx]; ok {
 			v := it.versions[it.visible(ts)]
 			val := own.value
@@ -123,11 +135,15 @@ func (m *MVTSO) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, ite
 				val += it.versions[len(it.versions)-1].value
 			}
 			m.stats.Reads++
-			m.mu.Unlock()
 			return val, v.ver, nil
 		}
-		vi := it.visible(ts)
-		v := &it.versions[vi]
+		// Pruning (Commit) drops the chain's head: the version such a read
+		// should observe is gone.
+		if oldest := it.versions[0].ts; ts.Less(oldest) {
+			m.stats.Rejections++
+			return 0, 0, model.Abortf(model.AbortCC, "mvtso: read of %s at %s rejected, version too old (oldest kept %s)", item, ts, oldest)
+		}
+		v := &it.versions[it.visible(ts)]
 		// A pending intent in (v.ts, ts) would create the version this read
 		// should observe: wait for it to commit or abort.
 		blocked := false
@@ -137,90 +153,33 @@ func (m *MVTSO) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, ite
 				break
 			}
 		}
-		if blocked {
-			ch := it.changed
-			m.stats.Waits++
-			m.mu.Unlock()
-			park := m.opts.waitStart()
-			select {
-			case <-ch:
-				m.opts.observeWait(ctx, item, park)
-				m.mu.Lock()
-				continue
-			case <-ctx.Done():
-				m.opts.observeWait(ctx, item, park)
-				m.mu.Lock()
-				m.stats.Timeouts++
-				m.mu.Unlock()
-				return 0, 0, model.Abortf(model.AbortCC, "mvtso: read of %s at %s timed out on pre-write intent", item, ts)
+		if !blocked {
+			if v.rts.Less(ts) {
+				v.rts = ts
 			}
+			m.stats.Reads++
+			return v.value, v.ver, nil
 		}
-		if v.rts.Less(ts) {
-			v.rts = ts
+		if !wait {
+			return 0, 0, ErrWouldBlock
 		}
-		m.stats.Reads++
-		val, ver := v.value, v.ver
-		m.mu.Unlock()
-		return val, ver, nil
+		if !awaitIntents(ctx, &m.mu, &m.stats, m.opts, it.changed, item) {
+			return 0, 0, model.Abortf(model.AbortCC, "mvtso: read of %s at %s timed out on pre-write intent", item, ts)
+		}
 	}
 }
 
-// TryRead implements Manager: Read without the pending-intent wait — a
-// foreign intent that would create the version this read should observe
-// answers ErrWouldBlock instead of parking.
-func (m *MVTSO) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
+// preWrite buffers a write intent (a delta-flagged one for a blind add,
+// whose delta merges into the chain tail at commit — chain-local, so the
+// committed version's value stays consistent with the store's delta
+// apply). As in TSO, conflicting pre-writes serialize per copy (wait until
+// no foreign intent is pending) so the version numbers reported to the
+// quorum coordinator are unique.
+func (m *MVTSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta, wait bool) (model.Version, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	it, err := m.item(item)
 	if err != nil {
-		return 0, 0, err
-	}
-	if own, ok := it.intents[tx]; ok {
-		v := it.versions[it.visible(ts)]
-		val := own.value
-		if own.delta {
-			// Delta intents merge into the chain tail at commit.
-			val += it.versions[len(it.versions)-1].value
-		}
-		m.stats.Reads++
-		return val, v.ver, nil
-	}
-	vi := it.visible(ts)
-	v := &it.versions[vi]
-	for owner, in := range it.intents {
-		if owner != tx && in.ts.Less(ts) && v.ts.Less(in.ts) {
-			return 0, 0, ErrWouldBlock
-		}
-	}
-	if v.rts.Less(ts) {
-		v.rts = ts
-	}
-	m.stats.Reads++
-	return v.value, v.ver, nil
-}
-
-// PreWrite implements Manager. As in TSO, conflicting pre-writes serialize
-// per copy (wait until no foreign intent is pending) so the version numbers
-// reported to the quorum coordinator are unique.
-func (m *MVTSO) PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	return m.preWrite(ctx, tx, ts, item, value, false)
-}
-
-// PreAdd implements Manager: a blind add is a pre-write with a delta-flagged
-// intent, still serialized per copy; at commit the delta merges into the
-// chain tail (chain-local, so the committed version value stays consistent
-// with the store's delta apply).
-func (m *MVTSO) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	return m.preWrite(ctx, tx, ts, item, delta, true)
-}
-
-func (m *MVTSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta bool) (model.Version, error) {
-	ctx, cancel := context.WithTimeout(ctx, m.opts.LockTimeout)
-	defer cancel()
-	m.mu.Lock()
-	it, err := m.item(item)
-	if err != nil {
-		m.mu.Unlock()
 		return 0, err
 	}
 	for {
@@ -234,27 +193,13 @@ func (m *MVTSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp,
 		if !foreign {
 			break
 		}
-		ch := it.changed
-		m.stats.Waits++
-		m.mu.Unlock()
-		park := m.opts.waitStart()
-		select {
-		case <-ch:
-			m.opts.observeWait(ctx, item, park)
-			m.mu.Lock()
-			if it, err = m.item(item); err != nil {
-				m.mu.Unlock()
-				return 0, err
-			}
-		case <-ctx.Done():
-			m.opts.observeWait(ctx, item, park)
-			m.mu.Lock()
-			m.stats.Timeouts++
-			m.mu.Unlock()
+		if !wait {
+			return 0, ErrWouldBlock
+		}
+		if !awaitIntents(ctx, &m.mu, &m.stats, m.opts, it.changed, item) {
 			return 0, model.Abortf(model.AbortCC, "mvtso: pre-write of %s at %s timed out on pending intent", item, ts)
 		}
 	}
-	defer m.mu.Unlock()
 	// Writes append at the tail of the version chain only: a write whose
 	// timestamp precedes the newest committed version is rejected. Full
 	// MVTO would insert it mid-chain, but the quorum layer's version
@@ -285,59 +230,6 @@ func (m *MVTSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp,
 	// one: the quorum coordinator derives the install version from the
 	// maximum reported base, which must exceed every version already
 	// installed at the quorum or two writers would collide.
-	c, ok := m.store.Get(item)
-	if !ok {
-		delete(it.intents, tx)
-		delete(m.byTx[tx], item)
-		return 0, model.Abortf(model.AbortRCP, "no copy of %s at this site", item)
-	}
-	return c.Version, nil
-}
-
-// TryPreWrite implements Manager: PreWrite without the per-copy
-// serialization wait — any pending foreign intent answers ErrWouldBlock.
-func (m *MVTSO) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	return m.tryPreWrite(tx, ts, item, value, false)
-}
-
-// TryPreAdd implements Manager; see PreAdd.
-func (m *MVTSO) TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	return m.tryPreWrite(tx, ts, item, delta, true)
-}
-
-func (m *MVTSO) tryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta bool) (model.Version, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it, err := m.item(item)
-	if err != nil {
-		return 0, err
-	}
-	for owner := range it.intents {
-		if owner != tx {
-			return 0, ErrWouldBlock
-		}
-	}
-	// Tail-of-chain admission rules as in PreWrite (see that method's
-	// comment for why mid-chain inserts are rejected).
-	tail := it.versions[len(it.versions)-1]
-	if ts.Less(tail.ts) {
-		m.stats.Rejections++
-		return 0, model.Abortf(model.AbortCC, "mvtso: pre-write of %s at %s rejected, newer version at %s", item, ts, tail.ts)
-	}
-	if ts.Less(tail.rts) {
-		m.stats.Rejections++
-		return 0, model.Abortf(model.AbortCC, "mvtso: pre-write of %s at %s rejected, version read at %s", item, ts, tail.rts)
-	}
-	mergeTSOIntent(it.intents, tx, tsoIntent{ts: ts, value: value, delta: delta})
-	if m.byTx[tx] == nil {
-		m.byTx[tx] = make(map[model.ItemID]bool)
-	}
-	m.byTx[tx][item] = true
-	m.holders.touch(tx)
-	m.stats.PreWrites++
-	if delta {
-		m.stats.Adds++
-	}
 	c, ok := m.store.Get(item)
 	if !ok {
 		delete(it.intents, tx)

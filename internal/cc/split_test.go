@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -17,7 +18,7 @@ func addRec(item model.ItemID, delta int64, ver model.Version) model.WriteRecord
 
 func TestConformanceAddCommitsDelta(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreAdd(bg(), tx(1), ts(1), "x", 7); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Add("x", 7)); err != nil {
 			t.Errorf("%s: preadd: %v", name, err)
 			continue
 		}
@@ -25,7 +26,7 @@ func TestConformanceAddCommitsDelta(t *testing.T) {
 			t.Errorf("%s: commit: %v", name, err)
 			continue
 		}
-		v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 		if err != nil || v != 17 {
 			t.Errorf("%s: read after add = %d (%v), want 17", name, v, err)
 		}
@@ -38,11 +39,11 @@ func TestConformanceAddCommitsDelta(t *testing.T) {
 
 func TestConformanceAddReadYourOwnDelta(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreAdd(bg(), tx(1), ts(1), "x", 5); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Add("x", 5)); err != nil {
 			t.Errorf("%s: preadd: %v", name, err)
 			continue
 		}
-		v, _, err := m.Read(bg(), tx(1), ts(1), "x")
+		v, _, err := admit(m, tx(1), ts(1), model.Read("x"))
 		if err != nil || v != 15 {
 			t.Errorf("%s: read-own-add = %d (%v), want 15", name, v, err)
 		}
@@ -52,11 +53,11 @@ func TestConformanceAddReadYourOwnDelta(t *testing.T) {
 
 func TestConformanceRepeatedAddsMerge(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreAdd(bg(), tx(1), ts(1), "x", 3); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Add("x", 3)); err != nil {
 			t.Errorf("%s: preadd 1: %v", name, err)
 			continue
 		}
-		if _, err := m.PreAdd(bg(), tx(1), ts(1), "x", 4); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Add("x", 4)); err != nil {
 			t.Errorf("%s: preadd 2: %v", name, err)
 			continue
 		}
@@ -65,7 +66,7 @@ func TestConformanceRepeatedAddsMerge(t *testing.T) {
 			t.Errorf("%s: commit: %v", name, err)
 			continue
 		}
-		v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 		if err != nil || v != 17 {
 			t.Errorf("%s: read = %d (%v), want 17", name, v, err)
 		}
@@ -75,12 +76,12 @@ func TestConformanceRepeatedAddsMerge(t *testing.T) {
 
 func TestConformanceAbortDiscardsAdd(t *testing.T) {
 	for name, m := range managers(t) {
-		if _, err := m.PreAdd(bg(), tx(1), ts(1), "x", 9); err != nil {
+		if _, _, err := admit(m, tx(1), ts(1), model.Add("x", 9)); err != nil {
 			t.Errorf("%s: preadd: %v", name, err)
 			continue
 		}
 		m.Abort(tx(1))
-		v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 		if err != nil || v != 10 {
 			t.Errorf("%s: read after aborted add = %d (%v), want 10", name, v, err)
 		}
@@ -99,17 +100,17 @@ func splitManager(threshold int) *TwoPL {
 }
 
 // heat drives item past the split threshold: while holder keeps the lock,
-// each TryPreAdd failure bumps the contention counter; after the holder
+// each no-wait add's refusal bumps the contention counter; after the holder
 // releases, the next attempt splits the item.
 func heat(t *testing.T, m *TwoPL, item model.ItemID, threshold int) {
 	t.Helper()
 	holder := tx(100)
-	if _, err := m.PreAdd(bg(), holder, ts(100), item, 1); err != nil {
+	if _, _, err := admit(m, holder, ts(100), model.Add(item, 1)); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < threshold; i++ {
-		if _, err := m.TryPreAdd(tx(101+uint64(i)), ts(101), item, 1); !errors.Is(err, ErrWouldBlock) {
-			t.Fatalf("contended TryPreAdd = %v, want ErrWouldBlock", err)
+		if _, _, err := m.Admit(bg(), tx(101+uint64(i)), ts(101), model.Add(item, 1), false); !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("contended no-wait add = %v, want ErrWouldBlock", err)
 		}
 	}
 	if err := m.Commit(holder, []model.WriteRecord{addRec(item, 1, 1)}); err != nil {
@@ -122,8 +123,8 @@ func Test2PLSplitFormsAndAdmitsLockFree(t *testing.T) {
 	heat(t, m, "x", 2)
 
 	// The next add splits the item and admits through the slot.
-	if _, err := m.TryPreAdd(tx(1), ts(1), "x", 5); err != nil {
-		t.Fatalf("post-heat TryPreAdd: %v", err)
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Add("x", 5), false); err != nil {
+		t.Fatalf("post-heat no-wait add: %v", err)
 	}
 	s := m.Stats()
 	if s.Splits != 1 || s.SplitAdds == 0 {
@@ -138,7 +139,7 @@ func Test2PLSplitFormsAndAdmitsLockFree(t *testing.T) {
 		wg.Add(1)
 		go func(i uint64) {
 			defer wg.Done()
-			if _, err := m.PreAdd(bg(), tx(i), ts(i), "x", int64(i)); err != nil {
+			if _, _, err := admit(m, tx(i), ts(i), model.Add("x", int64(i))); err != nil {
 				t.Errorf("concurrent add %d: %v", i, err)
 				return
 			}
@@ -150,7 +151,7 @@ func Test2PLSplitFormsAndAdmitsLockFree(t *testing.T) {
 	wg.Wait()
 	m.Commit(tx(1), []model.WriteRecord{addRec("x", 5, 1)})
 
-	v, _, err := m.Read(bg(), tx(50), ts(50), "x")
+	v, _, err := admit(m, tx(50), ts(50), model.Read("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func Test2PLSplitFormsAndAdmitsLockFree(t *testing.T) {
 func Test2PLSplitReadDrains(t *testing.T) {
 	m := splitManager(2)
 	heat(t, m, "x", 2)
-	if _, err := m.TryPreAdd(tx(1), ts(1), "x", 5); err != nil {
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Add("x", 5), false); err != nil {
 		t.Fatal(err)
 	}
 
@@ -173,7 +174,7 @@ func Test2PLSplitReadDrains(t *testing.T) {
 		err error
 	}, 1)
 	go func() {
-		v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+		v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 		done <- struct {
 			v   int64
 			err error
@@ -206,20 +207,20 @@ func Test2PLSplitReadDrains(t *testing.T) {
 func Test2PLSplitWriteDrainsAndOverwrites(t *testing.T) {
 	m := splitManager(2)
 	heat(t, m, "x", 2)
-	if _, err := m.TryPreAdd(tx(1), ts(1), "x", 5); err != nil {
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Add("x", 5), false); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(1), []model.WriteRecord{addRec("x", 5, 1)})
 
 	// An absolute write drains the slot, then installs over the reconciled
 	// value.
-	if _, err := m.PreWrite(bg(), tx(2), ts(2), "x", 999); err != nil {
+	if _, _, err := admit(m, tx(2), ts(2), model.Write("x", 999)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(tx(2), []model.WriteRecord{rec("x", 999, 5)}); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := m.Read(bg(), tx(3), ts(3), "x")
+	v, _, err := admit(m, tx(3), ts(3), model.Read("x"))
 	if err != nil || v != 999 {
 		t.Fatalf("read after write = %d (%v), want 999", v, err)
 	}
@@ -233,20 +234,20 @@ func Test2PLNoSplitAblation(t *testing.T) {
 		NoSplit:        true,
 	})
 	holder := tx(1)
-	if _, err := m.PreAdd(bg(), holder, ts(1), "x", 1); err != nil {
+	if _, _, err := admit(m, holder, ts(1), model.Add("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Contended adds never split with the ablation on, no matter how hot.
 	for i := uint64(0); i < 20; i++ {
-		if _, err := m.TryPreAdd(tx(2+i), ts(2), "x", 1); !errors.Is(err, ErrWouldBlock) {
-			t.Fatalf("TryPreAdd under ablation = %v, want ErrWouldBlock", err)
+		if _, _, err := m.Admit(bg(), tx(2+i), ts(2), model.Add("x", 1), false); !errors.Is(err, ErrWouldBlock) {
+			t.Fatalf("no-wait add under ablation = %v, want ErrWouldBlock", err)
 		}
 	}
 	// A blocked add behaves exactly like a blocked write: it waits for the
 	// lock and proceeds after release.
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.PreAdd(bg(), tx(50), ts(50), "x", 2)
+		_, _, err := admit(m, tx(50), ts(50), model.Add("x", 2))
 		done <- err
 	}()
 	select {
@@ -263,7 +264,7 @@ func Test2PLNoSplitAblation(t *testing.T) {
 	if s.Splits != 0 || s.SplitAdds != 0 {
 		t.Fatalf("ablation split stats: splits=%d splitAdds=%d, want 0/0", s.Splits, s.SplitAdds)
 	}
-	v, _, err := m.Read(bg(), tx(60), ts(60), "x")
+	v, _, err := admit(m, tx(60), ts(60), model.Read("x"))
 	if err != nil || v != 13 {
 		t.Fatalf("value = %d (%v), want 13", v, err)
 	}
@@ -272,12 +273,12 @@ func Test2PLNoSplitAblation(t *testing.T) {
 
 func Test2PLPreAddRetriesUntilRelease(t *testing.T) {
 	m := splitManager(50) // high threshold: the retry admits via the lock, not a split
-	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 11); err != nil {
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 11)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := m.PreAdd(bg(), tx(2), ts(2), "x", 3)
+		_, _, err := admit(m, tx(2), ts(2), model.Add("x", 3))
 		done <- err
 	}()
 	select {
@@ -290,7 +291,7 @@ func Test2PLPreAddRetriesUntilRelease(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Commit(tx(2), []model.WriteRecord{addRec("x", 3, 1)})
-	v, _, err := m.Read(bg(), tx(3), ts(3), "x")
+	v, _, err := admit(m, tx(3), ts(3), model.Read("x"))
 	if err != nil || v != 14 {
 		t.Fatalf("value = %d (%v), want 14", v, err)
 	}
@@ -298,11 +299,13 @@ func Test2PLPreAddRetriesUntilRelease(t *testing.T) {
 }
 
 func Test2PLPreAddTimesOutUnderHeldLock(t *testing.T) {
-	m := NewTwoPL(newStore(), Options{LockTimeout: 50 * time.Millisecond, SplitThreshold: 1000})
-	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
+	m := NewTwoPL(newStore(), Options{SplitThreshold: 1000})
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := m.PreAdd(bg(), tx(2), ts(2), "x", 1)
+	ctx, cancel := context.WithTimeout(bg(), 50*time.Millisecond)
+	defer cancel()
+	_, _, err := m.Admit(ctx, tx(2), ts(2), model.Add("x", 1), true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("held-lock add = %v, want CC abort", err)
 	}
@@ -310,43 +313,72 @@ func Test2PLPreAddTimesOutUnderHeldLock(t *testing.T) {
 	m.Abort(tx(2))
 }
 
+// Test2PLWaitingAddRefusedOnceFinished: an add that retries behind a held
+// lock stops once its own transaction is aborted here (a release), instead
+// of being admitted for a transaction that can never prepare.
+func Test2PLWaitingAddRefusedOnceFinished(t *testing.T) {
+	m := NewTwoPL(newStore(), Options{LockTimeout: time.Hour, SplitThreshold: 1000})
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := admit(m, tx(2), ts(2), model.Add("x", 1))
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	m.Abort(tx(2))
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrTxFinished) {
+			t.Fatalf("waiting add after its abort = %v, want ErrTxFinished", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("waiting add kept retrying after its transaction was aborted")
+	}
+	m.Commit(tx(1), []model.WriteRecord{rec("x", 1, 1)})
+	if m.HoldsIntents(tx(2), []model.ItemID{"x"}) {
+		t.Error("aborted add left an intent")
+	}
+}
+
 // --- Finished-transaction fast fail (the never-block bug) ---
 
 func Test2PLFinishedTxRefusedNotWouldBlock(t *testing.T) {
 	m := NewTwoPL(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreWrite(bg(), tx(1), ts(1), "x", 1); err != nil {
+	if _, _, err := admit(m, tx(1), ts(1), model.Write("x", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 1, 1)})
 
 	// Operations for the finished transaction must fail terminally, NOT
-	// report ErrWouldBlock: a wave retries would-block operations through a
-	// blocking call that burns a full lock timeout and can never succeed.
-	if _, _, err := m.TryRead(tx(1), ts(1), "x"); !errors.Is(err, ErrTxFinished) {
-		t.Errorf("TryRead after commit = %v, want ErrTxFinished", err)
+	// report ErrWouldBlock: a wave retries would-block operations with wait,
+	// which burns a full wave budget and can never succeed.
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Read("x"), false); !errors.Is(err, ErrTxFinished) {
+		t.Errorf("no-wait read after commit = %v, want ErrTxFinished", err)
 	}
-	if _, err := m.TryPreWrite(tx(1), ts(1), "x", 2); !errors.Is(err, ErrTxFinished) {
-		t.Errorf("TryPreWrite after commit = %v, want ErrTxFinished", err)
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Write("x", 2), false); !errors.Is(err, ErrTxFinished) {
+		t.Errorf("no-wait write after commit = %v, want ErrTxFinished", err)
 	}
-	if _, err := m.TryPreAdd(tx(1), ts(1), "x", 2); !errors.Is(err, ErrTxFinished) {
-		t.Errorf("TryPreAdd after commit = %v, want ErrTxFinished", err)
+	if _, _, err := m.Admit(bg(), tx(1), ts(1), model.Add("x", 2), false); !errors.Is(err, ErrTxFinished) {
+		t.Errorf("no-wait add after commit = %v, want ErrTxFinished", err)
 	}
-	// The blocking variants refuse too, and the error is a terminal CC
+	// A waiting admission refuses too, and the error is a terminal CC
 	// abort so the serve path error-replies instead of retrying.
-	if _, _, err := m.Read(bg(), tx(1), ts(1), "x"); !errors.Is(err, ErrTxFinished) {
-		t.Errorf("Read after commit = %v, want ErrTxFinished", err)
+	if _, _, err := admit(m, tx(1), ts(1), model.Read("x")); !errors.Is(err, ErrTxFinished) {
+		t.Errorf("waiting read after commit = %v, want ErrTxFinished", err)
 	}
 	if model.CauseOf(ErrTxFinished) != model.AbortCC {
 		t.Errorf("ErrTxFinished cause = %v, want AbortCC", model.CauseOf(ErrTxFinished))
 	}
 
 	// Aborted transactions are tombstoned the same way.
-	if _, err := m.PreWrite(bg(), tx(2), ts(2), "y", 1); err != nil {
+	if _, _, err := admit(m, tx(2), ts(2), model.Write("y", 1)); err != nil {
 		t.Fatal(err)
 	}
 	m.Abort(tx(2))
-	if _, err := m.TryPreWrite(tx(2), ts(2), "y", 2); !errors.Is(err, ErrTxFinished) {
-		t.Errorf("TryPreWrite after abort = %v, want ErrTxFinished", err)
+	if _, _, err := m.Admit(bg(), tx(2), ts(2), model.Write("y", 2), false); !errors.Is(err, ErrTxFinished) {
+		t.Errorf("no-wait write after abort = %v, want ErrTxFinished", err)
 	}
 }
 
@@ -354,16 +386,16 @@ func Test2PLFinishedTxRefusedNotWouldBlock(t *testing.T) {
 
 func TestTSOAddIntentsMergeAndCommit(t *testing.T) {
 	m := NewTSO(newStore(), Options{LockTimeout: time.Second})
-	if _, err := m.PreAdd(bg(), tx(1), ts(5), "x", 3); err != nil {
+	if _, _, err := admit(m, tx(1), ts(5), model.Add("x", 3)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.PreAdd(bg(), tx(1), ts(5), "x", 4); err != nil {
+	if _, _, err := admit(m, tx(1), ts(5), model.Add("x", 4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(tx(1), []model.WriteRecord{addRec("x", 7, 1)}); err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := m.Read(bg(), tx(2), ts(10), "x")
+	v, _, err := admit(m, tx(2), ts(10), model.Read("x"))
 	if err != nil || v != 17 {
 		t.Fatalf("read = %d (%v), want 17", v, err)
 	}
@@ -376,21 +408,21 @@ func TestMVTSOAddChainsOnTail(t *testing.T) {
 	m := NewMVTSO(newStore(), Options{LockTimeout: time.Second})
 	// Install an absolute write, then a later delta: the new version's value
 	// is the chain tail plus the delta.
-	if _, err := m.PreWrite(bg(), tx(1), ts(10), "x", 100); err != nil {
+	if _, _, err := admit(m, tx(1), ts(10), model.Write("x", 100)); err != nil {
 		t.Fatal(err)
 	}
 	m.Commit(tx(1), []model.WriteRecord{rec("x", 100, 1)})
-	if _, err := m.PreAdd(bg(), tx(2), ts(20), "x", 5); err != nil {
+	if _, _, err := admit(m, tx(2), ts(20), model.Add("x", 5)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Commit(tx(2), []model.WriteRecord{addRec("x", 5, 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, err := m.Read(bg(), tx(3), ts(30), "x"); err != nil || v != 105 {
+	if v, _, err := admit(m, tx(3), ts(30), model.Read("x")); err != nil || v != 105 {
 		t.Fatalf("tail read = %d (%v), want 105", v, err)
 	}
 	// Historical read before the delta still sees the absolute value.
-	if v, _, err := m.Read(bg(), tx(4), ts(15), "x"); err != nil || v != 100 {
+	if v, _, err := admit(m, tx(4), ts(15), model.Read("x")); err != nil || v != 100 {
 		t.Fatalf("historical read = %d (%v), want 100", v, err)
 	}
 }
@@ -411,7 +443,7 @@ func TestConformanceReinstateConcurrentAdds(t *testing.T) {
 		}
 		done := make(chan int64, 1)
 		go func() {
-			v, _, err := m.Read(bg(), tx(3), ts(3), "x")
+			v, _, err := admit(m, tx(3), ts(3), model.Read("x"))
 			if err != nil {
 				v = -1
 			}
@@ -444,7 +476,7 @@ func TestConformanceReinstateAddProtects(t *testing.T) {
 			err error
 		}, 1)
 		go func() {
-			v, _, err := m.Read(bg(), tx(2), ts(2), "x")
+			v, _, err := admit(m, tx(2), ts(2), model.Read("x"))
 			done <- struct {
 				v   int64
 				err error

@@ -13,12 +13,13 @@ import (
 // et al.'s TO scheduler made strict so the ACP can always commit admitted
 // transactions):
 //
-//   - Read(ts) is rejected if ts < wts(item); otherwise, if a pending
+//   - a read at ts is rejected if ts < wts(item); otherwise, if a pending
 //     pre-write intent with a smaller timestamp exists, the read waits for
 //     it to resolve (it may need that writer's value); otherwise it reads
 //     and advances rts.
-//   - PreWrite(ts) is rejected if ts < rts(item) or ts < wts(item);
-//     otherwise an intent is buffered.
+//   - a pre-write (or pre-add) at ts waits out any other transaction's
+//     pending intent on the item, and is then rejected if ts < rts(item)
+//     or ts < wts(item); otherwise an intent is buffered.
 //
 // Rejections abort with cause CC; the transaction restarts with a fresh
 // (larger) timestamp at the workload layer if configured.
@@ -102,13 +103,26 @@ func minForeignIntent(it *tsoItem, tx model.TxID) (model.Timestamp, bool) {
 	return min, found
 }
 
-// Read implements Manager.
-func (m *TSO) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
-	ctx, cancel := context.WithTimeout(ctx, m.opts.LockTimeout)
-	defer cancel()
+// Admit implements Manager.
+func (m *TSO) Admit(ctx context.Context, tx model.TxID, ts model.Timestamp, op model.Op, wait bool) (int64, model.Version, error) {
+	switch op.Kind {
+	case model.OpRead:
+		return m.read(ctx, tx, ts, op.Item, wait)
+	case model.OpWrite, model.OpAdd:
+		ver, err := m.preWrite(ctx, tx, ts, op.Item, op.Value, op.Kind == model.OpAdd, wait)
+		return 0, ver, err
+	}
+	return 0, 0, errBadOp(op)
+}
+
+// read serves a read at ts, or rejects it if a later write committed.
+// Strictness: while a smaller-timestamped foreign pre-write is pending, the
+// read waits for it to resolve (it may need that writer's value).
+func (m *TSO) read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, wait bool) (int64, model.Version, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	it := m.item(item)
 	for {
-		it := m.item(item)
 		if own, ok := it.intents[tx]; ok {
 			// Read-your-writes on the buffered intent.
 			c, _ := m.store.Get(item)
@@ -117,70 +131,21 @@ func (m *TSO) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, item 
 				val += c.Value // delta intents merge, not replace
 			}
 			m.stats.Reads++
-			m.mu.Unlock()
 			return val, c.Version, nil
 		}
 		if ts.Less(it.wts) {
 			m.stats.Rejections++
-			m.mu.Unlock()
 			return 0, 0, model.Abortf(model.AbortCC, "tso: read of %s at %s rejected, wts=%s", item, ts, it.wts)
 		}
-		if min, ok := minForeignIntent(it, tx); ok && min.Less(ts) {
-			// Strictness: a smaller-timestamped write is pending; wait.
-			ch := it.changed
-			m.stats.Waits++
-			m.mu.Unlock()
-			park := m.opts.waitStart()
-			select {
-			case <-ch:
-				m.opts.observeWait(ctx, item, park)
-				m.mu.Lock()
-				continue
-			case <-ctx.Done():
-				m.opts.observeWait(ctx, item, park)
-				m.mu.Lock()
-				m.stats.Timeouts++
-				m.mu.Unlock()
-				return 0, 0, model.Abortf(model.AbortCC, "tso: read of %s at %s timed out waiting on pre-write intent", item, ts)
-			}
+		if min, ok := minForeignIntent(it, tx); !ok || !min.Less(ts) {
+			break
 		}
-		if it.rts.Less(ts) {
-			it.rts = ts
+		if !wait {
+			return 0, 0, ErrWouldBlock
 		}
-		c, ok := m.store.Get(item)
-		if !ok {
-			m.mu.Unlock()
-			return 0, 0, model.Abortf(model.AbortRCP, "no copy of %s at this site", item)
+		if !awaitIntents(ctx, &m.mu, &m.stats, m.opts, it.changed, item) {
+			return 0, 0, model.Abortf(model.AbortCC, "tso: read of %s at %s timed out waiting on pre-write intent", item, ts)
 		}
-		m.stats.Reads++
-		m.mu.Unlock()
-		return c.Value, c.Version, nil
-	}
-}
-
-// TryRead implements Manager: Read without the strictness wait — a pending
-// smaller-timestamped foreign intent answers ErrWouldBlock instead of
-// parking on the intent gate.
-func (m *TSO) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it := m.item(item)
-	if own, ok := it.intents[tx]; ok {
-		// Read-your-writes on the buffered intent.
-		c, _ := m.store.Get(item)
-		val := own.value
-		if own.delta {
-			val += c.Value // delta intents merge, not replace
-		}
-		m.stats.Reads++
-		return val, c.Version, nil
-	}
-	if ts.Less(it.wts) {
-		m.stats.Rejections++
-		return 0, 0, model.Abortf(model.AbortCC, "tso: read of %s at %s rejected, wts=%s", item, ts, it.wts)
-	}
-	if min, ok := minForeignIntent(it, tx); ok && min.Less(ts) {
-		return 0, 0, ErrWouldBlock
 	}
 	if it.rts.Less(ts) {
 		it.rts = ts
@@ -193,89 +158,29 @@ func (m *TSO) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int
 	return c.Value, c.Version, nil
 }
 
-// PreWrite implements Manager. Conflicting pre-writes are serialized per
-// copy: a pre-write waits until no other transaction's intent is pending on
-// the item. This is what makes the version numbers handed to the quorum
-// coordinator unique — with two concurrent buffered intents both would see
-// the same base version, the coordinator would assign colliding install
-// versions, and one write would be silently lost at shared copies.
-func (m *TSO) PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	return m.preWrite(ctx, tx, ts, item, value, false)
-}
-
-// PreAdd implements Manager: a blind add is a pre-write with a delta-flagged
-// intent. TSO serializes it per copy exactly like an absolute write.
-func (m *TSO) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	return m.preWrite(ctx, tx, ts, item, delta, true)
-}
-
-func (m *TSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta bool) (model.Version, error) {
-	ctx, cancel := context.WithTimeout(ctx, m.opts.LockTimeout)
-	defer cancel()
+// preWrite buffers a write intent (a delta-flagged one for a blind add,
+// which TSO serializes per copy exactly like an absolute write), or rejects
+// it if a later read or write got there first. Conflicting pre-writes are
+// serialized per copy: a pre-write waits until no other transaction's
+// intent is pending on the item. This is what makes the version numbers
+// handed to the quorum coordinator unique — with two concurrent buffered
+// intents both would see the same base version, the coordinator would
+// assign colliding install versions, and one write would be silently lost
+// at shared copies.
+func (m *TSO) preWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta, wait bool) (model.Version, error) {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	it := m.item(item)
 	for {
 		if _, foreign := minForeignIntent(it, tx); !foreign {
 			break
 		}
-		ch := it.changed
-		m.stats.Waits++
-		m.mu.Unlock()
-		park := m.opts.waitStart()
-		select {
-		case <-ch:
-			m.opts.observeWait(ctx, item, park)
-			m.mu.Lock()
-			it = m.item(item)
-		case <-ctx.Done():
-			m.opts.observeWait(ctx, item, park)
-			m.mu.Lock()
-			m.stats.Timeouts++
-			m.mu.Unlock()
+		if !wait {
+			return 0, ErrWouldBlock
+		}
+		if !awaitIntents(ctx, &m.mu, &m.stats, m.opts, it.changed, item) {
 			return 0, model.Abortf(model.AbortCC, "tso: pre-write of %s at %s timed out on pending intent", item, ts)
 		}
-	}
-	defer m.mu.Unlock()
-	if ts.Less(it.rts) || ts.Less(it.wts) {
-		m.stats.Rejections++
-		return 0, model.Abortf(model.AbortCC, "tso: pre-write of %s at %s rejected, rts=%s wts=%s", item, ts, it.rts, it.wts)
-	}
-	mergeTSOIntent(it.intents, tx, tsoIntent{ts: ts, value: value, delta: delta})
-	if m.byTx[tx] == nil {
-		m.byTx[tx] = make(map[model.ItemID]bool)
-	}
-	m.byTx[tx][item] = true
-	m.holders.touch(tx)
-	c, ok := m.store.Get(item)
-	if !ok {
-		delete(it.intents, tx)
-		delete(m.byTx[tx], item)
-		return 0, model.Abortf(model.AbortRCP, "no copy of %s at this site", item)
-	}
-	m.stats.PreWrites++
-	if delta {
-		m.stats.Adds++
-	}
-	return c.Version, nil
-}
-
-// TryPreWrite implements Manager: PreWrite without the per-copy
-// serialization wait — any pending foreign intent answers ErrWouldBlock.
-func (m *TSO) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	return m.tryPreWrite(tx, ts, item, value, false)
-}
-
-// TryPreAdd implements Manager; see PreAdd.
-func (m *TSO) TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	return m.tryPreWrite(tx, ts, item, delta, true)
-}
-
-func (m *TSO) tryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64, delta bool) (model.Version, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	it := m.item(item)
-	if _, foreign := minForeignIntent(it, tx); foreign {
-		return 0, ErrWouldBlock
 	}
 	if ts.Less(it.rts) || ts.Less(it.wts) {
 		m.stats.Rejections++

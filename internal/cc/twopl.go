@@ -16,18 +16,19 @@ import (
 // TwoPL is strict two-phase locking: reads take shared locks, pre-writes
 // take exclusive locks, and every lock is held until Commit or Abort. With
 // the lock manager's waits-for-graph detection, local deadlocks abort the
-// requester immediately; distributed deadlocks fall to the wait timeout.
+// requester immediately; distributed deadlocks fall to the bound on the
+// wait (the ctx given to Admit).
 //
 // The intent buffer is striped by item hash — the same placement math as
 // the lock table and the store — so concurrent transactions touching
 // different items never contend on a global mutex anywhere on the 2PL path.
 //
-// Hot-item split execution (Doppel-style) rides on top: blind adds
-// (PreAdd/TryPreAdd) normally take exclusive locks like writes, but an item
-// whose adds keep failing the lock fast path is moved into a split slot —
-// subsequent adds are admitted without any lock (deltas commute, so mutual
-// exclusion buys nothing), and their deltas reconcile into the canonical
-// copy through the ordinary commit path (WriteRecord.Delta). Reads and
+// Hot-item split execution (Doppel-style) rides on top: blind adds normally
+// take exclusive locks like writes, but an item whose adds keep failing the
+// lock fast path is moved into a split slot — subsequent adds are admitted
+// without any lock (deltas commute, so mutual exclusion buys nothing), and
+// their deltas reconcile into the canonical copy through the ordinary
+// commit path (WriteRecord.Delta). Reads and
 // absolute writes of a split item first acquire their lock, then drain the
 // slot — wait for every lock-free admission to commit or abort — restoring
 // plain 2PL for the item until adds re-heat it. The splits map is guarded
@@ -57,8 +58,8 @@ type TwoPL struct {
 
 	// finished tombstones transactions that already committed or aborted
 	// here, so late operations fail fast with ErrTxFinished instead of
-	// acquiring locks (or burning a blocking retry's full lock timeout)
-	// for a transaction that can never prepare. Entries expire after
+	// acquiring locks (or burning a waiting retry's full wave budget) for
+	// a transaction that can never prepare. Entries expire after
 	// finishedTTL; the site-level release tombstones remain the durable
 	// safety net behind this fast path.
 	finished [holderShards]struct {
@@ -73,6 +74,9 @@ type TwoPL struct {
 	splitCnt  atomic.Uint64
 	drainCnt  atomic.Uint64
 	addWaits  atomic.Uint64
+	// waitTimeouts counts the waits of this manager's own that ctx ended
+	// (add retries and split drains); lock waits count in the lock manager.
+	waitTimeouts atomic.Uint64
 }
 
 // splitSlot tracks one split item's lock-free blind-add admissions. All
@@ -114,7 +118,6 @@ func NewTwoPL(store *storage.Store, opts Options) *TwoPL {
 	m := &TwoPL{
 		store: store,
 		locks: lock.New(lock.Options{
-			Timeout:                  opts.LockTimeout,
 			DisableDeadlockDetection: opts.DisableDeadlockDetection,
 			Shards:                   opts.Shards,
 			Tracer:                   opts.Tracer,
@@ -201,48 +204,57 @@ func (m *TwoPL) isSplit(item model.ItemID) bool {
 	return ok
 }
 
-// Read implements Manager: S-lock, drain any split, then read the copy.
-func (m *TwoPL) Read(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
+// Admit implements Manager. Every operation of a finished transaction is
+// refused. A read takes a shared lock and a pre-write an exclusive one,
+// each draining a split item back to locking (lockItem); a blind add is
+// admitted through the item's split slot where one is open, and otherwise
+// takes an exclusive lock like a write (preAdd).
+func (m *TwoPL) Admit(ctx context.Context, tx model.TxID, ts model.Timestamp, op model.Op, wait bool) (int64, model.Version, error) {
 	if err := m.checkFinished(tx); err != nil {
 		return 0, 0, err
 	}
-	if err := m.acquire(ctx, tx, item, lock.Shared); err != nil {
-		return 0, 0, err
-	}
-	if m.numSplit.Load() > 0 {
-		if err := m.drainSplit(ctx, item); err != nil {
+	switch {
+	case op.Kind == model.OpRead:
+		if err := m.lockItem(ctx, tx, op.Item, lock.Shared, wait); err != nil {
 			return 0, 0, err
 		}
+		return m.finishRead(tx, op.Item)
+	case op.Kind == model.OpAdd && !m.opts.NoSplit:
+		ver, err := m.preAdd(ctx, tx, op.Item, op.Value, wait)
+		return 0, ver, err
+	case op.Kind == model.OpWrite || op.Kind == model.OpAdd:
+		// With splitting disabled (the ablation baseline), adds behave
+		// exactly like absolute writes.
+		if err := m.lockItem(ctx, tx, op.Item, lock.Exclusive, wait); err != nil {
+			return 0, 0, err
+		}
+		ver, err := m.finishPreWrite(tx, op.Item, wintent{value: op.Value, delta: op.Kind == model.OpAdd})
+		return 0, ver, err
 	}
-	return m.finishRead(tx, item)
+	return 0, 0, errBadOp(op)
 }
 
-// TryRead implements Manager: grant the S-lock on the lock manager's fast
-// path or report would-block without queueing. A split item always reports
-// would-block — the blocking path must drain the slot first. (The grant, if
-// it happened, is kept: the same transaction's blocking retry re-acquires
-// it as a no-op, and commit/abort releases it either way.)
-func (m *TwoPL) TryRead(tx model.TxID, ts model.Timestamp, item model.ItemID) (int64, model.Version, error) {
-	if err := m.checkFinished(tx); err != nil {
-		return 0, 0, err
-	}
-	if m.numSplit.Load() > 0 && m.isSplit(item) {
-		return 0, 0, ErrWouldBlock
-	}
-	if err := m.locks.TryAcquire(tx, item, lock.Shared); err != nil {
-		return 0, 0, ErrWouldBlock
-	}
-	// Re-check after the grant: a split created concurrently checked the
-	// lock table for idleness, so of the two racing sides one always
-	// observes the other (see splitItemLocked).
-	if m.numSplit.Load() > 0 && m.isSplit(item) {
-		return 0, 0, ErrWouldBlock
+// lockItem takes tx's lock on item for a read or an absolute write, then
+// returns a split item to plain locking (drainSplit) — a wait, so without
+// wait a split item answers ErrWouldBlock, keeping the lock it was granted.
+// The split check runs after the grant: a split created concurrently checked
+// the lock table for idleness, so of the two racing sides one always
+// observes the other (see splitItemLocked).
+func (m *TwoPL) lockItem(ctx context.Context, tx model.TxID, item model.ItemID, mode lock.Mode, wait bool) error {
+	if err := m.locks.Acquire(ctx, tx, item, mode, wait); err != nil {
+		return err
 	}
 	m.holders.touch(tx)
-	return m.finishRead(tx, item)
+	if m.numSplit.Load() == 0 || !m.isSplit(item) {
+		return nil
+	}
+	if !wait {
+		return ErrWouldBlock
+	}
+	return m.drainSplit(ctx, item)
 }
 
-// finishRead is the post-acquire half of Read: fetch the copy and overlay
+// finishRead is the post-lock half of a read: fetch the copy and overlay
 // the transaction's own buffered intent (read-your-writes).
 func (m *TwoPL) finishRead(tx model.TxID, item model.ItemID) (int64, model.Version, error) {
 	c, ok := m.store.Get(item)
@@ -264,74 +276,21 @@ func (m *TwoPL) finishRead(tx model.TxID, item model.ItemID) (int64, model.Versi
 	return val, c.Version, nil
 }
 
-// PreWrite implements Manager: X-lock, drain any split, buffer the intent,
-// report the current version.
-func (m *TwoPL) PreWrite(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	if err := m.checkFinished(tx); err != nil {
-		return 0, err
-	}
-	if err := m.acquire(ctx, tx, item, lock.Exclusive); err != nil {
-		return 0, err
-	}
-	if m.numSplit.Load() > 0 {
-		if err := m.drainSplit(ctx, item); err != nil {
-			return 0, err
-		}
-	}
-	return m.finishPreWrite(tx, item, wintent{value: value})
-}
-
-// TryPreWrite implements Manager: grant the X-lock on the lock manager's
-// fast path or report would-block without queueing (split items always
-// would-block; see TryRead).
-func (m *TwoPL) TryPreWrite(tx model.TxID, ts model.Timestamp, item model.ItemID, value int64) (model.Version, error) {
-	if err := m.checkFinished(tx); err != nil {
-		return 0, err
-	}
-	if m.numSplit.Load() > 0 && m.isSplit(item) {
-		return 0, ErrWouldBlock
-	}
-	if err := m.locks.TryAcquire(tx, item, lock.Exclusive); err != nil {
-		return 0, ErrWouldBlock
-	}
-	if m.numSplit.Load() > 0 && m.isSplit(item) {
-		return 0, ErrWouldBlock
-	}
-	m.holders.touch(tx)
-	return m.finishPreWrite(tx, item, wintent{value: value})
-}
-
-// PreAdd implements Manager: admit a commutative blind add. Split items
-// admit lock-free; otherwise the add takes an exclusive lock like a write
-// (and its contention feeds the split decision).
+// preAdd admits a commutative blind add. Split items admit lock-free;
+// otherwise the add takes an exclusive lock like a write (and its
+// contention feeds the split decision).
 //
-// A blocked add does NOT park in the lock queue: FIFO queue hand-off would
+// A waiting add does NOT park in the lock queue: FIFO queue hand-off would
 // keep a hot item's lock permanently non-idle, and the split — whose safety
 // check needs an idle instant — could never form. Instead the add retries
-// the non-blocking admission with backoff until it is admitted (by grant or
-// by split) or the lock timeout expires. Spinning adds are invisible to the
-// waits-for graph, so an add-add deadlock falls to the timeout; the exec
-// layer's sorted acquisition keeps multi-item transactions out of that
-// corner.
-func (m *TwoPL) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	if m.opts.NoSplit {
-		// Ablation baseline: adds behave exactly like absolute writes.
-		if err := m.checkFinished(tx); err != nil {
-			return 0, err
-		}
-		if err := m.acquire(ctx, tx, item, lock.Exclusive); err != nil {
-			return 0, err
-		}
-		return m.finishPreWrite(tx, item, wintent{value: delta, delta: true})
-	}
-	ver, err := m.TryPreAdd(tx, ts, item, delta)
-	if !errors.Is(err, ErrWouldBlock) {
+// the no-wait admission with backoff until it is admitted (by grant or by
+// split) or ctx ends. Spinning adds are invisible to the waits-for graph,
+// so an add-add deadlock falls to the wait's bound; the exec layer's sorted
+// acquisition keeps multi-item transactions out of that corner.
+func (m *TwoPL) preAdd(ctx context.Context, tx model.TxID, item model.ItemID, delta int64, wait bool) (model.Version, error) {
+	ver, err := m.tryAdd(tx, item, delta)
+	if !wait || !errors.Is(err, ErrWouldBlock) {
 		return ver, err
-	}
-	if m.opts.LockTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.opts.LockTimeout)
-		defer cancel()
 	}
 	m.addWaits.Add(1)
 	start := m.opts.waitStart()
@@ -339,13 +298,19 @@ func (m *TwoPL) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, i
 	for {
 		select {
 		case <-ctx.Done():
+			m.waitTimeouts.Add(1)
 			return 0, model.Abortf(model.AbortCC, "lock timeout: %s on %s(add)", tx, item)
 		case <-time.After(backoff):
 		}
 		if backoff < 2*time.Millisecond {
 			backoff *= 2
 		}
-		ver, err := m.TryPreAdd(tx, ts, item, delta)
+		// The transaction may have finished while the add spun (a release
+		// aborts it here): it must not be admitted after that.
+		if err := m.checkFinished(tx); err != nil {
+			return 0, err
+		}
+		ver, err := m.tryAdd(tx, item, delta)
 		if !errors.Is(err, ErrWouldBlock) {
 			if err == nil && !start.IsZero() {
 				m.opts.observeWait(ctx, item, start)
@@ -355,44 +320,36 @@ func (m *TwoPL) PreAdd(ctx context.Context, tx model.TxID, ts model.Timestamp, i
 	}
 }
 
-// TryPreAdd implements Manager. Unlike TryPreWrite it may succeed under
-// contention: the split path exists precisely so hot blind adds stop
-// queueing.
-func (m *TwoPL) TryPreAdd(tx model.TxID, ts model.Timestamp, item model.ItemID, delta int64) (model.Version, error) {
-	if err := m.checkFinished(tx); err != nil {
-		return 0, err
-	}
-	if !m.opts.NoSplit {
-		// The hotness check runs BEFORE the lock attempt: an idle lock is
-		// the only instant a split may form, and it is also exactly when
-		// TryAcquire would succeed — checked after the failure, the split
-		// condition could never hold and the item would stay a convoy
-		// forever. An already-hot item therefore splits (or admits through
-		// its open slot) here, and only cold items fall through to the lock.
-		m.splitMu.Lock()
-		if slot := m.splits[item]; slot != nil {
-			if slot.draining {
-				m.splitMu.Unlock()
-				return 0, ErrWouldBlock
-			}
-			ver, err := m.slotAdmitLocked(slot, tx, item, delta)
+// tryAdd is one no-wait admission attempt of a blind add. Unlike a write it
+// may succeed under contention: the split path exists precisely so hot
+// blind adds stop queueing.
+func (m *TwoPL) tryAdd(tx model.TxID, item model.ItemID, delta int64) (model.Version, error) {
+	// The hotness check runs BEFORE the lock attempt: an idle lock is the
+	// only instant a split may form, and it is also exactly when the
+	// no-wait Acquire would succeed — checked after the failure, the split
+	// condition could never hold and the item would stay a convoy forever.
+	// An already-hot item therefore splits (or admits through its open
+	// slot) here, and only cold items fall through to the lock.
+	m.splitMu.Lock()
+	if slot := m.splits[item]; slot != nil {
+		if slot.draining {
 			m.splitMu.Unlock()
-			return ver, err
+			return 0, ErrWouldBlock
 		}
-		if m.contended[item] >= uint32(m.opts.SplitThreshold) && m.locks.Idle(item) {
-			m.splitItemLocked(item)
-			ver, err := m.slotAdmitLocked(m.splits[item], tx, item, delta)
-			m.splitMu.Unlock()
-			return ver, err
-		}
+		ver, err := m.slotAdmitLocked(slot, tx, item, delta)
 		m.splitMu.Unlock()
+		return ver, err
 	}
-	if err := m.locks.TryAcquire(tx, item, lock.Exclusive); err == nil {
+	if m.contended[item] >= uint32(m.opts.SplitThreshold) && m.locks.Idle(item) {
+		m.splitItemLocked(item)
+		ver, err := m.slotAdmitLocked(m.splits[item], tx, item, delta)
+		m.splitMu.Unlock()
+		return ver, err
+	}
+	m.splitMu.Unlock()
+	if err := m.locks.Acquire(context.Background(), tx, item, lock.Exclusive, false); err == nil {
 		m.holders.touch(tx)
 		return m.finishPreWrite(tx, item, wintent{value: delta, delta: true})
-	}
-	if m.opts.NoSplit {
-		return 0, ErrWouldBlock
 	}
 	// Contended: feed the split decision, so the retry splits the item the
 	// moment the current holder releases.
@@ -419,21 +376,6 @@ func (m *TwoPL) splitItemLocked(item model.ItemID) {
 	m.splitCnt.Add(1)
 }
 
-// slotAdmit admits a blind add through item's split slot if one is open.
-// Returns ok=false when the item is not split (or is draining) and the add
-// must go through the lock path.
-func (m *TwoPL) slotAdmit(tx model.TxID, item model.ItemID, delta int64) (model.Version, bool, error) {
-	m.splitMu.Lock()
-	slot := m.splits[item]
-	if slot == nil || slot.draining {
-		m.splitMu.Unlock()
-		return 0, false, nil
-	}
-	ver, err := m.slotAdmitLocked(slot, tx, item, delta)
-	m.splitMu.Unlock()
-	return ver, true, err
-}
-
 // slotAdmitLocked records a lock-free blind-add admission. The caller holds
 // splitMu and has checked the slot is open.
 func (m *TwoPL) slotAdmitLocked(slot *splitSlot, tx model.TxID, item model.ItemID, delta int64) (model.Version, error) {
@@ -453,8 +395,8 @@ func (m *TwoPL) slotAdmitLocked(slot *splitSlot, tx model.TxID, item model.ItemI
 // drainSplit returns item to plain locking: stop admissions, wait for every
 // lock-free add already admitted to commit or abort, then drop the slot.
 // The caller has already acquired its own lock on the item, so new adds
-// queue behind it while the drain waits. Bounded by ctx (the caller's lock
-// timeout): an add stuck in a slow commit protocol must not wedge readers
+// queue behind it while the drain waits. Bounded by ctx (the wave's wait
+// budget): an add stuck in a slow commit protocol must not wedge readers
 // forever.
 func (m *TwoPL) drainSplit(ctx context.Context, item model.ItemID) error {
 	m.splitMu.Lock()
@@ -475,6 +417,7 @@ func (m *TwoPL) drainSplit(ctx context.Context, item model.ItemID) error {
 	select {
 	case <-slot.drained:
 	case <-ctx.Done():
+		m.waitTimeouts.Add(1)
 		return model.Abortf(model.AbortCC, "timeout draining split item %s", item)
 	}
 
@@ -489,7 +432,7 @@ func (m *TwoPL) drainSplit(ctx context.Context, item model.ItemID) error {
 	return nil
 }
 
-// finishPreWrite is the post-acquire half of PreWrite/PreAdd: buffer the
+// finishPreWrite is the post-lock half of a pre-write or pre-add: buffer the
 // intent and report the copy's current version.
 func (m *TwoPL) finishPreWrite(tx model.TxID, item model.ItemID, in wintent) (model.Version, error) {
 	c, ok := m.store.Get(item)
@@ -521,14 +464,6 @@ func (m *TwoPL) bufferIntent(tx model.TxID, item model.ItemID, in wintent) {
 	}
 	sh.intents[tx][item] = in
 	sh.mu.Unlock()
-}
-
-func (m *TwoPL) acquire(ctx context.Context, tx model.TxID, item model.ItemID, mode lock.Mode) error {
-	if err := m.locks.Acquire(ctx, tx, item, mode); err != nil {
-		return err
-	}
-	m.holders.touch(tx)
-	return nil
 }
 
 // releaseSlots removes tx from the split slots of its lock-free add
@@ -641,12 +576,20 @@ func (m *TwoPL) HoldsIntents(tx model.TxID, items []model.ItemID) bool {
 // cannot reach. A reader or writer of the item drains the slot first, so it
 // still waits for every in-doubt add. (With splitting disabled, adds took
 // exclusive locks, so at most one add per item can be in doubt.)
+//
+// The lock acquisitions are bounded by LockTimeout together.
 func (m *TwoPL) Reinstate(tx model.TxID, ts model.Timestamp, writes []model.WriteRecord) error {
+	ctx := context.Background()
+	if m.opts.LockTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, m.opts.LockTimeout)
+		defer cancel()
+	}
 	for _, w := range writes {
 		if w.Delta && !m.opts.NoSplit && m.reinstateSplit(tx, w) {
 			continue
 		}
-		if err := m.locks.Acquire(context.Background(), tx, w.Item, lock.Exclusive); err != nil {
+		if err := m.locks.Acquire(ctx, tx, w.Item, lock.Exclusive, true); err != nil {
 			return err
 		}
 	}
@@ -692,6 +635,6 @@ func (m *TwoPL) Stats() Stats {
 	ls := m.locks.Stats()
 	s.Waits = ls.Waits + m.addWaits.Load()
 	s.Deadlocks = ls.Deadlocks
-	s.Timeouts = ls.Timeouts
+	s.Timeouts = ls.Timeouts + m.waitTimeouts.Load()
 	return s
 }

@@ -1,7 +1,6 @@
 package cc
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -25,7 +24,6 @@ func TestTwoPLStripedIntentsConcurrent(t *testing.T) {
 	store := storage.NewSharded(8)
 	store.Init(items)
 	m := NewTwoPL(store, Options{Shards: 8})
-	ctx := context.Background()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -36,13 +34,13 @@ func TestTwoPLStripedIntentsConcurrent(t *testing.T) {
 				tx := model.TxID{Site: model.SiteID(fmt.Sprintf("W%d", w)), Seq: uint64(r + 1)}
 				item := ids[(w*rounds+r)%nItems]
 				want := int64(w*1000 + r)
-				if _, err := m.PreWrite(ctx, tx, model.Timestamp{}, item, want); err != nil {
-					t.Errorf("PreWrite: %v", err)
+				if _, _, err := admit(m, tx, model.Timestamp{}, model.Write(item, want)); err != nil {
+					t.Errorf("pre-write: %v", err)
 					return
 				}
-				got, _, err := m.Read(ctx, tx, model.Timestamp{}, item)
+				got, _, err := admit(m, tx, model.Timestamp{}, model.Read(item))
 				if err != nil {
-					t.Errorf("Read: %v", err)
+					t.Errorf("read: %v", err)
 					return
 				}
 				if got != want {
@@ -81,10 +79,9 @@ func TestTwoPLAbortClearsIntentsAcrossStripes(t *testing.T) {
 	store := storage.NewSharded(8)
 	store.Init(items)
 	m := NewTwoPL(store, Options{Shards: 8})
-	ctx := context.Background()
 	tx := model.TxID{Site: "A", Seq: 1}
 	for _, id := range ids {
-		if _, err := m.PreWrite(ctx, tx, model.Timestamp{}, id, 99); err != nil {
+		if _, _, err := admit(m, tx, model.Timestamp{}, model.Write(id, 99)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -92,7 +89,7 @@ func TestTwoPLAbortClearsIntentsAcrossStripes(t *testing.T) {
 	// A new transaction must see the stored values, not stale intents.
 	tx2 := model.TxID{Site: "A", Seq: 2}
 	for _, id := range ids {
-		v, _, err := m.Read(ctx, tx2, model.Timestamp{}, id)
+		v, _, err := admit(m, tx2, model.Timestamp{}, model.Read(id))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,15 +17,14 @@
 // check and publishes its edges in a single waits-mutex critical section,
 // so of two requests that come to block on each other — even in different
 // shards — the later one always sees the earlier one's edges and detects
-// the cycle; striping loses no local detection. Timeouts remain the safety
-// net for distributed deadlocks no single site can see.
+// the cycle; striping loses no local detection.
 //
 // Deadlock handling follows the classic local scheme: each blocked request
 // adds waits-for edges from the requester to every conflicting holder and
 // to conflicting waiters queued ahead of it; a cycle through the new edges
-// aborts the requester immediately (the requester is the victim). Timeouts
-// provide the safety net for distributed deadlocks that no single site can
-// see.
+// aborts the requester immediately (the requester is the victim). A wait is
+// bounded only by the caller's ctx: that bound is the safety net for
+// distributed deadlocks that no single site can see.
 package lock
 
 import (
@@ -41,10 +40,11 @@ import (
 	"repro/internal/trace"
 )
 
-// ErrWouldBlock is returned by TryAcquire where Acquire would queue. The
-// request leaves no lock state behind: no grant, no waiter, no waits-for
-// edge.
-var ErrWouldBlock = errors.New("lock: would block")
+// ErrWouldBlock is returned by a no-wait Acquire where a waiting one would
+// queue. The request leaves no lock state behind: no grant, no waiter, no
+// waits-for edge. It is also the CC managers' would-block answer
+// (cc.ErrWouldBlock is this value).
+var ErrWouldBlock = errors.New("would block")
 
 // Mode is a lock mode.
 type Mode uint8
@@ -65,12 +65,9 @@ func (m Mode) String() string {
 
 // Options configures a Manager.
 type Options struct {
-	// Timeout bounds each wait; 0 disables timeouts. Timed-out requests
-	// abort with cause CC.
-	Timeout time.Duration
 	// DisableDeadlockDetection turns off waits-for cycle checking (leaving
-	// only timeouts), which lets classroom experiments observe undetected
-	// deadlocks.
+	// only the callers' wait bounds), which lets classroom experiments
+	// observe undetected deadlocks.
 	DisableDeadlockDetection bool
 	// Shards is the lock-table stripe count, rounded up to a power of two
 	// and capped at MaxShards; <= 0 selects a GOMAXPROCS-derived default.
@@ -243,10 +240,14 @@ func (m *Manager) Holding(tx model.TxID, item model.ItemID) Mode {
 	return il.holders[tx]
 }
 
-// Acquire obtains item in the given mode for tx, blocking until granted,
-// deadlock-aborted, timed out, or ctx is done. Re-acquiring an equal or
-// weaker mode is a no-op; Shared→Exclusive upgrades are supported.
-func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID, mode Mode) error {
+// Acquire obtains item in the given mode for tx. Re-acquiring an equal or
+// weaker mode is a no-op; Shared→Exclusive upgrades are supported. A request
+// that conflicts with the holders or with a queued waiter answers
+// ErrWouldBlock without wait, leaving no trace. With wait it queues until it
+// is granted, deadlock-aborted, or ctx is done — the only bound on the wait,
+// so the caller's ctx is the one timer a wait arms. The ending of ctx aborts
+// the request with cause CC and counts as a timeout.
+func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID, mode Mode, wait bool) error {
 	idx := m.shardIndexOf(item)
 	sh := m.shards[idx]
 	sh.mu.Lock()
@@ -261,15 +262,19 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 		sh.mu.Unlock()
 		return nil // already held strongly enough
 	}
+	upgrade := cur == Shared && mode == Exclusive
+	// A new request is granted only if it is compatible with the holders
+	// AND does not jump queued conflicting waiters (FIFO fairness).
+	grantable := holdersCompatible(il, tx, mode, upgrade) && !queueConflicts(il, tx, mode)
+	if !grantable && !wait {
+		sh.mu.Unlock()
+		return ErrWouldBlock
+	}
 	// Mark before any grant or queue entry exists, so ReleaseAll can never
 	// miss this shard. Re-acquires returned above without marking: their
 	// original grant already set the bit.
 	m.markTouched(tx, idx)
-	upgrade := cur == Shared && mode == Exclusive
-
-	// A new request is granted only if it is compatible with the holders
-	// AND does not jump queued conflicting waiters (FIFO fairness).
-	if holdersCompatible(il, tx, mode, upgrade) && !queueConflicts(il, tx, mode) {
+	if grantable {
 		m.grantLocked(sh, item, il, tx, mode, upgrade)
 		sh.mu.Unlock()
 		return nil
@@ -303,16 +308,8 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 	m.waitCount.Add(1)
 	sh.mu.Unlock()
 
-	// The timeout timer is armed only on this slow path; the fast-path
-	// grant above never pays for a timer.
-	if m.opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, m.opts.Timeout)
-		defer cancel()
-	}
-
-	// Wait accounting is also slow-path-only: the clock reads and the
-	// histogram insert amortize against parking a goroutine.
+	// Wait accounting is slow-path-only: the clock reads and the histogram
+	// insert amortize against parking a goroutine.
 	if m.opts.Tracer != nil {
 		waitStart := time.Now()
 		defer func() {
@@ -343,38 +340,6 @@ func (m *Manager) Acquire(ctx context.Context, tx model.TxID, item model.ItemID,
 		sh.mu.Unlock()
 		return model.Abortf(model.AbortCC, "lock timeout: %s on %s(%s)", tx, item, mode)
 	}
-}
-
-// TryAcquire is Acquire's non-blocking variant, used to admit a copy wave's
-// operations without waiting where none is needed, and no-wait legs without
-// waiting at all: it grants on exactly Acquire's fast path (mode
-// compatible with the holders and no queued conflicting waiter) and returns
-// ErrWouldBlock where Acquire would queue — never a timer, never a
-// waits-for edge. A would-block answer leaves no trace, so the caller can
-// retry through the blocking Acquire without double-registering anything.
-func (m *Manager) TryAcquire(tx model.TxID, item model.ItemID, mode Mode) error {
-	idx := m.shardIndexOf(item)
-	sh := m.shards[idx]
-	sh.mu.Lock()
-	il := sh.items[item]
-	if il == nil {
-		il = &itemLock{holders: make(map[model.TxID]Mode)}
-		sh.items[item] = il
-	}
-	cur := il.holders[tx]
-	if cur >= mode {
-		sh.mu.Unlock()
-		return nil // already held strongly enough
-	}
-	upgrade := cur == Shared && mode == Exclusive
-	if holdersCompatible(il, tx, mode, upgrade) && !queueConflicts(il, tx, mode) {
-		m.markTouched(tx, idx)
-		m.grantLocked(sh, item, il, tx, mode, upgrade)
-		sh.mu.Unlock()
-		return nil
-	}
-	sh.mu.Unlock()
-	return ErrWouldBlock
 }
 
 // ReleaseAll drops every lock tx holds and removes it from all wait queues,

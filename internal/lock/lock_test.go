@@ -2,6 +2,7 @@ package lock
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -16,7 +17,7 @@ func tx(seq uint64) model.TxID { return model.TxID{Site: "S", Seq: seq} }
 
 func mustAcquire(t *testing.T, m *Manager, id model.TxID, item model.ItemID, mode Mode) {
 	t.Helper()
-	if err := m.Acquire(context.Background(), id, item, mode); err != nil {
+	if err := m.Acquire(context.Background(), id, item, mode, true); err != nil {
 		t.Fatalf("Acquire(%v, %v, %v): %v", id, item, mode, err)
 	}
 }
@@ -36,7 +37,7 @@ func TestExclusiveBlocksShared(t *testing.T) {
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Shared) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Shared, true) }()
 	select {
 	case err := <-done:
 		t.Fatalf("shared lock granted while X held: %v", err)
@@ -53,7 +54,7 @@ func TestSharedBlocksExclusive(t *testing.T) {
 	m := New(Options{})
 	mustAcquire(t, m, tx(1), "x", Shared)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive, true) }()
 	select {
 	case <-done:
 		t.Fatal("X granted while S held by another tx")
@@ -93,7 +94,7 @@ func TestUpgradeWaitsForOtherReaders(t *testing.T) {
 	mustAcquire(t, m, tx(2), "x", Shared)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(1), "x", Exclusive, true) }()
 	select {
 	case <-done:
 		t.Fatal("upgrade granted while another reader holds S")
@@ -115,10 +116,10 @@ func TestUpgradeDeadlockDetected(t *testing.T) {
 	mustAcquire(t, m, tx(2), "x", Shared)
 
 	first := make(chan error, 1)
-	go func() { first <- m.Acquire(context.Background(), tx(1), "x", Exclusive) }()
+	go func() { first <- m.Acquire(context.Background(), tx(1), "x", Exclusive, true) }()
 	time.Sleep(20 * time.Millisecond) // let tx1 queue
 
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), "x", Exclusive, true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("second upgrade should deadlock-abort, got %v", err)
 	}
@@ -134,10 +135,10 @@ func TestDeadlockDetection(t *testing.T) {
 	mustAcquire(t, m, tx(2), "y", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "y", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(1), "y", Exclusive, true) }()
 	time.Sleep(20 * time.Millisecond) // tx1 now waits for tx2
 
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(context.Background(), tx(2), "x", Exclusive, true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("cycle not detected: %v", err)
 	}
@@ -158,12 +159,12 @@ func TestThreeWayDeadlock(t *testing.T) {
 
 	e1 := make(chan error, 1)
 	e2 := make(chan error, 1)
-	go func() { e1 <- m.Acquire(context.Background(), tx(1), "b", Exclusive) }()
+	go func() { e1 <- m.Acquire(context.Background(), tx(1), "b", Exclusive, true) }()
 	time.Sleep(10 * time.Millisecond)
-	go func() { e2 <- m.Acquire(context.Background(), tx(2), "c", Exclusive) }()
+	go func() { e2 <- m.Acquire(context.Background(), tx(2), "c", Exclusive, true) }()
 	time.Sleep(10 * time.Millisecond)
 
-	err := m.Acquire(context.Background(), tx(3), "a", Exclusive)
+	err := m.Acquire(context.Background(), tx(3), "a", Exclusive, true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("3-cycle not detected: %v", err)
 	}
@@ -177,11 +178,18 @@ func TestThreeWayDeadlock(t *testing.T) {
 	}
 }
 
+// waitCtx bounds one waiting Acquire, as a caller's wait budget does.
+func waitCtx(t *testing.T, d time.Duration) context.Context {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 func TestTimeout(t *testing.T) {
-	m := New(Options{Timeout: 30 * time.Millisecond})
+	m := New(Options{})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	start := time.Now()
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(waitCtx(t, 30*time.Millisecond), tx(2), "x", Exclusive, true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("want CC abort on timeout, got %v", err)
 	}
@@ -197,15 +205,55 @@ func TestTimeout(t *testing.T) {
 	}
 }
 
+// TestNoWaitAcquire: without wait, a grantable request is granted and a
+// conflicting one answers ErrWouldBlock leaving no trace — no waiter, no
+// waits-for edge, no wait counted — so a later waiting request by another
+// transaction is not queued behind it.
+func TestNoWaitAcquire(t *testing.T) {
+	m := New(Options{})
+	if err := m.Acquire(context.Background(), tx(1), "x", Shared, false); err != nil {
+		t.Fatalf("free item: %v", err)
+	}
+	if err := m.Acquire(context.Background(), tx(2), "x", Shared, false); err != nil {
+		t.Fatalf("compatible shared: %v", err)
+	}
+	if err := m.Acquire(context.Background(), tx(3), "x", Exclusive, false); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("conflicting exclusive = %v, want ErrWouldBlock", err)
+	}
+	if err := m.Acquire(context.Background(), tx(1), "x", Exclusive, false); !errors.Is(err, ErrWouldBlock) {
+		t.Fatalf("upgrade beside another reader = %v, want ErrWouldBlock", err)
+	}
+	if s := m.Stats(); s.Waits != 0 || s.Timeouts != 0 {
+		t.Fatalf("no-wait refusals counted: %+v", s)
+	}
+	m.waitsMu.Lock()
+	edges := len(m.waits)
+	m.waitsMu.Unlock()
+	if edges != 0 {
+		t.Fatalf("no-wait refusals left %d waits-for entries", edges)
+	}
+	// Nothing queued: a fresh shared request still joins the readers.
+	if err := m.Acquire(context.Background(), tx(4), "x", Shared, false); err != nil {
+		t.Fatalf("shared after refusals: %v", err)
+	}
+	for i := uint64(1); i <= 4; i++ {
+		m.ReleaseAll(tx(i))
+	}
+	if !m.Idle("x") {
+		t.Fatal("x not idle after every holder released")
+	}
+}
+
 func TestDeadlockDetectionDisabledFallsBackToTimeout(t *testing.T) {
-	m := New(Options{Timeout: 30 * time.Millisecond, DisableDeadlockDetection: true})
+	m := New(Options{DisableDeadlockDetection: true})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	mustAcquire(t, m, tx(2), "y", Exclusive)
 
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(1), "y", Exclusive) }()
+	ctx1 := waitCtx(t, 30*time.Millisecond)
+	go func() { done <- m.Acquire(ctx1, tx(1), "y", Exclusive, true) }()
 	time.Sleep(10 * time.Millisecond)
-	err := m.Acquire(context.Background(), tx(2), "x", Exclusive)
+	err := m.Acquire(waitCtx(t, 30*time.Millisecond), tx(2), "x", Exclusive, true)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("want timeout abort, got %v", err)
 	}
@@ -225,12 +273,12 @@ func TestFIFOFairnessWriterNotStarved(t *testing.T) {
 	mustAcquire(t, m, tx(1), "x", Shared)
 
 	writer := make(chan error, 1)
-	go func() { writer <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { writer <- m.Acquire(context.Background(), tx(2), "x", Exclusive, true) }()
 	time.Sleep(20 * time.Millisecond)
 
 	// A later shared request must queue behind the writer, not jump it.
 	reader := make(chan error, 1)
-	go func() { reader <- m.Acquire(context.Background(), tx(3), "x", Shared) }()
+	go func() { reader <- m.Acquire(context.Background(), tx(3), "x", Shared, true) }()
 	select {
 	case <-reader:
 		t.Fatal("late reader jumped the queued writer")
@@ -251,7 +299,7 @@ func TestReleaseAllRemovesQueuedWaiter(t *testing.T) {
 	m := New(Options{})
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(context.Background(), tx(2), "x", Exclusive, true) }()
 	time.Sleep(20 * time.Millisecond)
 	m.ReleaseAll(tx(2)) // tx2 aborts while waiting
 	if err := <-done; model.CauseOf(err) != model.AbortCC {
@@ -267,7 +315,7 @@ func TestContextCancellation(t *testing.T) {
 	mustAcquire(t, m, tx(1), "x", Exclusive)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- m.Acquire(ctx, tx(2), "x", Exclusive) }()
+	go func() { done <- m.Acquire(ctx, tx(2), "x", Exclusive, true) }()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-done; model.CauseOf(err) != model.AbortCC {
@@ -278,7 +326,7 @@ func TestContextCancellation(t *testing.T) {
 // TestStressInvariant hammers the manager with random lock/unlock cycles and
 // checks the core invariant after every grant: an exclusive holder is alone.
 func TestStressInvariant(t *testing.T) {
-	m := New(Options{Timeout: 100 * time.Millisecond})
+	m := New(Options{})
 	items := []model.ItemID{"a", "b", "c", "d"}
 	var violations atomic.Int32
 	var wg sync.WaitGroup
@@ -289,6 +337,7 @@ func TestStressInvariant(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < 200; i++ {
 				id := model.TxID{Site: "S", Seq: uint64(g*1000 + i)}
+				ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 				n := 1 + rng.Intn(3)
 				ok := true
 				for j := 0; j < n && ok; j++ {
@@ -297,7 +346,7 @@ func TestStressInvariant(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						mode = Exclusive
 					}
-					if err := m.Acquire(context.Background(), id, item, mode); err != nil {
+					if err := m.Acquire(ctx, id, item, mode, true); err != nil {
 						ok = false
 						break
 					}
@@ -305,6 +354,7 @@ func TestStressInvariant(t *testing.T) {
 						violations.Add(1)
 					}
 				}
+				cancel()
 				m.ReleaseAll(id)
 			}
 		}(g)
@@ -367,7 +417,7 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	mustAcquire(t, m, tx(2), itemB, Exclusive)
 
 	blocked := make(chan error, 1)
-	go func() { blocked <- m.Acquire(context.Background(), tx(1), itemB, Exclusive) }()
+	go func() { blocked <- m.Acquire(context.Background(), tx(1), itemB, Exclusive, true) }()
 	// Wait until tx1 is queued on itemB (its waits-for edge published).
 	for i := 0; ; i++ {
 		if m.Stats().Waits > 0 {
@@ -380,7 +430,7 @@ func TestCrossShardDeadlockDetected(t *testing.T) {
 	}
 
 	// tx2 → itemA closes the cross-shard cycle and must abort immediately.
-	err := m.Acquire(context.Background(), tx(2), itemA, Exclusive)
+	err := m.Acquire(context.Background(), tx(2), itemA, Exclusive, true)
 	if err == nil {
 		t.Fatal("cross-shard deadlock not detected")
 	}
@@ -403,7 +453,7 @@ func TestStripedLockStress(t *testing.T) {
 	for i := range items {
 		items[i] = model.ItemID(fmt.Sprintf("i%02d", i))
 	}
-	m := New(Options{Timeout: 2 * time.Second, Shards: 8})
+	m := New(Options{Shards: 8})
 
 	var granted, aborted atomic.Uint64
 	var wg sync.WaitGroup
@@ -414,6 +464,7 @@ func TestStripedLockStress(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				id := model.TxID{Site: "S", Seq: uint64(g*100000 + i)}
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 				// 2–4 distinct items in index order (global lock order).
 				lo := rng.Intn(nItems - 4)
 				n := 2 + rng.Intn(3)
@@ -423,12 +474,13 @@ func TestStripedLockStress(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						mode = Exclusive
 					}
-					if err := m.Acquire(context.Background(), id, items[lo+j], mode); err != nil {
+					if err := m.Acquire(ctx, id, items[lo+j], mode, true); err != nil {
 						aborted.Add(1)
 						ok = false
 						break
 					}
 				}
+				cancel()
 				if ok {
 					granted.Add(1)
 				}

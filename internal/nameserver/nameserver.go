@@ -156,7 +156,7 @@ func (s *Server) push(c *schema.Catalog) {
 	}
 }
 
-func (s *Server) serve(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+func (s *Server) serve(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 	switch kind {
 	case wire.KindPing:
 		return wire.KindOK, &wire.OKBody{}, nil
@@ -172,7 +172,7 @@ func (s *Server) serve(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindSetCatalog:
 		var req SetCatalogReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		if err := s.SetCatalog(&req.Catalog); err != nil {
@@ -182,7 +182,7 @@ func (s *Server) serve(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindRegisterSite:
 		var req wire.RegisterSiteReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		s.mu.Lock()

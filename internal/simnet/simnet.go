@@ -221,7 +221,10 @@ func (nd *node) Close() error {
 // message sizes, no pointer sharing, and byte traffic identical to what the
 // TCP transport carries.
 func (nd *node) Send(_ context.Context, env *wire.Envelope) error {
-	env.Flatten()
+	if env.Body != nil {
+		env.Payload = env.Body.AppendTo(nil)
+		env.Body = nil
+	}
 	n := nd.net
 	n.mu.Lock()
 	if nd.closed {

@@ -209,7 +209,7 @@ func TestClassifyWrappedContextErrors(t *testing.T) {
 // TestStragglerOpForFinishedTxRefusedFast covers the blocking-retry fix: a copy
 // operation arriving for a transaction this site already finished must be
 // refused with a terminal error immediately, not collapsed into would-block
-// and sent to the blocking path to burn a full lock timeout.
+// and retried with wait to burn a full lock timeout.
 func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	c := newCluster(t, 2, defaultProtocols(), items())
 	a := c.sites["A"]
@@ -231,7 +231,7 @@ func TestStragglerOpForFinishedTxRefusedFast(t *testing.T) {
 	if model.CauseOf(err) != model.AbortCC {
 		t.Errorf("straggler refusal cause = %v (%v), want CC", model.CauseOf(err), err)
 	}
-	// The cluster's lock timeout is 500ms; a blocking retry would burn all
+	// The cluster's lock timeout is 500ms; a waiting retry would burn all
 	// of it before failing.
 	if elapsed > 300*time.Millisecond {
 		t.Errorf("straggler refusal took %v — it was retried through the blocking path", elapsed)

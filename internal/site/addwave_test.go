@@ -183,7 +183,7 @@ func TestAddWaveWouldBlockRerunsOrdered(t *testing.T) {
 			c := addCluster(t, ccp, func(cat *schema.Catalog) { cat.Timeouts.Lock = 5 * time.Second })
 			holder, home := c.sites["C"], c.sites["A"]
 			blocker := model.TxID{Site: "C", Seq: 1}
-			if _, err := holder.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "C"}, "z", 1); err != nil {
+			if err := preWrite(context.Background(), holder.ccm, blocker, model.Timestamp{Time: 1, Site: "C"}, "z", 1); err != nil {
 				t.Fatal(err)
 			}
 			done := make(chan model.Outcome, 1)

@@ -22,7 +22,7 @@ func TestVotePrepareEpochFence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	preTx := model.TxID{Site: "B", Seq: 1}
-	if _, err := a.ccm.PreWrite(ctx, preTx, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
+	if err := preWrite(ctx, a.ccm, preTx, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	v := a.votePrepare(wire.PrepareReq{
@@ -67,7 +67,7 @@ func TestVotePrepareRejectsLostIntents(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	real := model.TxID{Site: "B", Seq: 11}
-	if _, err := a.ccm.PreWrite(ctx, real, model.Timestamp{Time: 2, Site: "B"}, "y", 6); err != nil {
+	if err := preWrite(ctx, a.ccm, real, model.Timestamp{Time: 2, Site: "B"}, "y", 6); err != nil {
 		t.Fatal(err)
 	}
 	v = a.votePrepare(wire.PrepareReq{
@@ -102,7 +102,7 @@ func TestVotePrepareIdempotentForKnownTx(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
-	if _, err := a.ccm.PreWrite(ctx, req.Tx, model.Timestamp{Time: 3, Site: "B"}, "z", 9); err != nil {
+	if err := preWrite(ctx, a.ccm, req.Tx, model.Timestamp{Time: 3, Site: "B"}, "z", 9); err != nil {
 		t.Fatal(err)
 	}
 	if v := a.votePrepare(req); !v.Yes {

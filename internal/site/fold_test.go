@@ -121,7 +121,7 @@ func TestFoldEarlierLegKeepsIncarnationFence(t *testing.T) {
 	c := foldCluster(t, func(cat *schema.Catalog) { cat.Timeouts.Lock = 5 * time.Second })
 	a, home := c.sites["A"], c.sites["C"]
 	first, second := model.TxID{Site: "B", Seq: 1}, model.TxID{Site: "B", Seq: 2}
-	if _, err := a.ccm.PreWrite(context.Background(), first, model.Timestamp{Time: 1, Site: "B"}, "w", 1); err != nil {
+	if err := preWrite(context.Background(), a.ccm, first, model.Timestamp{Time: 1, Site: "B"}, "w", 1); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan model.Outcome, 1)
@@ -139,7 +139,7 @@ func TestFoldEarlierLegKeepsIncarnationFence(t *testing.T) {
 	// behind second.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := home.ccm.PreWrite(ctx, second, model.Timestamp{Time: 2, Site: "B"}, "z", 1); err != nil {
+	if err := preWrite(ctx, home.ccm, second, model.Timestamp{Time: 2, Site: "B"}, "z", 1); err != nil {
 		a.ccm.Abort(first)
 		t.Fatal(err)
 	}

@@ -384,7 +384,7 @@ func TestReconfigureTimeoutsOnlyAdoptsInPlace(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	preTx := model.TxID{Site: "B", Seq: 50}
-	if _, err := a.ccm.PreWrite(ctx, preTx, model.Timestamp{Time: 9, Site: "B"}, "x", 5); err != nil {
+	if err := preWrite(ctx, a.ccm, preTx, model.Timestamp{Time: 9, Site: "B"}, "x", 5); err != nil {
 		t.Fatal(err)
 	}
 

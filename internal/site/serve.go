@@ -14,11 +14,13 @@ import (
 // untraced common case): traced copy operations and prepares record a local
 // trace fragment under it, joined with the home site's fragment by ID at
 // collation time.
-func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 	s.mu.Lock()
-	if s.crashed {
+	if s.crashed || s.part == nil {
 		// Belt and braces: the network layer already drops traffic to a
-		// crashed site; refuse anything that slips through.
+		// crashed site; refuse anything that slips through. A site that is
+		// still starting (New serves before its first stack is built) has
+		// no stack to serve with yet.
 		s.mu.Unlock()
 		return 0, nil, errCrashed
 	}
@@ -35,7 +37,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindReleaseTx:
 		var req wire.ReleaseTxReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		s.tombstone(req.Tx)
@@ -52,7 +54,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindPrepare:
 		var req wire.PrepareReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		s.clock.Witness(req.TS)
@@ -65,7 +67,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindPreCommit:
 		var req wire.PreCommitReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		// The ack promises a FORCED pre-commit (the coordinator counts it
@@ -77,7 +79,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindTermQuery:
 		var req wire.TermQueryReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		resp := s.handleTermQuery(req.Tx, req.Ballot)
@@ -85,7 +87,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindTermPreDecide:
 		var req wire.TermPreDecideReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		resp := s.handlePreDecide(req.Tx, req.Ballot, req.Commit)
@@ -93,7 +95,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindDecision:
 		var req wire.DecisionMsg
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		handle := part.HandleDecision
@@ -107,7 +109,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindEndTx:
 		var req wire.EndTxMsg
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		// The cohort fully acknowledged: the decision entry is dead weight
@@ -117,7 +119,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindDecisionReq:
 		var req wire.DecisionReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		commit, known := s.localDecision(req.Tx, req.ThreePhase)
@@ -125,7 +127,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindSubmitTx:
 		var req wire.SubmitTxReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		outcome := s.Execute(st.runCtx, req.Ops)
@@ -133,7 +135,7 @@ func (s *Site) serve(from model.SiteID, tid trace.ID, kind wire.MsgKind, pay wir
 
 	case wire.KindCatalogPush:
 		var req nameserver.CatalogPushMsg
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		// Reconfigure quiesces and rebuilds; never on a transport goroutine.

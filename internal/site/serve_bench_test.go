@@ -34,7 +34,7 @@ func BenchmarkServeCopyBatch(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer st.Close()
-	pay := wire.Payload{Bytes: req.AppendTo(nil)}
+	pay := req.AppendTo(nil)
 
 	// Contention needs far more outstanding requests than cores: feeders
 	// are the concurrency the hot item actually sees.

@@ -42,7 +42,7 @@ func TestBlockedWaveDoesNotStallConnection(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	holder := model.TxID{Site: "S2", Seq: 1}
-	if _, err := s2.ccm.PreWrite(ctx, holder, model.Timestamp{Time: 1, Site: "S2"}, "x", 1); err != nil {
+	if err := preWrite(ctx, s2.ccm, holder, model.Timestamp{Time: 1, Site: "S2"}, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	released := false

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cc"
 	"repro/internal/history"
 	"repro/internal/model"
 	"repro/internal/nameserver"
@@ -94,6 +95,13 @@ func defaultProtocols() schema.Protocols {
 
 func items() map[model.ItemID]int64 {
 	return map[model.ItemID]int64{"x": 10, "y": 20, "z": 30}
+}
+
+// preWrite buffers tx's write intent on item at m, as a copy wave admits
+// it, waiting if it must while ctx lasts.
+func preWrite(ctx context.Context, m cc.Manager, tx model.TxID, ts model.Timestamp, item model.ItemID, v int64) error {
+	_, _, err := m.Admit(ctx, tx, ts, model.Write(item, v), true)
+	return err
 }
 
 func TestExecuteReadOnly(t *testing.T) {

@@ -40,7 +40,7 @@ func TestVotePrepareIncarnationFence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	tx := model.TxID{Site: "B", Seq: 50}
-	if _, err := a.ccm.PreWrite(ctx, tx, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
+	if err := preWrite(ctx, a.ccm, tx, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	// Stale incarnation: rejected despite live intents.
@@ -103,7 +103,7 @@ func TestJanitorReleasesStrandedState(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	tx := model.TxID{Site: "A", Seq: 12345} // home A has never heard of it
-	if _, err := b.ccm.PreWrite(ctx, tx, model.Timestamp{Time: 1, Site: "A"}, "x", 7); err != nil {
+	if err := preWrite(ctx, b.ccm, tx, model.Timestamp{Time: 1, Site: "A"}, "x", 7); err != nil {
 		t.Fatal(err)
 	}
 	if got := b.ccm.Holders(0); len(got) != 1 {
@@ -129,7 +129,7 @@ func TestJanitorReleasesStrandedState(t *testing.T) {
 
 	// The freed lock is actually usable again.
 	free := model.TxID{Site: "B", Seq: 1}
-	if _, err := b.ccm.PreWrite(ctx, free, model.Timestamp{Time: 2, Site: "B"}, "x", 8); err != nil {
+	if err := preWrite(ctx, b.ccm, free, model.Timestamp{Time: 2, Site: "B"}, "x", 8); err != nil {
 		t.Fatalf("lock still held after janitor release: %v", err)
 	}
 	b.ccm.Abort(free)
@@ -254,7 +254,7 @@ func TestRecovered3PCMemberTerminatesWithLoggedPreCommit(t *testing.T) {
 	defer cancel()
 	for _, id := range sites {
 		st := c.sites[id]
-		if _, err := st.ccm.PreWrite(ctx, tx, ts, "x", 42); err != nil {
+		if err := preWrite(ctx, st.ccm, tx, ts, "x", 42); err != nil {
 			t.Fatal(err)
 		}
 		v := st.votePrepare(wire.PrepareReq{

@@ -434,7 +434,7 @@ func TestHomeFirstRefusalReruns(t *testing.T) {
 				c := rwCluster(t, ccp, rcpName, func(cat *schema.Catalog) { cat.Timeouts.Lock = 5 * time.Second })
 				holder, home := c.sites["A"], c.sites["C"]
 				blocker := model.TxID{Site: "A", Seq: 1}
-				if _, err := holder.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "A"}, "y", 1); err != nil {
+				if err := preWrite(context.Background(), holder.ccm, blocker, model.Timestamp{Time: 1, Site: "A"}, "y", 1); err != nil {
 					t.Fatal(err)
 				}
 				done := make(chan model.Outcome, 1)

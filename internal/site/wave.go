@@ -30,9 +30,9 @@ import (
 // builds the reply. A no-wait wave that would have had to wait is refused
 // with WouldBlock instead. The admission is the wave's "admit" span; its
 // waits are the CC managers' lock_wait spans inside it.
-func (s *Site) serveWave(st ccStack, tid trace.ID, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+func (s *Site) serveWave(st ccStack, tid trace.ID, pay []byte) (wire.MsgKind, wire.Body, error) {
 	var req wire.CopyBatchReq
-	if err := pay.Decode(&req); err != nil {
+	if err := req.DecodeFrom(pay); err != nil {
 		return 0, nil, err
 	}
 	if len(req.Ops) == 0 {
@@ -80,29 +80,21 @@ func (s *Site) stackLocked() ccStack {
 var errNotRun = errors.New("not run: an earlier operation of the batch failed")
 
 // admit runs ops through the CC manager in order, filling res. Each
-// operation first tries the non-blocking Try* call; where that reports it
-// would have to wait (having left no CC state behind), a blocking wave waits
-// through the blocking call and a non-blocking one stops there, reporting
-// done false. All of a wave's waits at this site share ONE lock timeout,
-// started at the first: the home site bounds the whole request with one
-// attempt timeout, so a wave must fail as a clean CC lock-timeout abort
-// before the home gives the site up for unreachable, however many of its
-// operations had to wait. The first failure ends the wave: the operations
-// after it are not run. waited reports that a blocking call was made.
+// operation is first admitted without waiting; where that reports it would
+// have to wait (having admitted nothing), a blocking wave admits it again,
+// waiting, and a non-blocking one stops there, reporting done false. All of
+// a wave's waits at this site share ONE lock timeout, started at the first:
+// the home site bounds the whole request with one attempt timeout, so a
+// wave must fail as a clean CC lock-timeout abort before the home gives the
+// site up for unreachable, however many of its operations had to wait. It
+// is the only timer a wait arms, and a wave that never waits arms none. The
+// first failure ends the wave: the operations after it are not run. waited
+// reports that an operation was admitted again, waiting.
 func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, ops []model.Op, block bool, res []rcp.CopyResult) (done, waited bool) {
 	var wctx context.Context // the wave's wait budget; nil until a wait is needed
 	for i, op := range ops {
 		r := &res[i]
-		switch op.Kind {
-		case model.OpRead:
-			r.Value, r.Version, r.Err = st.ccm.TryRead(tx, ts, op.Item)
-		case model.OpWrite:
-			r.Version, r.Err = st.ccm.TryPreWrite(tx, ts, op.Item, op.Value)
-		case model.OpAdd:
-			r.Version, r.Err = st.ccm.TryPreAdd(tx, ts, op.Item, op.Value)
-		default:
-			r.Err = fmt.Errorf("invalid op kind %d", op.Kind)
-		}
+		r.Value, r.Version, r.Err = st.ccm.Admit(ctx, tx, ts, op, false)
 		if errors.Is(r.Err, cc.ErrWouldBlock) {
 			if !block {
 				r.Err = nil
@@ -114,14 +106,7 @@ func (st ccStack) admit(ctx context.Context, tx model.TxID, ts model.Timestamp, 
 				defer cancel()
 				waited = true
 			}
-			switch op.Kind {
-			case model.OpRead:
-				r.Value, r.Version, r.Err = st.ccm.Read(wctx, tx, ts, op.Item)
-			case model.OpWrite:
-				r.Version, r.Err = st.ccm.PreWrite(wctx, tx, ts, op.Item, op.Value)
-			case model.OpAdd:
-				r.Version, r.Err = st.ccm.PreAdd(wctx, tx, ts, op.Item, op.Value)
-			}
+			r.Value, r.Version, r.Err = st.ccm.Admit(wctx, tx, ts, op, true)
 		}
 		if r.Err != nil {
 			for j := i + 1; j < len(ops); j++ {

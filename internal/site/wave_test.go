@@ -276,7 +276,7 @@ func TestWaveCCAbortReleasesEverySite(t *testing.T) {
 	})
 	b := c.sites["B"]
 	blocker := model.TxID{Site: "C", Seq: 777}
-	if _, err := b.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "C"}, "y", 1); err != nil {
+	if err := preWrite(context.Background(), b.ccm, blocker, model.Timestamp{Time: 1, Site: "C"}, "y", 1); err != nil {
 		t.Fatal(err)
 	}
 	out := c.sites["A"].Execute(context.Background(), []model.Op{model.Write("x", 1), model.Write("y", 2), model.Write("z", 3)})
@@ -306,7 +306,7 @@ func TestWaveWaitsShareOneLockTimeout(t *testing.T) {
 	b := c.sites["B"]
 	first, second := model.TxID{Site: "B", Seq: 701}, model.TxID{Site: "B", Seq: 702}
 	for tx, item := range map[model.TxID]model.ItemID{first: "x", second: "y"} {
-		if _, err := b.ccm.PreWrite(context.Background(), tx, model.Timestamp{Time: 1, Site: "B"}, item, 1); err != nil {
+		if err := preWrite(context.Background(), b.ccm, tx, model.Timestamp{Time: 1, Site: "B"}, item, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,7 +334,7 @@ func TestWaveForReleasedTxRefusedWithoutQueuing(t *testing.T) {
 	c := newCluster(t, 2, defaultProtocols(), waveItems) // lock timeout 500 ms
 	a, b := c.sites["A"], c.sites["B"]
 	blocker := model.TxID{Site: "B", Seq: 1}
-	if _, err := b.ccm.PreWrite(context.Background(), blocker, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
+	if err := preWrite(context.Background(), b.ccm, blocker, model.Timestamp{Time: 1, Site: "B"}, "x", 1); err != nil {
 		t.Fatal(err)
 	}
 	defer b.ccm.Abort(blocker)

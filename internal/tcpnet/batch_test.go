@@ -292,9 +292,9 @@ func TestSlowReaderBackpressure(t *testing.T) {
 // goroutines and the batch reply dispatch together).
 func TestBatchedRPCStress(t *testing.T) {
 	n := New(nil)
-	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil

@@ -62,9 +62,9 @@ func TestDynamicAddressResolved(t *testing.T) {
 
 func TestRPCOverTCP(t *testing.T) {
 	n := New(nil)
-	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: 7, Incarnation: 3}, nil
@@ -92,9 +92,9 @@ func TestRPCOverTCP(t *testing.T) {
 
 func TestConcurrentRPCOverTCP(t *testing.T) {
 	n := New(nil)
-	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil

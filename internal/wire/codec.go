@@ -44,17 +44,6 @@ type Body interface {
 	DecodeFrom(b []byte) error
 }
 
-// Payload is the received view of a body: the raw bytes. Handlers decode it
-// into the typed body for the envelope's kind.
-type Payload struct {
-	Bytes []byte
-}
-
-// Decode decodes the payload into the typed body.
-func (p Payload) Decode(into Body) error {
-	return into.DecodeFrom(p.Bytes)
-}
-
 // ---- Kind → constructor registry ----
 
 type bodyKey struct {

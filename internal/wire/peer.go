@@ -17,12 +17,12 @@ var ErrClosed = errors.New("wire: peer closed")
 // ServeFunc handles one inbound request and returns the response kind and
 // typed body. Returning an error sends a KindError reply carrying the
 // error's abort cause (if any) to the caller. req is the encoded request
-// payload; handlers decode it into the typed body for the kind
-// (req.Decode). tid is the request envelope's
-// trace ID (zero for the untraced common case); handlers doing traced work
-// join the distributed trace under it. ServeFunc runs on a goroutine of
-// its own per request, so it may block, and must be safe for concurrent use.
-type ServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req Payload) (MsgKind, Body, error)
+// payload; handlers decode it into the typed body for the kind (its
+// DecodeFrom). tid is the request envelope's trace ID (zero for the
+// untraced common case); handlers doing traced work join the distributed
+// trace under it. ServeFunc runs on a goroutine of its own per request, so
+// it may block, and must be safe for concurrent use.
+type ServeFunc func(from model.SiteID, tid trace.ID, kind MsgKind, req []byte) (MsgKind, Body, error)
 
 // Peer layers request/response RPC over a Network endpoint. Each Rainbow
 // node (name server, site, workload driver, monitor) owns one Peer.
@@ -115,13 +115,13 @@ func (p *Peer) Call(ctx context.Context, to model.SiteID, kind MsgKind, body, re
 		}
 		if reply.Kind == KindError {
 			var eb ErrorBody
-			if err := (Payload{Bytes: reply.Payload}).Decode(&eb); err != nil {
+			if err := eb.DecodeFrom(reply.Payload); err != nil {
 				return err
 			}
 			return eb.Err()
 		}
 		if respBody != nil {
-			return (Payload{Bytes: reply.Payload}).Decode(respBody)
+			return respBody.DecodeFrom(reply.Payload)
 		}
 		return nil
 	}
@@ -172,7 +172,7 @@ func (p *Peer) handle(env *Envelope) {
 		// One-way cast: dispatch, discard result. Casts run the same
 		// ServeFunc, so they may block just like requests.
 		if p.serve != nil {
-			go p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload}) //nolint:errcheck
+			go p.serve(env.From, trace.ID(env.Trace), env.Kind, env.Payload) //nolint:errcheck
 		}
 		return
 	}
@@ -191,7 +191,7 @@ func (p *Peer) serveSync(env *Envelope) {
 	if p.serve == nil {
 		err = fmt.Errorf("node %s does not serve requests", p.ep.ID())
 	} else {
-		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, Payload{Bytes: env.Payload})
+		kind, body, err = p.serve(env.From, trace.ID(env.Trace), env.Kind, env.Payload)
 	}
 	p.sendReply(env.From, env.Corr, env.Trace, kind, body, err)
 }

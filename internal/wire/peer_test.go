@@ -31,9 +31,9 @@ func newPair(t *testing.T, serve wire.ServeFunc) (*wire.Peer, *wire.Peer) {
 }
 
 func TestCallRoundTrip(t *testing.T) {
-	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: 99, Incarnation: req.Tx.Seq}, nil
@@ -51,7 +51,7 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 func TestCallPropagatesAbortCause(t *testing.T) {
-	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 		return 0, nil, model.Abortf(model.AbortCC, "timestamp too old")
 	})
 	err := client.Call(context.Background(), "server", wire.KindCopyBatch, &wire.CopyBatchReq{}, nil)
@@ -61,7 +61,7 @@ func TestCallPropagatesAbortCause(t *testing.T) {
 }
 
 func TestCallGenericErrorNotAbort(t *testing.T) {
-	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 		return 0, nil, errors.New("disk on fire")
 	})
 	err := client.Call(context.Background(), "server", wire.KindPing, &wire.PingReq{}, nil)
@@ -76,7 +76,7 @@ func TestCallGenericErrorNotAbort(t *testing.T) {
 func TestCallTimeout(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	// A server that is attached but paused never replies.
-	if _, err := wire.NewPeer(net, "server", func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+	if _, err := wire.NewPeer(net, "server", func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 		return wire.KindOK, &wire.OKBody{}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -109,9 +109,9 @@ func TestCallToUnknownDestinationTimesOut(t *testing.T) {
 
 func TestCast(t *testing.T) {
 	var got atomic.Int64
-	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var d wire.DecisionMsg
-		if err := pay.Decode(&d); err == nil && d.Commit {
+		if err := d.DecodeFrom(pay); err == nil && d.Commit {
 			got.Add(1)
 		}
 		return wire.KindOK, &wire.OKBody{}, nil
@@ -129,9 +129,9 @@ func TestCast(t *testing.T) {
 }
 
 func TestConcurrentCalls(t *testing.T) {
-	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
 		var req wire.CopyBatchReq
-		if err := pay.Decode(&req); err != nil {
+		if err := req.DecodeFrom(pay); err != nil {
 			return 0, nil, err
 		}
 		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil
@@ -161,7 +161,7 @@ func TestConcurrentCalls(t *testing.T) {
 }
 
 func TestClosedPeerFailsCalls(t *testing.T) {
-	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, wire.Payload) (wire.MsgKind, wire.Body, error) {
+	_, client := newPair(t, func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 		return wire.KindOK, &wire.OKBody{}, nil
 	})
 	client.Close()

@@ -142,8 +142,8 @@ type Envelope struct {
 	// at flush time.
 	Payload []byte
 	// Body is the typed body before encoding. It never crosses the wire:
-	// transports encode it into Payload (Flatten, or straight into the
-	// outgoing frame).
+	// transports encode it into Payload (simnet before delivery) or straight
+	// into the outgoing frame (tcpnet).
 	Body Body
 }
 
@@ -152,17 +152,6 @@ type Envelope struct {
 // traffic statistics.
 func (e *Envelope) Size() int {
 	return len(e.From) + len(e.To) + 2 /*kind*/ + 8 /*corr*/ + 1 /*reply*/ + len(e.Payload)
-}
-
-// Flatten encodes Body into Payload and nils Body, so the envelope can be
-// delivered across site boundaries without pointer sharing. Envelopes
-// without a Body — pre-encoded or raw-payload ones — are left untouched.
-func (e *Envelope) Flatten() {
-	if e.Body == nil {
-		return
-	}
-	e.Payload = e.Body.AppendTo(nil)
-	e.Body = nil
 }
 
 // Handler consumes inbound envelopes. Transports invoke it on their own
