@@ -1155,22 +1155,19 @@ func BenchmarkThreePCTermination(b *testing.B) {
 	})
 }
 
-// BenchmarkNetBatching measures the coalescing TCP sender: parallel pings
-// between two peers over a real loopback socket. batch=1 flushes one
-// buffered write (≈ one syscall) per envelope — the pre-coalescing design;
-// batch=128 lets the writer goroutine drain its whole queue into
-// multi-envelope frames. env/flush is the measured envelopes-per-write-
-// syscall ratio.
-func BenchmarkNetBatching(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts tcpnet.Options
-	}{
-		{"batch=1", tcpnet.Options{MaxBatch: 1}},
-		{"batch=128", tcpnet.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			net := tcpnet.NewWithOptions(map[model.SiteID]string{}, mode.opts)
+// BenchmarkNetRoundTrip prices one ping call between two peers over a real
+// loopback socket. seq runs one client's calls back to back: the
+// uncontended send path, gated in CI on allocs/op. par runs 16 concurrent
+// callers, whose sends share frames; env/flush is the measured
+// envelopes-per-write-syscall ratio and B/flush the bytes per write.
+func BenchmarkNetRoundTrip(b *testing.B) {
+	for _, par := range []bool{false, true} {
+		name := "seq"
+		if par {
+			name = "par"
+		}
+		b.Run(name, func(b *testing.B) {
+			net := tcpnet.New(map[model.SiteID]string{})
 			srv, err := wire.NewPeer(net, "S1",
 				func(model.SiteID, trace.ID, wire.MsgKind, []byte) (wire.MsgKind, wire.Body, error) {
 					return wire.KindOK, &wire.OKBody{}, nil
@@ -1186,24 +1183,34 @@ func BenchmarkNetBatching(b *testing.B) {
 			defer cli.Close()
 
 			ctx := context.Background()
+			call := func() bool {
+				var resp wire.OKBody
+				if err := cli.Call(ctx, "S1", wire.KindPing, &wire.PingReq{}, &resp); err != nil {
+					b.Error(err)
+					return false
+				}
+				return true
+			}
+			call() // dial outside the timed loop
+			b.ReportAllocs()
+			if !par {
+				b.ResetTimer()
+				for i := 0; i < b.N && call(); i++ {
+				}
+				return
+			}
 			forceParallelism(b, 8)
-			// Coalescing needs concurrent outstanding calls: closed-loop
-			// clients are synchronous, so parallelism is the batch the
-			// writer goroutine can actually drain per flush.
 			b.SetParallelism(16)
+			base := net.NetStats()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					var resp wire.OKBody
-					if err := cli.Call(ctx, "S1", wire.KindPing, &wire.PingReq{}, &resp); err != nil {
-						b.Error(err)
-						return
-					}
+				for pb.Next() && call() {
 				}
 			})
-			if st := net.NetStats(); st.SentFlushes > 0 {
-				b.ReportMetric(float64(st.SentEnvelopes)/float64(st.SentFlushes), "env/flush")
-				b.ReportMetric(float64(st.SentBytes)/float64(st.SentFlushes), "B/flush")
+			st := net.NetStats()
+			if flushes := st.SentFlushes - base.SentFlushes; flushes > 0 {
+				b.ReportMetric(float64(st.SentEnvelopes-base.SentEnvelopes)/float64(flushes), "env/flush")
+				b.ReportMetric(float64(st.SentBytes-base.SentBytes)/float64(flushes), "B/flush")
 			}
 		})
 	}

@@ -1,5 +1,5 @@
 // Command rainbow-bench is a closed-loop load generator for measuring the
-// copy-operation serve path and the coalescing TCP transport end to end.
+// copy-operation serve path and the TCP transport end to end.
 // It assembles a full multi-site Rainbow cluster in one process — name
 // server and sites wired over real loopback TCP sockets, so every remote
 // copy operation pays genuine framing and syscall costs — then drives it
@@ -7,10 +7,10 @@
 // fixed duration, and reports committed throughput with p50/p99 latency.
 //
 // Results are appended to a JSON file in the same format tools/benchjson
-// emits (BENCH_load.json by default), so before/after comparisons of the
-// transport knobs stay machine-readable:
+// emits (BENCH_load.json by default), so before/after comparisons stay
+// machine-readable:
 //
-//	rainbow-bench -net-max-batch 1 -out BENCH_load_before.json
+//	rainbow-bench -hot-split=false -out BENCH_load_before.json
 //	rainbow-bench                  -out BENCH_load_after.json
 package main
 
@@ -62,8 +62,6 @@ func main() {
 	rcp := flag.String("rcp", "qc", "replica control protocol (roap/qc)")
 	ccp := flag.String("ccp", "2pl", "concurrency control protocol (2pl/tso/mvtso)")
 	acp := flag.String("acp", "2pc", "atomic commitment protocol (2pc/3pc)")
-	netMaxBatch := flag.Int("net-max-batch", 0, "envelopes per transport flush (1 = pre-coalescing one write per envelope, 0 = default)")
-	netFlushDelay := flag.Duration("net-flush-delay", 0, "transport writer linger before flushing a non-full batch")
 	seed := flag.Int64("seed", 619, "workload seed")
 	name := flag.String("name", "LoadZipfClosed", "benchmark name recorded in the output")
 	out := flag.String("out", "BENCH_load.json", "output JSON file (benchjson format); empty disables")
@@ -76,7 +74,6 @@ func main() {
 		zipf: *zipf, readRate: *readRate, addRate: *addRate, opsPerTx: *opsPerTx,
 		items: *items, hot: *hot, shards: *shards,
 		protocols: schema.Protocols{RCP: *rcp, CCP: *ccp, ACP: *acp, NoHotSplit: !*hotSplit},
-		netOpts:   tcpnet.Options{MaxBatch: *netMaxBatch, FlushDelay: *netFlushDelay},
 		seed:      *seed, name: *name,
 		traceN: *traceN, traceRate: *traceRate,
 	})
@@ -117,7 +114,6 @@ type benchConfig struct {
 	opsPerTx, items, hot    int
 	shards                  int
 	protocols               schema.Protocols
-	netOpts                 tcpnet.Options
 	seed                    int64
 	name                    string
 	traceN                  int
@@ -153,7 +149,7 @@ func run(bc benchConfig) (result, error) {
 
 	// One tcpnet.Net hosts every node in-process; each attach gets its own
 	// loopback listener, so inter-site traffic crosses real sockets.
-	net := tcpnet.NewWithOptions(map[model.SiteID]string{}, bc.netOpts)
+	net := tcpnet.New(map[model.SiteID]string{})
 	ns, err := nameserver.New(net, cat)
 	if err != nil {
 		return result{}, err

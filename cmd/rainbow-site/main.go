@@ -39,9 +39,6 @@ func main() {
 	ckptCOW := flag.Bool("checkpoint-cow", true, "capture snapshots copy-on-write so the decision pipeline stalls O(shards), not O(data); false copies under the gate (ablation; a config file's checkpoint_no_cow also disables it)")
 	ckptDirtyItems := flag.Bool("checkpoint-dirty-items", true, "track dirty items per shard so delta snapshots carry only written items; false captures whole dirty shards (ablation; a config file's checkpoint_no_dirty_items also disables it)")
 	catalogPoll := flag.Duration("catalog-poll", 5*time.Second, "interval for probing the name server's catalog epoch; a moved epoch live-reconfigures the site (0 disables polling; pushed updates still apply)")
-	netQueue := flag.Int("net-queue", 0, "per-connection send queue bound (0 = default)")
-	netBatch := flag.Int("net-batch", 0, "largest envelope batch one transport flush carries (0 = default)")
-	netFlushDelay := flag.Duration("net-flush-delay", 0, "extra time the transport writer waits for more envelopes before flushing a non-full batch (0 = flush as soon as the queue drains)")
 	traceRate := flag.Float64("trace-sample", 0, "fraction of home transactions traced end to end (0 = only the config file's trace_sample_rate, if any)")
 	traceRing := flag.Int("trace-ring", 0, "completed-trace ring bound (0 = default or the config file's value)")
 	traceSlow := flag.Duration("trace-slow", 0, "dump the stage breakdown of root traces slower than this to stderr (0 = only the config file's trace_slow_ms, if any)")
@@ -80,11 +77,7 @@ func main() {
 			addrs[model.SiteID(k)] = v
 		}
 	}
-	net := tcpnet.NewWithOptions(addrs, tcpnet.Options{
-		SendQueue:  *netQueue,
-		MaxBatch:   *netBatch,
-		FlushDelay: *netFlushDelay,
-	})
+	net := tcpnet.New(addrs)
 
 	var log wal.Log
 	if *walPath != "" {

@@ -62,10 +62,7 @@ type TwoPL struct {
 	// a transaction that can never prepare. Entries expire after
 	// finishedTTL; the site-level release tombstones remain the durable
 	// safety net behind this fast path.
-	finished [holderShards]struct {
-		mu sync.Mutex
-		m  map[model.TxID]time.Time
-	}
+	finished [holderShards]tombstones
 
 	reads     atomic.Uint64
 	preWrites atomic.Uint64
@@ -151,12 +148,18 @@ func (m *TwoPL) Name() string { return "2pl" }
 // small under churn.
 func (m *TwoPL) finishedTTL() time.Duration { return 2 * m.opts.LockTimeout }
 
+// tombstones is one stripe of the finished-transaction tombstones: when
+// each transaction finished, and when the stripe is next purged of expired
+// entries.
+type tombstones struct {
+	mu        sync.Mutex
+	m         map[model.TxID]time.Time
+	nextPurge time.Time
+}
+
 // finishedShardOf hashes tx onto a tombstone stripe (same spread as the
 // holder tracker).
-func (m *TwoPL) finishedShardOf(tx model.TxID) *struct {
-	mu sync.Mutex
-	m  map[model.TxID]time.Time
-} {
+func (m *TwoPL) finishedShardOf(tx model.TxID) *tombstones {
 	h := uint32(tx.Seq)
 	for i := 0; i < len(tx.Site); i++ {
 		h = h*31 + uint32(tx.Site[i])
@@ -164,21 +167,25 @@ func (m *TwoPL) finishedShardOf(tx model.TxID) *struct {
 	return &m.finished[h%holderShards]
 }
 
-// markFinished tombstones a committed/aborted transaction. Expired entries
-// are purged lazily whenever a stripe grows past a bound, so the maps stay
-// proportional to recent churn rather than total history.
+// markFinished tombstones a committed/aborted transaction. Each stripe is
+// purged of expired entries at most once per finishedTTL, so a stripe holds
+// at most two TTLs of churn and the scan is amortized over every
+// transaction that finished in between.
 func (m *TwoPL) markFinished(tx model.TxID) {
 	sh := m.finishedShardOf(tx)
+	now := time.Now()
 	sh.mu.Lock()
-	if len(sh.m) > 4096 {
-		cutoff := time.Now().Add(-m.finishedTTL())
+	if !now.Before(sh.nextPurge) {
+		ttl := m.finishedTTL()
+		cutoff := now.Add(-ttl)
 		for t, at := range sh.m {
 			if at.Before(cutoff) {
 				delete(sh.m, t)
 			}
 		}
+		sh.nextPurge = now.Add(ttl)
 	}
-	sh.m[tx] = time.Now()
+	sh.m[tx] = now
 	sh.mu.Unlock()
 }
 

@@ -1,9 +1,11 @@
 package cc
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/model"
 	"repro/internal/storage"
@@ -98,4 +100,54 @@ func TestTwoPLAbortClearsIntentsAcrossStripes(t *testing.T) {
 		}
 	}
 	m.Abort(tx2)
+}
+
+// TestTombstonesExpire: a finished transaction's tombstone refuses its late
+// operations until finishedTTL has passed, and each stripe drops its expired
+// tombstones at its next purge, so the stripes shrink back after the TTL.
+func TestTombstonesExpire(t *testing.T) {
+	store := storage.New()
+	store.Init(map[model.ItemID]int64{"x": 0})
+	m := NewTwoPL(store, Options{LockTimeout: 10 * time.Millisecond})
+	size := func() int {
+		total := 0
+		for i := range m.finished {
+			sh := &m.finished[i]
+			sh.mu.Lock()
+			total += len(sh.m)
+			sh.mu.Unlock()
+		}
+		return total
+	}
+	const n = 2000
+	finish := func(from uint64) {
+		for seq := from; seq < from+n; seq++ {
+			m.markFinished(model.TxID{Site: "S1", Seq: seq})
+		}
+	}
+	old := model.TxID{Site: "S1", Seq: 1}
+	finish(1)
+	if err := m.checkFinished(old); !errors.Is(err, ErrTxFinished) {
+		t.Fatalf("fresh tombstone: checkFinished = %v, want ErrTxFinished", err)
+	}
+	if got := size(); got != n {
+		t.Fatalf("%d tombstones, want %d", got, n)
+	}
+
+	// Past the TTL, and so past every stripe's next purge.
+	time.Sleep(m.finishedTTL() * 3 / 2)
+	if err := m.checkFinished(old); err != nil {
+		t.Errorf("expired tombstone: checkFinished = %v, want nil", err)
+	}
+	finish(n + 1)
+	if got := size(); got > n {
+		t.Errorf("%d tombstones after the TTL, want at most the %d fresh ones", got, n)
+	}
+	sh := m.finishedShardOf(old)
+	sh.mu.Lock()
+	_, kept := sh.m[old]
+	sh.mu.Unlock()
+	if kept {
+		t.Error("an expired tombstone survived its stripe's purge")
+	}
 }

@@ -235,15 +235,14 @@ type SiteStats struct {
 	// that ended without every participant's ack: decisions that stay in
 	// the coordinator's table until the participant asks for them.
 	TailsUnacked uint64
-	// Coalescing-transport gauges (filled under the tcpnet backend; zero on
-	// the simulated network). Envelopes per flush is the send-syscall
-	// amortization; NetRecvFrames counts decoded multi-envelope frames;
-	// NetSendSheds counts sends dropped under backpressure.
+	// TCP transport gauges (filled under the tcpnet backend; zero on the
+	// simulated network). Envelopes per flush is the send-syscall
+	// amortization of shared frames; NetRecvFrames counts decoded
+	// multi-envelope frames.
 	NetSentEnvelopes uint64
 	NetSendFlushes   uint64
 	NetRecvEnvelopes uint64
 	NetRecvFrames    uint64
-	NetSendSheds     uint64
 	// NetSentBytes counts framed bytes written (the bytes/flush numerator).
 	NetSentBytes uint64
 	// Stages holds per-stage latency histograms keyed by trace stage name
@@ -261,7 +260,7 @@ type SiteStats struct {
 }
 
 // NetCoalescing returns the mean envelopes per transport flush (the send
-// syscalls saved by the coalescing sender).
+// syscalls saved by concurrent senders sharing a frame).
 func (s SiteStats) NetCoalescing() float64 {
 	if s.NetSendFlushes == 0 {
 		return 0
@@ -583,9 +582,9 @@ func (r Report) Render() string {
 		fmt.Fprintf(&b, "commit tails missing an ack: %d\n", t.TailsUnacked)
 	}
 	if t.NetSendFlushes > 0 {
-		fmt.Fprintf(&b, "net coalescing: %d envelopes / %d flushes (%.1f env/flush, %.0f B/flush), %d frames in, sheds=%d\n",
+		fmt.Fprintf(&b, "net coalescing: %d envelopes / %d flushes (%.1f env/flush, %.0f B/flush), %d frames in\n",
 			t.NetSentEnvelopes, t.NetSendFlushes, t.NetCoalescing(), t.NetBytesPerFlush(),
-			t.NetRecvFrames, t.NetSendSheds)
+			t.NetRecvFrames)
 	}
 	if len(t.Stages) > 0 {
 		fmt.Fprintf(&b, "stages (count p50/p99/max):\n")

@@ -102,12 +102,11 @@ var Table = []Row{
 	{Field: "HomeFirstReruns", Metric: "rainbow_home_first_reruns_total", Help: "Home-first waves a no-wait leg refused, rerun as ordered waves.", count: HomeFirstReruns},
 	{Field: "ReleasesAbandoned", Metric: "rainbow_releases_abandoned_total", Help: "Release-retry loops that gave up and left cleanup to the janitor."},
 	{Field: "TailsUnacked", Metric: "rainbow_commit_tails_unacked_total", Help: "Commit tails that ended without every ack; their decisions wait in the table for a decision request."},
-	{Field: "NetSentEnvelopes", Metric: "rainbow_net_sent_envelopes_total", Help: "Envelopes handed to the TCP transport's coalescing sender (0 on the simulated network)."},
-	{Field: "NetSendFlushes", Metric: "rainbow_net_send_flushes_total", Help: "TCP transport flush cycles, one send syscall each (0 on the simulated network)."},
+	{Field: "NetSentEnvelopes", Metric: "rainbow_net_sent_envelopes_total", Help: "Envelopes the TCP transport wrote (0 on the simulated network)."},
+	{Field: "NetSendFlushes", Metric: "rainbow_net_send_flushes_total", Help: "Frames the TCP transport wrote, one send syscall each (0 on the simulated network)."},
 	{Field: "NetRecvEnvelopes", Metric: "rainbow_net_recv_envelopes_total", Help: "Envelopes the TCP transport decoded from incoming frames (0 on the simulated network)."},
 	{Field: "NetRecvFrames", Metric: "rainbow_net_recv_frames_total", Help: "Multi-envelope frames the TCP transport decoded (0 on the simulated network)."},
-	{Field: "NetSendSheds", Metric: "rainbow_net_send_sheds_total", Help: "TCP transport sends dropped under backpressure (0 on the simulated network)."},
-	{Field: "NetSentBytes", Metric: "rainbow_net_sent_bytes_total", Help: "Bytes written by the TCP transport's coalescing sender (0 on the simulated network)."},
+	{Field: "NetSentBytes", Metric: "rainbow_net_sent_bytes_total", Help: "Bytes written by the TCP transport (0 on the simulated network)."},
 	{Field: "TraceSampled", Metric: "rainbow_trace_sampled_total", Help: "Transactions sampled for tracing."},
 	{Field: "TraceFragments", Metric: "rainbow_trace_fragments_total", Help: "Completed trace fragments retained."},
 	{Field: "TraceEvicted", Metric: "rainbow_trace_evicted_total", Help: "Trace fragments evicted from the bounded ring."},

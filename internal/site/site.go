@@ -332,7 +332,7 @@ func New(cfg Config) (*Site, error) {
 			tr.Observe(trace.StageWALFsync, d)
 		})
 	}
-	// Transports that understand tracing (tcpnet) attach send-queue and
+	// Transports that understand tracing (tcpnet) attach send-wait and
 	// flush spans to in-flight envelopes via the registered tracer.
 	if rt, ok := cfg.Net.(interface {
 		RegisterTracer(model.SiteID, *trace.Tracer)
@@ -889,7 +889,6 @@ func (s *Site) lifetimeStats() monitor.SiteStats {
 		stats.NetSendFlushes = n.SentFlushes
 		stats.NetRecvEnvelopes = n.RecvEnvelopes
 		stats.NetRecvFrames = n.RecvFrames
-		stats.NetSendSheds = n.SendSheds
 		stats.NetSentBytes = n.SentBytes
 	}
 	stats.Stages = s.tracer.StageHistograms()

@@ -18,7 +18,7 @@ import (
 // loopback-TCP cluster and checks that collating the sites' fragment rings
 // reassembles a distributed trace: the home site's root fragment carries the
 // exec/op/prepare/decide spans, remote fragments carry the CC admission and WAL
-// work their sites did, the transport contributes send-queue spans, and the
+// work their sites did, the transport contributes send-wait spans, and the
 // span timings are consistent with the measured end-to-end latency.
 func TestTraceEndToEndTCP(t *testing.T) {
 	net := tcpnet.New(nil)
@@ -154,7 +154,7 @@ func TestTraceEndToEndTCP(t *testing.T) {
 			dump("no remote fragment recorded the voting leg's force")
 		}
 		if !stageOf(g, trace.StageNetQueue, false) {
-			dump("no fragment recorded a transport send-queue span")
+			dump("no fragment recorded a transport send-wait span")
 		}
 
 		// Multi-site coverage: a distributed write must leave fragments on at

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -68,18 +69,21 @@ func TestFrameDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestMultiEnvelopeFrames drives enough traffic through one connection that
-// the writer coalesces multiple envelopes per flush, and verifies (a) the
-// receiver's batch handler sees multi-envelope slices and (b) the flush
-// count stays well below the envelope count — the syscalls-per-op win.
+// TestMultiEnvelopeFrames wedges the receiver's reader so that a large
+// envelope's write blocks its holder, queues ten senders behind it, then
+// releases the reader: the next holder writes everything pending as one
+// frame, so the receiver decodes fewer frames than envelopes and its batch
+// handler sees a multi-envelope slice.
 func TestMultiEnvelopeFrames(t *testing.T) {
-	n := NewWithOptions(nil, Options{FlushDelay: 20 * time.Millisecond})
-	var envs, frames, maxFrame atomic.Int64
+	n := New(nil)
+	release := make(chan struct{})
+	var wedged sync.Once
+	var maxFrame atomic.Int64
 	b, err := n.AttachBatch("b", func(env *wire.Envelope) {
-		envs.Add(1)
+		if env.Corr == 1 {
+			wedged.Do(func() { <-release })
+		}
 	}, func(batch []*wire.Envelope) {
-		envs.Add(int64(len(batch)))
-		frames.Add(1)
 		if l := int64(len(batch)); l > maxFrame.Load() {
 			maxFrame.Store(l)
 		}
@@ -94,24 +98,126 @@ func TestMultiEnvelopeFrames(t *testing.T) {
 	}
 	defer a.Close()
 
-	const total = 64
-	for i := 0; i < total; i++ {
-		env := &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Corr: uint64(i + 1)}
-		if err := a.Send(context.Background(), env); err != nil {
+	ctx := context.Background()
+	if err := a.Send(ctx, &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Corr: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// More than the loopback socket buffers hold: its write blocks until
+	// the reader is released.
+	big := &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Corr: 2, Payload: make([]byte, 16<<20)}
+	const senders = 10
+	var wg sync.WaitGroup
+	errs := make(chan error, senders+1)
+	wg.Add(1)
+	go func() { defer wg.Done(); errs <- a.Send(ctx, big) }()
+	ep := a.(*endpoint)
+	ep.mu.Lock()
+	c := ep.conns["b"]
+	ep.mu.Unlock()
+	waitFor(t, func() bool { return len(c.wlock) == 1 }, "the large envelope's write never started")
+	for i := 0; i < senders; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs <- a.Send(ctx, &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Corr: uint64(3 + i)})
+		}(i)
+	}
+	waitFor(t, func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return len(c.pending) == senders
+	}, "senders did not queue behind the blocked write")
+	close(release)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return envs.Load() == total }, "not all envelopes delivered")
+	const total = senders + 2
+	waitFor(t, func() bool { return n.NetStats().RecvEnvelopes == total }, "not all envelopes delivered")
+	if st := n.NetStats(); st.RecvFrames >= st.RecvEnvelopes || st.SentFlushes >= st.SentEnvelopes {
+		t.Errorf("no shared frame: %d frames for %d envelopes received, %d for %d sent",
+			st.RecvFrames, st.RecvEnvelopes, st.SentFlushes, st.SentEnvelopes)
+	}
 	if maxFrame.Load() < 2 {
 		t.Errorf("no multi-envelope frame dispatched (max %d)", maxFrame.Load())
 	}
+}
+
+// TestCombiningExactlyOnceInOrder has eight goroutines send sequence-numbered
+// envelopes through one endpoint to one peer, so their sends share frames:
+// the receiver must see every envelope exactly once and each sender's in
+// the order it sent them.
+func TestCombiningExactlyOnceInOrder(t *testing.T) {
+	const senders, each = 8, 5000
+	n := New(nil)
+	var mu sync.Mutex
+	next := make([]uint64, senders)
+	var bad atomic.Int64
+	recv := func(env *wire.Envelope) {
+		s, seq := env.Corr>>32, env.Corr&(1<<32-1)
+		mu.Lock()
+		if s >= senders || seq != next[s] {
+			bad.Add(1)
+		} else {
+			next[s]++
+		}
+		mu.Unlock()
+	}
+	b, err := n.AttachBatch("b", recv, func(batch []*wire.Envelope) {
+		for _, env := range batch {
+			recv(env)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := n.Attach("a", func(*wire.Envelope) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	var wg sync.WaitGroup
+	errs := make(chan error, senders)
+	for s := uint64(0); s < senders; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(0); seq < each; seq++ {
+				env := &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Corr: s<<32 | seq, Body: &wire.PingReq{}}
+				if err := a.Send(context.Background(), env); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return n.NetStats().RecvEnvelopes >= senders*each }, "not every envelope arrived")
+	time.Sleep(10 * time.Millisecond) // let a duplicate, if any, arrive too
 	st := n.NetStats()
-	if st.SentFlushes >= st.SentEnvelopes {
-		t.Errorf("no send coalescing: %d flushes for %d envelopes", st.SentFlushes, st.SentEnvelopes)
+	if st.RecvEnvelopes != senders*each || st.SentEnvelopes != senders*each {
+		t.Errorf("sent %d and received %d envelopes, want %d", st.SentEnvelopes, st.RecvEnvelopes, senders*each)
 	}
-	if st.MaxSendBatch < 2 {
-		t.Errorf("MaxSendBatch = %d, want >= 2", st.MaxSendBatch)
+	if bad.Load() != 0 {
+		t.Errorf("%d envelopes arrived out of order, twice or from nowhere", bad.Load())
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	for s, got := range next {
+		if got != each {
+			t.Errorf("sender %d: %d of %d envelopes arrived in order", s, got, each)
+		}
+	}
+	t.Logf("%d envelopes in %d frames", st.SentEnvelopes, st.SentFlushes)
 }
 
 // TestStreamWithoutMagicClosed connects peers that do not open with the
@@ -209,11 +315,10 @@ func TestTornFrameDropsConnection(t *testing.T) {
 }
 
 // TestReconnectResendsCurrentBatch kills the established connection under
-// the sender and verifies the writer's redial-once path re-delivers without
-// the caller seeing an error — the batched-framing equivalent of the old
-// per-send retry. (The batch being re-sent may duplicate envelopes already
-// flushed; the wire contract is at-most-once per send attempt with retry
-// above, so duplicates are tolerated and only delivery is asserted.)
+// the sender and verifies the redial-once path re-delivers without the
+// caller seeing an error. (The frame being re-sent may duplicate envelopes
+// already written; the wire contract is at-most-once per send attempt with
+// retry above, so duplicates are tolerated and only delivery is asserted.)
 func TestReconnectResendsCurrentBatch(t *testing.T) {
 	n := New(nil)
 	var got atomic.Int32
@@ -249,11 +354,13 @@ func TestReconnectResendsCurrentBatch(t *testing.T) {
 	}, "message not delivered after restart under batched framing")
 }
 
-// TestSlowReaderBackpressure points a flood at a receiver whose handler
-// never returns. The bounded send queue plus bounded stall must convert the
-// overload into shed errors — never an unbounded buffer, never a deadlock.
+// TestSlowReaderBackpressure floods a receiver whose handler never returns.
+// Once the socket buffers fill, a write cannot make progress: every Send
+// under a 100 ms ctx must come back within 1 s, and the flood must end in
+// an error rather than an unbounded buffer. Senders without a deadline
+// block instead, and closing the endpoint must release every one of them.
 func TestSlowReaderBackpressure(t *testing.T) {
-	n := NewWithOptions(nil, Options{SendQueue: 2, SendStall: 30 * time.Millisecond})
+	n := New(nil)
 	block := make(chan struct{})
 	b, err := n.Attach("b", func(*wire.Envelope) { <-block })
 	if err != nil {
@@ -267,24 +374,153 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	}
 	defer a.Close()
 
-	// Large payloads fill the kernel socket buffers fast, so the writer
-	// goroutine wedges in Write and the send queue backs up.
+	// Large payloads fill the kernel socket buffers fast.
 	payload := make([]byte, 256<<10)
-	var shed error
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		err := a.Send(context.Background(), &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Payload: payload})
-		if err != nil {
-			shed = err
-			break
+	send := func(ctx context.Context) error {
+		return a.Send(ctx, &wire.Envelope{From: "a", To: "b", Kind: wire.KindPing, Payload: payload})
+	}
+	flood := func() error {
+		for i := 0; i < 1000; i++ {
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			start := time.Now()
+			err := send(ctx)
+			cancel()
+			if took := time.Since(start); took > time.Second {
+				return fmt.Errorf("send %d took %v under a 100ms ctx", i, took)
+			}
+			if err != nil {
+				return nil
+			}
+		}
+		return errors.New("flooding a blocked reader never failed a send")
+	}
+	const flooders = 4
+	errCh := make(chan error, flooders)
+	for i := 0; i < flooders; i++ {
+		go func() { errCh <- flood() }()
+	}
+	for i := 0; i < flooders; i++ {
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
 		}
 	}
-	if shed == nil {
-		t.Fatal("flooding a blocked reader never shed a send")
+
+	// Senders with no deadline wait on the full socket until Close.
+	const blocked = 4
+	var sent atomic.Int64
+	for i := 0; i < blocked; i++ {
+		go func() {
+			for {
+				if err := send(context.Background()); err != nil {
+					errCh <- err
+					return
+				}
+				sent.Add(1)
+			}
+		}()
 	}
-	if st := n.NetStats(); st.SendSheds == 0 {
-		t.Error("shed error returned but SendSheds == 0")
+	waitFor(t, func() bool {
+		before := sent.Load()
+		time.Sleep(50 * time.Millisecond)
+		return sent.Load() == before
+	}, "senders without a deadline never blocked")
+	a.Close()
+	for i := 0; i < blocked; i++ {
+		select {
+		case <-errCh:
+		case <-time.After(2 * time.Second):
+			t.Fatal("Close left a sender blocked")
+		}
 	}
+}
+
+// TestCallsSurviveKilledConnections runs concurrent calls while the server's
+// sockets are closed under them every few milliseconds, cutting frames in
+// half on both directions. Every call must come back with its own reply or
+// an error by its deadline; none may hang or see another call's reply.
+func TestCallsSurviveKilledConnections(t *testing.T) {
+	n := New(nil)
+	server, err := wire.NewPeer(n, "server", func(from model.SiteID, _ trace.ID, kind wire.MsgKind, pay []byte) (wire.MsgKind, wire.Body, error) {
+		var req wire.CopyBatchReq
+		if err := req.DecodeFrom(pay); err != nil {
+			return 0, nil, err
+		}
+		return wire.KindCopyBatch, &wire.CopyBatchResp{Clock: req.Tx.Seq}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := wire.NewPeer(n, "client", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	stop := make(chan struct{})
+	killed := make(chan int)
+	go func() {
+		n.mu.Lock()
+		ep := n.nodes["server"]
+		n.mu.Unlock()
+		kills := 0
+		defer func() { killed <- kills }()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(3 * time.Millisecond):
+			}
+			ep.mu.Lock()
+			for c := range ep.live {
+				c.conn.Close()
+				kills++
+			}
+			ep.mu.Unlock()
+		}
+	}()
+
+	const callers, budget = 16, 200 * time.Millisecond
+	var ok, failed atomic.Int64
+	errCh := make(chan error, callers)
+	end := time.Now().Add(time.Second)
+	for g := 0; g < callers; g++ {
+		go func(g uint64) {
+			for i := uint64(0); time.Now().Before(end); i++ {
+				seq := g<<32 | i
+				ctx, cancel := context.WithTimeout(context.Background(), budget)
+				start := time.Now()
+				var resp wire.CopyBatchResp
+				err := client.Call(ctx, "server", wire.KindCopyBatch, &wire.CopyBatchReq{Tx: model.TxID{Seq: seq}}, &resp)
+				cancel()
+				if took := time.Since(start); took > budget+500*time.Millisecond {
+					errCh <- fmt.Errorf("call took %v under a %v ctx", took, budget)
+					return
+				}
+				if err != nil {
+					failed.Add(1)
+					continue
+				}
+				if resp.Clock != seq {
+					errCh <- fmt.Errorf("call %x got the reply to %x", seq, resp.Clock)
+					return
+				}
+				ok.Add(1)
+			}
+			errCh <- nil
+		}(uint64(g))
+	}
+	for g := 0; g < callers; g++ {
+		if err := <-errCh; err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	kills := <-killed
+	if ok.Load() == 0 {
+		t.Error("no call succeeded")
+	}
+	t.Logf("%d calls answered, %d failed, %d sockets closed", ok.Load(), failed.Load(), kills)
 }
 
 // TestBatchedRPCStress hammers one server with concurrent calls under

@@ -125,9 +125,9 @@ func decodeEnvelope(b []byte) (*wire.Envelope, error) {
 }
 
 // appendFrame frames a batch of envelopes onto buf, encoding each typed
-// body (bodies already flattened ride as-is). tmp is the writer goroutine's
-// reusable body-encode scratch, so the flush path allocates neither frame
-// nor body buffers in steady state.
+// body (bodies already flattened ride as-is). tmp is the write-lock
+// holder's reusable body-encode scratch, so the write path allocates
+// neither frame nor body buffers in steady state.
 func appendFrame(buf []byte, batch []*wire.Envelope, tmp *[]byte) []byte {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // frameLen placeholder

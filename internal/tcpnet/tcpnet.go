@@ -1,23 +1,21 @@
-// Package tcpnet implements wire.Network over real TCP connections. It
-// supports the paper's multi-host deployment mode: each Rainbow site, the
-// name server, and the home-host tooling run as separate processes and
-// exchange the same envelopes as on the simulated network.
+// Package tcpnet implements wire.Network over real TCP connections, for the
+// paper's multi-host deployment mode: each Rainbow site, the name server
+// and the home-host tooling run as separate processes and exchange the same
+// envelopes as on the simulated network.
 //
-// The send path is flush-coalescing: Send enqueues onto a bounded
-// per-connection queue drained by one writer goroutine, which encodes every
-// queued envelope into a single buffered write — one syscall carries many
-// envelopes, which is what keeps chatty 2PC/3PC rounds and concurrent
-// copy-wave replies off the per-message write(2) cost. On the wire the
-// batch travels as one length-prefixed multi-envelope frame (see frame.go);
-// the receive side reads a whole frame in one ReadFull and dispatches the
-// decoded envelopes as a slice. Message bodies are encoded at flush time
-// with the one binary body codec (wire.Body, see wire/codec.go). A peer
-// whose stream does not open with the frame magic is disconnected.
+// Send writes on the caller's goroutine by flat combining: a sender appends
+// its envelope to the connection's pending slice and takes its write lock,
+// and the holder writes everything pending as one length-prefixed
+// multi-envelope frame (frame.go) with one conn.Write. Concurrent senders
+// share a frame; an uncontended send costs one uncontended lock. The
+// reader decodes a whole frame per ReadFull and dispatches its envelopes as
+// a slice. A stream that does not open with the frame magic is closed.
 //
-// Backpressure is by bounded queue: a Send finding the queue full blocks
-// briefly (a stall) and then sheds with an error rather than buffering
-// unboundedly behind a slow reader — the wire.Endpoint contract is
-// explicitly unreliable, and protocol layers already retry on loss.
+// Backpressure is the socket's own: a write that cannot make progress
+// blocks its holder and the senders behind it. Waiting for the lock ends
+// with the sender's ctx or the connection; a write that passes its ctx
+// deadline kills the connection, since a torn frame cannot be resumed. A
+// sender that returns an error takes its envelope back out of pending.
 //
 // Addressing uses a shared address book (SiteID → host:port). Attaching a
 // node starts a listener on its book address; ":0" addresses are resolved
@@ -28,12 +26,15 @@ package tcpnet
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,53 +44,18 @@ import (
 	"repro/internal/wire"
 )
 
-// Options tunes the transport's batching behavior. The zero value selects
-// the defaults.
-type Options struct {
-	// SendQueue bounds each connection's send queue; <= 0 selects 1024.
-	SendQueue int
-	// MaxBatch caps the envelopes encoded into one flush; <= 0 selects 128.
-	MaxBatch int
-	// FlushDelay, when positive, lets the writer wait up to this long for
-	// more envelopes before flushing a non-full batch — trading latency for
-	// larger batches. Zero flushes as soon as the queue is drained.
-	FlushDelay time.Duration
-	// SendStall bounds how long a Send blocks on a full queue before
-	// shedding the envelope; <= 0 selects 1s.
-	SendStall time.Duration
-}
-
-func (o Options) withDefaults() Options {
-	if o.SendQueue <= 0 {
-		o.SendQueue = 1024
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 128
-	}
-	if o.SendStall <= 0 {
-		o.SendStall = time.Second
-	}
-	return o
-}
-
 // Stats counts transport events; the flushes-vs-envelopes ratio is the
-// syscalls-per-operation measurement the batching exists to improve.
+// syscalls-per-operation measurement frame sharing improves.
 type Stats struct {
-	SentEnvelopes uint64 // envelopes handed to the writer goroutines
-	SentFlushes   uint64 // buffered-write flushes (≈ write syscalls)
-	SentBatches   uint64 // batches encoded (== flushes unless a batch exceeded the buffer)
+	SentEnvelopes uint64 // envelopes written to sockets
+	SentFlushes   uint64 // frames written, one conn.Write each (≈ write syscalls)
 	SentBytes     uint64 // bytes written to sockets (bytes/flush = SentBytes/SentFlushes)
-	MaxSendBatch  uint64 // largest single batch
-	SendSheds     uint64 // envelopes shed on a full queue after SendStall
-	SendStalls    uint64 // Sends that found their queue full and blocked
 	RecvEnvelopes uint64 // envelopes decoded inbound
 	RecvFrames    uint64 // multi-envelope frames decoded inbound
 }
 
 // Net is a TCP-backed wire.Network.
 type Net struct {
-	opts Options
-
 	mu      sync.Mutex
 	book    map[model.SiteID]string
 	nodes   map[model.SiteID]*endpoint
@@ -97,30 +63,19 @@ type Net struct {
 
 	sentEnvelopes atomic.Uint64
 	sentFlushes   atomic.Uint64
-	sentBatches   atomic.Uint64
 	sentBytes     atomic.Uint64
-	maxSendBatch  atomic.Uint64
-	sendSheds     atomic.Uint64
-	sendStalls    atomic.Uint64
 	recvEnvelopes atomic.Uint64
 	recvFrames    atomic.Uint64
 }
 
-// New builds a TCP network with the given address book and default options.
-// The book may be extended later via SetAddr (e.g. after registering with
-// the name server).
+// New builds a TCP network with the given address book. The book may be
+// extended later via SetAddr (e.g. after registering with the name server).
 func New(book map[model.SiteID]string) *Net {
-	return NewWithOptions(book, Options{})
-}
-
-// NewWithOptions builds a TCP network with explicit batching options.
-func NewWithOptions(book map[model.SiteID]string, opts Options) *Net {
 	b := make(map[model.SiteID]string, len(book))
 	for k, v := range book {
 		b[k] = v
 	}
 	return &Net{
-		opts:    opts.withDefaults(),
 		book:    b,
 		nodes:   make(map[model.SiteID]*endpoint),
 		tracers: make(map[model.SiteID]*trace.Tracer),
@@ -128,8 +83,8 @@ func NewWithOptions(book map[model.SiteID]string, opts Options) *Net {
 }
 
 // RegisterTracer attaches a site's tracer to its endpoint: the transport
-// then feeds flush-cycle latencies into the always-on net_flush histogram
-// and attaches send-queue spans to in-flight sampled traces. Sites probe
+// then feeds frame-write latencies into the always-on net_flush histogram
+// and attaches send-wait spans to in-flight sampled traces. Sites probe
 // for this method through the wire.Network interface; transports without it
 // (the simulator) simply skip transport stages.
 func (n *Net) RegisterTracer(id model.SiteID, t *trace.Tracer) {
@@ -162,11 +117,7 @@ func (n *Net) NetStats() Stats {
 	return Stats{
 		SentEnvelopes: n.sentEnvelopes.Load(),
 		SentFlushes:   n.sentFlushes.Load(),
-		SentBatches:   n.sentBatches.Load(),
 		SentBytes:     n.sentBytes.Load(),
-		MaxSendBatch:  n.maxSendBatch.Load(),
-		SendSheds:     n.sendSheds.Load(),
-		SendStalls:    n.sendStalls.Load(),
 		RecvEnvelopes: n.recvEnvelopes.Load(),
 		RecvFrames:    n.recvFrames.Load(),
 	}
@@ -227,8 +178,8 @@ type endpoint struct {
 	ln      net.Listener
 	handler wire.Handler
 	batch   wire.BatchHandler
-	// tracer, when registered, receives flush-cycle observations and
-	// send-queue spans for sampled envelopes leaving this endpoint.
+	// tracer, when registered, receives frame-write observations and
+	// send-wait spans for sampled envelopes leaving this endpoint.
 	tracer atomic.Pointer[trace.Tracer]
 
 	mu    sync.Mutex
@@ -241,48 +192,53 @@ type endpoint struct {
 	closed bool
 }
 
-// outConn is one connection's send half: a bounded queue drained by a
-// writer goroutine that encodes every drained envelope into one buffered
-// write. dialedTo is set on dialed connections (the writer redials once on
-// a write failure, mirroring the old send-retry semantics); accepted
-// connections cannot be redialed and die on error.
+// outConn is one connection's send half. Senders append to pending and
+// take wlock; the holder writes everything pending as one frame.
 type outConn struct {
-	ep       *endpoint
-	conn     net.Conn
-	dialedTo model.SiteID
+	ep   *endpoint
+	conn net.Conn
+	// wlock is the write lock, a cap-1 channel so that waiting for it can
+	// end with the sender's ctx or with the connection (done).
+	wlock chan struct{}
 
-	sendCh   chan sendItem
+	mu sync.Mutex
+	// pending holds the envelopes no holder has taken yet, in Send order.
+	// Each envelope gets the next seq; a holder takes all of pending, so
+	// seq <= taken means taken, and seq <= written means written.
+	pending             []pendingEnv
+	seq, taken, written uint64
+
+	// Guarded by wlock: the frame being written and its scratch.
+	writing        []pendingEnv
+	envs           []*wire.Envelope
+	frame, bodyTmp []byte
+
 	done     chan struct{}
 	killOnce sync.Once
 	dead     atomic.Bool
 }
 
-// sendItem is one queued envelope; enq carries the enqueue instant (unix
-// nanos) for sampled envelopes so the writer can close their send-queue
-// span when it takes them off the queue. Zero — the untraced case — costs
-// nothing.
-type sendItem struct {
+// pendingEnv is one envelope waiting for a holder. at is the Send instant
+// (unix nanos) of sampled envelopes, so the holder can close their
+// net_queue span when their frame's write starts; zero, the untraced case,
+// costs nothing.
+type pendingEnv struct {
 	env *wire.Envelope
-	enq int64
+	seq uint64
+	at  int64
 }
 
-func (e *endpoint) newOutConn(conn net.Conn, dialedTo model.SiteID) *outConn {
-	c := &outConn{
-		ep:       e,
-		conn:     conn,
-		dialedTo: dialedTo,
-		sendCh:   make(chan sendItem, e.net.opts.SendQueue),
-		done:     make(chan struct{}),
-	}
+// newOutConn opens the send half of conn by writing the frame magic.
+func (e *endpoint) newOutConn(conn net.Conn) *outConn {
+	c := &outConn{ep: e, conn: conn, wlock: make(chan struct{}, 1), done: make(chan struct{})}
 	e.mu.Lock()
 	closed := e.closed
 	if !closed {
 		e.live[c] = struct{}{}
 	}
 	e.mu.Unlock()
-	go c.writeLoop()
-	if closed {
-		c.kill() // accepted or dialed while Close ran: nobody else will
+	if _, err := conn.Write(frameMagic[:]); err != nil || closed {
+		c.kill() // dead on arrival, or made while Close ran: nobody else will
 	}
 	return c
 }
@@ -312,25 +268,24 @@ func (e *endpoint) Close() error {
 	return e.ln.Close()
 }
 
-// kill marks the connection dead and closes the socket; the writer and read
-// loops exit on their next operation. Callers must not hold the endpoint's
-// mutex.
+// kill marks the connection dead and closes the socket: a blocked write
+// and the read loop fail on it, and senders waiting for the write lock
+// wake on done. Callers must not hold the endpoint's mutex.
 func (c *outConn) kill() {
 	c.killOnce.Do(func() {
 		c.dead.Store(true)
 		close(c.done)
 		c.ep.mu.Lock()
 		delete(c.ep.live, c)
-		conn := c.conn // redial swaps it under the same mutex
 		c.ep.mu.Unlock()
-		conn.Close()
+		c.conn.Close()
 	})
 }
 
-// Send implements wire.Endpoint: it lazily dials env.To and enqueues the
-// envelope on the connection's send queue (the writer goroutine delivers
-// it, coalesced with its queue neighbors, in one flush). A connection found
-// dead is dropped and redialed once.
+// Send implements wire.Endpoint: it lazily dials env.To and writes the
+// envelope on the caller's goroutine, in a frame shared with any envelopes
+// sent concurrently on the same connection. If the connection dies under
+// it, Send redials once and writes the envelope again.
 func (e *endpoint) Send(ctx context.Context, env *wire.Envelope) error {
 	e.mu.Lock()
 	closed := e.closed
@@ -342,222 +297,134 @@ func (e *endpoint) Send(ctx context.Context, env *wire.Envelope) error {
 	if err != nil {
 		return err
 	}
-	if err := c.enqueue(ctx, env); err != nil {
-		if !c.dead.Load() {
-			return err // backpressure shed on a live connection
-		}
-		e.dropConn(env.To, c)
-		c, err = e.conn(ctx, env.To)
-		if err != nil {
+	if err := c.send(ctx, env); err != nil {
+		if !c.dead.Load() || ctx.Err() != nil || errors.Is(err, os.ErrDeadlineExceeded) {
 			return err
 		}
-		if err := c.enqueue(ctx, env); err != nil {
-			e.dropConn(env.To, c)
+		e.dropConn(env.To, c)
+		if c, err = e.conn(ctx, env.To); err != nil {
+			return err
+		}
+		if err := c.send(ctx, env); err != nil {
 			return fmt.Errorf("tcpnet: send %s→%s: %w", e.id, env.To, err)
 		}
 	}
 	return nil
 }
 
+// errConnDead also reports an envelope whose frame was not written: every
+// failed write kills its connection.
 var errConnDead = errors.New("tcpnet: connection dead")
 
-// enqueue puts env on the send queue: non-blocking first, then a bounded
-// stall, then shed. The bounded queue plus bounded stall is what makes a
-// slow reader shed load instead of deadlocking or buffering unboundedly.
-func (c *outConn) enqueue(ctx context.Context, env *wire.Envelope) error {
+// send appends env to pending and takes the write lock. The holder writes
+// every pending envelope; a sender whose envelope an earlier holder took
+// returns that holder's outcome.
+func (c *outConn) send(ctx context.Context, env *wire.Envelope) error {
 	if c.dead.Load() {
 		return errConnDead
 	}
-	item := sendItem{env: env}
+	p := pendingEnv{env: env}
 	if env.Trace != 0 && c.ep.tracer.Load() != nil {
-		item.enq = time.Now().UnixNano()
+		p.at = time.Now().UnixNano()
 	}
+	c.mu.Lock()
+	c.seq++
+	p.seq = c.seq
+	c.pending = append(c.pending, p)
+	c.mu.Unlock()
+
 	select {
-	case c.sendCh <- item:
-		c.ep.net.sentEnvelopes.Add(1)
-		return nil
-	default:
-	}
-	c.ep.net.sendStalls.Add(1)
-	stall := time.NewTimer(c.ep.net.opts.SendStall)
-	defer stall.Stop()
-	select {
-	case c.sendCh <- item:
-		c.ep.net.sentEnvelopes.Add(1)
-		return nil
+	case c.wlock <- struct{}{}:
 	case <-ctx.Done():
-		return ctx.Err()
-	case <-stall.C:
-		c.ep.net.sendSheds.Add(1)
-		return fmt.Errorf("tcpnet: send queue to %s full, envelope shed", env.To)
+		return c.settle(p.seq, ctx.Err())
+	case <-c.done:
+		return c.settle(p.seq, errConnDead)
 	}
-}
+	defer func() { <-c.wlock }()
 
-// writeLoop is the connection's writer goroutine: block for the first
-// queued envelope, drain greedily up to the batch cap (optionally waiting
-// FlushDelay for stragglers), encode the whole batch, flush once.
-func (c *outConn) writeLoop() {
-	opts := c.ep.net.opts
-	var (
-		flushes countingWriter
-		bw      *bufio.Writer
-		scratch []byte // frame-encode scratch, reused across flushes
-		bodyTmp []byte // body-encode scratch, reused across envelopes
-	)
-	rebind := func() {
-		flushes = countingWriter{w: c.conn}
-		bw = bufio.NewWriterSize(&flushes, 64<<10)
+	// A write must not start past its deadline: it would fail at once and
+	// kill the connection, and ctx's own timer may not have fired yet.
+	deadline, hasDeadline := ctx.Deadline()
+	err := ctx.Err()
+	if err == nil && hasDeadline && !time.Now().Before(deadline) {
+		err = context.DeadlineExceeded
 	}
-	rebind()
-	if _, err := c.conn.Write(frameMagic[:]); err != nil {
-		c.kill()
-		return
+	c.mu.Lock()
+	if err != nil || p.seq <= c.taken {
+		c.mu.Unlock()
+		return c.settle(p.seq, cmp.Or(err, errConnDead))
 	}
-	items := make([]sendItem, 0, opts.MaxBatch)
-	batch := make([]*wire.Envelope, 0, opts.MaxBatch)
-	for {
-		var item sendItem
-		select {
-		case item = <-c.sendCh:
-		case <-c.done:
-			return
-		}
-		items = append(items[:0], item)
-	drain:
-		for len(items) < opts.MaxBatch {
-			select {
-			case next := <-c.sendCh:
-				items = append(items, next)
-			default:
-				if opts.FlushDelay <= 0 || len(items) >= opts.MaxBatch {
-					break drain
-				}
-				t := time.NewTimer(opts.FlushDelay)
-				select {
-				case next := <-c.sendCh:
-					t.Stop()
-					items = append(items, next)
-				case <-t.C:
-					break drain
-				}
-			}
-		}
-		batch = batch[:0]
-		for _, it := range items {
-			batch = append(batch, it.env)
-		}
-		tracer := c.ep.tracer.Load()
-		var flushStart time.Time
-		if tracer != nil {
-			flushStart = time.Now()
-			recordQueueWaits(tracer, flushStart, items)
-		}
-		if err := writeBatch(bw, &scratch, &bodyTmp, batch); err != nil {
-			if !c.redial() {
-				c.kill()
-				return
-			}
-			rebind()
-			if writeBatch(bw, &scratch, &bodyTmp, batch) != nil {
-				c.kill()
-				return
-			}
-		}
-		n := c.ep.net
-		n.sentBatches.Add(1)
-		n.sentFlushes.Add(flushes.take())
-		n.sentBytes.Add(flushes.takeBytes())
-		if l := uint64(len(items)); l > n.maxSendBatch.Load() {
-			n.maxSendBatch.Store(l)
-		}
-		if tracer != nil {
-			tracer.Observe(trace.StageNetFlush, time.Since(flushStart))
-		}
-	}
-}
+	c.writing, c.pending = c.pending, c.writing[:0]
+	c.taken = c.seq
+	c.mu.Unlock()
 
-// recordQueueWaits attaches a net_queue span (enqueue → taken off the queue
-// for this flush) to each sampled envelope's in-flight trace. It runs before
-// the write: once the bytes are out, the peer's reply can finish the trace,
-// and a span recorded after that is dropped.
-func recordQueueWaits(tracer *trace.Tracer, end time.Time, items []sendItem) {
-	for _, it := range items {
-		if it.enq == 0 {
-			continue
-		}
-		start := time.Unix(0, it.enq)
-		tracer.Lookup(trace.ID(it.env.Trace)).
-			Record(trace.StageNetQueue, start, end.Sub(start), string(it.env.To)+" "+it.env.Kind.String())
-	}
-}
-
-// writeBatch encodes one drained batch as one frame and flushes it.
-func writeBatch(bw *bufio.Writer, scratch, bodyTmp *[]byte, batch []*wire.Envelope) error {
-	*scratch = appendFrame((*scratch)[:0], batch, bodyTmp)
-	if _, err := bw.Write(*scratch); err != nil {
+	err = c.write(deadline)
+	clear(c.writing) // drop the envelope references until the next frame
+	if err != nil {
+		c.kill() // a torn frame cannot be resumed, and no frame may follow a lost one
 		return err
 	}
-	return bw.Flush()
+	c.mu.Lock()
+	c.written = c.taken // only a holder moves taken
+	c.mu.Unlock()
+	return nil
 }
 
-// redial replaces a failed dialed connection in place: the old socket is
-// closed, a fresh one dialed, its read loop started, and the registered
-// route updated if it still points here. Accepted connections (no dial
-// address) and detached endpoints return false.
-func (c *outConn) redial() bool {
-	if c.dialedTo == "" || c.dead.Load() {
-		return false
+// settle ends a send that did not write its own frame: an envelope still
+// pending is taken back out and err returned; one an earlier holder wrote
+// returns nil; one a holder took but did not write returns err.
+func (c *outConn) settle(seq uint64, err error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if seq > c.taken {
+		i := slices.IndexFunc(c.pending, func(p pendingEnv) bool { return p.seq == seq })
+		c.pending = slices.Delete(c.pending, i, i+1)
+		return err
 	}
-	addr, ok := c.ep.net.Addr(c.dialedTo)
-	if !ok {
-		return false
+	if seq <= c.written {
+		return nil
 	}
-	conn, err := net.DialTimeout("tcp", addr, time.Second)
+	return err
+}
+
+// write encodes c.writing as one frame and writes it with one conn.Write
+// before deadline (zero: none). Sampled envelopes get their net_queue span
+// first: once the bytes are out, the peer's reply can finish the trace, and
+// a span recorded after that is dropped.
+func (c *outConn) write(deadline time.Time) error {
+	tracer := c.ep.tracer.Load()
+	var start time.Time
+	if tracer != nil {
+		start = time.Now()
+		for _, p := range c.writing {
+			if p.at != 0 {
+				at := time.Unix(0, p.at)
+				tracer.Lookup(trace.ID(p.env.Trace)).
+					Record(trace.StageNetQueue, at, start.Sub(at), string(p.env.To)+" "+p.env.Kind.String())
+			}
+		}
+	}
+	c.envs = c.envs[:0]
+	for _, p := range c.writing {
+		c.envs = append(c.envs, p.env)
+	}
+	c.frame = appendFrame(c.frame[:0], c.envs, &c.bodyTmp)
+	clear(c.envs)
+	err := c.conn.SetWriteDeadline(deadline)
+	if err == nil {
+		_, err = c.conn.Write(c.frame)
+	}
 	if err != nil {
-		return false
+		return err
 	}
-	c.ep.mu.Lock()
-	if c.ep.closed || c.dead.Load() || c.ep.conns[c.dialedTo] != c {
-		c.ep.mu.Unlock()
-		conn.Close()
-		return false
+	n := c.ep.net
+	n.sentEnvelopes.Add(uint64(len(c.writing)))
+	n.sentFlushes.Add(1)
+	n.sentBytes.Add(uint64(len(c.frame)))
+	if tracer != nil {
+		tracer.Observe(trace.StageNetFlush, time.Since(start))
 	}
-	old := c.conn
-	c.conn = conn
-	c.ep.mu.Unlock()
-	old.Close()
-	if _, err := conn.Write(frameMagic[:]); err != nil {
-		return false
-	}
-	go c.ep.readLoop(c, c.dialedTo)
-	return true
-}
-
-// countingWriter counts the writes that reach the socket (≈ syscalls) and
-// the bytes they carry (bytes/flush is a NetStats-derived metric).
-type countingWriter struct {
-	w      io.Writer
-	writes uint64
-	bytes  uint64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.writes++
-	n, err := c.w.Write(p)
-	c.bytes += uint64(n)
-	return n, err
-}
-
-func (c *countingWriter) take() uint64 {
-	n := c.writes
-	c.writes = 0
-	return n
-}
-
-func (c *countingWriter) takeBytes() uint64 {
-	n := c.bytes
-	c.bytes = 0
-	return n
+	return nil
 }
 
 // conn returns the cached connection to `to`, dialing one if needed.
@@ -578,7 +445,7 @@ func (e *endpoint) conn(ctx context.Context, to model.SiteID) (*outConn, error) 
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet: dial %s (%s): %w", to, addr, err)
 	}
-	c := e.newOutConn(conn, to)
+	c := e.newOutConn(conn)
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -619,14 +486,14 @@ func (e *endpoint) acceptLoop() {
 
 // serveAccepted checks the peer's frame magic and runs the read loop. The
 // outConn for the reply direction is created only after the magic arrived,
-// so a stream that is not Rainbow traffic never gets a writer.
+// so a stream that is not Rainbow traffic never gets a send half.
 func (e *endpoint) serveAccepted(conn net.Conn) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	if err := readMagic(br); err != nil {
 		conn.Close()
 		return
 	}
-	e.readConn(e.newOutConn(conn, ""), br, "")
+	e.readConn(e.newOutConn(conn), br, "")
 }
 
 // readMagic consumes the frame magic that opens every connection direction,
@@ -647,7 +514,7 @@ func readMagic(br *bufio.Reader) error {
 func (e *endpoint) readLoop(oc *outConn, from model.SiteID) {
 	br := bufio.NewReaderSize(oc.conn, 64<<10)
 	if err := readMagic(br); err != nil {
-		oc.conn.Close()
+		oc.kill()
 		return
 	}
 	e.readConn(oc, br, from)
@@ -661,23 +528,16 @@ func (e *endpoint) readLoop(oc *outConn, from model.SiteID) {
 // stale. from names the peer the connection was dialed to (empty for
 // accepted connections; learned from traffic).
 func (e *endpoint) readConn(oc *outConn, br *bufio.Reader, from model.SiteID) {
-	conn := oc.conn
 	defer func() {
 		e.mu.Lock()
-		// A redial swapped in a fresh socket: this loop's exit concerns the
-		// old one only, and the outConn (with its writer) lives on.
-		stale := oc.conn != conn
-		if from != "" && e.conns[from] == oc && !stale {
+		if from != "" && e.conns[from] == oc {
 			delete(e.conns, from)
 		}
 		e.mu.Unlock()
-		conn.Close()
-		if !stale {
-			// The write half has no reason to outlive the read half: without
-			// this an accepted connection's idle writer (blocked on its send
-			// queue, never registered in conns) leaks past endpoint Close.
-			oc.kill()
-		}
+		// The send half has no reason to outlive the read half: killing it
+		// closes the socket, releases senders waiting on it and drops an
+		// accepted connection (never registered in conns) from the live set.
+		oc.kill()
 	}()
 
 	var frameBuf []byte
@@ -709,11 +569,8 @@ func (e *endpoint) readConn(oc *outConn, br *bufio.Reader, from model.SiteID) {
 			e.mu.Unlock()
 			from = f
 		}
-		e.mu.Lock()
-		closed := e.closed
-		e.mu.Unlock()
-		if closed {
-			return
+		if oc.dead.Load() {
+			return // killed, by the endpoint's Close among others
 		}
 		if e.batch != nil && len(envs) > 1 {
 			e.batch(envs)

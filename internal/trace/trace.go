@@ -1,8 +1,7 @@
 // Package trace implements Rainbow's lightweight per-transaction tracing:
 // sampled end-to-end trace contexts whose spans mark every stage boundary a
 // transaction crosses — CC admission, lock waits, WAL forces, ACP rounds,
-// transport send queues — across every site
-// it touches.
+// transport send waits — across every site it touches.
 //
 // The design is Dapper-style: the home site samples a transaction at Begin
 // (counter-based, every Nth), allocates a TraceID and an Active span
@@ -61,10 +60,10 @@ const (
 	StagePrepare
 	// StageDecide is the ACP decision round: decision force + broadcast.
 	StageDecide
-	// StageNetQueue is an envelope's transport send-queue wait, enqueue to
-	// the start of the flush that carries it.
+	// StageNetQueue is an envelope's transport send wait, from Send entry
+	// to the start of the write of the frame that carries it.
 	StageNetQueue
-	// StageNetFlush is one transport flush cycle (frame encode + write).
+	// StageNetFlush is one transport frame's encode plus write.
 	StageNetFlush
 
 	numStages
@@ -202,7 +201,7 @@ type Tracer struct {
 	stages    [numStages]monitor.Histogram
 
 	// actives indexes in-flight span collectors by trace ID so layers that
-	// see only a wire-level ID (the transport's send queue) can attach
+	// see only a wire-level ID (the transport's frame writer) can attach
 	// spans without a context in hand. First collector per ID wins; Finish
 	// removes only its own entry.
 	activeMu sync.Mutex

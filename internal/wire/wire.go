@@ -177,10 +177,11 @@ type BatchNetwork interface {
 type Endpoint interface {
 	// ID returns the node's address on the network.
 	ID() model.SiteID
-	// Send delivers env to env.To. Delivery is asynchronous and unreliable
-	// in the same sense as the underlying network: an error indicates only
-	// local failures (node detached, unknown destination); silent loss is
-	// possible on lossy networks.
+	// Send delivers env to env.To. Delivery is unreliable in the same
+	// sense as the underlying network: an error indicates only local
+	// failures (node detached, unknown destination, ctx ended, connection
+	// died); silent loss is possible on lossy networks. Send may block
+	// until the envelope is written, or ctx ends, or the connection dies.
 	Send(ctx context.Context, env *Envelope) error
 	// Close detaches the node. Subsequent Sends fail.
 	Close() error
