@@ -38,6 +38,16 @@ type fakeAccess struct {
 	// wouldBlock refuses a no-wait batch.
 	legs       map[model.SiteID][]Leg
 	wouldBlock map[model.SiteID]bool
+	// shipped records every CopyBatch received, across sites, in arrival
+	// order.
+	shipped []shipment
+}
+
+// shipment is one CopyBatch as the fake received it.
+type shipment struct {
+	site model.SiteID
+	ops  []model.Op
+	leg  Leg
 }
 
 func newFake(local model.SiteID, sites ...model.SiteID) *fakeAccess {
@@ -90,6 +100,7 @@ func (f *fakeAccess) CopyBatch(_ context.Context, site model.SiteID, _ *Session,
 	f.perSite[site] += len(ops)
 	f.batches[site] = append(f.batches[site], ops)
 	f.legs[site] = append(f.legs[site], leg)
+	f.shipped = append(f.shipped, shipment{site, ops, leg})
 	final := leg.Final
 	if final {
 		f.finals = append(f.finals, site)
