@@ -207,25 +207,27 @@ type SiteStats struct {
 	CCDeadlocks  uint64
 	CCTimeouts   uint64
 	CCWaits      uint64
-	// Add-only waves under 2PC (rcp.NoWait): AddWaves counts the ones this
-	// home shipped with every leg at once, AddWaveReruns those a leg refused
-	// because it would have had to wait, rerun as ordered waves, and
-	// VotedLegs the legs this site served that voted with their reply (an
-	// add-only wave's, or a read-write wave's last).
+	// Add-only waves under 2PC: AddWaves counts the ones this home shipped
+	// with every leg at once (rcp.PathAddAtOnce), AddWaveReruns those a leg
+	// refused because it would have had to wait, rerun in order
+	// (rcp.PathAddOrdered), and VotedLegs the legs this site served that
+	// voted with their reply (an add-only wave's, or a read-write wave's last:
+	// rcp.PathLastLegVote).
 	AddWaves      uint64
 	AddWaveReruns uint64
 	VotedLegs     uint64
 	// Read-write waves under 2PC: HomeForces counts the commits this home
 	// forced its own prepared record with the decision for (one force, no
 	// prepare round), and VoteLostReruns the one-shot programs it abandoned
-	// and reran because a voting leg got no reply.
+	// and reran because a voting leg got no reply (rcp.PathAvoid).
 	HomeForces     uint64
 	VoteLostReruns uint64
 	// Home-first waves under 2PC: HomeFirstWaves counts the first attempts
 	// of waves that are not add-only whose home's own leg would sort last, so
 	// this home ran it first and shipped every remote leg after it without
-	// waiting; HomeFirstReruns those a remote leg refused because it would
-	// have had to wait, rerun as ordered waves.
+	// waiting (rcp.PathReadOnly or rcp.PathLastLegVote); HomeFirstReruns
+	// those a remote leg refused because it would have had to wait, rerun in
+	// order (rcp.PathPrepare).
 	HomeFirstWaves  uint64
 	HomeFirstReruns uint64
 	// ReleasesAbandoned counts release-retry loops that exhausted their

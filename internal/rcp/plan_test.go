@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/monitor"
+	"repro/internal/schema"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
@@ -57,19 +59,44 @@ func mixesAddAndAccess(ops []model.Op) bool {
 	return false
 }
 
+// waveHow is how the home plans a wave: under 2PC or 3PC, as which attempt.
+type waveHow struct {
+	name       string
+	threePhase bool
+	attempt    Attempt
+}
+
+var (
+	first2PC = waveHow{"2pc-first", false, FirstAttempt}
+	rerun2PC = waveHow{"2pc-rerun", false, Rerun}
+	threePC  = waveHow{"3pc", true, FirstAttempt}
+)
+
+func (h waveHow) String() string { return h.name }
+
+// plan plans ops as h says, from f's home, avoiding s.Avoid.
+func (h waveHow) plan(p Protocol, f *fakeAccess, s *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op) Plan {
+	return p.Plan(ops, f.local, items, s.Avoid, h.threePhase, h.attempt)
+}
+
+// wave runs ops as one wave of p over f, planned as h says.
+func wave(p Protocol, f *fakeAccess, s *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, h waveHow) (map[model.ItemID]int64, error) {
+	return p.Wave(context.Background(), f, s, h.plan(p, f, s, items, ops))
+}
+
 // waveAttempt is one way the home may ship a program: under 2PC as a first
 // attempt or as a rerun (avoiding a site, after a lost vote), or under 3PC.
 type waveAttempt struct {
 	name  string
-	mode  WaveMode
+	how   waveHow
 	avoid model.SiteID
 }
 
 var waveAttempts = []waveAttempt{
-	{"2pc-first", NoWait, ""},
-	{"2pc-rerun", Voting, ""},
-	{"2pc-rerun-avoid-S2", Voting, "S2"},
-	{"3pc", Ordered, ""},
+	{"2pc-first", first2PC, ""},
+	{"2pc-rerun", rerun2PC, ""},
+	{"2pc-rerun-avoid-S2", rerun2PC, "S2"},
+	{"3pc", threePC, ""},
 }
 
 // shipWave runs program as one wave of p at home over a fresh fake whose
@@ -83,10 +110,11 @@ func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a
 	}
 	s := sess()
 	s.Avoid = a.avoid
-	if _, err := p.Wave(context.Background(), f, s, waveItems(), program, a.mode); err != nil {
+	plan := a.how.plan(p, f, s, waveItems(), program)
+	if _, err := p.Wave(context.Background(), f, s, plan); err != nil {
 		t.Fatalf("%s home %s %s %v: %v", p.Name(), home, a.name, program, err)
 	}
-	return f, s.HomeFirst
+	return f, plan.Count == monitor.HomeFirstWaves
 }
 
 // TestWaveLegsGolden pins every batch the home ships, in ship order, for

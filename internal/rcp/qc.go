@@ -31,7 +31,10 @@ func qcRule(sess *Session, kind model.OpKind, meta schema.ItemMeta) (quorum.Assi
 		// correctness bug: a member of the old quorum outside the new one
 		// would keep the stale record, and commit would install two
 		// different values under the same version number on different
-		// copies.
+		// copies. A wave plans with no session: nothing is written yet.
+		if sess == nil {
+			return meta.Assignment(), meta.WriteQuorum
+		}
 		if sites, _, ok := sess.WriteQuorum(meta.Item); ok {
 			return allOf(sites)
 		}

@@ -45,27 +45,24 @@ type CopyAccess interface {
 // Leg says how a site serves one CopyBatch beyond admitting its operations.
 // The zero Leg is an ordinary batch: admit, waiting where the CCP must.
 type Leg struct {
-	// Final marks the last leg of a read-only wave (see Wave): a remote site
-	// that admitted every op then runs the read-only vote's guards against
+	// Final marks a last leg that folds (LastFold): a remote site that
+	// admitted every op then runs the read-only vote's guards against
 	// sess.Epoch and releases the transaction's CC state at once, reporting
 	// Released; a site whose guards fail refuses the batch with an ACP abort.
 	// The home site ignores it.
 	Final bool
 	// NoWait admits without ever waiting: an op that would have to wait
 	// makes the site release everything the transaction holds there and
-	// refuse the batch with ErrWouldBlock. Wave sets it on every leg of an
-	// add-only wave's first attempt, and on every remote leg of a home-first
-	// wave, which ships after the home's own leg (see Wave).
+	// refuse the batch with ErrWouldBlock (see Plan).
 	NoWait bool
 	// Vote marks a leg that votes with its reply under 2PC: a remote leg of
-	// an add-only wave, or the remote last leg of a wave that writes (see
-	// Wave). Once every op is admitted, the site runs the prepare's guards
-	// against sess.Epoch, forces its prepared record — sess.Tx's home as
-	// coordinator, Cohort as the participants, the leg's writes and merged
-	// deltas as the write set, each installing at the version after
-	// max(Floors[i], its own copy's) — and reports Voted; a site whose guards
-	// fail refuses the batch with an ACP abort. The home site ignores it (its
-	// vote is local).
+	// an add-only wave, or a last leg that votes (LastVote). Once every op is
+	// admitted, the site runs the prepare's guards against sess.Epoch, forces
+	// its prepared record — sess.Tx's home as coordinator, Cohort as the
+	// participants, the leg's writes and merged deltas as the write set, each
+	// installing at the version after max(Floors[i], its own copy's) — and
+	// reports Voted; a site whose guards fail refuses the batch with an ACP
+	// abort. The home site ignores it (its vote is local).
 	Vote bool
 	// Cohort lists the sites the wave planned to touch (Vote legs only).
 	Cohort []model.SiteID
@@ -141,9 +138,6 @@ type Session struct {
 	// Avoid is a site a wave's first round must not pick: one whose voting
 	// leg went unanswered in an abandoned attempt of the same program.
 	Avoid model.SiteID
-	// HomeFirst reports that Wave shipped the home's own leg first and every
-	// remote leg after it without waiting (see Wave).
-	HomeFirst bool
 }
 
 // NewSession starts a session for one transaction.
@@ -418,17 +412,15 @@ func allOf(sites []model.SiteID) (quorum.Assignment, int) {
 }
 
 // preferredOrder is the deterministic preference order both protocols use:
-// the copy sites of meta, sorted, rotated to start at the local site — or,
-// when the local site holds no copy, at the first copy site after it. Every
-// home thus prefers the sites that follow it in ring order, so under majority
-// quorums its partner sorts after it, and the wave's last leg is remote. That
-// leg may fold a read-only vote or vote with its reply (see Wave). The
-// highest-numbered home's partner wraps around to the lowest site and sorts
-// first; under 2PC its wave runs the home's leg first (home-first), so its
-// last leg is remote too. Only its reruns and 3PC keep a vote round.
-func preferredOrder(acc CopyAccess, meta schema.ItemMeta) []model.SiteID {
+// the copy sites of meta, sorted, rotated to start at home — or, when home
+// holds no copy, at the first copy site after it. Every home thus prefers the
+// sites that follow it in ring order, so under majority quorums its partner
+// sorts after it, and the wave's last leg is remote: it may fold or vote (see
+// Plan). The highest-numbered home's partner wraps around to the lowest site
+// and sorts first; a first 2PC attempt then runs the home's leg first.
+func preferredOrder(home model.SiteID, meta schema.ItemMeta) []model.SiteID {
 	sites := meta.Sites()
-	i, _ := slices.BinarySearch(sites, acc.Local())
+	i, _ := slices.BinarySearch(sites, home)
 	return slices.Concat(sites[i:], sites[:i])
 }
 
@@ -465,7 +457,7 @@ type outcome struct {
 // are picked first, and none of them is asked again.
 func (p Protocol) perform(ctx context.Context, acc CopyAccess, sess *Session, meta schema.ItemMeta, op model.Op, seed []outcome) (int64, error) {
 	assignment, need := p.rule(sess, op.Kind, meta)
-	prefer := preferredOrder(acc, meta)
+	prefer := preferredOrder(acc.Local(), meta)
 	if len(seed) > 0 {
 		first := make([]model.SiteID, len(seed), len(seed)+len(prefer))
 		for i, o := range seed {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/model"
+	"repro/internal/monitor"
 	"repro/internal/schema"
 )
 
@@ -507,7 +508,7 @@ func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
 	s := sess()
 	ops := []model.Op{model.Write("c", 1), model.Read("a"), model.Write("a", 2), model.Read("c"), model.Write("a", 3), model.Read("b")}
 	program := append([]model.Op(nil), ops...)
-	reads, err := QC.Wave(context.Background(), f, s, waveItems(), ops, Ordered)
+	reads, err := wave(QC, f, s, waveItems(), ops, threePC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +554,7 @@ func TestWaveShipsOneOrderedBatchPerSite(t *testing.T) {
 // stay in the home site's batch, writes and adds go to every site's.
 func TestWaveROWAReadsLocallyWritesEverywhere(t *testing.T) {
 	f := newFake("S2", "S1", "S2", "S3")
-	if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Read("a"), model.Write("b", 1), model.Add("c", 1)}, Ordered); err != nil {
+	if _, err := wave(ROWA, f, sess(), waveItems(), []model.Op{model.Read("a"), model.Write("b", 1), model.Add("c", 1)}, threePC); err != nil {
 		t.Fatal(err)
 	}
 	for site, want := range map[model.SiteID]int{"S1": 2, "S2": 3, "S3": 2} {
@@ -571,7 +572,7 @@ func TestWaveReplacesSilentMemberPerOperation(t *testing.T) {
 	f.down["S2"] = true
 	f.set("S3", 99, 4)
 	s := sess()
-	reads, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, Ordered)
+	reads, err := wave(QC, f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, threePC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +600,7 @@ func TestWaveCCRejectionDooms(t *testing.T) {
 	f := newFake("S3", "S1", "S2", "S3") // home S3: quorum {S3, S1}, shipped S1 first
 	f.ccReject["S1"] = true
 	s := sess()
-	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, Ordered)
+	_, err := wave(QC, f, s, waveItems(), []model.Op{model.Read("a"), model.Write("b", 5)}, threePC)
 	if model.CauseOf(err) != model.AbortCC {
 		t.Fatalf("err = %v, want the CC abort", err)
 	}
@@ -618,7 +619,7 @@ func TestWaveShipsInSiteOrder(t *testing.T) {
 		f := newFake(home, "S1", "S2", "S3")
 		var order []model.SiteID
 		f.onBatch = func(site model.SiteID) { order = append(order, site) }
-		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), []model.Op{model.Write("a", 1), model.Add("b", 1)}, Ordered); err != nil {
+		if _, err := wave(ROWA, f, sess(), waveItems(), []model.Op{model.Write("a", 1), model.Add("b", 1)}, threePC); err != nil {
 			t.Fatal(err)
 		}
 		if len(order) != 3 || order[0] != "S1" || order[1] != "S2" || order[2] != "S3" {
@@ -640,7 +641,7 @@ func TestPreferredOrderRotatesFromHome(t *testing.T) {
 		"S0": {"S1", "S2", "S4"}, // no copy, sorts first
 		"S9": {"S1", "S2", "S4"}, // no copy, sorts last: wraps around
 	} {
-		if got := preferredOrder(newFake(home), meta); !slices.Equal(got, want) {
+		if got := preferredOrder(home, meta); !slices.Equal(got, want) {
 			t.Errorf("home %s: preferred order %v, want %v", home, got, want)
 		}
 	}
@@ -666,7 +667,7 @@ func TestWaveFoldsReadOnlyLastLeg(t *testing.T) {
 	} {
 		f := newFake(c.home, "S1", "S2", "S3")
 		s := sess()
-		if _, err := QC.Wave(context.Background(), f, s, waveItems(), c.ops, Ordered); err != nil {
+		if _, err := wave(QC, f, s, waveItems(), c.ops, threePC); err != nil {
 			t.Fatalf("home %s %v: %v", c.home, c.ops, err)
 		}
 		if !slices.Equal(f.finals, c.final) {
@@ -694,7 +695,7 @@ func TestWaveFoldsOnlyAfterCleanLegs(t *testing.T) {
 
 	f := newFake("S1", "S2", "S3", "S4") // the home holds no copy: both legs remote
 	s := sess()
-	if _, err := QC.Wave(context.Background(), f, s, items, ops, Ordered); err != nil {
+	if _, err := wave(QC, f, s, items, ops, threePC); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(f.finals, []model.SiteID{"S3"}) || !slices.Equal(s.Participants(), []model.SiteID{"S2"}) {
@@ -704,7 +705,7 @@ func TestWaveFoldsOnlyAfterCleanLegs(t *testing.T) {
 	f = newFake("S1", "S2", "S3", "S4")
 	f.down["S2"] = true
 	s = sess()
-	if _, err := QC.Wave(context.Background(), f, s, items, ops, Ordered); err != nil {
+	if _, err := wave(QC, f, s, items, ops, threePC); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.finals) != 0 {
@@ -721,7 +722,7 @@ func TestWaveFoldRefusalDooms(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.refuseFold["S2"] = true
 	s := sess()
-	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Read("a"), model.Read("b")}, Ordered)
+	_, err := wave(QC, f, s, waveItems(), []model.Op{model.Read("a"), model.Read("b")}, threePC)
 	if model.CauseOf(err) != model.AbortACP {
 		t.Fatalf("err = %v, want the refusal's ACP abort", err)
 	}
@@ -733,15 +734,15 @@ func TestWaveFoldRefusalDooms(t *testing.T) {
 // adds is an add-only program over every item of waveItems.
 var adds = []model.Op{model.Add("c", 1), model.Add("a", 2), model.Add("b", 3), model.Add("a", 4)}
 
-// TestWaveAddOnlyShipsAtOnceAndVotes: under NoWait an add-only wave ships
-// every leg as a no-wait batch; each remote leg votes, carrying the planned
-// sites as its cohort, and is recorded as voted. The home's leg never votes
+// TestWaveAddOnlyShipsAtOnceAndVotes: on a first 2PC attempt an add-only
+// wave ships every leg as a no-wait batch; each remote leg votes, carrying the
+// planned sites as its cohort, and is recorded as voted. The home's leg never votes
 // (its vote is the commit protocol's, and local).
 func TestWaveAddOnlyShipsAtOnceAndVotes(t *testing.T) {
 	for _, home := range []model.SiteID{"S1", "S2", "S3"} {
 		f := newFake(home, "S1", "S2", "S3")
 		s := sess()
-		if _, err := QC.Wave(context.Background(), f, s, waveItems(), adds, NoWait); err != nil {
+		if _, err := wave(QC, f, s, waveItems(), adds, first2PC); err != nil {
 			t.Fatalf("home %s: %v", home, err)
 		}
 		all := []model.SiteID{"S1", "S2", "S3"}
@@ -774,7 +775,7 @@ func TestWaveAddOnlyWouldBlock(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.wouldBlock["S2"] = true
 	s := sess()
-	if _, err := QC.Wave(context.Background(), f, s, waveItems(), adds, NoWait); !errors.Is(err, ErrWouldBlock) {
+	if _, err := wave(QC, f, s, waveItems(), adds, first2PC); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("err = %v, want ErrWouldBlock", err)
 	}
 	if v := s.Voted(); !slices.Equal(v, []model.SiteID{"S3"}) {
@@ -785,41 +786,41 @@ func TestWaveAddOnlyWouldBlock(t *testing.T) {
 	}
 }
 
-// TestWaveModes: Voting ships an add-only wave's legs in site order, waiting
-// where they must, and its remote legs vote; Ordered lets none vote; a
-// program that is not add-only ships in order whatever the mode, and under
-// Voting or NoWait only its last leg votes.
+// TestWaveModes: a 2PC rerun ships an add-only wave's legs in site order,
+// waiting where they must, and its remote legs vote; 3PC lets none vote; a
+// program that is not add-only ships in order whatever the attempt, and under
+// 2PC only its last leg votes.
 func TestWaveModes(t *testing.T) {
 	for _, c := range []struct {
-		mode   WaveMode
+		mode   waveHow
 		ops    []model.Op
 		noWait bool
 		vote   []bool // S2's and S3's legs
 	}{
-		{Voting, adds, false, []bool{true, true}},
-		{Ordered, adds, false, []bool{false, false}},
-		{NoWait, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, true}},
-		{Voting, []model.Op{model.Add("a", 1), model.Read("b")}, false, []bool{false, true}},
-		{Ordered, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, false}},
+		{rerun2PC, adds, false, []bool{true, true}},
+		{threePC, adds, false, []bool{false, false}},
+		{first2PC, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, true}},
+		{rerun2PC, []model.Op{model.Add("a", 1), model.Read("b")}, false, []bool{false, true}},
+		{threePC, []model.Op{model.Add("a", 1), model.Write("b", 2)}, false, []bool{false, false}},
 	} {
 		f := newFake("S1", "S1", "S2", "S3")
 		var order []model.SiteID
 		f.onBatch = func(site model.SiteID) { order = append(order, site) }
-		if _, err := ROWA.Wave(context.Background(), f, sess(), waveItems(), c.ops, c.mode); err != nil {
-			t.Fatalf("mode %d %v: %v", c.mode, c.ops, err)
+		if _, err := wave(ROWA, f, sess(), waveItems(), c.ops, c.mode); err != nil {
+			t.Fatalf("mode %v %v: %v", c.mode, c.ops, err)
 		}
 		if !slices.Equal(order, []model.SiteID{"S1", "S2", "S3"}) {
-			t.Errorf("mode %d %v: shipped %v, want site order", c.mode, c.ops, order)
+			t.Errorf("mode %v %v: shipped %v, want site order", c.mode, c.ops, order)
 		}
 		for i, site := range order[1:] {
 			if leg := f.legs[site][0]; leg.NoWait != c.noWait || leg.Vote != c.vote[i] {
-				t.Errorf("mode %d %v: %s leg %+v, want no-wait %v vote %v", c.mode, c.ops, site, leg, c.noWait, c.vote[i])
+				t.Errorf("mode %v %v: %s leg %+v, want no-wait %v vote %v", c.mode, c.ops, site, leg, c.noWait, c.vote[i])
 			}
 		}
 	}
 }
 
-// TestWaveLastLegVotesWithFloors: under Voting, a wave that writes sends its
+// TestWaveLastLegVotesWithFloors: on a 2PC rerun, a wave that writes sends its
 // remote last leg as a vote, carrying per operation the highest version the
 // earlier legs reported; the site is recorded as voted. A last leg that
 // carries no write folds instead, and an earlier leg never votes.
@@ -829,7 +830,7 @@ func TestWaveLastLegVotesWithFloors(t *testing.T) {
 	f.set("S2", 10, 2)
 	s := sess()
 	ops := []model.Op{model.Read("a"), model.Write("a", 1), model.Write("b", 2)}
-	if _, err := QC.Wave(context.Background(), f, s, waveItems(), ops, Voting); err != nil {
+	if _, err := wave(QC, f, s, waveItems(), ops, rerun2PC); err != nil {
 		t.Fatal(err)
 	}
 	leg := f.legs["S2"][0]
@@ -850,7 +851,7 @@ func TestWaveLastLegVotesWithFloors(t *testing.T) {
 	items["c"] = schema.ItemMeta{Item: "c", Votes: map[model.SiteID]int{"S1": 1, "S2": 1}, ReadQuorum: 1, WriteQuorum: 2}
 	items["d"] = schema.ItemMeta{Item: "d", Votes: map[model.SiteID]int{"S3": 1}, ReadQuorum: 1, WriteQuorum: 1}
 	s = sess()
-	if _, err := ROWA.Wave(context.Background(), f, s, items, []model.Op{model.Write("c", 1), model.Read("d")}, Voting); err != nil {
+	if _, err := wave(ROWA, f, s, items, []model.Op{model.Write("c", 1), model.Read("d")}, rerun2PC); err != nil {
 		t.Fatal(err)
 	}
 	if leg := f.legs["S2"][0]; leg.Vote || leg.Final {
@@ -872,7 +873,7 @@ func TestWaveVoteLost(t *testing.T) {
 	f := newFake("S1", "S1", "S2", "S3")
 	f.down["S2"] = true
 	s := sess()
-	_, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting)
+	_, err := wave(QC, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC)
 	var lost *VoteLostError
 	if !errors.As(err, &lost) || lost.Site != "S2" {
 		t.Fatalf("err = %v, want a VoteLostError at S2", err)
@@ -886,7 +887,7 @@ func TestWaveVoteLost(t *testing.T) {
 
 	s = sess()
 	s.Avoid = "S2"
-	if _, err := QC.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting); err != nil {
+	if _, err := wave(QC, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC); err != nil {
 		t.Fatal(err)
 	}
 	if leg := f.legs["S3"]; len(leg) != 1 || !leg[0].Vote {
@@ -902,7 +903,7 @@ func TestWaveVoteLost(t *testing.T) {
 	f = newFake("S1", "S1", "S2", "S3")
 	s = sess()
 	s.Avoid = "S2"
-	if _, err := ROWA.Wave(context.Background(), f, s, waveItems(), []model.Op{model.Write("a", 1)}, Voting); err != nil {
+	if _, err := wave(ROWA, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC); err != nil {
 		t.Fatal(err)
 	}
 	if legs := f.legs["S3"]; len(legs) != 1 || legs[0].Vote || legs[0].Final {
@@ -913,12 +914,12 @@ func TestWaveVoteLost(t *testing.T) {
 	}
 }
 
-// TestWaveHomeFirst: a first 2PC attempt (NoWait) that is not add-only and
+// TestWaveHomeFirst: a first 2PC attempt that is not add-only and
 // whose home's leg would sort last runs that leg first; every remote leg
 // ships after it in no-wait mode, and the last one votes with floors taken
 // from the versions the home reported (or folds, carrying no write). A
-// refusal ends the attempt with ErrWouldBlock. The Voting rerun, 3PC
-// (Ordered) and add-only waves keep their shape, and so does a wave whose
+// refusal ends the attempt with ErrWouldBlock. The 2PC rerun, 3PC and
+// add-only waves keep their shape, and so does a wave whose
 // home does not sort last.
 func TestWaveHomeFirst(t *testing.T) {
 	rw := []model.Op{model.Read("a"), model.Write("b", 2)}
@@ -926,19 +927,19 @@ func TestWaveHomeFirst(t *testing.T) {
 		name   string
 		proto  Protocol
 		home   model.SiteID
-		mode   WaveMode
+		mode   waveHow
 		ops    []model.Op
 		order  []model.SiteID // nil: shipped at once, in no set order
 		noWait []model.SiteID
 		first  bool // home-first
 	}{
-		{"qc-read-write", QC, "S3", NoWait, rw, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
-		{"qc-read-only", QC, "S3", NoWait, []model.Op{model.Read("a"), model.Read("b")}, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
-		{"rowa-write", ROWA, "S3", NoWait, rw, []model.SiteID{"S3", "S1", "S2"}, []model.SiteID{"S1", "S2"}, true},
-		{"qc-rerun", QC, "S3", Voting, rw, []model.SiteID{"S1", "S3"}, nil, false},
-		{"qc-3pc", QC, "S3", Ordered, rw, []model.SiteID{"S1", "S3"}, nil, false},
-		{"rowa-add-only", ROWA, "S3", NoWait, adds, nil, []model.SiteID{"S1", "S2", "S3"}, false},
-		{"rowa-home-not-last", ROWA, "S2", NoWait, rw, []model.SiteID{"S1", "S2", "S3"}, nil, false},
+		{"qc-read-write", QC, "S3", first2PC, rw, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
+		{"qc-read-only", QC, "S3", first2PC, []model.Op{model.Read("a"), model.Read("b")}, []model.SiteID{"S3", "S1"}, []model.SiteID{"S1"}, true},
+		{"rowa-write", ROWA, "S3", first2PC, rw, []model.SiteID{"S3", "S1", "S2"}, []model.SiteID{"S1", "S2"}, true},
+		{"qc-rerun", QC, "S3", rerun2PC, rw, []model.SiteID{"S1", "S3"}, nil, false},
+		{"qc-3pc", QC, "S3", threePC, rw, []model.SiteID{"S1", "S3"}, nil, false},
+		{"rowa-add-only", ROWA, "S3", first2PC, adds, nil, []model.SiteID{"S1", "S2", "S3"}, false},
+		{"rowa-home-not-last", ROWA, "S2", first2PC, rw, []model.SiteID{"S1", "S2", "S3"}, nil, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			f := newFake(c.home, "S1", "S2", "S3")
@@ -946,11 +947,12 @@ func TestWaveHomeFirst(t *testing.T) {
 			var order []model.SiteID
 			f.onBatch = func(site model.SiteID) { order = append(order, site) }
 			s := sess()
-			if _, err := c.proto.Wave(context.Background(), f, s, waveItems(), c.ops, c.mode); err != nil {
+			plan := c.mode.plan(c.proto, f, s, waveItems(), c.ops)
+			if _, err := c.proto.Wave(context.Background(), f, s, plan); err != nil {
 				t.Fatal(err)
 			}
-			if s.HomeFirst != c.first {
-				t.Errorf("session home-first = %v, want %v", s.HomeFirst, c.first)
+			if homeFirst := plan.Count == monitor.HomeFirstWaves; homeFirst != c.first {
+				t.Errorf("session home-first = %v, want %v", homeFirst, c.first)
 			}
 			if c.order != nil && !slices.Equal(order, c.order) {
 				t.Fatalf("shipped %v, want %v", order, c.order)
@@ -990,7 +992,7 @@ func TestWaveHomeFirst(t *testing.T) {
 	f := newFake("S3", "S1", "S2", "S3")
 	f.wouldBlock["S1"] = true
 	s := sess()
-	if _, err := QC.Wave(context.Background(), f, s, waveItems(), rw, NoWait); !errors.Is(err, ErrWouldBlock) {
+	if _, err := wave(QC, f, s, waveItems(), rw, first2PC); !errors.Is(err, ErrWouldBlock) {
 		t.Fatalf("err = %v, want ErrWouldBlock", err)
 	}
 	if rel := append(s.Participants(), s.Strays()...); !slices.Equal(rel, []model.SiteID{"S1", "S3"}) {

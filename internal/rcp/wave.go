@@ -9,210 +9,252 @@ import (
 	"sync"
 
 	"repro/internal/model"
+	"repro/internal/monitor"
 	"repro/internal/schema"
 )
 
-// WaveMode says how a wave ships its legs and which of them vote with their
-// reply (see Wave).
-type WaveMode uint8
+// Attempt numbers the tries of one one-shot program: the first, and at most
+// one rerun under a fresh transaction after the first was abandoned.
+type Attempt uint8
 
 const (
-	// Ordered ships the legs one after another in site order, each site
-	// waiting where its CCP must, and no leg votes: the commit protocol's own
-	// vote round follows (3PC, whose votes precede its pre-commit round).
-	Ordered WaveMode = iota
-	// Voting ships the legs in order like Ordered; each remote leg of an
-	// add-only wave votes with its reply, and so does the remote last leg of
-	// a wave that writes (2PC: an add-only wave's rerun, any other wave).
-	Voting
-	// NoWait is a first attempt under 2PC. An add-only wave ships every leg
-	// at once in no-wait mode, and each remote leg votes with its reply. Any
-	// other wave ships as Voting, except that when the home's own leg would
-	// sort last it runs first, and every remote leg ships after it in no-wait
-	// mode (home-first). If a no-wait leg would have had to wait, Wave returns
-	// ErrWouldBlock and the caller reruns the program, under a fresh
-	// transaction, as Voting.
-	NoWait
+	FirstAttempt Attempt = iota + 1
+	Rerun
 )
 
+// Path names how a wave's transaction commits when every leg answers
+// cleanly. Two of them are optimisations catalogued by Samaras, Britton,
+// Citron and Mohan, "Two-phase commit optimizations in a commercial
+// distributed environment" (1995): the read-only optimisation, and the
+// unsolicited vote, a vote cast with a leg's reply (Leg.Vote) so that the
+// commit protocol asks only the home.
+type Path uint8
+
+const (
+	// PathReadOnly: the last leg of a read-only wave is remote and folds the
+	// site's read-only vote into its reply (Leg.Final); the site releases as
+	// it answers and leaves the commit.
+	PathReadOnly Path = iota + 1
+	// PathAddAtOnce: a first 2PC attempt of an add-only program ships every
+	// leg at once without waiting (Leg.NoWait), and every remote leg casts an
+	// unsolicited vote.
+	PathAddAtOnce
+	// PathAddOrdered: a 2PC rerun of an add-only program ships its legs in
+	// site order, waiting where they must; every remote leg still votes.
+	PathAddOrdered
+	// PathLastLegVote: under 2PC the remote last leg of a wave that writes
+	// casts an unsolicited vote, prepared at the versions its floors imply
+	// (Leg.Floors), and the home forces its own prepare with the decision.
+	PathLastLegVote
+	// PathAvoid: a rerun after a voting leg got no reply, that site left out
+	// of the first round (Session.Avoid).
+	PathAvoid
+	// PathPrepare: no leg folds or votes, and the commit protocol's prepare
+	// round asks every participant: 3PC waves that write, and waves whose
+	// home's own leg ships last (the rerun of a refused home-first attempt).
+	PathPrepare
+)
+
+// LastLeg says what a wave's last leg carries when every earlier leg answered
+// cleanly. Its admission is then the transaction's lock point, so it may do
+// what the commit protocol would otherwise ask of its site in a round of its
+// own. An earlier leg may not: its site could crash and recover before the
+// lock point, and it cannot know the versions of the legs after it.
+type LastLeg uint8
+
+const (
+	// LastPlain ships it as planned.
+	LastPlain LastLeg = iota
+	// LastFold marks it Final: it carries no write.
+	LastFold
+	// LastVote makes it vote, carrying per operation the highest version the
+	// earlier legs reported as its floors; the site prepares each write at
+	// max(floor, own)+1, the version perform computes at the home.
+	LastVote
+)
+
+// Next is what follows an attempt that a no-wait leg refused or whose voting
+// leg got no reply: the program reruns as attempt Attempt, counted in Count.
+// The zero Next aborts.
+type Next struct {
+	Attempt Attempt
+	Count   monitor.Count
+}
+
+// LegPlan is one site's share of a wave and how it ships.
+type LegPlan struct {
+	Site model.SiteID
+	// Idx holds the indices into Plan.Ops of the operations the leg carries,
+	// and Ops those operations, in order.
+	Idx    []int
+	Ops    []model.Op
+	NoWait bool
+	Vote   bool
+	Cohort []model.SiteID
+}
+
+// Plan is how a wave ships one one-shot program: the data Wave executes.
+type Plan struct {
+	Home model.SiteID
+	// Ops is the program stable-sorted by item; Items describes their items.
+	Ops   []model.Op
+	Items map[model.ItemID]schema.ItemMeta
+	// Legs lists each site's share in ship order. AtOnce ships them all at
+	// once, none waiting for another.
+	Legs   []LegPlan
+	AtOnce bool
+	// Last applies to the last leg if it is remote and every operation's
+	// first round is a whole quorum (else it is LastPlain).
+	Last LastLeg
+	Path Path
+	// Count is the counter the wave moves when it ships (zero: none);
+	// OnRefuse and OnLost say what follows a refused leg and a lost vote.
+	Count    monitor.Count
+	OnRefuse Next
+	OnLost   Next
+}
+
+// Plan decides how a wave ships a one-shot program from home: each
+// operation's first-round copy set — the sites perform would ask first, with
+// avoid left out — and from those the legs, the path and what follows a
+// refusal. It is a pure function of its arguments.
+//
+// A wave requests its locks in one global (site, item) order, so no set of
+// waves can wait on each other in a cycle: the operations are stable-sorted
+// by item (program order is kept among operations on one item, which is all
+// a program of constants can observe), every leg inherits that order and is
+// admitted sequentially, and the legs ship in site order. Cycle-freedom needs
+// only that a wave wait for no lock below one it holds, and a leg that never
+// waits may go anywhere. So a first 2PC attempt of an add-only program ships
+// every leg at once, none waiting; one of any other program whose home's own
+// leg would ship last runs that leg first (home-first), where it holds
+// nothing yet, and every remote leg after it without waiting. A no-wait leg
+// that would have had to wait refuses (ErrWouldBlock), and the program reruns
+// as an ordered wave.
+//
+// Under 2PC a remote leg of an add-only wave votes with its reply: an add's
+// effect at a site depends on nothing outside that site, so the site can
+// prepare as soon as its adds are admitted. A read must stay protected until
+// the lock point and a write's install version spans the quorum, so any
+// other wave leaves its vote to the last leg.
+func (p Protocol) Plan(ops []model.Op, home model.SiteID, items map[model.ItemID]schema.ItemMeta, avoid model.SiteID, threePhase bool, attempt Attempt) Plan {
+	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
+	addOnly := len(ops) > 0 && !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd })
+	first2PC := !threePhase && attempt == FirstAttempt
+	plan := Plan{Home: home, Ops: slices.Clone(ops), Items: items, AtOnce: addOnly && first2PC}
+	slices.SortStableFunc(plan.Ops, func(a, b model.Op) int { return strings.Compare(string(a.Item), string(b.Item)) })
+
+	var skip map[model.SiteID]bool
+	if avoid != "" {
+		skip = map[model.SiteID]bool{avoid: true}
+	}
+	complete := true // only an avoided site can leave a first round partial
+	for k, op := range plan.Ops {
+		meta := items[op.Item]
+		assignment, need := p.rule(nil, op.Kind, meta)
+		first, ok := assignment.Pick(need, preferredOrder(home, meta), skip)
+		complete = complete && ok
+		for _, site := range first {
+			j := slices.IndexFunc(plan.Legs, func(l LegPlan) bool { return l.Site == site })
+			if j < 0 {
+				j = len(plan.Legs)
+				plan.Legs = append(plan.Legs, LegPlan{Site: site})
+			}
+			plan.Legs[j].Idx = append(plan.Legs[j].Idx, k)
+			plan.Legs[j].Ops = append(plan.Legs[j].Ops, op)
+		}
+	}
+	legs := plan.Legs
+	slices.SortFunc(legs, func(a, b LegPlan) int { return strings.Compare(string(a.Site), string(b.Site)) })
+	var cohort []model.SiteID
+	if !threePhase {
+		cohort = make([]model.SiteID, len(legs))
+		for i, l := range legs {
+			cohort[i] = l.Site
+		}
+	}
+	homeFirst := first2PC && !addOnly && len(legs) > 1 && legs[len(legs)-1].Site == home
+	if homeFirst {
+		h := legs[len(legs)-1]
+		copy(legs[1:], legs[:len(legs)-1])
+		legs[0] = h
+	}
+	for i := range legs {
+		remote := legs[i].Site != home
+		legs[i].NoWait = plan.AtOnce || homeFirst && remote
+		legs[i].Vote = addOnly && !threePhase && remote
+		legs[i].Cohort = cohort
+	}
+
+	if n := len(legs); n > 0 && complete && legs[n-1].Site != home {
+		switch {
+		case readOnly:
+			plan.Last = LastFold
+		case addOnly || threePhase:
+			// An add-only leg votes already; 3PC keeps its vote round.
+		case !slices.ContainsFunc(legs[n-1].Ops, func(op model.Op) bool { return op.Kind != model.OpRead }):
+			plan.Last = LastFold
+		default:
+			plan.Last = LastVote
+		}
+	}
+	switch {
+	case avoid != "":
+		plan.Path = PathAvoid
+	case plan.AtOnce:
+		plan.Path = PathAddAtOnce
+	case plan.Last == LastFold:
+		plan.Path = PathReadOnly
+	case plan.Last == LastVote:
+		plan.Path = PathLastLegVote
+	case addOnly && !threePhase:
+		plan.Path = PathAddOrdered
+	default:
+		plan.Path = PathPrepare
+	}
+	switch {
+	case plan.AtOnce:
+		plan.Count, plan.OnRefuse = monitor.AddWaves, Next{Rerun, monitor.AddWaveReruns}
+	case homeFirst:
+		plan.Count, plan.OnRefuse = monitor.HomeFirstWaves, Next{Rerun, monitor.HomeFirstReruns}
+	}
+	if first2PC && (plan.Last == LastVote || slices.ContainsFunc(legs, func(l LegPlan) bool { return l.Vote })) {
+		plan.OnLost = Next{Rerun, monitor.VoteLostReruns}
+	}
+	return plan
+}
+
 // Wave performs every operation of a one-shot program in one round trip per
-// site instead of one per operation. The program's values are all known up
-// front, so nothing forces the home site to wait for one operation's copies
-// before asking for the next one's:
-//
-//  1. Plan. Each operation's first-round copy set — the sites perform would
-//     ask first — is chosen up front, and the copy operations are grouped by
-//     destination site.
-//  2. Ship. Every site gets its group as ONE CopyBatch (the home site's own
-//     group runs inline through its CCP).
-//  3. Resolve. The operations are completed one by one in order through
-//     perform, seeded with what the batches brought back: with every member
-//     up that is pure bookkeeping; a member that failed to answer is replaced
-//     by perform's ordinary replacement rounds for just that operation. A CC
-//     rejection dooms the transaction exactly as it does op by op.
-//
-// Ordering rule: the operations are stable-sorted by item (program order is
-// kept among operations on one item, which is all a program of constants can
-// observe), every site's group inherits that order and is admitted there
-// sequentially, and the groups are shipped one after another in site order.
-// A wave therefore requests its locks in one global (site, item) order, so
-// no set of waves can wait on each other in a cycle, at one site or across
-// sites. Sites sharing a batch's wait is what this costs: a program touching
-// k sites takes k-1 remote round trips (one under majority quorums of three,
-// where the home site is one of the two), not one per operation.
-//
-// Cycle-freedom needs less than the order itself: a wave may wait only for a
-// lock that sorts above every lock it holds in (site, item) order. A leg that
-// never waits may go anywhere. Home-first uses this. Under 2PC, a first
-// attempt (mode NoWait) that is not add-only and whose home leg would sort
-// last among two or more legs runs that leg first, inline, where it may wait
-// as usual: it holds nothing when it starts, and within the leg it waits only
-// above the items it already holds there. Every remote leg then ships after
-// it in site order with Leg.NoWait. Those legs sort below the home's and
-// wrap around it, so none of them may wait, and one that would refuses with
-// ErrWouldBlock. The caller reruns a refused attempt as Voting, in site order
-// again. The last remote leg still folds or votes as below, so a wave whose
-// home sorts last commits in the same rounds as one whose home does not.
-//
-// Add-only waves under 2PC (mode NoWait) skip the order: every leg ships at
-// once and no site ever waits for it — an operation that would have to wait
-// makes its site release what the transaction holds there and refuse the leg
-// with ErrWouldBlock. A transaction that never waits while it holds a lock
-// cannot be part of a wait cycle, so the order has nothing left to prevent.
-// Each remote leg also votes with its reply (Leg.Vote): an add's effect at a
-// site depends on nothing outside that site — no read to keep protected until
-// a lock point, no install version the whole quorum must agree on — so once
-// its adds are admitted the site can prepare at once, and the commit protocol
-// asks only the home. A refused attempt is the caller's to abandon and rerun
-// as Voting: ordered and waiting like any wave, its remote legs still voting.
-// Waves with a read or an absolute write keep the order: a read must stay
-// protected until the lock point, and a write's install version spans the
-// quorum.
-//
-// The last leg is special when it is remote and every earlier leg answered
-// cleanly. Its admission is then the transaction's lock point — it already
-// holds every other lock, and no replacement round can follow — so it may
-// carry what the commit protocol would otherwise ask for in a round of its
-// own:
-//
-//   - Read-only fold: a leg that carries no write (of a read-only program,
-//     or of one that writes under 2PC) goes out marked final. The site may
-//     release right after admitting it, which is all a read-only vote would
-//     have done; it runs the vote's guards first. A released site leaves the
-//     session: it takes no part in the commit protocol.
-//   - Last-leg vote: under 2PC, a leg of a wave that writes, carrying a write
-//     or an add, votes with its reply (Leg.Vote). What stopped such a leg
-//     from voting is the install version, which spans the quorum: perform
-//     installs a write at one more than the highest version any member
-//     reported. Every other member already answered, so the leg carries, per
-//     operation, the highest version they reported (Leg.Floors), and the
-//     site prepares its writes at max(floor, own)+1 — exactly the version
-//     perform computes at the home.
-//
-// Only the last leg may fold or vote. An earlier leg's site may crash and
-// recover before the lock point — a writer could then slip under a lost read
-// lock, and only the commit protocol's incarnation fence catches that — and
-// an earlier leg cannot know the versions of the legs after it.
+// site instead of one per operation, as plan says: every site gets its leg as
+// ONE CopyBatch (the home's own leg runs inline through its CCP). Then the
+// operations are completed one by one in order through perform, seeded with
+// what the legs brought back: with every member up that is pure bookkeeping;
+// a member that failed to answer is replaced by perform's ordinary
+// replacement rounds for just that operation. A CC rejection dooms the
+// transaction exactly as it does op by op.
 //
 // A voting leg that gets no reply may have voted anyway: its site may be
 // prepared, holding a write set. So no replacement round may complete the
 // quorum without it; Wave returns a VoteLostError instead, after recording
-// the site as voted so that abandoning the attempt withdraws it, and the
-// caller reruns the program under a fresh transaction with the site avoided
-// in the first round (Session.Avoid).
+// the site as voted so that abandoning the attempt withdraws it.
 //
-// items resolves each operation's item; the caller has checked that every
-// item is present. Wave returns the value of each item read.
-func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, mode WaveMode) (map[model.ItemID]int64, error) {
-	readOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpRead })
-	addOnly := !slices.ContainsFunc(ops, func(op model.Op) bool { return op.Kind != model.OpAdd })
-	// homeFirst: a first 2PC attempt that is not add-only runs its home's leg
-	// first when that leg would sort last (decided once the legs are sorted).
-	homeFirst := !addOnly && mode == NoWait
-	if homeFirst {
-		mode = Voting
-	}
-	var avoid map[model.SiteID]bool
-	if sess.Avoid != "" {
-		avoid = map[model.SiteID]bool{sess.Avoid: true}
-	}
-	ops = slices.Clone(ops)
-	slices.SortStableFunc(ops, func(a, b model.Op) int { return strings.Compare(string(a.Item), string(b.Item)) })
-
-	// leg is one site's share of the wave: which operations (indices into
-	// ops) go there.
-	type leg struct {
-		site model.SiteID
-		idx  []int
-		ops  []model.Op
-	}
-	var legs []*leg
-	seeds := make([][]outcome, len(ops))
-	// complete: every operation's first round is a whole quorum, so no
-	// replacement round follows a clean wave. Only an avoided site can make
-	// it partial.
-	complete := true
-	for k, op := range ops {
-		meta := items[op.Item]
-		assignment, need := p.rule(sess, op.Kind, meta)
-		first, ok := assignment.Pick(need, preferredOrder(acc, meta), avoid)
-		complete = complete && ok
-		seeds[k] = make([]outcome, 0, len(first))
-		for _, site := range first {
-			j := slices.IndexFunc(legs, func(l *leg) bool { return l.site == site })
-			if j < 0 {
-				j = len(legs)
-				legs = append(legs, &leg{site: site})
+// The caller has checked that every item is in plan.Items. Wave returns the
+// value of each item read.
+func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan Plan) (map[model.ItemID]int64, error) {
+	legs := plan.Legs
+	seeds := make([][]outcome, len(plan.Ops))
+	for k := range seeds {
+		n := 0
+		for _, l := range legs {
+			if slices.Contains(l.Idx, k) {
+				n++
 			}
-			legs[j].idx = append(legs[j].idx, k)
-			legs[j].ops = append(legs[j].ops, op)
 		}
+		seeds[k] = make([]outcome, 0, n)
 	}
-	slices.SortFunc(legs, func(a, b *leg) int { return strings.Compare(string(a.site), string(b.site)) })
-
-	var cohort []model.SiteID
-	if mode != Ordered {
-		cohort = make([]model.SiteID, len(legs))
-		for i, l := range legs {
-			cohort[i] = l.site
-		}
-	}
-	homeFirst = homeFirst && len(legs) > 1 && legs[len(legs)-1].site == acc.Local()
-	if homeFirst {
-		legs = slices.Concat(legs[len(legs)-1:], legs[:len(legs)-1])
-		sess.HomeFirst = true
-	}
-	// legOf says how leg i ships by default (see last for the last leg);
-	// take records its reply in the seeds and the session, reporting whether
+	// lost reports a voting leg that got no answer (see VoteLostError); take
+	// records a leg's reply in the seeds and the session, reporting whether
 	// every operation succeeded and the first CC abort.
-	legOf := func(i int) Leg {
-		return Leg{
-			NoWait: mode == NoWait || homeFirst && legs[i].site != acc.Local(),
-			Vote:   addOnly && mode != Ordered && legs[i].site != acc.Local(),
-			Cohort: cohort,
-		}
-	}
-	// last marks the final leg to fold or vote; every earlier leg answered
-	// cleanly, so its seeds hold each operation's versions from them.
-	last := func(lg *Leg, l *leg) {
-		switch {
-		case readOnly:
-			lg.Final = true
-		case addOnly || mode != Voting:
-			// 3PC keeps its vote round; an add-only leg votes already.
-		case !slices.ContainsFunc(l.ops, func(op model.Op) bool { return op.Kind != model.OpRead }):
-			lg.Final = true
-		default:
-			lg.Vote = true
-			lg.Floors = make([]model.Version, len(l.idx))
-			for j, k := range l.idx {
-				for _, o := range seeds[k] {
-					lg.Floors[j] = max(lg.Floors[j], o.Version)
-				}
-			}
-		}
-	}
-	// lost reports a voting leg that got no answer (see VoteLostError).
 	lost := func(lg Leg, site model.SiteID, err error) error {
 		if !lg.Vote || err == nil || isCC(err) {
 			return nil
@@ -223,11 +265,11 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	take := func(i int, rep BatchReply, err error) (clean bool, ccErr error) {
 		l := legs[i]
 		if rep.Voted {
-			sess.Vote(l.site)
+			sess.Vote(l.Site)
 		}
 		clean = true
-		for j, k := range l.idx {
-			o := outcome{site: l.site, inc: rep.Incarnation}
+		for j, k := range l.Idx {
+			o := outcome{site: l.Site, inc: rep.Incarnation}
 			if err != nil {
 				o.Err = err
 			} else {
@@ -243,26 +285,26 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	}
 
 	var released model.SiteID
-	if mode == NoWait {
+	if plan.AtOnce {
 		reps := make([]BatchReply, len(legs))
 		errs := make([]error, len(legs))
 		var wg sync.WaitGroup
 		local := -1
 		for i, l := range legs {
-			sess.Attempt(l.site)
-			if l.site == acc.Local() {
+			sess.Attempt(l.Site)
+			if l.Site == plan.Home {
 				local = i // runs inline, while the remote legs travel
 				continue
 			}
 			wg.Add(1)
-			go func(l *leg, lg Leg, rep *BatchReply, err *error) {
+			go func(l LegPlan, rep *BatchReply, err *error) {
 				defer wg.Done()
-				*rep, *err = acc.CopyBatch(ctx, l.site, sess, l.ops, lg)
-			}(l, legOf(i), &reps[i], &errs[i])
+				*rep, *err = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.leg())
+			}(l, &reps[i], &errs[i])
 		}
 		if local >= 0 {
 			l := legs[local]
-			reps[local], errs[local] = acc.CopyBatch(ctx, l.site, sess, l.ops, legOf(local))
+			reps[local], errs[local] = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.leg())
 		}
 		wg.Wait()
 		blocked := false
@@ -272,7 +314,7 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 				blocked = true
 				continue
 			}
-			if err := lost(legOf(i), l.site, errs[i]); err != nil {
+			if err := lost(l.leg(), l.Site, errs[i]); err != nil {
 				lostErr = cmp.Or(lostErr, err)
 				continue
 			}
@@ -294,13 +336,26 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 	} else {
 		clean := true // every leg so far answered and admitted all its ops
 		for i, l := range legs {
-			lg := legOf(i)
-			if i == len(legs)-1 && clean && complete && l.site != acc.Local() {
-				last(&lg, l)
+			lg := l.leg()
+			if i == len(legs)-1 && clean {
+				switch plan.Last {
+				case LastFold:
+					lg.Final = true
+				case LastVote:
+					// Every earlier leg answered cleanly, so the seeds hold
+					// each operation's versions from them.
+					lg.Vote = true
+					lg.Floors = make([]model.Version, len(l.Idx))
+					for j, k := range l.Idx {
+						for _, o := range seeds[k] {
+							lg.Floors[j] = max(lg.Floors[j], o.Version)
+						}
+					}
+				}
 			}
-			sess.Attempt(l.site)
-			rep, err := acc.CopyBatch(ctx, l.site, sess, l.ops, lg)
-			if err := lost(lg, l.site, err); err != nil {
+			sess.Attempt(l.Site)
+			rep, err := acc.CopyBatch(ctx, l.Site, sess, l.Ops, lg)
+			if err := lost(lg, l.Site, err); err != nil {
 				return nil, err
 			}
 			ok, ccErr := take(i, rep, err)
@@ -311,14 +366,14 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 			}
 			clean = clean && ok
 			if rep.Released {
-				released = l.site
+				released = l.Site
 			}
 		}
 	}
 
 	reads := make(map[model.ItemID]int64)
-	for k, op := range ops {
-		v, err := p.perform(ctx, acc, sess, items[op.Item], op, seeds[k])
+	for k, op := range plan.Ops {
+		v, err := p.perform(ctx, acc, sess, plan.Items[op.Item], op, seeds[k])
 		if err != nil {
 			return nil, err
 		}
@@ -330,4 +385,9 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, items
 		sess.Release(released)
 	}
 	return reads, nil
+}
+
+// leg is how l ships by default; Wave adds what plan.Last says to the last.
+func (l LegPlan) leg() Leg {
+	return Leg{NoWait: l.NoWait, Vote: l.Vote, Cohort: l.Cohort}
 }

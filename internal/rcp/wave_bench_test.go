@@ -27,7 +27,8 @@ func BenchmarkWave(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s := NewSession(model.TxID{Site: c.home, Seq: uint64(i + 1)}, model.Timestamp{Time: uint64(i + 1), Site: c.home})
-				if _, err := QC.Wave(context.Background(), f, s, items, c.ops, NoWait); err != nil {
+				plan := QC.Plan(c.ops, c.home, items, "", false, FirstAttempt)
+				if _, err := QC.Wave(context.Background(), f, s, plan); err != nil {
 					b.Fatal(err)
 				}
 				f.forget()

@@ -16,7 +16,7 @@ import (
 )
 
 // Add-only waves under 2PC ship every leg at once without waiting, and each
-// remote leg votes with its reply (rcp.NoWait, Site.vote). These tests cover
+// remote leg votes with its reply (rcp.PathAddAtOnce, Site.vote). These tests cover
 // the vote, the no-wait refusal and its ordered rerun, the release of a voted
 // site, and the crash windows the early vote opens — under every CCP.
 

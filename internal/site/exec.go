@@ -19,48 +19,31 @@ import (
 // Execute runs a one-shot transaction with this site as its home site. The
 // paper's home site "invokes the RCP for each operation in order" (§2.1), one
 // quorum round trip after another; a one-shot program hands over all its
-// operations at once, so Execute ships them as ONE wave instead — each site
-// gets its copy operations as one ordered batch (rcp.Protocol.Wave) — and
-// then runs the atomic commit protocol over every touched site. A read-only
-// program whose last leg is remote folds that site's vote into the leg (the
-// site releases as it answers), so it commits in one remote round trip when
-// only the home is left. Under 2PC a program that writes lets its remote
-// last leg vote with its reply, and the home then forces its own prepare
-// with the decision (CommitHome), so a wave whose other legs are the home's
-// commits in one remote round trip too. When this site's own leg would sort
-// last, a 2PC program runs it first and ships the remote legs after it
-// without waiting (home-first), so the last leg is remote for every home. A
-// program made only of blind adds ships every leg at once without waiting,
-// each remote leg voting with its reply. If a no-wait leg would have had to
-// wait, the attempt is abandoned and the program reruns as an ordered wave
-// under a fresh transaction id (Txn.rerun). So is one whose voting leg got
-// no reply, with that site avoided. Each rerun is counted by its cause: an
-// add-only or a home-first wave refused, or a vote lost. Interactive
-// transactions (Begin, then Read/Write/Add as the caller goes) keep the
-// paper's op-by-op shape.
+// operations at once, so Execute ships them as ONE wave instead (rcp.Plan
+// says how, rcp.Protocol.Wave ships it) and then runs the atomic commit
+// protocol over every touched site. An attempt that a no-wait leg refused, or
+// whose voting leg got no reply, reruns once under a fresh transaction id
+// (Txn.rerun) as the plan's OnRefuse or OnLost says. Interactive transactions
+// (Begin, then Read/Write/Add as the caller goes) keep the paper's op-by-op
+// shape.
 func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	t, err := s.Begin(ctx)
 	if err != nil {
 		return model.Outcome{Committed: false, Cause: model.AbortClient, HomeSite: s.id}
 	}
-	err = t.wave(ops)
+	plan, err := t.wave(ops, rcp.FirstAttempt)
+	var next rcp.Next
+	var avoid model.SiteID
 	var lost *rcp.VoteLostError
 	switch {
 	case errors.Is(err, rcp.ErrWouldBlock):
-		homeFirst := t.sess.HomeFirst
-		if t.rerun("") {
-			if homeFirst {
-				s.stats.Add(monitor.HomeFirstReruns, 1)
-			} else {
-				s.stats.Add(monitor.AddWaveReruns, 1)
-			}
-			err = t.wave(ops)
-		}
+		next = plan.OnRefuse
 	case errors.As(err, &lost):
-		if t.rerun(lost.Site) {
-			s.stats.Add(monitor.VoteLostReruns, 1)
-			err = t.wave(ops)
-		}
+		next, avoid = plan.OnLost, lost.Site
+	}
+	if next.Attempt != 0 && t.rerun(avoid) {
+		s.stats.Add(next.Count, 1)
+		_, err = t.wave(ops, next.Attempt)
 	}
 	if err != nil {
 		return t.Abort()
@@ -68,12 +51,12 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	return t.Commit()
 }
 
-// wave runs a whole one-shot program as one wave, under one operation budget
-// and one op span. Programs the interactive API would reject part-way — an
-// unknown item or operation kind, an item both blind-added and read or
-// written — are rejected here before any site is touched. A failure dooms
-// the transaction.
-func (t *Txn) wave(ops []model.Op) error {
+// wave runs a whole one-shot program as one wave, planned as the given
+// attempt, under one operation budget and one op span, and returns its plan.
+// Programs the interactive API would reject part-way — an unknown item or
+// operation kind, an item both blind-added and read or written — are rejected
+// here before any site is touched. A failure dooms the transaction.
+func (t *Txn) wave(ops []model.Op, attempt rcp.Attempt) (rcp.Plan, error) {
 	var adds, accesses int
 	for _, op := range ops {
 		switch op.Kind {
@@ -83,11 +66,11 @@ func (t *Txn) wave(ops []model.Op) error {
 			adds++
 		default:
 			t.doomed = model.Abortf(model.AbortClient, "invalid op kind %d", op.Kind)
-			return t.doomed
+			return rcp.Plan{}, t.doomed
 		}
 		if _, ok := t.catalog.Items[op.Item]; !ok {
 			t.doomed = model.Abortf(model.AbortClient, "unknown item %s", op.Item)
-			return t.doomed
+			return rcp.Plan{}, t.doomed
 		}
 	}
 	if adds > 0 && accesses > 0 {
@@ -100,42 +83,28 @@ func (t *Txn) wave(ops []model.Op) error {
 		for _, op := range ops {
 			if op.Kind != model.OpAdd && added[op.Item] {
 				t.doomed = model.Abortf(model.AbortClient, "cannot mix blind adds of %s with reads or writes of it in one transaction", op.Item)
-				return t.doomed
+				return rcp.Plan{}, t.doomed
 			}
 		}
 	}
 
-	// Under 2PC an add-only wave's legs vote with their reply, shipped at
-	// once on the first attempt and in order on the rerun, and any other
-	// wave's last leg votes, with the home's leg first on the first attempt
-	// when it would sort last; 3PC keeps its vote round.
-	mode := rcp.Ordered
-	if !t.acpProto.ThreePhase() {
-		mode = rcp.NoWait
-		if t.reran {
-			mode = rcp.Voting
-		}
+	plan := t.rcpProto.Plan(ops, t.s.id, t.catalog.Items, t.sess.Avoid, t.acpProto.ThreePhase(), attempt)
+	if plan.Count != 0 {
+		t.s.stats.Add(plan.Count, 1)
 	}
-	if mode == rcp.NoWait && accesses == 0 && adds > 0 {
-		t.s.stats.Add(monitor.AddWaves, 1)
-	}
-
 	// A wave's first round is up to one attempt per site, one after another;
 	// then, like an interactive operation, two replacement rounds.
 	opCtx, cancel := t.budget(len(t.catalog.Sites) + 2)
 	defer cancel()
 	sp := t.act.StartSpan(trace.StageOp, "wave")
-	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, t.catalog.Items, ops, mode)
+	reads, err := t.rcpProto.Wave(opCtx, t.s, t.sess, plan)
 	sp.End()
-	if t.sess.HomeFirst {
-		t.s.stats.Add(monitor.HomeFirstWaves, 1)
-	}
 	if err != nil {
 		t.doomed = err
-		return err
+		return plan, err
 	}
 	t.reads = reads
-	return nil
+	return plan, nil
 }
 
 // classify maps an execution error onto the paper's abort-cause taxonomy.

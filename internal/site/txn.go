@@ -49,9 +49,6 @@ type Txn struct {
 	added    map[model.ItemID]bool
 	doomed   error
 	finished bool
-	// reran marks a one-shot program rerun after its first attempt was
-	// abandoned (see rerun).
-	reran bool
 	// act is the transaction's sampled trace (nil for the untraced common
 	// case — every span call then no-ops without reading the clock). It
 	// rides t.ctx, so remote calls stamp its ID on their envelopes.
@@ -242,7 +239,7 @@ func (t *Txn) rerun(avoid model.SiteID) bool {
 	s.mu.Unlock()
 	t.sess = rcp.NewSession(t.tx, t.ts)
 	t.sess.Epoch, t.sess.Avoid = t.catalog.Epoch, avoid
-	t.doomed, t.reran = nil, true
+	t.doomed = nil
 	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
 	return true
 }
