@@ -87,22 +87,22 @@ func wave(p Protocol, f *fakeAccess, s *Session, items map[model.ItemID]schema.I
 // waveAttempt is one way the home may ship a program: under 2PC as a first
 // attempt or as a rerun (avoiding a site, after a lost vote), or under 3PC.
 type waveAttempt struct {
-	name  string
 	how   waveHow
 	avoid model.SiteID
 }
 
-var waveAttempts = []waveAttempt{
-	{"2pc-first", first2PC, ""},
-	{"2pc-rerun", rerun2PC, ""},
-	{"2pc-rerun-avoid-S2", rerun2PC, "S2"},
-	{"3pc", threePC, ""},
+var waveAttempts = []waveAttempt{{first2PC, ""}, {rerun2PC, ""}, {rerun2PC, "S2"}, {threePC, ""}}
+
+func (a waveAttempt) String() string {
+	if a.avoid != "" {
+		return a.how.name + "-avoid-" + string(a.avoid)
+	}
+	return a.how.name
 }
 
-// shipWave runs program as one wave of p at home over a fresh fake whose
-// sites S1, S2 and S3 report versions 1, 2 and 3, and returns the fake and
-// whether the home ran its own leg first.
-func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a waveAttempt) (*fakeAccess, bool) {
+// shipWave plans program as a says and runs it as one wave of p at home over
+// a fresh fake whose sites S1, S2 and S3 report versions 1, 2 and 3.
+func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a waveAttempt) (*fakeAccess, Plan) {
 	t.Helper()
 	f := newFake(home, "S1", "S2", "S3")
 	for i, site := range []model.SiteID{"S1", "S2", "S3"} {
@@ -112,9 +112,9 @@ func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a
 	s.Avoid = a.avoid
 	plan := a.how.plan(p, f, s, waveItems(), program)
 	if _, err := p.Wave(context.Background(), f, s, plan); err != nil {
-		t.Fatalf("%s home %s %s %v: %v", p.Name(), home, a.name, program, err)
+		t.Fatalf("%s home %s %s %v: %v", p.Name(), home, a, program, err)
 	}
-	return f, plan.Count == monitor.HomeFirstWaves
+	return f, plan
 }
 
 // TestWaveLegsGolden pins every batch the home ships, in ship order, for
@@ -127,15 +127,15 @@ func TestWaveLegsGolden(t *testing.T) {
 		for _, home := range []model.SiteID{"S1", "S2", "S3"} {
 			for _, a := range waveAttempts {
 				for _, program := range programs(2) {
-					f, homeFirst := shipWave(t, p, home, program, a)
+					f, plan := shipWave(t, p, home, program, a)
 					shipped := f.shipped
 					atOnce := len(shipped) > 0 && !slices.ContainsFunc(shipped, func(b shipment) bool { return !b.leg.NoWait })
-					fmt.Fprintf(&out, "%s %s %s %v", p.Name(), home, a.name, program)
+					fmt.Fprintf(&out, "%s %s %v %v", p.Name(), home, a, program)
 					if atOnce {
 						out.WriteString(" at-once")
 						slices.SortFunc(shipped, func(x, y shipment) int { return strings.Compare(string(x.site), string(y.site)) })
 					}
-					if homeFirst {
+					if plan.Count == monitor.HomeFirstWaves {
 						out.WriteString(" home-first")
 					}
 					out.WriteByte('\n')
@@ -178,4 +178,113 @@ func TestWaveLegsGolden(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("the legs shipped differ from %s; diff the output of -update against git to see how", path)
 	}
+}
+
+// planned is one program planned one way, and its legs as shipped over the
+// fake (replacement rounds left out).
+type planned struct {
+	a       waveAttempt
+	addOnly bool
+	plan    Plan
+	legs    []shipment
+}
+
+// eachPlan plans and ships every program of up to three operations × home ×
+// protocol × attempt, and reports each that check finds at fault.
+func eachPlan(t *testing.T, check func(c planned) string) {
+	t.Helper()
+	failures := 0
+	for _, p := range []Protocol{QC, ROWA} {
+		for _, home := range []model.SiteID{"S1", "S2", "S3"} {
+			for _, a := range waveAttempts {
+				for _, program := range programs(3) {
+					f, plan := shipWave(t, p, home, program, a)
+					addOnly := len(program) > 0 && !slices.ContainsFunc(program, func(op model.Op) bool { return op.Kind != model.OpAdd })
+					if fault := check(planned{a, addOnly, plan, f.shipped[:len(plan.Legs)]}); fault != "" {
+						t.Errorf("%s home %s %v %v: %s", p.Name(), home, a, program, fault)
+						if failures++; failures == 5 {
+							t.FailNow()
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPlanWaitingLegSortsAbove: a leg that may wait sorts above every site
+// shipped before it, and a wave shipped at once has no such leg, so no set of
+// waves can wait on each other in a cycle.
+func TestPlanWaitingLegSortsAbove(t *testing.T) {
+	eachPlan(t, func(c planned) string {
+		for i, l := range c.plan.Legs {
+			if l.NoWait {
+				continue
+			}
+			if c.plan.AtOnce {
+				return fmt.Sprintf("%s may wait in a wave shipped at once", l.Site)
+			}
+			for _, before := range c.plan.Legs[:i] {
+				if before.Site >= l.Site {
+					return fmt.Sprintf("%s may wait after %s", l.Site, before.Site)
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// TestPlanOnlyLastLegFoldsOrVotes: unless the wave is add-only, only its last
+// leg folds or votes, and only when remote.
+func TestPlanOnlyLastLegFoldsOrVotes(t *testing.T) {
+	eachPlan(t, func(c planned) string {
+		for i, b := range c.legs {
+			if !c.addOnly && (b.leg.Final || b.leg.Vote) && (i != len(c.legs)-1 || b.site == c.plan.Home) {
+				return fmt.Sprintf("leg %d of %d at %s folds or votes", i+1, len(c.legs), b.site)
+			}
+		}
+		return ""
+	})
+}
+
+// TestPlanReadVotesOnlyLast: a leg that carries a read votes only as the last
+// leg, at the lock point.
+func TestPlanReadVotesOnlyLast(t *testing.T) {
+	eachPlan(t, func(c planned) string {
+		for i, b := range c.legs {
+			reads := slices.ContainsFunc(b.ops, func(op model.Op) bool { return op.Kind == model.OpRead })
+			if reads && b.leg.Vote && i != len(c.legs)-1 {
+				return fmt.Sprintf("leg %d of %d at %s reads and votes", i+1, len(c.legs), b.site)
+			}
+		}
+		return ""
+	})
+}
+
+// TestPlanRerunNeverNoWait: a rerun plans no no-wait leg, so nothing can
+// refuse it, and nothing follows it.
+func TestPlanRerunNeverNoWait(t *testing.T) {
+	eachPlan(t, func(c planned) string {
+		if c.a.how.attempt != Rerun {
+			return ""
+		}
+		if slices.ContainsFunc(c.plan.Legs, func(l LegPlan) bool { return l.NoWait }) {
+			return "a no-wait leg"
+		}
+		if c.plan.OnRefuse != (Next{}) || c.plan.OnLost != (Next{}) {
+			return fmt.Sprintf("followed by %+v or %+v", c.plan.OnRefuse, c.plan.OnLost)
+		}
+		return ""
+	})
+}
+
+// TestPlanThreePCNoVote: under 3PC no leg votes with its reply: the commit
+// protocol's own votes precede its pre-commit round.
+func TestPlanThreePCNoVote(t *testing.T) {
+	eachPlan(t, func(c planned) string {
+		if c.a.how.threePhase && (c.plan.Last == LastVote || slices.ContainsFunc(c.legs, func(b shipment) bool { return b.leg.Vote })) {
+			return "a leg votes"
+		}
+		return ""
+	})
 }

@@ -37,12 +37,9 @@ func appendFrame(buf, payload []byte) []byte {
 
 // ---- Binary codec ----
 
-// binaryVersion is the binary record-encoding version byte. Version 2
-// appended the termination electorate (Voters) and the election Ballot;
-// version-1 records (written before quorum-based 3PC termination) decode
-// with those fields zero. Version 3 appended per-write delta flags
-// (commutative blind-add records); older records decode with every write
-// absolute.
+// binaryVersion is the binary record-encoding version byte. Records have one
+// layout, version 3's: versions 1 and 2, which lacked the termination fields
+// and the per-write delta flags, are refused.
 const binaryVersion = 3
 
 func appendString(buf []byte, s string) []byte {
@@ -78,15 +75,13 @@ func appendRecord(buf []byte, r *Record) []byte {
 		buf = binary.AppendUvarint(buf, uint64(w.Version))
 	}
 	buf = binary.AppendUvarint(buf, r.Horizon)
-	// Version-2 fields.
 	buf = binary.AppendUvarint(buf, uint64(len(r.Voters)))
 	for _, p := range r.Voters {
 		buf = appendString(buf, string(p))
 	}
 	buf = binary.AppendUvarint(buf, r.Ballot.N)
 	buf = appendString(buf, string(r.Ballot.Site))
-	// Version-3 fields: one delta flag per write, in write order (appended at
-	// the end so version-2 readers never see them).
+	// One delta flag per write, in write order.
 	for _, w := range r.Writes {
 		var delta byte
 		if w.Delta {
@@ -156,12 +151,11 @@ func (d *binReader) string() string {
 	return s
 }
 
-// decodeRecord parses one payload produced by appendRecord (or by an
-// earlier record version; see binaryVersion).
+// decodeRecord parses one payload produced by appendRecord. It fails unless
+// the payload is read to its last byte, since nothing follows a record.
 func decodeRecord(payload []byte) (Record, error) {
 	d := &binReader{b: payload}
-	version := d.byte()
-	if d.err == nil && (version < 1 || version > binaryVersion) {
+	if version := d.byte(); d.err == nil && version != binaryVersion {
 		return Record{}, fmt.Errorf("wal: unsupported binary record version %d", version)
 	}
 	var r Record
@@ -199,24 +193,23 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 	}
 	r.Horizon = d.uvarint()
-	if version >= 2 {
-		if n := d.uvarint(); d.err == nil && n > 0 {
-			if n > uint64(len(d.b)) {
-				d.fail()
-			} else {
-				r.Voters = make([]model.SiteID, 0, n)
-				for i := uint64(0); i < n && d.err == nil; i++ {
-					r.Voters = append(r.Voters, model.SiteID(d.string()))
-				}
+	if n := d.uvarint(); d.err == nil && n > 0 {
+		if n > uint64(len(d.b)) {
+			d.fail()
+		} else {
+			r.Voters = make([]model.SiteID, 0, n)
+			for i := uint64(0); i < n && d.err == nil; i++ {
+				r.Voters = append(r.Voters, model.SiteID(d.string()))
 			}
 		}
-		r.Ballot.N = d.uvarint()
-		r.Ballot.Site = model.SiteID(d.string())
 	}
-	if version >= 3 {
-		for i := range r.Writes {
-			r.Writes[i].Delta = d.byte() != 0
-		}
+	r.Ballot.N = d.uvarint()
+	r.Ballot.Site = model.SiteID(d.string())
+	for i := range r.Writes {
+		r.Writes[i].Delta = d.byte() != 0
+	}
+	if d.err == nil && len(d.b) > 0 {
+		d.err = fmt.Errorf("wal: %d trailing bytes after binary record", len(d.b))
 	}
 	if d.err != nil {
 		return Record{}, d.err

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"reflect"
 	"testing"
 
@@ -55,103 +54,25 @@ func TestTermRecordsRoundTrip(t *testing.T) {
 	})
 }
 
-// appendV1 encodes a record exactly as binary version 1 did (no Voters, no
-// Ballot) — the back-compat fixture.
-func appendV1(buf []byte, r *Record) []byte {
-	buf = append(buf, 1, byte(r.Type))
-	var flags byte
-	if r.ThreePhase {
-		flags |= 1
-	}
-	if r.Commit {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	buf = appendString(buf, string(r.Tx.Site))
-	buf = binary.AppendUvarint(buf, r.Tx.Seq)
-	buf = binary.AppendUvarint(buf, r.TS.Time)
-	buf = appendString(buf, string(r.TS.Site))
-	buf = appendString(buf, string(r.Coordinator))
-	buf = binary.AppendUvarint(buf, uint64(len(r.Participants)))
-	for _, p := range r.Participants {
-		buf = appendString(buf, string(p))
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(r.Writes)))
-	for _, w := range r.Writes {
-		buf = appendString(buf, string(w.Item))
-		buf = binary.AppendVarint(buf, w.Value)
-		buf = binary.AppendUvarint(buf, uint64(w.Version))
-	}
-	return binary.AppendUvarint(buf, r.Horizon)
-}
-
-// appendV2 encodes a record exactly as binary version 2 did (Voters and
-// Ballot, but no per-write delta flags) — the back-compat fixture.
-func appendV2(buf []byte, r *Record) []byte {
-	buf = appendV1(buf, r)
-	buf[0] = 2
-	buf = binary.AppendUvarint(buf, uint64(len(r.Voters)))
-	for _, p := range r.Voters {
-		buf = appendString(buf, string(p))
-	}
-	buf = binary.AppendUvarint(buf, r.Ballot.N)
-	return appendString(buf, string(r.Ballot.Site))
-}
-
-// TestBinaryCodecDecodesVersion2: logs written before commutative blind
-// adds (version-2 records) still decode, with every write absolute.
-func TestBinaryCodecDecodesVersion2(t *testing.T) {
-	want := Record{
-		Type:         RecPrepared,
-		Tx:           model.TxID{Site: "S2", Seq: 11},
-		TS:           model.Timestamp{Time: 11, Site: "S2"},
-		Coordinator:  "S2",
-		Participants: []model.SiteID{"S1", "S2"},
-		Writes: []model.WriteRecord{
-			{Item: "y", Value: -4, Version: 5},
-			{Item: "z", Value: 8, Version: 6},
-		},
-		Voters: []model.SiteID{"S1", "S2"},
-		Ballot: model.Ballot{N: 3, Site: "S1"},
-	}
-	payload := appendV2(nil, &want)
-	got, err := decodeRecord(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v2 decode: got %+v, want %+v", got, want)
-	}
-	for i, w := range got.Writes {
-		if w.Delta {
-			t.Errorf("v2 decode invented a delta flag on write %d: %+v", i, w)
+// TestBinaryCodecRefusesOtherLayouts: a record has one layout. A payload
+// claiming version 1 or 2, or one with a byte left after the record, is
+// refused with an error.
+func TestBinaryCodecRefusesOtherLayouts(t *testing.T) {
+	r := termRecords()[0]
+	for _, c := range []struct {
+		name    string
+		payload func() []byte
+	}{
+		{"v1", func() []byte { p := appendRecord(nil, &r); p[0] = 1; return p }},
+		{"v2", func() []byte { p := appendRecord(nil, &r); p[0] = 2; return p }},
+		{"extra-byte", func() []byte { return append(appendRecord(nil, &r), 0) }},
+	} {
+		if got, err := decodeRecord(c.payload()); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", c.name, got)
 		}
 	}
-}
-
-// TestBinaryCodecDecodesVersion1: logs written before quorum termination
-// (version-1 records) still decode, with the new fields zero.
-func TestBinaryCodecDecodesVersion1(t *testing.T) {
-	want := Record{
-		Type:         RecPrepared,
-		Tx:           model.TxID{Site: "S1", Seq: 9},
-		TS:           model.Timestamp{Time: 9, Site: "S1"},
-		Coordinator:  "S1",
-		Participants: []model.SiteID{"S1", "S2"},
-		ThreePhase:   true,
-		Writes:       []model.WriteRecord{{Item: "y", Value: -4, Version: 5}},
-		Horizon:      3,
-	}
-	payload := appendV1(nil, &want)
-	got, err := decodeRecord(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("v1 decode: got %+v, want %+v", got, want)
-	}
-	if got.Voters != nil || !got.Ballot.IsZero() {
-		t.Errorf("v1 decode invented v2 fields: %+v", got)
+	if _, err := decodeRecord(appendRecord(nil, &r)); err != nil {
+		t.Errorf("the record itself: %v", err)
 	}
 }
 
