@@ -59,58 +59,53 @@ func mixesAddAndAccess(ops []model.Op) bool {
 	return false
 }
 
-// waveHow is how the home plans a wave: under 2PC or 3PC, as which attempt.
+// waveHow is how the home plans a wave: under 2PC or 3PC, as which attempt,
+// and avoiding which site.
 type waveHow struct {
 	name       string
 	threePhase bool
 	attempt    Attempt
+	avoid      model.SiteID
 }
 
 var (
-	first2PC = waveHow{"2pc-first", false, FirstAttempt}
-	rerun2PC = waveHow{"2pc-rerun", false, Rerun}
-	threePC  = waveHow{"3pc", true, FirstAttempt}
+	first2PC = waveHow{"2pc-first", false, FirstAttempt, ""}
+	rerun2PC = waveHow{"2pc-rerun", false, Rerun, ""}
+	threePC  = waveHow{"3pc", true, FirstAttempt, ""}
+	// waveAttempts is every way the home may ship a program: under 2PC as a
+	// first attempt or as a rerun (avoiding a site, after a lost vote), or
+	// under 3PC.
+	waveAttempts = []waveHow{first2PC, rerun2PC, rerun2PC.avoiding("S2"), threePC}
 )
+
+// avoiding is h with site left out of the first round.
+func (h waveHow) avoiding(site model.SiteID) waveHow {
+	h.name, h.avoid = h.name+"-avoid-"+string(site), site
+	return h
+}
 
 func (h waveHow) String() string { return h.name }
 
-// plan plans ops as h says, from f's home, avoiding s.Avoid.
-func (h waveHow) plan(p Protocol, f *fakeAccess, s *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op) Plan {
-	return p.Plan(ops, f.local, items, s.Avoid, h.threePhase, h.attempt)
+// plan plans ops as h says, from f's home.
+func (h waveHow) plan(p Protocol, f *fakeAccess, items map[model.ItemID]schema.ItemMeta, ops []model.Op) Plan {
+	return p.Plan(ops, f.local, items, h.avoid, h.threePhase, h.attempt)
 }
 
 // wave runs ops as one wave of p over f, planned as h says.
 func wave(p Protocol, f *fakeAccess, s *Session, items map[model.ItemID]schema.ItemMeta, ops []model.Op, h waveHow) (map[model.ItemID]int64, error) {
-	return p.Wave(context.Background(), f, s, h.plan(p, f, s, items, ops))
-}
-
-// waveAttempt is one way the home may ship a program: under 2PC as a first
-// attempt or as a rerun (avoiding a site, after a lost vote), or under 3PC.
-type waveAttempt struct {
-	how   waveHow
-	avoid model.SiteID
-}
-
-var waveAttempts = []waveAttempt{{first2PC, ""}, {rerun2PC, ""}, {rerun2PC, "S2"}, {threePC, ""}}
-
-func (a waveAttempt) String() string {
-	if a.avoid != "" {
-		return a.how.name + "-avoid-" + string(a.avoid)
-	}
-	return a.how.name
+	return p.Wave(context.Background(), f, s, h.plan(p, f, items, ops))
 }
 
 // shipWave plans program as a says and runs it as one wave of p at home over
 // a fresh fake whose sites S1, S2 and S3 report versions 1, 2 and 3.
-func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a waveAttempt) (*fakeAccess, Plan) {
+func shipWave(t *testing.T, p Protocol, home model.SiteID, program []model.Op, a waveHow) (*fakeAccess, Plan) {
 	t.Helper()
 	f := newFake(home, "S1", "S2", "S3")
 	for i, site := range []model.SiteID{"S1", "S2", "S3"} {
 		f.set(site, 10, model.Version(i+1))
 	}
 	s := sess()
-	s.Avoid = a.avoid
-	plan := a.how.plan(p, f, s, waveItems(), program)
+	plan := a.plan(p, f, waveItems(), program)
 	if _, err := p.Wave(context.Background(), f, s, plan); err != nil {
 		t.Fatalf("%s home %s %s %v: %v", p.Name(), home, a, program, err)
 	}
@@ -183,7 +178,7 @@ func TestWaveLegsGolden(t *testing.T) {
 // planned is one program planned one way, and its legs as shipped over the
 // fake (replacement rounds left out).
 type planned struct {
-	a       waveAttempt
+	a       waveHow
 	addOnly bool
 	plan    Plan
 	legs    []shipment
@@ -265,7 +260,7 @@ func TestPlanReadVotesOnlyLast(t *testing.T) {
 // refuse it, and nothing follows it.
 func TestPlanRerunNeverNoWait(t *testing.T) {
 	eachPlan(t, func(c planned) string {
-		if c.a.how.attempt != Rerun {
+		if c.a.attempt != Rerun {
 			return ""
 		}
 		if slices.ContainsFunc(c.plan.Legs, func(l LegPlan) bool { return l.NoWait }) {
@@ -282,9 +277,59 @@ func TestPlanRerunNeverNoWait(t *testing.T) {
 // protocol's own votes precede its pre-commit round.
 func TestPlanThreePCNoVote(t *testing.T) {
 	eachPlan(t, func(c planned) string {
-		if c.a.how.threePhase && (c.plan.Last == LastVote || slices.ContainsFunc(c.legs, func(b shipment) bool { return b.leg.Vote })) {
+		if c.a.threePhase && (c.plan.Last == LastVote || slices.ContainsFunc(c.legs, func(b shipment) bool { return b.leg.Vote })) {
 			return "a leg votes"
 		}
 		return ""
 	})
+}
+
+// TestPlanPaths: one program per path, with the counter its wave moves and
+// what follows a refused leg or a lost vote.
+func TestPlanPaths(t *testing.T) {
+	rw := []model.Op{model.Read("a"), model.Write("b", 1)}
+	// c has its one copy at S3 and d at S1: a program that reads c and writes
+	// d ships its write first, and its last leg carries no write.
+	split := map[model.ItemID]schema.ItemMeta{
+		"c": {Item: "c", Votes: map[model.SiteID]int{"S3": 1}, ReadQuorum: 1, WriteQuorum: 1},
+		"d": {Item: "d", Votes: map[model.SiteID]int{"S1": 1}, ReadQuorum: 1, WriteQuorum: 1},
+	}
+	refusedAdd, refusedHomeFirst := Next{Rerun, monitor.AddWaveReruns}, Next{Rerun, monitor.HomeFirstReruns}
+	lost := Next{Rerun, monitor.VoteLostReruns}
+	for _, c := range []struct {
+		name     string
+		p        Protocol
+		home     model.SiteID
+		items    map[model.ItemID]schema.ItemMeta
+		ops      []model.Op
+		how      waveHow
+		path     Path
+		last     LastLeg
+		count    monitor.Count
+		onRefuse Next
+		onLost   Next
+	}{
+		{"read-only", QC, "S1", nil, []model.Op{model.Read("a"), model.Read("b")}, first2PC, PathReadOnly, LastFold, 0, Next{}, Next{}},
+		{"read-only-home-first", QC, "S3", nil, []model.Op{model.Read("a")}, first2PC, PathReadOnly, LastFold, monitor.HomeFirstWaves, refusedHomeFirst, Next{}},
+		{"read-only-3pc", QC, "S1", nil, []model.Op{model.Read("a")}, threePC, PathReadOnly, LastFold, 0, Next{}, Next{}},
+		{"add-at-once", QC, "S1", nil, []model.Op{model.Add("a", 1)}, first2PC, PathAddAtOnce, LastPlain, monitor.AddWaves, refusedAdd, lost},
+		{"add-ordered", QC, "S1", nil, []model.Op{model.Add("a", 1)}, rerun2PC, PathAddOrdered, LastPlain, 0, Next{}, Next{}},
+		{"last-leg-vote", QC, "S1", nil, rw, first2PC, PathLastLegVote, LastVote, 0, Next{}, lost},
+		{"last-leg-vote-home-first", QC, "S3", nil, rw, first2PC, PathLastLegVote, LastVote, monitor.HomeFirstWaves, refusedHomeFirst, lost},
+		{"avoid", QC, "S1", nil, rw, rerun2PC.avoiding("S2"), PathAvoid, LastVote, 0, Next{}, Next{}},
+		{"avoid-partial", ROWA, "S1", nil, rw, rerun2PC.avoiding("S2"), PathAvoid, LastPlain, 0, Next{}, Next{}},
+		{"prepare-home-last", QC, "S3", nil, rw, rerun2PC, PathPrepare, LastPlain, 0, Next{}, Next{}},
+		{"prepare-3pc", QC, "S1", nil, rw, threePC, PathPrepare, LastPlain, 0, Next{}, Next{}},
+		{"prepare-fold-after-writes", ROWA, "S2", split, []model.Op{model.Read("c"), model.Write("d", 1)}, rerun2PC, PathPrepare, LastFold, 0, Next{}, Next{}},
+	} {
+		items := c.items
+		if items == nil {
+			items = waveItems()
+		}
+		plan := c.how.plan(c.p, newFake(c.home), items, c.ops)
+		if plan.Path != c.path || plan.Last != c.last || plan.Count != c.count || plan.OnRefuse != c.onRefuse || plan.OnLost != c.onLost {
+			t.Errorf("%s: path %d, last %d, count %d, on refuse %+v, on lost %+v; want %d, %d, %d, %+v, %+v",
+				c.name, plan.Path, plan.Last, plan.Count, plan.OnRefuse, plan.OnLost, c.path, c.last, c.count, c.onRefuse, c.onLost)
+		}
+	}
 }

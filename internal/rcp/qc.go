@@ -32,11 +32,10 @@ func qcRule(sess *Session, kind model.OpKind, meta schema.ItemMeta) (quorum.Assi
 		// would keep the stale record, and commit would install two
 		// different values under the same version number on different
 		// copies. A wave plans with no session: nothing is written yet.
-		if sess == nil {
-			return meta.Assignment(), meta.WriteQuorum
-		}
-		if sites, _, ok := sess.WriteQuorum(meta.Item); ok {
-			return allOf(sites)
+		if sess != nil {
+			if sites, _, ok := sess.WriteQuorum(meta.Item); ok {
+				return allOf(sites)
+			}
 		}
 		return meta.Assignment(), meta.WriteQuorum
 	default:

@@ -11,10 +11,11 @@
 package rcp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/model"
@@ -79,8 +80,8 @@ var ErrWouldBlock = &model.AbortError{Cause: model.AbortCC, Reason: "no-wait leg
 // VoteLostError reports a Vote leg that got no reply: its site may have
 // voted — prepared, holding a write set — so no replacement round may
 // complete a quorum without it. The home abandons the attempt (presumed
-// abort: nothing is logged) and reruns the program once with Site avoided
-// (Session.Avoid).
+// abort: nothing is logged) and reruns the program once with Site left out of
+// the first round (Plan's avoid).
 type VoteLostError struct {
 	Site model.SiteID
 	Err  error
@@ -135,9 +136,6 @@ type Session struct {
 	// voted holds the sites that voted yes with their copy operation's
 	// reply (Leg.Vote) — or may have, their reply lost; nil until one does.
 	voted map[model.SiteID]bool
-	// Avoid is a site a wave's first round must not pick: one whose voting
-	// leg went unanswered in an abandoned attempt of the same program.
-	Avoid model.SiteID
 }
 
 // NewSession starts a session for one transaction.
@@ -194,19 +192,11 @@ func (s *Session) Vote(site model.SiteID) {
 	s.voted[site] = true
 }
 
-// Voted returns the sites that voted with their reply, sorted.
+// Voted returns the sites that voted with their reply, sorted (nil if none).
 func (s *Session) Voted() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.voted) == 0 {
-		return nil
-	}
-	out := make([]model.SiteID, 0, len(s.voted))
-	for site := range s.voted {
-		out = append(out, site)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(s.voted))
 }
 
 // Strays returns the attempted sites that did not become participants —
@@ -214,14 +204,7 @@ func (s *Session) Voted() []model.SiteID {
 func (s *Session) Strays() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var out []model.SiteID
-	for site := range s.attempted {
-		if !s.touched[site] {
-			out = append(out, site)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.DeleteFunc(slices.Sorted(maps.Keys(s.attempted)), func(site model.SiteID) bool { return s.touched[site] })
 }
 
 // SawIncarnation records the incarnation number site reported on a copy
@@ -251,14 +234,7 @@ func (s *Session) IncarnationFor(site model.SiteID) uint64 {
 func (s *Session) WriteSites() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]model.SiteID, 0, len(s.writes))
-	for site, m := range s.writes {
-		if len(m) > 0 {
-			out = append(out, site)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.DeleteFunc(slices.Sorted(maps.Keys(s.writes)), func(site model.SiteID) bool { return len(s.writes[site]) == 0 })
 }
 
 // RecordWrite records the final write record site must install at commit.
@@ -286,9 +262,7 @@ func (s *Session) RecordAdd(site model.SiteID, rec model.WriteRecord) {
 	}
 	if old, ok := s.writes[site][rec.Item]; ok && old.Delta && rec.Delta {
 		rec.Value += old.Value
-		if old.Version > rec.Version {
-			rec.Version = old.Version
-		}
+		rec.Version = max(rec.Version, old.Version)
 	}
 	s.writes[site][rec.Item] = rec
 }
@@ -311,7 +285,7 @@ func (s *Session) WriteQuorum(item model.ItemID) ([]model.SiteID, model.WriteRec
 			rec, found = r, true
 		}
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
+	slices.Sort(sites)
 	return sites, rec, found
 }
 
@@ -321,37 +295,14 @@ func (s *Session) WriteQuorum(item model.ItemID) ([]model.SiteID, model.WriteRec
 func (s *Session) Participants() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]model.SiteID, 0, len(s.touched))
-	for site := range s.touched {
-		out = append(out, site)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return slices.Sorted(maps.Keys(s.touched))
 }
 
 // WritesFor returns the write records site must install, sorted by item.
 func (s *Session) WritesFor(site model.SiteID) []model.WriteRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	m := s.writes[site]
-	out := make([]model.WriteRecord, 0, len(m))
-	for _, r := range m {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Item < out[j].Item })
-	return out
-}
-
-// HasWrites reports whether any site has pending write records.
-func (s *Session) HasWrites() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.writes {
-		if len(m) > 0 {
-			return true
-		}
-	}
-	return false
+	return slices.SortedFunc(maps.Values(s.writes[site]), func(a, b model.WriteRecord) int { return cmp.Compare(a.Item, b.Item) })
 }
 
 // Protocol is a replication control protocol: ROWA or QC. The two differ

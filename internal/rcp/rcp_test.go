@@ -418,16 +418,16 @@ func TestSessionLaterWriteReplacesEarlier(t *testing.T) {
 
 func TestSessionHasWrites(t *testing.T) {
 	s := sess()
-	if s.HasWrites() {
+	if len(s.WriteSites()) > 0 {
 		t.Error("fresh session has writes")
 	}
 	s.Touch("S1")
-	if s.HasWrites() {
+	if len(s.WriteSites()) > 0 {
 		t.Error("touch should not create writes")
 	}
 	s.RecordWrite("S1", model.WriteRecord{Item: "x"})
-	if !s.HasWrites() {
-		t.Error("HasWrites false after RecordWrite")
+	if len(s.WriteSites()) == 0 {
+		t.Error("no write sites after RecordWrite")
 	}
 }
 
@@ -886,8 +886,7 @@ func TestWaveVoteLost(t *testing.T) {
 	}
 
 	s = sess()
-	s.Avoid = "S2"
-	if _, err := wave(QC, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC); err != nil {
+	if _, err := wave(QC, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC.avoiding("S2")); err != nil {
 		t.Fatal(err)
 	}
 	if leg := f.legs["S3"]; len(leg) != 1 || !leg[0].Vote {
@@ -902,8 +901,7 @@ func TestWaveVoteLost(t *testing.T) {
 	// (or fold) ahead of it.
 	f = newFake("S1", "S1", "S2", "S3")
 	s = sess()
-	s.Avoid = "S2"
-	if _, err := wave(ROWA, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC); err != nil {
+	if _, err := wave(ROWA, f, s, waveItems(), []model.Op{model.Write("a", 1)}, rerun2PC.avoiding("S2")); err != nil {
 		t.Fatal(err)
 	}
 	if legs := f.legs["S3"]; len(legs) != 1 || legs[0].Vote || legs[0].Final {
@@ -947,7 +945,7 @@ func TestWaveHomeFirst(t *testing.T) {
 			var order []model.SiteID
 			f.onBatch = func(site model.SiteID) { order = append(order, site) }
 			s := sess()
-			plan := c.mode.plan(c.proto, f, s, waveItems(), c.ops)
+			plan := c.mode.plan(c.proto, f, waveItems(), c.ops)
 			if _, err := c.proto.Wave(context.Background(), f, s, plan); err != nil {
 				t.Fatal(err)
 			}

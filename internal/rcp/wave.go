@@ -47,11 +47,12 @@ const (
 	// (Leg.Floors), and the home forces its own prepare with the decision.
 	PathLastLegVote
 	// PathAvoid: a rerun after a voting leg got no reply, that site left out
-	// of the first round (Session.Avoid).
+	// of the first round (Plan's avoid).
 	PathAvoid
-	// PathPrepare: no leg folds or votes, and the commit protocol's prepare
-	// round asks every participant: 3PC waves that write, and waves whose
-	// home's own leg ships last (the rerun of a refused home-first attempt).
+	// PathPrepare: no leg votes, and the commit protocol's prepare round
+	// asks every participant left: 3PC waves that write, waves whose home's
+	// own leg ships last (the rerun of a refused home-first attempt), and
+	// waves whose last leg folds but whose other legs write.
 	PathPrepare
 )
 
@@ -86,11 +87,11 @@ type LegPlan struct {
 	Site model.SiteID
 	// Idx holds the indices into Plan.Ops of the operations the leg carries,
 	// and Ops those operations, in order.
-	Idx    []int
-	Ops    []model.Op
-	NoWait bool
-	Vote   bool
-	Cohort []model.SiteID
+	Idx []int
+	Ops []model.Op
+	// Leg sets NoWait, Vote and Cohort; Wave adds what Plan.Last says to the
+	// last leg.
+	Leg
 }
 
 // Plan is how a wave ships one one-shot program: the data Wave executes.
@@ -203,7 +204,7 @@ func (p Protocol) Plan(ops []model.Op, home model.SiteID, items map[model.ItemID
 		plan.Path = PathAvoid
 	case plan.AtOnce:
 		plan.Path = PathAddAtOnce
-	case plan.Last == LastFold:
+	case plan.Last == LastFold && readOnly:
 		plan.Path = PathReadOnly
 	case plan.Last == LastVote:
 		plan.Path = PathLastLegVote
@@ -244,13 +245,7 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan 
 	legs := plan.Legs
 	seeds := make([][]outcome, len(plan.Ops))
 	for k := range seeds {
-		n := 0
-		for _, l := range legs {
-			if slices.Contains(l.Idx, k) {
-				n++
-			}
-		}
-		seeds[k] = make([]outcome, 0, n)
+		seeds[k] = make([]outcome, 0, len(legs))
 	}
 	// lost reports a voting leg that got no answer (see VoteLostError); take
 	// records a leg's reply in the seeds and the session, reporting whether
@@ -299,12 +294,12 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan 
 			wg.Add(1)
 			go func(l LegPlan, rep *BatchReply, err *error) {
 				defer wg.Done()
-				*rep, *err = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.leg())
+				*rep, *err = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.Leg)
 			}(l, &reps[i], &errs[i])
 		}
 		if local >= 0 {
 			l := legs[local]
-			reps[local], errs[local] = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.leg())
+			reps[local], errs[local] = acc.CopyBatch(ctx, l.Site, sess, l.Ops, l.Leg)
 		}
 		wg.Wait()
 		blocked := false
@@ -314,7 +309,7 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan 
 				blocked = true
 				continue
 			}
-			if err := lost(l.leg(), l.Site, errs[i]); err != nil {
+			if err := lost(l.Leg, l.Site, errs[i]); err != nil {
 				lostErr = cmp.Or(lostErr, err)
 				continue
 			}
@@ -336,7 +331,7 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan 
 	} else {
 		clean := true // every leg so far answered and admitted all its ops
 		for i, l := range legs {
-			lg := l.leg()
+			lg := l.Leg
 			if i == len(legs)-1 && clean {
 				switch plan.Last {
 				case LastFold:
@@ -385,9 +380,4 @@ func (p Protocol) Wave(ctx context.Context, acc CopyAccess, sess *Session, plan 
 		sess.Release(released)
 	}
 	return reads, nil
-}
-
-// leg is how l ships by default; Wave adds what plan.Last says to the last.
-func (l LegPlan) leg() Leg {
-	return Leg{NoWait: l.NoWait, Vote: l.Vote, Cohort: l.Cohort}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"time"
 
 	"repro/internal/acp"
@@ -31,7 +32,7 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	if err != nil {
 		return model.Outcome{Committed: false, Cause: model.AbortClient, HomeSite: s.id}
 	}
-	plan, err := t.wave(ops, rcp.FirstAttempt)
+	plan, err := t.wave(ops, rcp.FirstAttempt, "")
 	var next rcp.Next
 	var avoid model.SiteID
 	var lost *rcp.VoteLostError
@@ -41,9 +42,9 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 	case errors.As(err, &lost):
 		next, avoid = plan.OnLost, lost.Site
 	}
-	if next.Attempt != 0 && t.rerun(avoid) {
+	if next.Attempt != 0 && t.rerun() {
 		s.stats.Add(next.Count, 1)
-		_, err = t.wave(ops, next.Attempt)
+		_, err = t.wave(ops, next.Attempt, avoid)
 	}
 	if err != nil {
 		return t.Abort()
@@ -52,16 +53,16 @@ func (s *Site) Execute(ctx context.Context, ops []model.Op) model.Outcome {
 }
 
 // wave runs a whole one-shot program as one wave, planned as the given
-// attempt, under one operation budget and one op span, and returns its plan.
+// attempt with avoid (if set) left out of its first round, under one
+// operation budget and one op span, and returns its plan.
 // Programs the interactive API would reject part-way — an unknown item or
 // operation kind, an item both blind-added and read or written — are rejected
 // here before any site is touched. A failure dooms the transaction.
-func (t *Txn) wave(ops []model.Op, attempt rcp.Attempt) (rcp.Plan, error) {
-	var adds, accesses int
+func (t *Txn) wave(ops []model.Op, attempt rcp.Attempt, avoid model.SiteID) (rcp.Plan, error) {
+	var adds int
 	for _, op := range ops {
 		switch op.Kind {
 		case model.OpRead, model.OpWrite:
-			accesses++
 		case model.OpAdd:
 			adds++
 		default:
@@ -73,22 +74,14 @@ func (t *Txn) wave(ops []model.Op, attempt rcp.Attempt) (rcp.Plan, error) {
 			return rcp.Plan{}, t.doomed
 		}
 	}
-	if adds > 0 && accesses > 0 {
-		added := make(map[model.ItemID]bool, adds)
-		for _, op := range ops {
-			if op.Kind == model.OpAdd {
-				added[op.Item] = true
-			}
-		}
-		for _, op := range ops {
-			if op.Kind != model.OpAdd && added[op.Item] {
-				t.doomed = model.Abortf(model.AbortClient, "cannot mix blind adds of %s with reads or writes of it in one transaction", op.Item)
-				return rcp.Plan{}, t.doomed
-			}
+	for _, op := range ops {
+		if adds > 0 && op.Kind != model.OpAdd && slices.ContainsFunc(ops, func(o model.Op) bool { return o.Kind == model.OpAdd && o.Item == op.Item }) {
+			t.doomed = model.Abortf(model.AbortClient, "cannot mix blind adds of %s with reads or writes of it in one transaction", op.Item)
+			return rcp.Plan{}, t.doomed
 		}
 	}
 
-	plan := t.rcpProto.Plan(ops, t.s.id, t.catalog.Items, t.sess.Avoid, t.acpProto.ThreePhase(), attempt)
+	plan := t.rcpProto.Plan(ops, t.s.id, t.catalog.Items, avoid, t.acpProto.ThreePhase(), attempt)
 	if plan.Count != 0 {
 		t.s.stats.Add(plan.Count, 1)
 	}

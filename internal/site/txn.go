@@ -211,16 +211,15 @@ func (t *Txn) abandon() {
 }
 
 // rerun abandons a one-shot attempt — one a no-wait leg refused, or one
-// whose voting leg got no reply — and readies the program to run again, as
-// an ordered wave, under a fresh transaction id and timestamp, with avoid
-// (if set) left out of the first round: every site the attempt reached is
-// released, and every site that voted, or may have, is told the attempt
+// whose voting leg got no reply — and readies the program to run again
+// under a fresh transaction id and timestamp: every site the attempt reached
+// is released, and every site that voted, or may have, is told the attempt
 // aborted — presumed abort, so nothing is logged here. The transaction keeps
 // its start time and trace, and its outcome counts once. rerun reports
 // false, leaving the transaction doomed, when it cannot go on: its context
 // ended (the abandonment watch already released everything) or the site
 // crashed.
-func (t *Txn) rerun(avoid model.SiteID) bool {
+func (t *Txn) rerun() bool {
 	if !t.unwatch() {
 		return false
 	}
@@ -238,7 +237,7 @@ func (t *Txn) rerun(avoid model.SiteID) bool {
 	s.activeCoord[t.tx] = true
 	s.mu.Unlock()
 	t.sess = rcp.NewSession(t.tx, t.ts)
-	t.sess.Epoch, t.sess.Avoid = t.catalog.Epoch, avoid
+	t.sess.Epoch = t.catalog.Epoch
 	t.doomed = nil
 	t.unwatch = context.AfterFunc(t.ctx, t.abandon)
 	return true
