@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
@@ -192,11 +191,11 @@ func (s *Session) Vote(site model.SiteID) {
 	s.voted[site] = true
 }
 
-// Voted returns the sites that voted with their reply, sorted (nil if none).
+// Voted returns the sites that voted with their reply, sorted.
 func (s *Session) Voted() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Sorted(maps.Keys(s.voted))
+	return sortedSites(s.voted, nil)
 }
 
 // Strays returns the attempted sites that did not become participants —
@@ -204,7 +203,7 @@ func (s *Session) Voted() []model.SiteID {
 func (s *Session) Strays() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.DeleteFunc(slices.Sorted(maps.Keys(s.attempted)), func(site model.SiteID) bool { return s.touched[site] })
+	return sortedSites(s.attempted, func(site model.SiteID, _ bool) bool { return !s.touched[site] })
 }
 
 // SawIncarnation records the incarnation number site reported on a copy
@@ -234,7 +233,7 @@ func (s *Session) IncarnationFor(site model.SiteID) uint64 {
 func (s *Session) WriteSites() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.DeleteFunc(slices.Sorted(maps.Keys(s.writes)), func(site model.SiteID) bool { return len(s.writes[site]) == 0 })
+	return sortedSites(s.writes, func(_ model.SiteID, m map[model.ItemID]model.WriteRecord) bool { return len(m) > 0 })
 }
 
 // RecordWrite records the final write record site must install at commit.
@@ -295,14 +294,33 @@ func (s *Session) WriteQuorum(item model.ItemID) ([]model.SiteID, model.WriteRec
 func (s *Session) Participants() []model.SiteID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Sorted(maps.Keys(s.touched))
+	return sortedSites(s.touched, nil)
 }
 
 // WritesFor returns the write records site must install, sorted by item.
 func (s *Session) WritesFor(site model.SiteID) []model.WriteRecord {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.SortedFunc(maps.Values(s.writes[site]), func(a, b model.WriteRecord) int { return cmp.Compare(a.Item, b.Item) })
+	m := s.writes[site]
+	out := make([]model.WriteRecord, 0, len(m))
+	for _, r := range m {
+		out = append(out, r)
+	}
+	slices.SortFunc(out, func(a, b model.WriteRecord) int { return cmp.Compare(a.Item, b.Item) })
+	return out
+}
+
+// sortedSites returns the sites of m for which keep holds (every site when
+// keep is nil), sorted.
+func sortedSites[V any](m map[model.SiteID]V, keep func(model.SiteID, V) bool) []model.SiteID {
+	out := make([]model.SiteID, 0, len(m))
+	for site, v := range m {
+		if keep == nil || keep(site, v) {
+			out = append(out, site)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Protocol is a replication control protocol: ROWA or QC. The two differ

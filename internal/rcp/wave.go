@@ -187,16 +187,17 @@ func (p Protocol) Plan(ops []model.Op, home model.SiteID, items map[model.ItemID
 		legs[i].Cohort = cohort
 	}
 
+	plan.Path = PathPrepare
 	if n := len(legs); n > 0 && complete && legs[n-1].Site != home {
 		switch {
 		case readOnly:
-			plan.Last = LastFold
+			plan.Last, plan.Path = LastFold, PathReadOnly
 		case addOnly || threePhase:
 			// An add-only leg votes already; 3PC keeps its vote round.
 		case !slices.ContainsFunc(legs[n-1].Ops, func(op model.Op) bool { return op.Kind != model.OpRead }):
-			plan.Last = LastFold
+			plan.Last = LastFold // the prepare round still asks the legs that write
 		default:
-			plan.Last = LastVote
+			plan.Last, plan.Path = LastVote, PathLastLegVote
 		}
 	}
 	switch {
@@ -204,14 +205,8 @@ func (p Protocol) Plan(ops []model.Op, home model.SiteID, items map[model.ItemID
 		plan.Path = PathAvoid
 	case plan.AtOnce:
 		plan.Path = PathAddAtOnce
-	case plan.Last == LastFold && readOnly:
-		plan.Path = PathReadOnly
-	case plan.Last == LastVote:
-		plan.Path = PathLastLegVote
 	case addOnly && !threePhase:
 		plan.Path = PathAddOrdered
-	default:
-		plan.Path = PathPrepare
 	}
 	switch {
 	case plan.AtOnce:

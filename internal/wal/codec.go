@@ -151,6 +151,23 @@ func (d *binReader) string() string {
 	return s
 }
 
+// sites reads a length-prefixed list of site ids (nil when empty).
+func (d *binReader) sites() []model.SiteID {
+	n := d.uvarint()
+	if d.err != nil || n == 0 {
+		return nil
+	}
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	out := make([]model.SiteID, 0, n)
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		out = append(out, model.SiteID(d.string()))
+	}
+	return out
+}
+
 // decodeRecord parses one payload produced by appendRecord. It fails unless
 // the payload is read to its last byte, since nothing follows a record.
 func decodeRecord(payload []byte) (Record, error) {
@@ -168,16 +185,7 @@ func decodeRecord(payload []byte) (Record, error) {
 	r.TS.Time = d.uvarint()
 	r.TS.Site = model.SiteID(d.string())
 	r.Coordinator = model.SiteID(d.string())
-	if n := d.uvarint(); d.err == nil && n > 0 {
-		if n > uint64(len(d.b)) {
-			d.fail()
-		} else {
-			r.Participants = make([]model.SiteID, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				r.Participants = append(r.Participants, model.SiteID(d.string()))
-			}
-		}
-	}
+	r.Participants = d.sites()
 	if n := d.uvarint(); d.err == nil && n > 0 {
 		if n > uint64(len(d.b)) {
 			d.fail()
@@ -193,16 +201,7 @@ func decodeRecord(payload []byte) (Record, error) {
 		}
 	}
 	r.Horizon = d.uvarint()
-	if n := d.uvarint(); d.err == nil && n > 0 {
-		if n > uint64(len(d.b)) {
-			d.fail()
-		} else {
-			r.Voters = make([]model.SiteID, 0, n)
-			for i := uint64(0); i < n && d.err == nil; i++ {
-				r.Voters = append(r.Voters, model.SiteID(d.string()))
-			}
-		}
-	}
+	r.Voters = d.sites()
 	r.Ballot.N = d.uvarint()
 	r.Ballot.Site = model.SiteID(d.string())
 	for i := range r.Writes {
